@@ -33,7 +33,10 @@
 //! cycles the recorded batches instead of the generated ones. Results
 //! land in `BENCH_serve.json` — flat top-level keys for the gated
 //! metrics (`serve_max_sustainable_rps`, `serve_read_p50_us`,
-//! `serve_read_p99_us`, `serve_write_throughput_ratio`) plus the
+//! `serve_read_p99_us`, `serve_write_throughput_ratio`),
+//! `cow_clones_per_batch` (whole-shard copies per batch with the
+//! readers attached; near zero unless leases pin every retained write
+//! buffer) plus the
 //! `hardware_threads`/`quick`/`source_fingerprint` fingerprint
 //! `serve_gate` compares under (a baseline recorded against one batch
 //! source never gates a run against another), and the observability
@@ -290,8 +293,16 @@ fn ramp(
 }
 
 /// The writer's delta throughput over one window with `readers`
-/// closed-loop reader threads attached (0 = the detached baseline).
-fn write_throughput(base: &Graph, batches: &[DeltaBatch], readers: usize, window: Duration) -> f64 {
+/// closed-loop reader threads attached (0 = the detached baseline), and
+/// how many whole-shard copies a batch cost it on average — the
+/// fallback left when readers pin every retained write buffer
+/// (`TriangleServer::cow_stats`).
+fn write_throughput(
+    base: &Graph,
+    batches: &[DeltaBatch],
+    readers: usize,
+    window: Duration,
+) -> (f64, f64) {
     let mut server = make_server(base, 4);
     let handle = server.handle();
     let n = base.node_count() as u32;
@@ -323,7 +334,10 @@ fn write_throughput(base: &Graph, batches: &[DeltaBatch], readers: usize, window
         }
         let elapsed = start.elapsed().as_secs_f64();
         done.store(true, Ordering::Release);
-        deltas as f64 / elapsed
+        (
+            deltas as f64 / elapsed,
+            server.cow_stats().clones as f64 / b.max(1) as f64,
+        )
     })
 }
 
@@ -493,12 +507,18 @@ fn main() {
     }
 
     // Phase 2: write-throughput ratio (readers attached vs detached).
-    let detached = best_of_two(|| write_throughput(&base, &batches, 0, window));
-    let attached = best_of_two(|| write_throughput(&base, &batches, readers, window));
+    let detached = best_of_two(|| write_throughput(&base, &batches, 0, window).0);
+    // The worse of the two attached runs: a copy is a cost, not noise.
+    let mut cow_clones_per_batch = 0.0f64;
+    let attached = best_of_two(|| {
+        let (rate, clones) = write_throughput(&base, &batches, readers, window);
+        cow_clones_per_batch = cow_clones_per_batch.max(clones);
+        rate
+    });
     let write_ratio = attached / detached;
     println!(
         "write throughput: detached {} deltas/sec, {readers} reader(s) attached {} \
-         deltas/sec -> ratio {:.3}",
+         deltas/sec -> ratio {:.3} ({cow_clones_per_batch:.4} whole-shard copies per batch attached)",
         fmt_f64(detached),
         fmt_f64(attached),
         write_ratio
@@ -570,9 +590,10 @@ fn main() {
     let _ = write!(
         json,
         "\"serve_write_throughput_ratio\":{},\"serve_write_deltas_per_sec_detached\":{},\
-         \"serve_read_scaling_best\":{},",
+         \"cow_clones_per_batch\":{},\"serve_read_scaling_best\":{},",
         congest_obs::json::num(write_ratio),
         congest_obs::json::num(detached),
+        congest_obs::json::num(cow_clones_per_batch),
         congest_obs::json::num(read_scaling),
     );
     json.push_str("\"obs\":");

@@ -24,13 +24,13 @@
 //!   has moved past that stamp (the engines advance once per applied
 //!   batch). Within an epoch, freed slabs are therefore never rewritten
 //!   by another slot's growth, so any read view taken at the start of
-//!   the epoch stays byte-stable even while mutations proceed. When the
-//!   serve layer holds epoch-stamped reader leases
-//!   ([`TriangleServer`](crate::TriangleServer)),
-//!   [`advance_epoch_held`](NeighborArena::advance_epoch_held) keeps
-//!   every slab freed since the oldest outstanding lease quarantined
-//!   (and defers compaction), so the slab layout a lease can still see
-//!   is never recycled underneath it.
+//!   the epoch stays byte-stable even while mutations proceed. A caller
+//!   whose readers share the arena's bytes across epochs can use
+//!   [`advance_epoch_held`](NeighborArena::advance_epoch_held) to keep
+//!   every slab freed during the last `hold` epochs quarantined (and
+//!   defer compaction). The engines never need it: serve-mode leases
+//!   ([`TriangleServer`](crate::TriangleServer)) pin whole buffers that
+//!   are never written again, not slabs inside a live one.
 //! * **Compaction** — when promoted free slabs hold more than half the
 //!   buffer, the epoch boundary rewrites every live list tightly into a
 //!   fresh buffer and resets the free lists. Heavy remove/re-insert

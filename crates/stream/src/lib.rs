@@ -47,15 +47,17 @@
 //!   for its own merge).
 //! * [`TriangleServer`] / [`ServeHandle`] / [`Lease`] — the serving
 //!   layer: one writer applies batches and publishes **epoch-stamped
-//!   read snapshots** (an O(S) handle-copy per batch; shards are shared
-//!   copy-on-write `Arc`s), while any number of reader sessions pin the
-//!   last published epoch with a lease and answer queries — triangle
-//!   count, per-node/per-edge support, edge-in-triangle, top-k-support
-//!   — against that consistent view. Readers never block the write
-//!   pipeline and the writer never waits on readers; the arena's
-//!   epoch-stamped free lists defer slab reuse until the oldest lease
-//!   advances. `serve_bench` drives it with an open-loop load generator
-//!   and gates the max-sustainable-rps and read-latency numbers.
+//!   read snapshots** (an O(S) handle-copy per batch; shard buffers are
+//!   shared `Arc`s), while any number of reader sessions pin the last
+//!   published epoch with a lease and answer queries — triangle count,
+//!   per-node/per-edge support, edge-in-triangle, top-k-support —
+//!   against that consistent view. Readers never block the write
+//!   pipeline and the writer never waits on readers: it writes past the
+//!   buffer its last view pins by swapping in a retained buffer caught
+//!   up from an op log (left-right buffers, [`CowStats`]), so a write
+//!   costs `O(batch)` and no lease can see bytes under mutation.
+//!   `serve_bench` drives it with an open-loop load generator and gates
+//!   the max-sustainable-rps and read-latency numbers.
 //! * [`StreamEngine`] — the trait all engines implement; the harness is
 //!   generic over it. Its [`AdjacencyView`](congest_graph::AdjacencyView)
 //!   supertrait is what makes the layer **snapshot-free**: the
@@ -142,6 +144,7 @@ pub use index::{ApplyMode, ApplyReport, StreamError, TriangleIndex};
 pub use pool::WorkerTelemetry;
 pub use runner::{LatencyStats, RecomputeStats, RunSummary, StalenessStats, WorkloadRunner};
 pub use serve::{Lease, ServeHandle, TriangleServer, STALE_LEASE_WARN_EPOCHS};
+pub use shard::CowStats;
 pub use sharded::ShardedTriangleIndex;
 pub use source::{split_batch_for_workers, BatchIter, BatchSource, Replay, ReplayPolicy};
 pub use workload::{BaseGraph, Scenario, ScenarioBatchIter, ScenarioKind};

@@ -45,10 +45,14 @@
 //! 2. *Record* (write): each [`Shard`]'s `Arc` is moved to its owning
 //!    worker along with its routed mutations and moved back in the
 //!    response; the writer side never aliases, so there is nothing to
-//!    lock. Mutation goes through [`Arc::make_mut`]: exclusive shards
-//!    (the only case outside serve mode) are edited in place, while a
-//!    shard pinned by a published serve-mode read view is copied on the
-//!    worker before its first write, leaving readers' bytes untouched.
+//!    lock. A worker only ever edits in place, through a unique `Arc`
+//!    ([`Arc::get_mut`]): outside serve mode every shard is exclusive,
+//!    and in serve mode the engine thread first swaps each shard that
+//!    has work past the published view pinning it
+//!    ([`ShardStore::begin_record`] — a retained buffer caught up by
+//!    replaying its log, or a copy when every retained buffer is still
+//!    leased) and logs the batch's work for the other retained buffers,
+//!    so readers' bytes are never touched and no worker ever copies.
 //! 3. *Insert collect* (read-only): same `Arc` round trip on the
 //!    post-batch store.
 //!
@@ -65,7 +69,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::deque::{Injector, Steal};
 
 use crate::delta::{DeltaOp, EdgeDelta};
-use crate::shard::{intersect_sorted, Shard, ShardOp, ShardStore};
+use crate::shard::{intersect_sorted, PreparedSlot, Shard, ShardOp, ShardStore};
 
 /// Default estimated-intersection-work budget (sum of endpoint degrees
 /// over a slice) above which a worker's candidate collection is split
@@ -145,16 +149,6 @@ struct PrepareTask {
     /// other)` pair survives the upstream coalesce, so a single merge
     /// pass per group is exact.
     groups: Vec<(usize, Vec<ShardOp>)>,
-}
-
-/// One post-batch neighbour list produced by the record-prepare wave,
-/// routed back to its owning shard's record job and landed with
-/// [`Shard::seed`] (a wholesale slab replacement in the arena).
-#[derive(Debug)]
-pub(crate) struct PreparedSlot {
-    pub(crate) shard: usize,
-    pub(crate) local: usize,
-    pub(crate) list: Vec<NodeId>,
 }
 
 /// A work descriptor for one worker. All payloads are owned, which is
@@ -717,20 +711,24 @@ fn process_job(job: Job, worker: usize, steals: &mut u64) -> Payload {
             prepared,
         } => {
             congest_obs::span!("sharded", "record");
-            // Copy-on-write: in place when this worker holds the only
-            // reference, a clone first when a published serve-mode view
-            // still pins the shard — conveniently paid on the worker
-            // thread, in parallel across shards.
-            let target = Arc::make_mut(&mut shard);
-            for slot in prepared {
-                debug_assert_eq!(
-                    slot.shard, worker,
-                    "prepared slots are routed to their owner"
+            if !(ops.is_empty() && prepared.is_empty()) {
+                // Always in place: the engine thread swapped every
+                // shard with work past whatever view pinned it
+                // (`ShardStore::begin_record`). A shard without work may
+                // still be pinned and just rides along.
+                let target = Arc::get_mut(&mut shard).expect(
+                    "the engine makes every shard with work unique before the record phase",
                 );
-                target.seed(slot.local, &slot.list);
-            }
-            for op in ops {
-                target.apply_op(op);
+                for slot in prepared {
+                    debug_assert_eq!(
+                        slot.shard, worker,
+                        "prepared slots are routed to their owner"
+                    );
+                    target.seed(slot.local, &slot.list);
+                }
+                for op in ops {
+                    target.apply_op(op);
+                }
             }
             Payload::Shard(shard)
         }

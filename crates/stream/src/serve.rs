@@ -23,25 +23,40 @@
 //!   sub-microsecond critical section, and queries run entirely on the
 //!   reader's own `Arc`s.
 //! * The writer never waits on readers — publishing swaps the shared
-//!   view pointer; it does not reclaim anything a lease still uses.
-//!   Mutation is copy-on-write per shard ([`Arc::make_mut`]): a shard
-//!   pinned by a published view is cloned once when next touched (paid
-//!   on the worker that records it, in parallel across shards), and the
-//!   arena's epoch-stamped free lists additionally defer slab reuse and
-//!   compaction by `next_epoch − oldest_lease_epoch`
-//!   ([`NeighborArena::advance_epoch_held`](crate::NeighborArena::advance_epoch_held)),
-//!   so memory behind old views stays stable until the oldest lease
-//!   advances.
+//!   view pointer; it does not reclaim anything a lease still uses. A
+//!   buffer is only ever written through a unique `Arc`, so "no lease
+//!   observes a reclaimed slot" holds by construction: whatever a lease
+//!   can see, nothing mutates. The writer gets past the buffer its last
+//!   view pins with **left-right buffers** (see [`crate::shard`]'s
+//!   `ShardStore`): per shard it keeps up to two *retained* buffers —
+//!   the ones earlier views were published from — with a log of what
+//!   the live buffer absorbed since; a batch's first write takes one no
+//!   reader still holds, replays its log, swaps it in and retains the
+//!   pinned one. A write therefore costs `O(batch)`, not an `O(m)`
+//!   shard copy, and the arena reclaims and compacts at every batch
+//!   boundary whatever leases are out.
 //!
-//! A dropped [`Lease`] retires itself from the server's epoch table;
-//! the next publish then lets reclamation catch up. Observability:
+//! **What this costs.** Memory: up to three buffers per shard while
+//! serving (one live, two retained; two in steady state without
+//! overlapping readers) plus their logs, each capped at half the
+//! shard's half-edges. A lease held across batches pins one buffer; as
+//! long as one retained buffer is free the writer does not notice. Only
+//! when the live buffer and both retained ones are pinned at once — two
+//! stale leases on different epochs beside the current view — does a
+//! batch fall back to copying the shard, and it keeps doing so every
+//! batch until one of them lets go. [`TriangleServer::cow_stats`] says
+//! which path batches took.
+//!
+//! A dropped [`Lease`] retires itself from the server's epoch table and
+//! frees the buffers only its view held. Observability:
 //! `serve/lease_acquire`, `serve/query` and `serve/publish` span
-//! families, plus the `serve.active_leases`,
-//! `serve.oldest_lease_epoch_lag` and `serve.lease_age_epochs_max`
-//! gauges (updated writer-side at each publish, so the query path stays
-//! contention-free). A reader that acquires a lease and forgets it
-//! does not error anywhere — it silently pins arena reclamation — so
-//! each publish whose oldest lease lags the writer by more than
+//! families, the `serve.active_leases`, `serve.oldest_lease_epoch_lag`
+//! and `serve.lease_age_epochs_max` gauges and the
+//! `serve.buffer_swaps`, `serve.buffer_clones` and `serve.replayed_ops`
+//! counters (all updated writer-side at each publish, so the query path
+//! stays contention-free). A reader that acquires a lease and forgets
+//! it does not error anywhere — it silently pins a buffer — so each
+//! publish whose oldest lease lags the writer by more than
 //! [`STALE_LEASE_WARN_EPOCHS`] epochs also bumps the
 //! `serve.stale_lease_warnings` counter, making the abandoned lease
 //! visible in any metrics snapshot.
@@ -53,12 +68,14 @@ use congest_graph::{count_common, AdjacencyView, NodeId};
 
 use crate::delta::DeltaBatch;
 use crate::index::{ApplyReport, StreamError};
-use crate::shard::ShardStore;
+use crate::shard::{CowStats, ShardStore};
 use crate::sharded::ShardedTriangleIndex;
 
 /// Epochs the oldest outstanding lease may lag the writer before each
-/// further publish counts a `serve.stale_lease_warnings` tick. Sixteen
-/// epochs of copy-on-write shards and quarantined slabs is already far
+/// further publish counts a `serve.stale_lease_warnings` tick. A lease
+/// pins one whole buffer of every shard its view holds — a third of the
+/// writer's left-right budget; a second one as stale on another epoch
+/// turns every batch into a shard copy. Sixteen epochs is already far
 /// beyond what a well-behaved reader session holds; a lease older than
 /// that is almost certainly leaked.
 pub const STALE_LEASE_WARN_EPOCHS: u64 = 16;
@@ -71,8 +88,8 @@ pub const STALE_LEASE_WARN_EPOCHS: u64 = 16;
 struct EpochView {
     /// The publish counter this view was stamped with.
     epoch: u64,
-    /// Shared shard handles; the writer copy-on-writes any shard it
-    /// touches after this view was published.
+    /// Shared handles on the buffers that were live at the stamp; the
+    /// writer swaps past them instead of writing them.
     store: ShardStore,
     /// Live triangle count at the stamp.
     triangle_count: usize,
@@ -135,6 +152,9 @@ pub struct TriangleServer {
     shared: Arc<ServeShared>,
     /// The last published epoch (one publish per applied batch).
     epoch: u64,
+    /// The engine's [`CowStats`] as of the last publish (the registry
+    /// counters are fed the difference).
+    published_cow: CowStats,
 }
 
 impl TriangleServer {
@@ -157,6 +177,7 @@ impl TriangleServer {
                 }),
             }),
             epoch: 0,
+            published_cow: CowStats::default(),
         }
     }
 
@@ -180,10 +201,21 @@ impl TriangleServer {
         &self.engine
     }
 
-    /// Unwraps the server, dropping the lease table. Outstanding leases
-    /// keep their views alive independently.
-    pub fn into_engine(self) -> ShardedTriangleIndex {
+    /// Unwraps the server, dropping the lease table and the retained
+    /// write buffers. Outstanding leases keep their views alive
+    /// independently.
+    pub fn into_engine(mut self) -> ShardedTriangleIndex {
+        self.engine.shed_retained();
         self.engine
+    }
+
+    /// Which path the first write of each (shard, batch) has taken so
+    /// far: in place, a swap to a caught-up retained buffer, or the
+    /// whole-shard copy that remains as the fallback. A healthy server
+    /// shows `clones` near zero — one per shard at start-up, then only
+    /// when stale leases pin both retained buffers.
+    pub fn cow_stats(&self) -> CowStats {
+        self.engine.cow_stats()
     }
 
     /// Outstanding leases across all epochs.
@@ -198,21 +230,13 @@ impl TriangleServer {
     }
 
     /// Applies one batch through the engine and publishes the result as
-    /// the next epoch. The arena reclaim lag is set first, so slabs the
-    /// batch frees stay quarantined until the oldest outstanding lease
-    /// advances past the epochs that could still read them.
+    /// the next epoch.
     ///
     /// # Errors
     ///
     /// Exactly [`ShardedTriangleIndex::apply`]'s errors; on error
     /// nothing is published and the epoch does not advance.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
-        let next = self.epoch + 1;
-        let hold = match self.oldest_lease_epoch() {
-            Some(oldest) => next.saturating_sub(oldest),
-            None => 0,
-        };
-        self.engine.set_reclaim_lag(hold);
         let report = self.engine.apply(batch)?;
         self.publish();
         Ok(report)
@@ -248,6 +272,17 @@ impl TriangleServer {
         congest_obs::gauge_set("serve.lease_age_epochs_max", age as f64);
         if age > STALE_LEASE_WARN_EPOCHS {
             congest_obs::counter_add("serve.stale_lease_warnings", 1);
+        }
+        let cow = self.engine.cow_stats();
+        let before = std::mem::replace(&mut self.published_cow, cow);
+        for (name, delta) in [
+            ("serve.buffer_swaps", cow.swaps - before.swaps),
+            ("serve.buffer_clones", cow.clones - before.clones),
+            ("serve.replayed_ops", cow.replayed_ops - before.replayed_ops),
+        ] {
+            if delta > 0 {
+                congest_obs::counter_add(name, delta);
+            }
         }
     }
 }
@@ -406,9 +441,8 @@ impl AdjacencyView for Lease {
 }
 
 impl Drop for Lease {
-    /// Retires this lease from the server's epoch table; once an
-    /// epoch's count hits zero the next publish lets arena reclamation
-    /// advance past it.
+    /// Retires this lease from the server's epoch table; the buffers
+    /// only its view held become free for the writer to swap back in.
     fn drop(&mut self) {
         let mut state = self.shared.lock();
         if let Some(count) = state.leases.get_mut(&self.view.epoch) {
@@ -604,13 +638,126 @@ mod tests {
 
     #[test]
     fn into_engine_returns_the_live_engine() {
-        let mut server = TriangleServer::new(ShardedTriangleIndex::new(8, 2));
-        server.apply(&triangle_batch()).unwrap();
+        let g = Classic::Complete(12).generate();
+        let mut server = TriangleServer::new(ShardedTriangleIndex::from_graph(&g, 2));
+        let mut batch = DeltaBatch::new();
+        batch.remove(v(0), v(1));
+        server.apply(&batch).unwrap();
         let lease = server.handle().lease();
+        assert!(server.engine.retained_buffers() > 0);
         let engine = server.into_engine();
-        assert_eq!(engine.triangle_count(), 1);
+        // K12 has 220 triangles; the removed edge was in 10 of them.
+        assert_eq!(engine.triangle_count(), 210);
+        // Nothing publishes from the engine any more: it keeps no
+        // retained write buffers behind.
+        assert_eq!(engine.retained_buffers(), 0);
         // The lease outlives the server: its view holds the data alive.
-        assert_eq!(lease.triangle_count(), 1);
+        assert_eq!(lease.triangle_count(), 210);
+    }
+
+    /// Every node gains its next 40 ring neighbours one batch at a
+    /// time, then loses them in reverse: slabs promote on the way up
+    /// and the drain leaves the arena mostly free slack.
+    fn grow_then_drain(n: u32) -> Vec<DeltaBatch> {
+        let step = |d: u32, insert: bool| {
+            let mut b = DeltaBatch::new();
+            for i in 0..n {
+                if insert {
+                    b.insert(v(i), v((i + d) % n));
+                } else {
+                    b.remove(v(i), v((i + d) % n));
+                }
+            }
+            b
+        };
+        (1..=40)
+            .map(|d| step(d, true))
+            .chain((1..=40).rev().map(|d| step(d, false)))
+            .collect()
+    }
+
+    #[test]
+    fn the_arena_reclaims_and_compacts_while_a_lease_is_always_out() {
+        // Regression: reclamation used to be held back by
+        // `next_epoch − oldest_lease_epoch`, and compaction skipped
+        // whenever that was non-zero — so beside a closed-loop reader,
+        // which almost always has a lease out, a serving arena never
+        // compacted. Leases pin whole buffers now; the arena owes them
+        // nothing.
+        let batches = grow_then_drain(96);
+        let mut detached = TriangleServer::new(ShardedTriangleIndex::new(96, 2));
+        for batch in &batches {
+            detached.apply(batch).unwrap();
+        }
+
+        let mut attached = TriangleServer::new(ShardedTriangleIndex::new(96, 2));
+        let handle = attached.handle();
+        let mut lease = handle.lease();
+        for batch in &batches {
+            attached.apply(batch).unwrap();
+            assert!(attached.active_leases() >= 1);
+            // The next lease is taken before the previous one drops.
+            lease = handle.lease();
+        }
+        assert_eq!(lease.epoch(), batches.len() as u64);
+
+        let stats = attached.engine().arena_stats();
+        assert!(stats.compactions >= 1, "{stats:?}");
+        assert!(stats.slab_bytes <= detached.engine().arena_stats().slab_bytes);
+        assert_eq!(stats, detached.engine().arena_stats());
+        assert!(attached.engine().matches_oracle());
+    }
+
+    #[test]
+    fn cow_stats_name_the_path_each_batch_took() {
+        // A 200-cycle: every batch below is two effective deltas, and
+        // the shard is large enough that a few batches of lag stay far
+        // under the cap.
+        let g = Classic::Cycle(200).generate();
+        let mut server = TriangleServer::new(ShardedTriangleIndex::from_graph(&g, 1));
+        let handle = server.handle();
+        let toggle = |i: u32| {
+            let mut b = DeltaBatch::new();
+            b.insert(v(i), v(i + 100)).remove(v(i), v(i + 1));
+            b
+        };
+        // Nobody reads: one copy to get off the seeded buffer, then the
+        // two buffers swap roles every batch.
+        for i in 0..5 {
+            server.apply(&toggle(i)).unwrap();
+        }
+        let cow = server.cow_stats();
+        assert_eq!((cow.clones, cow.swaps, cow.in_place), (1, 4, 0));
+        assert_eq!(
+            cow.replayed_ops,
+            4 * 4,
+            "each swap replays the batch it missed"
+        );
+
+        // A lease on the previous epoch pins the only retained buffer:
+        // one more copy buys the third buffer…
+        let straggler = handle.lease();
+        server.apply(&toggle(5)).unwrap();
+        server.apply(&toggle(6)).unwrap();
+        assert_eq!(server.cow_stats().clones, 2);
+        // …after which one straggler costs nothing…
+        server.apply(&toggle(7)).unwrap();
+        assert_eq!(server.cow_stats().clones, 2);
+        // …but a second one on another epoch pins everything.
+        let second = handle.lease();
+        server.apply(&toggle(8)).unwrap();
+        server.apply(&toggle(9)).unwrap();
+        assert_eq!(server.cow_stats().clones, 3);
+        assert_eq!(straggler.epoch(), 5);
+        assert_eq!(second.epoch(), 8);
+        assert!(server.engine().matches_oracle());
+
+        // The registry sees the same tallies (other tests add to the
+        // counters too, so only a floor can be asserted).
+        let counters = congest_obs::snapshot().counters;
+        assert!(counters["serve.buffer_swaps"] >= server.cow_stats().swaps);
+        assert!(counters["serve.buffer_clones"] >= 3);
+        assert!(counters["serve.replayed_ops"] >= server.cow_stats().replayed_ops);
     }
 
     #[test]

@@ -25,16 +25,27 @@
 //!   [`NeighborArena`](crate::arena) per shard and mutated only by its
 //!   owning worker during the record phase of a batch apply.
 //! * [`ShardStore`] — the spec plus all `S` shards as one movable value.
-//!   Each shard sits behind an `Arc`, so the store clones in `O(S)`:
-//!   the pool-backed engine hands the whole store to its persistent
-//!   workers by `Arc` for the read-only collect phases and moves the
-//!   shard `Arc`s out to their owning workers for the record phase,
-//!   reclaiming ownership afterwards — which is how the pipeline stays
-//!   free of `unsafe` and of locks on the read path. Mutation goes
-//!   through [`Arc::make_mut`]: exclusive shards (the common case) are
-//!   edited in place, while a shard pinned by a published serve-mode
-//!   view ([`TriangleServer`](crate::TriangleServer)) is copied on its
-//!   first write of the batch, leaving the readers' bytes untouched.
+//!   Each shard's *live* buffer sits behind an `Arc`, so the store
+//!   clones in `O(S)`: the pool-backed engine hands the whole store to
+//!   its persistent workers by `Arc` for the read-only collect phases
+//!   and moves the shard `Arc`s out to their owning workers for the
+//!   record phase, reclaiming ownership afterwards — which is how the
+//!   pipeline stays free of `unsafe` and of locks on the read path.
+//!   A buffer is only ever mutated through a **unique** `Arc`
+//!   ([`Arc::get_mut`]): exclusive shards (always, outside serve mode)
+//!   are edited in place. A live buffer pinned by a published
+//!   serve-mode view ([`TriangleServer`](crate::TriangleServer)) is not
+//!   copied: beside it the store keeps up to [`MAX_RETAINED`] *retained*
+//!   buffers — the buffers earlier views were published from — each
+//!   with the log of everything the live buffer absorbed since the two
+//!   diverged. The first write of a batch takes a retained buffer no
+//!   reader still holds, replays its log (a batch or two of sorted-list
+//!   edits), swaps it in as live and retains the pinned one. A write
+//!   therefore costs `O(batch)`; the `O(m)` clone remains only as the
+//!   fallback when every retained buffer is pinned by a straggling
+//!   lease. Replay is deterministic — same edits, same epoch
+//!   boundaries, hence the same lists, slab layout and [`ArenaStats`] —
+//!   so which path a batch took is invisible in every result.
 //! * [`NodeSupport`] — per-node triangle-support counters maintained by
 //!   the same exactly-once merge that maintains the triangle set, so
 //!   serve-mode support queries are `O(1)` lookups instead of repeated
@@ -275,6 +286,16 @@ pub(crate) struct ShardOp {
     pub(crate) op: DeltaOp,
 }
 
+/// One post-batch neighbour list produced by the pool's record-prepare
+/// wave, routed back to its owning shard's record job and landed with
+/// [`Shard::seed`] (a wholesale slab replacement in the arena).
+#[derive(Debug)]
+pub(crate) struct PreparedSlot {
+    pub(crate) shard: usize,
+    pub(crate) local: usize,
+    pub(crate) list: Vec<NodeId>,
+}
+
 /// One shard's slice of the partitioned adjacency: the sorted neighbour
 /// lists of its owned nodes, packed into one flat
 /// [`NeighborArena`](crate::arena) (local slot = arena slot). During the
@@ -319,10 +340,31 @@ impl Shard {
         }
     }
 
-    /// Ends the shard's mutation epoch while reader leases pin the last
-    /// `hold` epochs (see [`NeighborArena::advance_epoch_held`]).
-    pub(crate) fn advance_epoch_held(&mut self, hold: u64) {
-        self.arena.advance_epoch_held(hold);
+    /// Ends the shard's mutation epoch: slabs the batch freed become
+    /// reusable and an arena whose free slack outgrew its live data
+    /// compacts. Nothing is ever held back for readers — the caller has
+    /// `&mut`, so by construction no lease can see these bytes.
+    pub(crate) fn advance_epoch(&mut self) {
+        self.arena.advance_epoch();
+    }
+
+    /// Catches a retained buffer up with the live one by re-running what
+    /// the live buffer absorbed since the two diverged. Returns the
+    /// number of list edits replayed.
+    fn replay(&mut self, lag: &[Lag]) -> u64 {
+        let mut edits = 0;
+        for entry in lag {
+            match entry {
+                Lag::Op(op) => self.apply_op(*op),
+                Lag::Seed(slot) => self.seed(slot.0, &slot.1),
+                Lag::Epoch => {
+                    self.advance_epoch();
+                    continue;
+                }
+            }
+            edits += 1;
+        }
+        edits
     }
 
     /// Half-edge count: the sum of this shard's list lengths (summing over
@@ -337,16 +379,98 @@ impl Shard {
     }
 }
 
+/// Retained buffers kept per shard beside the live one. One is the
+/// classic left-right pair; the second covers a reader that leased view
+/// *k* just before publish *k + 1* and is still inside its query when
+/// batch *k + 2* starts writing, so a query shorter than one batch
+/// interval never forces a copy.
+const MAX_RETAINED: usize = 2;
+
+/// A retained buffer is dropped once its lag outweighs the live shard's
+/// half-edges divided by this: past that point replaying the log stops
+/// beating the `memcpy` it replaces.
+const LAG_CAP_DIVISOR: usize = 2;
+
+/// One thing a live buffer absorbed after a retained buffer diverged
+/// from it, in the order it happened.
+#[derive(Debug)]
+enum Lag {
+    /// One routed list edit.
+    Op(ShardOp),
+    /// A prepared post-batch list landed wholesale at a local slot.
+    /// Replaying the raw ops would reproduce the list but not the slab
+    /// the live buffer reallocated for it, so the list itself is logged
+    /// (boxed: rare, and it keeps the common entry at two words).
+    Seed(Box<(usize, Vec<NodeId>)>),
+    /// The batch boundary ([`Shard::advance_epoch`]).
+    Epoch,
+}
+
+/// A buffer an earlier view was published from, plus what the live
+/// buffer has absorbed since.
+#[derive(Debug)]
+struct Retained {
+    buf: Arc<Shard>,
+    lag: Vec<Lag>,
+    /// Replay cost of `lag` in list elements written (see
+    /// [`LAG_CAP_DIVISOR`]).
+    weight: usize,
+}
+
+impl Retained {
+    fn push(&mut self, entry: Lag) {
+        self.weight += match &entry {
+            Lag::Seed(slot) => slot.1.len().max(1),
+            Lag::Op(_) | Lag::Epoch => 1,
+        };
+        self.lag.push(entry);
+    }
+}
+
+/// Which path the first write of each (shard, batch) took, over a
+/// store's lifetime — see [`TriangleServer::cow_stats`](crate::TriangleServer::cow_stats).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CowStats {
+    /// The live buffer was unique (nothing published pins it): edited in
+    /// place.
+    pub in_place: u64,
+    /// The live buffer was pinned and a retained buffer was free: its
+    /// lag was replayed and the two swapped roles.
+    pub swaps: u64,
+    /// The live buffer and every retained buffer were pinned (or none
+    /// was retained yet): the whole shard was copied.
+    pub clones: u64,
+    /// List edits replayed by all swaps together.
+    pub replayed_ops: u64,
+}
+
 /// The complete partitioned adjacency: a [`ShardSpec`] plus its `S`
 /// [`Shard`]s, owned as one movable value (see the module docs for how
-/// the pool round-trips ownership).
-#[derive(Debug, Clone)]
+/// the pool round-trips ownership and how writes get past pinned
+/// buffers).
+#[derive(Debug)]
 pub(crate) struct ShardStore {
     spec: ShardSpec,
-    /// One `Arc` per shard: cloning the store is `O(S)`, and a clone
-    /// held by a published serve-mode view keeps its shards' bytes
-    /// alive while the writer copy-on-writes past them.
+    /// One live buffer per shard. Cloning the store clones these `Arc`s
+    /// — `O(S)` — and that clone is what a published serve-mode view
+    /// holds.
     shards: Vec<Arc<Shard>>,
+    /// Per shard, at most [`MAX_RETAINED`] retained buffers, oldest
+    /// first. Writer-side only: empty unless a write has found the live
+    /// buffer pinned.
+    retained: Vec<Vec<Retained>>,
+    /// Shards written since the last [`advance_epoch`](Self::advance_epoch).
+    touched: Vec<bool>,
+    cow: CowStats,
+}
+
+impl Clone for ShardStore {
+    /// Shares the live buffers and nothing else: a clone (a published
+    /// view, a cloned engine) starts with no retained buffers, and the
+    /// original must find its live buffers pinned on its next write.
+    fn clone(&self) -> Self {
+        ShardStore::over(self.spec, self.shards.clone())
+    }
 }
 
 impl Default for ShardStore {
@@ -365,7 +489,19 @@ impl ShardStore {
         let shards = (0..spec.shard_count())
             .map(|s| Arc::new(Shard::new(spec.nodes_in_shard(s))))
             .collect();
-        ShardStore { spec, shards }
+        ShardStore::over(spec, shards)
+    }
+
+    /// A store over the given live buffers: nothing retained, nothing
+    /// written, nothing tallied.
+    fn over(spec: ShardSpec, shards: Vec<Arc<Shard>>) -> Self {
+        ShardStore {
+            spec,
+            retained: shards.iter().map(|_| Vec::new()).collect(),
+            touched: vec![false; shards.len()],
+            shards,
+            cow: CowStats::default(),
+        }
     }
 
     /// The node→shard mapping.
@@ -432,15 +568,108 @@ impl ShardStore {
     }
 
     /// Seeds `node`'s sorted neighbour list (used when building from a
-    /// static graph).
+    /// static graph). Seeding happens outside any batch and is not
+    /// logged: the shard's retained buffers are dropped instead, and a
+    /// live buffer something else still shares is copied first.
     pub(crate) fn seed(&mut self, node: NodeId, neighbors: &[NodeId]) {
         let shard = self.spec.shard_of(node);
-        Arc::make_mut(&mut self.shards[shard]).seed(self.spec.local_index(node), neighbors);
+        self.retained[shard].clear();
+        let live = &mut self.shards[shard];
+        if Arc::get_mut(live).is_none() {
+            *live = Arc::new(Shard::clone(live));
+        }
+        Arc::get_mut(live)
+            .expect("just made unique")
+            .seed(self.spec.local_index(node), neighbors);
     }
 
     /// Applies one routed mutation to the shard that owns it.
     pub(crate) fn apply_routed(&mut self, shard: usize, op: ShardOp) {
-        Arc::make_mut(&mut self.shards[shard]).apply_op(op);
+        self.writable(shard).apply_op(op);
+        for retained in &mut self.retained[shard] {
+            retained.push(Lag::Op(op));
+        }
+    }
+
+    /// The pooled record phase's engine-side half, called per shard
+    /// right before the shards move to their workers: makes the live
+    /// buffer of a shard with work unique — so the worker's
+    /// [`Arc::get_mut`] cannot fail — and logs the work for the
+    /// retained buffers in the order the worker applies it (prepared
+    /// lists first, then the serial ops).
+    pub(crate) fn begin_record(
+        &mut self,
+        shard: usize,
+        ops: &[ShardOp],
+        prepared: &[PreparedSlot],
+    ) {
+        if ops.is_empty() && prepared.is_empty() {
+            return;
+        }
+        self.writable(shard);
+        for retained in &mut self.retained[shard] {
+            for slot in prepared {
+                retained.push(Lag::Seed(Box::new((slot.local, slot.list.clone()))));
+            }
+            for &op in ops {
+                retained.push(Lag::Op(op));
+            }
+        }
+    }
+
+    /// `&mut` to a shard's live buffer. The first write of a batch makes
+    /// it unique if a published view pins it; unique then stays unique
+    /// until the store is next cloned — readers clone whole views, never
+    /// a shard's `Arc`, and nothing clones the store mid-batch — so later
+    /// writes of the batch go straight through.
+    fn writable(&mut self, shard: usize) -> &mut Shard {
+        if !self.touched[shard] {
+            self.touched[shard] = true;
+            if Arc::get_mut(&mut self.shards[shard]).is_none() {
+                self.unpin(shard);
+            } else {
+                self.cow.in_place += 1;
+            }
+        }
+        Arc::get_mut(&mut self.shards[shard])
+            .expect("a written shard stays unique until the store is next cloned")
+    }
+
+    /// Replaces a pinned live buffer by an identical unique one: the
+    /// youngest retained buffer no reader still holds, caught up by
+    /// replaying its lag, or — when all are pinned — a copy. The pinned
+    /// buffer is retained in its place with an empty lag.
+    fn unpin(&mut self, shard: usize) {
+        let retained = &mut self.retained[shard];
+        // Only this store holds retained buffers besides old views, and
+        // views only ever let go: a buffer seen unique stays unique.
+        let spare = (0..retained.len())
+            .rev()
+            .find(|&i| Arc::get_mut(&mut retained[i].buf).is_some());
+        let (fresh, mut lag) = match spare {
+            Some(i) => {
+                let Retained { mut buf, lag, .. } = retained.remove(i);
+                let caught_up = Arc::get_mut(&mut buf).expect("checked unique above");
+                self.cow.replayed_ops += caught_up.replay(&lag);
+                self.cow.swaps += 1;
+                (buf, lag)
+            }
+            None => {
+                if retained.len() == MAX_RETAINED {
+                    // All three buffers pinned: let go of the stalest.
+                    retained.remove(0);
+                }
+                self.cow.clones += 1;
+                (Arc::new(Shard::clone(&self.shards[shard])), Vec::new())
+            }
+        };
+        lag.clear();
+        let pinned = std::mem::replace(&mut self.shards[shard], fresh);
+        retained.push(Retained {
+            buf: pinned,
+            lag,
+            weight: 0,
+        });
     }
 
     /// Moves the shard `Arc`s out (for the record phase, where each
@@ -462,24 +691,44 @@ impl ShardStore {
         self.shards.iter().map(|shard| shard.half_edges()).sum()
     }
 
-    /// Ends every shard's mutation epoch while reader leases pin the
-    /// last `hold` epochs: slabs those leases' views can still reference
-    /// stay quarantined and compaction is deferred (see
-    /// [`NeighborArena::advance_epoch_held`]).
-    ///
-    /// A shard still pinned by a published view here was not touched by
-    /// the batch (any touched shard was copy-on-written and is exclusive
-    /// again): it freed nothing, so rather than cloning it just to bump
-    /// its epoch counter, the advance is skipped. Its arena epoch then
-    /// lags the batch count, which only makes future holds more
-    /// conservative — slabs stay quarantined at least as long as the
-    /// stamped-epoch discipline requires.
-    pub(crate) fn advance_epoch_held(&mut self, hold: u64) {
-        for shard in &mut self.shards {
-            if let Some(shard) = Arc::get_mut(shard) {
-                shard.advance_epoch_held(hold);
+    /// Ends the batch: every shard it wrote ends its arena epoch (slabs
+    /// freed by the batch become reusable, oversized arenas compact),
+    /// the boundary is logged for that shard's retained buffers, and a
+    /// retained buffer whose lag has outgrown the cap is dropped — which
+    /// is also how an engine that stopped publishing sheds its buffers
+    /// instead of logging forever. Shards the batch did not write are
+    /// left alone: they freed nothing.
+    pub(crate) fn advance_epoch(&mut self) {
+        for (shard, touched) in self.touched.iter_mut().enumerate() {
+            if !std::mem::take(touched) {
+                continue;
             }
+            let live = Arc::get_mut(&mut self.shards[shard])
+                .expect("a written shard stays unique until the store is next cloned");
+            live.advance_epoch();
+            let cap = live.half_edges() / LAG_CAP_DIVISOR;
+            self.retained[shard].retain_mut(|retained| {
+                retained.push(Lag::Epoch);
+                retained.weight <= cap
+            });
         }
+    }
+
+    /// Drops every retained buffer (the store stops being published
+    /// from, or is about to be reseeded).
+    pub(crate) fn shed_retained(&mut self) {
+        self.retained.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Retained buffers currently held, over all shards.
+    #[cfg(test)]
+    pub(crate) fn retained_buffers(&self) -> usize {
+        self.retained.iter().map(Vec::len).sum()
+    }
+
+    /// Which path first writes have taken so far.
+    pub(crate) fn cow_stats(&self) -> CowStats {
+        self.cow
     }
 
     /// Arena health counters summed over every shard.
@@ -642,5 +891,265 @@ mod tests {
         assert_eq!(shard.neighbors(0), ids(&[4, 6]));
         assert_eq!(shard.neighbors(1), ids(&[3]));
         assert_eq!(shard.half_edges(), 3);
+    }
+    // ---- left-right buffers -------------------------------------------
+
+    /// A store seeded with the circulant graph on `n` nodes where every
+    /// node neighbours the `k` ids on either side: degree `2k`, so each
+    /// shard's lag cap is `k · n / S` and easy to stay under.
+    fn circulant(n: u32, k: u32, shards: usize) -> ShardStore {
+        let mut store = ShardStore::new(n as usize, shards);
+        for i in 0..n {
+            let mut list: Vec<NodeId> = (1..=k)
+                .flat_map(|d| [v((i + d) % n), v((i + n - d) % n)])
+                .collect();
+            list.sort_unstable();
+            store.seed(v(i), &list);
+        }
+        store
+    }
+
+    /// One batch through the ordered-path API: both directions of every
+    /// edge op, then the batch boundary.
+    fn write(store: &mut ShardStore, edges: &[(u32, u32, DeltaOp)]) {
+        let spec = store.spec();
+        for &(a, b, op) in edges {
+            for (node, other) in [(v(a), v(b)), (v(b), v(a))] {
+                store.apply_routed(
+                    spec.shard_of(node),
+                    ShardOp {
+                        local: spec.local_index(node),
+                        other,
+                        op,
+                    },
+                );
+            }
+        }
+        store.advance_epoch();
+    }
+
+    /// One batch through the pooled-path API, with this thread playing
+    /// every worker: prepared lists land wholesale, then the serial ops.
+    fn record(store: &mut ShardStore, ops: &[Vec<ShardOp>], prepared: &[Vec<PreparedSlot>]) {
+        for (shard, (ops, prepared)) in ops.iter().zip(prepared).enumerate() {
+            store.begin_record(shard, ops, prepared);
+        }
+        let mut shards = store.take_shards();
+        for (shard, (ops, prepared)) in shards.iter_mut().zip(ops.iter().zip(prepared)) {
+            if ops.is_empty() && prepared.is_empty() {
+                continue;
+            }
+            let shard = Arc::get_mut(shard).expect("begin_record made it unique");
+            for slot in prepared {
+                shard.seed(slot.local, &slot.list);
+            }
+            for &op in ops {
+                shard.apply_op(op);
+            }
+        }
+        store.restore_shards(shards);
+        store.advance_epoch();
+    }
+
+    fn lists(store: &ShardStore) -> Vec<Vec<NodeId>> {
+        (0..store.node_count())
+            .map(|i| store.neighbors(NodeId::from_index(i)).to_vec())
+            .collect()
+    }
+
+    /// A small effective batch on the circulant base: round `r` toggles
+    /// the chords `{i, i + n/2}` for four values of `i`.
+    fn chords(r: u32, n: u32, op: DeltaOp) -> Vec<(u32, u32, DeltaOp)> {
+        (0..4)
+            .map(|j| ((r * 4 + j) % (n / 2), (r * 4 + j) % (n / 2) + n / 2, op))
+            .collect()
+    }
+
+    #[test]
+    fn unpinned_writes_stay_in_place_and_retain_nothing() {
+        let mut store = circulant(64, 4, 2);
+        for r in 0..6 {
+            write(&mut store, &chords(r, 64, DeltaOp::Insert));
+        }
+        assert_eq!(
+            store.cow_stats(),
+            CowStats {
+                in_place: 12, // six batches, both shards written each time
+                ..CowStats::default()
+            }
+        );
+        assert_eq!(store.retained_buffers(), 0);
+        assert!(store.has_edge(v(0), v(32)));
+    }
+
+    #[test]
+    fn a_pinned_buffer_is_cloned_once_and_swapped_from_then_on() {
+        let mut store = circulant(64, 4, 1);
+        let mut view = store.clone();
+        let mut expected = lists(&store);
+        for r in 0..6 {
+            write(&mut store, &chords(r, 64, DeltaOp::Insert));
+            // The view still holds the pre-batch bytes…
+            assert_eq!(lists(&view), expected, "round {r}");
+            // …and the next publish lets the older one go.
+            expected = lists(&store);
+            view = store.clone();
+            let cow = store.cow_stats();
+            assert_eq!((cow.clones, cow.swaps, cow.in_place), (1, r as u64, 0));
+            assert_eq!(store.retained_buffers(), 1);
+        }
+        // Each swap replays exactly the one batch it missed: 4 edges,
+        // both directions.
+        assert_eq!(store.cow_stats().replayed_ops, 5 * 8);
+        assert!(store.has_edge(v(23), v(55)));
+        drop(view);
+    }
+
+    #[test]
+    fn with_every_buffer_pinned_it_clones_and_never_holds_more_than_three() {
+        let mut store = circulant(64, 4, 1);
+        let mut leases = vec![(store.clone(), lists(&store))];
+        for r in 0..6 {
+            write(&mut store, &chords(r, 64, DeltaOp::Insert));
+            leases.push((store.clone(), lists(&store)));
+            assert!(store.retained_buffers() <= MAX_RETAINED, "round {r}");
+        }
+        // Nobody ever let go, so no retained buffer was ever free.
+        let cow = store.cow_stats();
+        assert_eq!((cow.clones, cow.swaps, cow.in_place), (6, 0, 0));
+        // Every lease still reads what it was published with.
+        for (epoch, (view, expected)) in leases.iter().enumerate() {
+            assert_eq!(&lists(view), expected, "epoch {epoch}");
+        }
+        // Once the stale leases go, the writer swaps again.
+        leases.clear();
+        let view = store.clone();
+        write(&mut store, &chords(6, 64, DeltaOp::Insert));
+        assert_eq!(store.cow_stats().swaps, 1);
+        drop(view);
+    }
+
+    #[test]
+    fn a_retained_buffer_is_shed_once_its_lag_passes_the_cap() {
+        // 64 nodes of degree 8: 512 half-edges, so the cap is 256.
+        let mut store = circulant(64, 4, 1);
+        let view = store.clone();
+        write(&mut store, &chords(0, 64, DeltaOp::Insert));
+        drop(view);
+        assert_eq!(store.retained_buffers(), 1);
+        // Nothing is published from here on: every write is in place and
+        // the one retained buffer only falls further behind, by 9 entries
+        // a batch (8 edits and the boundary), the batch above included.
+        let mut rounds = 0;
+        while store.retained_buffers() == 1 {
+            rounds += 1;
+            assert!(rounds < 40, "the lag cap never shed the buffer");
+            let op = if rounds % 2 == 1 {
+                DeltaOp::Remove
+            } else {
+                DeltaOp::Insert
+            };
+            write(&mut store, &chords(0, 64, op));
+        }
+        assert_eq!(rounds, 28, "29 batches of 9 entries pass the cap");
+        assert_eq!(store.cow_stats().clones, 1);
+        assert_eq!(store.cow_stats().swaps, 0);
+    }
+
+    #[test]
+    fn clones_and_seeds_carry_no_retained_buffers() {
+        let mut store = circulant(64, 4, 2);
+        let view = store.clone();
+        write(&mut store, &chords(0, 64, DeltaOp::Insert));
+        assert_eq!(store.retained_buffers(), 2);
+        // What a view (or a cloned engine) holds: live buffers only, and
+        // a clean slate of tallies.
+        let copy = store.clone();
+        assert_eq!(copy.retained_buffers(), 0);
+        assert_eq!(copy.cow_stats(), CowStats::default());
+        assert_eq!(lists(&copy), lists(&store));
+        // Seeding is not logged, so it must not leave a buffer behind
+        // that would replay to the wrong lists.
+        store.seed(v(0), &ids(&[1, 2]));
+        store.seed(v(1), &ids(&[0]));
+        assert_eq!(store.retained_buffers(), 0);
+        // The seeded live buffers were shared with `copy`: it keeps the
+        // old lists.
+        assert_eq!(store.neighbors(v(0)), ids(&[1, 2]));
+        assert!(copy.has_edge(v(0), v(32)));
+        store.shed_retained();
+        drop(view);
+    }
+
+    #[test]
+    fn a_replayed_buffer_equals_the_live_one_in_lists_and_arena_stats() {
+        // The same stream through a store nobody ever pins and through
+        // one published after every batch, with leases held 0–3 batches:
+        // in-place, swap and clone paths all occur, and none may show.
+        // Every node gains 24 neighbours and loses them again, so slabs
+        // promote, free lists fill and the arenas compact on the way.
+        let n = 64u32;
+        let mut plain = circulant(n, 2, 2);
+        let mut served = circulant(n, 2, 2);
+        let mut current = served.clone();
+        let mut leases: Vec<(u32, ShardStore)> = Vec::new();
+        let spec = plain.spec();
+        for r in 0..48u32 {
+            leases.retain(|(release, _)| *release > r);
+            let (op, d) = if r < 24 {
+                (DeltaOp::Insert, 3 + r)
+            } else {
+                (DeltaOp::Remove, 3 + 47 - r)
+            };
+            if r % 5 == 4 {
+                // A pooled batch: shard 0's slots land as prepared
+                // wholesale lists, shard 1's as serial ops.
+                let mut ops = vec![Vec::new(), Vec::new()];
+                let mut prepared = vec![Vec::new(), Vec::new()];
+                for i in 0..n {
+                    let (node, other) = (v(i), v((i + d) % n));
+                    if spec.shard_of(node) == 1 {
+                        ops[1].push(ShardOp {
+                            local: spec.local_index(node),
+                            other,
+                            op,
+                        });
+                        continue;
+                    }
+                    let mut list = plain.neighbors(node).to_vec();
+                    match op {
+                        DeltaOp::Insert => sorted_insert(&mut list, other),
+                        DeltaOp::Remove => sorted_remove(&mut list, other),
+                    }
+                    prepared[0].push(PreparedSlot {
+                        shard: 0,
+                        local: spec.local_index(node),
+                        list,
+                    });
+                }
+                record(&mut plain, &ops, &prepared);
+                record(&mut served, &ops, &prepared);
+            } else {
+                let batch: Vec<_> = (0..n).map(|i| (i, (i + d) % n, op)).collect();
+                write(&mut plain, &batch);
+                write(&mut served, &batch);
+            }
+            assert_eq!(lists(&served), lists(&plain), "round {r}");
+            assert_eq!(served.arena_stats(), plain.arena_stats(), "round {r}");
+            let published = served.clone();
+            if r % 4 != 0 {
+                leases.push((r + 1 + r % 4, current));
+            }
+            current = published;
+        }
+        assert!(plain.arena_stats().compactions >= 1, "the drain compacts");
+        let cow = served.cow_stats();
+        assert!(
+            cow.swaps > 0 && cow.clones > 0 && cow.replayed_ops > 0,
+            "{cow:?}"
+        );
+        assert_eq!(cow.in_place, 0, "a published store is always pinned");
+        assert_eq!(plain.cow_stats().in_place, 2 * 48);
+        assert_eq!(plain.retained_buffers(), 0);
     }
 }

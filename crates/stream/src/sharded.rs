@@ -68,7 +68,7 @@ use crate::pool::{
 };
 use crate::shard::{
     intersect_sorted, merge_added_candidates_supported, merge_removed_candidates_supported,
-    NodeSupport, ShardOp, ShardStore,
+    CowStats, NodeSupport, ShardOp, ShardStore,
 };
 
 /// Below this many deltas a batch is applied inline: even with the
@@ -162,11 +162,6 @@ pub struct ShardedTriangleIndex {
     support: NodeSupport,
     /// Number of present undirected edges.
     edge_count: usize,
-    /// How many arena epochs freed slabs stay quarantined past their
-    /// free point: `next_epoch − oldest_lease_epoch` when a
-    /// [`TriangleServer`](crate::TriangleServer) has readers pinned to
-    /// old views, 0 (immediate reuse once the batch ends) otherwise.
-    reclaim_lag: u64,
     mode: ApplyMode,
     /// Deferred-mode buffer (concatenated batches + staleness clock).
     pending: PendingBuffer,
@@ -191,14 +186,15 @@ pub struct ShardedTriangleIndex {
 impl Clone for ShardedTriangleIndex {
     /// Clones the engine's *state*; the clone spawns its own worker pool
     /// lazily (threads are not cloneable) and starts with the original's
-    /// accumulated telemetry.
+    /// accumulated telemetry. The two share shard buffers until either
+    /// writes (the writer then copies the shard, once); retained
+    /// serve-mode buffers are not carried over.
     fn clone(&self) -> Self {
         ShardedTriangleIndex {
             store: self.store.clone(),
             triangles: self.triangles.clone(),
             support: self.support.clone(),
             edge_count: self.edge_count,
-            reclaim_lag: self.reclaim_lag,
             mode: self.mode,
             pending: self.pending.clone(),
             parallel_threshold: self.parallel_threshold,
@@ -220,7 +216,6 @@ impl ShardedTriangleIndex {
             triangles: TriangleSet::new(),
             support: NodeSupport::new(node_count),
             edge_count: 0,
-            reclaim_lag: 0,
             mode: ApplyMode::Eager,
             pending: PendingBuffer::default(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
@@ -381,19 +376,29 @@ impl ShardedTriangleIndex {
         congest_graph::count_common(self.neighbors(a), self.neighbors(b))
     }
 
-    /// Sets how many arena epochs freed slabs outlive their free point
-    /// (0 restores immediate end-of-batch reuse). The serve layer calls
-    /// this before every apply with `next_epoch − oldest_lease_epoch` so
-    /// published views never see their slabs recycled under them.
-    pub(crate) fn set_reclaim_lag(&mut self, lag: u64) {
-        self.reclaim_lag = lag;
-    }
-
-    /// An O(S) handle-copy of the shard store (the shards themselves are
-    /// shared `Arc`s; the next mutating batch copy-on-writes only the
-    /// shards it touches). This is what a published serve view holds.
+    /// An O(S) handle-copy of the shard store: the live shard buffers
+    /// are shared `Arc`s, and the next batch writes past the ones it
+    /// touches by swapping in a caught-up retained buffer (see
+    /// [`ShardStore`]). This is what a published serve view holds.
     pub(crate) fn clone_store(&self) -> ShardStore {
         self.store.clone()
+    }
+
+    /// Which path the first write of each (shard, batch) has taken.
+    pub(crate) fn cow_stats(&self) -> CowStats {
+        self.store.cow_stats()
+    }
+
+    /// Drops the retained serve-mode buffers: the engine is no longer
+    /// published from.
+    pub(crate) fn shed_retained(&mut self) {
+        self.store.shed_retained();
+    }
+
+    /// Retained serve-mode buffers currently held, over all shards.
+    #[cfg(test)]
+    pub(crate) fn retained_buffers(&self) -> usize {
+        self.store.retained_buffers()
     }
 
     /// The shared per-node support vector backing
@@ -632,7 +637,7 @@ impl ShardedTriangleIndex {
                 );
             }
         }
-        self.store.advance_epoch_held(self.reclaim_lag);
+        self.store.advance_epoch();
         report
     }
 
@@ -683,11 +688,9 @@ impl ShardedTriangleIndex {
             "shard adjacency lost symmetry"
         );
         // One batch = one arena epoch: slabs freed by this batch's
-        // churn become reusable (and oversized arenas compact) once no
-        // read view of the pre-batch lists is live — immediately when
-        // `reclaim_lag` is 0, deferred past the oldest reader lease
-        // otherwise.
-        self.store.advance_epoch_held(self.reclaim_lag);
+        // churn become reusable (and oversized arenas compact) now —
+        // every written buffer is unique, so no read view can see them.
+        self.store.advance_epoch();
         report
     }
 
@@ -779,15 +782,20 @@ impl ShardedTriangleIndex {
                 routed[dest].extend_from_slice(ops);
             }
         }
+        for (shard, ops) in routed.iter().enumerate() {
+            self.store.begin_record(shard, ops, &[]);
+        }
         let mut shards = self.store.take_shards();
         {
             congest_obs::span!("sharded", "record");
             crossbeam::thread::scope(|scope| {
                 for (shard, ops) in shards.iter_mut().zip(&routed) {
+                    if ops.is_empty() {
+                        continue;
+                    }
                     scope.spawn(move || {
-                        // Copy-on-write: in place while no published
-                        // view pins the shard, a clone otherwise.
-                        let shard = Arc::make_mut(shard);
+                        let shard = Arc::get_mut(shard)
+                            .expect("begin_record made every shard with work unique");
                         for &op in ops {
                             shard.apply_op(op);
                         }
@@ -895,8 +903,13 @@ impl ShardedTriangleIndex {
         drop(prepare_span);
 
         // Phase 2: move each shard to its owning worker; merge the
-        // removal candidates here while the workers write.
+        // removal candidates here while the workers write. A worker
+        // must only ever see a unique `Arc`, so shards a published view
+        // pins are swapped past here, on the engine thread.
         let record_span = congest_obs::trace::span("pool", "record_wave");
+        for (shard, (ops, prepared)) in routed.iter().zip(&prepared).enumerate() {
+            self.store.begin_record(shard, ops, prepared);
+        }
         run.start_record(self.store.take_shards(), routed, prepared);
         {
             congest_obs::span!("sharded", "merge");
@@ -1328,18 +1341,7 @@ mod tests {
         let mut pool = parallel(ShardedTriangleIndex::from_graph(&g, 3));
         let mut spawn = parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_per_batch_spawn();
         for step in 0..8u32 {
-            let mut b = DeltaBatch::new();
-            for j in 0..12u32 {
-                let a = (step * 5 + j * 11) % 50;
-                let c = (step * 13 + j * 7 + 1) % 50;
-                if a != c {
-                    if (step + j) % 4 == 0 {
-                        b.remove(v(a), v(c));
-                    } else {
-                        b.insert(v(a), v(c));
-                    }
-                }
-            }
+            let b = churn(step, 50);
             let rp = pool.apply(&b).unwrap();
             let rs = spawn.apply(&b).unwrap();
             assert_eq!(rp, rs, "step {step}: per-batch tallies must match");
@@ -1527,6 +1529,85 @@ mod tests {
         assert_eq!(copy.triangle_count(), 2);
         assert_eq!(idx.triangle_count(), 1, "the original is unaffected");
         assert!(copy.matches_oracle());
+    }
+
+    /// A deterministic mixed batch on `n` nodes.
+    fn churn(step: u32, n: u32) -> DeltaBatch {
+        let mut b = DeltaBatch::new();
+        for j in 0..12u32 {
+            let a = (step * 5 + j * 11) % n;
+            let c = (step * 13 + j * 7 + 1) % n;
+            if a != c {
+                if (step + j).is_multiple_of(4) {
+                    b.remove(v(a), v(c));
+                } else {
+                    b.insert(v(a), v(c));
+                }
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn a_bare_index_never_retains_a_buffer_on_any_path() {
+        // Ordered (S = 1), inline pipeline, pool and per-batch spawn:
+        // with no view ever published every write is in place.
+        let g = Gnp::new(50, 0.15).seeded(17).generate();
+        let engines = [
+            ShardedTriangleIndex::from_graph(&g, 1),
+            parallel(ShardedTriangleIndex::from_graph(&g, 1)),
+            parallel(ShardedTriangleIndex::from_graph(&g, 3)),
+            parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_split_threshold(0),
+            parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_per_batch_spawn(),
+        ];
+        for mut idx in engines {
+            for step in 0..6 {
+                idx.apply(&churn(step, 50)).unwrap();
+            }
+            let cow = idx.cow_stats();
+            assert_eq!(
+                (cow.swaps, cow.clones, cow.replayed_ops),
+                (0, 0, 0),
+                "{idx:?}"
+            );
+            assert!(cow.in_place >= 6, "{idx:?}");
+            assert_eq!(idx.retained_buffers(), 0, "{idx:?}");
+            assert!(idx.matches_oracle(), "{idx:?}");
+        }
+    }
+
+    #[test]
+    fn clones_and_recovery_carry_no_retained_buffers() {
+        let g = Gnp::new(50, 0.15).seeded(17).generate();
+        for shards in [1, 3] {
+            let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, shards));
+            // What a serve publish holds: the writer must swap past it.
+            let mut view = idx.clone_store();
+            for step in 0..4 {
+                idx.apply(&churn(step, 50)).unwrap();
+                view = idx.clone_store();
+            }
+            assert!(idx.retained_buffers() > 0, "shards={shards}");
+            assert!(idx.cow_stats().swaps > 0, "shards={shards}");
+
+            let mut copy = idx.clone();
+            assert_eq!(copy.retained_buffers(), 0);
+            copy.apply(&churn(4, 50)).unwrap();
+            assert!(copy.matches_oracle());
+            assert_eq!(
+                copy.retained_buffers(),
+                shards,
+                "the copy shares buffers with `idx`"
+            );
+
+            let checkpoint = idx.snapshot();
+            idx.recover(&checkpoint);
+            assert_eq!(idx.retained_buffers(), 0, "shards={shards}");
+            idx.apply(&churn(4, 50)).unwrap();
+            assert_eq!(idx.triangles(), copy.triangles());
+            assert!(idx.matches_oracle());
+            drop(view);
+        }
     }
 
     #[test]

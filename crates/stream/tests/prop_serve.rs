@@ -7,12 +7,17 @@
 //! detached** (same per-batch reports, same final triangle set, same
 //! support vector).
 //!
-//! The readers hammer leases while the writer applies the stream with
-//! the pipeline forced on (`with_parallel_threshold(0)`), so the race
-//! window covers the pool-backed two-phase path, the copy-on-write
-//! shard publication and the arena's held-epoch reclamation.
+//! The readers hammer leases while the writer applies the stream on
+//! both write paths: three shards with the pipeline forced on
+//! (`with_parallel_threshold(0)`), so the race window covers the
+//! pool-backed two-phase path, and one shard on the strictly ordered
+//! path (what `perf_report`'s `serve_mixed` runs). Either way every
+//! write has to get past the buffer the last view pins — by swapping in
+//! a retained buffer no reader still holds, or by copying when readers
+//! hold them all — and readers that keep a lease across several batches
+//! decide which of the two happens.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use congest_graph::triangles as oracle;
@@ -22,9 +27,46 @@ use congest_stream::{
 };
 use proptest::prelude::*;
 
+/// How one run is set up: which write path, and what readers do with a
+/// lease before checking it.
+#[derive(Clone, Copy)]
+struct Setup {
+    /// 3: the pool-backed pipeline, forced on. 1: the ordered path.
+    shards: usize,
+    /// Readers keep each lease until the writer is 0–4 epochs past it
+    /// (cycling), instead of checking and dropping it at once.
+    hold: bool,
+}
+
+const READERS: usize = 3;
+
+/// Raises a flag when the reader thread that owns it unwinds, so the
+/// writer stops waiting for it and the failed assertion surfaces at the
+/// scope's join instead of hanging the test.
+struct FlagOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for FlagOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Setup {
+    fn server(self, base: &congest_graph::Graph) -> TriangleServer {
+        let engine = ShardedTriangleIndex::from_graph(base, self.shards);
+        TriangleServer::new(if self.shards > 1 {
+            engine.with_parallel_threshold(0)
+        } else {
+            engine
+        })
+    }
+}
+
 /// One scenario per generator family, over the same churn shape.
-fn family_scenario(family: usize, seed: u64) -> Scenario {
-    let (n, batches, batch_size) = (40, 8, 24);
+fn family_scenario(family: usize, seed: u64, batches: usize) -> Scenario {
+    let (n, batch_size) = (40, 24);
     let scenario = match family {
         0 => Scenario::uniform_churn(n, batches, batch_size),
         1 => Scenario::hotspot_churn(n, batches, batch_size),
@@ -99,18 +141,26 @@ fn check_lease_consistency(lease: &Lease) -> (u64, usize, usize) {
 /// verifying under the writer's feet, once with no readers attached —
 /// and requires bit-identical writer results, plus every concurrent
 /// observation to match the writer's own per-epoch log.
-fn run_family(family: usize, seed: u64) {
-    let scenario = family_scenario(family, seed);
+///
+/// The interleaving is forced, not hoped for: after each batch the
+/// writer waits until a reader has checked another lease or every
+/// reader is parked holding one, so no batch goes by unobserved and a
+/// held lease really is behind the writer when it is checked.
+fn run_family(family: usize, seed: u64, setup: Setup) {
+    let scenario = family_scenario(family, seed, if setup.hold { 16 } else { 8 });
     let base = scenario.base_graph();
     let batches = scenario.batches();
     let n = scenario.node_count();
 
     // Arm 1: readers attached.
-    let mut server =
-        TriangleServer::new(ShardedTriangleIndex::from_graph(&base, 3).with_parallel_threshold(0));
+    let mut server = setup.server(&base);
     let handle = server.handle();
     let done = AtomicBool::new(false);
     let observations: Mutex<Vec<(u64, usize, usize)>> = Mutex::new(Vec::new());
+    let observed = AtomicUsize::new(0);
+    let holding = AtomicUsize::new(0);
+    let max_lag = AtomicUsize::new(0);
+    let reader_failed = AtomicBool::new(false);
 
     let mut attached_reports: Vec<ApplyReport> = Vec::new();
     // The writer's own log: entry `e` is the state it published as
@@ -118,12 +168,29 @@ fn run_family(family: usize, seed: u64) {
     let mut log: Vec<(usize, usize)> =
         vec![(base.edge_count(), { server.engine().triangle_count() })];
     std::thread::scope(|scope| {
-        for _ in 0..3 {
-            scope.spawn(|| {
+        for reader in 0..READERS {
+            let (handle, done, observations) = (&handle, &done, &observations);
+            let (observed, holding, max_lag) = (&observed, &holding, &max_lag);
+            let reader_failed = &reader_failed;
+            scope.spawn(move || {
+                let _flag = FlagOnPanic(reader_failed);
+                let mut turn = reader as u64;
                 while !done.load(Ordering::Acquire) {
                     let lease = handle.lease();
+                    if setup.hold {
+                        let until = lease.epoch() + turn % 5;
+                        turn += 1;
+                        holding.fetch_add(1, Ordering::SeqCst);
+                        while !done.load(Ordering::Acquire) && handle.lease().epoch() < until {
+                            std::thread::yield_now();
+                        }
+                        holding.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    let lag = handle.lease().epoch() - lease.epoch();
+                    max_lag.fetch_max(lag as usize, Ordering::SeqCst);
                     let seen = check_lease_consistency(&lease);
                     observations.lock().unwrap().push(seen);
+                    observed.fetch_add(1, Ordering::SeqCst);
                 }
             });
         }
@@ -133,6 +200,13 @@ fn run_family(family: usize, seed: u64) {
                 server.engine().edge_count(),
                 server.engine().triangle_count(),
             ));
+            let before = observed.load(Ordering::SeqCst);
+            while observed.load(Ordering::SeqCst) == before
+                && holding.load(Ordering::SeqCst) < READERS
+                && !reader_failed.load(Ordering::SeqCst)
+            {
+                std::thread::yield_now();
+            }
         }
         done.store(true, Ordering::Release);
     });
@@ -141,7 +215,7 @@ fn run_family(family: usize, seed: u64) {
     // observed epoch: readers only ever saw fully-published states.
     let observations = observations.into_inner().unwrap();
     assert!(
-        !observations.is_empty(),
+        observations.len() >= READERS,
         "family {family}: readers never got a lease in"
     );
     for (epoch, triangle_count, edge_count) in &observations {
@@ -152,6 +226,17 @@ fn run_family(family: usize, seed: u64) {
         );
         assert_eq!(*edge_count, logged_edges, "family {family} epoch {epoch}");
     }
+    if setup.hold {
+        assert!(
+            max_lag.load(Ordering::SeqCst) >= 1,
+            "family {family}: no held lease was ever behind the writer"
+        );
+    }
+    // With a view published after every batch no write is ever in
+    // place: each got past the pinned buffer by a swap or a copy.
+    let cow = server.cow_stats();
+    assert_eq!(cow.in_place, 0, "family {family}: {cow:?}");
+    assert!(cow.swaps + cow.clones > 0, "family {family}: {cow:?}");
 
     // One final lease must land on the last epoch and still be exact.
     let final_lease = handle.lease();
@@ -159,8 +244,7 @@ fn run_family(family: usize, seed: u64) {
     check_lease_consistency(&final_lease);
 
     // Arm 2: no readers. The writer's results must be bit-identical.
-    let mut detached =
-        TriangleServer::new(ShardedTriangleIndex::from_graph(&base, 3).with_parallel_threshold(0));
+    let mut detached = setup.server(&base);
     for (i, batch) in batches.iter().enumerate() {
         let report = detached.apply(batch).expect("in-range batch");
         assert_eq!(
@@ -178,9 +262,28 @@ fn run_family(family: usize, seed: u64) {
             attached_engine.node_support(node),
             detached_engine.node_support(node)
         );
+        assert_eq!(
+            attached_engine.neighbors(node),
+            detached_engine.neighbors(node)
+        );
+    }
+    if setup.shards == 1 {
+        // The ordered path is deterministic down to the slab layout:
+        // whether a batch wrote in place, on a replayed buffer or on a
+        // copy must not show in the arena. (On the pool the adaptive
+        // split threshold follows measured busy time, so two runs may
+        // land lists differently with or without readers.)
+        assert_eq!(attached_engine.arena_stats(), detached_engine.arena_stats());
     }
     assert!(attached_engine.matches_oracle());
 }
+
+/// The configuration the suite started with: the pool, leases dropped
+/// as soon as they are checked.
+const POOLED: Setup = Setup {
+    shards: 3,
+    hold: false,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -188,27 +291,50 @@ proptest! {
     /// Generator family 1: uniform churn.
     #[test]
     fn uniform_churn_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
-        run_family(0, seed);
+        run_family(0, seed, POOLED);
     }
 
-    /// Generator family 2: hotspot (power-law) churn — hub shards get
-    /// copy-on-written almost every batch while leases pin them.
+    /// Generator family 2: hotspot (power-law) churn — hub shards are
+    /// written almost every batch while leases pin their buffers.
     #[test]
     fn hotspot_churn_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
-        run_family(1, seed);
+        run_family(1, seed, POOLED);
     }
 
     /// Generator family 3: planted-triangle bursts.
     #[test]
     fn planted_burst_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
-        run_family(2, seed);
+        run_family(2, seed, POOLED);
     }
 
     /// Generator family 4: grow-then-shrink — the shrink half frees
-    /// arena slabs every batch, exercising held-epoch reclamation under
-    /// live leases.
+    /// arena slabs every batch, which are reclaimed at once whatever
+    /// leases are out.
     #[test]
     fn grow_then_shrink_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
-        run_family(3, seed);
+        run_family(3, seed, POOLED);
+    }
+
+    /// All four families on one shard and the ordered path — the
+    /// configuration `serve_mixed` measures.
+    #[test]
+    fn ordered_single_shard_readers_are_lockstep_with_their_epoch(
+        seed in any::<u64>(),
+        family in 0usize..4,
+    ) {
+        run_family(family, seed, Setup { shards: 1, hold: false });
+    }
+
+    /// Readers that hold each lease across 0–4 batches, on both write
+    /// paths: stale leases pin retained buffers, so swaps and copies
+    /// mix, and every lease must still recount to its own
+    /// `triangle_count()` when it is finally checked.
+    #[test]
+    fn leases_held_across_batches_recount_exactly(
+        seed in any::<u64>(),
+        family in 0usize..4,
+        pooled in any::<bool>(),
+    ) {
+        run_family(family, seed, Setup { shards: if pooled { 3 } else { 1 }, hold: true });
     }
 }

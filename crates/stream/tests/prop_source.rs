@@ -5,6 +5,7 @@
 //! plan), and the per-worker batch split realizes its quota exactly.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use congest_graph::temporal::{SyntheticTemporal, TemporalLoader};
@@ -82,8 +83,13 @@ fn scenario_families_are_bit_identical_through_batch_source() {
     }
 }
 
+/// A scratch file of its own for every call: the tests in this file run
+/// on parallel threads over the same pinned seeds, so a name built from
+/// the seed alone lets one test delete the file another is about to read.
 fn tmp_path(name: &str, seed: u64) -> PathBuf {
-    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}-{seed:x}.tel"))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}-{seed:x}-{unique}.tel"))
 }
 
 /// Builds a replay source from a freshly written synthetic file,
