@@ -16,17 +16,26 @@
 //! * [`ShardedTriangleIndex`] — the multi-core engine: adjacency is
 //!   partitioned across `S` shards by node hash (`id mod S`), each shard
 //!   owning the full neighbour lists of its nodes, and a batch applies in
-//!   two phases — shard-parallel collect/record on a **persistent worker
-//!   pool** (spawned once per engine, fed over channels, with oversized
-//!   hub slices split into stealable task units so hot vertices don't
-//!   serialize their worker), then a merge that dedupes triangle deltas
-//!   so each triangle is counted exactly once (the type's documentation
-//!   walks through the full pipeline; per-run balance is observable via
-//!   [`WorkerTelemetry`]). **Picking `S`**: use the number of available
-//!   cores for sustained churn (the `stream_bench` sweep measures S ∈
-//!   {1, 2, 4, 8}); small batches (or `S = 1`) automatically take the
-//!   strictly ordered sequential path, so a sharded index never loses
-//!   more than a few percent where parallelism cannot pay.
+//!   two phases — shard-parallel collect/record on a **persistent
+//!   caller-runs pool** (the engine thread is worker 0 beside `S − 1`
+//!   helpers spawned once per engine and fed over channels, with
+//!   oversized hub slices split into stealable task units so hot
+//!   vertices don't serialize their worker), then a merge that dedupes
+//!   triangle deltas so each triangle is counted exactly once (the
+//!   type's documentation walks through the full pipeline; per-run
+//!   balance is observable via [`WorkerTelemetry`]). **Picking `S`**:
+//!   use the number of available cores for sustained churn (the
+//!   `stream_bench` sweep measures S ∈ {1, 2, 4, 8}). `S = 1` and
+//!   batches under 128 deltas take the strictly ordered sequential
+//!   path. A larger batch pays for the pipeline — partition, per-slice
+//!   coalesce, routing — whether or not its waves leave the engine
+//!   thread, and they leave it only when their estimated work covers
+//!   the helpers' wake-ups: on `perf_report`'s `pool_smallbatch`
+//!   (S = 2, 256-delta batches, 2 cores) every wave stays inline and
+//!   the engine runs at about 0.45× the single-threaded one; on
+//!   5000-delta batches (`bigbatch_sharded`) it is about 0.5–0.6×.
+//!   Where parallelism cannot pay, a sharded index costs a small
+//!   multiple, not a few percent.
 //! * [`DistributedTriangleEngine`] — the **distributed dynamic** engine:
 //!   every graph node is a node of a simulated CONGEST network that owns
 //!   its adjacency slice, and each batch runs as one epoch of

@@ -9,10 +9,23 @@
 //! the heavy-vertex imbalance the paper's Theorem 1/2 load balancing is
 //! designed to avoid. [`ShardPool`] fixes both:
 //!
-//! * **Persistence** — `S` workers are spawned once (lazily, on the
-//!   first pipelined batch) and live as long as the engine, fed work
-//!   descriptors over the `crossbeam` shim's channels. A batch costs
-//!   channel sends, not thread spawns.
+//! * **Persistence, caller-runs** — the engine thread is worker 0: an
+//!   `S`-shard engine owns `S − 1` helper threads, spawned once (lazily,
+//!   on the first pipelined batch) and fed work descriptors over the
+//!   `crossbeam` shim's channels. In every wave the engine sends the
+//!   helpers' jobs first, runs worker 0's job itself, then collects the
+//!   `S − 1` responses — so a wave costs `S − 1` wake-ups, not `S` plus
+//!   a sleeping engine thread.
+//! * **Hand-off only when it pays** — every wave knows its estimated
+//!   work in the pool's own currency (endpoint degrees, op counts). A
+//!   wave under [`HANDOFF_WORK_FLOOR`] — roughly two wake-ups' worth —
+//!   runs all `S` jobs on the engine thread, in worker order, with no
+//!   send: the same jobs, so reports, triangle sets and arena state do
+//!   not depend on which thread ran a wave. A waiting side (a helper
+//!   between jobs, the engine before the last response) spins for at
+//!   most [`SPIN_BEFORE_PARK`] before it blocks, and only while the
+//!   machine has a core for every worker; an oversubscribed pool parks
+//!   at once.
 //! * **Work stealing** — candidate collection (the expensive, read-only
 //!   part of a batch) is decomposed into stealable task units: when a
 //!   worker's slice of effective deltas carries more estimated
@@ -29,19 +42,24 @@
 //!   the engine before dispatch, so oversized ones are pre-chunked onto
 //!   the queue and the rest ride along in the per-worker jobs.) The
 //!   *record* phase steals too: a shard whose routed mutations exceed
-//!   the threshold has its slot groups resolved into ready-to-seed
-//!   post-batch neighbour lists by a pre-seeded prepare wave
-//!   ([`BatchRun::record_wave`]), so the owner lands them as wholesale
-//!   arena slab replacements instead of applying every op serially.
+//!   the threshold — and would alone pay for a hand-off — has its
+//!   per-slot ops resolved into ready-to-seed post-batch neighbour
+//!   lists by a pre-seeded prepare wave ([`BatchRun::record_wave`]), so
+//!   the owner lands them as wholesale arena slab replacements instead
+//!   of applying every op serially. That is the one place the floor
+//!   decides *what* runs, not only where: a seeded list takes a fresh
+//!   slab where an edited one keeps its own, so arena layout (never the
+//!   lists) can differ between an engine under the floor and one forced
+//!   past it.
 //!
 //! Everything stays safe Rust with no locks on the read path by
 //! **round-tripping ownership** instead of sharing borrows:
 //!
 //! 1. *Collect* (read-only): the engine moves its [`ShardStore`] into an
 //!    `Arc`, clones it to every worker, and reclaims sole ownership with
-//!    [`Arc::try_unwrap`] once all responses are in — each worker drops
+//!    [`Arc::try_unwrap`] once all responses are in — each job drops
 //!    its clone *before* responding, so by the time the engine holds all
-//!    `S` responses the count is back to one.
+//!    `S` responses (its own included) the count is back to one.
 //! 2. *Record* (write): each [`Shard`]'s `Arc` is moved to its owning
 //!    worker along with its routed mutations and moved back in the
 //!    response; the writer side never aliases, so there is nothing to
@@ -56,16 +74,19 @@
 //! 3. *Insert collect* (read-only): same `Arc` round trip on the
 //!    post-batch store.
 //!
-//! Every response also carries the worker's busy time and steal count,
+//! Every response also carries the job's busy time and steal count,
 //! which the engine aggregates into [`WorkerTelemetry`] — the
-//! observability surface for hotspot flattening (see the bench docs).
+//! observability surface for hotspot flattening (see the bench docs);
+//! worker 0's busy time is the engine thread's. How many waves a batch
+//! handed off or kept lands in the registry as `pool.waves_handed_off`
+//! and `pool.waves_inline`.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use congest_graph::{Edge, NodeId, Triangle};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvError, Sender, TryRecvError};
 use crossbeam::deque::{Injector, Steal};
 
 use crate::delta::{DeltaOp, EdgeDelta};
@@ -76,6 +97,22 @@ use crate::shard::{intersect_sorted, PreparedSlot, Shard, ShardOp, ShardStore};
 /// into stealable injector tasks. Below it the slice is processed
 /// locally: chunking and queue traffic would cost more than they spread.
 pub(crate) const DEFAULT_SPLIT_THRESHOLD: usize = 2_048;
+
+/// Estimated work (same currency as the split threshold, plus
+/// [`ITEM_WORK`] per item) under which a wave is not handed to the
+/// helpers: about 100 µs of intersections and list edits, which is what
+/// two futex wake-ups cost. Below it the engine thread runs every
+/// worker's job itself.
+const HANDOFF_WORK_FLOOR: usize = 32_768;
+
+/// What one delta, edge or routed op costs beside its degree-based
+/// estimate: classification, routing, one list edit.
+const ITEM_WORK: usize = 32;
+
+/// How long a waiting side polls its channel before it blocks. A wave's
+/// jobs finish within tens of microseconds of each other, so a short
+/// spin usually saves the park and the wake-up on both sides.
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
 
 /// What one worker learned about its slice of a batch during the
 /// read-only collect pass.
@@ -145,10 +182,10 @@ struct PrepareTask {
     /// worker that would otherwise apply these ops serially (worker `i`
     /// owns shard `i`), so a pop by any other worker counts as a steal.
     owner: usize,
-    /// Routed ops grouped by local slot: at most one op per `(slot,
-    /// other)` pair survives the upstream coalesce, so a single merge
-    /// pass per group is exact.
-    groups: Vec<(usize, Vec<ShardOp>)>,
+    /// Routed ops sorted by local slot, whole slots only: at most one
+    /// op per `(slot, other)` pair survives the upstream coalesce, so a
+    /// single merge pass per equal-slot run is exact.
+    ops: Vec<ShardOp>,
 }
 
 /// A work descriptor for one worker. All payloads are owned, which is
@@ -201,10 +238,10 @@ enum Payload {
     Shard(Arc<Shard>),
     Candidates(Vec<Triangle>),
     Prepared(Vec<PreparedSlot>),
-    /// The job's processing panicked; the engine re-raises the panic on
-    /// its own thread (matching the scoped-thread pipeline, where a
-    /// worker panic propagated through `join`). Without this a dead
-    /// worker would leave the lock-step `recv` loop waiting forever.
+    /// The job's processing panicked; the engine re-raises the panic
+    /// when it gathers the wave (matching the scoped-thread pipeline,
+    /// where a worker panic propagated through `join`). Without this a
+    /// dead helper would leave the engine waiting forever.
     Panicked(String),
 }
 
@@ -216,15 +253,20 @@ struct Response {
     payload: Payload,
 }
 
-/// The persistent worker pool: `S` long-lived threads, one job channel
-/// each, one shared response channel back. Created lazily by the engine
-/// on its first pipelined batch and reused for every batch and flush
-/// after that; dropped (and joined) with the engine.
+/// The persistent worker pool of an `S`-shard engine: `S − 1` long-lived
+/// helper threads, one job channel each, one shared response channel
+/// back; the engine thread is worker 0. Created lazily by the engine on
+/// its first pipelined batch and reused for every batch and flush after
+/// that; dropped (and joined) with the engine.
 pub(crate) struct ShardPool {
+    /// `jobs[i]` feeds helper `i + 1`.
     jobs: Vec<Sender<Job>>,
     results: Receiver<Response>,
     handles: Vec<JoinHandle<()>>,
-    /// Set when a worker panic was re-raised on the engine thread: the
+    /// Whether a waiting side spins before it parks: only while every
+    /// worker can have a core of its own.
+    spin: bool,
+    /// Set when a job's panic was re-raised on the engine thread: the
     /// aborted batch's remaining responses are still queued in
     /// `results`, so the pool must not be reused — the engine checks
     /// this and respawns a fresh pool (dropping the stale channel) if a
@@ -233,49 +275,55 @@ pub(crate) struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawns `workers` persistent threads.
+    /// A pool of `workers` workers: the calling thread plus
+    /// `workers − 1` spawned helpers.
     pub(crate) fn new(workers: usize) -> Self {
+        let spin = std::thread::available_parallelism().is_ok_and(|cores| workers <= cores.get());
         let (result_tx, results) = unbounded();
-        let mut jobs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
+        let mut jobs = Vec::new();
+        let mut handles = Vec::new();
+        for worker in 1..workers {
             let (tx, rx) = unbounded();
             let result_tx = result_tx.clone();
             jobs.push(tx);
             handles.push(std::thread::spawn(move || {
-                worker_loop(worker, rx, result_tx)
+                worker_loop(worker, rx, result_tx, spin)
             }));
         }
         ShardPool {
             jobs,
             results,
             handles,
+            spin,
             poisoned: std::cell::Cell::new(false),
         }
     }
 
-    /// Whether a worker panic was re-raised from this pool (see the
+    /// Whether a job's panic was re-raised from this pool (see the
     /// `poisoned` field).
     pub(crate) fn poisoned(&self) -> bool {
         self.poisoned.get()
     }
 
-    /// Number of persistent workers.
+    /// Number of workers, the engine thread included.
     pub(crate) fn worker_count(&self) -> usize {
-        self.jobs.len()
+        self.jobs.len() + 1
     }
 
     fn send(&self, worker: usize, job: Job) {
-        self.jobs[worker]
+        self.jobs[worker - 1]
             .send(job)
-            .expect("pool workers outlive the engine");
+            .expect("pool helpers outlive the engine");
     }
 
     fn recv(&self) -> Response {
-        let response = self
-            .results
-            .recv()
-            .expect("pool workers respond to every job");
+        let response =
+            recv_spinning(&self.results, self.spin).expect("pool helpers respond to every job");
+        self.checked(response)
+    }
+
+    /// Passes a response through unless its job panicked.
+    fn checked(&self, response: Response) -> Response {
         if let Payload::Panicked(message) = &response.payload {
             // The other workers' responses for this batch are still in
             // flight; mark the pool unusable before re-raising so an
@@ -292,7 +340,7 @@ impl ShardPool {
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        // Closing the job channels ends the worker loops; join so no
+        // Closing the job channels ends the helper loops; join so no
         // thread outlives the engine that owns it.
         self.jobs.clear();
         for handle in self.handles.drain(..) {
@@ -301,17 +349,43 @@ impl Drop for ShardPool {
     }
 }
 
-/// The engine-side driver of one pooled batch: issues the three phases'
-/// jobs and accumulates per-worker telemetry. Holding the phases here
-/// keeps the lock-step protocol (every phase sends `S` jobs and waits
-/// for `S` responses) in one place.
+/// A blocking receive that, when `spin` is set, first polls for up to
+/// [`SPIN_BEFORE_PARK`].
+fn recv_spinning<T>(channel: &Receiver<T>, spin: bool) -> Result<T, RecvError> {
+    if spin {
+        let deadline = Instant::now() + SPIN_BEFORE_PARK;
+        loop {
+            match channel.try_recv() {
+                Ok(message) => return Ok(message),
+                Err(TryRecvError::Disconnected) => return Err(RecvError),
+                Err(TryRecvError::Empty) if Instant::now() < deadline => std::hint::spin_loop(),
+                Err(TryRecvError::Empty) => break,
+            }
+        }
+    }
+    channel.recv()
+}
+
+/// The engine-side driver of one pooled batch: issues the phases' waves
+/// and accumulates per-worker telemetry. Every wave goes through
+/// [`dispatch`](BatchRun::dispatch) and [`gather`](BatchRun::gather), so
+/// the protocol — helpers' jobs out, worker 0's job here, `S` payloads
+/// back — and the hand-off decision live in one place.
 pub(crate) struct BatchRun<'a> {
     pool: &'a ShardPool,
     split_threshold: usize,
+    /// Estimated work from which a wave is handed to the helpers.
+    work_floor: usize,
     started: Instant,
     busy: Vec<Duration>,
     steals: u64,
     record_split_tasks: u64,
+    /// Responses of the dispatched wave's jobs the engine ran itself.
+    ready: Vec<Response>,
+    /// Helper responses the dispatched wave still owes.
+    in_flight: usize,
+    waves_handed_off: u64,
+    waves_inline: u64,
 }
 
 impl<'a> BatchRun<'a> {
@@ -321,16 +395,84 @@ impl<'a> BatchRun<'a> {
         BatchRun {
             pool,
             split_threshold,
+            work_floor: HANDOFF_WORK_FLOOR,
             started: Instant::now(),
             busy: vec![Duration::ZERO; workers],
             steals: 0,
             record_split_tasks: 0,
+            ready: Vec::new(),
+            in_flight: 0,
+            waves_handed_off: 0,
+            waves_inline: 0,
         }
     }
 
-    fn absorb(&mut self, response: &Response) {
-        self.busy[response.worker] += response.busy;
-        self.steals += response.steals;
+    /// Hands every wave to the helpers, whatever its work (an engine
+    /// whose parallel threshold is 0 asks for the pool on every batch).
+    pub(crate) fn force_handoff(mut self) -> Self {
+        self.work_floor = 0;
+        self
+    }
+
+    /// The hand-off currency of a slice of edges: estimated
+    /// intersection work plus [`ITEM_WORK`] each. Stops counting at the
+    /// floor, so a big wave is recognised after its first few hundred
+    /// edges.
+    fn edge_work(&self, store: &ShardStore, edges: impl IntoIterator<Item = Edge>) -> usize {
+        let mut work = 0usize;
+        for edge in edges {
+            if work >= self.work_floor {
+                break;
+            }
+            work += store.intersection_cost(edge) + ITEM_WORK;
+        }
+        work
+    }
+
+    /// Starts a wave of one job per worker, `work` being its estimated
+    /// total. At or above the floor the helpers' jobs are sent first and
+    /// the engine runs worker 0's; below it the engine runs all of them,
+    /// in worker order. Finish with [`gather`](BatchRun::gather).
+    fn dispatch(&mut self, jobs: Vec<Job>, work: usize) {
+        debug_assert_eq!(jobs.len(), self.pool.worker_count());
+        let mut jobs = jobs.into_iter().enumerate();
+        let own = jobs.next();
+        if work >= self.work_floor {
+            self.waves_handed_off += 1;
+            for (worker, job) in jobs.by_ref() {
+                self.pool.send(worker, job);
+                self.in_flight += 1;
+            }
+        } else {
+            self.waves_inline += 1;
+        }
+        self.ready.extend(
+            own.into_iter()
+                .chain(jobs)
+                .map(|(worker, job)| run_job(worker, job)),
+        );
+    }
+
+    /// Completes the dispatched wave: every worker's payload, in worker
+    /// order. Re-raises a job's panic, the engine's own included.
+    fn gather(&mut self) -> Vec<Payload> {
+        let pool = self.pool;
+        let mut payloads: Vec<Option<Payload>> = (0..pool.worker_count()).map(|_| None).collect();
+        let in_flight = std::mem::take(&mut self.in_flight);
+        for response in self
+            .ready
+            .drain(..)
+            .map(|response| pool.checked(response))
+            .chain((0..in_flight).map(|_| pool.recv()))
+        {
+            self.busy[response.worker] += response.busy;
+            self.steals += response.steals;
+            payloads[response.worker] = Some(response.payload);
+        }
+        payloads
+            .into_iter()
+            .map(|payload| payload.expect("one response per worker"))
+            .collect()
     }
 
     /// Phase 1: hands the store and the per-worker raw slices to the
@@ -341,37 +483,26 @@ impl<'a> BatchRun<'a> {
         store: ShardStore,
         work: Vec<Vec<EdgeDelta>>,
     ) -> (ShardStore, Vec<WorkerPlan>) {
-        let workers = self.pool.worker_count();
-        debug_assert_eq!(work.len(), workers);
+        let estimate = self.edge_work(&store, work.iter().flatten().map(|delta| delta.edge));
         let store = Arc::new(store);
-        for (worker, deltas) in work.into_iter().enumerate() {
-            self.pool.send(
-                worker,
-                Job::Collect {
-                    store: Arc::clone(&store),
-                    deltas,
-                    split_threshold: self.split_threshold,
-                },
-            );
-        }
-        let mut plans: Vec<Option<WorkerPlan>> = (0..workers).map(|_| None).collect();
-        for _ in 0..workers {
-            let response = self.pool.recv();
-            self.absorb(&response);
-            match response.payload {
-                Payload::Plan(plan) => plans[response.worker] = Some(plan),
+        let jobs = work
+            .into_iter()
+            .map(|deltas| Job::Collect {
+                store: Arc::clone(&store),
+                deltas,
+                split_threshold: self.split_threshold,
+            })
+            .collect();
+        self.dispatch(jobs, estimate);
+        let plans = self
+            .gather()
+            .into_iter()
+            .map(|payload| match payload {
+                Payload::Plan(plan) => plan,
                 _ => unreachable!("collect phase only receives plans"),
-            }
-        }
-        let store =
-            Arc::try_unwrap(store).expect("workers drop their store views before responding");
-        (
-            store,
-            plans
-                .into_iter()
-                .map(|p| p.expect("one plan per worker"))
-                .collect(),
-        )
+            })
+            .collect();
+        (reclaim(store), plans)
     }
 
     /// Phase 1.5, the steal wave (run only when some worker deferred an
@@ -385,33 +516,24 @@ impl<'a> BatchRun<'a> {
         store: ShardStore,
         deferred: Vec<(usize, Vec<Edge>)>,
     ) -> (ShardStore, Vec<Vec<Triangle>>) {
-        let workers = self.pool.worker_count();
+        let estimate = self.edge_work(
+            &store,
+            deferred.iter().flat_map(|(_, edges)| edges).copied(),
+        );
         let injector = Arc::new(Injector::new());
         for (owner, edges) in deferred {
             push_chunks(&store, edges, self.split_threshold, owner, &injector);
         }
         let store = Arc::new(store);
-        for worker in 0..workers {
-            self.pool.send(
-                worker,
-                Job::Drain {
-                    store: Arc::clone(&store),
-                    injector: Arc::clone(&injector),
-                },
-            );
-        }
-        let mut all: Vec<Vec<Triangle>> = (0..workers).map(|_| Vec::new()).collect();
-        for _ in 0..workers {
-            let response = self.pool.recv();
-            self.absorb(&response);
-            match response.payload {
-                Payload::Candidates(candidates) => all[response.worker] = candidates,
-                _ => unreachable!("the steal wave only receives candidates"),
-            }
-        }
-        let store =
-            Arc::try_unwrap(store).expect("workers drop their store views before responding");
-        (store, all)
+        let jobs = (0..self.pool.worker_count())
+            .map(|_| Job::Drain {
+                store: Arc::clone(&store),
+                injector: Arc::clone(&injector),
+            })
+            .collect();
+        self.dispatch(jobs, estimate);
+        let all = self.gather_candidates("the steal wave");
+        (reclaim(store), all)
     }
 
     /// Phase 1.75, the record-prepare wave (the write-path analogue of
@@ -424,11 +546,13 @@ impl<'a> BatchRun<'a> {
     /// the drain jobs go out — the same deterministic seeded-before-drain
     /// discipline as [`steal_wave`](BatchRun::steal_wave) — so a hot
     /// shard's write preparation spreads across the whole pool instead
-    /// of serializing its owner. Shards within the threshold keep their
-    /// ops untouched (applied serially by the owner, as before). Returns
-    /// the reclaimed store and each shard's prepared slots; when no
-    /// shard exceeds the threshold the wave is skipped entirely (no jobs
-    /// are dispatched).
+    /// of serializing its owner. Shards within the threshold — or whose
+    /// merge work would not alone pay for a hand-off: under the floor
+    /// there is nobody to spread it to, and one list edit per op beats
+    /// one allocated list per slot — keep their ops (applied serially
+    /// by the owner). Returns the reclaimed store and each shard's
+    /// prepared slots; when no shard qualifies the wave is skipped
+    /// entirely (no jobs are dispatched).
     pub(crate) fn record_wave(
         &mut self,
         store: ShardStore,
@@ -438,41 +562,46 @@ impl<'a> BatchRun<'a> {
         let spec = store.spec();
         let injector = Arc::new(Injector::new());
         let mut pushed = 0u64;
+        let mut estimate = 0usize;
         for (shard, ops) in routed.iter_mut().enumerate() {
-            if ops.is_empty() {
+            // Billing every op its slot's whole list can only overstate
+            // the cost, so a shard that stays within budget even then
+            // (the usual small batch) is settled without a sort.
+            let keeps = |cost: usize| cost <= self.split_threshold || cost < self.work_floor;
+            let slot_degree = |op: &ShardOp| store.degree(spec.node_of(shard, op.local));
+            if keeps(ops.iter().map(|op| slot_degree(op) + 1).sum()) {
                 continue;
             }
-            let groups = group_by_slot(std::mem::take(ops));
-            let cost: usize = groups
-                .iter()
-                .map(|(local, group)| store.degree(spec.node_of(shard, *local)) + group.len())
+            // Slot order is free (op order across and inside slots is
+            // irrelevant) and gives the exact cost, and later the
+            // tasks, over equal-slot runs.
+            ops.sort_unstable_by_key(|op| op.local);
+            let cost: usize = ops
+                .chunk_by(|a, b| a.local == b.local)
+                .map(|run| slot_degree(&run[0]) + run.len())
                 .sum();
-            if cost <= self.split_threshold {
-                // Within budget: hand the ops back for the serial path.
-                *ops = groups.into_iter().flat_map(|(_, group)| group).collect();
+            if keeps(cost) {
                 continue;
             }
-            pushed += push_prepare_chunks(&store, shard, groups, self.split_threshold, &injector);
+            estimate += cost;
+            pushed += push_prepare_chunks(&store, shard, ops, self.split_threshold, &injector);
+            ops.clear();
         }
         self.record_split_tasks += pushed;
+        let mut all: Vec<Vec<PreparedSlot>> = (0..workers).map(|_| Vec::new()).collect();
         if pushed == 0 {
-            return (store, (0..workers).map(|_| Vec::new()).collect());
+            return (store, all);
         }
         let store = Arc::new(store);
-        for worker in 0..workers {
-            self.pool.send(
-                worker,
-                Job::RecordPrepare {
-                    store: Arc::clone(&store),
-                    injector: Arc::clone(&injector),
-                },
-            );
-        }
-        let mut all: Vec<Vec<PreparedSlot>> = (0..workers).map(|_| Vec::new()).collect();
-        for _ in 0..workers {
-            let response = self.pool.recv();
-            self.absorb(&response);
-            match response.payload {
+        let jobs = (0..workers)
+            .map(|_| Job::RecordPrepare {
+                store: Arc::clone(&store),
+                injector: Arc::clone(&injector),
+            })
+            .collect();
+        self.dispatch(jobs, estimate);
+        for payload in self.gather() {
+            match payload {
                 Payload::Prepared(slots) => {
                     // A stolen group's list belongs to the *owner's*
                     // record job, not the preparer's: route by shard.
@@ -483,15 +612,14 @@ impl<'a> BatchRun<'a> {
                 _ => unreachable!("the prepare wave only receives prepared slots"),
             }
         }
-        let store =
-            Arc::try_unwrap(store).expect("workers drop their store views before responding");
-        (store, all)
+        (reclaim(store), all)
     }
 
     /// Phase 2 start: moves each shard to its owning worker along with
     /// its routed mutations and any prepared post-batch lists from the
-    /// record-prepare wave. Returns immediately so the caller can merge
-    /// removal candidates while the workers write; finish with
+    /// record-prepare wave; the engine writes worker 0's shard before
+    /// this returns. The caller can then merge removal candidates while
+    /// the helpers write; finish with
     /// [`finish_record`](BatchRun::finish_record).
     pub(crate) fn start_record(
         &mut self,
@@ -499,35 +627,29 @@ impl<'a> BatchRun<'a> {
         routed: Vec<Vec<ShardOp>>,
         prepared: Vec<Vec<PreparedSlot>>,
     ) {
-        for (worker, ((shard, ops), prepared)) in
-            shards.into_iter().zip(routed).zip(prepared).enumerate()
-        {
-            self.pool.send(
-                worker,
-                Job::Record {
-                    shard,
-                    ops,
-                    prepared,
-                },
-            );
-        }
+        let items: usize = routed.iter().map(Vec::len).sum::<usize>()
+            + prepared.iter().map(Vec::len).sum::<usize>();
+        let jobs = shards
+            .into_iter()
+            .zip(routed)
+            .zip(prepared)
+            .map(|((shard, ops), prepared)| Job::Record {
+                shard,
+                ops,
+                prepared,
+            })
+            .collect();
+        self.dispatch(jobs, items * ITEM_WORK);
     }
 
     /// Phase 2 end: collects the mutated shards back in slot order.
     pub(crate) fn finish_record(&mut self) -> Vec<Arc<Shard>> {
-        let workers = self.pool.worker_count();
-        let mut slots: Vec<Option<Arc<Shard>>> = (0..workers).map(|_| None).collect();
-        for _ in 0..workers {
-            let response = self.pool.recv();
-            self.absorb(&response);
-            match response.payload {
-                Payload::Shard(shard) => slots[response.worker] = Some(shard),
-                _ => unreachable!("record phase only receives shards"),
-            }
-        }
-        slots
+        self.gather()
             .into_iter()
-            .map(|s| s.expect("one shard back per worker"))
+            .map(|payload| match payload {
+                Payload::Shard(shard) => shard,
+                _ => unreachable!("record phase only receives shards"),
+            })
             .collect()
     }
 
@@ -542,8 +664,7 @@ impl<'a> BatchRun<'a> {
         store: ShardStore,
         inserts: Vec<Vec<Edge>>,
     ) -> (ShardStore, Vec<Vec<Triangle>>) {
-        let workers = self.pool.worker_count();
-        debug_assert_eq!(inserts.len(), workers);
+        let estimate = self.edge_work(&store, inserts.iter().flatten().copied());
         let injector = Arc::new(Injector::new());
         let locals: Vec<Vec<Edge>> = inserts
             .into_iter()
@@ -558,32 +679,32 @@ impl<'a> BatchRun<'a> {
             })
             .collect();
         let store = Arc::new(store);
-        for (worker, local) in locals.into_iter().enumerate() {
-            self.pool.send(
-                worker,
-                Job::InsertCollect {
-                    store: Arc::clone(&store),
-                    local,
-                    injector: Arc::clone(&injector),
-                },
-            );
-        }
-        let mut all: Vec<Vec<Triangle>> = (0..workers).map(|_| Vec::new()).collect();
-        for _ in 0..workers {
-            let response = self.pool.recv();
-            self.absorb(&response);
-            match response.payload {
-                Payload::Candidates(candidates) => all[response.worker] = candidates,
-                _ => unreachable!("insert phase only receives candidates"),
-            }
-        }
-        let store =
-            Arc::try_unwrap(store).expect("workers drop their store views before responding");
-        (store, all)
+        let jobs = locals
+            .into_iter()
+            .map(|local| Job::InsertCollect {
+                store: Arc::clone(&store),
+                local,
+                injector: Arc::clone(&injector),
+            })
+            .collect();
+        self.dispatch(jobs, estimate);
+        let all = self.gather_candidates("the insert phase");
+        (reclaim(store), all)
+    }
+
+    /// Gathers a wave whose every payload is a candidate list.
+    fn gather_candidates(&mut self, wave: &str) -> Vec<Vec<Triangle>> {
+        self.gather()
+            .into_iter()
+            .map(|payload| match payload {
+                Payload::Candidates(candidates) => candidates,
+                _ => unreachable!("{wave} only receives candidates"),
+            })
+            .collect()
     }
 
     /// Ends the batch: per-batch busy shares relative to the apply's
-    /// wall time, plus the steal count.
+    /// wall time, the steal count, and where the waves ran.
     pub(crate) fn finish(self) -> BatchStats {
         let wall = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         let workers = self.busy.len().max(1) as f64;
@@ -593,13 +714,28 @@ impl<'a> BatchRun<'a> {
             .map(|d| d.as_secs_f64())
             .fold(0.0, f64::max);
         let total: f64 = self.busy.iter().map(|d| d.as_secs_f64()).sum();
+        for (name, waves) in [
+            ("pool.waves_handed_off", self.waves_handed_off),
+            ("pool.waves_inline", self.waves_inline),
+        ] {
+            if waves > 0 {
+                congest_obs::counter_add(name, waves);
+            }
+        }
         BatchStats {
             busy_max_share: (max / wall).min(1.0),
             busy_mean_share: (total / (workers * wall)).min(1.0),
             steals: self.steals,
             record_split_tasks: self.record_split_tasks,
+            waves_handed_off: self.waves_handed_off,
+            waves_inline: self.waves_inline,
         }
     }
+}
+
+/// Takes the store back once a read-only wave is gathered.
+fn reclaim(store: Arc<ShardStore>) -> ShardStore {
+    Arc::try_unwrap(store).expect("jobs drop their store views before responding")
 }
 
 /// One pooled batch's imbalance telemetry.
@@ -609,47 +745,54 @@ pub(crate) struct BatchStats {
     pub(crate) busy_mean_share: f64,
     pub(crate) steals: u64,
     pub(crate) record_split_tasks: u64,
+    /// Waves whose jobs went out to the helpers.
+    pub(crate) waves_handed_off: u64,
+    /// Waves the engine thread ran alone, under the work floor.
+    pub(crate) waves_inline: u64,
 }
 
-/// The persistent worker's loop: exits when the engine drops its job
-/// sender.
-fn worker_loop(worker: usize, jobs: Receiver<Job>, results: Sender<Response>) {
-    while let Ok(job) = jobs.recv() {
-        let worker_span = congest_obs::trace::span("pool", "worker");
-        let started = Instant::now();
-        let mut steals = 0u64;
-        // A panicking job must still produce a response, or the engine's
-        // lock-step recv loop would wait forever on a dead worker; the
-        // engine re-raises the panic when it sees the payload.
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_job(job, worker, &mut steals)
-        }))
-        .unwrap_or_else(|panic| Payload::Panicked(panic_message(&panic)));
-        // The store view is dropped inside `process_job` *before* this
-        // send (by unwinding, in the panic case), so once the engine
-        // holds every response, `Arc::try_unwrap` succeeds. The span
-        // closes before the send, and the buffer is flushed at the job
-        // boundary so the engine thread's `drain` sees worker spans
-        // without waiting for this long-lived thread to exit.
-        drop(worker_span);
+/// A helper's loop: exits when the engine drops its job sender.
+fn worker_loop(worker: usize, jobs: Receiver<Job>, results: Sender<Response>, spin: bool) {
+    while let Ok(job) = recv_spinning(&jobs, spin) {
+        let response = run_job(worker, job);
+        // The buffer is flushed at the job boundary so the engine
+        // thread's `drain` sees helper spans without waiting for this
+        // long-lived thread to exit.
         congest_obs::trace::flush_thread();
-        if results
-            .send(Response {
-                worker,
-                busy: started.elapsed(),
-                steals,
-                payload,
-            })
-            .is_err()
-        {
+        if results.send(response).is_err() {
             // Engine dropped mid-batch (panic unwinding): just exit.
             return;
         }
     }
 }
 
+/// Runs worker `worker`'s job to its response, on whichever thread
+/// calls — a helper's loop or the engine itself.
+fn run_job(worker: usize, job: Job) -> Response {
+    let worker_span = congest_obs::trace::span("pool", "worker");
+    let started = Instant::now();
+    let mut steals = 0u64;
+    // A panicking job must still produce a response, or the engine
+    // would wait forever on a dead helper; the engine re-raises the
+    // panic when it gathers the wave.
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        process_job(job, worker, &mut steals)
+    }))
+    .unwrap_or_else(|panic| Payload::Panicked(panic_message(&panic)));
+    // The store view is dropped inside `process_job` *before* the
+    // response exists (by unwinding, in the panic case), so once the
+    // engine holds every response, `Arc::try_unwrap` succeeds.
+    drop(worker_span);
+    Response {
+        worker,
+        busy: started.elapsed(),
+        steals,
+        payload,
+    }
+}
+
 /// Executes one job to its response payload. Runs under
-/// `catch_unwind` in the worker loop; dropping the job's store view
+/// `catch_unwind` in [`run_job`]; dropping the job's store view
 /// before returning (or by unwinding) is what keeps the engine's
 /// `Arc::try_unwrap` reliable.
 fn process_job(job: Job, worker: usize, steals: &mut u64) -> Payload {
@@ -684,13 +827,14 @@ fn process_job(job: Job, worker: usize, steals: &mut u64) -> Payload {
             let mut prepared = Vec::new();
             loop {
                 match injector.steal() {
-                    Steal::Success(task) => {
+                    Steal::Success(mut task) => {
                         if task.owner != worker {
                             *steals += 1;
                         }
-                        for (local, mut ops) in task.groups {
+                        for run in task.ops.chunk_by_mut(|a, b| a.local == b.local) {
+                            let local = run[0].local;
                             let base = store.neighbors(spec.node_of(task.owner, local));
-                            let list = merge_ops(base, &mut ops);
+                            let list = merge_ops(base, run);
                             prepared.push(PreparedSlot {
                                 shard: task.owner,
                                 local,
@@ -719,7 +863,12 @@ fn process_job(job: Job, worker: usize, steals: &mut u64) -> Payload {
                 let target = Arc::get_mut(&mut shard).expect(
                     "the engine makes every shard with work unique before the record phase",
                 );
-                for slot in prepared {
+                // By reference: the lists were allocated by whichever
+                // worker prepared them, and freeing one between every
+                // two seeds has the workers park on each other's
+                // allocator locks (2.5x the phase on 5000-delta
+                // batches). They are freed together when the job ends.
+                for slot in &prepared {
                     debug_assert_eq!(
                         slot.shard, worker,
                         "prepared slots are routed to their owner"
@@ -907,21 +1056,6 @@ fn push_chunks(
     }
 }
 
-/// Groups one shard's routed ops by local slot (ascending). Op order
-/// inside a group is irrelevant: the upstream coalesce leaves at most
-/// one op per `(slot, other)` pair, and the merge sorts by `other`.
-fn group_by_slot(mut ops: Vec<ShardOp>) -> Vec<(usize, Vec<ShardOp>)> {
-    ops.sort_unstable_by_key(|op| op.local);
-    let mut groups: Vec<(usize, Vec<ShardOp>)> = Vec::new();
-    for op in ops {
-        match groups.last_mut() {
-            Some((local, group)) if *local == op.local => group.push(op),
-            _ => groups.push((op.local, vec![op])),
-        }
-    }
-    groups
-}
-
 /// Merges one slot's coalesced ops into its sorted pre-batch neighbour
 /// list, producing the sorted post-batch list in a single pass. The
 /// classify phase guarantees every op is effective — inserts are absent
@@ -954,41 +1088,41 @@ fn merge_ops(base: &[NodeId], ops: &mut [ShardOp]) -> Vec<NodeId> {
     out
 }
 
-/// Chunks an oversized shard's slot groups into owner-tagged prepare
-/// tasks of roughly `threshold` estimated merge work each (pre-batch
-/// degree plus op count per group; a threshold of 0 makes every slot
-/// group its own task — the property tests use this to force the record
-/// steal path) and pushes them onto the shared queue. Returns how many
-/// tasks were pushed. Groups are never split across tasks: a slot's
-/// post-batch list must come from one merge.
+/// Chunks an oversized shard's routed ops (sorted by slot) into
+/// owner-tagged prepare tasks of roughly `threshold` estimated merge
+/// work each (pre-batch degree plus op count per slot; a threshold of 0
+/// makes every slot its own task — the property tests use this to force
+/// the record steal path) and pushes them onto the shared queue. Returns
+/// how many tasks were pushed. A slot's ops are never split across
+/// tasks: its post-batch list must come from one merge.
 fn push_prepare_chunks(
     store: &ShardStore,
     shard: usize,
-    groups: Vec<(usize, Vec<ShardOp>)>,
+    ops: &[ShardOp],
     threshold: usize,
     injector: &Injector<PrepareTask>,
 ) -> u64 {
     let spec = store.spec();
     let budget = threshold.max(1);
     let mut pushed = 0u64;
-    let mut chunk: Vec<(usize, Vec<ShardOp>)> = Vec::new();
+    let mut chunk: Vec<ShardOp> = Vec::new();
     let mut cost = 0usize;
-    for (local, group) in groups {
+    for run in ops.chunk_by(|a, b| a.local == b.local) {
         if !chunk.is_empty() && cost >= budget {
             injector.push(PrepareTask {
                 owner: shard,
-                groups: std::mem::take(&mut chunk),
+                ops: std::mem::take(&mut chunk),
             });
             pushed += 1;
             cost = 0;
         }
-        cost += (store.degree(spec.node_of(shard, local)) + group.len()).max(1);
-        chunk.push((local, group));
+        cost += (store.degree(spec.node_of(shard, run[0].local)) + run.len()).max(1);
+        chunk.extend_from_slice(run);
     }
     if !chunk.is_empty() {
         injector.push(PrepareTask {
             owner: shard,
-            groups: chunk,
+            ops: chunk,
         });
         pushed += 1;
     }
@@ -1121,35 +1255,27 @@ mod tests {
     fn prepare_chunks_keep_slot_groups_whole() {
         let store = sample_store();
         // Shard 0 owns nodes {0, 2, 4}: locals 0 (deg 3) and 1 (deg 2).
-        let groups = group_by_slot(vec![
-            ShardOp {
-                local: 1,
-                other: v(4),
-                op: DeltaOp::Insert,
-            },
-            ShardOp {
-                local: 0,
-                other: v(3),
-                op: DeltaOp::Remove,
-            },
-            ShardOp {
-                local: 0,
-                other: v(5),
-                op: DeltaOp::Insert,
-            },
-        ]);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, 0);
-        assert_eq!(groups[0].1.len(), 2);
-        // Threshold 0: one task per slot group, never per op.
+        let op = |local, other, op| ShardOp {
+            local,
+            other: v(other),
+            op,
+        };
+        let ops = [
+            op(0, 3, DeltaOp::Remove),
+            op(0, 5, DeltaOp::Insert),
+            op(1, 4, DeltaOp::Insert),
+        ];
+        // Threshold 0: one task per slot, never per op.
         let injector = Injector::new();
-        assert_eq!(
-            push_prepare_chunks(&store, 0, groups.clone(), 0, &injector),
-            2
-        );
-        // A roomy budget packs both groups into one task.
+        assert_eq!(push_prepare_chunks(&store, 0, &ops, 0, &injector), 2);
+        let Steal::Success(first) = injector.steal() else {
+            panic!("two tasks were pushed");
+        };
+        assert_eq!((first.owner, first.ops.len()), (0, 2));
+        assert!(first.ops.iter().all(|op| op.local == 0));
+        // A roomy budget packs both slots into one task.
         let injector = Injector::new();
-        assert_eq!(push_prepare_chunks(&store, 0, groups, 1_000, &injector), 1);
+        assert_eq!(push_prepare_chunks(&store, 0, &ops, 1_000, &injector), 1);
     }
 
     #[test]
@@ -1215,60 +1341,102 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trips_all_three_phases() {
+    fn a_helper_panic_is_reraised_and_poisons_the_pool() {
+        // The twin of the two tests above for a job that crosses
+        // threads: worker 1's job runs on the pool's only helper.
         let pool = ShardPool::new(2);
-        assert_eq!(pool.worker_count(), 2);
-        let store = sample_store();
-        let mut run = BatchRun::new(&pool, 0);
-
-        // Collect: worker 0 removes {0, 1}, worker 1 inserts {2, 3}.
-        // Split threshold 0 means worker 0 defers its removal to the
-        // steal wave instead of intersecting locally.
-        let work = vec![
-            vec![EdgeDelta::remove(v(0), v(1))],
-            vec![EdgeDelta::insert(v(2), v(3))],
+        let mut run = BatchRun::new(&pool, 0).force_handoff();
+        let shards = vec![Arc::new(Shard::new(1)), Arc::new(Shard::new(1))];
+        let routed = vec![
+            Vec::new(),
+            vec![ShardOp {
+                local: 99,
+                other: v(1),
+                op: DeltaOp::Insert,
+            }],
         ];
-        let (store, mut plans) = run.collect(store, work);
-        assert!(plans.iter().all(|p| p.removed.is_empty()));
-        assert_eq!(
-            plans[0].deferred_removals,
-            vec![congest_graph::Edge::new(v(0), v(1))]
+        run.start_record(shards, routed, vec![Vec::new(), Vec::new()]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.finish_record()));
+        let message = panic_message(&*caught.expect_err("the helper's panic is re-raised"));
+        assert!(
+            message.starts_with("shard pool worker 1 panicked"),
+            "{message}"
         );
-        assert_eq!(plans[1].inserts.len(), 1);
+        assert!(pool.poisoned());
+    }
 
-        // Steal wave: the deferred hub removal is chunked up front and
-        // drained by whichever worker gets there first.
-        let deferred = vec![(0, std::mem::take(&mut plans[0].deferred_removals))];
-        let (store, waves) = run.steal_wave(store, deferred);
-        let dead: Vec<Triangle> = waves.into_iter().flatten().collect();
-        assert_eq!(dead, vec![Triangle::new(v(0), v(1), v(2))]); // {0,1,2} dies
+    #[test]
+    fn the_engine_thread_is_worker_zero() {
+        assert_eq!(ShardPool::new(1).handles.len(), 0);
+        let pool = ShardPool::new(2);
+        assert_eq!(pool.handles.len(), 1);
+        assert_eq!(pool.worker_count(), 2);
+    }
 
-        // Record: route the ops, run the prepare wave (threshold 0
-        // forces every slot group onto the queue, so the ops land as
-        // prepared wholesale lists), and apply them on the workers.
-        let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); 2];
-        for plan in &plans {
-            for (dest, ops) in plan.ops.iter().enumerate() {
-                routed[dest].extend_from_slice(ops);
+    #[test]
+    fn pool_round_trips_all_three_phases() {
+        // Once with every wave handed to the helper, once with every
+        // wave kept on this thread (the batch is far under the floor).
+        for forced in [true, false] {
+            let pool = ShardPool::new(2);
+            let store = sample_store();
+            let mut run = BatchRun::new(&pool, 0);
+            if forced {
+                run = run.force_handoff();
             }
+
+            // Collect: worker 0 removes {0, 1}, worker 1 inserts {2, 3}.
+            // Split threshold 0 means worker 0 defers its removal to the
+            // steal wave instead of intersecting locally.
+            let work = vec![
+                vec![EdgeDelta::remove(v(0), v(1))],
+                vec![EdgeDelta::insert(v(2), v(3))],
+            ];
+            let (store, mut plans) = run.collect(store, work);
+            assert!(plans.iter().all(|p| p.removed.is_empty()));
+            assert_eq!(
+                plans[0].deferred_removals,
+                vec![congest_graph::Edge::new(v(0), v(1))]
+            );
+            assert_eq!(plans[1].inserts.len(), 1);
+
+            // Steal wave: the deferred hub removal is chunked up front
+            // and drained by whichever worker gets there first.
+            let deferred = vec![(0, std::mem::take(&mut plans[0].deferred_removals))];
+            let (store, waves) = run.steal_wave(store, deferred);
+            let dead: Vec<Triangle> = waves.into_iter().flatten().collect();
+            assert_eq!(dead, vec![Triangle::new(v(0), v(1), v(2))]); // {0,1,2} dies
+
+            // Record: route the ops and run the prepare wave. Forced,
+            // threshold 0 puts every slot group on the queue, so the ops
+            // land as prepared wholesale lists; under the floor the
+            // shards keep their ops and no wave runs.
+            let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); 2];
+            for plan in &plans {
+                for (dest, ops) in plan.ops.iter().enumerate() {
+                    routed[dest].extend_from_slice(ops);
+                }
+            }
+            let (mut store, prepared) = run.record_wave(store, &mut routed);
+            assert_eq!(routed.iter().all(Vec::is_empty), forced);
+            assert_eq!(prepared.iter().any(|p| !p.is_empty()), forced);
+            run.start_record(store.take_shards(), routed, prepared);
+            store.restore_shards(run.finish_record());
+            assert!(!store.has_edge(v(0), v(1)));
+            assert!(store.has_edge(v(2), v(3)));
+
+            // Insert collect: {2, 3} closes {0, 2, 3} on the new adjacency.
+            let inserts = vec![Vec::new(), plans[1].inserts.clone()];
+            let (store, candidates) = run.insert_collect(store, inserts);
+            let born: Vec<Triangle> = candidates.into_iter().flatten().collect();
+            assert_eq!(born, vec![Triangle::new(v(0), v(2), v(3))]);
+            assert_eq!(store.half_edges(), 2 * 4);
+
+            let stats = run.finish();
+            assert!(stats.busy_max_share >= stats.busy_mean_share);
+            assert!(stats.busy_max_share <= 1.0);
+            let waves = if forced { (5, 0) } else { (0, 4) };
+            assert_eq!((stats.waves_handed_off, stats.waves_inline), waves);
         }
-        let (mut store, prepared) = run.record_wave(store, &mut routed);
-        assert!(routed.iter().all(Vec::is_empty));
-        assert!(prepared.iter().any(|p| !p.is_empty()));
-        run.start_record(store.take_shards(), routed, prepared);
-        store.restore_shards(run.finish_record());
-        assert!(!store.has_edge(v(0), v(1)));
-        assert!(store.has_edge(v(2), v(3)));
-
-        // Insert collect: {2, 3} closes {0, 2, 3} on the new adjacency.
-        let inserts = vec![Vec::new(), plans[1].inserts.clone()];
-        let (store, candidates) = run.insert_collect(store, inserts);
-        let born: Vec<Triangle> = candidates.into_iter().flatten().collect();
-        assert_eq!(born, vec![Triangle::new(v(0), v(2), v(3))]);
-        assert_eq!(store.half_edges(), 2 * 4);
-
-        let stats = run.finish();
-        assert!(stats.busy_max_share >= stats.busy_mean_share);
-        assert!(stats.busy_max_share <= 1.0);
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! 1. **Shard-parallel phase** — the batch is split by endpoint
 //!    ownership (every edge maps to exactly one worker) and runs on the
-//!    engine's persistent [`ShardPool`](crate::pool): `S` long-lived
-//!    workers, spawned once and fed work descriptors over channels, so
-//!    a batch costs channel sends instead of thread spawns:
+//!    engine's persistent [`ShardPool`](crate::pool): the engine thread
+//!    is worker 0 beside `S − 1` long-lived helpers, spawned once and
+//!    fed work descriptors over channels, and a wave too small to pay
+//!    for a wake-up stays on the engine thread altogether:
 //!    * *collect* (read-only on the pre-batch adjacency): each worker
 //!      coalesces its slice (at most one op per edge survives),
 //!      classifies the survivors against the current edge set and
@@ -71,9 +72,16 @@ use crate::shard::{
     CowStats, NodeSupport, ShardOp, ShardStore,
 };
 
-/// Below this many deltas a batch is applied inline: even with the
-/// persistent pool, channel handoff and partitioning cost more than a
-/// tiny batch's intersections.
+/// Below this many deltas a batch takes the strictly ordered sequential
+/// path: partitioning, per-slice coalescing and routing cost more than
+/// a tiny batch's intersections. This gate only picks the *pipeline*;
+/// whether a pipelined batch's waves leave the engine thread is decided
+/// per wave by the pool — the engine is worker 0 of its `S`, helpers
+/// are woken only for a wave whose estimated work reaches the pool's
+/// hand-off floor (about two wake-ups' worth), and a waiting side spins
+/// briefly before parking while the machine has a core per worker (see
+/// [`crate::pool`]). A threshold of 0 forces both: the pipeline on every
+/// batch, the helpers on every wave.
 const DEFAULT_PARALLEL_THRESHOLD: usize = 128;
 
 /// Clamp range for the adaptive split-threshold controller. The floor
@@ -91,10 +99,13 @@ const IMBALANCE_LOW: f64 = 1.15;
 
 /// Saturation gate for the controller: splitting a hot shard can only
 /// shorten a batch when the busiest worker's compute actually dominates
-/// the batch's wall clock. Below this busy share the critical path is
-/// handoff and merge, not shard work — seen in practice when the OS has
-/// fewer cores than the pool has workers — and every extra stealable
-/// task is pure queue overhead, so the controller backs off instead.
+/// the batch's wall clock. Below this busy share the critical path of a
+/// handed-off batch is wake-ups, waiting and the engine's own merge, not
+/// shard work — the usual state of a batch just over the hand-off
+/// floor, and of any batch on a machine with fewer cores than workers —
+/// and every extra stealable task is pure queue overhead, so the
+/// controller backs off instead. (A batch that handed nothing off never
+/// reaches the controller at all.)
 const SATURATION_FLOOR: f64 = 0.5;
 
 /// Aggregates per-batch pool stats into the engine's lifetime
@@ -106,6 +117,8 @@ struct TelemetryAccum {
     mean_share_sum: f64,
     steals: u64,
     record_split_tasks: u64,
+    waves_handed_off: u64,
+    waves_inline: u64,
 }
 
 impl TelemetryAccum {
@@ -115,6 +128,8 @@ impl TelemetryAccum {
         self.mean_share_sum += stats.busy_mean_share;
         self.steals += stats.steals;
         self.record_split_tasks += stats.record_split_tasks;
+        self.waves_handed_off += stats.waves_handed_off;
+        self.waves_inline += stats.waves_inline;
     }
 
     fn summary(&self, split_threshold: usize) -> Option<WorkerTelemetry> {
@@ -858,6 +873,9 @@ impl ShardedTriangleIndex {
         }
         let pool = self.pool.as_ref().expect("pool was just ensured");
         let mut run = BatchRun::new(pool, self.split_threshold);
+        if self.parallel_threshold == 0 {
+            run = run.force_handoff();
+        }
 
         // Phase 1: collect (read-only). Workers whose removal slice
         // exceeds the split threshold defer it instead of intersecting.
@@ -953,15 +971,18 @@ impl ShardedTriangleIndex {
     }
 
     /// The adaptive split-threshold controller: one multiplicative step
-    /// per pooled batch, driven by the batch's busy-share imbalance
-    /// (max/mean — 1.0 means perfectly even, `S` means one worker did
-    /// everything), gated on the pool actually being compute-saturated
-    /// ([`SATURATION_FLOOR`]): an imbalanced-but-idle pool means the
-    /// batch is bounded by handoff, and more splitting only adds queue
-    /// traffic. Disabled when the threshold was pinned with
+    /// per pooled batch that handed at least one wave to the helpers —
+    /// a batch the engine thread ran alone balanced nothing, so its
+    /// busy shares carry no signal — driven by the batch's busy-share
+    /// imbalance (max/mean — 1.0 means perfectly even, `S` means one
+    /// worker did everything), gated on the pool actually being
+    /// compute-saturated ([`SATURATION_FLOOR`]): an imbalanced-but-idle
+    /// pool means the batch is bounded by handoff, and more splitting
+    /// only adds queue traffic. Disabled when the threshold was pinned
+    /// with
     /// [`with_split_threshold`](ShardedTriangleIndex::with_split_threshold).
     fn adapt_split_threshold(&mut self, stats: BatchStats) {
-        if !self.split_threshold_adaptive {
+        if !self.split_threshold_adaptive || stats.waves_handed_off == 0 {
             return;
         }
         let imbalance = stats.busy_max_share / stats.busy_mean_share.max(f64::EPSILON);
@@ -1038,6 +1059,8 @@ mod tests {
             busy_mean_share,
             steals: 0,
             record_split_tasks: 0,
+            waves_handed_off: 1,
+            waves_inline: 0,
         }
     }
 
@@ -1068,6 +1091,15 @@ mod tests {
         // extra stealable tasks cannot shorten a handoff-bound batch.
         idx.adapt_split_threshold(stats(0.2, 0.1));
         assert_eq!(idx.split_threshold, DEFAULT_SPLIT_THRESHOLD * 2);
+
+        // A batch the engine thread ran alone balanced nothing: hold.
+        idx.split_threshold = DEFAULT_SPLIT_THRESHOLD;
+        idx.adapt_split_threshold(BatchStats {
+            waves_handed_off: 0,
+            waves_inline: 3,
+            ..stats(0.9, 0.3)
+        });
+        assert_eq!(idx.split_threshold, DEFAULT_SPLIT_THRESHOLD);
 
         // A pinned threshold never moves.
         let mut pinned = ShardedTriangleIndex::new(8, 4).with_split_threshold(512);
@@ -1546,6 +1578,78 @@ mod tests {
             }
         }
         b
+    }
+
+    /// A 256-delta batch on 4096 nodes whose degrees stay in single
+    /// digits: 40 fresh triangles, one edge removed from 36 of the
+    /// previous batch's, and 100 scattered inserts.
+    fn low_degree_batch(step: u32) -> DeltaBatch {
+        let mut b = DeltaBatch::new();
+        let corner = |step: u32, i: u32| (step * 40 + i) * 3;
+        for i in 0..40 {
+            let t = corner(step, i);
+            b.insert(v(t), v(t + 1))
+                .insert(v(t + 1), v(t + 2))
+                .insert(v(t), v(t + 2));
+        }
+        for i in 0..36 {
+            if step > 0 {
+                let t = corner(step - 1, i);
+                b.remove(v(t), v(t + 1));
+            }
+        }
+        for j in 0..100u32 {
+            let x = (step * 100 + j).wrapping_mul(2_654_435_761);
+            let (a, c) = (x % 4096, (x >> 12) % 4096);
+            if a != c {
+                b.insert(v(a), v(c));
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn inline_waves_and_handed_off_waves_leave_identical_state() {
+        for shards in [2, 3] {
+            // The split threshold is pinned so that the forced engine's
+            // controller, which runs on wall-clock busy shares, cannot
+            // start splitting record work the other engine keeps whole.
+            let engine = || {
+                ShardedTriangleIndex::new(4096, shards)
+                    .with_split_threshold(DEFAULT_SPLIT_THRESHOLD)
+            };
+            let before = congest_obs::registry::snapshot().counters;
+            let mut inline = engine();
+            let mut forced = parallel(engine());
+            for step in 0..12 {
+                let batch = low_degree_batch(step);
+                let ri = inline.apply(&batch).unwrap();
+                let rf = forced.apply(&batch).unwrap();
+                assert_eq!(ri, rf, "S={shards} step {step}");
+                assert!(ri.triangles_added >= 40, "S={shards} step {step}");
+            }
+            assert_eq!(inline.triangles(), forced.triangles(), "S={shards}");
+            assert_eq!(inline.arena_stats(), forced.arena_stats(), "S={shards}");
+            for node in AdjacencyView::nodes(&inline) {
+                assert_eq!(inline.node_support(node), forced.node_support(node));
+            }
+            assert!(inline.matches_oracle() && forced.matches_oracle());
+
+            // Three waves a batch (collect, record, insert), none of
+            // them near the floor: the default engine kept every one on
+            // its own thread, the forced engine handed every one off.
+            let (inline, forced) = (inline.telemetry, forced.telemetry);
+            assert_eq!((inline.waves_handed_off, inline.waves_inline), (0, 36));
+            assert_eq!((forced.waves_handed_off, forced.waves_inline), (36, 0));
+            assert_eq!(inline.pooled_batches, 12);
+            // The registry is process-wide and other tests run pooled
+            // batches beside this one, so it can only be bounded below.
+            let after = congest_obs::registry::snapshot().counters;
+            for name in ["pool.waves_handed_off", "pool.waves_inline"] {
+                let grew = after[name] - before.get(name).copied().unwrap_or(0);
+                assert!(grew >= 36, "{name} grew by {grew}");
+            }
+        }
     }
 
     #[test]
