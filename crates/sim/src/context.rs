@@ -1,7 +1,5 @@
 //! The per-round execution context handed to node programs.
 
-use std::collections::BTreeMap;
-
 use congest_graph::NodeId;
 use congest_wire::{BitReader, BitWriter, IdCodec, Payload, WireError};
 use rand::rngs::SmallRng;
@@ -17,13 +15,27 @@ pub struct ReceivedMessage {
     pub payload: Payload,
 }
 
-/// Messages queued by a node during one round, keyed by destination.
+/// Messages queued by a node during one round, at most one per
+/// destination.
 ///
-/// Ordered map so iteration (and therefore metric accumulation and
-/// delivery) is deterministic.
+/// Kept sorted by destination so iteration (and therefore metric
+/// accumulation and delivery) is deterministic. A plain `Vec`, so the
+/// sequential engine drains and reuses one buffer for every node; sends
+/// in ascending destination order — the usual "for each neighbour" loop
+/// — append without searching.
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
-    pub(crate) messages: BTreeMap<NodeId, Payload>,
+    pub(crate) messages: Vec<(NodeId, Payload)>,
+}
+
+impl Outbox {
+    /// The index of the message queued for `to`, or where one would go.
+    fn position(&self, to: NodeId) -> Result<usize, usize> {
+        match self.messages.last() {
+            Some((last, _)) if to > *last => Err(self.messages.len()),
+            _ => self.messages.binary_search_by_key(&to, |(dest, _)| *dest),
+        }
+    }
 }
 
 /// Everything a node program can see and do during one round.
@@ -141,16 +153,18 @@ impl<'a> RoundContext<'a> {
                 budget: self.info.bandwidth_bits,
             });
         }
-        if self.outbox.messages.contains_key(&to) {
-            return Err(SimError::DuplicateMessage { from, to });
+        match self.outbox.position(to) {
+            Ok(_) => Err(SimError::DuplicateMessage { from, to }),
+            Err(at) => {
+                self.outbox.messages.insert(at, (to, payload));
+                Ok(())
+            }
         }
-        self.outbox.messages.insert(to, payload);
-        Ok(())
     }
 
     /// Whether a message to `to` has already been queued this round.
     pub fn has_queued(&self, to: NodeId) -> bool {
-        self.outbox.messages.contains_key(&to)
+        self.outbox.position(to).is_ok()
     }
 }
 
@@ -310,6 +324,30 @@ mod tests {
             ctx.send(NodeId(1), Payload::new())
         });
         assert!(matches!(res, Err(SimError::DuplicateMessage { .. })));
+    }
+
+    #[test]
+    fn outbox_is_destination_sorted_whatever_the_send_order() {
+        let mut i = info();
+        i.model = Model::CongestClique;
+        let (res, outbox) = with_ctx(&i, |ctx| {
+            for to in [5, 2, 7, 1, 6] {
+                ctx.send(NodeId(to), ctx.id_codec().single(u64::from(to)))
+                    .unwrap();
+            }
+            assert!(ctx.has_queued(NodeId(1)) && ctx.has_queued(NodeId(7)));
+            assert!(!ctx.has_queued(NodeId(3)) && !ctx.has_queued(NodeId(8)));
+            ctx.send(NodeId(2), Payload::new())
+        });
+        assert!(matches!(res, Err(SimError::DuplicateMessage { .. })));
+        let dests: Vec<u32> = outbox.messages.iter().map(|(to, _)| to.0).collect();
+        assert_eq!(dests, vec![1, 2, 5, 6, 7]);
+        // Each payload stayed with its destination.
+        let codec = IdCodec::new(8);
+        for (to, payload) in &outbox.messages {
+            let id = codec.decode(&mut BitReader::new(payload)).unwrap();
+            assert_eq!(id, u64::from(to.0));
+        }
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! communication topology may be updated with
 //! [`Simulation::update_topology`] — the substrate of the dynamic
 //! (CONGEST-simulated) triangle engine in `congest-stream`.
+//!
+//! **Cost model.** On the host a round costs `O(active nodes + messages
+//! delivered)` and an epoch `O(n)` once: the round bookkeeping (shared
+//! with the threaded executor, see `round.rs`) never visits a halted
+//! node, inboxes are double-buffered and keep their capacity, and every
+//! node queues its sends into one reused destination-sorted buffer. A
+//! long phase in which a few nodes wait out a deadline is therefore
+//! nearly free, and host time follows simulated traffic rather than
+//! `n × rounds`.
 
 use congest_graph::{AdjacencyView, NodeId};
 use congest_wire::Payload;
@@ -13,11 +22,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::context::Outbox;
-use crate::faults::FaultState;
 use crate::rng::derive_node_seed;
-use crate::{
-    FaultPlan, Metrics, NodeInfo, NodeProgram, NodeStatus, ReceivedMessage, RoundContext, SimConfig,
-};
+use crate::round::RoundState;
+use crate::{FaultPlan, Metrics, NodeInfo, NodeProgram, RoundContext, SimConfig};
 
 /// Why a run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,13 +160,9 @@ pub struct Simulation<P: NodeProgram> {
     /// Per-node deterministic RNGs; persistent so randomness continues
     /// across epochs instead of repeating.
     rngs: Vec<SmallRng>,
-    /// Messages awaiting delivery at round 0 of the next epoch
-    /// (injections land here between epochs).
-    inboxes: Vec<Vec<ReceivedMessage>>,
-    /// Number of completed epochs (the index of the next one).
-    epoch: u64,
-    /// Persistent fault-injection state (no-op under a quiet plan).
-    faults: FaultState,
+    /// Inboxes (injections land there between epochs), the active list,
+    /// the epoch counter and the fault layer.
+    state: RoundState,
 }
 
 impl<P: NodeProgram> Simulation<P> {
@@ -179,13 +182,11 @@ impl<P: NodeProgram> Simulation<P> {
         Simulation {
             infos,
             programs,
-            faults: FaultState::new(&config, n),
+            state: RoundState::new(&config, n),
             config,
             rngs: (0..n)
                 .map(|i| SmallRng::seed_from_u64(derive_node_seed(config.seed, i)))
                 .collect(),
-            inboxes: vec![Vec::new(); n],
-            epoch: 0,
         }
     }
 
@@ -196,7 +197,7 @@ impl<P: NodeProgram> Simulation<P> {
     /// behaviour.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.config.faults = plan;
-        self.faults = FaultState::new(&self.config, self.infos.len());
+        self.state.set_faults(&self.config);
     }
 
     /// Overrides the round cap for subsequent epochs.
@@ -211,7 +212,7 @@ impl<P: NodeProgram> Simulation<P> {
 
     /// Number of completed epochs.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch()
     }
 
     /// The program of `node`, for reading its live state between epochs.
@@ -240,13 +241,14 @@ impl<P: NodeProgram> Simulation<P> {
     /// network (the delta feed of a dynamic-graph algorithm, a query, a
     /// reconfiguration): it is *not* CONGEST traffic, so it bypasses the
     /// bandwidth budget and is not counted in the [`Metrics`]. The
-    /// delivered [`ReceivedMessage::from`] is the receiving node itself.
+    /// delivered [`ReceivedMessage::from`](crate::ReceivedMessage::from)
+    /// is the receiving node itself.
     ///
     /// # Panics
     ///
     /// Panics if `to` is not a node of the simulated network.
     pub fn inject(&mut self, to: NodeId, payload: Payload) {
-        self.inboxes[to.index()].push(ReceivedMessage { from: to, payload });
+        self.state.inject(to, payload);
     }
 
     /// Replaces the neighbour list of `node` in the communication
@@ -273,73 +275,33 @@ impl<P: NodeProgram> Simulation<P> {
     /// undelivered when the epoch ends are dropped, exactly as messages
     /// to halted nodes are within an epoch.
     pub fn run_epoch(&mut self) -> EpochReport {
-        let n = self.infos.len();
-        let mut metrics = Metrics::new(n);
-        let mut halted = vec![false; n];
-        let mut termination = Termination::AllHalted;
-        // Nodes crashed per the fault schedule sit the epoch out: the
-        // existing halted semantics (no compute, inbound dropped) are
-        // exactly a crash, and the program state is left intact for the
-        // rejoin re-seed.
-        for (i, crashed) in halted.iter_mut().enumerate() {
-            if self.faults.crashed(i, self.epoch) {
-                *crashed = true;
-            }
-        }
-
-        let mut round: u64 = 0;
-        loop {
-            if halted.iter().all(|&h| h) {
-                break;
-            }
-            if round >= self.config.max_rounds {
-                termination = Termination::RoundLimit;
-                break;
-            }
-
-            let mut next_inboxes: Vec<Vec<ReceivedMessage>> = vec![Vec::new(); n];
-            for (i, halted) in halted.iter_mut().enumerate() {
-                if *halted {
-                    // A halted node neither computes nor communicates; any
-                    // messages still addressed to it are dropped below.
-                    self.inboxes[i].clear();
-                    continue;
-                }
-                let mut outbox = Outbox::default();
+        let Simulation {
+            infos,
+            programs,
+            config,
+            rngs,
+            state,
+        } = self;
+        let epoch = state.epoch();
+        // One send buffer for every node: `settle` drains it.
+        let mut outbox = Outbox::default();
+        state.run_epoch(config.max_rounds, |state, round| {
+            for k in 0..state.active().len() {
+                let i = state.active()[k];
                 let status = {
                     let mut ctx = RoundContext {
-                        info: &self.infos[i],
+                        info: &infos[i],
                         round,
-                        epoch: self.epoch,
-                        inbox: &mut self.inboxes[i],
+                        epoch,
+                        inbox: state.inbox_mut(i),
                         outbox: &mut outbox,
-                        rng: &mut self.rngs[i],
+                        rng: &mut rngs[i],
                     };
-                    self.programs[i].on_round(&mut ctx)
+                    programs[i].on_round(&mut ctx)
                 };
-                self.inboxes[i].clear();
-                if status == NodeStatus::Halted {
-                    *halted = true;
-                }
-                for (to, payload) in outbox.messages {
-                    self.faults
-                        .deliver(i, to.index(), payload, &mut metrics, &mut next_inboxes);
-                }
+                state.settle(i, status, &mut outbox.messages);
             }
-            self.inboxes = next_inboxes;
-            round += 1;
-        }
-
-        // Undelivered messages do not leak into the next epoch.
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
-        self.epoch += 1;
-        metrics.rounds = round;
-        EpochReport {
-            metrics,
-            termination,
-        }
+        })
     }
 
     /// Runs a single epoch to completion and collects outputs and metrics
@@ -361,7 +323,7 @@ impl<P: NodeProgram> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bandwidth, Model};
+    use crate::{Bandwidth, Model, NodeStatus};
     use congest_graph::generators::Classic;
     use rand::Rng;
 

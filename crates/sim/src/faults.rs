@@ -1,8 +1,8 @@
 //! Deterministic fault injection shared by both executors.
 //!
-//! The fault layer sits on the single choke point both engines already
-//! share: the post-round delivery loop, which applies every node's outbox
-//! in node order with destinations in `BTreeMap` order. Because that
+//! The fault layer sits on the single choke point both engines share:
+//! the shared round state's delivery loop, which applies every node's
+//! outbox in node order with destinations ascending. Because that
 //! delivery sequence is identical in the sequential and threaded
 //! executors, drawing fault decisions from per-sender RNGs at delivery
 //! time keeps the two bit-identical under the same
@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::rng::derive_node_seed;
-use crate::{FaultPlan, Metrics, ReceivedMessage, SimConfig};
+use crate::{FaultPlan, Metrics, SimConfig};
 
 /// Salt mixed into the fault seed so the fault streams are independent
 /// from the per-node program RNGs even when the two seeds coincide.
@@ -52,61 +52,37 @@ impl FaultState {
         !self.quiet() && self.plan.crashed(node, epoch)
     }
 
-    /// Delivers one message from `from` to `to`, applying drop, corruption
-    /// and duplication per the plan. Must be called for every CONGEST
+    /// Decides the fate of one message sent by `from`: `None` if it is
+    /// lost, otherwise the payload that arrives (possibly with one bit
+    /// flipped) and whether it arrives twice. Books the fault counters;
+    /// the caller books the arrivals. Must be called for every CONGEST
     /// delivery in the engine's canonical order (injections bypass it).
-    pub(crate) fn deliver(
+    pub(crate) fn transit(
         &mut self,
         from: usize,
-        to: usize,
         payload: Payload,
         metrics: &mut Metrics,
-        next_inboxes: &mut [Vec<ReceivedMessage>],
-    ) {
-        let bits = payload.bit_len();
+    ) -> Option<(Payload, bool)> {
         if self.quiet() {
-            push(from, to, payload, bits, metrics, next_inboxes);
-            return;
+            return Some((payload, false));
         }
+        let bits = payload.bit_len();
         let rng = &mut self.rngs[from];
         if self.plan.drop_p > 0.0 && rng.gen_bool(self.plan.drop_p) {
             metrics.record_drop(from, bits);
-            return;
+            return None;
         }
         let mut payload = payload;
         if self.plan.corrupt_p > 0.0 && rng.gen_bool(self.plan.corrupt_p) && bits > 0 {
-            payload = flip_bit(&payload, rng.gen_range(0..bits));
+            payload = payload.with_flipped_bit(rng.gen_range(0..bits));
             metrics.corrupted_messages += 1;
         }
-        if self.plan.duplicate_p > 0.0 && rng.gen_bool(self.plan.duplicate_p) {
+        let duplicated = self.plan.duplicate_p > 0.0 && rng.gen_bool(self.plan.duplicate_p);
+        if duplicated {
             metrics.duplicated_messages += 1;
-            push(from, to, payload.clone(), bits, metrics, next_inboxes);
         }
-        push(from, to, payload, bits, metrics, next_inboxes);
+        Some((payload, duplicated))
     }
-}
-
-fn push(
-    from: usize,
-    to: usize,
-    payload: Payload,
-    bits: usize,
-    metrics: &mut Metrics,
-    next_inboxes: &mut [Vec<ReceivedMessage>],
-) {
-    metrics.record_delivery(from, to, bits);
-    next_inboxes[to].push(ReceivedMessage {
-        from: congest_graph::NodeId::from_index(from),
-        payload,
-    });
-}
-
-/// Returns `payload` with bit `index` flipped (payload bit order, MSB
-/// first within each byte).
-fn flip_bit(payload: &Payload, index: usize) -> Payload {
-    let mut bytes = payload.as_bytes().to_vec();
-    bytes[index / 8] ^= 1 << (7 - index % 8);
-    Payload::from_parts(bytes, payload.bit_len())
 }
 
 #[cfg(test)]
@@ -118,51 +94,37 @@ mod tests {
         FaultState::new(&config, 4)
     }
 
+    fn byte() -> Payload {
+        Payload::from_parts(vec![0xAB], 8)
+    }
+
     #[test]
     fn quiet_state_allocates_no_rngs_and_delivers_exactly() {
         let mut s = state(FaultPlan::default());
         assert!(s.quiet());
         let mut metrics = Metrics::new(4);
-        let mut inboxes = vec![Vec::new(); 4];
-        s.deliver(
-            0,
-            1,
-            Payload::from_parts(vec![0xAB], 8),
-            &mut metrics,
-            &mut inboxes,
-        );
-        assert_eq!(metrics.messages, 1);
-        assert_eq!(metrics.dropped_messages, 0);
-        assert_eq!(inboxes[1].len(), 1);
+        assert_eq!(s.transit(0, byte(), &mut metrics), Some((byte(), false)));
+        assert_eq!(metrics, Metrics::new(4));
     }
 
     #[test]
     fn drop_everything_plan_delivers_nothing() {
         let mut s = state(FaultPlan::default().with_drop(1.0));
         let mut metrics = Metrics::new(4);
-        let mut inboxes = vec![Vec::new(); 4];
-        s.deliver(
-            2,
-            1,
-            Payload::from_parts(vec![0xAB], 8),
-            &mut metrics,
-            &mut inboxes,
-        );
+        assert_eq!(s.transit(2, byte(), &mut metrics), None);
         assert_eq!(metrics.messages, 0);
         assert_eq!(metrics.dropped_messages, 1);
         assert_eq!(metrics.sent_bits[2], 8);
-        assert!(inboxes[1].is_empty());
     }
 
     #[test]
     fn corruption_flips_exactly_one_bit() {
         let mut s = state(FaultPlan::default().with_corruption(1.0));
         let mut metrics = Metrics::new(4);
-        let mut inboxes = vec![Vec::new(); 4];
         let original = Payload::from_parts(vec![0b1010_1010, 0b1100_0000], 10);
-        s.deliver(0, 3, original.clone(), &mut metrics, &mut inboxes);
+        let (delivered, duplicated) = s.transit(0, original.clone(), &mut metrics).unwrap();
+        assert!(!duplicated);
         assert_eq!(metrics.corrupted_messages, 1);
-        let delivered = &inboxes[3][0].payload;
         assert_eq!(delivered.bit_len(), original.bit_len());
         let flipped = (0..10)
             .filter(|&i| delivered.bit(i) != original.bit(i))
@@ -174,27 +136,16 @@ mod tests {
     fn duplication_delivers_twice_and_counts_both() {
         let mut s = state(FaultPlan::default().with_duplication(1.0));
         let mut metrics = Metrics::new(4);
-        let mut inboxes = vec![Vec::new(); 4];
-        s.deliver(
-            1,
-            0,
-            Payload::from_parts(vec![0xFF], 8),
-            &mut metrics,
-            &mut inboxes,
-        );
+        assert_eq!(s.transit(1, byte(), &mut metrics), Some((byte(), true)));
         assert_eq!(metrics.duplicated_messages, 1);
-        assert_eq!(metrics.messages, 2);
-        assert_eq!(inboxes[0].len(), 2);
-        assert_eq!(inboxes[0][0].payload, inboxes[0][1].payload);
     }
 
     #[test]
     fn empty_payloads_survive_certain_corruption() {
         let mut s = state(FaultPlan::default().with_corruption(1.0));
         let mut metrics = Metrics::new(4);
-        let mut inboxes = vec![Vec::new(); 4];
-        s.deliver(0, 1, Payload::new(), &mut metrics, &mut inboxes);
+        let arrived = s.transit(0, Payload::new(), &mut metrics);
+        assert_eq!(arrived, Some((Payload::new(), false)));
         assert_eq!(metrics.corrupted_messages, 0);
-        assert_eq!(inboxes[1].len(), 1);
     }
 }

@@ -84,6 +84,7 @@ mod faults;
 mod metrics;
 mod program;
 mod rng;
+mod round;
 mod threaded;
 pub mod transfer;
 

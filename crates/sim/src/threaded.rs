@@ -10,6 +10,13 @@
 //!
 //! For experiment sweeps the sequential engine is faster (no thread or
 //! channel overhead) and is what the harness uses.
+//!
+//! **Cost model.** The coordinator's round is the sequential engine's —
+//! it owns the same round state (`round.rs`), so a round costs
+//! `O(active nodes + messages delivered)` plus one channel round trip
+//! per active node and an `O(active log active)` sort of the replies
+//! into node order; halted nodes' threads sleep on their channel. An
+//! epoch additionally spawns and joins `n` threads.
 
 use congest_graph::{AdjacencyView, NodeId};
 use congest_wire::Payload;
@@ -19,11 +26,11 @@ use rand::SeedableRng;
 
 use crate::context::Outbox;
 use crate::engine::build_infos;
-use crate::faults::FaultState;
 use crate::rng::derive_node_seed;
+use crate::round::RoundState;
 use crate::{
-    EpochReport, FaultPlan, Metrics, NodeInfo, NodeProgram, NodeStatus, ReceivedMessage,
-    RoundContext, RunReport, SimConfig, Termination,
+    EpochReport, FaultPlan, NodeInfo, NodeProgram, NodeStatus, ReceivedMessage, RoundContext,
+    RunReport, SimConfig,
 };
 
 /// Instruction sent from the coordinator to a worker thread: execute one
@@ -34,14 +41,13 @@ struct ToWorker {
     inbox: Vec<ReceivedMessage>,
 }
 
-/// A node's per-round response before delivery: its status and the
-/// messages it sent, addressed by destination.
-type RoundResponse = (NodeStatus, Vec<(NodeId, Payload)>);
-
-/// Response sent from a worker thread to the coordinator.
+/// Response sent from a worker thread to the coordinator: the node's
+/// status, the messages it sent (ascending by destination) and its
+/// inbox, handed back so the buffer is reused.
 struct FromWorker {
     node: usize,
     status: NodeStatus,
+    inbox: Vec<ReceivedMessage>,
     messages: Vec<(NodeId, Payload)>,
 }
 
@@ -56,12 +62,10 @@ pub struct ThreadedSimulation<P: NodeProgram> {
     programs: Vec<P>,
     config: SimConfig,
     rngs: Vec<SmallRng>,
-    inboxes: Vec<Vec<ReceivedMessage>>,
-    epoch: u64,
-    /// Persistent fault-injection state (no-op under a quiet plan). Held
-    /// by the coordinator, not the workers, so fault decisions are drawn
-    /// in the same delivery order as the sequential engine.
-    faults: FaultState,
+    /// The same round state the sequential engine owns. Held by the
+    /// coordinator, not the workers, so deliveries are settled — and
+    /// fault decisions drawn — in the sequential engine's order.
+    state: RoundState,
 }
 
 impl<P: NodeProgram> ThreadedSimulation<P> {
@@ -80,13 +84,11 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
         ThreadedSimulation {
             infos,
             programs,
-            faults: FaultState::new(&config, n),
+            state: RoundState::new(&config, n),
             config,
             rngs: (0..n)
                 .map(|i| SmallRng::seed_from_u64(derive_node_seed(config.seed, i)))
                 .collect(),
-            inboxes: vec![Vec::new(); n],
-            epoch: 0,
         }
     }
 
@@ -94,7 +96,7 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
     /// [`Simulation::set_fault_plan`](crate::Simulation::set_fault_plan)).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.config.faults = plan;
-        self.faults = FaultState::new(&self.config, self.infos.len());
+        self.state.set_faults(&self.config);
     }
 
     /// Overrides the round cap for subsequent epochs.
@@ -104,7 +106,7 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
 
     /// Number of completed epochs.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch()
     }
 
     /// Number of simulated nodes.
@@ -138,7 +140,7 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
     ///
     /// Panics if `to` is not a node of the simulated network.
     pub fn inject(&mut self, to: NodeId, payload: Payload) {
-        self.inboxes[to.index()].push(ReceivedMessage { from: to, payload });
+        self.state.inject(to, payload);
     }
 
     /// Replaces the neighbour list of `node` in the communication
@@ -154,27 +156,22 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
     /// alive for the next epoch. Produces bit-identical metrics to
     /// [`Simulation::run_epoch`](crate::Simulation::run_epoch).
     pub fn run_epoch(&mut self) -> EpochReport {
-        let n = self.infos.len();
-        if n == 0 {
-            self.epoch += 1;
-            return EpochReport {
-                metrics: Metrics::new(0),
-                termination: Termination::AllHalted,
-            };
-        }
-
-        let epoch = self.epoch;
-        let max_rounds = self.config.max_rounds;
+        let ThreadedSimulation {
+            infos,
+            programs,
+            config,
+            rngs,
+            state,
+        } = self;
+        let n = infos.len();
+        let epoch = state.epoch();
         let (to_coord, from_workers): (Sender<FromWorker>, Receiver<_>) = unbounded();
-        let infos = &self.infos;
-        let inboxes = &mut self.inboxes;
-        let faults = &mut self.faults;
 
-        let (metrics, termination) = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Spawn one worker per node, borrowing its program and RNG for
             // the duration of the epoch.
             let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(n);
-            for (i, (program, rng)) in self.programs.iter_mut().zip(&mut self.rngs).enumerate() {
+            for (i, (program, rng)) in programs.iter_mut().zip(rngs).enumerate() {
                 let (tx, rx): (Sender<ToWorker>, Receiver<ToWorker>) = unbounded();
                 to_workers.push(tx);
                 let to_coord = to_coord.clone();
@@ -193,12 +190,12 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
                             };
                             program.on_round(&mut ctx)
                         };
-                        let messages = outbox.messages.into_iter().collect();
                         to_coord
                             .send(FromWorker {
                                 node: i,
                                 status,
-                                messages,
+                                inbox,
+                                messages: outbox.messages,
                             })
                             .expect("coordinator outlives workers");
                     }
@@ -206,83 +203,33 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
             }
             drop(to_coord);
 
-            // Coordinator: synchronous round loop.
-            let mut metrics = Metrics::new(n);
-            let mut halted = vec![false; n];
-            // Crashed nodes sit the epoch out, exactly as in the
-            // sequential engine.
-            for (i, crashed) in halted.iter_mut().enumerate() {
-                if faults.crashed(i, epoch) {
-                    *crashed = true;
-                }
-            }
-            let mut termination = Termination::AllHalted;
-            let mut round: u64 = 0;
-
-            loop {
-                if halted.iter().all(|&h| h) {
-                    break;
-                }
-                if round >= max_rounds {
-                    termination = Termination::RoundLimit;
-                    break;
-                }
-                let mut active = 0usize;
-                let mut next_inboxes: Vec<Vec<ReceivedMessage>> = vec![Vec::new(); n];
-                for i in 0..n {
-                    if halted[i] {
-                        inboxes[i].clear();
-                        continue;
-                    }
-                    active += 1;
-                    let inbox = std::mem::take(&mut inboxes[i]);
+            // Coordinator: the shared synchronous round loop.
+            let mut replies: Vec<FromWorker> = Vec::new();
+            state.run_epoch(config.max_rounds, |state, round| {
+                let active = state.active().len();
+                for k in 0..active {
+                    let i = state.active()[k];
+                    let inbox = std::mem::take(state.inbox_mut(i));
                     to_workers[i]
                         .send(ToWorker { round, inbox })
                         .expect("worker threads outlive the round loop");
                 }
-                // Collect one response per active node. Deliveries are
-                // buffered and applied in node order afterwards so that the
-                // metrics are identical to the sequential engine regardless
-                // of thread scheduling.
-                let mut responses: Vec<Option<RoundResponse>> = vec![None; n];
-                for _ in 0..active {
-                    let FromWorker {
-                        node,
-                        status,
-                        messages,
-                    } = from_workers.recv().expect("workers respond every round");
-                    responses[node] = Some((status, messages));
+                // Collect one reply per active node, then settle them in
+                // node order so that deliveries and metrics are identical
+                // to the sequential engine regardless of thread scheduling.
+                replies.extend(
+                    (0..active).map(|_| from_workers.recv().expect("workers respond every round")),
+                );
+                replies.sort_unstable_by_key(|reply| reply.node);
+                for mut reply in replies.drain(..) {
+                    *state.inbox_mut(reply.node) = reply.inbox;
+                    state.settle(reply.node, reply.status, &mut reply.messages);
                 }
-                for (i, response) in responses.into_iter().enumerate() {
-                    let Some((status, messages)) = response else {
-                        continue;
-                    };
-                    if status == NodeStatus::Halted {
-                        halted[i] = true;
-                    }
-                    for (to, payload) in messages {
-                        faults.deliver(i, to.index(), payload, &mut metrics, &mut next_inboxes);
-                    }
-                }
-                *inboxes = next_inboxes;
-                round += 1;
-            }
-            metrics.rounds = round;
-
-            // Closing the channels ends the epoch; the scope joins the
-            // workers and releases their program borrows.
-            drop(to_workers);
-            (metrics, termination)
-        });
-
-        for inbox in self.inboxes.iter_mut() {
-            inbox.clear();
-        }
-        self.epoch += 1;
-        EpochReport {
-            metrics,
-            termination,
-        }
+            })
+            // Dropping `to_workers` here closes the channels and ends the
+            // epoch; the scope joins the workers and releases their
+            // program borrows.
+        })
     }
 
     /// Runs a single epoch to completion and collects outputs and
@@ -303,7 +250,7 @@ impl<P: NodeProgram> ThreadedSimulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NodeStatus, RoundContext, SimConfig, Simulation};
+    use crate::{NodeStatus, RoundContext, SimConfig, Simulation, Termination};
     use congest_graph::generators::{Classic, Gnp};
     use rand::Rng;
 

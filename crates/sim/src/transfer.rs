@@ -14,6 +14,11 @@
 //! self-delimiting payloads (length-prefixed lists) and run each transfer
 //! inside a phase whose length all nodes can compute from `n`, `ε`, `r` and
 //! the bandwidth, exactly as the paper's round accounting assumes.
+//!
+//! **Cost model.** Cutting or absorbing a chunk costs `O(chunk bits)` on
+//! the host, wherever in the payload it sits: the sender seeks with
+//! [`BitReader::skip`] and both sides move bits with
+//! [`BitWriter::append`], so a whole transfer is linear in its length.
 
 use std::collections::BTreeMap;
 
@@ -21,31 +26,6 @@ use congest_graph::NodeId;
 use congest_wire::{BitReader, BitWriter, Payload};
 
 use crate::{RoundContext, SimError};
-
-/// Extracts the bit range `[start, start + len)` of a payload as a new
-/// payload.
-fn slice_bits(payload: &Payload, start: usize, len: usize) -> Payload {
-    debug_assert!(start + len <= payload.bit_len());
-    let mut reader = BitReader::new(payload);
-    let mut writer = BitWriter::new();
-    // Skip `start` bits, then copy `len` bits in 64-bit gulps.
-    let mut skipped = 0usize;
-    while skipped < start {
-        let step = (start - skipped).min(64);
-        reader.read_bits(step).expect("start is within the payload");
-        skipped += step;
-    }
-    let mut copied = 0usize;
-    while copied < len {
-        let step = (len - copied).min(64);
-        let value = reader
-            .read_bits(step)
-            .expect("start + len is within the payload");
-        writer.write_bits(value, step);
-        copied += step;
-    }
-    writer.finish()
-}
 
 /// Number of rounds a payload of `payload_bits` bits occupies a link whose
 /// per-round budget is `bandwidth_bits`.
@@ -107,8 +87,13 @@ impl ChunkedSender {
         }
         let budget = ctx.bandwidth_bits();
         let len = (self.payload.bit_len() - self.cursor).min(budget);
-        let chunk = slice_bits(&self.payload, self.cursor, len);
-        ctx.send(self.dest, chunk)?;
+        let mut reader = BitReader::new(&self.payload);
+        reader.skip(self.cursor).expect("cursor is within payload");
+        let mut chunk = BitWriter::new();
+        chunk
+            .append(&mut reader, len)
+            .expect("chunk is within payload");
+        ctx.send(self.dest, chunk.finish())?;
         self.cursor += len;
         Ok(self.is_done())
     }
@@ -234,22 +219,6 @@ mod tests {
     use crate::{NodeProgram, NodeStatus, RoundContext, SimConfig, Simulation};
     use congest_graph::generators::Classic;
     use congest_wire::{BitWriter, IdCodec};
-
-    #[test]
-    fn slice_bits_extracts_exact_ranges() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b1_0110_1101, 9);
-        let p = w.finish();
-        let s = slice_bits(&p, 0, 4);
-        assert_eq!(s.bit_len(), 4);
-        let mut r = BitReader::new(&s);
-        assert_eq!(r.read_bits(4).unwrap(), 0b1011);
-        let s = slice_bits(&p, 4, 5);
-        let mut r = BitReader::new(&s);
-        assert_eq!(r.read_bits(5).unwrap(), 0b01101);
-        let s = slice_bits(&p, 9, 0);
-        assert_eq!(s.bit_len(), 0);
-    }
 
     #[test]
     fn rounds_for_bits_is_ceiling_division() {

@@ -160,23 +160,6 @@ const DEADLINE_BITS: usize = 48;
 /// with non-trivial probability and several retries must stay cheap.
 const MAX_REPAIR_ATTEMPTS: u32 = 8;
 
-/// Copies the next `len` bits from `reader` to `writer` in ≤ 64-bit
-/// steps (the convergecast's chunking and reassembly both move
-/// arbitrary-length bit runs this way).
-///
-/// # Panics
-///
-/// Panics if `reader` holds fewer than `len` bits — callers always
-/// bound `len` by the source payload's length.
-fn copy_bits(reader: &mut BitReader<'_>, writer: &mut BitWriter, len: usize) {
-    let mut remaining = len;
-    while remaining > 0 {
-        let step = remaining.min(64);
-        writer.write_bits(reader.read_bits(step).expect("length-bounded read"), step);
-        remaining -= step;
-    }
-}
-
 /// How the coordinator schedules the per-phase delta broadcasts (the
 /// module-level documentation in `distributed.rs` walks through the
 /// full protocol).
@@ -893,14 +876,9 @@ impl DynamicTriangleNode {
             }
             let take = bandwidth_bits.min(trailer.bit_len() - lo);
             let mut r = BitReader::new(&trailer);
-            let mut skip = lo;
-            while skip > 0 {
-                let step = skip.min(64);
-                r.read_bits(step).expect("offset within trailer");
-                skip -= step;
-            }
+            r.skip(lo).expect("offset within trailer");
             let mut out = BitWriter::new();
-            copy_bits(&mut r, &mut out, take);
+            out.append(&mut r, take).expect("chunk within trailer");
             ctx.send(*nb, out.finish())
                 .expect("trailer chunks fit the link budget");
         }
@@ -1116,7 +1094,7 @@ impl DynamicTriangleNode {
             let take = per_chunk.min(total - offset);
             let mut w = BitWriter::new();
             w.write_bool(offset + take < total);
-            copy_bits(&mut reader, &mut w, take);
+            w.append(&mut reader, take).expect("chunk within stream");
             chunks.push_back(w.finish());
             offset += take;
             if offset >= total {
@@ -1147,7 +1125,8 @@ impl DynamicTriangleNode {
             }
         };
         let buf = self.child_streams.entry(m.from).or_default();
-        copy_bits(&mut r, buf, m.payload.bit_len() - 1);
+        buf.append(&mut r, m.payload.bit_len() - 1)
+            .expect("the rest of the chunk");
         if more {
             return;
         }
@@ -1199,8 +1178,7 @@ impl NodeProgram for DynamicTriangleNode {
                         Err(_) => buf.corrupt = true,
                     }
                 } else {
-                    let mut reader = BitReader::new(&m.payload);
-                    copy_bits(&mut reader, &mut buf.trailer, m.payload.bit_len());
+                    buf.trailer.write_payload(&m.payload);
                 }
             }
         } else if self.hardened {
@@ -1227,8 +1205,7 @@ impl NodeProgram for DynamicTriangleNode {
                         Err(_) => buf.corrupt = true,
                     }
                 } else {
-                    let mut reader = BitReader::new(&m.payload);
-                    copy_bits(&mut reader, &mut buf.trailer, m.payload.bit_len());
+                    buf.trailer.write_payload(&m.payload);
                 }
             }
         } else {
@@ -3198,7 +3175,7 @@ mod tests {
                 assert!(!finished, "no chunks after the final one");
                 let mut r = BitReader::new(chunk);
                 finished = !r.read_bool().unwrap();
-                copy_bits(&mut r, &mut rebuilt, chunk.bit_len() - 1);
+                rebuilt.append(&mut r, chunk.bit_len() - 1).unwrap();
             }
             assert!(finished);
             let (d, b) = DynamicTriangleNode::decode_aggregate(codec, 64, &rebuilt.finish(), false)

@@ -8,8 +8,14 @@ use crate::{Payload, WireError};
 /// so that the resulting [`Payload`] length is exactly the sum of the widths
 /// written — this is what the simulator charges against the bandwidth
 /// budget.
+///
+/// Bits move a byte at a time: a write of `width` bits costs
+/// `O(width / 8 + 1)` steps, an [`append`](BitWriter::append) between
+/// byte-aligned positions is one slice copy.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
+    /// Exactly `ceil(bit_len / 8)` bytes; the padding bits of the last
+    /// one are zero, so a later write can OR into it.
     bytes: Vec<u8>,
     bit_len: usize,
 }
@@ -41,39 +47,74 @@ impl BitWriter {
                 "value {value} does not fit in {width} bits"
             );
         }
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1 == 1;
-            self.push_bit(bit);
+        // `remaining` counts the low-order bits of `value` still to go.
+        let mut remaining = width;
+        let used = self.bit_len % 8;
+        if used != 0 && remaining > 0 {
+            // Top up the partial last byte.
+            let free = 8 - used;
+            let take = free.min(remaining);
+            remaining -= take;
+            let chunk = (value >> remaining) as u8 & (0xFF >> (8 - take));
+            *self.bytes.last_mut().expect("a partial byte exists") |= chunk << (free - take);
         }
+        while remaining >= 8 {
+            remaining -= 8;
+            self.bytes.push((value >> remaining) as u8);
+        }
+        if remaining > 0 {
+            // The tail starts a new byte, left-aligned over zero padding.
+            self.bytes.push((value << (8 - remaining)) as u8);
+        }
+        self.bit_len += width;
     }
 
     /// Appends a single boolean as one bit.
     pub fn write_bool(&mut self, value: bool) {
-        self.push_bit(value);
+        self.write_bits(u64::from(value), 1);
     }
 
     /// Appends all significant bits of another payload.
     pub fn write_payload(&mut self, payload: &Payload) {
-        for i in 0..payload.bit_len() {
-            self.push_bit(payload.bit(i));
+        self.append(&mut BitReader::new(payload), payload.bit_len())
+            .expect("a payload holds its own length");
+    }
+
+    /// Moves the next `len` bits of `reader` onto the end of this writer
+    /// — the one bit-copy behind chunking, reassembly and
+    /// [`write_payload`](BitWriter::write_payload). When both sides sit
+    /// on a byte boundary the bits move as one slice copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::OutOfBits`] if fewer than `len` bits remain
+    /// in `reader`; nothing is read or written in that case.
+    pub fn append(&mut self, reader: &mut BitReader<'_>, len: usize) -> Result<(), WireError> {
+        reader.require(len)?;
+        if self.bit_len.is_multiple_of(8) && reader.cursor.is_multiple_of(8) {
+            let start = reader.cursor / 8;
+            let source = &reader.payload.as_bytes()[start..start + len.div_ceil(8)];
+            self.bytes.extend_from_slice(source);
+            if !len.is_multiple_of(8) {
+                // The source's last byte carries bits past `len`.
+                *self.bytes.last_mut().expect("len is positive") &= 0xFF << (8 - len % 8);
+            }
+            self.bit_len += len;
+            reader.cursor += len;
+            return Ok(());
         }
+        let mut remaining = len;
+        while remaining > 0 {
+            let step = remaining.min(64);
+            self.write_bits(reader.read_bits(step)?, step);
+            remaining -= step;
+        }
+        Ok(())
     }
 
     /// Finalizes the writer into an immutable payload.
     pub fn finish(self) -> Payload {
         Payload::from_parts(self.bytes, self.bit_len)
-    }
-
-    fn push_bit(&mut self, bit: bool) {
-        let byte_index = self.bit_len / 8;
-        if byte_index == self.bytes.len() {
-            self.bytes.push(0);
-        }
-        if bit {
-            let shift = 7 - (self.bit_len % 8);
-            self.bytes[byte_index] |= 1 << shift;
-        }
-        self.bit_len += 1;
     }
 }
 
@@ -100,6 +141,17 @@ impl<'a> BitReader<'a> {
         self.remaining() == 0
     }
 
+    /// Fails, consuming nothing, unless `bits` more bits can be read.
+    fn require(&self, bits: usize) -> Result<(), WireError> {
+        if self.remaining() < bits {
+            return Err(WireError::OutOfBits {
+                requested: bits,
+                available: self.remaining(),
+            });
+        }
+        Ok(())
+    }
+
     /// Reads `width` bits as an unsigned integer (most significant first).
     ///
     /// # Errors
@@ -107,19 +159,18 @@ impl<'a> BitReader<'a> {
     /// Returns [`WireError::OutOfBits`] if fewer than `width` bits remain.
     pub fn read_bits(&mut self, width: usize) -> Result<u64, WireError> {
         assert!(width <= 64, "bit width {width} exceeds 64");
-        if self.remaining() < width {
-            return Err(WireError::OutOfBits {
-                requested: width,
-                available: self.remaining(),
-            });
-        }
+        self.require(width)?;
+        let bytes = self.payload.as_bytes();
         let mut value = 0u64;
-        for _ in 0..width {
-            value <<= 1;
-            if self.payload.bit(self.cursor) {
-                value |= 1;
-            }
-            self.cursor += 1;
+        let mut remaining = width;
+        while remaining > 0 {
+            // Take what is left of the current byte, or less.
+            let available = 8 - self.cursor % 8;
+            let take = available.min(remaining);
+            let chunk = (bytes[self.cursor / 8] >> (available - take)) & (0xFF >> (8 - take));
+            value = (value << take) | u64::from(chunk);
+            self.cursor += take;
+            remaining -= take;
         }
         Ok(value)
     }
@@ -131,6 +182,18 @@ impl<'a> BitReader<'a> {
     /// Returns [`WireError::OutOfBits`] if the payload is exhausted.
     pub fn read_bool(&mut self) -> Result<bool, WireError> {
         Ok(self.read_bits(1)? == 1)
+    }
+
+    /// Moves past the next `bits` bits without decoding them, in `O(1)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::OutOfBits`] if fewer than `bits` bits remain;
+    /// the reader stays where it was.
+    pub fn skip(&mut self, bits: usize) -> Result<(), WireError> {
+        self.require(bits)?;
+        self.cursor += bits;
+        Ok(())
     }
 }
 
@@ -205,6 +268,51 @@ mod tests {
         assert_eq!(p.bit_len(), 5);
         let mut r = BitReader::new(&p);
         assert_eq!(r.read_bits(5).unwrap(), 0b01011);
+    }
+
+    #[test]
+    fn append_after_skip_extracts_exact_ranges() {
+        let mut w = BitWriter::new();
+        w.write_bits(0b1_0110_1101, 9);
+        let p = w.finish();
+        // Each slice is followed by eight zero bits, which must land on
+        // clean padding whichever path copied the slice.
+        let slice = |start: usize, len: usize| {
+            let mut r = BitReader::new(&p);
+            r.skip(start).unwrap();
+            let mut w = BitWriter::new();
+            w.append(&mut r, len).unwrap();
+            w.write_bits(0, 8);
+            w.finish()
+        };
+        let s = slice(0, 4);
+        assert_eq!(s.bit_len(), 12);
+        assert_eq!(
+            s.as_bytes(),
+            &[0b1011_0000, 0],
+            "aligned copy masks its tail"
+        );
+        let s = slice(4, 5);
+        assert_eq!(BitReader::new(&s).read_bits(13).unwrap(), 0b01101 << 8);
+        assert_eq!(slice(9, 0).bit_len(), 8);
+    }
+
+    #[test]
+    fn skip_and_append_past_the_end_consume_nothing() {
+        let mut w = BitWriter::new();
+        w.write_bits(0b101, 3);
+        let p = w.finish();
+        let mut r = BitReader::new(&p);
+        let short = WireError::OutOfBits {
+            requested: 4,
+            available: 3,
+        };
+        assert_eq!(r.skip(4).unwrap_err(), short);
+        let mut out = BitWriter::new();
+        assert_eq!(out.append(&mut r, 4).unwrap_err(), short);
+        assert_eq!((r.remaining(), out.bit_len()), (3, 0));
+        r.skip(3).unwrap();
+        assert!(r.is_exhausted());
     }
 
     #[test]

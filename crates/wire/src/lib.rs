@@ -10,7 +10,9 @@
 //! This crate provides:
 //!
 //! * [`BitWriter`] / [`BitReader`] — append-only bit buffers with
-//!   most-significant-bit-first packing,
+//!   most-significant-bit-first packing; bits move a byte at a time, and
+//!   [`BitReader::skip`] / [`BitWriter::append`] seek and copy bit runs
+//!   without decoding them,
 //! * the [`Wire`] trait — types that know how to encode and decode
 //!   themselves and how many bits they occupy,
 //! * ready-made codecs for the primitives the algorithms need: fixed-width

@@ -22,16 +22,26 @@ impl Payload {
 
     /// Creates a payload from raw parts.
     ///
+    /// Only the first `bit_len` bits of `bytes` are significant: surplus
+    /// bytes are dropped and the padding bits of the last byte are
+    /// zeroed, so two payloads with the same significant bits are equal
+    /// (and hash equally) whatever the caller left behind them.
+    ///
     /// # Panics
     ///
     /// Panics if `bit_len` exceeds the capacity of `bytes`.
-    pub fn from_parts(bytes: Vec<u8>, bit_len: usize) -> Self {
+    pub fn from_parts(mut bytes: Vec<u8>, bit_len: usize) -> Self {
         assert!(
             bit_len <= bytes.len() * 8,
             "bit length {} exceeds byte capacity {}",
             bit_len,
             bytes.len() * 8
         );
+        bytes.truncate(bit_len.div_ceil(8));
+        if !bit_len.is_multiple_of(8) {
+            let last = bytes.last_mut().expect("a partial byte exists");
+            *last &= 0xFF << (8 - bit_len % 8);
+        }
         Self { bytes, bit_len }
     }
 
@@ -45,7 +55,8 @@ impl Payload {
         self.bit_len == 0
     }
 
-    /// Backing bytes (the last byte may contain padding bits).
+    /// Backing bytes: exactly `ceil(bit_len / 8)` of them, the padding
+    /// bits of the last one zero.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -60,6 +71,19 @@ impl Payload {
         let byte = self.bytes[index / 8];
         let shift = 7 - (index % 8);
         (byte >> shift) & 1 == 1
+    }
+
+    /// A copy of this payload with the bit at `index` inverted (what a
+    /// noisy link does to a message in transit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.bit_len()`.
+    pub fn with_flipped_bit(&self, index: usize) -> Payload {
+        assert!(index < self.bit_len, "bit index {index} out of range");
+        let mut flipped = self.clone();
+        flipped.bytes[index / 8] ^= 0x80 >> (index % 8);
+        flipped
     }
 }
 
@@ -112,6 +136,27 @@ mod tests {
     #[should_panic(expected = "exceeds byte capacity")]
     fn from_parts_validates_capacity() {
         let _ = Payload::from_parts(vec![0xFF], 9);
+    }
+
+    #[test]
+    fn from_parts_ignores_dirty_padding_and_surplus_bytes() {
+        let clean = Payload::from_parts(vec![0xF0], 4);
+        assert_eq!(Payload::from_parts(vec![0xFF], 4), clean);
+        assert_eq!(Payload::from_parts(vec![0xF3, 0xAA, 0x55], 4), clean);
+        assert_eq!(clean.as_bytes(), &[0xF0]);
+    }
+
+    #[test]
+    fn with_flipped_bit_inverts_exactly_one_bit() {
+        let p = Payload::from_parts(vec![0b1010_1010, 0b1100_0000], 10);
+        for index in 0..10 {
+            let q = p.with_flipped_bit(index);
+            assert_eq!(q.bit_len(), 10);
+            for i in 0..10 {
+                assert_eq!(q.bit(i) != p.bit(i), i == index);
+            }
+            assert_eq!(q.with_flipped_bit(index), p);
+        }
     }
 
     #[test]

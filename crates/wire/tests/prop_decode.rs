@@ -11,13 +11,6 @@
 use congest_wire::{BitReader, BitWriter, IdCodec, Payload, Wire, WireError};
 use proptest::prelude::*;
 
-/// Flips bit `index` (in the reader's MSB-first order) of a payload.
-fn flip_bit(payload: &Payload, index: usize) -> Payload {
-    let mut bytes = payload.as_bytes().to_vec();
-    bytes[index / 8] ^= 0x80 >> (index % 8);
-    Payload::from_parts(bytes, payload.bit_len())
-}
-
 /// Keeps only the first `bits` bits of a payload.
 fn truncate(payload: &Payload, bits: usize) -> Payload {
     let bytes = payload.as_bytes()[..bits.div_ceil(8)].to_vec();
@@ -67,7 +60,7 @@ proptest! {
         let mut w = BitWriter::new();
         codec.encode_list(&mut w, &ids);
         let p = w.finish();
-        let damaged = flip_bit(&p, (flip % p.bit_len() as u64) as usize);
+        let damaged = p.with_flipped_bit((flip % p.bit_len() as u64) as usize);
         let mut r = BitReader::new(&damaged);
         match codec.decode_list(&mut r) {
             Ok(decoded) => {
@@ -97,7 +90,7 @@ proptest! {
         let mut w = BitWriter::new();
         codec.encode(&mut w, id);
         let p = w.finish();
-        let damaged = flip_bit(&p, (flip % p.bit_len() as u64) as usize);
+        let damaged = p.with_flipped_bit((flip % p.bit_len() as u64) as usize);
         let mut r = BitReader::new(&damaged);
         match codec.decode(&mut r) {
             Ok(v) => prop_assert!(v < domain),
