@@ -26,7 +26,7 @@
 //!   isolates the broadcast phases. The split schedule must flatten the
 //!   hotspot epoch by ≥ 2x (`HOTSPOT_SPLIT_IMPROVEMENT_FLOOR`,
 //!   enforced in-binary; rounds are deterministic, so the floor binds
-//!   on every machine), and `dynamic_gate` gates the split rounds
+//!   on every machine), and `gate` holds the split rounds
 //!   lower-is-better;
 //! * a **fault** sweep: one fixed-seed uniform-churn stream replayed
 //!   through the self-healing hardened engine under seeded loss plans
@@ -47,8 +47,8 @@
 //! The acceptance floor — the dynamic engine beats per-batch re-runs by
 //! ≥ 5x in rounds on the headline scenario — is enforced in-binary, like
 //! `stream_bench`'s floors. All gated quantities are *round counts*,
-//! which are fully deterministic per seed, so the `dynamic_gate`
-//! regression gate compares them across machines without a hardware
+//! which are fully deterministic per seed, so the `gate` regression
+//! gate compares them across machines without a hardware
 //! fingerprint (only the `--quick` scenario shape must match).
 //!
 //! Flags: `--quick` shrinks every section for CI (the committed
@@ -73,7 +73,7 @@ use std::fmt::Write as _;
 
 use congest_bench::gate::HOTSPOT_SPLIT_IMPROVEMENT_FLOOR;
 use congest_bench::{json, table::fmt_f64, Table};
-use congest_graph::temporal::TemporalLoader;
+use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::{GraphBuilder, NodeId};
 use congest_sim::Bandwidth;
 use congest_stream::{
@@ -421,10 +421,10 @@ fn run_replay_section(input: &std::path::Path, replay_spec: Option<&str>) -> Str
     let mut out = String::from("{");
     json::push_str(&mut out, "file", &input.display().to_string());
     json::push_str(&mut out, "source", &BatchSource::name(&replay));
-    json::push_num(
+    json::push_str(
         &mut out,
         "source_fingerprint",
-        BatchSource::fingerprint(&replay) as f64,
+        &fingerprint_hex(BatchSource::fingerprint(&replay)),
     );
     json::push_str(
         &mut out,
@@ -744,18 +744,15 @@ fn main() {
     // Machine-readable trajectory for the CI gate. Round counts are
     // deterministic per seed, so the gate needs no hardware fingerprint
     // — only the scenario shape (`quick`, `headline_n`) and the batch
-    // source (`source_fingerprint`) must match. The top-level
-    // `source_fingerprint` must be emitted before `"runs"` because the
-    // gate's extractor takes the first occurrence of each key, and the
-    // nested `RunSummary`-shaped objects carry their own copies.
-    let mut json = String::from("{\"bench\":\"dynamic\",\"schema_version\":3,");
+    // source (`source_fingerprint`) must match.
+    let mut json = String::from("{\"bench\":\"dynamic\",\"schema_version\":4,");
     let _ = write!(
         json,
-        "\"quick\":{},\"headline_n\":{},\"headline_batches\":{},\"source_fingerprint\":{},",
+        "\"quick\":{},\"headline_n\":{},\"headline_batches\":{},\"source_fingerprint\":\"{}\",",
         if quick { 1 } else { 0 },
         headline_run.n,
         headline_run.batches,
-        BatchSource::fingerprint(&headline),
+        fingerprint_hex(BatchSource::fingerprint(&headline)),
     );
     json.push_str("\"runs\":[");
     for (i, r) in runs.iter().chain([&deferred, &headline_run]).enumerate() {

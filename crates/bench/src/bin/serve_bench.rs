@@ -38,7 +38,7 @@
 //! readers attached; near zero unless leases pin every retained write
 //! buffer) plus the
 //! `hardware_threads`/`quick`/`source_fingerprint` fingerprint
-//! `serve_gate` compares under (a baseline recorded against one batch
+//! `gate` compares under (a baseline recorded against one batch
 //! source never gates a run against another), and the observability
 //! registry snapshot (which carries the `serve.active_leases` /
 //! `serve.oldest_lease_epoch_lag` gauges from the final publishes).
@@ -48,9 +48,9 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use congest_bench::gate::{SERVE_WRITE_RATIO_FLOOR, SMALLBATCH_FLOOR_MIN_THREADS};
+use congest_bench::gate::{PARALLEL_FLOOR_MIN_THREADS, SERVE_WRITE_RATIO_FLOOR};
 use congest_bench::{table::fmt_f64, Table};
-use congest_graph::temporal::TemporalLoader;
+use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::{AdjacencyView, Graph, NodeId};
 use congest_obs::Histogram;
 use congest_stream::{
@@ -415,7 +415,7 @@ fn main() {
     // The load source: the synthetic churn scenario by default, or a
     // replayed temporal edge-list file under `--input`. Both roads go
     // through `BatchSource`, so the identity that lands in the JSON
-    // (name + fingerprint + policy) is uniform and `serve_gate` can
+    // (name + fingerprint + policy) is uniform and the gate can
     // refuse cross-source baseline comparisons.
     let (source_name, source_fingerprint, replay_policy, base, batches) = match &args.input {
         Some(path) => {
@@ -543,7 +543,7 @@ fn main() {
     // In-binary floors: only on machines where readers and the writer
     // can genuinely contend, and after best-of-two trimmed the noise.
     let mut floor_failures: Vec<String> = Vec::new();
-    if (hardware_threads as f64) >= SMALLBATCH_FLOOR_MIN_THREADS {
+    if (hardware_threads as f64) >= PARALLEL_FLOOR_MIN_THREADS {
         if write_ratio < SERVE_WRITE_RATIO_FLOOR {
             floor_failures.push(format!(
                 "write throughput ratio {write_ratio:.3} below the \
@@ -559,18 +559,19 @@ fn main() {
     } else {
         println!(
             "floors skipped: {hardware_threads} hardware thread(s) cannot express \
-             reader/writer contention (needs >= {SMALLBATCH_FLOOR_MIN_THREADS:.0})"
+             reader/writer contention (needs >= {PARALLEL_FLOOR_MIN_THREADS:.0})"
         );
     }
 
     // Machine-readable results for the CI gate.
-    let mut json = String::from("{\"bench\":\"serve\",\"schema_version\":1,");
+    let mut json = String::from("{\"bench\":\"serve\",\"schema_version\":2,");
     let _ = write!(
         json,
         "\"quick\":{},\"hardware_threads\":{hardware_threads},\"serve_readers\":{readers},\
-         \"source\":\"{}\",\"source_fingerprint\":{source_fingerprint},\"replay_policy\":{},",
+         \"source\":\"{}\",\"source_fingerprint\":\"{}\",\"replay_policy\":{},",
         u8::from(args.quick),
         congest_obs::json::escape(&source_name),
+        fingerprint_hex(source_fingerprint),
         replay_policy
             .as_deref()
             .map(|p| format!("\"{}\"", congest_obs::json::escape(p)))

@@ -16,15 +16,15 @@
 //!   actually has ≥ 4 hardware threads; the S=1 run must stay within 10%
 //!   of the single-threaded engine everywhere;
 //! * the **small-batch sweep** drives a high-rate stream of tiny batches
-//!   (b = 48 ≤ 64) through the S=4 engine twice — on the persistent
-//!   worker pool and on the pre-pool per-batch-spawn pipeline — and
-//!   reports the pool's throughput speedup. Small batches are where
-//!   spawn overhead dominates, so this is the pool's headline number
-//!   (floor: ≥ 2x on machines with ≥ 4 hardware threads);
-//! * the **hotspot sweep** runs power-law hub churn through both
-//!   pipelines at S=4 and reports p99 apply latency: the work-stealing
-//!   path exists to flatten exactly this tail, and the pool run's steal
-//!   count and worker busy shares land in the JSON as evidence;
+//!   (b = 48 ≤ 64) through the S=4 engine with the pipeline forced on
+//!   every batch, and reports its throughput against the
+//!   single-threaded engine on the identical stream. Small batches are
+//!   where the pool's fixed costs (hand-off, wake-ups) dominate the
+//!   intersection work, so this ratio is what they cost;
+//! * the **hotspot sweep** runs power-law hub churn through the S=4
+//!   engine and reports p99 apply latency: the work-stealing path
+//!   exists to flatten exactly this tail, and the run's steal count and
+//!   worker busy shares land in the JSON as evidence;
 //! * the **intersect-kernel sweep** times the shared sorted-set
 //!   intersection core directly on a degree-skewed pair (where the
 //!   adaptive kernel gallops) and a balanced pair (where it merges),
@@ -51,14 +51,14 @@
 //! Output: a plain-text table on stdout (diffable, like every other
 //! harness binary) and a machine-readable `BENCH_stream.json` in the
 //! current directory; CI diffs it against the committed baseline with
-//! `stream_gate`.
+//! `gate`.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use congest_bench::gate::{SMALLBATCH_FLOOR_MIN_THREADS, SMALLBATCH_SPEEDUP_FLOOR};
+use congest_bench::gate::PARALLEL_FLOOR_MIN_THREADS;
 use congest_bench::{json, table::fmt_f64, Table};
-use congest_graph::temporal::TemporalLoader;
+use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::{count_common, NodeId, GALLOP_RATIO};
 use congest_stream::{
     split_batch_for_workers, Aggregation, ApplyMode, BaseGraph, BatchSource,
@@ -97,7 +97,7 @@ fn headline_scenario() -> Scenario {
 
 /// The shard-sweep scenario: 10k nodes with a denser base (mean degree
 /// ~50) and much larger batches, so per-batch intersection work dominates
-/// the pipeline's fixed costs (partition, thread spawns, candidate merge)
+/// the pipeline's fixed costs (partition, hand-off, candidate merge)
 /// and parallelism has something to chew on.
 fn sweep_scenario() -> Scenario {
     Scenario::uniform_churn(10_000, 8, 20_000)
@@ -107,8 +107,8 @@ fn sweep_scenario() -> Scenario {
 
 /// The small-batch high-rate sweep: batches of 48 deltas — well under
 /// the default parallel threshold, so the runner forces the pipeline —
-/// where per-batch fixed costs (thread spawns on the old engine, channel
-/// handoff on the pool) dominate the actual intersection work.
+/// where per-batch fixed costs (channel hand-off, wake-ups) dominate the
+/// actual intersection work.
 fn smallbatch_scenario(quick: bool) -> Scenario {
     // The quick shapes stay short deliberately: on a contended host a
     // short run plus best-of-three lets at least one try land inside a
@@ -201,7 +201,7 @@ fn run_one(scenario: Scenario, mode: ApplyMode, recompute_every: usize, args: &A
 /// (lower throughput, longer tails), so best-of-N is the cheap robust
 /// estimator for the gated metrics; two tries already cut the tail that
 /// made single runs swing by 20%+ on a busy machine. The two sweeps
-/// behind `stream_gate`'s 2% disabled-overhead guard take three tries —
+/// behind the gate's 2% disabled-overhead guard take three tries —
 /// that band is an order of magnitude tighter than the regression
 /// tolerances, so it needs the tighter estimator.
 fn best_of_by(
@@ -248,20 +248,16 @@ fn run_sweep(scenario: Scenario, shards: usize) -> RunSummary {
     })
 }
 
-/// One pool-vs-spawn comparison run at S=4. `force_pipeline` drops the
-/// parallel threshold to 0 (the small-batch sweep needs it: b = 48 is
-/// below the default threshold of 128, and taking the sequential path
-/// would compare nothing).
-fn run_pipeline(scenario: Scenario, spawn: bool, force_pipeline: bool) -> RunSummary {
+/// One pool run at S=4. `force_pipeline` drops the parallel threshold to
+/// 0 (the small-batch sweep needs it: b = 48 is below the default
+/// threshold of 128, and the sequential path never reaches the pool).
+fn run_pipeline(scenario: Scenario, force_pipeline: bool) -> RunSummary {
     let mut runner = WorkloadRunner::new(scenario)
         .with_shards(4)
         .recompute_every(0)
         .verified(true);
     if force_pipeline {
         runner = runner.with_parallel_threshold(0);
-    }
-    if spawn {
-        runner = runner.spawn_per_batch();
     }
     runner.run()
 }
@@ -501,13 +497,14 @@ fn run_replay_section(args: &Args) -> Option<String> {
     let mut out = String::from("{");
     let _ = write!(
         out,
-        "\"file\":\"{}\",\"source\":\"{}\",\"source_fingerprint\":{fingerprint},\
+        "\"file\":\"{}\",\"source\":\"{}\",\"source_fingerprint\":\"{}\",\
          \"policy\":\"{}\",\"node_count\":{},\"events\":{events},\"rounds\":{rounds},\
          \"self_loops_skipped\":{self_loops},\"duplicates_dropped\":{duplicates},\
          \"latency_p50_us\":{},\"latency_p99_us\":{},\"latency_max_us\":{},\
          \"round_latency_truncated\":{},\"round_latency_us\":[",
         json::escape(&path.display().to_string()),
         json::escape(&replay.name()),
+        fingerprint_hex(fingerprint),
         json::escape(&spec),
         replay.node_count(),
         json::num(hist.value_at_quantile_us(0.50)),
@@ -629,16 +626,35 @@ fn main() {
     summaries.push(single.clone());
     summaries.extend(sweep.iter().map(|(_, s, _)| s.clone()));
 
-    // Small-batch sweep: the persistent pool vs the per-batch-spawn
-    // pipeline on an identical high-rate stream of b = 48 batches.
-    let smallbatch_pool =
-        best_of_three(|| run_pipeline(smallbatch_scenario(args.quick), false, true));
-    let smallbatch_spawn =
-        best_of_three(|| run_pipeline(smallbatch_scenario(args.quick), true, true));
-    let smallbatch_speedup = smallbatch_pool.deltas_per_sec / smallbatch_spawn.deltas_per_sec;
-    for (label, summary) in [
-        ("pool S=4 b=48", &smallbatch_pool),
-        ("spawn S=4 b=48", &smallbatch_spawn),
+    // Small-batch sweep: the forced pipeline at S=4 vs the
+    // single-threaded engine on an identical high-rate stream of b = 48
+    // batches.
+    let smallbatch_pool = best_of_three(|| run_pipeline(smallbatch_scenario(args.quick), true));
+    let smallbatch_single = best_of_three(|| {
+        WorkloadRunner::new(smallbatch_scenario(args.quick))
+            .recompute_every(0)
+            .verified(true)
+            .run()
+    });
+    let smallbatch_speedup = smallbatch_pool.deltas_per_sec / smallbatch_single.deltas_per_sec;
+    // Hotspot sweep: p99 apply latency under power-law hub churn at S=4.
+    let hotspot_pool = best_of_three_p99(|| run_pipeline(hotspot_pool_scenario(args.quick), false));
+    for (label, summary, note) in [
+        (
+            "pool S=4 b=48",
+            &smallbatch_pool,
+            format!("{smallbatch_speedup:.2}x vs single"),
+        ),
+        (
+            "single b=48",
+            &smallbatch_single,
+            "1.0x vs single".to_string(),
+        ),
+        (
+            "pool S=4 hotspot",
+            &hotspot_pool,
+            format!("{} steals", hotspot_pool.steal_count.unwrap_or(0)),
+        ),
     ] {
         table.row([
             summary.scenario.clone(),
@@ -648,46 +664,12 @@ fn main() {
             format!("{:.0}", summary.deltas_per_sec),
             fmt_f64(summary.latency.p50_us),
             fmt_f64(summary.latency.p99_us),
-            if label.starts_with("pool") {
-                format!("{smallbatch_speedup:.2}x vs spawn")
-            } else {
-                "1.0x (spawn baseline)".to_string()
-            },
+            note,
             summary.final_triangles.to_string(),
             if summary.oracle_ok { "ok" } else { "FAIL" }.to_string(),
         ]);
+        summaries.push(summary.clone());
     }
-    summaries.push(smallbatch_pool.clone());
-    summaries.push(smallbatch_spawn.clone());
-
-    // Hotspot sweep: p99 apply latency under power-law hub churn, pool
-    // (stealing) vs spawn (no stealing) at S=4.
-    let hotspot_pool =
-        best_of_three_p99(|| run_pipeline(hotspot_pool_scenario(args.quick), false, false));
-    let hotspot_spawn =
-        best_of_three_p99(|| run_pipeline(hotspot_pool_scenario(args.quick), true, false));
-    for (label, summary) in [
-        ("pool S=4 hotspot", &hotspot_pool),
-        ("spawn S=4 hotspot", &hotspot_spawn),
-    ] {
-        table.row([
-            summary.scenario.clone(),
-            label.to_string(),
-            summary.mode.clone(),
-            summary.n.to_string(),
-            format!("{:.0}", summary.deltas_per_sec),
-            fmt_f64(summary.latency.p50_us),
-            fmt_f64(summary.latency.p99_us),
-            summary
-                .steal_count
-                .map(|s| format!("{s} steals"))
-                .unwrap_or_else(|| "-".to_string()),
-            summary.final_triangles.to_string(),
-            if summary.oracle_ok { "ok" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    summaries.push(hotspot_pool.clone());
-    summaries.push(hotspot_spawn.clone());
 
     // Intersect-kernel microbench: no engine, no stream — just the
     // shared sorted-set intersection core in both adaptive regimes.
@@ -729,16 +711,12 @@ fn main() {
         },
     );
     println!(
-        "small-batch sweep (b=48, S=4): pool {:.0} deltas/s vs spawn {:.0} — {:.2}x \
-         (floor: {SMALLBATCH_SPEEDUP_FLOOR}x on >={SMALLBATCH_FLOOR_MIN_THREADS:.0} hardware \
-         threads)",
-        smallbatch_pool.deltas_per_sec, smallbatch_spawn.deltas_per_sec, smallbatch_speedup,
+        "small-batch sweep (b=48, S=4): pool {:.0} deltas/s vs single-threaded {:.0} — {:.2}x",
+        smallbatch_pool.deltas_per_sec, smallbatch_single.deltas_per_sec, smallbatch_speedup,
     );
     println!(
-        "hotspot sweep (S=4): pool p99 {:.0} us vs spawn p99 {:.0} us; pool max/mean worker \
-         busy share {}/{}, {} steals",
+        "hotspot sweep (S=4): pool p99 {:.0} us; max/mean worker busy share {}/{}, {} steals",
         hotspot_pool.latency.p99_us,
-        hotspot_spawn.latency.p99_us,
         hotspot_pool
             .worker_busy_max_share
             .map(|v| format!("{v:.2}"))
@@ -764,14 +742,13 @@ fn main() {
     }
 
     // Machine-readable trajectory for future PRs (and the CI gate).
-    // `source_fingerprint` identifies the headline workload and must stay
-    // ahead of `"runs"`: the gate's flat-key extractor takes the first
-    // occurrence, and every run summary carries its own copy.
-    let mut json = String::from("{\"bench\":\"stream\",\"schema_version\":4,");
+    // The top-level `source_fingerprint` identifies the headline
+    // workload; every run summary carries its own.
+    let mut json = String::from("{\"bench\":\"stream\",\"schema_version\":5,");
     let _ = write!(
         json,
         "\"args_shards\":{},\"args_flush_deadline_ms\":{},\"quick\":{},\"args_trace_out\":{},\
-         \"args_input\":{},\"args_replay\":{},\"source_fingerprint\":{},",
+         \"args_input\":{},\"args_replay\":{},\"source_fingerprint\":\"{}\",",
         args.shards
             .map(|s| s.to_string())
             .unwrap_or_else(|| "null".to_string()),
@@ -791,7 +768,7 @@ fn main() {
             .as_ref()
             .map(|s| format!("\"{}\"", json::escape(s)))
             .unwrap_or_else(|| "null".to_string()),
-        BatchSource::fingerprint(&headline_scenario()),
+        fingerprint_hex(BatchSource::fingerprint(&headline_scenario())),
     );
     json.push_str("\"runs\":[");
     for (i, s) in summaries.iter().enumerate() {
@@ -824,10 +801,9 @@ fn main() {
          \"headline_deltas_per_sec\":{:.3},\
          \"headline_speedup_vs_recompute\":{},\
          \"smallbatch_pool_deltas_per_sec\":{:.3},\
-         \"smallbatch_spawn_deltas_per_sec\":{:.3},\
-         \"smallbatch_pool_speedup_vs_spawn\":{},\
+         \"smallbatch_single_deltas_per_sec\":{:.3},\
+         \"smallbatch_pool_speedup_vs_single\":{},\
          \"hotspot_pool_p99_us\":{:.3},\
-         \"hotspot_spawn_p99_us\":{:.3},\
          \"hotspot_pool_steals\":{},\
          \"hotspot_pool_worker_busy_max_share\":{},\
          \"hotspot_pool_worker_busy_mean_share\":{},\
@@ -841,10 +817,9 @@ fn main() {
         headline.deltas_per_sec,
         json::num(headline_speedup),
         smallbatch_pool.deltas_per_sec,
-        smallbatch_spawn.deltas_per_sec,
+        smallbatch_single.deltas_per_sec,
         json::num(smallbatch_speedup),
         hotspot_pool.latency.p99_us,
-        hotspot_spawn.latency.p99_us,
         hotspot_pool.steal_count.unwrap_or(0),
         json::num(hotspot_pool.worker_busy_max_share.unwrap_or(f64::NAN)),
         json::num(hotspot_pool.worker_busy_mean_share.unwrap_or(f64::NAN)),
@@ -878,7 +853,7 @@ fn main() {
         );
         failed = true;
     }
-    if hardware_threads as f64 >= SMALLBATCH_FLOOR_MIN_THREADS {
+    if hardware_threads as f64 >= PARALLEL_FLOOR_MIN_THREADS {
         if let Some(speedup) = s4_speedup {
             if speedup < 1.5 {
                 eprintln!(
@@ -887,14 +862,6 @@ fn main() {
                 );
                 failed = true;
             }
-        }
-        if !smallbatch_speedup.is_finite() || smallbatch_speedup < SMALLBATCH_SPEEDUP_FLOOR {
-            eprintln!(
-                "ERROR: small-batch pool speedup {smallbatch_speedup:.2}x below the \
-                 {SMALLBATCH_SPEEDUP_FLOOR}x floor vs the per-batch-spawn pipeline on a \
-                 {hardware_threads}-thread machine"
-            );
-            failed = true;
         }
     }
     if failed {

@@ -4,17 +4,17 @@
 //! Renders a [`SyntheticTemporal`] stream (`src dst [w] time` lines,
 //! seed embedded in the header comment so distinct seeds provably yield
 //! distinct bytes) to a file, then loads it back through
-//! [`TemporalLoader`] and prints the loaded timeline's fingerprint —
-//! the same 52-bit value `stream_bench --input` stamps into its JSON,
-//! so a workflow can assert the file it benchmarked is the file it
-//! wrote.
+//! [`TemporalLoader`] and prints the loaded timeline's fingerprint in
+//! the 16-hex-digit spelling the bench JSON uses (a replay's
+//! `source_fingerprint` folds this value with its batching policy), so
+//! a workflow can tell two files apart without diffing them.
 //!
 //! Usage: `temporal_write OUT [--n N] [--events E] [--seed S]
 //! [--remove-fraction F]`.
 
 use std::path::PathBuf;
 
-use congest_graph::temporal::{SyntheticTemporal, TemporalLoader};
+use congest_graph::temporal::{fingerprint_hex, SyntheticTemporal, TemporalLoader};
 
 fn main() {
     let mut out: Option<PathBuf> = None;
@@ -71,7 +71,7 @@ fn main() {
         timeline.node_count(),
         timeline.len(),
         timeline.time_span(),
-        timeline.fingerprint(),
+        fingerprint_hex(timeline.fingerprint()),
     );
 }
 

@@ -1,16 +1,22 @@
-//! Bench-regression gating: compare a fresh `BENCH_stream.json` against
-//! the committed baseline and flag drops.
+//! Bench-regression gating: compare a fresh `BENCH_*.json` against the
+//! committed baseline and flag regressions.
 //!
-//! The JSON the harness emits is flat and fully under our control, so
-//! instead of pulling in a JSON crate (no registry access) this module
-//! ships a tiny top-level-key number extractor plus the comparison
-//! policy: a metric regresses when it drops more than the allowed
-//! fraction below the baseline. Higher is better for every gated metric
-//! (throughputs and speedups).
+//! One [`GateTable`] per bench ([`TABLES`]) holds everything that differs
+//! between the stream, dynamic and serve gates: the fingerprint keys that
+//! must match for a comparison to be like-for-like, one [`Row`] per gated
+//! metric (key, direction, tolerance), and the absolute floors that
+//! need no baseline. [`compare`] parses both files with
+//! [`congest_obs::json::Value`], picks the table from their own
+//! `"bench"` key and looks every key up at the top level, so nested
+//! objects may repeat a key in any position.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Maximum tolerated drop below baseline before the gate fails (20%).
+use congest_obs::json::Value;
+
+/// Maximum tolerated move against the baseline before the gate fails
+/// (20%): throughputs, speedups and — deterministic per seed, so any
+/// 20% move is a real protocol change — round counts.
 pub const DEFAULT_TOLERANCE: f64 = 0.20;
 
 /// Tolerance for the latency metrics (50%): tail latency is far noisier
@@ -20,25 +26,166 @@ pub const DEFAULT_TOLERANCE: f64 = 0.20;
 /// tens of percent.
 pub const LATENCY_TOLERANCE: f64 = 0.50;
 
-/// Extracts the numeric value of a top-level `"key":value` pair from a
-/// JSON object emitted by the harness. Returns `None` when the key is
-/// missing or its value is not a finite number (e.g. `null`).
-///
-/// This is *not* a general JSON parser: it assumes the key appears at
-/// most once and is never embedded inside a string value — both true for
-/// every file the harness writes.
-pub fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find([',', '}', ']'])
-        .expect("harness JSON closes every value");
-    rest[..end]
-        .trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite())
+/// Maximum regression the span instrumentation may cost when tracing is
+/// *disabled* (2%): the observability layer's contract is a near-zero
+/// disabled hot path (one relaxed atomic load per span site), and this
+/// band is what keeps that contract honest as instrumentation spreads.
+/// `stream_bench` always runs its gated sweeps with tracing off, so a
+/// fresh run vs the committed baseline measures exactly the disabled
+/// overhead (plus scheduler noise, which best-of-three already trims).
+pub const DISABLED_OVERHEAD_TOLERANCE: f64 = 0.02;
+
+/// Minimum hardware threads for a parallelism floor to bind — below it
+/// the workers of a pool, or a writer and its readers, share cores and
+/// the floor is reported but skipped. `stream_bench` and `serve_bench`
+/// hold their in-binary floors to the same bound.
+pub const PARALLEL_FLOOR_MIN_THREADS: f64 = 4.0;
+
+/// Absolute floor for the hotspot round improvement of the helper-split
+/// schedule over the unsplit protocol (`dynamic_bench` enforces it
+/// in-binary on a hub carrying ≥ 8x the per-phase budget; rounds are
+/// deterministic, so the floor binds on every machine).
+pub const HOTSPOT_SPLIT_IMPROVEMENT_FLOOR: f64 = 2.0;
+
+/// Absolute floor for the serve write-throughput ratio (readers attached
+/// vs detached): queries must never block the write pipeline, so the
+/// writer keeps >= 90% of its no-reader throughput with a full reader
+/// complement leasing under its feet. `serve_bench` enforces it
+/// in-binary; the serve table re-checks it so the gate stays meaningful
+/// against a baseline that predates the metric.
+pub const SERVE_WRITE_RATIO_FLOOR: f64 = 0.9;
+
+/// Which way a gated metric may move freely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Throughputs, speedups: fails on a drop beyond the tolerance.
+    Higher,
+    /// Latencies, round counts: fails on a rise beyond the tolerance.
+    Lower,
+}
+
+use Direction::{Higher, Lower};
+
+/// One gated metric: top-level JSON key, the direction that is better,
+/// and the fraction of the baseline it may move the other way.
+pub type Row = (&'static str, Direction, f64);
+
+/// Everything the gate knows about one bench.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GateTable {
+    /// The file's top-level `"bench"` value.
+    pub bench: &'static str,
+    /// Keys whose values must be equal on both sides for the rows to be
+    /// enforced; against a foreign baseline the gate reports and passes,
+    /// and regains teeth as soon as a matching baseline is committed.
+    pub fingerprint: &'static [&'static str],
+    /// The gated metrics.
+    pub rows: &'static [Row],
+    /// `(key, minimum)` floors on the current run alone, enforced with
+    /// no baseline once the machine has [`PARALLEL_FLOOR_MIN_THREADS`].
+    pub floors: &'static [(&'static str, f64)],
+}
+
+/// The gate tables, one per bench binary.
+#[rustfmt::skip] // one row per line
+pub const TABLES: [GateTable; 3] = [
+    // Every stream metric is timing-derived — absolute throughputs
+    // obviously, but the parallel speedup scales with core count and the
+    // recompute ratio with cache behaviour — so `hardware_threads` pins
+    // the machine, `quick` the sweep shape and `source_fingerprint` the
+    // headline workload. The kernel rows sweep the shared intersection
+    // core on a degree-skewed pair (galloping must win) and a balanced
+    // pair (the merge must hold), so a selection-heuristic regression
+    // surfaces directly rather than diluted through an engine run.
+    // (`sweep_single_deltas_per_sec` stays in the JSON as trajectory
+    // data: an 8-batch slice is as noisy as the tolerance, and
+    // `stream_bench` enforces the S=1 floor on the same run.) The last
+    // two rows are the disabled-overhead guard: a same-process ratio,
+    // whose run-to-run noise largely cancels, and the hotspot p99, where
+    // per-span overhead would surface first (the steal path crosses the
+    // most span sites per delta).
+    GateTable {
+        bench: "stream",
+        fingerprint: &["hardware_threads", "quick", "source_fingerprint"],
+        rows: &[
+            ("headline_deltas_per_sec", Higher, DEFAULT_TOLERANCE),
+            ("headline_speedup_vs_recompute", Higher, DEFAULT_TOLERANCE),
+            ("sweep_best_parallel_speedup", Higher, DEFAULT_TOLERANCE),
+            ("intersect_kernel_skewed_melems_per_sec", Higher, DEFAULT_TOLERANCE),
+            ("intersect_kernel_balanced_melems_per_sec", Higher, DEFAULT_TOLERANCE),
+            ("smallbatch_pool_speedup_vs_single", Higher, DISABLED_OVERHEAD_TOLERANCE),
+            ("hotspot_pool_p99_us", Lower, DISABLED_OVERHEAD_TOLERANCE),
+        ],
+        floors: &[],
+    },
+    // Every dynamic metric is a round or bit count, deterministic per
+    // seed and so comparable across machines: the fingerprint pins only
+    // the scenario shape and the batch source. The lower-is-better rows
+    // are the costs the protocol machinery exists to keep down — the
+    // helper-split hotspot epoch, the convergecast rounds charged per
+    // headline batch, and the hardened engine's rounds per batch at 1%
+    // drop (retransmission recovery included).
+    GateTable {
+        bench: "dynamic",
+        fingerprint: &["quick", "headline_n", "source_fingerprint"],
+        rows: &[
+            ("headline_round_speedup_vs_finding", Higher, DEFAULT_TOLERANCE),
+            ("headline_round_speedup_vs_listing", Higher, DEFAULT_TOLERANCE),
+            ("headline_bits_ratio_vs_listing", Higher, DEFAULT_TOLERANCE),
+            ("hotspot_rounds_per_batch", Lower, DEFAULT_TOLERANCE),
+            ("headline_convergecast_rounds_per_batch", Lower, DEFAULT_TOLERANCE),
+            ("fault_drop1pct_rounds_per_batch", Lower, DEFAULT_TOLERANCE),
+        ],
+        floors: &[],
+    },
+    // Serve metrics are timing-derived and hardware-bound (readers and
+    // the writer contend for cores): same fingerprint as the stream
+    // table. The read p99 at the max sustainable rate is one tail order
+    // statistic, as noisy as the stream p99.
+    GateTable {
+        bench: "serve",
+        fingerprint: &["hardware_threads", "quick", "source_fingerprint"],
+        rows: &[
+            ("serve_max_sustainable_rps", Higher, DEFAULT_TOLERANCE),
+            ("serve_read_p99_us", Lower, LATENCY_TOLERANCE),
+        ],
+        floors: &[("serve_write_throughput_ratio", SERVE_WRITE_RATIO_FLOOR)],
+    },
+];
+
+/// Why two files could not be gated at all (the gate binary exits 2).
+#[derive(Debug, Clone, PartialEq)]
+pub enum GateError {
+    /// The `side` (`"baseline"` or `"current"`) file is not a JSON
+    /// object with a string `"bench"` key: truncated, malformed, or not
+    /// a bench file.
+    Malformed {
+        /// Which file.
+        side: &'static str,
+        /// What the parser or the lookup objected to.
+        reason: String,
+    },
+    /// The baseline and the current run name different benches.
+    BenchMismatch(String, String),
+    /// Both files name a bench no table covers.
+    UnknownBench(String),
+}
+
+impl fmt::Display for GateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateError::Malformed { side, reason } => {
+                write!(f, "{side} is not a bench JSON file: {reason}")
+            }
+            GateError::BenchMismatch(baseline, current) => {
+                write!(
+                    f,
+                    "baseline is a \"{baseline}\" bench file, current a \"{current}\" one"
+                )
+            }
+            GateError::UnknownBench(bench) => write!(f, "no gate table for bench \"{bench}\""),
+        }
+    }
 }
 
 /// Outcome of comparing one metric.
@@ -64,7 +211,7 @@ impl fmt::Display for MetricCheck {
         };
         write!(
             f,
-            "{:<32} baseline {:>14} current {:>14} {}",
+            "{:<40} baseline {:>14} current {:>14} {}",
             self.key,
             show(self.baseline),
             show(self.current),
@@ -77,38 +224,30 @@ impl fmt::Display for MetricCheck {
     }
 }
 
-/// Compares one higher-is-better metric between the two files.
+/// The finite number under a top-level `key`, `None` when the key is
+/// missing or holds anything else (`null` included).
+fn number(file: &Value, key: &str) -> Option<f64> {
+    file.get(key)
+        .and_then(Value::as_f64)
+        .filter(|v| v.is_finite())
+}
+
+/// Compares one metric between the two files.
 ///
 /// A metric missing from either side is skipped, not failed: the baseline
 /// may predate a metric (schema growth) and a flag-restricted run may
-/// omit one (`--shards 2` leaves no S=1 ratio). Only a genuine drop of
-/// more than `tolerance` fails.
-pub fn check_metric(baseline: &str, current: &str, key: &str, tolerance: f64) -> MetricCheck {
-    check_metric_directed(baseline, current, key, tolerance, true)
-}
-
-/// [`check_metric`] with an explicit direction: with
-/// `higher_is_better = false` (latencies) the gate fails when the metric
-/// *rises* more than `tolerance` above the baseline instead.
-pub fn check_metric_directed(
-    baseline: &str,
-    current: &str,
-    key: &str,
-    tolerance: f64,
-    higher_is_better: bool,
-) -> MetricCheck {
-    let base = extract_number(baseline, key);
-    let cur = extract_number(current, key);
+/// omit one (`--shards 2` leaves no parallel-speedup ratio). Only a move
+/// of more than the row's tolerance in the bad direction fails.
+pub fn check(baseline: &Value, current: &Value, &(key, direction, tolerance): &Row) -> MetricCheck {
+    let base = number(baseline, key);
+    let cur = number(current, key);
     let ratio = match (base, cur) {
         (Some(b), Some(c)) if b > 0.0 => Some(c / b),
         _ => None,
     };
-    let regressed = ratio.is_some_and(|r| {
-        if higher_is_better {
-            r < 1.0 - tolerance
-        } else {
-            r > 1.0 + tolerance
-        }
+    let regressed = ratio.is_some_and(|r| match direction {
+        Higher => r < 1.0 - tolerance,
+        Lower => r > 1.0 + tolerance,
     });
     MetricCheck {
         key: key.to_string(),
@@ -119,172 +258,131 @@ pub fn check_metric_directed(
     }
 }
 
-/// The metrics `stream_gate` holds against the committed baseline, all
-/// higher-is-better and all timing-derived, so the gate only *enforces*
-/// them when baseline and current report the same `hardware_threads`
-/// fingerprint — a committed baseline from a laptop must not fail a CI
-/// runner (or vice versa) just because the hardware differs: absolute
-/// throughput obviously depends on the machine, the parallel speedup
-/// scales with core count, and even the recompute ratio moves with cache
-/// behaviour. (`sweep_single_deltas_per_sec` stays in the JSON as
-/// trajectory data but is not gated: it measures an 8-batch slice whose
-/// run-to-run noise approaches the tolerance, and `stream_bench` already
-/// enforces the S=1-within-10% floor on the same run.)
-/// `intersect_kernel_*` rides along here: the microbench sweeps the
-/// shared intersection core on a degree-skewed pair (where the galloping
-/// kernel must win) and a balanced pair (where the branch-light merge
-/// must hold), so a selection-heuristic regression surfaces directly
-/// rather than diluted through a full engine run.
-pub const STREAM_GATE_METRICS: [&str; 6] = [
-    "headline_deltas_per_sec",
-    "headline_speedup_vs_recompute",
-    "sweep_best_parallel_speedup",
-    "smallbatch_pool_speedup_vs_spawn",
-    "intersect_kernel_skewed_melems_per_sec",
-    "intersect_kernel_balanced_melems_per_sec",
-];
+/// What one gate run found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// The bench both files come from.
+    pub bench: &'static str,
+    /// One line per fingerprint mismatch, row and floor.
+    pub report: String,
+    /// Whether an enforced row regressed or a binding floor was missed.
+    pub failed: bool,
+}
 
-/// Lower-is-better stream metrics, gated with [`LATENCY_TOLERANCE`]:
-/// the pool engine's p99 apply latency on the hotspot-churn sweep (the
-/// tail the work-stealing path exists to flatten) must not blow up
-/// against the committed baseline. Compared under the same
-/// hardware-and-shape fingerprint as the throughput metrics.
-pub const STREAM_GATE_METRICS_LOWER_IS_BETTER: [&str; 1] = ["hotspot_pool_p99_us"];
+/// Parses one side and returns it with its `"bench"` value.
+fn parse(side: &'static str, text: &str) -> Result<(Value, String), GateError> {
+    let malformed = |reason: String| GateError::Malformed { side, reason };
+    let file = Value::parse(text).map_err(malformed)?;
+    let bench = file
+        .get("bench")
+        .and_then(Value::as_str)
+        .ok_or_else(|| malformed("no top-level string \"bench\" key".to_string()))?
+        .to_string();
+    Ok((file, bench))
+}
 
-/// The fingerprint keys that must match between a `BENCH_stream.json`
-/// baseline and a fresh run for the stream gate to have teeth:
-/// `hardware_threads` pins the machine (every gated metric is
-/// timing-derived), `quick` pins the sweep shape (the small-batch and
-/// hotspot sweeps shrink under `--quick`, which CI uses), and
-/// `source_fingerprint` pins the batch source itself — a baseline
-/// measured on one workload (or one replayed file) must never gate a
-/// run measured on another.
-pub const STREAM_GATE_FINGERPRINT: [&str; 3] = ["hardware_threads", "quick", "source_fingerprint"];
+/// Gates the `current` bench file's text against the `baseline`'s.
+///
+/// # Errors
+///
+/// [`GateError`] when either file fails to parse, the two name
+/// different benches, or no table covers the bench they name.
+pub fn compare(baseline: &str, current: &str) -> Result<Outcome, GateError> {
+    let (baseline, bench) = parse("baseline", baseline)?;
+    let (current, current_bench) = parse("current", current)?;
+    if bench != current_bench {
+        return Err(GateError::BenchMismatch(bench, current_bench));
+    }
+    let Some(table) = TABLES.iter().find(|t| t.bench == bench) else {
+        return Err(GateError::UnknownBench(bench));
+    };
 
-/// Absolute floor for the pool-vs-spawn small-batch speedup, enforced by
-/// `stream_gate` (in addition to the baseline comparison) whenever the
-/// *current* run comes from a machine with at least
-/// [`SMALLBATCH_FLOOR_MIN_THREADS`] hardware threads.
-pub const SMALLBATCH_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Minimum hardware threads for [`SMALLBATCH_SPEEDUP_FLOOR`] to bind —
-/// on single-threaded containers the pool cannot express parallelism and
-/// the floor is reported but skipped, like `stream_bench`'s shard floor.
-pub const SMALLBATCH_FLOOR_MIN_THREADS: f64 = 4.0;
-
-/// The metrics `dynamic_gate` holds against the committed
-/// `BENCH_dynamic.json` baseline. All are **round-count-derived** and
-/// fully deterministic per seed, so — unlike the timing metrics above —
-/// they are comparable across machines with no hardware fingerprint;
-/// the gate only requires the scenario shape to match (same `quick`
-/// flag and `headline_n`). Higher is better for every one.
-pub const DYNAMIC_GATE_METRICS: [&str; 3] = [
-    "headline_round_speedup_vs_finding",
-    "headline_round_speedup_vs_listing",
-    "headline_bits_ratio_vs_listing",
-];
-
-/// Lower-is-better dynamic metrics, gated with [`DEFAULT_TOLERANCE`]
-/// (round counts are deterministic per seed, so even a 20% rise is a
-/// real protocol regression, not noise): the helper-split hotspot
-/// epoch cost — the rounds per batch on a hub carrying ≥ 8x the
-/// per-phase budget, which the split scheduling exists to flatten —
-/// the convergecast aggregation rounds charged per headline batch, and
-/// the hardened engine's rounds per batch on the fault sweep's 1%-drop
-/// point (retransmission recovery included), so self-healing cannot
-/// silently get more expensive.
-pub const DYNAMIC_GATE_METRICS_LOWER_IS_BETTER: [&str; 3] = [
-    "hotspot_rounds_per_batch",
-    "headline_convergecast_rounds_per_batch",
-    "fault_drop1pct_rounds_per_batch",
-];
-
-/// The fingerprint keys that must match between a `BENCH_dynamic.json`
-/// baseline and a fresh run for the dynamic gate to have teeth: they
-/// pin the scenario shape — including which batch source fed the
-/// engine (`source_fingerprint`) — not the hardware.
-pub const DYNAMIC_GATE_FINGERPRINT: [&str; 3] = ["quick", "headline_n", "source_fingerprint"];
-
-/// Absolute floor for the hotspot round improvement of the helper-split
-/// schedule over the unsplit protocol (`dynamic_bench` enforces it
-/// in-binary on a hub carrying ≥ 8x the per-phase budget; rounds are
-/// deterministic, so the floor binds on every machine).
-pub const HOTSPOT_SPLIT_IMPROVEMENT_FLOOR: f64 = 2.0;
-
-/// The metrics `serve_gate` holds against the committed
-/// `BENCH_serve.json` baseline: the open-loop ramp's max-sustainable
-/// read rate (higher is better, [`DEFAULT_TOLERANCE`]). Like the stream
-/// metrics it is timing-derived, so the gate only enforces it under a
-/// matching hardware-and-shape fingerprint.
-pub const SERVE_GATE_METRICS: [&str; 1] = ["serve_max_sustainable_rps"];
-
-/// Lower-is-better serve metrics, gated with [`LATENCY_TOLERANCE`]: the
-/// read p99 at the max sustainable rate is a single tail order statistic
-/// and as noisy as the stream p99, so it gets the same 50% band.
-pub const SERVE_GATE_METRICS_LOWER_IS_BETTER: [&str; 1] = ["serve_read_p99_us"];
-
-/// The fingerprint keys that must match between a `BENCH_serve.json`
-/// baseline and a fresh run for the serve gate to have teeth:
-/// `hardware_threads` pins the machine (readers and the writer contend
-/// for cores, so every serve metric is hardware-bound), `quick` pins
-/// the ramp shape (CI sweeps a shorter ramp under `--quick`), and
-/// `source_fingerprint` pins the batch source feeding the writer.
-pub const SERVE_GATE_FINGERPRINT: [&str; 3] = ["hardware_threads", "quick", "source_fingerprint"];
-
-/// Absolute floor for the serve write-throughput ratio (readers attached
-/// vs detached), enforced in-binary by `serve_bench` whenever the
-/// machine has at least [`SMALLBATCH_FLOOR_MIN_THREADS`] hardware
-/// threads: the ISSUE's contract is that queries never block the write
-/// pipeline, so the writer must keep >= 90% of its no-reader throughput
-/// with a full reader complement leasing under its feet.
-pub const SERVE_WRITE_RATIO_FLOOR: f64 = 0.9;
-
-/// Maximum regression the span instrumentation may cost when tracing is
-/// *disabled* (2%): the observability layer's contract is a near-zero
-/// disabled hot path (one relaxed atomic load per span site), and this
-/// guard is what keeps that contract honest as instrumentation spreads.
-/// `stream_bench` always runs its gated sweeps with tracing off, so a
-/// fresh run vs the committed baseline measures exactly the disabled
-/// overhead (plus scheduler noise, which best-of-two already trims).
-pub const DISABLED_OVERHEAD_TOLERANCE: f64 = 0.02;
-
-/// Higher-is-better metrics held to [`DISABLED_OVERHEAD_TOLERANCE`] by
-/// `stream_gate`'s disabled-overhead guard: the pool-vs-spawn speedup is
-/// a ratio of two runs from the same process on the same machine, so
-/// run-to-run noise largely cancels and a 2% band is meaningful.
-pub const DISABLED_OVERHEAD_METRICS: [&str; 1] = ["smallbatch_pool_speedup_vs_spawn"];
-
-/// Lower-is-better metrics held to [`DISABLED_OVERHEAD_TOLERANCE`]: the
-/// hotspot pool p99 is where per-span overhead would surface first (the
-/// steal path crosses the most span sites per delta).
-pub const DISABLED_OVERHEAD_METRICS_LOWER_IS_BETTER: [&str; 1] = ["hotspot_pool_p99_us"];
+    let mut report = String::new();
+    let mut comparable = true;
+    for key in table.fingerprint {
+        let (b, c) = (baseline.get(key), current.get(key));
+        if b.is_none() || b != c {
+            comparable = false;
+            let _ = writeln!(
+                report,
+                "baseline {key} {b:?} != current {c:?}: not comparable like-for-like; \
+                 reporting without gating."
+            );
+        }
+    }
+    let mut failed = false;
+    for row in table.rows {
+        let check = check(&baseline, &current, row);
+        if comparable {
+            failed |= check.regressed;
+            let _ = writeln!(report, "{check}");
+        } else {
+            let _ = writeln!(report, "{check} [not gated: foreign baseline fingerprint]");
+        }
+    }
+    let threads = number(&current, "hardware_threads").unwrap_or(1.0);
+    for &(key, min) in table.floors {
+        let Some(value) = number(&current, key) else {
+            continue;
+        };
+        let verdict = if threads < PARALLEL_FLOOR_MIN_THREADS {
+            "skipped (too few threads to contend)"
+        } else if value < min {
+            failed = true;
+            "BELOW FLOOR"
+        } else {
+            "ok"
+        };
+        let _ = writeln!(
+            report,
+            "floor {key}: {value:.3} (>= {min} required) on {threads:.0} hardware thread(s) — {verdict}"
+        );
+    }
+    Ok(Outcome {
+        bench: table.bench,
+        report,
+        failed,
+    })
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const M: Row = ("m", Higher, DEFAULT_TOLERANCE);
+
+    fn file(text: &str) -> Value {
+        Value::parse(text).expect("test JSON parses")
+    }
+
+    fn check_text(baseline: &str, current: &str, row: &Row) -> MetricCheck {
+        check(&file(baseline), &file(current), row)
+    }
+
     const SAMPLE: &str =
-        r#"{"bench":"stream","a":12.5,"nested":[{"a":99}],"b":null,"c":3,"last":7}"#;
+        r#"{"bench":"stream","nested":[{"a":99}],"a":12.5,"b":null,"c":3,"last":7}"#;
 
     #[test]
     fn extracts_top_level_numbers() {
-        assert_eq!(extract_number(SAMPLE, "a"), Some(12.5));
-        assert_eq!(extract_number(SAMPLE, "c"), Some(3.0));
-        assert_eq!(extract_number(SAMPLE, "last"), Some(7.0));
+        // `a` also appears inside `nested`, ahead of the top-level one:
+        // only the top level is consulted.
+        let sample = file(SAMPLE);
+        assert_eq!(number(&sample, "a"), Some(12.5));
+        assert_eq!(number(&sample, "c"), Some(3.0));
+        assert_eq!(number(&sample, "last"), Some(7.0));
     }
 
     #[test]
     fn null_and_missing_keys_are_none() {
-        assert_eq!(extract_number(SAMPLE, "b"), None);
-        assert_eq!(extract_number(SAMPLE, "zzz"), None);
-        assert_eq!(extract_number(SAMPLE, "bench"), None);
+        let sample = file(SAMPLE);
+        for key in ["b", "zzz", "bench", "nested"] {
+            assert_eq!(number(&sample, key), None, "{key}");
+        }
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let base = r#"{"m":100.0}"#;
-        let cur = r#"{"m":85.0}"#;
-        let check = check_metric(base, cur, "m", DEFAULT_TOLERANCE);
+        let check = check_text(r#"{"m":100.0}"#, r#"{"m":85.0}"#, &M);
         assert!(!check.regressed);
         assert_eq!(check.ratio, Some(0.85));
         assert!(check.to_string().contains("ok"));
@@ -292,16 +390,14 @@ mod tests {
 
     #[test]
     fn a_drop_beyond_tolerance_fails() {
-        let base = r#"{"m":100.0}"#;
-        let cur = r#"{"m":79.9}"#;
-        let check = check_metric(base, cur, "m", DEFAULT_TOLERANCE);
+        let check = check_text(r#"{"m":100.0}"#, r#"{"m":79.9}"#, &M);
         assert!(check.regressed);
         assert!(check.to_string().contains("REGRESSED"));
     }
 
     #[test]
     fn improvements_always_pass() {
-        let check = check_metric(r#"{"m":10}"#, r#"{"m":50}"#, "m", DEFAULT_TOLERANCE);
+        let check = check_text(r#"{"m":10}"#, r#"{"m":50}"#, &M);
         assert!(!check.regressed);
         assert_eq!(check.ratio, Some(5.0));
     }
@@ -311,7 +407,7 @@ mod tests {
         let with = r#"{"m":10}"#;
         let without = r#"{"other":1}"#;
         for (b, c) in [(with, without), (without, with)] {
-            let check = check_metric(b, c, "m", DEFAULT_TOLERANCE);
+            let check = check_text(b, c, &M);
             assert!(!check.regressed);
             assert_eq!(check.ratio, None);
             assert!(check.to_string().contains("skipped"));
@@ -320,47 +416,52 @@ mod tests {
 
     #[test]
     fn gated_metric_keys_exist_in_the_harness_schema() {
-        // Guard against typos drifting from what stream_bench emits.
-        for key in STREAM_GATE_METRICS
-            .iter()
-            .chain(&STREAM_GATE_METRICS_LOWER_IS_BETTER)
-            .chain(&STREAM_GATE_FINGERPRINT)
-            .chain(&DYNAMIC_GATE_METRICS)
-            .chain(&DYNAMIC_GATE_METRICS_LOWER_IS_BETTER)
-            .chain(&DYNAMIC_GATE_FINGERPRINT)
-            .chain(&SERVE_GATE_METRICS)
-            .chain(&SERVE_GATE_METRICS_LOWER_IS_BETTER)
-            .chain(&SERVE_GATE_FINGERPRINT)
-            .chain(&DISABLED_OVERHEAD_METRICS)
-            .chain(&DISABLED_OVERHEAD_METRICS_LOWER_IS_BETTER)
-        {
-            assert!(!key.is_empty());
-            assert!(key
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'));
+        // Against the committed baselines: a renamed or retired key must
+        // not leave a row that reads "skipped (missing on one side)"
+        // forever.
+        for table in &TABLES {
+            let path = format!(
+                "{}/../../BENCH_{}.json",
+                env!("CARGO_MANIFEST_DIR"),
+                table.bench
+            );
+            let baseline = file(&std::fs::read_to_string(&path).expect("committed baseline"));
+            assert_eq!(
+                baseline.get("bench").and_then(Value::as_str),
+                Some(table.bench)
+            );
+            for key in table.fingerprint {
+                assert!(baseline.get(key).is_some(), "{path}: no \"{key}\"");
+            }
+            let metrics = table.rows.iter().map(|&(key, ..)| key);
+            for key in metrics.chain(table.floors.iter().map(|&(key, _)| key)) {
+                assert!(number(&baseline, key).is_some(), "{path}: no \"{key}\"");
+            }
         }
     }
 
     #[test]
     fn the_disabled_overhead_guard_is_a_tight_band() {
-        // The guard tightens metrics stream_gate already tracks; a 1%
-        // wobble passes, a 3% regression fails, in both directions.
+        // A 1% wobble passes, a 3% regression fails, in both directions.
         const { assert!(DISABLED_OVERHEAD_TOLERANCE < DEFAULT_TOLERANCE) };
-        let base = r#"{"smallbatch_pool_speedup_vs_spawn":3.0,"hotspot_pool_p99_us":1000.0}"#;
-        let wobble = r#"{"smallbatch_pool_speedup_vs_spawn":2.97,"hotspot_pool_p99_us":1010.0}"#;
-        let regressed = r#"{"smallbatch_pool_speedup_vs_spawn":2.9,"hotspot_pool_p99_us":1030.0}"#;
-        for key in DISABLED_OVERHEAD_METRICS {
-            let ok = check_metric_directed(base, wobble, key, DISABLED_OVERHEAD_TOLERANCE, true);
+        let base = r#"{"smallbatch_pool_speedup_vs_single":3.0,"hotspot_pool_p99_us":1000.0}"#;
+        let wobble = r#"{"smallbatch_pool_speedup_vs_single":2.97,"hotspot_pool_p99_us":1010.0}"#;
+        let regressed = r#"{"smallbatch_pool_speedup_vs_single":2.9,"hotspot_pool_p99_us":1030.0}"#;
+        let guard = TABLES[0]
+            .rows
+            .iter()
+            .filter(|&&(_, _, tolerance)| tolerance == DISABLED_OVERHEAD_TOLERANCE);
+        assert_eq!(
+            guard
+                .clone()
+                .map(|&(_, direction, _)| direction)
+                .collect::<Vec<_>>(),
+            [Higher, Lower]
+        );
+        for row in guard {
+            let ok = check_text(base, wobble, row);
             assert!(!ok.regressed, "{ok}");
-            let bad =
-                check_metric_directed(base, regressed, key, DISABLED_OVERHEAD_TOLERANCE, true);
-            assert!(bad.regressed, "{bad}");
-        }
-        for key in DISABLED_OVERHEAD_METRICS_LOWER_IS_BETTER {
-            let ok = check_metric_directed(base, wobble, key, DISABLED_OVERHEAD_TOLERANCE, false);
-            assert!(!ok.regressed, "{ok}");
-            let bad =
-                check_metric_directed(base, regressed, key, DISABLED_OVERHEAD_TOLERANCE, false);
+            let bad = check_text(base, regressed, row);
             assert!(bad.regressed, "{bad}");
         }
     }
@@ -368,20 +469,15 @@ mod tests {
     #[test]
     fn lower_is_better_metrics_fail_on_rises_not_drops() {
         let base = r#"{"p99":100.0}"#;
+        let p99 = ("p99", Lower, LATENCY_TOLERANCE);
         // A 40% drop (latency improvement) passes.
-        let faster =
-            check_metric_directed(base, r#"{"p99":60.0}"#, "p99", LATENCY_TOLERANCE, false);
-        assert!(!faster.regressed);
+        assert!(!check_text(base, r#"{"p99":60.0}"#, &p99).regressed);
         // A 40% rise stays within the 50% latency tolerance.
-        let noisy =
-            check_metric_directed(base, r#"{"p99":140.0}"#, "p99", LATENCY_TOLERANCE, false);
-        assert!(!noisy.regressed);
+        assert!(!check_text(base, r#"{"p99":140.0}"#, &p99).regressed);
         // A 60% rise fails.
-        let slower =
-            check_metric_directed(base, r#"{"p99":160.0}"#, "p99", LATENCY_TOLERANCE, false);
-        assert!(slower.regressed);
-        // The default direction is unchanged higher-is-better behaviour.
-        let drop = check_metric_directed(base, r#"{"p99":60.0}"#, "p99", DEFAULT_TOLERANCE, true);
-        assert!(drop.regressed);
+        assert!(check_text(base, r#"{"p99":160.0}"#, &p99).regressed);
+        // The same drop read higher-is-better is a regression.
+        let throughput = ("p99", Higher, DEFAULT_TOLERANCE);
+        assert!(check_text(base, r#"{"p99":60.0}"#, &throughput).regressed);
     }
 }

@@ -36,17 +36,12 @@ use std::path::Path;
 
 use crate::{GraphError, NodeId};
 
-/// Mask folding fingerprints to 52 bits: the value survives a round trip
-/// through an `f64` JSON number exactly, which is how the bench gates'
-/// flat-key extractor compares it.
-const FINGERPRINT_MASK: u64 = (1 << 52) - 1;
-
-/// Folds a word stream into a 52-bit FNV-1a fingerprint.
+/// Folds a word stream into a 64-bit FNV-1a fingerprint.
 ///
-/// Deterministic, order-sensitive, and small enough (`< 2^52`) to embed
-/// in bench JSON as a plain number without precision loss. Not a
-/// cryptographic hash — it exists so two runs can cheaply agree (or
-/// refuse to agree) on *which* input they measured.
+/// Deterministic and order-sensitive. Not a cryptographic hash — it
+/// exists so two runs can cheaply agree (or refuse to agree) on *which*
+/// input they measured. Bench JSON carries it through
+/// [`fingerprint_hex`], never as a number: an `f64` cannot hold 64 bits.
 pub fn fingerprint64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {
@@ -55,7 +50,13 @@ pub fn fingerprint64<I: IntoIterator<Item = u64>>(words: I) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    h & FINGERPRINT_MASK
+    h
+}
+
+/// The one spelling of a fingerprint in bench JSON and on the command
+/// line: 16 lower-case hex digits, compared as a string.
+pub fn fingerprint_hex(fingerprint: u64) -> String {
+    format!("{fingerprint:016x}")
 }
 
 /// One timestamped edge event of a temporal edge list.
@@ -128,7 +129,7 @@ impl TemporalEdgeList {
         }
     }
 
-    /// Deterministic 52-bit fingerprint of the whole timeline (node
+    /// Deterministic fingerprint of the whole timeline (node
     /// count plus every event in order). Two loads agree on it exactly
     /// when they parsed the same effective timeline.
     pub fn fingerprint(&self) -> u64 {
@@ -501,7 +502,8 @@ mod tests {
                 .unwrap()
                 .fingerprint()
         );
-        assert!(a.fingerprint() < (1 << 52));
+        assert_eq!(fingerprint_hex(a.fingerprint()).len(), 16);
+        assert_eq!(fingerprint_hex(0xAB), "00000000000000ab");
     }
 
     #[test]

@@ -2,69 +2,14 @@
 //! crate.
 //!
 //! The build environment has no registry access, so this shim provides the
-//! three surfaces the workspace uses — unbounded MPSC channels, scoped
-//! threads, and the work-stealing injector queue — implemented over
-//! `std::sync::mpsc`, `std::thread::scope` and `std::sync::Mutex`.
-//! Semantics match crossbeam for the patterns in this codebase: cloneable
-//! senders, blocking `recv` that errors once every sender is dropped,
-//! scopes that join every spawned thread before returning (so borrowed
-//! non-`'static` data is safe to capture), and a shared FIFO
-//! [`deque::Injector`] any thread can push to and steal from.
+//! two surfaces the workspace uses — unbounded MPSC channels and the
+//! work-stealing injector queue — implemented over `std::sync::mpsc` and
+//! `std::sync::Mutex`. Semantics match crossbeam for the patterns in this
+//! codebase: cloneable senders, blocking `recv` that errors once every
+//! sender is dropped, and a shared FIFO [`deque::Injector`] any thread
+//! can push to and steal from.
 
 #![forbid(unsafe_code)]
-
-/// Scoped threads (subset of `crossbeam::thread` / `crossbeam-utils`).
-pub mod thread {
-    pub use std::thread::{Scope, ScopedJoinHandle};
-
-    /// Creates a scope in which threads borrowing local data can be
-    /// spawned; every spawned thread is joined before `scope` returns.
-    ///
-    /// This delegates to [`std::thread::scope`], whose `Scope::spawn`
-    /// closure takes no argument (unlike crossbeam's, which passes the
-    /// scope back in). The sharded streaming engine is the only consumer
-    /// and is written against this shape.
-    ///
-    /// ```
-    /// let mut counters = [0u64; 4];
-    /// crossbeam::thread::scope(|s| {
-    ///     for c in counters.iter_mut() {
-    ///         s.spawn(move || *c += 1);
-    ///     }
-    /// });
-    /// assert_eq!(counters, [1, 1, 1, 1]);
-    /// ```
-    pub fn scope<'env, F, T>(f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        std::thread::scope(f)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn scoped_threads_mutate_disjoint_borrows_in_parallel() {
-            let mut parts = vec![Vec::new(), Vec::new(), Vec::new()];
-            super::scope(|s| {
-                for (i, part) in parts.iter_mut().enumerate() {
-                    s.spawn(move || part.push(i * 10));
-                }
-            });
-            assert_eq!(parts, vec![vec![0], vec![10], vec![20]]);
-        }
-
-        #[test]
-        fn scope_returns_the_closure_value() {
-            let total: usize = super::scope(|s| {
-                let h1 = s.spawn(|| 2usize);
-                let h2 = s.spawn(|| 3usize);
-                h1.join().unwrap() + h2.join().unwrap()
-            });
-            assert_eq!(total, 5);
-        }
-    }
-}
 
 /// Work-stealing queues (subset of `crossbeam::deque`).
 pub mod deque {

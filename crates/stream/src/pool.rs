@@ -2,12 +2,12 @@
 //! [`ShardedTriangleIndex`](crate::ShardedTriangleIndex)'s two-phase
 //! pipeline.
 //!
-//! The first sharded engine spawned three sets of scoped threads per
-//! batch, so small-batch high-rate streams paid thread-spawn overhead
-//! that dominated the actual intersection work, and the `id mod S`
-//! partition let a single hot hub serialize its owning worker — exactly
-//! the heavy-vertex imbalance the paper's Theorem 1/2 load balancing is
-//! designed to avoid. [`ShardPool`] fixes both:
+//! Two costs shape it. On a high-rate stream of small batches the fixed
+//! cost of getting work onto other threads dominates the intersection
+//! work itself; and the `id mod S` partition lets a single hot hub
+//! serialize its owning worker — exactly the heavy-vertex imbalance the
+//! paper's Theorem 1/2 load balancing is designed to avoid.
+//! [`ShardPool`] answers both:
 //!
 //! * **Persistence, caller-runs** — the engine thread is worker 0: an
 //!   `S`-shard engine owns `S − 1` helper threads, spawned once (lazily,
@@ -134,13 +134,15 @@ pub(crate) struct WorkerPlan {
     pub(crate) noops: usize,
 }
 
-/// Aggregated pool telemetry over every pool-applied batch of an
+/// Aggregated pool telemetry over every pipelined batch of an
 /// engine's lifetime: how evenly the batch work spread across workers
 /// and how often the stealing path actually fired.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerTelemetry {
-    /// Batches that ran on the persistent pool (inline and sequential
-    /// applies are not counted — they have no workers to balance).
+    /// Batches that ran the pipeline, and so went through the pool —
+    /// whether or not any of their waves left the engine thread.
+    /// Batches on the strictly ordered path are not counted: they never
+    /// reach the pool.
     pub pooled_batches: usize,
     /// Mean over pooled batches of the busiest worker's busy time as a
     /// share of the batch's apply wall time. A hot hub with no stealing
@@ -239,9 +241,8 @@ enum Payload {
     Candidates(Vec<Triangle>),
     Prepared(Vec<PreparedSlot>),
     /// The job's processing panicked; the engine re-raises the panic
-    /// when it gathers the wave (matching the scoped-thread pipeline,
-    /// where a worker panic propagated through `join`). Without this a
-    /// dead helper would leave the engine waiting forever.
+    /// when it gathers the wave. Without this a dead helper would leave
+    /// the engine waiting forever.
     Panicked(String),
 }
 
@@ -943,7 +944,7 @@ fn drain_injector(
 /// adjacency mutations to their owning shards. Returns the plan (minus
 /// removal candidates) and the effective removal edges, whose candidate
 /// collection is the stealable part.
-pub(crate) fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<Edge>) {
+fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<Edge>) {
     let spec = store.spec();
     let mut plan = WorkerPlan {
         ops: vec![Vec::new(); spec.shard_count()],
@@ -1005,7 +1006,7 @@ pub(crate) fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (Worke
 /// The candidate triangles each edge's endpoints close on `store`,
 /// appended to `out`. Used for removal candidates on the pre-batch
 /// adjacency and insertion candidates on the post-batch one.
-pub(crate) fn collect_candidates(store: &ShardStore, edges: &[Edge], out: &mut Vec<Triangle>) {
+fn collect_candidates(store: &ShardStore, edges: &[Edge], out: &mut Vec<Triangle>) {
     for edge in edges {
         let (u, v) = edge.endpoints();
         for w in intersect_sorted(store.neighbors(u), store.neighbors(v)) {

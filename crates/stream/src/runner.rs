@@ -12,6 +12,7 @@
 
 use std::time::{Duration, Instant};
 
+use congest_graph::temporal::fingerprint_hex;
 use congest_graph::triangles as oracle;
 use congest_obs::json;
 use congest_obs::Histogram;
@@ -125,8 +126,9 @@ pub struct RunSummary {
     /// Batch-source name (`kind/base` for scenarios, `replay/<file>` for
     /// temporal replays).
     pub scenario: String,
-    /// The source's deterministic 52-bit fingerprint. Gates compare this
-    /// to refuse baselines measured on a different workload.
+    /// The source's deterministic fingerprint, serialized as 16 hex
+    /// digits. Gates compare it to refuse baselines measured on a
+    /// different workload.
     pub source_fingerprint: u64,
     /// Replay policy label (`size:N` / `window:MS`), `None` for
     /// generated sources.
@@ -201,10 +203,10 @@ impl RunSummary {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         json::push_str(&mut out, "scenario", &self.scenario);
-        json::push_num(
+        json::push_str(
             &mut out,
             "source_fingerprint",
-            self.source_fingerprint as f64,
+            &fingerprint_hex(self.source_fingerprint),
         );
         match &self.replay_policy {
             Some(p) => json::push_str(&mut out, "replay_policy", p),
@@ -352,9 +354,6 @@ pub struct WorkloadRunner<S: BatchSource = Scenario> {
     /// Override of the sharded engine's split threshold (pins it,
     /// disabling the adaptive controller).
     split_threshold: Option<usize>,
-    /// Benchmark control: drive the sharded engine in per-batch-spawn
-    /// mode instead of on its persistent pool.
-    spawn_per_batch: bool,
 }
 
 impl WorkloadRunner<Scenario> {
@@ -388,7 +387,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
             verify: false,
             parallel_threshold: None,
             split_threshold: None,
-            spawn_per_batch: false,
         }
     }
 
@@ -422,15 +420,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
     /// uses this to force both steal paths deterministically.
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
         self.split_threshold = Some(threshold);
-        self
-    }
-
-    /// Benchmark control (builder style): drive the sharded engine with
-    /// scoped threads spawned per batch (the pre-pool pipeline) instead
-    /// of the persistent worker pool. `stream_bench` measures the pool's
-    /// small-batch throughput and hotspot tail latency against this.
-    pub fn spawn_per_batch(mut self) -> Self {
-        self.spawn_per_batch = true;
         self
     }
 
@@ -489,9 +478,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
                 }
                 if let Some(threshold) = self.split_threshold {
                     engine = engine.with_split_threshold(threshold);
-                }
-                if self.spawn_per_batch {
-                    engine = engine.with_per_batch_spawn();
                 }
                 self.run_engine(engine, &base)
             }
@@ -864,17 +850,6 @@ mod tests {
         assert_eq!(single.steal_count, None);
         assert!(single.to_json().contains("\"worker_busy_max_share\":null"));
         assert!(single.to_json().contains("\"steal_count\":null"));
-
-        // The per-batch-spawn benchmark control has no persistent
-        // workers either.
-        let spawn = WorkloadRunner::new(small_scenario())
-            .with_shards(4)
-            .with_parallel_threshold(0)
-            .spawn_per_batch()
-            .recompute_every(0)
-            .run();
-        assert_eq!(spawn.worker_busy_max_share, None);
-        assert_eq!(spawn.final_triangles, pooled.final_triangles);
     }
 
     #[test]
@@ -1018,11 +993,10 @@ mod tests {
             summary.source_fingerprint,
             BatchSource::fingerprint(&scenario)
         );
-        assert!(summary.source_fingerprint < (1 << 52));
         assert_eq!(summary.replay_policy, None);
         let json = summary.to_json();
         assert!(json.contains(&format!(
-            "\"source_fingerprint\":{}",
+            "\"source_fingerprint\":\"{:016x}\"",
             summary.source_fingerprint
         )));
         assert!(json.contains("\"replay_policy\":null"));

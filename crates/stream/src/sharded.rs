@@ -64,8 +64,7 @@ use congest_graph::{AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, 
 use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta, PendingBuffer};
 use crate::index::{validate_batch, ApplyMode, ApplyReport, StreamError};
 use crate::pool::{
-    classify_slice, collect_candidates, BatchRun, BatchStats, ShardPool, WorkerPlan,
-    WorkerTelemetry, DEFAULT_SPLIT_THRESHOLD,
+    BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry, DEFAULT_SPLIT_THRESHOLD,
 };
 use crate::shard::{
     intersect_sorted, merge_added_candidates_supported, merge_removed_candidates_supported,
@@ -189,9 +188,6 @@ pub struct ShardedTriangleIndex {
     /// (the default) or stays pinned to the value handed to
     /// [`with_split_threshold`](ShardedTriangleIndex::with_split_threshold).
     split_threshold_adaptive: bool,
-    /// Benchmark control: spawn scoped threads per batch (the pre-pool
-    /// pipeline) instead of using the persistent pool.
-    spawn_per_batch: bool,
     /// The persistent worker pool, spawned lazily on the first pipelined
     /// batch and reused for every batch and flush after that.
     pool: Option<ShardPool>,
@@ -215,7 +211,6 @@ impl Clone for ShardedTriangleIndex {
             parallel_threshold: self.parallel_threshold,
             split_threshold: self.split_threshold,
             split_threshold_adaptive: self.split_threshold_adaptive,
-            spawn_per_batch: self.spawn_per_batch,
             pool: None,
             telemetry: self.telemetry,
         }
@@ -236,7 +231,6 @@ impl ShardedTriangleIndex {
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             split_threshold: DEFAULT_SPLIT_THRESHOLD,
             split_threshold_adaptive: true,
-            spawn_per_batch: false,
             pool: None,
             telemetry: TelemetryAccum::default(),
         }
@@ -270,12 +264,14 @@ impl ShardedTriangleIndex {
 
     /// Sets the batch size below which applies run on the strictly
     /// ordered sequential path instead of the two-phase pipeline (builder
-    /// style). A single-shard index always takes the sequential path —
-    /// with one shard there is no cross-shard coordination to amortize,
-    /// and the pipeline's partition/coalesce/route overhead is pure loss.
-    /// Setting the threshold to 0 forces the pipeline on every batch and
-    /// every shard count (the property tests do this so tiny batches
-    /// still cover the pool-backed path).
+    /// style). Under any non-zero threshold a single-shard index takes
+    /// the sequential path on every batch — with one shard there is no
+    /// cross-shard coordination to amortize, and the pipeline's
+    /// partition/coalesce/route overhead is pure loss. Setting the
+    /// threshold to 0 forces the pipeline on every batch and every shard
+    /// count (the property tests do this so tiny batches still cover the
+    /// pool-backed path; a single-shard pool has no helper threads, so
+    /// there it runs on the engine thread alone).
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
         self.parallel_threshold = threshold;
         self
@@ -296,17 +292,6 @@ impl ShardedTriangleIndex {
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
         self.split_threshold = threshold;
         self.split_threshold_adaptive = false;
-        self
-    }
-
-    /// Benchmark control (builder style): run the pipeline on freshly
-    /// spawned scoped threads each batch — the pre-pool architecture,
-    /// with no stealing — instead of the persistent pool. `stream_bench`
-    /// uses this as the baseline the pool's small-batch speedup and
-    /// hotspot tail-latency improvements are measured against; it is not
-    /// meant for production configurations.
-    pub fn with_per_batch_spawn(mut self) -> Self {
-        self.spawn_per_batch = true;
         self
     }
 
@@ -434,9 +419,9 @@ impl ShardedTriangleIndex {
     }
 
     /// Lifetime worker-pool telemetry: busy-share balance and steal
-    /// counts over every pool-applied batch (`None` while no batch has
-    /// run on the pool — inline, sequential and per-batch-spawn applies
-    /// have no persistent workers to observe).
+    /// counts over every pipelined batch (`None` while every batch so
+    /// far took the strictly ordered path, which never reaches the
+    /// pool).
     pub fn worker_telemetry(&self) -> Option<WorkerTelemetry> {
         self.telemetry.summary(self.split_threshold)
     }
@@ -506,9 +491,7 @@ impl ShardedTriangleIndex {
             return ApplyReport::default();
         }
         let buffered = self.pending.take();
-        let sequential = self.parallel_threshold > 0
-            && (self.store.shard_count() == 1 || buffered.len() < self.parallel_threshold);
-        let mut report = if sequential {
+        let mut report = if self.takes_ordered_path(buffered.len()) {
             let coalesced = buffered.coalesce();
             let mut report = self.apply_ordered(&coalesced);
             report.noops += buffered.len() - coalesced.len();
@@ -579,6 +562,14 @@ impl ShardedTriangleIndex {
         validate_batch(batch, self.node_count())
     }
 
+    /// Whether a batch of `len` deltas takes the strictly ordered path:
+    /// under a non-zero parallel threshold, every batch of a
+    /// single-shard engine and every batch shorter than the threshold.
+    fn takes_ordered_path(&self, len: usize) -> bool {
+        self.parallel_threshold > 0
+            && (self.store.shard_count() == 1 || len < self.parallel_threshold)
+    }
+
     /// Applies a pre-validated batch: the strictly ordered sequential path
     /// when the pipeline cannot pay for itself, the two-phase pipeline
     /// otherwise. Both paths leave the identical final graph and triangle
@@ -587,9 +578,7 @@ impl ShardedTriangleIndex {
     /// ordered path applies them), which is why the paths are selected by
     /// size, never by content.
     fn apply_validated(&mut self, batch: &DeltaBatch) -> ApplyReport {
-        let sequential = self.parallel_threshold > 0
-            && (self.store.shard_count() == 1 || batch.len() < self.parallel_threshold);
-        if sequential {
+        if self.takes_ordered_path(batch.len()) {
             self.apply_ordered(batch)
         } else {
             self.apply_pipelined(batch)
@@ -656,10 +645,9 @@ impl ShardedTriangleIndex {
         report
     }
 
-    /// The two-phase pipeline (see the [module documentation](self)):
-    /// inline on one shard, on per-batch scoped threads under the
-    /// [`with_per_batch_spawn`](ShardedTriangleIndex::with_per_batch_spawn)
-    /// benchmark control, and on the persistent pool otherwise.
+    /// The two-phase pipeline (see the [module documentation](self)),
+    /// on the persistent pool — which for a single shard is the engine
+    /// thread alone.
     fn apply_pipelined(&mut self, batch: &DeltaBatch) -> ApplyReport {
         let mut report = ApplyReport {
             deltas_seen: batch.len(),
@@ -681,13 +669,7 @@ impl ShardedTriangleIndex {
             work[spec.shard_of(d.edge.lo())].push(*d);
         }
 
-        let plans = if shard_count == 1 {
-            self.run_inline(&work, &mut report)
-        } else if self.spawn_per_batch {
-            self.run_spawn(&work, &mut report)
-        } else {
-            self.run_pooled(work, &mut report)
-        };
+        let plans = self.run_pooled(work, &mut report);
 
         for plan in &plans {
             report.inserts_applied += plan.inserts_applied;
@@ -707,148 +689,6 @@ impl ShardedTriangleIndex {
         // every written buffer is unique, so no read view can see them.
         self.store.advance_epoch();
         report
-    }
-
-    /// Single-shard pipeline: the same phases, inline — there is no
-    /// cross-shard coordination to amortize and nothing to steal.
-    fn run_inline(&mut self, work: &[Vec<EdgeDelta>], report: &mut ApplyReport) -> Vec<WorkerPlan> {
-        let mut plans = Vec::with_capacity(work.len());
-        for slice in work {
-            let (mut plan, removals) = classify_slice(&self.store, slice);
-            congest_obs::span!("sharded", "collect");
-            collect_candidates(&self.store, &removals, &mut plan.removed);
-            plans.push(plan);
-        }
-        {
-            congest_obs::span!("sharded", "merge");
-            for plan in &plans {
-                report.triangles_removed += merge_removed_candidates_supported(
-                    &mut self.triangles,
-                    &mut self.support,
-                    &plan.removed,
-                );
-            }
-        }
-        {
-            congest_obs::span!("sharded", "record");
-            for plan in &plans {
-                for (dest, ops) in plan.ops.iter().enumerate() {
-                    for &op in ops {
-                        self.store.apply_routed(dest, op);
-                    }
-                }
-            }
-        }
-        for plan in &plans {
-            if plan.inserts.is_empty() {
-                continue;
-            }
-            let mut candidates = Vec::new();
-            {
-                congest_obs::span!("sharded", "collect");
-                collect_candidates(&self.store, &plan.inserts, &mut candidates);
-            }
-            congest_obs::span!("sharded", "merge");
-            report.triangles_added += merge_added_candidates_supported(
-                &mut self.triangles,
-                &mut self.support,
-                &candidates,
-            );
-        }
-        plans
-    }
-
-    /// The pre-pool pipeline, kept as the benchmark baseline: three sets
-    /// of scoped threads per batch, no stealing.
-    fn run_spawn(&mut self, work: &[Vec<EdgeDelta>], report: &mut ApplyReport) -> Vec<WorkerPlan> {
-        let store = &self.store;
-        let plans: Vec<WorkerPlan> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .iter()
-                .map(|slice| {
-                    scope.spawn(move || {
-                        let (mut plan, removals) = classify_slice(store, slice);
-                        congest_obs::span!("sharded", "collect");
-                        collect_candidates(store, &removals, &mut plan.removed);
-                        plan
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-
-        {
-            congest_obs::span!("sharded", "merge");
-            for plan in &plans {
-                report.triangles_removed += merge_removed_candidates_supported(
-                    &mut self.triangles,
-                    &mut self.support,
-                    &plan.removed,
-                );
-            }
-        }
-
-        let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); work.len()];
-        for plan in &plans {
-            for (dest, ops) in plan.ops.iter().enumerate() {
-                routed[dest].extend_from_slice(ops);
-            }
-        }
-        for (shard, ops) in routed.iter().enumerate() {
-            self.store.begin_record(shard, ops, &[]);
-        }
-        let mut shards = self.store.take_shards();
-        {
-            congest_obs::span!("sharded", "record");
-            crossbeam::thread::scope(|scope| {
-                for (shard, ops) in shards.iter_mut().zip(&routed) {
-                    if ops.is_empty() {
-                        continue;
-                    }
-                    scope.spawn(move || {
-                        let shard = Arc::get_mut(shard)
-                            .expect("begin_record made every shard with work unique");
-                        for &op in ops {
-                            shard.apply_op(op);
-                        }
-                    });
-                }
-            });
-        }
-        self.store.restore_shards(shards);
-
-        if plans.iter().any(|p| !p.inserts.is_empty()) {
-            let store = &self.store;
-            let added: Vec<Vec<Triangle>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = plans
-                    .iter()
-                    .map(|plan| {
-                        scope.spawn(move || {
-                            congest_obs::span!("sharded", "collect");
-                            let mut out = Vec::new();
-                            collect_candidates(store, &plan.inserts, &mut out);
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            congest_obs::span!("sharded", "merge");
-            for candidates in &added {
-                report.triangles_added += merge_added_candidates_supported(
-                    &mut self.triangles,
-                    &mut self.support,
-                    candidates,
-                );
-            }
-        }
-        plans
     }
 
     /// The pool-backed pipeline: ownership of the store round-trips
@@ -1022,17 +862,12 @@ impl fmt::Debug for ShardedTriangleIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ShardedTriangleIndex(n={}, m={}, shards={}, triangles={}, mode={}, exec={})",
+            "ShardedTriangleIndex(n={}, m={}, shards={}, triangles={}, mode={})",
             self.node_count(),
             self.edge_count(),
             self.shard_count(),
             self.triangle_count(),
             self.mode.name(),
-            if self.spawn_per_batch {
-                "spawn"
-            } else {
-                "pool"
-            },
         )
     }
 }
@@ -1368,22 +1203,32 @@ mod tests {
     }
 
     #[test]
-    fn spawn_mode_and_pool_mode_reach_the_same_state() {
+    fn a_single_shard_pipeline_runs_on_a_pool_without_helpers() {
+        use crate::index::TriangleIndex;
         let g = Gnp::new(50, 0.15).seeded(17).generate();
-        let mut pool = parallel(ShardedTriangleIndex::from_graph(&g, 3));
-        let mut spawn = parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_per_batch_spawn();
-        for step in 0..8u32 {
+        let mut reference = TriangleIndex::from_graph(&g);
+        let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, 1));
+        // `churn` never repeats an edge within a batch, so the
+        // pipeline's coalescer drops nothing and its per-batch tallies
+        // equal the strictly ordered engine's.
+        let steps = 8;
+        for step in 0..steps {
             let b = churn(step, 50);
-            let rp = pool.apply(&b).unwrap();
-            let rs = spawn.apply(&b).unwrap();
-            assert_eq!(rp, rs, "step {step}: per-batch tallies must match");
-            assert_eq!(pool.triangles(), spawn.triangles(), "step {step}");
+            let rr = reference.apply(&b).unwrap();
+            let rs = idx.apply(&b).unwrap();
+            assert_eq!(rr, rs, "step {step}");
+            assert_eq!(idx.triangles(), reference.triangles(), "step {step}");
+            assert_eq!(idx.edge_count(), reference.edge_count(), "step {step}");
         }
-        assert!(pool.matches_oracle());
-        assert!(spawn.matches_oracle());
-        // Only the pool path produces worker telemetry.
-        assert!(pool.worker_telemetry().is_some());
-        assert!(spawn.worker_telemetry().is_none());
+        assert!(idx.matches_oracle());
+        let pool = idx.pool.as_ref().expect("the pipeline ran on a pool");
+        assert_eq!(
+            pool.worker_count(),
+            1,
+            "the engine thread is the only worker"
+        );
+        let telemetry = idx.worker_telemetry().expect("pipelined batches ran");
+        assert_eq!(telemetry.pooled_batches, steps as usize);
     }
 
     #[test]
@@ -1654,15 +1499,15 @@ mod tests {
 
     #[test]
     fn a_bare_index_never_retains_a_buffer_on_any_path() {
-        // Ordered (S = 1), inline pipeline, pool and per-batch spawn:
-        // with no view ever published every write is in place.
+        // Ordered (S = 1), the pipeline on one shard, on three, and with
+        // every record wave split: with no view ever published every
+        // write is in place.
         let g = Gnp::new(50, 0.15).seeded(17).generate();
         let engines = [
             ShardedTriangleIndex::from_graph(&g, 1),
             parallel(ShardedTriangleIndex::from_graph(&g, 1)),
             parallel(ShardedTriangleIndex::from_graph(&g, 3)),
             parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_split_threshold(0),
-            parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_per_batch_spawn(),
         ];
         for mut idx in engines {
             for step in 0..6 {
@@ -1720,11 +1565,6 @@ mod tests {
         let s = format!("{idx:?}");
         assert!(s.contains("n=6"));
         assert!(s.contains("shards=2"));
-        assert!(s.contains("exec=pool"));
-        assert!(format!(
-            "{:?}",
-            ShardedTriangleIndex::new(2, 2).with_per_batch_spawn()
-        )
-        .contains("exec=spawn"));
+        assert!(s.contains("mode=eager"));
     }
 }

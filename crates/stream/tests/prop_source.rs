@@ -251,7 +251,9 @@ fn workload_runner_reports_replay_source_identity() {
     assert!(summary.oracle_checked && summary.oracle_ok);
     let json = summary.to_json();
     assert!(json.contains("\"scenario\":\"replay/identity.tel\""));
-    assert!(json.contains(&format!("\"source_fingerprint\":{expected_fingerprint}")));
+    assert!(json.contains(&format!(
+        "\"source_fingerprint\":\"{expected_fingerprint:016x}\""
+    )));
     assert!(json.contains("\"replay_policy\":\"size:32\""));
 }
 
