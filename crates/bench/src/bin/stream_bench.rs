@@ -22,9 +22,9 @@
 //!   where the pool's fixed costs (hand-off, wake-ups) dominate the
 //!   intersection work, so this ratio is what they cost;
 //! * the **hotspot sweep** runs power-law hub churn through the S=4
-//!   engine and reports p99 apply latency: the work-stealing path
-//!   exists to flatten exactly this tail, and the run's steal count and
-//!   worker busy shares land in the JSON as evidence;
+//!   engine and reports p99 apply latency: this is the tail the static
+//!   `id mod S` partition leaves, and the run's worker busy shares land
+//!   in the JSON beside it;
 //! * the **intersect-kernel sweep** times the shared sorted-set
 //!   intersection core directly on a degree-skewed pair (where the
 //!   adaptive kernel gallops) and a balanced pair (where it merges),
@@ -121,7 +121,7 @@ fn smallbatch_scenario(quick: bool) -> Scenario {
 
 /// The hotspot-churn sweep: power-law endpoints hammer a few hub nodes,
 /// so under `id mod S` one worker's slice carries most of the
-/// intersection work — the tail the stealing path flattens.
+/// intersection work — the worst case for a static partition.
 fn hotspot_pool_scenario(quick: bool) -> Scenario {
     Scenario::hotspot_churn(2_000, if quick { 40 } else { 100 }, 256)
         .with_base(BaseGraph::Gnp { p: 0.005 })
@@ -318,16 +318,13 @@ fn capture_trace(path: &std::path::Path) {
     congest_obs::set_enabled(true);
 
     // Pooled sharded engine on the small-batch stream: parallel
-    // threshold 0 keeps every batch on the pool, and split threshold 0
-    // marks every shard's record work as oversized, so all six apply
-    // phases — including the record-prepare steal wave — appear in the
-    // trace deterministically.
+    // threshold 0 keeps every batch on the pool, so all five apply
+    // phases appear in the trace deterministically.
     let pooled = WorkloadRunner::new(smallbatch_scenario(true))
         .with_shards(4)
         .recompute_every(0)
         .verified(true)
         .with_parallel_threshold(0)
-        .with_split_threshold(0)
         .run();
     assert!(pooled.oracle_ok, "traced sharded run diverged from oracle");
 
@@ -653,7 +650,10 @@ fn main() {
         (
             "pool S=4 hotspot",
             &hotspot_pool,
-            format!("{} steals", hotspot_pool.steal_count.unwrap_or(0)),
+            format!(
+                "busy max {:.2}",
+                hotspot_pool.worker_busy_max_share.unwrap_or(f64::NAN)
+            ),
         ),
     ] {
         table.row([
@@ -715,7 +715,7 @@ fn main() {
         smallbatch_pool.deltas_per_sec, smallbatch_single.deltas_per_sec, smallbatch_speedup,
     );
     println!(
-        "hotspot sweep (S=4): pool p99 {:.0} us; max/mean worker busy share {}/{}, {} steals",
+        "hotspot sweep (S=4): pool p99 {:.0} us; max/mean worker busy share {}/{}",
         hotspot_pool.latency.p99_us,
         hotspot_pool
             .worker_busy_max_share
@@ -725,7 +725,6 @@ fn main() {
             .worker_busy_mean_share
             .map(|v| format!("{v:.2}"))
             .unwrap_or_else(|| "-".to_string()),
-        hotspot_pool.steal_count.unwrap_or(0),
     );
     println!(
         "intersect kernel: skewed 64v8192 {kernel_skewed:.0} Melems/s (galloping), \
@@ -744,7 +743,7 @@ fn main() {
     // Machine-readable trajectory for future PRs (and the CI gate).
     // The top-level `source_fingerprint` identifies the headline
     // workload; every run summary carries its own.
-    let mut json = String::from("{\"bench\":\"stream\",\"schema_version\":5,");
+    let mut json = String::from("{\"bench\":\"stream\",\"schema_version\":6,");
     let _ = write!(
         json,
         "\"args_shards\":{},\"args_flush_deadline_ms\":{},\"quick\":{},\"args_trace_out\":{},\
@@ -790,7 +789,7 @@ fn main() {
     }
     // `json::num` is the shared non-finite→null formatter; the counter/
     // gauge registry snapshot rides along so the trajectory records what
-    // the engines observed about themselves (steals, busy shares, flush
+    // the engines observed about themselves (busy shares, waves, flush
     // staleness) without any extra plumbing per metric.
     let _ = write!(
         json,
@@ -804,7 +803,6 @@ fn main() {
          \"smallbatch_single_deltas_per_sec\":{:.3},\
          \"smallbatch_pool_speedup_vs_single\":{},\
          \"hotspot_pool_p99_us\":{:.3},\
-         \"hotspot_pool_steals\":{},\
          \"hotspot_pool_worker_busy_max_share\":{},\
          \"hotspot_pool_worker_busy_mean_share\":{},\
          \"intersect_kernel_skewed_melems_per_sec\":{:.3},\
@@ -820,7 +818,6 @@ fn main() {
         smallbatch_single.deltas_per_sec,
         json::num(smallbatch_speedup),
         hotspot_pool.latency.p99_us,
-        hotspot_pool.steal_count.unwrap_or(0),
         json::num(hotspot_pool.worker_busy_max_share.unwrap_or(f64::NAN)),
         json::num(hotspot_pool.worker_busy_mean_share.unwrap_or(f64::NAN)),
         kernel_skewed,

@@ -5,8 +5,8 @@
 //! can never silently rot: the file must parse as JSON, every event must
 //! carry the complete-event shape (`name`/`cat` strings, `ph == "X"`,
 //! numeric `ts`/`dur`/`pid`/`tid`), and the trace must contain the span
-//! families the instrumentation promises — all six sharded apply phases
-//! (coalesce, classify, collect, record_prepare, record, merge), the
+//! families the instrumentation promises — all five sharded apply phases
+//! (coalesce, classify, collect, record, merge), the
 //! worker pool, the distributed engine's broadcast and convergecast
 //! phases, and the serve layer's publish / lease-acquire / query
 //! families.
@@ -23,11 +23,10 @@ use congest_bench::json::Value;
 /// benches' instrumented runs (a pooled sharded stream, a distributed
 /// convergecast stream — clean plus a lossy hardened replay — and a
 /// served stream with leased readers).
-const REQUIRED_SPANS: [(&str, &str); 13] = [
+const REQUIRED_SPANS: [(&str, &str); 12] = [
     ("sharded", "coalesce"),
     ("sharded", "classify"),
     ("sharded", "collect"),
-    ("sharded", "record_prepare"),
     ("sharded", "record"),
     ("sharded", "merge"),
     ("pool", "worker"),

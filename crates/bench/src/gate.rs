@@ -102,7 +102,7 @@ pub const TABLES: [GateTable; 3] = [
     // `stream_bench` enforces the S=1 floor on the same run.) The last
     // two rows are the disabled-overhead guard: a same-process ratio,
     // whose run-to-run noise largely cancels, and the hotspot p99, where
-    // per-span overhead would surface first (the steal path crosses the
+    // per-span overhead would surface first (hub-heavy batches cross the
     // most span sites per delta).
     GateTable {
         bench: "stream",

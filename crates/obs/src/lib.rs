@@ -23,7 +23,7 @@
 //! * [`registry`] — a process-wide counter/gauge registry
 //!   ([`counter_add`], [`gauge_set`]) snapshotted to JSON or a text
 //!   report; the engines fold their existing telemetry
-//!   (`WorkerTelemetry`, pool steal counts) into it, and the serve
+//!   (`WorkerTelemetry`, pool wave counts) into it, and the serve
 //!   layer publishes its `serve.active_leases` and
 //!   `serve.oldest_lease_epoch_lag` gauges here (writer-side, once per
 //!   published epoch, so the query hot path never touches the registry

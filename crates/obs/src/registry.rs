@@ -2,7 +2,7 @@
 //!
 //! A deliberately small surface: monotonically increasing counters
 //! ([`counter_add`]) and last-write-wins gauges ([`gauge_set`]), both
-//! keyed by `&'static str` names (dotted, e.g. `"pool.steals"`).
+//! keyed by `&'static str` names (dotted, e.g. `"pool.waves_inline"`).
 //! Updates land at batch/run granularity — never per delta — so one
 //! short mutex hold per update is cheap; the lock-free discipline of the
 //! span path is not needed here. Snapshots render to JSON (merged into

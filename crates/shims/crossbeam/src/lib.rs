@@ -2,140 +2,12 @@
 //! crate.
 //!
 //! The build environment has no registry access, so this shim provides the
-//! two surfaces the workspace uses — unbounded MPSC channels and the
-//! work-stealing injector queue — implemented over `std::sync::mpsc` and
-//! `std::sync::Mutex`. Semantics match crossbeam for the patterns in this
-//! codebase: cloneable senders, blocking `recv` that errors once every
-//! sender is dropped, and a shared FIFO [`deque::Injector`] any thread
-//! can push to and steal from.
+//! one surface the workspace uses — unbounded MPSC channels — implemented
+//! over `std::sync::mpsc`. Semantics match crossbeam for the patterns in
+//! this codebase: cloneable senders, and a blocking `recv` that errors
+//! once every sender is dropped.
 
 #![forbid(unsafe_code)]
-
-/// Work-stealing queues (subset of `crossbeam::deque`).
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// Outcome of a steal attempt (mirrors `crossbeam_deque::Steal`).
-    ///
-    /// The mutex-backed shim never *produces* `Retry`, but the variant is
-    /// part of the surface so consumer loops are written correctly for
-    /// the real crate (which returns `Retry` under contention; a loop
-    /// that treats it as `Empty` would silently drop queued tasks).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// A task was stolen.
-        Success(T),
-        /// The attempt lost a race and should be retried.
-        Retry,
-    }
-
-    /// A FIFO task queue shared between threads: any thread can
-    /// [`push`](Injector::push) and any thread can
-    /// [`steal`](Injector::steal). Subset of `crossbeam_deque::Injector`,
-    /// backed by a mutex — contention stays low as long as tasks are
-    /// coarse, which is how the shard pool uses it (work units are
-    /// threshold-sized chunks, not single intersections).
-    #[derive(Debug)]
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// An empty queue.
-        pub fn new() -> Self {
-            Injector {
-                queue: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Appends a task at the back of the queue.
-        pub fn push(&self, task: T) {
-            self.queue
-                .lock()
-                .expect("injector lock poisoned")
-                .push_back(task);
-        }
-
-        /// Pops the task at the front of the queue, if any.
-        pub fn steal(&self) -> Steal<T> {
-            match self
-                .queue
-                .lock()
-                .expect("injector lock poisoned")
-                .pop_front()
-            {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Whether the queue currently holds no tasks.
-        pub fn is_empty(&self) -> bool {
-            self.queue
-                .lock()
-                .expect("injector lock poisoned")
-                .is_empty()
-        }
-
-        /// Number of tasks currently queued.
-        pub fn len(&self) -> usize {
-            self.queue.lock().expect("injector lock poisoned").len()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::Arc;
-
-        #[test]
-        fn fifo_order_single_thread() {
-            let q = Injector::new();
-            assert!(q.is_empty());
-            q.push(1);
-            q.push(2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.steal(), Steal::Success(1));
-            assert_eq!(q.steal(), Steal::Success(2));
-            assert_eq!(q.steal(), Steal::<i32>::Empty);
-        }
-
-        #[test]
-        fn every_task_is_stolen_exactly_once_across_threads() {
-            let q = Arc::new(Injector::new());
-            for i in 0..100u64 {
-                q.push(i);
-            }
-            let mut sums = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        let q = Arc::clone(&q);
-                        s.spawn(move || {
-                            let mut sum = 0u64;
-                            while let Steal::Success(t) = q.steal() {
-                                sum += t;
-                            }
-                            sum
-                        })
-                    })
-                    .collect();
-                sums = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            });
-            assert_eq!(sums.iter().sum::<u64>(), (0..100).sum());
-            assert!(q.is_empty());
-        }
-    }
-}
 
 /// Multi-producer channels (subset of `crossbeam::channel`).
 pub mod channel {

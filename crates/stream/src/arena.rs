@@ -247,8 +247,7 @@ impl NeighborArena {
 
     /// Replaces the list at `slot` wholesale with the (sorted,
     /// duplicate-free) `neighbors` — used when seeding from a static
-    /// graph and when the record pipeline lands a prepared post-batch
-    /// list. The old slab is quarantined like any other free.
+    /// graph. The old slab is quarantined like any other free.
     pub fn seed(&mut self, slot: usize, neighbors: &[NodeId]) {
         debug_assert!(neighbors.is_sorted());
         let entry = self.slots[slot];

@@ -58,8 +58,8 @@ pub trait StreamEngine: AdjacencyView {
     /// single-threaded index).
     fn shard_count(&self) -> usize;
 
-    /// Lifetime worker-pool telemetry — busy-share balance and steal
-    /// counts over every pool-applied batch — for engines backed by a
+    /// Lifetime worker-pool telemetry — busy-share balance over every
+    /// pool-applied batch — for engines backed by a
     /// persistent worker pool. The default is `None`: engines without a
     /// pool (or pool-backed engines whose batches all took the inline or
     /// sequential path) have no worker balance to report.

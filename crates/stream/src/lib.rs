@@ -16,11 +16,13 @@
 //! * [`ShardedTriangleIndex`] — the multi-core engine: adjacency is
 //!   partitioned across `S` shards by node hash (`id mod S`), each shard
 //!   owning the full neighbour lists of its nodes, and a batch applies in
-//!   two phases — shard-parallel collect/record on a **persistent
-//!   caller-runs pool** (the engine thread is worker 0 beside `S − 1`
-//!   helpers spawned once per engine and fed over channels, with
-//!   oversized hub slices split into stealable task units so hot
-//!   vertices don't serialize their worker), then a merge that dedupes
+//!   two phases — three shard-parallel waves (collect, record,
+//!   insert-collect) on a **persistent caller-runs pool** (the engine
+//!   thread is worker 0 beside `S − 1` helpers spawned once per engine
+//!   and fed over channels; each worker does its own `id mod S` slice
+//!   end to end and no work moves between workers mid-batch, so the
+//!   engine's state is a function of its input alone), then a merge
+//!   that dedupes
 //!   triangle deltas so each triangle is counted exactly once (the
 //!   type's documentation walks through the full pipeline; per-run
 //!   balance is observable via [`WorkerTelemetry`]). **Picking `S`**:
@@ -32,8 +34,9 @@
 //!   thread, and they leave it only when their estimated work covers
 //!   the helpers' wake-ups: on `perf_report`'s `pool_smallbatch`
 //!   (S = 2, 256-delta batches, 2 cores) every wave stays inline and
-//!   the engine runs at about 0.45× the single-threaded one; on
-//!   5000-delta batches (`bigbatch_sharded`) it is about 0.5–0.6×.
+//!   the engine runs at about 0.47× the single-threaded one; on
+//!   5000-delta batches (`bigbatch_sharded`), where the waves are
+//!   handed off, it is about 0.72×.
 //!   Where parallelism cannot pay, a sharded index costs a small
 //!   multiple, not a few percent.
 //! * [`DistributedTriangleEngine`] — the **distributed dynamic** engine:

@@ -2,12 +2,15 @@
 //! [`ShardedTriangleIndex`](crate::ShardedTriangleIndex)'s two-phase
 //! pipeline.
 //!
-//! Two costs shape it. On a high-rate stream of small batches the fixed
-//! cost of getting work onto other threads dominates the intersection
-//! work itself; and the `id mod S` partition lets a single hot hub
-//! serialize its owning worker — exactly the heavy-vertex imbalance the
-//! paper's Theorem 1/2 load balancing is designed to avoid.
-//! [`ShardPool`] answers both:
+//! A batch is three waves — collect, record, insert-collect — and in
+//! each one every worker does its own `id mod S` slice end to end:
+//! load is balanced statically, by the partition, the way the paper's
+//! A2/A3 fix a hash partition before a phase runs, and nothing moves
+//! between workers mid-batch. An engine's full state, arena layout
+//! included, is therefore a function of its input stream alone. What
+//! the pool does manage is the fixed cost of getting work onto other
+//! threads, which on a high-rate stream of small batches dominates the
+//! intersection work itself:
 //!
 //! * **Persistence, caller-runs** — the engine thread is worker 0: an
 //!   `S`-shard engine owns `S − 1` helper threads, spawned once (lazily,
@@ -26,31 +29,6 @@
 //!   most [`SPIN_BEFORE_PARK`] before it blocks, and only while the
 //!   machine has a core for every worker; an oversubscribed pool parks
 //!   at once.
-//! * **Work stealing** — candidate collection (the expensive, read-only
-//!   part of a batch) is decomposed into stealable task units: when a
-//!   worker's slice of effective deltas carries more estimated
-//!   intersection work (sum of endpoint degrees) than the split
-//!   threshold, the worker *defers* the slice back to the engine, which
-//!   chunks every deferred slice onto a shared
-//!   [`Injector`](crossbeam::deque::Injector) queue **before**
-//!   dispatching a drain wave to all workers. Seeding the queue up
-//!   front makes the spreading deterministic — there is no race where
-//!   an idle worker checks an empty queue a microsecond before the hub
-//!   owner pushes its tasks — so a hot hub's intersections reliably
-//!   spread across the whole pool instead of serializing one worker.
-//!   (The insert phase needs no extra wave: its work lists are known to
-//!   the engine before dispatch, so oversized ones are pre-chunked onto
-//!   the queue and the rest ride along in the per-worker jobs.) The
-//!   *record* phase steals too: a shard whose routed mutations exceed
-//!   the threshold — and would alone pay for a hand-off — has its
-//!   per-slot ops resolved into ready-to-seed post-batch neighbour
-//!   lists by a pre-seeded prepare wave ([`BatchRun::record_wave`]), so
-//!   the owner lands them as wholesale arena slab replacements instead
-//!   of applying every op serially. That is the one place the floor
-//!   decides *what* runs, not only where: a seeded list takes a fresh
-//!   slab where an edited one keeps its own, so arena layout (never the
-//!   lists) can differ between an engine under the floor and one forced
-//!   past it.
 //!
 //! Everything stays safe Rust with no locks on the read path by
 //! **round-tripping ownership** instead of sharing borrows:
@@ -74,31 +52,23 @@
 //! 3. *Insert collect* (read-only): same `Arc` round trip on the
 //!    post-batch store.
 //!
-//! Every response also carries the job's busy time and steal count,
-//! which the engine aggregates into [`WorkerTelemetry`] — the
-//! observability surface for hotspot flattening (see the bench docs);
-//! worker 0's busy time is the engine thread's. How many waves a batch
-//! handed off or kept lands in the registry as `pool.waves_handed_off`
-//! and `pool.waves_inline`.
+//! Every response also carries the job's busy time, which the engine
+//! aggregates into [`WorkerTelemetry`] — how evenly the partition spread
+//! a batch; worker 0's busy time is the engine thread's. How many waves
+//! a batch handed off or kept lands in the registry as
+//! `pool.waves_handed_off` and `pool.waves_inline`.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use congest_graph::{Edge, NodeId, Triangle};
+use congest_graph::{Edge, Triangle};
 use crossbeam::channel::{unbounded, Receiver, RecvError, Sender, TryRecvError};
-use crossbeam::deque::{Injector, Steal};
 
 use crate::delta::{DeltaOp, EdgeDelta};
-use crate::shard::{intersect_sorted, PreparedSlot, Shard, ShardOp, ShardStore};
+use crate::shard::{intersect_sorted, Shard, ShardOp, ShardStore};
 
-/// Default estimated-intersection-work budget (sum of endpoint degrees
-/// over a slice) above which a worker's candidate collection is split
-/// into stealable injector tasks. Below it the slice is processed
-/// locally: chunking and queue traffic would cost more than they spread.
-pub(crate) const DEFAULT_SPLIT_THRESHOLD: usize = 2_048;
-
-/// Estimated work (same currency as the split threshold, plus
+/// Estimated work ([`ShardStore::intersection_cost`] per edge, plus
 /// [`ITEM_WORK`] per item) under which a wave is not handed to the
 /// helpers: about 100 µs of intersections and list edits, which is what
 /// two futex wake-ups cost. Below it the engine thread runs every
@@ -123,20 +93,15 @@ pub(crate) struct WorkerPlan {
     /// Effective insertions (their closing triangles are collected on
     /// the post-batch adjacency in the third phase).
     pub(crate) inserts: Vec<Edge>,
-    /// Candidate retired triangles from effective removals whose slice
-    /// stayed within the split threshold (collected by the owner).
+    /// Candidate retired triangles from the slice's effective removals.
     pub(crate) removed: Vec<Triangle>,
-    /// Effective removals whose candidate collection was deferred to the
-    /// steal wave because the slice exceeded the split threshold.
-    pub(crate) deferred_removals: Vec<Edge>,
     pub(crate) inserts_applied: usize,
     pub(crate) removes_applied: usize,
     pub(crate) noops: usize,
 }
 
 /// Aggregated pool telemetry over every pipelined batch of an
-/// engine's lifetime: how evenly the batch work spread across workers
-/// and how often the stealing path actually fired.
+/// engine's lifetime: how evenly the batch work spread across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerTelemetry {
     /// Batches that ran the pipeline, and so went through the pool —
@@ -145,92 +110,39 @@ pub struct WorkerTelemetry {
     /// reach the pool.
     pub pooled_batches: usize,
     /// Mean over pooled batches of the busiest worker's busy time as a
-    /// share of the batch's apply wall time. A hot hub with no stealing
-    /// pushes this toward 1.0 while the mean share stays near `1/S`;
-    /// stealing pulls the two together.
+    /// share of the batch's apply wall time. A hot hub pushes this
+    /// toward 1.0 while the mean share stays near `1/S`.
     pub busy_max_share_mean: f64,
     /// Mean over pooled batches of the per-worker mean busy share of
     /// the apply wall time (the pool's utilization).
     pub busy_mean_share_mean: f64,
-    /// Total intersection task units executed by a worker that did not
-    /// own the slice they came from.
+    /// Retired, always 0: kept only for the frozen `perf_report` referee.
     pub steals: u64,
-    /// Total record-prepare task units pushed onto the shared queue:
-    /// slot groups of an oversized shard's routed mutations whose
-    /// post-batch neighbour lists were merged by the whole pool instead
-    /// of serializing the owning worker's record pass.
+    /// Retired, always 0: kept only for the frozen `perf_report` referee.
     pub record_split_tasks: u64,
-    /// The split threshold in effect after the last pooled batch. Under
-    /// the adaptive controller this drifts with observed imbalance;
-    /// pinned engines report their fixed value.
+    /// Retired, always 0: kept only for the frozen `perf_report` referee.
     pub split_threshold: usize,
-}
-
-/// One stealable unit of candidate-collection work: intersect the
-/// endpoint neighbourhoods of `edges` on the shared read-only store.
-struct IntersectTask {
-    /// Index of the worker whose slice the edges came from (a pop by
-    /// any other worker counts as a steal).
-    owner: usize,
-    edges: Vec<Edge>,
-}
-
-/// One stealable unit of record-preparation work: merge each slot
-/// group's routed mutations into the slot's pre-batch neighbour list,
-/// yielding the post-batch list ready to be seeded wholesale during the
-/// record phase.
-struct PrepareTask {
-    /// The shard the slots belong to — which is also the index of the
-    /// worker that would otherwise apply these ops serially (worker `i`
-    /// owns shard `i`), so a pop by any other worker counts as a steal.
-    owner: usize,
-    /// Routed ops sorted by local slot, whole slots only: at most one
-    /// op per `(slot, other)` pair survives the upstream coalesce, so a
-    /// single merge pass per equal-slot run is exact.
-    ops: Vec<ShardOp>,
 }
 
 /// A work descriptor for one worker. All payloads are owned, which is
 /// what lets the workers be persistent (`'static`) without `unsafe`.
 enum Job {
     /// Read-only collect pass over `deltas` (this worker's slice):
-    /// classify, then collect removal candidates locally when the slice
-    /// is within the split threshold, deferring them otherwise.
+    /// classify, then collect the removal candidates.
     Collect {
         store: Arc<ShardStore>,
         deltas: Vec<EdgeDelta>,
-        split_threshold: usize,
     },
-    /// Steal wave: pop tasks from the pre-seeded shared queue until it
-    /// is empty (the engine pushes every task before sending any of
-    /// these, so all workers see the full queue).
-    Drain {
-        store: Arc<ShardStore>,
-        injector: Arc<Injector<IntersectTask>>,
-    },
-    /// Record-prepare wave: pop slot groups from the pre-seeded shared
-    /// queue and merge each group's ops into the slot's pre-batch list
-    /// on the shared read-only store (same seeded-before-drain
-    /// discipline as the collect steal wave).
-    RecordPrepare {
-        store: Arc<ShardStore>,
-        injector: Arc<Injector<PrepareTask>>,
-    },
-    /// Apply the routed mutations to this worker's own shard: prepared
-    /// post-batch lists land wholesale first, the remaining ops apply
-    /// one by one.
+    /// Apply the routed mutations to this worker's own shard.
     Record {
         shard: Arc<Shard>,
         ops: Vec<ShardOp>,
-        prepared: Vec<PreparedSlot>,
     },
-    /// Read-only collect of the triangles `local` closes on the
-    /// post-batch adjacency, then drain the (pre-seeded) shared queue of
-    /// oversized insert slices.
+    /// Read-only collect of the triangles `edges` close on the
+    /// post-batch adjacency.
     InsertCollect {
         store: Arc<ShardStore>,
-        local: Vec<Edge>,
-        injector: Arc<Injector<IntersectTask>>,
+        edges: Vec<Edge>,
     },
 }
 
@@ -239,7 +151,6 @@ enum Payload {
     Plan(WorkerPlan),
     Shard(Arc<Shard>),
     Candidates(Vec<Triangle>),
-    Prepared(Vec<PreparedSlot>),
     /// The job's processing panicked; the engine re-raises the panic
     /// when it gathers the wave. Without this a dead helper would leave
     /// the engine waiting forever.
@@ -250,7 +161,6 @@ enum Payload {
 struct Response {
     worker: usize,
     busy: Duration,
-    steals: u64,
     payload: Payload,
 }
 
@@ -374,13 +284,10 @@ fn recv_spinning<T>(channel: &Receiver<T>, spin: bool) -> Result<T, RecvError> {
 /// back — and the hand-off decision live in one place.
 pub(crate) struct BatchRun<'a> {
     pool: &'a ShardPool,
-    split_threshold: usize,
     /// Estimated work from which a wave is handed to the helpers.
     work_floor: usize,
     started: Instant,
     busy: Vec<Duration>,
-    steals: u64,
-    record_split_tasks: u64,
     /// Responses of the dispatched wave's jobs the engine ran itself.
     ready: Vec<Response>,
     /// Helper responses the dispatched wave still owes.
@@ -391,16 +298,13 @@ pub(crate) struct BatchRun<'a> {
 
 impl<'a> BatchRun<'a> {
     /// Starts a batch on `pool`.
-    pub(crate) fn new(pool: &'a ShardPool, split_threshold: usize) -> Self {
+    pub(crate) fn new(pool: &'a ShardPool) -> Self {
         let workers = pool.worker_count();
         BatchRun {
             pool,
-            split_threshold,
             work_floor: HANDOFF_WORK_FLOOR,
             started: Instant::now(),
             busy: vec![Duration::ZERO; workers],
-            steals: 0,
-            record_split_tasks: 0,
             ready: Vec::new(),
             in_flight: 0,
             waves_handed_off: 0,
@@ -467,7 +371,6 @@ impl<'a> BatchRun<'a> {
             .chain((0..in_flight).map(|_| pool.recv()))
         {
             self.busy[response.worker] += response.busy;
-            self.steals += response.steals;
             payloads[response.worker] = Some(response.payload);
         }
         payloads
@@ -491,7 +394,6 @@ impl<'a> BatchRun<'a> {
             .map(|deltas| Job::Collect {
                 store: Arc::clone(&store),
                 deltas,
-                split_threshold: self.split_threshold,
             })
             .collect();
         self.dispatch(jobs, estimate);
@@ -506,139 +408,17 @@ impl<'a> BatchRun<'a> {
         (reclaim(store), plans)
     }
 
-    /// Phase 1.5, the steal wave (run only when some worker deferred an
-    /// oversized slice): chunks every deferred slice into owner-tagged
-    /// tasks on a shared queue, *then* dispatches a drain job to every
-    /// worker — all tasks are visible before any worker starts, so the
-    /// spreading cannot be missed by unlucky timing. Returns the
-    /// reclaimed store and the candidates each worker collected.
-    pub(crate) fn steal_wave(
-        &mut self,
-        store: ShardStore,
-        deferred: Vec<(usize, Vec<Edge>)>,
-    ) -> (ShardStore, Vec<Vec<Triangle>>) {
-        let estimate = self.edge_work(
-            &store,
-            deferred.iter().flat_map(|(_, edges)| edges).copied(),
-        );
-        let injector = Arc::new(Injector::new());
-        for (owner, edges) in deferred {
-            push_chunks(&store, edges, self.split_threshold, owner, &injector);
-        }
-        let store = Arc::new(store);
-        let jobs = (0..self.pool.worker_count())
-            .map(|_| Job::Drain {
-                store: Arc::clone(&store),
-                injector: Arc::clone(&injector),
-            })
-            .collect();
-        self.dispatch(jobs, estimate);
-        let all = self.gather_candidates("the steal wave");
-        (reclaim(store), all)
-    }
-
-    /// Phase 1.75, the record-prepare wave (the write-path analogue of
-    /// the collect steal wave): before shards move to their owners, a
-    /// shard whose routed mutations carry more estimated merge work
-    /// (pre-batch degree plus op count, summed over touched slots) than
-    /// the split threshold has those mutations resolved into
-    /// ready-to-seed post-batch neighbour lists on the shared read-only
-    /// store. The slot groups are chunked onto the shared queue *before*
-    /// the drain jobs go out — the same deterministic seeded-before-drain
-    /// discipline as [`steal_wave`](BatchRun::steal_wave) — so a hot
-    /// shard's write preparation spreads across the whole pool instead
-    /// of serializing its owner. Shards within the threshold — or whose
-    /// merge work would not alone pay for a hand-off: under the floor
-    /// there is nobody to spread it to, and one list edit per op beats
-    /// one allocated list per slot — keep their ops (applied serially
-    /// by the owner). Returns the reclaimed store and each shard's
-    /// prepared slots; when no shard qualifies the wave is skipped
-    /// entirely (no jobs are dispatched).
-    pub(crate) fn record_wave(
-        &mut self,
-        store: ShardStore,
-        routed: &mut [Vec<ShardOp>],
-    ) -> (ShardStore, Vec<Vec<PreparedSlot>>) {
-        let workers = self.pool.worker_count();
-        let spec = store.spec();
-        let injector = Arc::new(Injector::new());
-        let mut pushed = 0u64;
-        let mut estimate = 0usize;
-        for (shard, ops) in routed.iter_mut().enumerate() {
-            // Billing every op its slot's whole list can only overstate
-            // the cost, so a shard that stays within budget even then
-            // (the usual small batch) is settled without a sort.
-            let keeps = |cost: usize| cost <= self.split_threshold || cost < self.work_floor;
-            let slot_degree = |op: &ShardOp| store.degree(spec.node_of(shard, op.local));
-            if keeps(ops.iter().map(|op| slot_degree(op) + 1).sum()) {
-                continue;
-            }
-            // Slot order is free (op order across and inside slots is
-            // irrelevant) and gives the exact cost, and later the
-            // tasks, over equal-slot runs.
-            ops.sort_unstable_by_key(|op| op.local);
-            let cost: usize = ops
-                .chunk_by(|a, b| a.local == b.local)
-                .map(|run| slot_degree(&run[0]) + run.len())
-                .sum();
-            if keeps(cost) {
-                continue;
-            }
-            estimate += cost;
-            pushed += push_prepare_chunks(&store, shard, ops, self.split_threshold, &injector);
-            ops.clear();
-        }
-        self.record_split_tasks += pushed;
-        let mut all: Vec<Vec<PreparedSlot>> = (0..workers).map(|_| Vec::new()).collect();
-        if pushed == 0 {
-            return (store, all);
-        }
-        let store = Arc::new(store);
-        let jobs = (0..workers)
-            .map(|_| Job::RecordPrepare {
-                store: Arc::clone(&store),
-                injector: Arc::clone(&injector),
-            })
-            .collect();
-        self.dispatch(jobs, estimate);
-        for payload in self.gather() {
-            match payload {
-                Payload::Prepared(slots) => {
-                    // A stolen group's list belongs to the *owner's*
-                    // record job, not the preparer's: route by shard.
-                    for slot in slots {
-                        all[slot.shard].push(slot);
-                    }
-                }
-                _ => unreachable!("the prepare wave only receives prepared slots"),
-            }
-        }
-        (reclaim(store), all)
-    }
-
     /// Phase 2 start: moves each shard to its owning worker along with
-    /// its routed mutations and any prepared post-batch lists from the
-    /// record-prepare wave; the engine writes worker 0's shard before
+    /// its routed mutations; the engine writes worker 0's shard before
     /// this returns. The caller can then merge removal candidates while
     /// the helpers write; finish with
     /// [`finish_record`](BatchRun::finish_record).
-    pub(crate) fn start_record(
-        &mut self,
-        shards: Vec<Arc<Shard>>,
-        routed: Vec<Vec<ShardOp>>,
-        prepared: Vec<Vec<PreparedSlot>>,
-    ) {
-        let items: usize = routed.iter().map(Vec::len).sum::<usize>()
-            + prepared.iter().map(Vec::len).sum::<usize>();
+    pub(crate) fn start_record(&mut self, shards: Vec<Arc<Shard>>, routed: Vec<Vec<ShardOp>>) {
+        let items: usize = routed.iter().map(Vec::len).sum();
         let jobs = shards
             .into_iter()
             .zip(routed)
-            .zip(prepared)
-            .map(|((shard, ops), prepared)| Job::Record {
-                shard,
-                ops,
-                prepared,
-            })
+            .map(|(shard, ops)| Job::Record { shard, ops })
             .collect();
         self.dispatch(jobs, items * ITEM_WORK);
     }
@@ -655,57 +435,35 @@ impl<'a> BatchRun<'a> {
     }
 
     /// Phase 3: collects the triangles each worker's effective
-    /// insertions close on the post-batch store. The engine knows the
-    /// work lists (and the post-record degrees) before dispatching, so
-    /// oversized lists are pre-chunked onto the shared queue here and
-    /// every worker drains it after its local list — deterministic
-    /// spreading with no extra round trip.
+    /// insertions close on the post-batch store.
     pub(crate) fn insert_collect(
         &mut self,
         store: ShardStore,
         inserts: Vec<Vec<Edge>>,
     ) -> (ShardStore, Vec<Vec<Triangle>>) {
         let estimate = self.edge_work(&store, inserts.iter().flatten().copied());
-        let injector = Arc::new(Injector::new());
-        let locals: Vec<Vec<Edge>> = inserts
-            .into_iter()
-            .enumerate()
-            .map(|(owner, edges)| {
-                if slice_cost(&store, &edges) <= self.split_threshold {
-                    edges
-                } else {
-                    push_chunks(&store, edges, self.split_threshold, owner, &injector);
-                    Vec::new()
-                }
-            })
-            .collect();
         let store = Arc::new(store);
-        let jobs = locals
+        let jobs = inserts
             .into_iter()
-            .map(|local| Job::InsertCollect {
+            .map(|edges| Job::InsertCollect {
                 store: Arc::clone(&store),
-                local,
-                injector: Arc::clone(&injector),
+                edges,
             })
             .collect();
         self.dispatch(jobs, estimate);
-        let all = self.gather_candidates("the insert phase");
-        (reclaim(store), all)
-    }
-
-    /// Gathers a wave whose every payload is a candidate list.
-    fn gather_candidates(&mut self, wave: &str) -> Vec<Vec<Triangle>> {
-        self.gather()
+        let candidates = self
+            .gather()
             .into_iter()
             .map(|payload| match payload {
                 Payload::Candidates(candidates) => candidates,
-                _ => unreachable!("{wave} only receives candidates"),
+                _ => unreachable!("the insert phase only receives candidates"),
             })
-            .collect()
+            .collect();
+        (reclaim(store), candidates)
     }
 
     /// Ends the batch: per-batch busy shares relative to the apply's
-    /// wall time, the steal count, and where the waves ran.
+    /// wall time, and where the waves ran.
     pub(crate) fn finish(self) -> BatchStats {
         let wall = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         let workers = self.busy.len().max(1) as f64;
@@ -726,8 +484,6 @@ impl<'a> BatchRun<'a> {
         BatchStats {
             busy_max_share: (max / wall).min(1.0),
             busy_mean_share: (total / (workers * wall)).min(1.0),
-            steals: self.steals,
-            record_split_tasks: self.record_split_tasks,
             waves_handed_off: self.waves_handed_off,
             waves_inline: self.waves_inline,
         }
@@ -744,8 +500,6 @@ fn reclaim(store: Arc<ShardStore>) -> ShardStore {
 pub(crate) struct BatchStats {
     pub(crate) busy_max_share: f64,
     pub(crate) busy_mean_share: f64,
-    pub(crate) steals: u64,
-    pub(crate) record_split_tasks: u64,
     /// Waves whose jobs went out to the helpers.
     pub(crate) waves_handed_off: u64,
     /// Waves the engine thread ran alone, under the work floor.
@@ -772,14 +526,11 @@ fn worker_loop(worker: usize, jobs: Receiver<Job>, results: Sender<Response>, sp
 fn run_job(worker: usize, job: Job) -> Response {
     let worker_span = congest_obs::trace::span("pool", "worker");
     let started = Instant::now();
-    let mut steals = 0u64;
     // A panicking job must still produce a response, or the engine
     // would wait forever on a dead helper; the engine re-raises the
     // panic when it gathers the wave.
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        process_job(job, worker, &mut steals)
-    }))
-    .unwrap_or_else(|panic| Payload::Panicked(panic_message(&panic)));
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_job(job)))
+        .unwrap_or_else(|panic| Payload::Panicked(panic_message(&panic)));
     // The store view is dropped inside `process_job` *before* the
     // response exists (by unwinding, in the panic case), so once the
     // engine holds every response, `Arc::try_unwrap` succeeds.
@@ -787,7 +538,6 @@ fn run_job(worker: usize, job: Job) -> Response {
     Response {
         worker,
         busy: started.elapsed(),
-        steals,
         payload,
     }
 }
@@ -796,67 +546,18 @@ fn run_job(worker: usize, job: Job) -> Response {
 /// `catch_unwind` in [`run_job`]; dropping the job's store view
 /// before returning (or by unwinding) is what keeps the engine's
 /// `Arc::try_unwrap` reliable.
-fn process_job(job: Job, worker: usize, steals: &mut u64) -> Payload {
+fn process_job(job: Job) -> Payload {
     match job {
-        Job::Collect {
-            store,
-            deltas,
-            split_threshold,
-        } => {
+        Job::Collect { store, deltas } => {
             let (mut plan, removals) = classify_slice(&store, &deltas);
-            if slice_cost(&store, &removals) <= split_threshold {
-                congest_obs::span!("sharded", "collect");
-                collect_candidates(&store, &removals, &mut plan.removed);
-            } else {
-                // Too hot to handle alone: the engine will chunk these
-                // onto the shared queue and run a drain wave.
-                plan.deferred_removals = removals;
-            }
+            congest_obs::span!("sharded", "collect");
+            collect_candidates(&store, &removals, &mut plan.removed);
             drop(store);
             Payload::Plan(plan)
         }
-        Job::Drain { store, injector } => {
-            congest_obs::span!("pool", "drain");
-            let mut candidates = Vec::new();
-            *steals += drain_injector(&store, &injector, worker, &mut candidates);
-            drop(store);
-            Payload::Candidates(candidates)
-        }
-        Job::RecordPrepare { store, injector } => {
-            congest_obs::span!("sharded", "record_prepare");
-            let spec = store.spec();
-            let mut prepared = Vec::new();
-            loop {
-                match injector.steal() {
-                    Steal::Success(mut task) => {
-                        if task.owner != worker {
-                            *steals += 1;
-                        }
-                        for run in task.ops.chunk_by_mut(|a, b| a.local == b.local) {
-                            let local = run[0].local;
-                            let base = store.neighbors(spec.node_of(task.owner, local));
-                            let list = merge_ops(base, run);
-                            prepared.push(PreparedSlot {
-                                shard: task.owner,
-                                local,
-                                list,
-                            });
-                        }
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-            drop(store);
-            Payload::Prepared(prepared)
-        }
-        Job::Record {
-            mut shard,
-            ops,
-            prepared,
-        } => {
+        Job::Record { mut shard, ops } => {
             congest_obs::span!("sharded", "record");
-            if !(ops.is_empty() && prepared.is_empty()) {
+            if !ops.is_empty() {
                 // Always in place: the engine thread swapped every
                 // shard with work past whatever view pinned it
                 // (`ShardStore::begin_record`). A shard without work may
@@ -864,33 +565,16 @@ fn process_job(job: Job, worker: usize, steals: &mut u64) -> Payload {
                 let target = Arc::get_mut(&mut shard).expect(
                     "the engine makes every shard with work unique before the record phase",
                 );
-                // By reference: the lists were allocated by whichever
-                // worker prepared them, and freeing one between every
-                // two seeds has the workers park on each other's
-                // allocator locks (2.5x the phase on 5000-delta
-                // batches). They are freed together when the job ends.
-                for slot in &prepared {
-                    debug_assert_eq!(
-                        slot.shard, worker,
-                        "prepared slots are routed to their owner"
-                    );
-                    target.seed(slot.local, &slot.list);
-                }
                 for op in ops {
                     target.apply_op(op);
                 }
             }
             Payload::Shard(shard)
         }
-        Job::InsertCollect {
-            store,
-            local,
-            injector,
-        } => {
+        Job::InsertCollect { store, edges } => {
             congest_obs::span!("sharded", "collect");
             let mut candidates = Vec::new();
-            collect_candidates(&store, &local, &mut candidates);
-            *steals += drain_injector(&store, &injector, worker, &mut candidates);
+            collect_candidates(&store, &edges, &mut candidates);
             drop(store);
             Payload::Candidates(candidates)
         }
@@ -909,41 +593,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Pops injector tasks until the queue is empty, intersecting each
-/// task's edges into `out`. Returns how many tasks were *stolen* (popped
-/// by a worker that does not own them). The queue is always fully seeded
-/// before any drainer starts (the engine pushes every task before
-/// dispatching the jobs that drain it), so `Empty` genuinely means done;
-/// `Retry` — which the real crossbeam injector returns under contention,
-/// though the mutex-backed shim never does — just loops.
-fn drain_injector(
-    store: &ShardStore,
-    injector: &Injector<IntersectTask>,
-    worker: usize,
-    out: &mut Vec<Triangle>,
-) -> u64 {
-    let mut steals = 0;
-    loop {
-        match injector.steal() {
-            Steal::Success(task) => {
-                if task.owner != worker {
-                    steals += 1;
-                }
-                collect_candidates(store, &task.edges, out);
-            }
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    steals
-}
-
-/// The owner-only part of the collect pass: coalesce the slice (at most
-/// one op per edge survives — only the last op decides presence),
-/// classify the survivors against the pre-batch edge set, route
-/// adjacency mutations to their owning shards. Returns the plan (minus
-/// removal candidates) and the effective removal edges, whose candidate
-/// collection is the stealable part.
+/// The first part of the collect pass: coalesce the slice (at most one
+/// op per edge survives — only the last op decides presence), classify
+/// the survivors against the pre-batch edge set, route adjacency
+/// mutations to their owning shards. Returns the plan (minus removal
+/// candidates) and the effective removal edges.
 fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<Edge>) {
     let spec = store.spec();
     let mut plan = WorkerPlan {
@@ -1015,121 +669,6 @@ fn collect_candidates(store: &ShardStore, edges: &[Edge], out: &mut Vec<Triangle
     }
 }
 
-/// Total estimated intersection work of a slice: the sum of endpoint
-/// degrees over its edges. This is the quantity the split threshold
-/// bounds — a slice over it is spread, one within it stays local.
-fn slice_cost(store: &ShardStore, edges: &[Edge]) -> usize {
-    edges.iter().map(|e| store.intersection_cost(*e)).sum()
-}
-
-/// Chunks a slice into owner-tagged tasks of roughly `threshold`
-/// estimated work each and pushes them onto the shared queue (a
-/// threshold of 0 makes every edge its own task — the property tests use
-/// this to force the steal path). Only the engine thread pushes, and
-/// always before dispatching the jobs that drain, so workers never race
-/// a producer.
-fn push_chunks(
-    store: &ShardStore,
-    edges: Vec<Edge>,
-    threshold: usize,
-    owner: usize,
-    injector: &Injector<IntersectTask>,
-) {
-    let budget = threshold.max(1);
-    let mut chunk: Vec<Edge> = Vec::new();
-    let mut cost = 0usize;
-    for edge in edges {
-        if !chunk.is_empty() && cost >= budget {
-            injector.push(IntersectTask {
-                owner,
-                edges: std::mem::take(&mut chunk),
-            });
-            cost = 0;
-        }
-        cost += store.intersection_cost(edge).max(1);
-        chunk.push(edge);
-    }
-    if !chunk.is_empty() {
-        injector.push(IntersectTask {
-            owner,
-            edges: chunk,
-        });
-    }
-}
-
-/// Merges one slot's coalesced ops into its sorted pre-batch neighbour
-/// list, producing the sorted post-batch list in a single pass. The
-/// classify phase guarantees every op is effective — inserts are absent
-/// from the base, removes are present — so the merge never has to
-/// resolve a conflict.
-fn merge_ops(base: &[NodeId], ops: &mut [ShardOp]) -> Vec<NodeId> {
-    ops.sort_unstable_by_key(|op| op.other);
-    let mut out = Vec::with_capacity(base.len() + ops.len());
-    let mut i = 0usize;
-    for op in ops.iter() {
-        while i < base.len() && base[i] < op.other {
-            out.push(base[i]);
-            i += 1;
-        }
-        let present = i < base.len() && base[i] == op.other;
-        match op.op {
-            DeltaOp::Insert => {
-                debug_assert!(!present, "effective inserts are absent from the base");
-                out.push(op.other);
-            }
-            DeltaOp::Remove => {
-                debug_assert!(present, "effective removes are present in the base");
-                if present {
-                    i += 1;
-                }
-            }
-        }
-    }
-    out.extend_from_slice(&base[i..]);
-    out
-}
-
-/// Chunks an oversized shard's routed ops (sorted by slot) into
-/// owner-tagged prepare tasks of roughly `threshold` estimated merge
-/// work each (pre-batch degree plus op count per slot; a threshold of 0
-/// makes every slot its own task — the property tests use this to force
-/// the record steal path) and pushes them onto the shared queue. Returns
-/// how many tasks were pushed. A slot's ops are never split across
-/// tasks: its post-batch list must come from one merge.
-fn push_prepare_chunks(
-    store: &ShardStore,
-    shard: usize,
-    ops: &[ShardOp],
-    threshold: usize,
-    injector: &Injector<PrepareTask>,
-) -> u64 {
-    let spec = store.spec();
-    let budget = threshold.max(1);
-    let mut pushed = 0u64;
-    let mut chunk: Vec<ShardOp> = Vec::new();
-    let mut cost = 0usize;
-    for run in ops.chunk_by(|a, b| a.local == b.local) {
-        if !chunk.is_empty() && cost >= budget {
-            injector.push(PrepareTask {
-                owner: shard,
-                ops: std::mem::take(&mut chunk),
-            });
-            pushed += 1;
-            cost = 0;
-        }
-        cost += (store.degree(spec.node_of(shard, run[0].local)) + run.len()).max(1);
-        chunk.extend_from_slice(run);
-    }
-    if !chunk.is_empty() {
-        injector.push(PrepareTask {
-            owner: shard,
-            ops: chunk,
-        });
-        pushed += 1;
-    }
-    pushed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,130 +718,10 @@ mod tests {
     }
 
     #[test]
-    fn slice_cost_gates_the_split_and_chunks_respect_the_budget() {
-        let store = sample_store();
-        let edge = congest_graph::Edge::new(v(0), v(1)); // cost 3 + 2 = 5
-        assert_eq!(slice_cost(&store, &[edge]), 5);
-        assert_eq!(slice_cost(&store, &[]), 0);
-        // Threshold 0 forces a task per edge.
-        let injector = Injector::new();
-        push_chunks(&store, vec![edge, edge, edge], 0, 0, &injector);
-        assert_eq!(injector.len(), 3);
-        // Budget 5: two edges of cost 5 land in separate tasks.
-        let injector = Injector::new();
-        push_chunks(&store, vec![edge, edge], 5, 0, &injector);
-        assert_eq!(injector.len(), 2);
-        // A roomy budget keeps the slice in one task.
-        let injector = Injector::new();
-        push_chunks(&store, vec![edge, edge], 100, 0, &injector);
-        assert_eq!(injector.len(), 1);
-    }
-
-    #[test]
-    fn merge_ops_lands_inserts_and_removes_in_one_pass() {
-        let base = vec![v(1), v(3), v(5), v(7)];
-        let mut ops = vec![
-            ShardOp {
-                local: 0,
-                other: v(5),
-                op: DeltaOp::Remove,
-            },
-            ShardOp {
-                local: 0,
-                other: v(0),
-                op: DeltaOp::Insert,
-            },
-            ShardOp {
-                local: 0,
-                other: v(9),
-                op: DeltaOp::Insert,
-            },
-            ShardOp {
-                local: 0,
-                other: v(4),
-                op: DeltaOp::Insert,
-            },
-        ];
-        assert_eq!(
-            merge_ops(&base, &mut ops),
-            vec![v(0), v(1), v(3), v(4), v(7), v(9)]
-        );
-        // Degenerate shapes: empty base, remove-to-empty.
-        assert_eq!(
-            merge_ops(
-                &[],
-                &mut [ShardOp {
-                    local: 0,
-                    other: v(2),
-                    op: DeltaOp::Insert,
-                }]
-            ),
-            vec![v(2)]
-        );
-        assert_eq!(
-            merge_ops(
-                &[v(2)],
-                &mut [ShardOp {
-                    local: 0,
-                    other: v(2),
-                    op: DeltaOp::Remove,
-                }]
-            ),
-            Vec::<NodeId>::new()
-        );
-    }
-
-    #[test]
-    fn prepare_chunks_keep_slot_groups_whole() {
-        let store = sample_store();
-        // Shard 0 owns nodes {0, 2, 4}: locals 0 (deg 3) and 1 (deg 2).
-        let op = |local, other, op| ShardOp {
-            local,
-            other: v(other),
-            op,
-        };
-        let ops = [
-            op(0, 3, DeltaOp::Remove),
-            op(0, 5, DeltaOp::Insert),
-            op(1, 4, DeltaOp::Insert),
-        ];
-        // Threshold 0: one task per slot, never per op.
-        let injector = Injector::new();
-        assert_eq!(push_prepare_chunks(&store, 0, &ops, 0, &injector), 2);
-        let Steal::Success(first) = injector.steal() else {
-            panic!("two tasks were pushed");
-        };
-        assert_eq!((first.owner, first.ops.len()), (0, 2));
-        assert!(first.ops.iter().all(|op| op.local == 0));
-        // A roomy budget packs both slots into one task.
-        let injector = Injector::new();
-        assert_eq!(push_prepare_chunks(&store, 0, &ops, 1_000, &injector), 1);
-    }
-
-    #[test]
-    fn drained_tasks_count_steals_by_owner() {
-        let store = sample_store();
-        let injector = Injector::new();
-        injector.push(IntersectTask {
-            owner: 0,
-            edges: vec![congest_graph::Edge::new(v(0), v(1))],
-        });
-        injector.push(IntersectTask {
-            owner: 1,
-            edges: vec![congest_graph::Edge::new(v(0), v(2))],
-        });
-        let mut out = Vec::new();
-        let steals = drain_injector(&store, &injector, 0, &mut out);
-        assert_eq!(steals, 1); // only the owner-1 task counts
-        assert_eq!(out.len(), 2); // both edges close {0,1,2}
-        assert!(injector.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "shard pool worker 0 panicked")]
     fn worker_panics_propagate_to_the_engine_thread() {
         let pool = ShardPool::new(2);
-        let mut run = BatchRun::new(&pool, 0);
+        let mut run = BatchRun::new(&pool);
         // An out-of-range local slot makes `Shard::apply_op` panic on
         // worker 0; the engine must re-raise instead of hanging on the
         // lock-step recv.
@@ -1315,7 +734,7 @@ mod tests {
             }],
             Vec::new(),
         ];
-        run.start_record(shards, routed, vec![Vec::new(), Vec::new()]);
+        run.start_record(shards, routed);
         let _ = run.finish_record();
     }
 
@@ -1323,7 +742,7 @@ mod tests {
     fn a_reraised_panic_poisons_the_pool() {
         let pool = ShardPool::new(2);
         assert!(!pool.poisoned());
-        let mut run = BatchRun::new(&pool, 0);
+        let mut run = BatchRun::new(&pool);
         let shards = vec![Arc::new(Shard::new(1)), Arc::new(Shard::new(1))];
         let routed = vec![
             vec![ShardOp {
@@ -1333,7 +752,7 @@ mod tests {
             }],
             Vec::new(),
         ];
-        run.start_record(shards, routed, vec![Vec::new(), Vec::new()]);
+        run.start_record(shards, routed);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.finish_record()));
         assert!(caught.is_err());
         // A caller that catches the re-raise must not reuse the pool:
@@ -1346,7 +765,7 @@ mod tests {
         // The twin of the two tests above for a job that crosses
         // threads: worker 1's job runs on the pool's only helper.
         let pool = ShardPool::new(2);
-        let mut run = BatchRun::new(&pool, 0).force_handoff();
+        let mut run = BatchRun::new(&pool).force_handoff();
         let shards = vec![Arc::new(Shard::new(1)), Arc::new(Shard::new(1))];
         let routed = vec![
             Vec::new(),
@@ -1356,7 +775,7 @@ mod tests {
                 op: DeltaOp::Insert,
             }],
         ];
-        run.start_record(shards, routed, vec![Vec::new(), Vec::new()]);
+        run.start_record(shards, routed);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.finish_record()));
         let message = panic_message(&*caught.expect_err("the helper's panic is re-raised"));
         assert!(
@@ -1381,47 +800,30 @@ mod tests {
         for forced in [true, false] {
             let pool = ShardPool::new(2);
             let store = sample_store();
-            let mut run = BatchRun::new(&pool, 0);
+            let mut run = BatchRun::new(&pool);
             if forced {
                 run = run.force_handoff();
             }
 
-            // Collect: worker 0 removes {0, 1}, worker 1 inserts {2, 3}.
-            // Split threshold 0 means worker 0 defers its removal to the
-            // steal wave instead of intersecting locally.
+            // Collect: worker 0 removes {0, 1} — {0,1,2} dies — and
+            // worker 1 inserts {2, 3}.
             let work = vec![
                 vec![EdgeDelta::remove(v(0), v(1))],
                 vec![EdgeDelta::insert(v(2), v(3))],
             ];
-            let (store, mut plans) = run.collect(store, work);
-            assert!(plans.iter().all(|p| p.removed.is_empty()));
-            assert_eq!(
-                plans[0].deferred_removals,
-                vec![congest_graph::Edge::new(v(0), v(1))]
-            );
+            let (mut store, plans) = run.collect(store, work);
+            assert_eq!(plans[0].removed, vec![Triangle::new(v(0), v(1), v(2))]);
+            assert!(plans[1].removed.is_empty());
             assert_eq!(plans[1].inserts.len(), 1);
 
-            // Steal wave: the deferred hub removal is chunked up front
-            // and drained by whichever worker gets there first.
-            let deferred = vec![(0, std::mem::take(&mut plans[0].deferred_removals))];
-            let (store, waves) = run.steal_wave(store, deferred);
-            let dead: Vec<Triangle> = waves.into_iter().flatten().collect();
-            assert_eq!(dead, vec![Triangle::new(v(0), v(1), v(2))]); // {0,1,2} dies
-
-            // Record: route the ops and run the prepare wave. Forced,
-            // threshold 0 puts every slot group on the queue, so the ops
-            // land as prepared wholesale lists; under the floor the
-            // shards keep their ops and no wave runs.
+            // Record: each shard's owner applies the ops routed to it.
             let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); 2];
             for plan in &plans {
                 for (dest, ops) in plan.ops.iter().enumerate() {
                     routed[dest].extend_from_slice(ops);
                 }
             }
-            let (mut store, prepared) = run.record_wave(store, &mut routed);
-            assert_eq!(routed.iter().all(Vec::is_empty), forced);
-            assert_eq!(prepared.iter().any(|p| !p.is_empty()), forced);
-            run.start_record(store.take_shards(), routed, prepared);
+            run.start_record(store.take_shards(), routed);
             store.restore_shards(run.finish_record());
             assert!(!store.has_edge(v(0), v(1)));
             assert!(store.has_edge(v(2), v(3)));
@@ -1436,7 +838,7 @@ mod tests {
             let stats = run.finish();
             assert!(stats.busy_max_share >= stats.busy_mean_share);
             assert!(stats.busy_max_share <= 1.0);
-            let waves = if forced { (5, 0) } else { (0, 4) };
+            let waves = if forced { (3, 0) } else { (0, 3) };
             assert_eq!((stats.waves_handed_off, stats.waves_inline), waves);
         }
     }

@@ -179,17 +179,14 @@ pub struct RunSummary {
     pub staleness: StalenessStats,
     /// Mean over pool-applied batches of the busiest worker's busy time
     /// as a share of the batch's apply wall time (`None` when no batch
-    /// ran on a persistent worker pool). A hot hub with no stealing
-    /// pushes this toward 1.0 while
+    /// ran on a persistent worker pool). A hot hub pushes this toward
+    /// 1.0 while
     /// [`worker_busy_mean_share`](RunSummary::worker_busy_mean_share)
-    /// stays near `1/S`; work stealing pulls the two together.
+    /// stays near `1/S`.
     pub worker_busy_max_share: Option<f64>,
     /// Mean over pool-applied batches of the per-worker mean busy share
     /// of the apply wall time — the pool's utilization.
     pub worker_busy_mean_share: Option<f64>,
-    /// Total intersection task units executed by a worker that did not
-    /// own the slice they came from (the work-stealing path firing).
-    pub steal_count: Option<u64>,
     /// Baseline comparison, when sampled.
     pub recompute: Option<RecomputeStats>,
     /// Whether the final state was checked against the oracle.
@@ -278,10 +275,6 @@ impl RunSummary {
             Some(v) => json::push_num(&mut out, "worker_busy_mean_share", v),
             None => json::push_raw(&mut out, "worker_busy_mean_share", "null"),
         }
-        match self.steal_count {
-            Some(v) => json::push_num(&mut out, "steal_count", v as f64),
-            None => json::push_raw(&mut out, "steal_count", "null"),
-        }
         match &self.recompute {
             Some(r) => {
                 json::push_num(&mut out, "recompute_samples", r.samples as f64);
@@ -351,9 +344,6 @@ pub struct WorkloadRunner<S: BatchSource = Scenario> {
     verify: bool,
     /// Override of the sharded engine's parallel threshold.
     parallel_threshold: Option<usize>,
-    /// Override of the sharded engine's split threshold (pins it,
-    /// disabling the adaptive controller).
-    split_threshold: Option<usize>,
 }
 
 impl WorkloadRunner<Scenario> {
@@ -386,7 +376,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
             target_batches_per_sec: None,
             verify: false,
             parallel_threshold: None,
-            split_threshold: None,
         }
     }
 
@@ -410,16 +399,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
     /// sweeps use this so sub-threshold batches still exercise the pool.
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
         self.parallel_threshold = Some(threshold);
-        self
-    }
-
-    /// Pins the sharded engine's split threshold, disabling its adaptive
-    /// controller (builder style; only meaningful together with
-    /// [`with_shards`](WorkloadRunner::with_shards)). 0 makes every edge
-    /// and every touched slot its own stealable task — the trace capture
-    /// uses this to force both steal paths deterministically.
-    pub fn with_split_threshold(mut self, threshold: usize) -> Self {
-        self.split_threshold = Some(threshold);
         self
     }
 
@@ -475,9 +454,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
                 let mut engine = ShardedTriangleIndex::from_graph(&base, s).with_mode(self.mode);
                 if let Some(threshold) = self.parallel_threshold {
                     engine = engine.with_parallel_threshold(threshold);
-                }
-                if let Some(threshold) = self.split_threshold {
-                    engine = engine.with_split_threshold(threshold);
                 }
                 self.run_engine(engine, &base)
             }
@@ -603,9 +579,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
         if let Some(t) = &telemetry {
             congest_obs::gauge_set("pool.busy_max_share_mean", t.busy_max_share_mean);
             congest_obs::gauge_set("pool.busy_mean_share_mean", t.busy_mean_share_mean);
-            congest_obs::gauge_set("pool.steals", t.steals as f64);
-            congest_obs::gauge_set("pool.record_split_tasks", t.record_split_tasks as f64);
-            congest_obs::gauge_set("pool.split_threshold", t.split_threshold as f64);
         }
         if let Some(a) = index.arena_stats() {
             congest_obs::gauge_set("arena.slab_bytes", a.slab_bytes as f64);
@@ -649,7 +622,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
             staleness: StalenessStats::from_histogram(&staleness_hist),
             worker_busy_max_share: telemetry.map(|t| t.busy_max_share_mean),
             worker_busy_mean_share: telemetry.map(|t| t.busy_mean_share_mean),
-            steal_count: telemetry.map(|t| t.steals),
             recompute,
             oracle_checked,
             oracle_ok,
@@ -839,17 +811,13 @@ mod tests {
         let mean = pooled.worker_busy_mean_share.expect("pool batches ran");
         assert!(max > 0.0 && max <= 1.0, "max share {max}");
         assert!(mean > 0.0 && mean <= max, "mean {mean} vs max {max}");
-        assert!(pooled.steal_count.is_some());
         let json = pooled.to_json();
         assert!(json.contains("\"worker_busy_max_share\":"));
-        assert!(json.contains("\"steal_count\":"));
 
         // The single-threaded engine has no pool to observe.
         let single = WorkloadRunner::new(small_scenario()).run();
         assert_eq!(single.worker_busy_max_share, None);
-        assert_eq!(single.steal_count, None);
         assert!(single.to_json().contains("\"worker_busy_max_share\":null"));
-        assert!(single.to_json().contains("\"steal_count\":null"));
     }
 
     #[test]

@@ -258,15 +258,6 @@ impl ShardSpec {
         node.index() / self.shard_count
     }
 
-    /// The node stored at `local` slot of `shard` — the inverse of
-    /// ([`shard_of`](ShardSpec::shard_of),
-    /// [`local_index`](ShardSpec::local_index)). The record pipeline's
-    /// prepare wave uses it to look a slot's pre-batch list back up on
-    /// the shared store.
-    pub(crate) fn node_of(&self, shard: usize, local: usize) -> NodeId {
-        NodeId::from_index(local * self.shard_count + shard)
-    }
-
     /// Number of nodes owned by shard `s`.
     pub(crate) fn nodes_in_shard(&self, s: usize) -> usize {
         if s < self.node_count % self.shard_count {
@@ -284,16 +275,6 @@ pub(crate) struct ShardOp {
     pub(crate) local: usize,
     pub(crate) other: NodeId,
     pub(crate) op: DeltaOp,
-}
-
-/// One post-batch neighbour list produced by the pool's record-prepare
-/// wave, routed back to its owning shard's record job and landed with
-/// [`Shard::seed`] (a wholesale slab replacement in the arena).
-#[derive(Debug)]
-pub(crate) struct PreparedSlot {
-    pub(crate) shard: usize,
-    pub(crate) local: usize,
-    pub(crate) list: Vec<NodeId>,
 }
 
 /// One shard's slice of the partitioned adjacency: the sorted neighbour
@@ -321,9 +302,8 @@ impl Shard {
         self.arena.neighbors(local)
     }
 
-    /// Replaces the neighbour list at `local` wholesale: seeding from a
-    /// static graph, and landing the record pipeline's prepared
-    /// post-batch lists (`neighbors` must already be sorted).
+    /// Replaces the neighbour list at `local` wholesale when seeding
+    /// from a static graph (`neighbors` must already be sorted).
     pub(crate) fn seed(&mut self, local: usize, neighbors: &[NodeId]) {
         self.arena.seed(local, neighbors);
     }
@@ -355,14 +335,12 @@ impl Shard {
         let mut edits = 0;
         for entry in lag {
             match entry {
-                Lag::Op(op) => self.apply_op(*op),
-                Lag::Seed(slot) => self.seed(slot.0, &slot.1),
-                Lag::Epoch => {
-                    self.advance_epoch();
-                    continue;
+                Lag::Op(op) => {
+                    self.apply_op(*op);
+                    edits += 1;
                 }
+                Lag::Epoch => self.advance_epoch(),
             }
-            edits += 1;
         }
         edits
     }
@@ -386,7 +364,7 @@ impl Shard {
 /// interval never forces a copy.
 const MAX_RETAINED: usize = 2;
 
-/// A retained buffer is dropped once its lag outweighs the live shard's
+/// A retained buffer is dropped once its lag outgrows the live shard's
 /// half-edges divided by this: past that point replaying the log stops
 /// beating the `memcpy` it replaces.
 const LAG_CAP_DIVISOR: usize = 2;
@@ -397,11 +375,6 @@ const LAG_CAP_DIVISOR: usize = 2;
 enum Lag {
     /// One routed list edit.
     Op(ShardOp),
-    /// A prepared post-batch list landed wholesale at a local slot.
-    /// Replaying the raw ops would reproduce the list but not the slab
-    /// the live buffer reallocated for it, so the list itself is logged
-    /// (boxed: rare, and it keeps the common entry at two words).
-    Seed(Box<(usize, Vec<NodeId>)>),
     /// The batch boundary ([`Shard::advance_epoch`]).
     Epoch,
 }
@@ -412,19 +385,6 @@ enum Lag {
 struct Retained {
     buf: Arc<Shard>,
     lag: Vec<Lag>,
-    /// Replay cost of `lag` in list elements written (see
-    /// [`LAG_CAP_DIVISOR`]).
-    weight: usize,
-}
-
-impl Retained {
-    fn push(&mut self, entry: Lag) {
-        self.weight += match &entry {
-            Lag::Seed(slot) => slot.1.len().max(1),
-            Lag::Op(_) | Lag::Epoch => 1,
-        };
-        self.lag.push(entry);
-    }
 }
 
 /// Which path the first write of each (shard, batch) took, over a
@@ -560,8 +520,8 @@ impl ShardStore {
     /// [`congest_graph::intersection_cost_estimate`]): skewed pairs bill
     /// the galloping search at `d_min · (log2(d_max/d_min) + 1)`,
     /// balanced pairs bill the merge walk at `d_min + d_max`. The pool
-    /// splits slices into stealable tasks on this estimate, so a hub
-    /// whose intersections gallop no longer looks quadratically more
+    /// sizes a wave against its hand-off floor on this estimate, so a
+    /// hub whose intersections gallop does not look quadratically more
     /// expensive than it runs.
     pub(crate) fn intersection_cost(&self, edge: Edge) -> usize {
         congest_graph::intersection_cost_estimate(self.degree(edge.lo()), self.degree(edge.hi()))
@@ -587,7 +547,7 @@ impl ShardStore {
     pub(crate) fn apply_routed(&mut self, shard: usize, op: ShardOp) {
         self.writable(shard).apply_op(op);
         for retained in &mut self.retained[shard] {
-            retained.push(Lag::Op(op));
+            retained.lag.push(Lag::Op(op));
         }
     }
 
@@ -595,25 +555,14 @@ impl ShardStore {
     /// right before the shards move to their workers: makes the live
     /// buffer of a shard with work unique — so the worker's
     /// [`Arc::get_mut`] cannot fail — and logs the work for the
-    /// retained buffers in the order the worker applies it (prepared
-    /// lists first, then the serial ops).
-    pub(crate) fn begin_record(
-        &mut self,
-        shard: usize,
-        ops: &[ShardOp],
-        prepared: &[PreparedSlot],
-    ) {
-        if ops.is_empty() && prepared.is_empty() {
+    /// retained buffers in the order the worker applies it.
+    pub(crate) fn begin_record(&mut self, shard: usize, ops: &[ShardOp]) {
+        if ops.is_empty() {
             return;
         }
         self.writable(shard);
         for retained in &mut self.retained[shard] {
-            for slot in prepared {
-                retained.push(Lag::Seed(Box::new((slot.local, slot.list.clone()))));
-            }
-            for &op in ops {
-                retained.push(Lag::Op(op));
-            }
+            retained.lag.extend(ops.iter().copied().map(Lag::Op));
         }
     }
 
@@ -648,7 +597,7 @@ impl ShardStore {
             .find(|&i| Arc::get_mut(&mut retained[i].buf).is_some());
         let (fresh, mut lag) = match spare {
             Some(i) => {
-                let Retained { mut buf, lag, .. } = retained.remove(i);
+                let Retained { mut buf, lag } = retained.remove(i);
                 let caught_up = Arc::get_mut(&mut buf).expect("checked unique above");
                 self.cow.replayed_ops += caught_up.replay(&lag);
                 self.cow.swaps += 1;
@@ -665,11 +614,7 @@ impl ShardStore {
         };
         lag.clear();
         let pinned = std::mem::replace(&mut self.shards[shard], fresh);
-        retained.push(Retained {
-            buf: pinned,
-            lag,
-            weight: 0,
-        });
+        retained.push(Retained { buf: pinned, lag });
     }
 
     /// Moves the shard `Arc`s out (for the record phase, where each
@@ -708,8 +653,8 @@ impl ShardStore {
             live.advance_epoch();
             let cap = live.half_edges() / LAG_CAP_DIVISOR;
             self.retained[shard].retain_mut(|retained| {
-                retained.push(Lag::Epoch);
-                retained.weight <= cap
+                retained.lag.push(Lag::Epoch);
+                retained.lag.len() <= cap
             });
         }
     }
@@ -809,21 +754,6 @@ mod tests {
         assert_eq!(spec.shard_count(), 1);
         assert_eq!(spec.nodes_in_shard(0), 4);
         assert_eq!(spec.node_count(), 4);
-    }
-
-    #[test]
-    fn spec_node_of_inverts_the_partition() {
-        for (n, s) in [(10, 3), (7, 1), (5, 8)] {
-            let spec = ShardSpec::new(n, s);
-            for i in 0..n {
-                let node = NodeId::from_index(i);
-                assert_eq!(
-                    spec.node_of(spec.shard_of(node), spec.local_index(node)),
-                    node,
-                    "n={n} s={s} i={i}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -929,20 +859,17 @@ mod tests {
     }
 
     /// One batch through the pooled-path API, with this thread playing
-    /// every worker: prepared lists land wholesale, then the serial ops.
-    fn record(store: &mut ShardStore, ops: &[Vec<ShardOp>], prepared: &[Vec<PreparedSlot>]) {
-        for (shard, (ops, prepared)) in ops.iter().zip(prepared).enumerate() {
-            store.begin_record(shard, ops, prepared);
+    /// every worker.
+    fn record(store: &mut ShardStore, ops: &[Vec<ShardOp>]) {
+        for (shard, ops) in ops.iter().enumerate() {
+            store.begin_record(shard, ops);
         }
         let mut shards = store.take_shards();
-        for (shard, (ops, prepared)) in shards.iter_mut().zip(ops.iter().zip(prepared)) {
-            if ops.is_empty() && prepared.is_empty() {
+        for (shard, ops) in shards.iter_mut().zip(ops) {
+            if ops.is_empty() {
                 continue;
             }
             let shard = Arc::get_mut(shard).expect("begin_record made it unique");
-            for slot in prepared {
-                shard.seed(slot.local, &slot.list);
-            }
             for &op in ops {
                 shard.apply_op(op);
             }
@@ -1086,51 +1013,52 @@ mod tests {
         // The same stream through a store nobody ever pins and through
         // one published after every batch, with leases held 0–3 batches:
         // in-place, swap and clone paths all occur, and none may show.
-        // Every node gains 24 neighbours and loses them again, so slabs
-        // promote, free lists fill and the arenas compact on the way.
+        // Every node gains 48 neighbours and loses them again, so slabs
+        // promote and free lists fill; then four nodes lose their base
+        // edges too and hand their slabs back, which tips the arenas
+        // past half free and compacts them, and regain them, so that a
+        // swap replays the compacting boundary.
         let n = 64u32;
         let mut plain = circulant(n, 2, 2);
         let mut served = circulant(n, 2, 2);
         let mut current = served.clone();
         let mut leases: Vec<(u32, ShardStore)> = Vec::new();
         let spec = plain.spec();
-        for r in 0..48u32 {
+        for r in 0..50u32 {
             leases.retain(|(release, _)| *release > r);
-            let (op, d) = if r < 24 {
-                (DeltaOp::Insert, 3 + r)
-            } else {
-                (DeltaOp::Remove, 3 + 47 - r)
+            let batch: Vec<(u32, u32, DeltaOp)> = match r {
+                0..24 => (0..n)
+                    .map(|i| (i, (i + 3 + r) % n, DeltaOp::Insert))
+                    .collect(),
+                24..48 => (0..n)
+                    .map(|i| (i, (i + 50 - r) % n, DeltaOp::Remove))
+                    .collect(),
+                _ => {
+                    let op = if r == 48 {
+                        DeltaOp::Remove
+                    } else {
+                        DeltaOp::Insert
+                    };
+                    (0..4)
+                        .flat_map(|i| [1, 2, n - 2, n - 1].map(|d| (i, (i + d) % n, op)))
+                        .collect()
+                }
             };
             if r % 5 == 4 {
-                // A pooled batch: shard 0's slots land as prepared
-                // wholesale lists, shard 1's as serial ops.
+                // A pooled batch: each shard's ops in one routed list.
                 let mut ops = vec![Vec::new(), Vec::new()];
-                let mut prepared = vec![Vec::new(), Vec::new()];
-                for i in 0..n {
-                    let (node, other) = (v(i), v((i + d) % n));
-                    if spec.shard_of(node) == 1 {
-                        ops[1].push(ShardOp {
+                for &(a, b, op) in &batch {
+                    for (node, other) in [(v(a), v(b)), (v(b), v(a))] {
+                        ops[spec.shard_of(node)].push(ShardOp {
                             local: spec.local_index(node),
                             other,
                             op,
                         });
-                        continue;
                     }
-                    let mut list = plain.neighbors(node).to_vec();
-                    match op {
-                        DeltaOp::Insert => sorted_insert(&mut list, other),
-                        DeltaOp::Remove => sorted_remove(&mut list, other),
-                    }
-                    prepared[0].push(PreparedSlot {
-                        shard: 0,
-                        local: spec.local_index(node),
-                        list,
-                    });
                 }
-                record(&mut plain, &ops, &prepared);
-                record(&mut served, &ops, &prepared);
+                record(&mut plain, &ops);
+                record(&mut served, &ops);
             } else {
-                let batch: Vec<_> = (0..n).map(|i| (i, (i + d) % n, op)).collect();
                 write(&mut plain, &batch);
                 write(&mut served, &batch);
             }
@@ -1142,14 +1070,14 @@ mod tests {
             }
             current = published;
         }
-        assert!(plain.arena_stats().compactions >= 1, "the drain compacts");
+        assert!(plain.arena_stats().compactions >= 1, "round 48 compacts");
         let cow = served.cow_stats();
         assert!(
             cow.swaps > 0 && cow.clones > 0 && cow.replayed_ops > 0,
             "{cow:?}"
         );
         assert_eq!(cow.in_place, 0, "a published store is always pinned");
-        assert_eq!(plain.cow_stats().in_place, 2 * 48);
+        assert_eq!(plain.cow_stats().in_place, 2 * 50);
         assert_eq!(plain.retained_buffers(), 0);
     }
 }

@@ -11,29 +11,24 @@
 //!
 //! 1. **Shard-parallel phase** — the batch is split by endpoint
 //!    ownership (every edge maps to exactly one worker) and runs on the
-//!    engine's persistent [`ShardPool`](crate::pool): the engine thread
-//!    is worker 0 beside `S − 1` long-lived helpers, spawned once and
-//!    fed work descriptors over channels, and a wave too small to pay
-//!    for a wake-up stays on the engine thread altogether:
+//!    engine's persistent [`ShardPool`](crate::pool) as **three waves**,
+//!    each worker doing its own slice end to end — the partition is the
+//!    load balancing, fixed before the batch runs as in the paper's
+//!    A2/A3, and no work changes hands mid-batch. The engine thread is
+//!    worker 0 beside `S − 1` long-lived helpers, spawned once and fed
+//!    work descriptors over channels, and a wave too small to pay for a
+//!    wake-up stays on the engine thread altogether:
 //!    * *collect* (read-only on the pre-batch adjacency): each worker
 //!      coalesces its slice (at most one op per edge survives),
 //!      classifies the survivors against the current edge set and
 //!      gathers, for every effective removal `{u, v}`, the candidate
-//!      triangles `{u, v, w}` with `w ∈ N(u) ∩ N(v)`. Slices whose
-//!      estimated intersection work (sum of endpoint degrees) exceeds
-//!      the split threshold are *deferred* instead of intersected: the
-//!      engine chunks every deferred slice onto a shared injector queue
-//!      and dispatches a drain wave in which all `S` workers **steal**
-//!      chunks until it empties — seeded before any drainer starts, so
-//!      a hot hub's candidate collection reliably spreads across the
-//!      pool instead of serializing its owner;
+//!      triangles `{u, v, w}` with `w ∈ N(u) ∩ N(v)`;
 //!    * *record* (each worker owns exactly one shard, moved to it for
 //!      the phase): the owning shards apply the routed neighbour-list
 //!      mutations — a cross-shard edge is recorded by both owners, with
 //!      no coordination because shards never write each other's lists;
-//!    * *collect again* (read-only on the post-batch adjacency): the
-//!      candidate triangles every effective insertion closes, stealable
-//!      exactly like the removal collection.
+//!    * *insert-collect* (read-only on the post-batch adjacency): the
+//!      candidate triangles every effective insertion closes.
 //! 2. **Merge phase** — candidate triangle deltas are deduplicated into
 //!    the global [`TriangleSet`]: a triangle whose death (or birth) was
 //!    observed by several of its edges is retired (or added) **exactly
@@ -45,11 +40,10 @@
 //! set equation, the retired triangles are exactly the triangles of `G`
 //! containing an edge of `R`, and the new triangles are exactly the
 //! triangles of `G'` containing an edge of `I`. Phase 1 computes
-//! candidate supersets of both on consistent (pre- and post-batch) views
-//! — and stealing only moves *which worker* intersects a given edge, not
-//! what is intersected — so the merge phase's dedup makes the counts
-//! exact. The engine is therefore equivalent to applying, within each
-//! batch, all removals before all insertions; the final graph and
+//! candidate supersets of both on consistent (pre- and post-batch)
+//! views, so the merge phase's dedup makes the counts exact. The engine
+//! is therefore equivalent to applying, within each batch, all removals
+//! before all insertions; the final graph and
 //! triangle set are identical to [`TriangleIndex`](crate::TriangleIndex)'s
 //! strictly-ordered application, though per-batch `ApplyReport` tallies
 //! can differ on batches that flap an edge (the coalescer counts the
@@ -63,9 +57,7 @@ use congest_graph::{AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, 
 
 use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta, PendingBuffer};
 use crate::index::{validate_batch, ApplyMode, ApplyReport, StreamError};
-use crate::pool::{
-    BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry, DEFAULT_SPLIT_THRESHOLD,
-};
+use crate::pool::{BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry};
 use crate::shard::{
     intersect_sorted, merge_added_candidates_supported, merge_removed_candidates_supported,
     CowStats, NodeSupport, ShardOp, ShardStore,
@@ -83,30 +75,6 @@ use crate::shard::{
 /// batch, the helpers on every wave.
 const DEFAULT_PARALLEL_THRESHOLD: usize = 128;
 
-/// Clamp range for the adaptive split-threshold controller. The floor
-/// keeps queue traffic from swamping tiny slices when imbalance is
-/// persistent; the ceiling keeps one pathological balanced batch from
-/// disabling stealing for the rest of the run.
-const MIN_SPLIT_THRESHOLD: usize = 64;
-const MAX_SPLIT_THRESHOLD: usize = 65_536;
-
-/// Controller bands: observed max/mean busy-share imbalance above the
-/// high band halves the threshold (spread harder), below the low band
-/// doubles it (stop paying for queue traffic the balance doesn't need).
-const IMBALANCE_HIGH: f64 = 1.5;
-const IMBALANCE_LOW: f64 = 1.15;
-
-/// Saturation gate for the controller: splitting a hot shard can only
-/// shorten a batch when the busiest worker's compute actually dominates
-/// the batch's wall clock. Below this busy share the critical path of a
-/// handed-off batch is wake-ups, waiting and the engine's own merge, not
-/// shard work — the usual state of a batch just over the hand-off
-/// floor, and of any batch on a machine with fewer cores than workers —
-/// and every extra stealable task is pure queue overhead, so the
-/// controller backs off instead. (A batch that handed nothing off never
-/// reaches the controller at all.)
-const SATURATION_FLOOR: f64 = 0.5;
-
 /// Aggregates per-batch pool stats into the engine's lifetime
 /// [`WorkerTelemetry`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -114,8 +82,6 @@ struct TelemetryAccum {
     pooled_batches: usize,
     max_share_sum: f64,
     mean_share_sum: f64,
-    steals: u64,
-    record_split_tasks: u64,
     waves_handed_off: u64,
     waves_inline: u64,
 }
@@ -125,20 +91,17 @@ impl TelemetryAccum {
         self.pooled_batches += 1;
         self.max_share_sum += stats.busy_max_share;
         self.mean_share_sum += stats.busy_mean_share;
-        self.steals += stats.steals;
-        self.record_split_tasks += stats.record_split_tasks;
         self.waves_handed_off += stats.waves_handed_off;
         self.waves_inline += stats.waves_inline;
     }
 
-    fn summary(&self, split_threshold: usize) -> Option<WorkerTelemetry> {
+    fn summary(&self) -> Option<WorkerTelemetry> {
         (self.pooled_batches > 0).then(|| WorkerTelemetry {
             pooled_batches: self.pooled_batches,
             busy_max_share_mean: self.max_share_sum / self.pooled_batches as f64,
             busy_mean_share_mean: self.mean_share_sum / self.pooled_batches as f64,
-            steals: self.steals,
-            record_split_tasks: self.record_split_tasks,
-            split_threshold,
+            // The retired fields the frozen referee still reads stay 0.
+            ..WorkerTelemetry::default()
         })
     }
 }
@@ -147,9 +110,9 @@ impl TelemetryAccum {
 ///
 /// Same contract as [`TriangleIndex`](crate::TriangleIndex) — the live
 /// triangle set always equals a from-scratch recount — but batch applies
-/// fan out across `S` shards on a persistent worker pool with work
-/// stealing for hub-heavy slices. The module-level documentation in
-/// `sharded.rs` walks through the two-phase apply.
+/// fan out across `S` shards on a persistent worker pool, each worker
+/// owning its `id mod S` slice of the batch. The module-level
+/// documentation in `sharded.rs` walks through the two-phase apply.
 ///
 /// ```
 /// use congest_graph::generators::Gnp;
@@ -181,13 +144,6 @@ pub struct ShardedTriangleIndex {
     pending: PendingBuffer,
     /// Batch size below which the apply takes the sequential path.
     parallel_threshold: usize,
-    /// Estimated intersection work above which a worker's candidate
-    /// collection splits into stealable tasks.
-    split_threshold: usize,
-    /// Whether the split threshold tracks observed busy-share imbalance
-    /// (the default) or stays pinned to the value handed to
-    /// [`with_split_threshold`](ShardedTriangleIndex::with_split_threshold).
-    split_threshold_adaptive: bool,
     /// The persistent worker pool, spawned lazily on the first pipelined
     /// batch and reused for every batch and flush after that.
     pool: Option<ShardPool>,
@@ -209,8 +165,6 @@ impl Clone for ShardedTriangleIndex {
             mode: self.mode,
             pending: self.pending.clone(),
             parallel_threshold: self.parallel_threshold,
-            split_threshold: self.split_threshold,
-            split_threshold_adaptive: self.split_threshold_adaptive,
             pool: None,
             telemetry: self.telemetry,
         }
@@ -229,8 +183,6 @@ impl ShardedTriangleIndex {
             mode: ApplyMode::Eager,
             pending: PendingBuffer::default(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            split_threshold: DEFAULT_SPLIT_THRESHOLD,
-            split_threshold_adaptive: true,
             pool: None,
             telemetry: TelemetryAccum::default(),
         }
@@ -274,24 +226,6 @@ impl ShardedTriangleIndex {
     /// there it runs on the engine thread alone).
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
         self.parallel_threshold = threshold;
-        self
-    }
-
-    /// Pins the estimated-work budget above which a worker's candidate
-    /// collection — and a shard's record preparation — is split into
-    /// stealable task units on the pool's shared injector queue (builder
-    /// style), **disabling the adaptive controller**. By default the
-    /// threshold starts at 2048 and tracks observed busy-share
-    /// imbalance per pooled batch: persistent imbalance halves it
-    /// (spread harder), sustained balance doubles it (stop paying for
-    /// queue traffic), clamped to `[64, 65536]`. Lower values spread
-    /// hub-heavy slices more aggressively at the cost of more queue
-    /// traffic; 0 makes every edge (and every touched slot) its own
-    /// task (the property tests use this to force both steal paths on
-    /// tiny batches).
-    pub fn with_split_threshold(mut self, threshold: usize) -> Self {
-        self.split_threshold = threshold;
-        self.split_threshold_adaptive = false;
         self
     }
 
@@ -418,12 +352,12 @@ impl ShardedTriangleIndex {
         self.pending.age()
     }
 
-    /// Lifetime worker-pool telemetry: busy-share balance and steal
-    /// counts over every pipelined batch (`None` while every batch so
+    /// Lifetime worker-pool telemetry: busy-share balance over every
+    /// pipelined batch (`None` while every batch so
     /// far took the strictly ordered path, which never reaches the
     /// pool).
     pub fn worker_telemetry(&self) -> Option<WorkerTelemetry> {
-        self.telemetry.summary(self.split_threshold)
+        self.telemetry.summary()
     }
 
     /// Aggregate arena health over every shard's flat neighbour storage
@@ -694,8 +628,8 @@ impl ShardedTriangleIndex {
     /// The pool-backed pipeline: ownership of the store round-trips
     /// through the persistent workers (see [`crate::pool`]); removal
     /// candidates are merged on this thread *while* the workers run the
-    /// record phase, and the batch's busy-share/steal telemetry is
-    /// accumulated at the end.
+    /// record phase, and the batch's busy-share telemetry is accumulated
+    /// at the end.
     fn run_pooled(
         &mut self,
         work: Vec<Vec<EdgeDelta>>,
@@ -712,63 +646,32 @@ impl ShardedTriangleIndex {
             self.pool = Some(ShardPool::new(shard_count));
         }
         let pool = self.pool.as_ref().expect("pool was just ensured");
-        let mut run = BatchRun::new(pool, self.split_threshold);
+        let mut run = BatchRun::new(pool);
         if self.parallel_threshold == 0 {
             run = run.force_handoff();
         }
 
-        // Phase 1: collect (read-only). Workers whose removal slice
-        // exceeds the split threshold defer it instead of intersecting.
-        let collect_span = congest_obs::trace::span("pool", "collect_wave");
+        // Wave 1: collect (read-only, on the pre-batch adjacency).
+        let collect_span = congest_obs::trace::span("pool", "wave_collect");
         let (store, mut plans) = run.collect(std::mem::take(&mut self.store), work);
         self.store = store;
         drop(collect_span);
 
-        // Phase 1.5: the steal wave, only when something was deferred —
-        // every deferred slice is chunked onto the shared queue before
-        // any worker starts draining, so a hot hub's candidate
-        // collection reliably spreads across the whole pool. Must run
-        // before the record phase: removal candidates intersect the
-        // *pre-batch* adjacency.
-        let mut wave_removed: Vec<Triangle> = Vec::new();
-        if plans.iter().any(|p| !p.deferred_removals.is_empty()) {
-            congest_obs::span!("pool", "steal_wave");
-            let deferred: Vec<(usize, Vec<Edge>)> = plans
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, p)| !p.deferred_removals.is_empty())
-                .map(|(owner, p)| (owner, std::mem::take(&mut p.deferred_removals)))
-                .collect();
-            let (store, waves) = run.steal_wave(std::mem::take(&mut self.store), deferred);
-            self.store = store;
-            wave_removed = waves.into_iter().flatten().collect();
-        }
-
-        // Phase 1.75: the record-prepare wave — a shard whose routed
-        // mutations exceed the split threshold has them resolved into
-        // ready-to-seed post-batch lists by the whole pool (pre-seeded
-        // queue, same discipline as the steal wave) instead of applied
-        // serially by its owner.
+        // Wave 2: move each shard to its owning worker; merge the
+        // removal candidates here while the workers write. A worker
+        // must only ever see a unique `Arc`, so shards a published view
+        // pins are swapped past here, on the engine thread.
         let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); shard_count];
         for plan in &plans {
             for (dest, ops) in plan.ops.iter().enumerate() {
                 routed[dest].extend_from_slice(ops);
             }
         }
-        let prepare_span = congest_obs::trace::span("pool", "prepare_wave");
-        let (store, prepared) = run.record_wave(std::mem::take(&mut self.store), &mut routed);
-        self.store = store;
-        drop(prepare_span);
-
-        // Phase 2: move each shard to its owning worker; merge the
-        // removal candidates here while the workers write. A worker
-        // must only ever see a unique `Arc`, so shards a published view
-        // pins are swapped past here, on the engine thread.
-        let record_span = congest_obs::trace::span("pool", "record_wave");
-        for (shard, (ops, prepared)) in routed.iter().zip(&prepared).enumerate() {
-            self.store.begin_record(shard, ops, prepared);
+        let record_span = congest_obs::trace::span("pool", "wave_record");
+        for (shard, ops) in routed.iter().enumerate() {
+            self.store.begin_record(shard, ops);
         }
-        run.start_record(self.store.take_shards(), routed, prepared);
+        run.start_record(self.store.take_shards(), routed);
         {
             congest_obs::span!("sharded", "merge");
             for plan in &plans {
@@ -778,19 +681,14 @@ impl ShardedTriangleIndex {
                     &plan.removed,
                 );
             }
-            report.triangles_removed += merge_removed_candidates_supported(
-                &mut self.triangles,
-                &mut self.support,
-                &wave_removed,
-            );
         }
         self.store.restore_shards(run.finish_record());
         drop(record_span);
 
-        // Phase 3: the triangles each effective insertion closes on the
+        // Wave 3: the triangles each effective insertion closes on the
         // post-batch adjacency.
         if plans.iter().any(|p| !p.inserts.is_empty()) {
-            congest_obs::span!("pool", "insert_wave");
+            congest_obs::span!("pool", "wave_insert");
             let inserts: Vec<Vec<Edge>> = plans
                 .iter_mut()
                 .map(|p| std::mem::take(&mut p.inserts))
@@ -804,33 +702,8 @@ impl ShardedTriangleIndex {
             }
         }
 
-        let stats = run.finish();
-        self.telemetry.record(stats);
-        self.adapt_split_threshold(stats);
+        self.telemetry.record(run.finish());
         plans
-    }
-
-    /// The adaptive split-threshold controller: one multiplicative step
-    /// per pooled batch that handed at least one wave to the helpers —
-    /// a batch the engine thread ran alone balanced nothing, so its
-    /// busy shares carry no signal — driven by the batch's busy-share
-    /// imbalance (max/mean — 1.0 means perfectly even, `S` means one
-    /// worker did everything), gated on the pool actually being
-    /// compute-saturated ([`SATURATION_FLOOR`]): an imbalanced-but-idle
-    /// pool means the batch is bounded by handoff, and more splitting
-    /// only adds queue traffic. Disabled when the threshold was pinned
-    /// with
-    /// [`with_split_threshold`](ShardedTriangleIndex::with_split_threshold).
-    fn adapt_split_threshold(&mut self, stats: BatchStats) {
-        if !self.split_threshold_adaptive || stats.waves_handed_off == 0 {
-            return;
-        }
-        let imbalance = stats.busy_max_share / stats.busy_mean_share.max(f64::EPSILON);
-        if stats.busy_max_share < SATURATION_FLOOR || imbalance < IMBALANCE_LOW {
-            self.split_threshold = (self.split_threshold * 2).min(MAX_SPLIT_THRESHOLD);
-        } else if imbalance > IMBALANCE_HIGH {
-            self.split_threshold = (self.split_threshold / 2).max(MIN_SPLIT_THRESHOLD);
-        }
     }
 }
 
@@ -885,61 +758,6 @@ mod tests {
     /// Forces the pool-backed pipeline even on tiny batches.
     fn parallel(index: ShardedTriangleIndex) -> ShardedTriangleIndex {
         index.with_parallel_threshold(0)
-    }
-
-    /// Synthetic batch stats for driving the controller directly.
-    fn stats(busy_max_share: f64, busy_mean_share: f64) -> BatchStats {
-        BatchStats {
-            busy_max_share,
-            busy_mean_share,
-            steals: 0,
-            record_split_tasks: 0,
-            waves_handed_off: 1,
-            waves_inline: 0,
-        }
-    }
-
-    #[test]
-    fn split_threshold_controller_halves_doubles_clamps_and_gates() {
-        let mut idx = ShardedTriangleIndex::new(8, 4);
-        assert_eq!(idx.split_threshold, DEFAULT_SPLIT_THRESHOLD);
-
-        // Saturated and imbalanced: halve, down to the floor.
-        for _ in 0..20 {
-            idx.adapt_split_threshold(stats(0.9, 0.3));
-        }
-        assert_eq!(idx.split_threshold, MIN_SPLIT_THRESHOLD);
-
-        // Saturated and even: double, up to the ceiling.
-        for _ in 0..20 {
-            idx.adapt_split_threshold(stats(0.9, 0.85));
-        }
-        assert_eq!(idx.split_threshold, MAX_SPLIT_THRESHOLD);
-
-        // In the dead band between the two imbalance edges: hold.
-        idx.split_threshold = DEFAULT_SPLIT_THRESHOLD;
-        idx.adapt_split_threshold(stats(0.9, 0.9 / 1.3));
-        assert_eq!(idx.split_threshold, DEFAULT_SPLIT_THRESHOLD);
-
-        // Imbalanced but idle (oversubscribed pool, busiest worker well
-        // under the saturation floor): back off instead of splitting —
-        // extra stealable tasks cannot shorten a handoff-bound batch.
-        idx.adapt_split_threshold(stats(0.2, 0.1));
-        assert_eq!(idx.split_threshold, DEFAULT_SPLIT_THRESHOLD * 2);
-
-        // A batch the engine thread ran alone balanced nothing: hold.
-        idx.split_threshold = DEFAULT_SPLIT_THRESHOLD;
-        idx.adapt_split_threshold(BatchStats {
-            waves_handed_off: 0,
-            waves_inline: 3,
-            ..stats(0.9, 0.3)
-        });
-        assert_eq!(idx.split_threshold, DEFAULT_SPLIT_THRESHOLD);
-
-        // A pinned threshold never moves.
-        let mut pinned = ShardedTriangleIndex::new(8, 4).with_split_threshold(512);
-        pinned.adapt_split_threshold(stats(0.9, 0.3));
-        assert_eq!(pinned.split_threshold, 512);
     }
 
     #[test]
@@ -1235,11 +1053,11 @@ mod tests {
     fn forced_steal_path_matches_the_ordered_engine_on_a_hub() {
         use crate::index::TriangleIndex;
         // A single max-degree hub: every delta touches node 0, so the
-        // modulo partition puts the whole batch on worker 0 — with a zero
-        // split threshold every intersection becomes a stealable task.
+        // modulo partition puts the whole batch on worker 0 while the
+        // helpers get empty slices — the static partition's worst case.
         let n = 40usize;
         let mut reference = TriangleIndex::new(n);
-        let mut idx = parallel(ShardedTriangleIndex::new(n, 4)).with_split_threshold(0);
+        let mut idx = parallel(ShardedTriangleIndex::new(n, 4));
         // Build the star plus a rim so removals have triangles to retire.
         let mut star = DeltaBatch::new();
         for i in 1..n as u32 {
@@ -1283,7 +1101,7 @@ mod tests {
         // the engine-side recv re-raises, and a caller catches it.
         {
             let pool = idx.pool.as_ref().expect("pool spawned on first batch");
-            let mut run = BatchRun::new(pool, 0);
+            let mut run = BatchRun::new(pool);
             run.start_record(
                 vec![Arc::new(Shard::new(1)), Arc::new(Shard::new(1))],
                 vec![
@@ -1294,7 +1112,6 @@ mod tests {
                     }],
                     Vec::new(),
                 ],
-                vec![Vec::new(), Vec::new()],
             );
             let caught =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.finish_record()));
@@ -1332,7 +1149,7 @@ mod tests {
         // does (see `apply_after_worker_panic_returns_a_clean_error`).
         {
             let pool = idx.pool.as_ref().expect("pool spawned on first batch");
-            let mut run = BatchRun::new(pool, 0);
+            let mut run = BatchRun::new(pool);
             run.start_record(
                 vec![
                     Arc::new(Shard::new(1)),
@@ -1348,7 +1165,6 @@ mod tests {
                     Vec::new(),
                     Vec::new(),
                 ],
-                vec![Vec::new(), Vec::new(), Vec::new()],
             );
             let caught =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.finish_record()));
@@ -1453,19 +1269,42 @@ mod tests {
         b
     }
 
+    /// A 300-delta batch against `index`'s current mean-degree-50
+    /// graph: scattered inserts alternating with removals of live edges.
+    fn dense_batch(index: &ShardedTriangleIndex, step: u32) -> DeltaBatch {
+        let n = index.node_count() as u32;
+        let mut b = DeltaBatch::new();
+        for j in 0..300u32 {
+            let x = (step * 300 + j).wrapping_mul(2_654_435_761);
+            let (a, pick) = (v(x % n), x >> 12);
+            let live = index.neighbors(a);
+            if j % 2 == 1 && !live.is_empty() {
+                b.remove(a, live[pick as usize % live.len()]);
+            } else if a != v(pick % n) {
+                b.insert(a, v(pick % n));
+            }
+        }
+        b
+    }
+
+    /// Everything an engine's state consists of, beyond the reports
+    /// compared batch by batch.
+    fn assert_same_state(a: &ShardedTriangleIndex, b: &ShardedTriangleIndex, what: &str) {
+        assert_eq!(a.triangles(), b.triangles(), "{what}");
+        assert_eq!(a.arena_stats(), b.arena_stats(), "{what}");
+        for node in AdjacencyView::nodes(a) {
+            assert_eq!(a.neighbors(node), b.neighbors(node), "{what}");
+            assert_eq!(a.node_support(node), b.node_support(node), "{what}");
+        }
+        assert!(a.matches_oracle() && b.matches_oracle(), "{what}");
+    }
+
     #[test]
     fn inline_waves_and_handed_off_waves_leave_identical_state() {
         for shards in [2, 3] {
-            // The split threshold is pinned so that the forced engine's
-            // controller, which runs on wall-clock busy shares, cannot
-            // start splitting record work the other engine keeps whole.
-            let engine = || {
-                ShardedTriangleIndex::new(4096, shards)
-                    .with_split_threshold(DEFAULT_SPLIT_THRESHOLD)
-            };
             let before = congest_obs::registry::snapshot().counters;
-            let mut inline = engine();
-            let mut forced = parallel(engine());
+            let mut inline = ShardedTriangleIndex::new(4096, shards);
+            let mut forced = parallel(ShardedTriangleIndex::new(4096, shards));
             for step in 0..12 {
                 let batch = low_degree_batch(step);
                 let ri = inline.apply(&batch).unwrap();
@@ -1473,12 +1312,7 @@ mod tests {
                 assert_eq!(ri, rf, "S={shards} step {step}");
                 assert!(ri.triangles_added >= 40, "S={shards} step {step}");
             }
-            assert_eq!(inline.triangles(), forced.triangles(), "S={shards}");
-            assert_eq!(inline.arena_stats(), forced.arena_stats(), "S={shards}");
-            for node in AdjacencyView::nodes(&inline) {
-                assert_eq!(inline.node_support(node), forced.node_support(node));
-            }
-            assert!(inline.matches_oracle() && forced.matches_oracle());
+            assert_same_state(&inline, &forced, &format!("low degree, S={shards}"));
 
             // Three waves a batch (collect, record, insert), none of
             // them near the floor: the default engine kept every one on
@@ -1494,20 +1328,34 @@ mod tests {
                 let grew = after[name] - before.get(name).copied().unwrap_or(0);
                 assert!(grew >= 36, "{name} grew by {grew}");
             }
+
+            // Mean degree 50, 300 deltas: waves around the hand-off
+            // floor on lists long enough for slabs to promote and free,
+            // where arena layout would show any difference in what the
+            // two engines' record waves do.
+            let g = Gnp::new(600, 50.0 / 599.0).seeded(29).generate();
+            let mut inline = ShardedTriangleIndex::from_graph(&g, shards);
+            let mut forced = parallel(ShardedTriangleIndex::from_graph(&g, shards));
+            for step in 0..8 {
+                let batch = dense_batch(&inline, step);
+                let ri = inline.apply(&batch).unwrap();
+                let rf = forced.apply(&batch).unwrap();
+                assert_eq!(ri, rf, "S={shards} step {step}");
+                assert!(ri.removes_applied >= 100 && ri.inserts_applied >= 100);
+            }
+            assert_same_state(&inline, &forced, &format!("mean degree 50, S={shards}"));
         }
     }
 
     #[test]
     fn a_bare_index_never_retains_a_buffer_on_any_path() {
-        // Ordered (S = 1), the pipeline on one shard, on three, and with
-        // every record wave split: with no view ever published every
-        // write is in place.
+        // Ordered (S = 1), the pipeline on one shard and on three: with
+        // no view ever published every write is in place.
         let g = Gnp::new(50, 0.15).seeded(17).generate();
         let engines = [
             ShardedTriangleIndex::from_graph(&g, 1),
             parallel(ShardedTriangleIndex::from_graph(&g, 1)),
             parallel(ShardedTriangleIndex::from_graph(&g, 3)),
-            parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_split_threshold(0),
         ];
         for mut idx in engines {
             for step in 0..6 {

@@ -108,7 +108,7 @@ fn tracing_on_and_off_produce_bit_identical_results() {
         ("sharded", "record"),
         ("sharded", "merge"),
         ("pool", "worker"),
-        ("pool", "collect_wave"),
+        ("pool", "wave_collect"),
         ("distributed", "classify"),
         ("distributed", "plan"),
         ("distributed", "broadcast"),
