@@ -31,12 +31,14 @@
 //! * a **fault** sweep: one fixed-seed uniform-churn stream replayed
 //!   through the self-healing hardened engine under seeded loss plans
 //!   (drop ∈ {0, 0.1%, 1%}), reporting the recovery overhead each rate
-//!   costs — rounds/batch, accounted recovery rounds/batch, repair and
-//!   degraded epoch counts. The zero-rate point is asserted in-binary
-//!   to be **bit-identical** to a plain engine (a quiet plan is exactly
-//!   the legacy path), and the 1% point's rounds/batch is gated
-//!   lower-is-better (`fault_drop1pct_rounds_per_batch`) so recovery
-//!   cannot silently get more expensive.
+//!   costs — rounds/batch, of which accounted recovery, trailer and idle
+//!   rounds, repair and degraded epoch counts. The zero-rate point is
+//!   asserted in-binary to be **bit-identical** to a plain engine (a
+//!   quiet plan is exactly the legacy path), no point may degrade an
+//!   epoch or cost more than `FAULT_ROUND_CEILING` zero-rate runs, and
+//!   the 1% point's rounds/batch is gated lower-is-better
+//!   (`fault_drop1pct_rounds_per_batch`) so recovery cannot silently get
+//!   more expensive.
 //!
 //! All other sections run the engine in its defaults — helper-split
 //! scheduling *and* CONGEST-accounted convergecast aggregation — so the
@@ -197,6 +199,12 @@ fn hotspot_sweep(quick: bool) -> HotspotSweep {
     }
 }
 
+/// How many zero-rate runs any point of the fault sweep may cost in
+/// rounds, enforced in-binary beside the zero-rate identity check: a
+/// deadline wait (hundreds of times the quiet cost) cannot come back
+/// unnoticed.
+const FAULT_ROUND_CEILING: u64 = 10;
+
 /// One drop rate's cost through the fault sweep: the same fixed-seed
 /// churn stream through the hardened engine under a seeded loss plan.
 struct FaultPoint {
@@ -219,13 +227,16 @@ impl FaultPoint {
     fn to_json(&self) -> String {
         format!(
             "{{\"drop_rate\":{},\"batches\":{},\"total_rounds\":{},\
-             \"recovery_rounds\":{},\"mean_rounds_per_batch\":{:.4},\
+             \"recovery_rounds\":{},\"trailer_rounds\":{},\"idle_rounds\":{},\
+             \"mean_rounds_per_batch\":{:.4},\
              \"recovery_rounds_per_batch\":{:.4},\"retransmit_rounds\":{},\
              \"epoch_repairs\":{},\"degraded_epochs\":{},\"oracle_ok\":{}}}",
             self.drop_rate,
             self.batches,
             self.total.rounds,
             self.total.recovery_rounds,
+            self.total.trailer_rounds,
+            self.total.idle_rounds,
             self.mean_rounds_per_batch(),
             self.recovery_rounds_per_batch(),
             self.stats.retransmit_rounds,
@@ -707,16 +718,38 @@ fn main() {
         RecoveryStats::default(),
         "zero-rate fault plan ran recovery machinery"
     );
+    // The sweep has no crash window and stays at or below 1 % drop: a
+    // lost message there costs a resend or a repair epoch, never a
+    // deadline, so no epoch may degrade and no rate may cost more than
+    // ten zero-rate runs.
+    for p in &fault_points {
+        assert_eq!(
+            p.stats.degraded_epochs, 0,
+            "fault sweep at drop rate {} degraded an epoch",
+            p.drop_rate
+        );
+        assert!(
+            p.total.rounds <= FAULT_ROUND_CEILING * fault_zero.total.rounds,
+            "fault sweep at drop rate {} cost {} rounds, over {FAULT_ROUND_CEILING}x \
+             the zero-rate {}",
+            p.drop_rate,
+            p.total.rounds,
+            fault_zero.total.rounds
+        );
+    }
     let fault_zero_round_ratio =
         fault_zero.total.rounds as f64 / fault_plain_total.rounds.max(1) as f64;
     let fault_drop1 = fault_points.last().expect("the sweep has points");
-    print!("fault sweep (drop rate → rounds/batch, of which recovery): ");
+    print!("fault sweep (drop rate → rounds/batch, of which recovery / trailer / idle): ");
     for p in &fault_points {
+        let per_batch = |rounds: u64| rounds as f64 / p.batches.max(1) as f64;
         print!(
-            "{}% → {:.1} (+{:.1})  ",
+            "{}% → {:.1} ({:.1} / {:.1} / {:.1})  ",
             p.drop_rate * 100.0,
             p.mean_rounds_per_batch(),
             p.recovery_rounds_per_batch(),
+            per_batch(p.total.trailer_rounds),
+            per_batch(p.total.idle_rounds),
         );
     }
     println!();

@@ -29,6 +29,9 @@ pub struct Metrics {
     pub corrupted_messages: u64,
     /// Messages delivered twice by the fault layer.
     pub duplicated_messages: u64,
+    /// Rounds in which no node sent anything: pure waiting (a timeout
+    /// being sat out, a tail of nodes lingering before they halt).
+    pub silent_rounds: u64,
 }
 
 impl Metrics {
@@ -44,6 +47,7 @@ impl Metrics {
             dropped_messages: 0,
             corrupted_messages: 0,
             duplicated_messages: 0,
+            silent_rounds: 0,
         }
     }
 

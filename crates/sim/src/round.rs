@@ -36,6 +36,8 @@ pub(crate) struct RoundState {
     /// Nodes that halted during the current round; they leave `active`
     /// when it ends.
     newly_halted: Vec<usize>,
+    /// Whether any node has queued a message in the current round.
+    sent_this_round: bool,
     /// Traffic of the epoch in progress.
     metrics: Metrics,
     /// Persistent fault-injection state (no-op under a quiet plan).
@@ -54,6 +56,7 @@ impl RoundState {
             halted: vec![false; n],
             active: Vec::with_capacity(n),
             newly_halted: Vec::new(),
+            sent_this_round: false,
             metrics: Metrics::default(),
             faults: FaultState::new(config, n),
             epoch: 0,
@@ -151,6 +154,7 @@ impl RoundState {
             self.halted[node] = true;
             self.newly_halted.push(node);
         }
+        self.sent_this_round |= !outbox.is_empty();
         for (to, payload) in outbox.drain(..) {
             self.deliver(node, to.index(), payload);
         }
@@ -185,6 +189,10 @@ impl RoundState {
     /// Retires the nodes that halted this round and makes the deliveries
     /// of this round the inboxes of the next.
     fn end_round(&mut self) {
+        // A message the fault layer then lost was still sent.
+        if !std::mem::take(&mut self.sent_this_round) {
+            self.metrics.silent_rounds += 1;
+        }
         if !self.newly_halted.is_empty() {
             // A lower-id sender may have delivered before the node halted.
             for node in self.newly_halted.drain(..) {
@@ -247,9 +255,21 @@ mod tests {
         assert_eq!(report.metrics.messages, 3);
         assert_eq!(report.metrics.received_messages, vec![0, 2, 1]);
         assert_eq!(report.metrics.rounds, 2);
+        // Round 0 carried every send; round 1 was pure waiting.
+        assert_eq!(report.metrics.silent_rounds, 1);
         assert_eq!(read, vec![vec![0, 0], vec![0], vec![0, 1]]);
         // Nothing is left behind in either buffer.
         assert!(state.inboxes.iter().chain(&state.next).all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_round_whose_only_message_was_lost_is_not_silent() {
+        let plan = FaultPlan::default().with_drop(1.0);
+        let mut state = RoundState::new(&SimConfig::congest(0).with_faults(plan), 2);
+        let (report, _) = script(&mut state, 10, &[&[1], &[]], &[2, 2]);
+        assert_eq!(report.metrics.dropped_messages, 1);
+        assert_eq!(report.metrics.rounds, 3);
+        assert_eq!(report.metrics.silent_rounds, 2);
     }
 
     #[test]

@@ -109,6 +109,102 @@
 //! from [`DistributedTriangleEngine::apply`] instead of silently
 //! truncating ids into range.
 //!
+//! # Hardened streams
+//!
+//! Everything above is the protocol under a quiet [`FaultPlan`], and a
+//! quiet plan leaves it bit for bit what it was. A non-quiet plan
+//! *hardens* the engine: messages may now be lost, duplicated or arrive
+//! with one bit flipped, and a node may sit out whole epochs, so every
+//! stream is made to prove itself and every loss to cost what was lost.
+//! The bit layouts live in the private `wire` module, the two ends of an
+//! acknowledged link in `link`.
+//!
+//! **Broadcast: one combined stream per link.** A (sender, receiver)
+//! pair has one stream per epoch: the removal edges the sender owes
+//! that neighbour, in the removal rounds, then the insertion edges, in
+//! the insertion rounds — `⌊B/2w⌋` edges of two `w`-bit ids per
+//! message, exactly as on the quiet path — and then, in the rounds
+//! right after the insertion data rounds, **one trailer**:
+//!
+//! ```text
+//! [ removal-prefix length | total edge count | Checksum61 ]
+//!    ⌈log2(cap_rm + 1)⌉      ⌈log2(cap + 1)⌉      61 bits
+//! ```
+//!
+//! where `cap_rm` and `cap` are the most edges the epoch's removal
+//! rounds, and all its data rounds, can carry on one link — both ends
+//! read the round counts from their descriptors, so a typical epoch's
+//! trailer is 65 bits, three rounds at `B = 22`. The checksum folds the
+//! prefix length, then every id word in stream order.
+//! Receivers buffer a stream instead of trusting deliveries and tell
+//! data from trailer by round alone; once the trailer rounds are over, a
+//! stream whose trailer has the right length, count and checksum
+//! converts to candidates — its removal prefix against the snapshot of
+//! the pre-batch slice a touched node took in round 0, the rest against
+//! the live post-batch slice — and its sender joins the node's verified
+//! set. The coordinator replays every broadcaster's queues and compares
+//! them with the verified sets; each pair that is missing is re-sent, as
+//! the same combined stream closed by the same trailer, in a **repair
+//! epoch** (a main epoch with no phase boundary and no aggregation:
+//! one encoder and one verifier serve both), at most
+//! `MAX_REPAIR_ATTEMPTS` times, accounted as
+//! [`recovery_rounds`](CongestCost::recovery_rounds). A lost broadcast
+//! message therefore costs one short repair epoch for the streams it
+//! broke.
+//!
+//! **Convergecast: acknowledged links.** An empty aggregate is the
+//! one-bit chunk `[more = 0]` it is on the quiet path — the only 1-bit
+//! message there is, so no lost or flipped bit can forge it. A non-empty
+//! aggregate closes with a [`Checksum61`](congest_hash::Checksum61) over
+//! its id words and travels as chunks `[more | seq | data]`, `seq`
+//! counting chunks modulo 4. The parent → child direction of a forest
+//! link is otherwise idle during the convergecast, and carries the
+//! **ack rule**: a parent answers every chunk it reads — in order or
+//! not, once per child per round — with the 2-bit sequence number it
+//! expects next, appending a chunk only if it carries exactly that
+//! number; a child keeps at most a window of chunks unacknowledged, and
+//! when the answer to its oldest one is not there in the round it is
+//! due, goes back and resends from that chunk (go-back-N). Three
+//! constants, all in `link`:
+//!
+//! * `ACK_TIMEOUT_ROUNDS = 2` — a chunk sent in round `r` is read in
+//!   `r + 1`, answered in that round, and the answer read in `r + 2`.
+//!   Rounds are synchronous: an answer that is not there by then is not
+//!   late, it is lost, so waiting longer buys nothing.
+//! * `WINDOW = 2` — the round trip, so a link on which nothing is lost
+//!   moves one new chunk every round, as the quiet path does.
+//! * `MAX_LINK_RESENDS = 8` — sized like `MAX_REPAIR_ATTEMPTS`: resends
+//!   in a row that may go unanswered before the child gives the link
+//!   up, latches trouble and halts. Eight straight losses do not happen
+//!   at a loss rate the protocol is meant for; a link that is really
+//!   dead is dropped after 18 rounds.
+//!
+//! A node stays up `LINGER_ROUNDS = 3 · ACK_TIMEOUT_ROUNDS` after its
+//! last answer, so a child whose *final* acknowledgement was lost — and
+//! which cannot tell that from a lost final chunk — gets three more
+//! chances to hear it. (With a single chance, a child is stranded
+//! whenever the acknowledgement and its one resend are both lost: at 1 %
+//! drop on 2 000 links that degraded 4 epochs in 40.) A lost chunk or
+//! acknowledgement thus costs its link one round trip, and the epoch
+//! that much only if the link is on the critical path.
+//!
+//! **What the deadline is still for.** Every node also gets an absolute
+//! round, `broadcast_end + (height + 1) · hop + 2`, at which it stops
+//! counting on children whose streams are still open, latches trouble
+//! and forwards what it has; `hop` is the batch-wide worst-case stream
+//! length plus the rounds a link spends before giving itself up, so the
+//! deadline cannot fire on a stream the link layer is still able to
+//! deliver. It is the backstop for what acknowledgements cannot mend —
+//! total loss, total corruption, a flipped `more` bit that leaves a
+//! parent waiting for chunks that do not exist — and together with the
+//! resend budget it bounds every epoch, so those cases still end in
+//! [`StreamError::RecoveryExhausted`] or, under a small enough cap,
+//! [`StreamError::RoundLimit`]. Because a hardened coordinator reads
+//! every node's aggregates (not just the roots'), latched trouble loses
+//! no verified candidate; it only marks the epoch
+//! [`degraded`](RecoveryStats::degraded_epochs) — crashed, uncovered or
+//! genuinely abandoned — its network-side merge having been cut short.
+//!
 //! Per-batch tallies match the sharded pipeline path (the coalescer
 //! counts dropped ops as no-ops rather than applying them), and the
 //! final graph and triangle set are identical to the strictly ordered
@@ -121,7 +217,7 @@ use std::fmt;
 use std::time::Duration;
 
 use congest_graph::{AdjacencyView, Edge, Graph, NodeId, Triangle, TriangleSet};
-use congest_hash::{Checksum61, CHECKSUM_BITS};
+use congest_hash::CHECKSUM_BITS;
 use congest_sim::{
     Bandwidth, EpochReport, FaultPlan, NodeProgram, NodeStatus, ReceivedMessage, RoundContext,
     SimConfig, Simulation, ThreadedSimulation,
@@ -134,17 +230,11 @@ use crate::shard::{
     merge_added_candidates, merge_removed_candidates, sorted_insert, sorted_remove,
 };
 
-/// Width of the phase-length and list-length fields in the injected
-/// batch descriptor (out-of-band client input, not CONGEST traffic) and
-/// of the candidate-count fields in convergecast streams.
-const COUNT_BITS: usize = 32;
+mod link;
+mod wire;
 
-/// Bits of the self-checking trailer every hardened broadcast stream
-/// ends with: an edge count plus a [`Checksum61`] over the stream's id
-/// words. Senders append it in the last `⌈93/B⌉` rounds of the phase;
-/// a receiver only converts a buffered stream into candidates once the
-/// trailer verifies.
-const TRAILER_BITS: usize = COUNT_BITS + CHECKSUM_BITS;
+use link::{LinkReceiver, LinkSender, Receipt, ACK_TIMEOUT_ROUNDS, MAX_LINK_RESENDS};
+use wire::{StreamBuf, TrailerLayout, COUNT_BITS};
 
 /// Width of the per-node convergecast deadline field in hardened
 /// descriptors (an absolute round number; 32 bits could overflow on
@@ -155,13 +245,13 @@ const DEADLINE_BITS: usize = 48;
 /// giving up with [`StreamError::RecoveryExhausted`]. Each attempt
 /// re-sends only the still-unverified streams, so under realistic loss
 /// rates one or two attempts settle everything. The budget is sized for
-/// narrow links: at small `n` the checksum trailer alone spans ~10
+/// narrow links: at small `n` the checksum trailer alone spans ~8
 /// messages, so a single attempt under a few-percent loss rate fails
 /// with non-trivial probability and several retries must stay cheap.
 const MAX_REPAIR_ATTEMPTS: u32 = 8;
 
 /// How the coordinator schedules the per-phase delta broadcasts (the
-/// module-level documentation in `distributed.rs` walks through the
+/// module-level documentation in `distributed/mod.rs` walks through the
 /// full protocol).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HubSplit {
@@ -196,7 +286,7 @@ impl HubSplit {
 
 /// How per-node candidate sets reach the coordinator after the
 /// broadcast phases (the module-level documentation in
-/// `distributed.rs` walks through the convergecast).
+/// `distributed/mod.rs` walks through the convergecast).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Aggregation {
     /// The coordinator reads every node's candidate lists directly —
@@ -366,20 +456,55 @@ pub struct CongestCost {
     /// non-quiet [`FaultPlan`]) runs to re-send broadcast streams whose
     /// trailer failed to verify. Always 0 under a quiet plan.
     pub recovery_rounds: u64,
+    /// The share of the broadcast prefix (`rounds − convergecast_rounds
+    /// − recovery_rounds`) a hardened engine spends sending stream
+    /// trailers. Always 0 under a quiet plan.
+    pub trailer_rounds: u64,
+    /// The share of
+    /// [`convergecast_rounds`](CongestCost::convergecast_rounds) in
+    /// which no node sent anything: a timeout being sat out, the tail in
+    /// which the last nodes wait before halting. (The simulator counts
+    /// silent rounds per epoch; they are booked here up to the
+    /// convergecast share, which is where waiting happens.)
+    pub idle_rounds: u64,
 }
 
 impl CongestCost {
     /// The cost of one epoch whose simulator metrics are `metrics`, of
     /// which everything after the `broadcast_rounds`-round prefix was
-    /// convergecast aggregation.
-    fn from_epoch(metrics: &congest_sim::Metrics, broadcast_rounds: u64) -> Self {
-        CongestCost {
+    /// convergecast aggregation and the prefix's last `trailer_rounds`
+    /// data-free rounds carried stream trailers.
+    fn from_epoch(
+        metrics: &congest_sim::Metrics,
+        broadcast_rounds: u64,
+        trailer_rounds: u64,
+    ) -> Self {
+        let convergecast_rounds = metrics.rounds.saturating_sub(broadcast_rounds);
+        let cost = CongestCost {
             rounds: metrics.rounds,
             messages: metrics.messages,
             bits: metrics.total_bits,
-            convergecast_rounds: metrics.rounds.saturating_sub(broadcast_rounds),
+            convergecast_rounds,
             recovery_rounds: 0,
-        }
+            trailer_rounds,
+            idle_rounds: metrics.silent_rounds.min(convergecast_rounds),
+        };
+        cost.debug_assert_partition();
+        cost
+    }
+
+    /// The parts must nest: broadcast prefix + convergecast + recovery
+    /// is all of the rounds, trailers are part of the prefix, idling is
+    /// part of the convergecast.
+    fn debug_assert_partition(&self) {
+        let prefix = self
+            .rounds
+            .checked_sub(self.convergecast_rounds + self.recovery_rounds);
+        debug_assert!(
+            prefix.is_some_and(|prefix| self.trailer_rounds <= prefix)
+                && self.idle_rounds <= self.convergecast_rounds,
+            "cost terms do not nest: {self:?}"
+        );
     }
 
     /// Adds one retransmission epoch's metrics into this batch cost.
@@ -388,6 +513,7 @@ impl CongestCost {
         self.messages += metrics.messages;
         self.bits += metrics.total_bits;
         self.recovery_rounds += metrics.rounds;
+        self.debug_assert_partition();
     }
 
     /// Adds `other` into this running total.
@@ -397,6 +523,8 @@ impl CongestCost {
         self.bits += other.bits;
         self.convergecast_rounds += other.convergecast_rounds;
         self.recovery_rounds += other.recovery_rounds;
+        self.trailer_rounds += other.trailer_rounds;
+        self.idle_rounds += other.idle_rounds;
     }
 }
 
@@ -416,30 +544,6 @@ pub struct ReceivedBitsSkew {
     pub epochs: u64,
 }
 
-/// One broadcast stream being reassembled by a hardened receiver: the
-/// decoded edges in arrival order plus the trailer bits, verified
-/// together at the phase boundary.
-#[derive(Default)]
-struct StreamBuf {
-    edges: Vec<Edge>,
-    trailer: BitWriter,
-    /// Set when a data chunk failed to decode — the stream can no
-    /// longer verify, but buffering continues so the epoch stays in
-    /// lockstep.
-    corrupt: bool,
-}
-
-/// Folds a broadcast queue's edges into the trailer checksum (two id
-/// words per edge, in stream order).
-fn edge_checksum(edges: &[Edge]) -> u64 {
-    let mut cs = Checksum61::new();
-    for e in edges {
-        cs.update(e.lo().as_u64());
-        cs.update(e.hi().as_u64());
-    }
-    cs.value()
-}
-
 /// One network node's program: owns the adjacency slice `N(v)` and runs
 /// the two-phase broadcast protocol each epoch (see the
 /// [module documentation](self)).
@@ -449,7 +553,8 @@ struct DynamicTriangleNode {
     /// engine's [`AdjacencyView`] reads these slices directly — the
     /// node programs *are* the graph storage.
     adjacency: Vec<NodeId>,
-    /// Global phase lengths for the current epoch (from the descriptor).
+    /// Global data-round counts of the two broadcast phases for the
+    /// current epoch (from the descriptor).
     rm_rounds: u64,
     ins_rounds: u64,
     /// Effective deltas incident to this node (from the descriptor);
@@ -462,6 +567,8 @@ struct DynamicTriangleNode {
     bcast_removes: Vec<Edge>,
     bcast_inserts: Vec<Edge>,
     /// Per-neighbour broadcast queues, chunked to `edges_per_message`.
+    /// In a repair epoch `ins_queues` holds the whole streams to
+    /// re-send, removals leading.
     rm_queues: Vec<(NodeId, Vec<Edge>)>,
     ins_queues: Vec<(NodeId, Vec<Edge>)>,
     /// Candidate triangle deltas observed this epoch; drained by the
@@ -478,51 +585,58 @@ struct DynamicTriangleNode {
     /// How many convergecast streams this node must absorb before it
     /// may forward its own aggregate.
     child_count: usize,
-    children_done: usize,
-    /// Per-child partial convergecast streams, reassembled chunk by
-    /// chunk.
-    child_streams: BTreeMap<NodeId, BitWriter>,
+    /// The children whose streams have ended, by id — a final chunk
+    /// that arrives twice is still one child.
+    finished: BTreeSet<NodeId>,
+    /// The receiving end of each child's convergecast link.
+    child_links: BTreeMap<NodeId, LinkReceiver>,
     /// The dedup-merged candidate aggregates (own observations plus
     /// every finished child stream) — the `shard.rs` merge core keeps
     /// each triangle exactly once, which is also what bounds the bits
     /// forwarded upward.
     agg_dead: TriangleSet,
     agg_born: TriangleSet,
-    /// The serialized aggregate, pre-chunked to the link budget, being
-    /// streamed to the parent (`None` until the node starts sending).
-    up_chunks: Option<VecDeque<Payload>>,
+    /// The sending end of the link to the parent, carrying the
+    /// serialized aggregate (`None` until the node starts sending).
+    up_link: Option<LinkSender>,
     /// First protocol violation observed this epoch (corrupt payload);
     /// surfaced by the coordinator as [`StreamError::Protocol`].
     protocol_error: Option<String>,
-    /// Whether the engine runs with a non-quiet [`FaultPlan`]: streams
-    /// then carry self-checking trailers, receivers buffer-and-verify
-    /// instead of trusting deliveries, and the node understands repair
+    /// Whether the engine runs with a non-quiet [`FaultPlan`]: broadcast
+    /// streams then close with a self-checking trailer, receivers
+    /// buffer-and-verify instead of trusting deliveries, convergecast
+    /// links are acknowledged, and the node understands repair
     /// descriptors. Set once by the coordinator; a quiet plan leaves
     /// every path below bit-identical to the legacy protocol.
     hardened: bool,
-    /// Snapshot of the pre-batch slice, kept so retransmitted removal
-    /// streams can still be checked against the graph they refer to.
-    pre_adjacency: Vec<NodeId>,
-    /// Buffered broadcast streams, keyed by (insertion-phase?, sender).
-    stream_bufs: BTreeMap<(bool, NodeId), StreamBuf>,
-    /// Senders whose removal / insertion streams verified this epoch
-    /// (the coordinator reads these to find the streams that did not).
-    verified_rm: BTreeSet<NodeId>,
-    verified_ins: BTreeSet<NodeId>,
+    /// Snapshot of the pre-batch slice, kept so removal streams verified
+    /// after the phase boundary (and retransmitted ones) can still be
+    /// checked against the graph they refer to. Taken only by a node
+    /// the batch touches; `None` means the live slice is the pre-batch
+    /// slice.
+    pre_adjacency: Option<Vec<NodeId>>,
+    /// Layout of this epoch's stream trailers (zero rounds on a legacy
+    /// engine).
+    trailer: TrailerLayout,
+    /// The pre-built trailer of each stream this node sends this epoch,
+    /// by receiving neighbour.
+    trailers: Vec<(NodeId, Payload)>,
+    /// Buffered incoming broadcast streams, by sender.
+    stream_bufs: BTreeMap<NodeId, StreamBuf>,
+    /// Senders whose stream verified this epoch (the coordinator reads
+    /// this to find the streams that did not).
+    verified: BTreeSet<NodeId>,
     /// Absolute round after which this node stops waiting for
     /// convergecast children and forwards a partial aggregate.
     deadline: u64,
-    /// Latched when a convergecast stream was rejected or the deadline
-    /// fired — the coordinator then degrades to a direct drain.
+    /// Latched when a convergecast stream was rejected, a link was
+    /// given up or the deadline fired — the epoch then counts as
+    /// degraded.
     agg_trouble: bool,
-    /// Repair-epoch state (kind-1 descriptors): phase length, the
-    /// streams to re-send, the streams to expect (with their removal
-    /// prefix length), and the senders that verified.
+    /// Whether this is a repair epoch (kind-1 descriptor): a pure
+    /// re-broadcast of the scheduled streams, no local apply, no
+    /// aggregation.
     repair_mode: bool,
-    repair_rounds: u64,
-    repair_queues: Vec<(NodeId, Vec<Edge>)>,
-    repair_expect: BTreeMap<NodeId, usize>,
-    repair_verified: BTreeSet<NodeId>,
 }
 
 impl DynamicTriangleNode {
@@ -543,34 +657,21 @@ impl DynamicTriangleNode {
             aggregate: false,
             parent: None,
             child_count: 0,
-            children_done: 0,
-            child_streams: BTreeMap::new(),
+            finished: BTreeSet::new(),
+            child_links: BTreeMap::new(),
             agg_dead: TriangleSet::new(),
             agg_born: TriangleSet::new(),
-            up_chunks: None,
+            up_link: None,
             protocol_error: None,
             hardened: false,
-            pre_adjacency: Vec::new(),
+            pre_adjacency: None,
+            trailer: TrailerLayout::default(),
+            trailers: Vec::new(),
             stream_bufs: BTreeMap::new(),
-            verified_rm: BTreeSet::new(),
-            verified_ins: BTreeSet::new(),
+            verified: BTreeSet::new(),
             deadline: 0,
             agg_trouble: false,
             repair_mode: false,
-            repair_rounds: 0,
-            repair_queues: Vec::new(),
-            repair_expect: BTreeMap::new(),
-            repair_verified: BTreeSet::new(),
-        }
-    }
-
-    /// Rounds the self-checking trailer occupies at the end of every
-    /// non-empty hardened broadcast phase (0 on a legacy engine).
-    fn trailer_rounds(&self, bandwidth_bits: usize) -> u64 {
-        if self.hardened {
-            TRAILER_BITS.div_ceil(bandwidth_bits.max(1)) as u64
-        } else {
-            0
         }
     }
 
@@ -598,14 +699,9 @@ impl DynamicTriangleNode {
         }
     }
 
-    /// Whether `other` is currently in this node's slice.
-    fn knows(&self, other: NodeId) -> bool {
-        self.adjacency.binary_search(&other).is_ok()
-    }
-
-    /// How many edges fit in one message under the per-link budget.
-    fn edges_per_message(bandwidth_bits: usize, id_width: usize) -> usize {
-        (bandwidth_bits / (2 * id_width)).max(1)
+    /// This node's pre-batch slice.
+    fn pre_slice(&self) -> &[NodeId] {
+        self.pre_adjacency.as_deref().unwrap_or(&self.adjacency)
     }
 
     /// Builds per-neighbour broadcast queues for `deltas` over the given
@@ -624,29 +720,6 @@ impl DynamicTriangleNode {
             .collect()
     }
 
-    /// Decodes one node id, validating it against the network size `n`
-    /// (so a corrupt payload surfaces a protocol error instead of
-    /// silently truncating into the `u32` id space).
-    fn decode_node(codec: IdCodec, r: &mut BitReader<'_>, n: usize) -> Result<NodeId, String> {
-        let value = codec
-            .decode(r)
-            .map_err(|e| format!("undecodable node id: {e}"))?;
-        if value >= n as u64 || value > u64::from(u32::MAX) {
-            return Err(format!("node id {value} out of range for n = {n}"));
-        }
-        Ok(NodeId(value as u32))
-    }
-
-    /// Decodes one edge (two distinct, in-range ids).
-    fn decode_edge(codec: IdCodec, r: &mut BitReader<'_>, n: usize) -> Result<Edge, String> {
-        let a = Self::decode_node(codec, r, n)?;
-        let b = Self::decode_node(codec, r, n)?;
-        if a == b {
-            return Err(format!("degenerate edge {{{a}, {b}}}"));
-        }
-        Ok(Edge::new(a, b))
-    }
-
     /// Decodes the injected batch descriptor and prepares the epoch;
     /// resets all per-epoch state first so nothing leaks across epochs
     /// (the adjacency slice and its pre-batch snapshot are the only
@@ -663,26 +736,24 @@ impl DynamicTriangleNode {
         self.aggregate = false;
         self.parent = None;
         self.child_count = 0;
-        self.children_done = 0;
-        self.child_streams.clear();
+        self.finished.clear();
+        self.child_links.clear();
         self.agg_dead = TriangleSet::new();
         self.agg_born = TriangleSet::new();
-        self.up_chunks = None;
+        self.up_link = None;
         self.protocol_error = None;
+        self.trailer = TrailerLayout::default();
+        self.trailers.clear();
         self.stream_bufs.clear();
-        self.verified_rm.clear();
-        self.verified_ins.clear();
+        self.verified.clear();
         self.deadline = 0;
         self.agg_trouble = false;
         self.repair_mode = false;
-        self.repair_rounds = 0;
-        self.repair_queues.clear();
-        self.repair_expect.clear();
-        self.repair_verified.clear();
         let codec = ctx.id_codec().codec();
         let n = ctx.n();
+        let bandwidth_bits = ctx.bandwidth_bits();
         for m in ctx.take_inbox() {
-            if let Err(detail) = self.parse_descriptor(codec, n, &m.payload) {
+            if let Err(detail) = self.parse_descriptor(codec, n, bandwidth_bits, &m.payload) {
                 self.record_protocol_error(m.from, detail);
             }
         }
@@ -692,7 +763,8 @@ impl DynamicTriangleNode {
             return;
         }
         if self.hardened {
-            self.pre_adjacency = self.adjacency.clone();
+            let touched = !(self.my_removes.is_empty() && self.my_inserts.is_empty());
+            self.pre_adjacency = touched.then(|| self.adjacency.clone());
         }
         // Removal broadcasts go over the pre-batch neighbourhood.
         self.rm_queues = Self::build_queues(&self.adjacency, &self.bcast_removes);
@@ -704,22 +776,24 @@ impl DynamicTriangleNode {
         &mut self,
         codec: IdCodec,
         n: usize,
+        bandwidth_bits: usize,
         payload: &Payload,
     ) -> Result<(), String> {
         fn err<E: fmt::Display>(what: &'static str) -> impl FnOnce(E) -> String {
             move |e| format!("descriptor {what}: {e}")
         }
+        let per_message = wire::edges_per_message(bandwidth_bits, codec.width());
         let mut r = BitReader::new(payload);
         let mut sync = None;
         if self.hardened {
             if r.read_bool().map_err(err("kind"))? {
-                return self.parse_repair(codec, n, &mut r);
+                return self.parse_repair(codec, n, bandwidth_bits, &mut r);
             }
             if r.read_bool().map_err(err("sync flag"))? {
                 let count = r.read_bits(COUNT_BITS).map_err(err("sync length"))?;
                 let mut list = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    list.push(Self::decode_node(codec, &mut r, n)?);
+                    list.push(wire::decode_node(codec, &mut r, n)?);
                 }
                 sync = Some(list);
             }
@@ -732,7 +806,7 @@ impl DynamicTriangleNode {
         let mut deadline = 0u64;
         if aggregate {
             if r.read_bool().map_err(err("parent flag"))? {
-                parent = Some(Self::decode_node(codec, &mut r, n)?);
+                parent = Some(wire::decode_node(codec, &mut r, n)?);
             }
             child_count = r.read_bits(COUNT_BITS).map_err(err("child count"))? as usize;
             if self.hardened {
@@ -743,7 +817,7 @@ impl DynamicTriangleNode {
         for (all, bcast) in &mut lists {
             let count = r.read_bits(COUNT_BITS).map_err(err("list length"))?;
             for _ in 0..count {
-                let e = Self::decode_edge(codec, &mut r, n)?;
+                let e = wire::decode_edge(codec, &mut r, n)?;
                 all.push(e);
                 if r.read_bool().map_err(err("broadcast flag"))? {
                     bcast.push(e);
@@ -758,6 +832,10 @@ impl DynamicTriangleNode {
         }
         self.rm_rounds = rm_rounds;
         self.ins_rounds = ins_rounds;
+        if self.hardened {
+            self.trailer =
+                TrailerLayout::for_phases(rm_rounds, ins_rounds, per_message, bandwidth_bits);
+        }
         self.aggregate = aggregate;
         self.parent = parent;
         self.child_count = child_count;
@@ -769,48 +847,57 @@ impl DynamicTriangleNode {
         Ok(())
     }
 
-    /// Parses a repair descriptor (hardened engines only): the epoch
-    /// length, the streams this node must re-send (removal edges lead
-    /// each list), and the streams it should expect with their removal
-    /// prefix lengths.
+    /// Parses a repair descriptor (hardened engines only): the number
+    /// of data rounds and the streams this node must re-send, each with
+    /// the length of its removal prefix. A repair epoch is a main epoch
+    /// with no removal phase of its own — the whole stream goes out back
+    /// to back in the insertion rounds — so the same send, buffer and
+    /// verify code runs both.
     fn parse_repair(
         &mut self,
         codec: IdCodec,
         n: usize,
+        bandwidth_bits: usize,
         r: &mut BitReader<'_>,
     ) -> Result<(), String> {
         fn err<E: fmt::Display>(what: &'static str) -> impl FnOnce(E) -> String {
             move |e| format!("repair descriptor {what}: {e}")
         }
         let rounds = r.read_bits(COUNT_BITS).map_err(err("rounds"))?;
+        let capacity = rounds as usize * wire::edges_per_message(bandwidth_bits, codec.width());
+        let layout = TrailerLayout::new(capacity, capacity, bandwidth_bits);
         let target_count = r.read_bits(COUNT_BITS).map_err(err("target count"))?;
         let mut queues = Vec::with_capacity(target_count as usize);
+        let mut trailers = Vec::with_capacity(target_count as usize);
         for _ in 0..target_count {
-            let to = Self::decode_node(codec, r, n)?;
+            let to = wire::decode_node(codec, r, n)?;
+            let rm_len = r.read_bits(COUNT_BITS).map_err(err("removal prefix"))? as usize;
             let count = r.read_bits(COUNT_BITS).map_err(err("edge count"))?;
             let mut edges = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                edges.push(Self::decode_edge(codec, r, n)?);
+                edges.push(wire::decode_edge(codec, r, n)?);
             }
+            if rm_len > edges.len() || edges.len() > capacity {
+                return Err(format!(
+                    "repair stream of {} edges ({rm_len} removals) does not fit {rounds} rounds",
+                    edges.len()
+                ));
+            }
+            trailers.push((to, layout.build(rm_len, &edges, &[])));
             queues.push((to, edges));
         }
-        let expect_count = r.read_bits(COUNT_BITS).map_err(err("expect count"))?;
-        let mut expect = BTreeMap::new();
-        for _ in 0..expect_count {
-            let from = Self::decode_node(codec, r, n)?;
-            let rm_len = r.read_bits(COUNT_BITS).map_err(err("removal prefix"))? as usize;
-            expect.insert(from, rm_len);
-        }
         self.repair_mode = true;
-        self.repair_rounds = rounds;
-        self.repair_queues = queues;
-        self.repair_expect = expect;
+        self.ins_rounds = rounds;
+        self.trailer = layout;
+        self.ins_queues = queues;
+        self.trailers = trailers;
         Ok(())
     }
 
     /// Applies this node's own effective deltas to its slice (the phase
     /// boundary), then prepares insertion broadcasts over the post-batch
-    /// neighbourhood.
+    /// neighbourhood — and, on a hardened engine, the one trailer that
+    /// closes each neighbour's combined removal + insertion stream.
     fn apply_local(&mut self) {
         for e in &self.my_removes {
             if let Some(other) = e.other(self.id) {
@@ -823,6 +910,19 @@ impl DynamicTriangleNode {
             }
         }
         self.ins_queues = Self::build_queues(&self.adjacency, &self.bcast_inserts);
+        if self.hardened {
+            let mut streams: BTreeMap<NodeId, [&[Edge]; 2]> = BTreeMap::new();
+            for (nb, q) in &self.rm_queues {
+                streams.entry(*nb).or_default()[0] = q;
+            }
+            for (nb, q) in &self.ins_queues {
+                streams.entry(*nb).or_default()[1] = q;
+            }
+            self.trailers = streams
+                .into_iter()
+                .map(|(nb, [rm, ins])| (nb, self.trailer.build(rm.len(), rm, ins)))
+                .collect();
+        }
     }
 
     /// Sends this round's chunk of every per-neighbour queue.
@@ -834,116 +934,64 @@ impl DynamicTriangleNode {
     ) {
         let codec = ctx.id_codec().codec();
         for (nb, q) in queues {
-            let chunk = q
-                .iter()
-                .skip(wave * per_message)
-                .take(per_message)
-                .collect::<Vec<_>>();
-            if chunk.is_empty() {
+            let Some(chunk) = q.chunks(per_message).nth(wave) else {
                 continue;
-            }
+            };
             let mut w = BitWriter::new();
-            for e in chunk {
-                codec.encode(&mut w, e.lo().as_u64());
-                codec.encode(&mut w, e.hi().as_u64());
-            }
+            wire::encode_edges(codec, &mut w, chunk);
             ctx.send(*nb, w.finish())
                 .expect("one in-budget message per link per round");
         }
     }
 
-    /// Sends this round's chunk of every non-empty queue's trailer
-    /// (`[edge count | Checksum61]`, split to the link budget). The
-    /// trailer occupies the phase's last [`trailer_rounds`] rounds, so
-    /// receivers can tell data chunks from trailer chunks by round
+    /// Sends this round's slice of every outgoing stream's trailer. The
+    /// trailer occupies the rounds right after the data rounds, so
+    /// receivers can tell data messages from trailer chunks by round
     /// alone.
-    ///
-    /// [`trailer_rounds`]: DynamicTriangleNode::trailer_rounds
-    fn send_trailer_wave(
-        ctx: &mut RoundContext<'_>,
-        queues: &[(NodeId, Vec<Edge>)],
-        chunk: usize,
-        bandwidth_bits: usize,
-    ) {
-        for (nb, q) in queues {
-            let mut w = BitWriter::new();
-            w.write_bits(q.len() as u64, COUNT_BITS);
-            w.write_bits(edge_checksum(q), CHECKSUM_BITS);
-            let trailer = w.finish();
-            let lo = chunk * bandwidth_bits;
-            if lo >= trailer.bit_len() {
+    fn send_trailer_wave(&self, ctx: &mut RoundContext<'_>, index: usize) {
+        let bandwidth_bits = ctx.bandwidth_bits();
+        for (nb, trailer) in &self.trailers {
+            if let Some(chunk) = TrailerLayout::chunk(trailer, index, bandwidth_bits) {
+                ctx.send(*nb, chunk)
+                    .expect("trailer chunks fit the link budget");
+            }
+        }
+    }
+
+    /// Verifies every buffered stream against its trailer, main and
+    /// repair epochs alike. A verified stream's removal prefix converts
+    /// to candidates against the pre-batch snapshot, the rest against
+    /// the live post-batch slice — exactly the membership a legacy
+    /// receiver tests on delivery; anything else is silently set aside
+    /// for the coordinator, which compares the verified-sender sets
+    /// against its own expectations and schedules retransmission.
+    fn verify_streams(&mut self) {
+        let layout = self.trailer;
+        for (from, buf) in std::mem::take(&mut self.stream_bufs) {
+            let Some((edges, rm_len)) = layout.verify(buf) else {
                 continue;
-            }
-            let take = bandwidth_bits.min(trailer.bit_len() - lo);
-            let mut r = BitReader::new(&trailer);
-            r.skip(lo).expect("offset within trailer");
-            let mut out = BitWriter::new();
-            out.append(&mut r, take).expect("chunk within trailer");
-            ctx.send(*nb, out.finish())
-                .expect("trailer chunks fit the link budget");
+            };
+            self.convert_candidates(&edges[..rm_len], false);
+            self.convert_candidates(&edges[rm_len..], true);
+            self.verified.insert(from);
         }
     }
 
-    /// Verifies every buffered stream of one broadcast phase against
-    /// its trailer: the trailer must be exactly [`TRAILER_BITS`], its
-    /// count must match the received edges and its checksum must match
-    /// their fold. Verified streams convert to candidates exactly like
-    /// legacy deliveries; anything else is silently set aside for the
-    /// coordinator, which compares the verified-sender sets against its
-    /// own expectations and schedules retransmission.
-    fn verify_streams(&mut self, ins_phase: bool) {
-        let senders: Vec<NodeId> = self
-            .stream_bufs
-            .keys()
-            .filter(|k| k.0 == ins_phase)
-            .map(|k| k.1)
-            .collect();
-        for from in senders {
-            let buf = self
-                .stream_bufs
-                .remove(&(ins_phase, from))
-                .expect("key was just listed");
-            if !Self::stream_verifies(&buf) {
-                continue;
-            }
-            self.convert_candidates(&buf.edges, ins_phase, false);
-            if ins_phase {
-                self.verified_ins.insert(from);
-            } else {
-                self.verified_rm.insert(from);
-            }
-        }
-    }
-
-    /// Whether one buffered stream's trailer checks out.
-    fn stream_verifies(buf: &StreamBuf) -> bool {
-        let trailer = buf.trailer.clone().finish();
-        if buf.corrupt || trailer.bit_len() != TRAILER_BITS {
-            return false;
-        }
-        let mut r = BitReader::new(&trailer);
-        let count = r.read_bits(COUNT_BITS).expect("length-checked");
-        let checksum = r.read_bits(CHECKSUM_BITS).expect("length-checked");
-        count == buf.edges.len() as u64 && checksum == edge_checksum(&buf.edges)
-    }
-
-    /// Converts a verified stream's edges into candidate triangles.
-    /// `against_pre` checks membership on the pre-batch snapshot —
-    /// retransmitted removal streams arrive after the local boundary
-    /// already switched the slice to the post-batch graph.
-    fn convert_candidates(&mut self, edges: &[Edge], ins_phase: bool, against_pre: bool) {
+    /// Converts delivered edges into candidate triangles: a removed
+    /// edge whose endpoints are both in the pre-batch slice, an
+    /// inserted edge whose endpoints are both in the live one.
+    fn convert_candidates(&mut self, edges: &[Edge], ins_phase: bool) {
         for e in edges {
             if e.contains(self.id) {
                 continue;
             }
             let (u, v) = e.endpoints();
-            let known = if against_pre {
-                self.pre_adjacency.binary_search(&u).is_ok()
-                    && self.pre_adjacency.binary_search(&v).is_ok()
+            let slice = if ins_phase {
+                &self.adjacency
             } else {
-                self.knows(u) && self.knows(v)
+                self.pre_slice()
             };
-            if known {
+            if slice.binary_search(&u).is_ok() && slice.binary_search(&v).is_ok() {
                 let t = Triangle::new(u, v, self.id);
                 if ins_phase {
                     self.born.push(t);
@@ -954,201 +1002,43 @@ impl DynamicTriangleNode {
         }
     }
 
-    /// Verifies the streams received during a repair epoch. Each
-    /// verified stream's removal prefix (length from the repair
-    /// descriptor) converts against the pre-batch snapshot, the rest
-    /// against the live post-batch slice.
-    fn verify_repair_streams(&mut self) {
-        let senders: Vec<NodeId> = self.stream_bufs.keys().map(|k| k.1).collect();
-        for from in senders {
-            let buf = self
-                .stream_bufs
-                .remove(&(false, from))
-                .expect("repair streams buffer under the removal key");
-            let Some(&rm_len) = self.repair_expect.get(&from) else {
-                continue;
-            };
-            if !Self::stream_verifies(&buf) {
-                continue;
-            }
-            let rm_len = rm_len.min(buf.edges.len());
-            self.convert_candidates(&buf.edges[..rm_len], false, true);
-            self.convert_candidates(&buf.edges[rm_len..], true, false);
-            self.repair_verified.insert(from);
-        }
-    }
-
-    /// Decodes the edges packed into a broadcast message, rejecting
-    /// payloads that are not an exact sequence of in-range edges.
-    fn decode_edges(codec: IdCodec, payload: &Payload, n: usize) -> Result<Vec<Edge>, String> {
-        let mut out = Vec::new();
-        let mut r = BitReader::new(payload);
-        let pair = 2 * codec.width();
-        let mut remaining = payload.bit_len();
-        while remaining >= pair {
-            out.push(Self::decode_edge(codec, &mut r, n)?);
-            remaining -= pair;
-        }
-        if remaining != 0 {
-            return Err(format!(
-                "broadcast payload has {remaining} trailing bits (not a whole edge)"
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Serializes the merged candidate aggregate for the upward
-    /// convergecast leg. Empty aggregates serialize to the empty stream
-    /// (one 1-bit chunk), so quiet subtrees cost almost nothing. A
-    /// hardened stream always carries its counts plus a closing
-    /// [`Checksum61`] so receivers can reject corrupted reassemblies.
-    fn serialize_aggregate(
-        codec: IdCodec,
-        dead: &TriangleSet,
-        born: &TriangleSet,
-        checked: bool,
-    ) -> Payload {
-        if !checked && dead.is_empty() && born.is_empty() {
-            return Payload::new();
-        }
-        let mut w = BitWriter::new();
-        let mut cs = Checksum61::new();
-        for set in [dead, born] {
-            w.write_bits(set.len() as u64, COUNT_BITS);
-            for t in set.iter() {
-                for v in t.nodes() {
-                    codec.encode(&mut w, v.as_u64());
-                    cs.update(v.as_u64());
-                }
-            }
-        }
-        if checked {
-            w.write_bits(cs.value(), CHECKSUM_BITS);
-        }
-        w.finish()
-    }
-
-    /// Decodes a reassembled convergecast stream back into candidate
-    /// lists, validating counts, ids and triangle well-formedness.
-    fn decode_aggregate(
-        codec: IdCodec,
-        n: usize,
-        stream: &Payload,
-        checked: bool,
-    ) -> Result<(Vec<Triangle>, Vec<Triangle>), String> {
-        if stream.bit_len() == 0 {
-            if checked {
-                return Err("aggregate stream is missing its checksum".into());
-            }
-            return Ok((Vec::new(), Vec::new()));
-        }
-        let mut r = BitReader::new(stream);
-        let mut dead = Vec::new();
-        let mut born = Vec::new();
-        let mut cs = Checksum61::new();
-        for list in [&mut dead, &mut born] {
-            let count = r
-                .read_bits(COUNT_BITS)
-                .map_err(|e| format!("aggregate count: {e}"))?;
-            for _ in 0..count {
-                let a = Self::decode_node(codec, &mut r, n)?;
-                let b = Self::decode_node(codec, &mut r, n)?;
-                let c = Self::decode_node(codec, &mut r, n)?;
-                if a == b || b == c || a == c {
-                    return Err(format!("degenerate triangle {{{a}, {b}, {c}}}"));
-                }
-                for v in [a, b, c] {
-                    cs.update(v.as_u64());
-                }
-                list.push(Triangle::new(a, b, c));
-            }
-        }
-        if checked {
-            let expect = r
-                .read_bits(CHECKSUM_BITS)
-                .map_err(|e| format!("aggregate checksum: {e}"))?;
-            if expect != cs.value() {
-                return Err("aggregate checksum mismatch".into());
-            }
-        }
-        if !r.is_exhausted() {
-            return Err(format!(
-                "aggregate stream has {} trailing bits",
-                r.remaining()
-            ));
-        }
-        Ok((dead, born))
-    }
-
-    /// Splits a serialized aggregate into link-budget-sized chunk
-    /// messages, each `[more-flag | ≤ B−1 data bits]`. The empty stream
-    /// becomes a single flag-only chunk — the cheapest possible "my
-    /// subtree saw nothing".
-    fn chunk_stream(stream: &Payload, bandwidth_bits: usize) -> VecDeque<Payload> {
-        let per_chunk = bandwidth_bits.saturating_sub(1).max(1);
-        let total = stream.bit_len();
-        let mut reader = BitReader::new(stream);
-        let mut chunks = VecDeque::new();
-        let mut offset = 0;
-        loop {
-            let take = per_chunk.min(total - offset);
-            let mut w = BitWriter::new();
-            w.write_bool(offset + take < total);
-            w.append(&mut reader, take).expect("chunk within stream");
-            chunks.push_back(w.finish());
-            offset += take;
-            if offset >= total {
-                return chunks;
-            }
-        }
-    }
-
-    /// Absorbs one convergecast chunk from a child; on the final chunk
-    /// the reassembled stream is decoded and dedup-merged into this
-    /// node's aggregates through the shared `shard.rs` merge core.
-    fn receive_chunk(&mut self, codec: IdCodec, n: usize, m: &ReceivedMessage) {
-        let mut r = BitReader::new(&m.payload);
-        let more = match r.read_bool() {
-            Ok(more) => more,
-            Err(e) => {
-                if self.hardened {
-                    // A hardened receiver degrades instead of erroring:
-                    // the coordinator re-reads the subtree directly.
-                    self.agg_trouble = true;
-                } else {
-                    self.record_protocol_error(m.from, format!("empty convergecast chunk: {e}"));
-                }
+    /// Absorbs one convergecast message from a child, read in `round`;
+    /// when it completes the child's stream, the stream is decoded and
+    /// dedup-merged into this node's aggregates through the shared
+    /// `shard.rs` merge core. Returns whether the child is owed an
+    /// acknowledgement.
+    fn receive_chunk(&mut self, codec: IdCodec, n: usize, round: u64, m: &ReceivedMessage) -> bool {
+        let hardened = self.hardened;
+        let link = self
+            .child_links
+            .entry(m.from)
+            .or_insert_with(|| LinkReceiver::new(hardened));
+        let stream = match link.on_chunk(round, &m.payload) {
+            // To a hardened receiver as good as lost: unanswered, it
+            // is sent again.
+            Receipt::Garbled if hardened => return false,
+            Receipt::Garbled => {
+                self.record_protocol_error(m.from, "empty convergecast chunk".into());
                 // Count the stream as finished so the epoch still
                 // terminates; the error surfaces after it.
-                self.children_done += 1;
-                return;
+                self.finished.insert(m.from);
+                return false;
             }
+            Receipt::Chunk => return hardened,
+            Receipt::Complete(stream) => stream,
         };
-        let buf = self.child_streams.entry(m.from).or_default();
-        buf.append(&mut r, m.payload.bit_len() - 1)
-            .expect("the rest of the chunk");
-        if more {
-            return;
-        }
-        let stream = self
-            .child_streams
-            .remove(&m.from)
-            .expect("buffer was just written")
-            .finish();
-        match Self::decode_aggregate(codec, n, &stream, self.hardened) {
+        match wire::decode_aggregate(codec, n, &stream, hardened) {
             Ok((dead, born)) => {
                 merge_added_candidates(&mut self.agg_dead, &dead);
                 merge_added_candidates(&mut self.agg_born, &born);
             }
-            Err(detail) => {
-                if self.hardened {
-                    self.agg_trouble = true;
-                } else {
-                    self.record_protocol_error(m.from, detail);
-                }
-            }
+            // A hardened receiver degrades instead of erroring: the
+            // coordinator reads every node's aggregates directly.
+            Err(_) if hardened => self.agg_trouble = true,
+            Err(detail) => self.record_protocol_error(m.from, detail),
         }
-        self.children_done += 1;
+        self.finished.insert(m.from);
+        hardened
     }
 }
 
@@ -1160,210 +1050,140 @@ impl NodeProgram for DynamicTriangleNode {
         let codec = ctx.id_codec().codec();
         let n = ctx.n();
         let bandwidth_bits = ctx.bandwidth_bits();
-        let per_message = Self::edges_per_message(bandwidth_bits, codec.width());
-        let trailer = self.trailer_rounds(bandwidth_bits);
+        let per_message = wire::edges_per_message(bandwidth_bits, codec.width());
 
         if r == 0 {
             self.load_descriptor(ctx);
-        } else if self.repair_mode {
-            // Repair deliveries: data chunks first, then the trailer in
-            // the phase's final rounds. Everything buffers; nothing is
-            // trusted until `verify_repair_streams` at the end.
-            let data_end = self.repair_rounds.saturating_sub(trailer);
-            for m in ctx.take_inbox() {
-                let buf = self.stream_bufs.entry((false, m.from)).or_default();
-                if r <= data_end {
-                    match Self::decode_edges(codec, &m.payload, n) {
-                        Ok(edges) => buf.edges.extend(edges),
-                        Err(_) => buf.corrupt = true,
-                    }
-                } else {
-                    buf.trailer.write_payload(&m.payload);
-                }
-            }
-        } else if self.hardened {
-            // Hardened inbox: broadcast deliveries buffer per sender and
-            // per phase instead of converting immediately; a chunk that
-            // fails to decode poisons the buffer rather than the epoch.
-            // Conversion happens at the phase boundaries below, only for
-            // streams whose trailer verifies.
-            let broadcast_end = self.rm_rounds + self.ins_rounds;
+        }
+        // The epoch's timetable: removal data rounds, insertion data
+        // rounds, then (hardened only) the trailer rounds; everything
+        // after `broadcast_end` is convergecast.
+        let data_end = self.rm_rounds + self.ins_rounds;
+        let broadcast_end = data_end + self.trailer.rounds();
+
+        // Children owed an acknowledgement this round (hardened only).
+        let mut answer: Vec<NodeId> = Vec::new();
+        if r > 0 {
             for m in ctx.take_inbox() {
                 if r > broadcast_end {
-                    self.receive_chunk(codec, n, &m);
-                    continue;
-                }
-                let (ins_phase, pr, phase_len) = if r <= self.rm_rounds {
-                    (false, r, self.rm_rounds)
-                } else {
-                    (true, r - self.rm_rounds, self.ins_rounds)
-                };
-                let buf = self.stream_bufs.entry((ins_phase, m.from)).or_default();
-                if pr <= phase_len.saturating_sub(trailer) {
-                    match Self::decode_edges(codec, &m.payload, n) {
-                        Ok(edges) => buf.edges.extend(edges),
-                        Err(_) => buf.corrupt = true,
-                    }
-                } else {
-                    buf.trailer.write_payload(&m.payload);
-                }
-            }
-        } else {
-            let broadcast_end = self.rm_rounds + self.ins_rounds;
-            // Deliveries from rounds `1..=rm_rounds` are removal
-            // broadcasts, checked against the *pre-batch* slice (our own
-            // mutations apply at the boundary below, after receiving);
-            // deliveries up to `broadcast_end` are insertions, checked
-            // post-batch; anything later is a convergecast chunk from a
-            // child in the BFS forest.
-            let removal_phase = r <= self.rm_rounds;
-            for m in ctx.take_inbox() {
-                if r > broadcast_end {
-                    self.receive_chunk(codec, n, &m);
-                    continue;
-                }
-                let edges = match Self::decode_edges(codec, &m.payload, n) {
-                    Ok(edges) => edges,
-                    Err(detail) => {
-                        self.record_protocol_error(m.from, detail);
-                        continue;
-                    }
-                };
-                for e in edges {
-                    if e.contains(self.id) {
-                        continue;
-                    }
-                    let (u, v) = e.endpoints();
-                    if self.knows(u) && self.knows(v) {
-                        let t = Triangle::new(u, v, self.id);
-                        if removal_phase {
-                            self.dead.push(t);
-                        } else {
-                            self.born.push(t);
+                    // Convergecast: the parent sends nothing but
+                    // acknowledgements, children nothing but chunks.
+                    if self.hardened && Some(m.from) == self.parent {
+                        if let Some(up) = &mut self.up_link {
+                            up.on_ack(&m.payload);
                         }
+                    } else if self.receive_chunk(codec, n, r, &m) {
+                        answer.push(m.from);
+                    }
+                } else if self.hardened {
+                    // Hardened broadcast deliveries buffer per sender
+                    // instead of converting immediately; a message that
+                    // fails to decode poisons the buffer rather than the
+                    // epoch. Conversion happens once the trailer rounds
+                    // are over, only for streams whose trailer verifies.
+                    let buf = self.stream_bufs.entry(m.from).or_default();
+                    if r <= data_end {
+                        buf.push_data(codec, n, &m.payload);
+                    } else {
+                        buf.push_trailer(&m.payload);
+                    }
+                } else {
+                    // Deliveries from rounds `1..=rm_rounds` are removal
+                    // broadcasts, checked against the *pre-batch* slice
+                    // (our own mutations apply at the boundary below,
+                    // after receiving); later ones are insertions,
+                    // checked post-batch.
+                    match wire::decode_edges(codec, &m.payload, n) {
+                        Ok(edges) => self.convert_candidates(&edges, r > self.rm_rounds),
+                        Err(detail) => self.record_protocol_error(m.from, detail),
                     }
                 }
             }
         }
-
-        // Repair epochs are a pure re-broadcast: send the scheduled
-        // streams (data waves, then the trailer), verify at the end,
-        // halt. No local state changes — the batch already applied.
-        if self.repair_mode {
-            if r >= self.repair_rounds {
-                self.verify_repair_streams();
-                return NodeStatus::Halted;
-            }
-            let data_rounds = self.repair_rounds - trailer;
-            if r < data_rounds {
-                Self::send_wave(ctx, &self.repair_queues, r as usize, per_message);
-            } else {
-                Self::send_trailer_wave(
-                    ctx,
-                    &self.repair_queues,
-                    (r - data_rounds) as usize,
-                    bandwidth_bits,
-                );
-            }
-            return NodeStatus::Active;
-        }
-
-        // Hardened phase boundaries: verify the buffered removal streams
-        // against the still-pre-batch slice, insertion streams against
-        // the post-batch slice (apply_local has run by then).
-        if self.hardened && r > 0 {
-            if r == self.rm_rounds && self.rm_rounds > 0 {
-                self.verify_streams(false);
-            }
-            if r == self.rm_rounds + self.ins_rounds && self.ins_rounds > 0 {
-                self.verify_streams(true);
-            }
+        // An inbox is in sender order, so a duplicated chunk sits next
+        // to its twin: one answer per child per round.
+        answer.dedup();
+        for child in answer {
+            ctx.send(child, self.child_links[&child].ack())
+                .expect("acknowledgements fit the link budget");
         }
 
         // Phase boundary: the removal broadcasts are all delivered, so
-        // the node switches its slice to the post-batch graph.
-        if r == self.rm_rounds {
+        // the node switches its slice to the post-batch graph. (A
+        // repair epoch changes no local state — the batch already
+        // applied.)
+        if r == self.rm_rounds && !self.repair_mode {
             self.apply_local();
         }
-
         if r < self.rm_rounds {
-            let data_rounds = self.rm_rounds - trailer;
-            if r < data_rounds {
-                Self::send_wave(ctx, &self.rm_queues, r as usize, per_message);
-            } else {
-                Self::send_trailer_wave(
-                    ctx,
-                    &self.rm_queues,
-                    (r - data_rounds) as usize,
-                    bandwidth_bits,
-                );
-            }
+            Self::send_wave(ctx, &self.rm_queues, r as usize, per_message);
             return NodeStatus::Active;
         }
-        if r < self.rm_rounds + self.ins_rounds {
-            let wave = r - self.rm_rounds;
-            let data_rounds = self.ins_rounds - trailer;
-            if wave < data_rounds {
-                Self::send_wave(ctx, &self.ins_queues, wave as usize, per_message);
-            } else {
-                Self::send_trailer_wave(
-                    ctx,
-                    &self.ins_queues,
-                    (wave - data_rounds) as usize,
-                    bandwidth_bits,
-                );
-            }
+        if r < data_end {
+            let wave = (r - self.rm_rounds) as usize;
+            Self::send_wave(ctx, &self.ins_queues, wave, per_message);
             return NodeStatus::Active;
+        }
+        if r < broadcast_end {
+            self.send_trailer_wave(ctx, (r - data_end) as usize);
+            return NodeStatus::Active;
+        }
+        if self.hardened && r == broadcast_end {
+            self.verify_streams();
         }
 
-        // Broadcast phases are over. Under free aggregation the epoch
-        // ends here; under convergecast the node first folds its own
-        // observations into the aggregate, then — once every child
-        // stream has been absorbed — streams the merged sets to its
-        // parent, one in-budget chunk per round. Forest roots keep the
-        // result for the coordinator instead.
-        if !self.aggregate {
+        // Broadcast phases are over. A repair epoch, and any epoch under
+        // free aggregation, ends here; under convergecast the node first
+        // folds its own observations into the aggregate, then — once
+        // every child stream has been absorbed — streams the merged sets
+        // to its parent, one in-budget chunk per round. Forest roots
+        // keep the result for the coordinator instead.
+        if self.repair_mode || !self.aggregate {
             return NodeStatus::Halted;
         }
-        if r == self.rm_rounds + self.ins_rounds {
+        if r == broadcast_end {
             let (dead, born) = self.drain_candidates();
             merge_added_candidates(&mut self.agg_dead, &dead);
             merge_added_candidates(&mut self.agg_born, &born);
         }
-        if self.children_done < self.child_count {
-            if self.hardened && r >= self.deadline {
-                // A child stream is overdue (lost chunks); give up on it
-                // and forward a partial aggregate so the epoch
-                // terminates. The coordinator re-reads every node's
-                // aggregates directly on a hardened engine, so nothing
-                // verified is lost — only network-side merging.
-                self.agg_trouble = true;
-                self.children_done = self.child_count;
-                self.child_streams.clear();
-            } else {
+        if self.finished.len() < self.child_count {
+            if !(self.hardened && r >= self.deadline) {
                 return NodeStatus::Active;
             }
+            // The backstop: a child stream is still open although the
+            // link layer had time to deliver it or give it up many times
+            // over. Stop counting the missing children and forward a
+            // partial aggregate so the epoch terminates; the coordinator
+            // reads every node's aggregates directly on a hardened
+            // engine, so nothing verified is lost — only network-side
+            // merging.
+            self.agg_trouble = true;
+            self.child_count = self.finished.len();
         }
-        let Some(parent) = self.parent else {
-            return NodeStatus::Halted;
-        };
-        if self.up_chunks.is_none() {
-            let stream =
-                Self::serialize_aggregate(codec, &self.agg_dead, &self.agg_born, self.hardened);
-            self.up_chunks = Some(Self::chunk_stream(&stream, bandwidth_bits));
+        if let Some(parent) = self.parent {
+            let hardened = self.hardened;
+            let up = self.up_link.get_or_insert_with(|| {
+                let stream =
+                    wire::serialize_aggregate(codec, &self.agg_dead, &self.agg_born, hardened);
+                LinkSender::new(
+                    wire::chunk_stream(&stream, bandwidth_bits, hardened),
+                    hardened,
+                )
+            });
+            if let Some(chunk) = up.poll(r) {
+                ctx.send(parent, chunk)
+                    .expect("convergecast chunks fit the link budget");
+            }
+            if !up.finished() {
+                return NodeStatus::Active;
+            }
+            self.agg_trouble |= up.gave_up();
         }
-        let chunks = self.up_chunks.as_mut().expect("chunks were just built");
-        let chunk = chunks
-            .pop_front()
-            .expect("chunking never yields zero chunks");
-        let done = chunks.is_empty();
-        ctx.send(parent, chunk)
-            .expect("convergecast chunks fit the link budget");
-        if done {
-            NodeStatus::Halted
-        } else {
-            NodeStatus::Active
+        // A child whose last acknowledgement was lost will ask again.
+        if self.child_links.values().any(|link| link.lingering(r)) {
+            return NodeStatus::Active;
         }
+        NodeStatus::Halted
     }
 
     fn finish(&mut self) {}
@@ -1377,7 +1197,7 @@ impl NodeProgram for DynamicTriangleNode {
 /// [`AdjacencyView`] — but every batch is executed by the simulated
 /// CONGEST network itself, and the engine additionally reports the
 /// network cost ([`CongestCost`]) each batch incurred. The module-level
-/// documentation in `distributed.rs` walks through the protocol.
+/// documentation in `distributed/mod.rs` walks through the protocol.
 ///
 /// ```
 /// use congest_graph::generators::Gnp;
@@ -1470,6 +1290,17 @@ struct BfsForest {
 struct PendingStream {
     rm: Vec<Edge>,
     ins: Vec<Edge>,
+}
+
+/// Pre- and post-batch neighbour lists of the nodes a batch touches —
+/// the endpoints of its effective deltas (hardened engines only). The
+/// coordinator's expectation mirror and every central recomputation
+/// check membership against these through
+/// [`DistributedTriangleEngine::snapshot_list`].
+#[derive(Default)]
+struct BatchSnapshot {
+    pre: BTreeMap<NodeId, Vec<NodeId>>,
+    post: BTreeMap<NodeId, Vec<NodeId>>,
 }
 
 impl DistributedTriangleEngine {
@@ -1596,19 +1427,35 @@ impl DistributedTriangleEngine {
     }
 
     /// Sets the deterministic fault schedule (builder style). A
-    /// non-quiet plan **hardens** the protocol: every broadcast and
-    /// convergecast stream carries a length + [`Checksum61`] trailer,
-    /// receivers buffer-and-verify instead of trusting deliveries, lost
-    /// or corrupted streams are retransmitted in accounted repair
-    /// epochs ([`CongestCost::recovery_rounds`]), and scheduled crash
-    /// windows degrade to coordinator-side recomputation with a state
-    /// sync on rejoin. A quiet plan (the default) leaves every code
-    /// path — and every cost metric — bit-identical to the legacy
-    /// engine.
+    /// non-quiet plan **hardens** the protocol (see *Hardened streams*
+    /// in the module-level documentation of `distributed/mod.rs`): each
+    /// broadcast stream closes
+    /// with one length + checksum trailer and receivers buffer-and-verify
+    /// instead of trusting deliveries; streams that fail are
+    /// retransmitted in accounted repair epochs
+    /// ([`CongestCost::recovery_rounds`]); convergecast links are
+    /// acknowledged, so a lost chunk costs a round trip rather than a
+    /// timeout; and scheduled crash windows degrade to coordinator-side
+    /// recomputation with a state sync on rejoin. A quiet plan (the
+    /// default) leaves every code path — and every cost metric —
+    /// bit-identical to the legacy engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan is not quiet and the per-link budget is below
+    /// 4 bits, the smallest sequenced convergecast chunk (any budget the
+    /// default [`Bandwidth`] produces is at least 8).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        let hardened = !plan.is_quiet();
+        assert!(
+            !hardened || self.bandwidth_bits > 1 + wire::SEQ_BITS,
+            "a hardened engine needs at least {} bits per message (one sequenced \
+             convergecast chunk); the budget is {}",
+            2 + wire::SEQ_BITS,
+            self.bandwidth_bits,
+        );
         self.fault_plan = plan;
         self.sim.set_fault_plan(plan);
-        let hardened = !plan.is_quiet();
         for i in 0..self.node_count() {
             self.sim.program_mut(NodeId::from_index(i)).hardened = hardened;
         }
@@ -1965,29 +1812,41 @@ impl DistributedTriangleEngine {
         trouble
     }
 
+    /// `node`'s neighbour list before (`post == false`) or after the
+    /// batch `snapshot` was taken for. Only the batch's own endpoints
+    /// were copied; every other node's list is the same on both sides
+    /// of the batch and is read live.
+    fn snapshot_list<'a>(
+        &'a self,
+        snapshot: &'a BatchSnapshot,
+        node: NodeId,
+        post: bool,
+    ) -> &'a [NodeId] {
+        let touched = if post { &snapshot.post } else { &snapshot.pre };
+        match touched.get(&node) {
+            Some(list) => list,
+            None => self.adjacency_of(node),
+        }
+    }
+
     /// Central (coordinator-side) recomputation of one third-vertex
     /// candidate: does `w` close a triangle over delta edge `e`?
     /// Removal candidates check the pre-batch snapshot, insertions the
     /// post-batch one — exactly the membership a healthy receiver
     /// would have tested in-network.
-    #[allow(clippy::too_many_arguments)]
     fn central_candidate(
+        &self,
+        snapshot: &BatchSnapshot,
         w: NodeId,
         e: Edge,
         ins_phase: bool,
-        pre_adj: &[Vec<NodeId>],
-        post_adj: &[Vec<NodeId>],
         cand_dead: &mut TriangleSet,
         cand_born: &mut TriangleSet,
     ) {
         if e.contains(w) {
             return;
         }
-        let adj = if ins_phase {
-            &post_adj[w.index()]
-        } else {
-            &pre_adj[w.index()]
-        };
+        let adj = self.snapshot_list(snapshot, w, ins_phase);
         let (u, v) = e.endpoints();
         if adj.binary_search(&u).is_ok() && adj.binary_search(&v).is_ok() {
             let t = Triangle::new(u, v, w);
@@ -2062,8 +1921,7 @@ impl DistributedTriangleEngine {
         // cannot broadcast; a delta both of whose endpoints are down is
         // uncovered and falls back to central recomputation.
         let codec = IdCodec::new(n as u64);
-        let per_message =
-            DynamicTriangleNode::edges_per_message(self.bandwidth_bits, codec.width());
+        let per_message = wire::edges_per_message(self.bandwidth_bits, codec.width());
         let mut rm_slices: BTreeMap<NodeId, Vec<Edge>> = BTreeMap::new();
         let mut ins_slices: BTreeMap<NodeId, Vec<Edge>> = BTreeMap::new();
         for (edges, slices) in [(&removes, &mut rm_slices), (&inserts, &mut ins_slices)] {
@@ -2096,40 +1954,37 @@ impl DistributedTriangleEngine {
                 .max()
                 .unwrap_or(0)
         };
-        // A hardened phase is extended by the trailer rounds at its end.
+        let rm_rounds = assigned(&rm_slices, &rm_dropped);
+        let ins_rounds = assigned(&ins_slices, &ins_dropped);
+        // A hardened epoch closes every stream with one trailer, in the
+        // rounds right after the insertion data rounds.
         let trailer = if hardened {
-            TRAILER_BITS.div_ceil(self.bandwidth_bits.max(1)) as u64
+            TrailerLayout::for_phases(rm_rounds, ins_rounds, per_message, self.bandwidth_bits)
         } else {
-            0
+            TrailerLayout::default()
         };
-        let extend = |waves: u64| if waves > 0 { waves + trailer } else { 0 };
-        let rm_rounds = extend(assigned(&rm_slices, &rm_dropped));
-        let ins_rounds = extend(assigned(&ins_slices, &ins_dropped));
+        let broadcast_end = rm_rounds + ins_rounds + trailer.rounds();
 
-        // Pre/post-batch adjacency snapshots (hardened only): the
-        // coordinator's expectation mirror and every central
-        // recomputation check membership against these.
-        let (pre_adj, post_adj) = if hardened {
-            let pre: Vec<Vec<NodeId>> = (0..n)
-                .map(|i| self.adjacency_of(NodeId::from_index(i)).to_vec())
-                .collect();
-            let mut post = pre.clone();
+        // Pre/post-batch lists of the batch's endpoints (hardened only).
+        let mut snapshot = BatchSnapshot::default();
+        if hardened {
             for (edges, insert) in [(&removes, false), (&inserts, true)] {
                 for e in edges.iter() {
                     for (node, other) in [(e.lo(), e.hi()), (e.hi(), e.lo())] {
-                        let list = &mut post[node.index()];
+                        let pre = snapshot
+                            .pre
+                            .entry(node)
+                            .or_insert_with(|| self.adjacency_of(node).to_vec());
+                        let post = snapshot.post.entry(node).or_insert_with(|| pre.clone());
                         if insert {
-                            sorted_insert(list, other);
+                            sorted_insert(post, other);
                         } else {
-                            sorted_remove(list, other);
+                            sorted_remove(post, other);
                         }
                     }
                 }
             }
-            (pre, post)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        }
 
         // Epoch topology: the union G ∪ G' — a removed link still
         // carries its tear-down broadcast (and its convergecast leg),
@@ -2154,30 +2009,34 @@ impl DistributedTriangleEngine {
             self.sim.update_topology(node, list);
         }
 
-        // Per-node convergecast deadlines (hardened aggregation only):
-        // a node abandons overdue child streams `height·hop` rounds
-        // into the aggregation phase, where `hop` bounds the rounds any
-        // single subtree stream can need — so a parent's deadline always
-        // leaves room for a child that gave up at its own.
+        // Per-node convergecast deadlines (hardened aggregation only),
+        // the backstop behind the acknowledged links: a node abandons
+        // child streams still open `height·hop` rounds into the
+        // aggregation phase, where `hop` bounds the rounds any single
+        // subtree stream can need — its chunks at full rate, plus the
+        // rounds a link spends before it gives itself up — so a
+        // parent's deadline always leaves room for a child that gave up
+        // at its own, and fires only on a stream the link layer could
+        // not have saved.
         let mut deadlines = vec![0u64; n];
-        if hardened && aggregate {
+        if let (true, Some(forest)) = (hardened, &forest) {
+            let min_degree = |e: &Edge, post: bool| {
+                let degree = |v: NodeId| self.snapshot_list(&snapshot, v, post).len();
+                degree(e.lo()).min(degree(e.hi())) as u64
+            };
             let cand_bound: u64 = removes
                 .iter()
-                .map(|e| (pre_adj[e.lo().index()].len()).min(pre_adj[e.hi().index()].len()) as u64)
-                .chain(inserts.iter().map(|e| {
-                    (post_adj[e.lo().index()].len()).min(post_adj[e.hi().index()].len()) as u64
-                }))
+                .map(|e| min_degree(e, false))
+                .chain(inserts.iter().map(|e| min_degree(e, true)))
                 .sum();
             let agg_bits = 2 * COUNT_BITS as u64
                 + 3 * codec.width() as u64 * cand_bound
                 + CHECKSUM_BITS as u64;
-            let per_chunk = self.bandwidth_bits.saturating_sub(1).max(1) as u64;
-            let hop = agg_bits.div_ceil(per_chunk) + 1;
-            if let Some(forest) = &forest {
-                let broadcast_end = rm_rounds + ins_rounds;
-                for (deadline, &height) in deadlines.iter_mut().zip(&forest.height) {
-                    *deadline = broadcast_end + (height + 1) * hop + 2;
-                }
+            let per_chunk = wire::chunk_data_bits(self.bandwidth_bits, true) as u64;
+            let hop = agg_bits.div_ceil(per_chunk)
+                + ACK_TIMEOUT_ROUNDS * (1 + u64::from(MAX_LINK_RESENDS));
+            for (deadline, &height) in deadlines.iter_mut().zip(&forest.height) {
+                *deadline = broadcast_end + (height + 1) * hop + 2;
             }
         }
 
@@ -2266,12 +2125,13 @@ impl DistributedTriangleEngine {
         let mut faults_dropped = epoch.metrics.dropped_messages;
         let mut faults_corrupted = epoch.metrics.corrupted_messages;
         let mut faults_duplicated = epoch.metrics.duplicated_messages;
-        // The broadcast prefix is exactly rm + ins + 1 rounds (the +1 is
-        // the descriptor/boundary round); everything beyond it is the
-        // convergecast (free-aggregation epochs end right there).
+        // The broadcast prefix is exactly the data and trailer rounds
+        // plus one (the descriptor/boundary round); everything beyond it
+        // is the convergecast (free-aggregation epochs end right there).
         // Recovery epochs accumulate on top below; the running total
         // follows once the batch is fully settled.
-        self.last_batch = CongestCost::from_epoch(&epoch.metrics, rm_rounds + ins_rounds + 1);
+        self.last_batch =
+            CongestCost::from_epoch(&epoch.metrics, broadcast_end + 1, trailer.rounds());
         self.epochs += 1;
         if trace_on {
             let wall_us = congest_obs::now_us().saturating_sub(epoch_start_us);
@@ -2348,12 +2208,11 @@ impl DistributedTriangleEngine {
                 let w = NodeId::from_index(i);
                 for (edges, ins_phase) in [(&removes, false), (&inserts, true)] {
                     for e in edges.iter() {
-                        Self::central_candidate(
+                        self.central_candidate(
+                            &snapshot,
                             w,
                             *e,
                             ins_phase,
-                            &pre_adj,
-                            &post_adj,
                             &mut cand_dead,
                             &mut cand_born,
                         );
@@ -2364,12 +2223,11 @@ impl DistributedTriangleEngine {
             // at all: recompute for every online third vertex too.
             for &(e, ins_phase) in &uncovered {
                 for (i, _) in crashed.iter().enumerate().filter(|(_, c)| !**c) {
-                    Self::central_candidate(
+                    self.central_candidate(
+                        &snapshot,
                         NodeId::from_index(i),
                         e,
                         ins_phase,
-                        &pre_adj,
-                        &post_adj,
                         &mut cand_dead,
                         &mut cand_born,
                     );
@@ -2379,8 +2237,9 @@ impl DistributedTriangleEngine {
 
             // Expectation mirror: replay `build_queues` for every
             // assigned broadcaster and compare against each online
-            // receiver's verified-sender sets. Anything missing becomes
-            // a pending retransmission.
+            // receiver's verified-sender set. A (sender, receiver) pair
+            // has one stream an epoch — removals leading — so one that
+            // did not verify is pending retransmission as a whole.
             let assign = |slices: &BTreeMap<NodeId, Vec<Edge>>,
                           dropped: &BTreeMap<NodeId, BTreeSet<Edge>>| {
                 slices
@@ -2404,33 +2263,20 @@ impl DistributedTriangleEngine {
                     if edges.is_empty() {
                         continue;
                     }
-                    let audience = if ins_phase {
-                        &post_adj[s.index()]
-                    } else {
-                        &pre_adj[s.index()]
-                    };
-                    for &w in audience {
+                    for &w in self.snapshot_list(&snapshot, *s, ins_phase) {
                         if crashed[w.index()] {
                             continue; // already recomputed centrally
                         }
                         let q: Vec<Edge> =
                             edges.iter().copied().filter(|e| !e.contains(w)).collect();
-                        if q.is_empty() {
+                        if q.is_empty() || self.sim.program(w).verified.contains(s) {
                             continue;
                         }
-                        let prog = self.sim.program(w);
-                        let verified = if ins_phase {
-                            prog.verified_ins.contains(s)
+                        let p = pending.entry((*s, w)).or_default();
+                        if ins_phase {
+                            p.ins = q;
                         } else {
-                            prog.verified_rm.contains(s)
-                        };
-                        if !verified {
-                            let p = pending.entry((*s, w)).or_default();
-                            if ins_phase {
-                                p.ins = q;
-                            } else {
-                                p.rm = q;
-                            }
+                            p.rm = q;
                         }
                     }
                 }
@@ -2454,12 +2300,11 @@ impl DistributedTriangleEngine {
                     {
                         for (edges, ins_phase) in [(&p.rm, false), (&p.ins, true)] {
                             for e in edges.iter() {
-                                Self::central_candidate(
+                                self.central_candidate(
+                                    &snapshot,
                                     *w,
                                     *e,
                                     ins_phase,
-                                    &pre_adj,
-                                    &post_adj,
                                     &mut cand_dead,
                                     &mut cand_born,
                                 );
@@ -2474,38 +2319,30 @@ impl DistributedTriangleEngine {
                 if pending.is_empty() {
                     break;
                 }
-                let mut send_q: BTreeMap<NodeId, Vec<(NodeId, Vec<Edge>)>> = BTreeMap::new();
-                let mut expect: BTreeMap<NodeId, Vec<(NodeId, usize)>> = BTreeMap::new();
+                // A repair epoch is a main epoch without a removal phase
+                // of its own: each stream goes out back to back, closed
+                // by the same trailer, which carries its removal prefix.
+                let mut send_q: BTreeMap<NodeId, Vec<(NodeId, &PendingStream)>> = BTreeMap::new();
+                let mut participants: BTreeSet<NodeId> = BTreeSet::new();
                 let mut max_edges = 0usize;
                 for ((s, w), p) in &pending {
-                    let mut stream = p.rm.clone();
-                    stream.extend_from_slice(&p.ins);
-                    max_edges = max_edges.max(stream.len());
-                    expect.entry(*w).or_default().push((*s, p.rm.len()));
-                    send_q.entry(*s).or_default().push((*w, stream));
+                    max_edges = max_edges.max(p.rm.len() + p.ins.len());
+                    send_q.entry(*s).or_default().push((*w, p));
+                    participants.extend([*s, *w]);
                 }
-                let repair_rounds = (max_edges.div_ceil(per_message) as u64) + trailer;
-                let participants: BTreeSet<NodeId> =
-                    send_q.keys().chain(expect.keys()).copied().collect();
+                let repair_rounds = max_edges.div_ceil(per_message) as u64;
                 for node in &participants {
                     let mut w = BitWriter::new();
                     w.write_bool(true); // kind: repair
                     w.write_bits(repair_rounds, COUNT_BITS);
                     let queues = send_q.get(node).map_or(&[] as &[_], Vec::as_slice);
                     w.write_bits(queues.len() as u64, COUNT_BITS);
-                    for (to, edges) in queues {
+                    for (to, p) in queues {
                         codec.encode(&mut w, to.as_u64());
-                        w.write_bits(edges.len() as u64, COUNT_BITS);
-                        for e in edges {
-                            codec.encode(&mut w, e.lo().as_u64());
-                            codec.encode(&mut w, e.hi().as_u64());
-                        }
-                    }
-                    let expects = expect.get(node).map_or(&[] as &[_], Vec::as_slice);
-                    w.write_bits(expects.len() as u64, COUNT_BITS);
-                    for (from, rm_len) in expects {
-                        codec.encode(&mut w, from.as_u64());
-                        w.write_bits(*rm_len as u64, COUNT_BITS);
+                        w.write_bits(p.rm.len() as u64, COUNT_BITS);
+                        w.write_bits((p.rm.len() + p.ins.len()) as u64, COUNT_BITS);
+                        wire::encode_edges(codec, &mut w, &p.rm);
+                        wire::encode_edges(codec, &mut w, &p.ins);
                     }
                     self.sim.inject(*node, w.finish());
                 }
@@ -2523,7 +2360,7 @@ impl DistributedTriangleEngine {
                 self.recovery.epoch_repairs += 1;
                 self.recovery.retransmit_rounds += repair.metrics.rounds;
                 self.collect_candidates(&crashed, &mut cand_dead, &mut cand_born);
-                pending.retain(|(s, w), _| !self.sim.program(*w).repair_verified.contains(s));
+                pending.retain(|(s, w), _| !self.sim.program(*w).verified.contains(s));
             }
             if !pending.is_empty() {
                 return Err(StreamError::RecoveryExhausted {
@@ -2591,9 +2428,9 @@ impl DistributedTriangleEngine {
         // Advance the shadow slices of still-crashed nodes to the
         // post-batch graph — the truth the rejoin sync (and the engine's
         // own adjacency view) will be read from.
-        if !self.offline.is_empty() {
-            for (node, list) in self.offline.iter_mut() {
-                *list = post_adj[node.index()].clone();
+        for (node, list) in self.offline.iter_mut() {
+            if let Some(post) = snapshot.post.get(node) {
+                list.clone_from(post);
             }
         }
 
@@ -3137,21 +2974,21 @@ mod tests {
         let mut w = BitWriter::new();
         codec.encode(&mut w, 3);
         codec.encode(&mut w, 3);
-        let err = DynamicTriangleNode::decode_edges(codec, &w.finish(), 8).unwrap_err();
+        let err = wire::decode_edges(codec, &w.finish(), 8).unwrap_err();
         assert!(err.contains("degenerate edge"), "err: {err}");
         // Trailing bits that are not a whole edge.
         let mut w = BitWriter::new();
         codec.encode(&mut w, 1);
         codec.encode(&mut w, 2);
         w.write_bits(0, 3);
-        let err = DynamicTriangleNode::decode_edges(codec, &w.finish(), 8).unwrap_err();
+        let err = wire::decode_edges(codec, &w.finish(), 8).unwrap_err();
         assert!(err.contains("trailing"), "err: {err}");
         // An id decoded against a wider domain than the network size.
         let wide = IdCodec::new(16);
         let mut w = BitWriter::new();
         wide.encode(&mut w, 12);
         wide.encode(&mut w, 1);
-        let err = DynamicTriangleNode::decode_edges(wide, &w.finish(), 8).unwrap_err();
+        let err = wire::decode_edges(wide, &w.finish(), 8).unwrap_err();
         assert!(err.contains("out of range"), "err: {err}");
     }
 
@@ -3163,11 +3000,11 @@ mod tests {
         dead.insert(Triangle::new(v(3), v(10), v(40)));
         let mut born = TriangleSet::new();
         born.insert(Triangle::new(v(5), v(6), v(63)));
-        let stream = DynamicTriangleNode::serialize_aggregate(codec, &dead, &born, false);
+        let stream = wire::serialize_aggregate(codec, &dead, &born, false);
         // Chunk to a tiny budget and reassemble, exactly as a parent
         // node does.
         for bandwidth in [13usize, 20, 4096] {
-            let chunks = DynamicTriangleNode::chunk_stream(&stream, bandwidth);
+            let chunks = wire::chunk_stream(&stream, bandwidth, false);
             let mut rebuilt = BitWriter::new();
             let mut finished = false;
             for chunk in &chunks {
@@ -3178,24 +3015,54 @@ mod tests {
                 rebuilt.append(&mut r, chunk.bit_len() - 1).unwrap();
             }
             assert!(finished);
-            let (d, b) = DynamicTriangleNode::decode_aggregate(codec, 64, &rebuilt.finish(), false)
-                .expect("round trip");
+            let (d, b) =
+                wire::decode_aggregate(codec, 64, &rebuilt.finish(), false).expect("round trip");
             assert_eq!(d, dead.iter().copied().collect::<Vec<_>>());
             assert_eq!(b, born.iter().copied().collect::<Vec<_>>());
         }
         // The empty aggregate is a single flag-only chunk.
-        let empty = DynamicTriangleNode::serialize_aggregate(
-            codec,
-            &TriangleSet::new(),
-            &TriangleSet::new(),
-            false,
-        );
+        let empty =
+            wire::serialize_aggregate(codec, &TriangleSet::new(), &TriangleSet::new(), false);
         assert_eq!(empty.bit_len(), 0);
-        let chunks = DynamicTriangleNode::chunk_stream(&empty, 16);
+        let chunks = wire::chunk_stream(&empty, 16, false);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].bit_len(), 1);
-        let (d, b) = DynamicTriangleNode::decode_aggregate(codec, 64, &empty, false).unwrap();
+        let (d, b) = wire::decode_aggregate(codec, 64, &empty, false).unwrap();
         assert!(d.is_empty() && b.is_empty());
+    }
+
+    #[test]
+    fn a_final_chunk_delivered_twice_is_still_one_child() {
+        let codec = IdCodec::new(8);
+        for hardened in [false, true] {
+            let mut parent = DynamicTriangleNode::new(v(0), vec![v(1), v(2)]);
+            parent.hardened = hardened;
+            parent.child_count = 2;
+            let final_chunk = |from: u32| ReceivedMessage {
+                from: v(from),
+                payload: wire::chunk_stream(&Payload::new(), 8, hardened)
+                    .pop_front()
+                    .expect("chunking never yields zero chunks"),
+            };
+            // Child 1's only chunk arrives twice (a duplicating link).
+            assert_eq!(parent.receive_chunk(codec, 8, 1, &final_chunk(1)), hardened);
+            assert_eq!(parent.receive_chunk(codec, 8, 1, &final_chunk(1)), hardened);
+            assert!(
+                parent.finished.len() < parent.child_count,
+                "hardened={hardened}: the parent must keep waiting for child 2"
+            );
+            parent.receive_chunk(codec, 8, 2, &final_chunk(2));
+            assert_eq!(parent.finished.len(), parent.child_count);
+            assert!(parent.protocol_error.is_none() && !parent.agg_trouble);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a hardened engine needs at least 4 bits")]
+    fn hardening_a_sub_chunk_bandwidth_is_rejected() {
+        // 2 bits carry one edge of n = 2 but not a sequenced chunk.
+        let _ = DistributedTriangleEngine::with_bandwidth(2, Bandwidth::Bits(2))
+            .with_fault_plan(FaultPlan::default().with_drop(0.01));
     }
 
     #[test]

@@ -80,10 +80,12 @@ pub enum StreamError {
     /// jobs to a pool in an undefined state.
     Poisoned,
     /// A simulated epoch hit the configured round cap before every node
-    /// halted. Under a fault plan this is how a hung epoch (for example a
-    /// convergecast stalled on dropped chunks with an exhausted deadline)
-    /// surfaces instead of spinning forever; the batch did not apply
-    /// cleanly, so treat the engine as unusable.
+    /// halted. A hardened epoch ends by itself whatever is lost — a dead
+    /// convergecast link is given up after a bounded number of resends,
+    /// and a per-node deadline backstops that — so under a fault plan
+    /// this means the cap was set below what the epoch's own deadlines
+    /// allow; the batch did not apply cleanly, so treat the engine as
+    /// unusable.
     RoundLimit {
         /// Rounds executed when the cap fired.
         rounds: u64,

@@ -97,13 +97,20 @@ fn check_chaos(base: &Graph, batches: &[DeltaBatch], plan: FaultPlan) {
     assert_eq!(seq.recovery_stats(), thr.recovery_stats());
 }
 
-/// The fault sweep every family runs: quiet, light loss, heavy loss
-/// with corruption and duplication — each with one mid-stream
-/// crash/rejoin window on a low-degree node.
+/// The fault sweep every family runs: quiet, light loss, corruption
+/// with duplication and no loss (most convergecast links then carry
+/// the one-bit empty aggregate, which a flipped bit must not forge and
+/// a duplicate must not double-count), heavy loss with corruption and
+/// duplication, and heavy loss with one mid-stream crash/rejoin window
+/// on a low-degree node.
 fn sweep_plans(seed: u64) -> Vec<FaultPlan> {
     vec![
         FaultPlan::default(),
         FaultPlan::default().with_drop(0.001).with_seed(seed),
+        FaultPlan::default()
+            .with_corruption(0.05)
+            .with_duplication(0.05)
+            .with_seed(seed),
         FaultPlan::default()
             .with_drop(0.01)
             .with_corruption(0.005)
@@ -215,6 +222,60 @@ proptest! {
         prop_assert_eq!(quiet.recovery_stats(), Default::default());
         prop_assert!(quiet.matches_oracle());
     }
+}
+
+/// The round ceiling of a lossy epoch: a lost convergecast chunk is
+/// resent after one round trip, so at 1 % drop a batch costs a small
+/// multiple of its quiet twin plus the repair epochs it booked — not a
+/// deadline. (Before convergecast links were acknowledged, a parent
+/// whose child's final chunk was lost sat out
+/// `(height + 1) · hop ≈ thousands` of rounds and degraded the epoch.)
+#[test]
+fn a_lost_chunk_costs_a_round_trip_not_a_deadline() {
+    // What a batch may idle: the root's linger window plus a few
+    // round trips in which the only busy link had just lost a message.
+    const IDLE_CEILING: u64 = 10;
+    let n = 200;
+    let base = Gnp::new(n, 0.04).seeded(17).generate();
+    let plan = FaultPlan::default().with_drop(0.01).with_seed(0xFA17);
+    let batches = random_batches(n, 10, 20, 0xD15C0);
+    let mut quiet = DistributedTriangleEngine::from_graph(&base);
+    let mut seq =
+        DistributedTriangleEngine::from_graph_with_executor(&base, SimExecutor::Sequential)
+            .with_fault_plan(plan);
+    let mut thr = DistributedTriangleEngine::from_graph_with_executor(&base, SimExecutor::Threaded)
+        .with_fault_plan(plan);
+    let mut lost = 0;
+    for (i, batch) in batches.iter().enumerate() {
+        let report = quiet.apply(batch).expect("in-range batch");
+        assert!(
+            report.inserts_applied + report.removes_applied > 0,
+            "batch {i} must be effective"
+        );
+        seq.apply(batch).expect("1% loss is recoverable");
+        thr.apply(batch).expect("1% loss is recoverable");
+        let (twin, cost) = (quiet.last_batch_cost(), seq.last_batch_cost());
+        assert_eq!(
+            cost,
+            thr.last_batch_cost(),
+            "executors diverged at batch {i}"
+        );
+        assert_eq!(seq.triangles(), quiet.triangles(), "diverged at batch {i}");
+        assert!(
+            cost.rounds <= 6 * twin.rounds + cost.recovery_rounds,
+            "batch {i}: {cost:?} against a quiet twin of {twin:?}"
+        );
+        assert!(
+            cost.idle_rounds <= IDLE_CEILING,
+            "batch {i} idled {} rounds",
+            cost.idle_rounds
+        );
+        lost += cost.recovery_rounds;
+    }
+    assert!(lost > 0, "the plan must actually lose something");
+    assert_eq!(seq.recovery_stats().degraded_epochs, 0);
+    assert_eq!(seq.recovery_stats(), thr.recovery_stats());
+    assert!(seq.matches_oracle() && thr.matches_oracle());
 }
 
 /// Total message loss exhausts the bounded retransmission budget and
