@@ -89,9 +89,8 @@ pub struct CrashWindow {
 /// crashes — and a quiet plan takes the exact legacy delivery path, so
 /// zero-fault runs stay bit-identical to a build without this layer.
 /// Fault decisions are drawn from per-sender RNGs derived from
-/// [`FaultPlan::seed`], in delivery order, which is the same in the
-/// sequential and threaded executors — both report bit-identical metrics
-/// under the same plan.
+/// [`FaultPlan::seed`], each in that sender's own send order, so a run
+/// under a plan is reproducible bit for bit from its seeds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability that a delivered message is silently lost.
@@ -218,7 +217,7 @@ pub struct SimConfig {
     /// reached.
     pub max_rounds: u64,
     /// Master seed; node `i`'s RNG is derived from `(seed, i)` so runs are
-    /// reproducible and executor-independent.
+    /// reproducible and independent of the order nodes are run in.
     pub seed: u64,
     /// Deterministic fault schedule (default: no faults).
     pub faults: FaultPlan,

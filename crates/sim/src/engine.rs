@@ -1,4 +1,4 @@
-//! The sequential round engine.
+//! The round engine.
 //!
 //! Since the epoch refactor the engine is **resumable**: node programs
 //! keep their state across [`Simulation::run_epoch`] calls, external
@@ -8,13 +8,23 @@
 //! (CONGEST-simulated) triangle engine in `congest-stream`.
 //!
 //! **Cost model.** On the host a round costs `O(active nodes + messages
-//! delivered)` and an epoch `O(n)` once: the round bookkeeping (shared
-//! with the threaded executor, see `round.rs`) never visits a halted
-//! node, inboxes are double-buffered and keep their capacity, and every
-//! node queues its sends into one reused destination-sorted buffer. A
-//! long phase in which a few nodes wait out a deadline is therefore
-//! nearly free, and host time follows simulated traffic rather than
-//! `n × rounds`.
+//! delivered)` and an epoch `O(n)` once: the round bookkeeping (see
+//! `round.rs`) never visits a halted node, inboxes are double-buffered
+//! and keep their capacity, and every node queues its sends into one
+//! reused destination-sorted buffer. A long phase in which a few nodes
+//! wait out a deadline is therefore nearly free, and host time follows
+//! simulated traffic rather than `n × rounds`.
+//!
+//! **One executor.** The model's rounds are synchronous, so a run has
+//! one schedule and its rounds, messages and bits cannot depend on who
+//! calls `on_round`. [`Simulation`] is the only owner of the round
+//! state: it visits the active nodes in ascending order, and within a
+//! round no node can observe that order — `on_round` borrows one node's
+//! info, inbox, outbox and RNG and nothing else, and
+//! [`NodeProgram`]`: Send` keeps `Rc`-shared state out of programs. The
+//! unit tests below hold the engine to it: they run every round's nodes
+//! in a seeded shuffled order and compare with
+//! [`Simulation::run_epoch`] bit for bit.
 
 use congest_graph::{AdjacencyView, NodeId};
 use congest_wire::Payload;
@@ -82,30 +92,6 @@ impl EpochReport {
     }
 }
 
-/// Builds the per-node [`NodeInfo`] records for a graph and configuration.
-///
-/// Generic over [`AdjacencyView`] so a simulation can be instantiated from
-/// a frozen [`Graph`](congest_graph::Graph) or directly from a live
-/// adjacency structure (e.g. the `congest-stream` indexes) with no
-/// snapshot; the per-node neighbour lists are copied out here either way.
-pub(crate) fn build_infos<V: AdjacencyView + ?Sized>(
-    graph: &V,
-    config: &SimConfig,
-) -> Vec<NodeInfo> {
-    let n = graph.node_count();
-    let bandwidth_bits = config.bandwidth.bits_per_round(n.max(1));
-    graph
-        .nodes()
-        .map(|id| NodeInfo {
-            id,
-            n,
-            neighbors: graph.neighbors(id).to_vec(),
-            model: config.model,
-            bandwidth_bits,
-        })
-        .collect()
-}
-
 /// The sequential, deterministic round engine.
 ///
 /// Construction takes a factory that builds one [`NodeProgram`] per node
@@ -170,15 +156,27 @@ impl<P: NodeProgram> Simulation<P> {
     /// node's program with `factory`.
     ///
     /// `graph` may be any [`AdjacencyView`] — a frozen
-    /// [`Graph`](congest_graph::Graph) or a live adjacency structure.
+    /// [`Graph`](congest_graph::Graph) or a live adjacency structure
+    /// (e.g. the `congest-stream` indexes) with no snapshot; the per-node
+    /// neighbour lists are copied out here either way.
     pub fn new<V, F>(graph: &V, config: SimConfig, mut factory: F) -> Self
     where
         V: AdjacencyView + ?Sized,
         F: FnMut(&NodeInfo) -> P,
     {
-        let infos = build_infos(graph, &config);
+        let n = graph.node_count();
+        let bandwidth_bits = config.bandwidth.bits_per_round(n.max(1));
+        let infos: Vec<NodeInfo> = graph
+            .nodes()
+            .map(|id| NodeInfo {
+                id,
+                n,
+                neighbors: graph.neighbors(id).to_vec(),
+                model: config.model,
+                bandwidth_bits,
+            })
+            .collect();
         let programs: Vec<P> = infos.iter().map(&mut factory).collect();
-        let n = infos.len();
         Simulation {
             infos,
             programs,
@@ -324,7 +322,7 @@ impl<P: NodeProgram> Simulation<P> {
 mod tests {
     use super::*;
     use crate::{Bandwidth, Model, NodeStatus};
-    use congest_graph::generators::Classic;
+    use congest_graph::generators::{Classic, Gnp};
     use rand::Rng;
 
     /// A program that does nothing and halts immediately.
@@ -686,5 +684,259 @@ mod tests {
         let draws = &sim.program(NodeId(0)).0;
         assert_eq!(draws.len(), 2);
         assert_ne!(draws[0], draws[1], "rng must not reset between epochs");
+    }
+
+    // -----------------------------------------------------------------
+    // Visiting order. The engine runs a round's nodes ascending; nothing
+    // a program can see may depend on that, and the driver below is how
+    // the claim is checked.
+    // -----------------------------------------------------------------
+
+    /// One epoch of `sim` with every round's active nodes *run* in an
+    /// order drawn from `order`, each on an outbox of its own, and only
+    /// then settled — ascending, through the same [`RoundState::settle`]
+    /// the engine calls. Must be indistinguishable from
+    /// [`Simulation::run_epoch`]: a program that was handed another
+    /// node's inbox or RNG, or that saw a neighbour's sends of the same
+    /// round, would make the two differ.
+    fn run_epoch_shuffled<P: NodeProgram>(
+        sim: &mut Simulation<P>,
+        order: &mut SmallRng,
+    ) -> EpochReport {
+        let Simulation {
+            infos,
+            programs,
+            config,
+            rngs,
+            state,
+        } = sim;
+        let epoch = state.epoch();
+        state.run_epoch(config.max_rounds, |state, round| {
+            let mut visit = state.active().to_vec();
+            for k in (1..visit.len()).rev() {
+                visit.swap(k, order.gen_range(0..=k));
+            }
+            let mut replies: Vec<(usize, NodeStatus, Outbox)> = visit
+                .into_iter()
+                .map(|i| {
+                    let mut outbox = Outbox::default();
+                    let mut ctx = RoundContext {
+                        info: &infos[i],
+                        round,
+                        epoch,
+                        inbox: state.inbox_mut(i),
+                        outbox: &mut outbox,
+                        rng: &mut rngs[i],
+                    };
+                    (i, programs[i].on_round(&mut ctx), outbox)
+                })
+                .collect();
+            replies.sort_unstable_by_key(|&(i, ..)| i);
+            for (i, status, mut outbox) in replies {
+                state.settle(i, status, &mut outbox.messages);
+            }
+        })
+    }
+
+    /// Runs one epoch of `make()` in ascending order and one in each of
+    /// three shuffled orders; outputs, metrics and termination must agree.
+    /// Returns the report all four share.
+    fn assert_order_independent<P, F>(
+        graph: &congest_graph::Graph,
+        config: SimConfig,
+        make: F,
+    ) -> RunReport<P::Output>
+    where
+        P: NodeProgram,
+        P::Output: PartialEq + std::fmt::Debug,
+        F: Fn() -> P,
+    {
+        let ascending = Simulation::new(graph, config, |_| make()).run();
+        for order_seed in 0..3 {
+            let mut sim = Simulation::new(graph, config, |_| make());
+            let mut order = SmallRng::seed_from_u64(order_seed);
+            let EpochReport {
+                metrics,
+                termination,
+            } = run_epoch_shuffled(&mut sim, &mut order);
+            let outputs: Vec<P::Output> = sim.programs.iter_mut().map(P::finish).collect();
+            assert_eq!(outputs, ascending.outputs, "order seed {order_seed}");
+            assert_eq!(metrics, ascending.metrics, "order seed {order_seed}");
+            assert_eq!(termination, ascending.termination);
+        }
+        ascending
+    }
+
+    /// Gossip program: every node floods a random token one hop and records
+    /// the sum of what it hears; exercises randomness, messaging and
+    /// multi-round behaviour.
+    struct Gossip {
+        token: u64,
+        sum: u64,
+    }
+
+    impl Gossip {
+        fn new() -> Self {
+            Gossip { token: 0, sum: 0 }
+        }
+    }
+
+    impl NodeProgram for Gossip {
+        type Output = u64;
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
+            match ctx.round() {
+                0 => {
+                    self.token = ctx.rng().gen_range(0..1000);
+                    let codec = ctx.id_codec();
+                    // Encode the token modulo n so it fits the id codec.
+                    let value = self.token % ctx.n() as u64;
+                    for v in ctx.neighbors().to_vec() {
+                        ctx.send(v, codec.single(value)).unwrap();
+                    }
+                    NodeStatus::Active
+                }
+                _ => {
+                    let codec = ctx.id_codec();
+                    for m in ctx.take_inbox() {
+                        self.sum += codec.decode_single(&m.payload).unwrap();
+                    }
+                    NodeStatus::Halted
+                }
+            }
+        }
+        fn finish(&mut self) -> u64 {
+            self.sum
+        }
+    }
+
+    #[test]
+    fn shuffled_visits_match_ascending_exactly() {
+        let g = Gnp::new(24, 0.3).seeded(5).generate();
+        assert_order_independent(&g, SimConfig::congest(99), Gossip::new);
+    }
+
+    #[test]
+    fn shuffled_visits_handle_empty_and_tiny_graphs() {
+        let g = congest_graph::GraphBuilder::new(0).build();
+        let report = assert_order_independent(&g, SimConfig::congest(0), Gossip::new);
+        assert!(report.outputs.is_empty());
+
+        let g = Classic::Path(2).generate();
+        let report = assert_order_independent(&g, SimConfig::congest(0), Gossip::new);
+        assert_eq!(report.outputs.len(), 2);
+        assert_eq!(report.metrics.rounds, 2);
+    }
+
+    #[test]
+    fn shuffled_epochs_match_ascending_epochs() {
+        let g = Gnp::new(12, 0.4).seeded(8).generate();
+        let config = SimConfig::congest(41);
+        let mut ascending = Simulation::new(&g, config, |_| accumulator());
+        let mut shuffled = Simulation::new(&g, config, |_| accumulator());
+        let mut order = SmallRng::seed_from_u64(0x0DD);
+        let payload = {
+            let mut w = congest_wire::BitWriter::new();
+            w.write_bits(3, 4);
+            w.finish()
+        };
+        for epoch in 0..3u32 {
+            let target = NodeId(epoch % 12);
+            ascending.inject(target, payload.clone());
+            shuffled.inject(target, payload.clone());
+            let a = ascending.run_epoch();
+            let b = run_epoch_shuffled(&mut shuffled, &mut order);
+            assert_eq!(a.metrics, b.metrics, "epoch {epoch}");
+            assert_eq!(a.termination, b.termination);
+        }
+        assert_eq!(ascending.epoch(), shuffled.epoch());
+        for node in g.nodes() {
+            let (a, b) = (ascending.program(node), shuffled.program(node));
+            assert_eq!(
+                (a.heard, &a.epochs_seen),
+                (b.heard, &b.epochs_seen),
+                "node {node} diverged across visiting orders"
+            );
+        }
+    }
+
+    /// Gossip variant that tolerates corrupted payloads (skips messages
+    /// that no longer decode instead of unwrapping).
+    struct NoisyGossip {
+        sum: u64,
+    }
+
+    impl NodeProgram for NoisyGossip {
+        type Output = u64;
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
+            if ctx.round() == 0 {
+                let codec = ctx.id_codec();
+                let n = ctx.n() as u64;
+                let value = ctx.rng().gen_range(0..n);
+                for v in ctx.neighbors().to_vec() {
+                    ctx.send(v, codec.single(value)).unwrap();
+                }
+                NodeStatus::Active
+            } else {
+                let codec = ctx.id_codec();
+                for m in ctx.take_inbox() {
+                    if let Ok(v) = codec.decode_single(&m.payload) {
+                        self.sum += v;
+                    }
+                }
+                NodeStatus::Halted
+            }
+        }
+        fn finish(&mut self) -> u64 {
+            self.sum
+        }
+    }
+
+    #[test]
+    fn shuffled_visits_match_ascending_under_faults() {
+        let g = Gnp::new(20, 0.35).seeded(11).generate();
+        for (drop_p, corrupt_p, dup_p) in [(0.1, 0.0, 0.0), (0.05, 0.05, 0.05), (0.0, 0.2, 0.1)] {
+            let plan = FaultPlan::default()
+                .with_drop(drop_p)
+                .with_corruption(corrupt_p)
+                .with_duplication(dup_p)
+                .with_seed(0xFA)
+                .with_crash(2, 0, 1);
+            let config = SimConfig::congest(99).with_faults(plan);
+            assert_order_independent(&g, config, || NoisyGossip { sum: 0 });
+        }
+    }
+
+    #[test]
+    fn shuffled_visits_respect_the_round_limit() {
+        let g = Classic::Path(3).generate();
+        let config = SimConfig::congest(0).with_max_rounds(5);
+        let report = assert_order_independent(&g, config, || Forever);
+        assert_eq!(report.metrics.rounds, 5);
+        assert_eq!(report.termination, Termination::RoundLimit);
+    }
+
+    #[test]
+    fn crashed_node_sits_the_epoch_out_and_wakes_after() {
+        let g = Classic::Complete(4).generate();
+        let plan = FaultPlan::default().with_crash(1, 0, 2);
+        let config = SimConfig::congest(7).with_faults(plan);
+        let mut sim = Simulation::new(&g, config, |_| accumulator());
+        for _ in 0..3 {
+            sim.run_epoch();
+        }
+        // Crashed for epochs 0 and 1, live in epoch 2: the program ran in
+        // exactly one epoch.
+        assert_eq!(sim.program(NodeId(1)).epochs_seen, vec![2]);
+    }
+
+    #[test]
+    fn quiet_plan_is_bit_identical_to_no_plan() {
+        let g = Gnp::new(16, 0.4).seeded(3).generate();
+        let base = SimConfig::congest(5);
+        let quiet = base.with_faults(FaultPlan::default().with_seed(0xDEAD));
+        let a = Simulation::new(&g, base, |_| Gossip::new()).run();
+        let b = Simulation::new(&g, quiet, |_| Gossip::new()).run();
+        assert_eq!(a.outputs, b.outputs);
+        assert_eq!(a.metrics, b.metrics);
     }
 }

@@ -1,12 +1,14 @@
-//! Deterministic fault injection shared by both executors.
+//! Deterministic fault injection.
 //!
-//! The fault layer sits on the single choke point both engines share:
-//! the shared round state's delivery loop, which applies every node's
-//! outbox in node order with destinations ascending. Because that
-//! delivery sequence is identical in the sequential and threaded
-//! executors, drawing fault decisions from per-sender RNGs at delivery
-//! time keeps the two bit-identical under the same
-//! [`FaultPlan`](crate::FaultPlan) — the property the lockstep tests pin.
+//! The fault layer sits on the one choke point every CONGEST message
+//! passes: the round state's delivery loop, which sends each node's
+//! outbox with destinations ascending. Fault decisions are drawn at
+//! delivery time from one RNG stream per *sender*, so a message's fate
+//! depends on the plan's seed, its sender and how many messages that
+//! sender sent before it — not on the order nodes are settled in, and
+//! not on whether the destination still runs (a send to a halted node
+//! draws like any other). A run under a [`FaultPlan`](crate::FaultPlan)
+//! therefore repeats bit for bit from its seeds.
 
 use congest_wire::Payload;
 use rand::rngs::SmallRng;

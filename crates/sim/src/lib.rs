@@ -13,7 +13,10 @@
 //! * [`NodeProgram`] — the per-node state machine interface; a program sees
 //!   only its own [`NodeInfo`] (id, `n`, neighbour list), its inbox and its
 //!   per-node deterministic RNG.
-//! * [`Simulation`] — the sequential round engine; it validates every send
+//! * [`Simulation`] — the round engine, and the only executor: the model's
+//!   rounds are synchronous, so a run has one schedule and its rounds,
+//!   messages and bits cannot depend on who calls a node program. It runs
+//!   the nodes of a round one after another, validates every send
 //!   against the bandwidth budget and topology, delivers messages with
 //!   one-round latency and collects [`Metrics`] (rounds, messages, bits per
 //!   node — the quantities the paper's bounds are about). The engine is
@@ -23,15 +26,12 @@
 //!   [`Simulation::update_topology`] keeps the communication graph in sync
 //!   with an evolving input graph — the substrate for dynamic
 //!   (CONGEST-simulated) algorithms.
-//! * [`ThreadedSimulation`] — an executor that runs one OS thread per node
-//!   with barrier-synchronized rounds; it produces bit-identical results to
-//!   the sequential engine and exists to demonstrate that programs only
-//!   rely on message passing.
 //! * [`FaultPlan`] — a seeded, deterministic fault schedule (message
 //!   drops, payload bit corruption, duplication and scheduled
-//!   crash/rejoin windows keyed by epoch) applied identically by both
-//!   executors at delivery time. The default plan is quiet and preserves
-//!   the paper's reliable model bit-for-bit.
+//!   crash/rejoin windows keyed by epoch) applied at delivery time from
+//!   per-sender streams, so a run repeats bit for bit from its seeds. The
+//!   default plan is quiet and preserves the paper's reliable model
+//!   bit-for-bit.
 //! * [`transfer`] — chunked multi-round transfers ([`ChunkedSender`],
 //!   [`ChunkAssembler`], [`MultiSender`]): the paper's "send the set `S` to
 //!   the neighbour" steps, which take `⌈|S| log n / B⌉` rounds.
@@ -85,7 +85,6 @@ mod metrics;
 mod program;
 mod rng;
 mod round;
-mod threaded;
 pub mod transfer;
 
 pub use config::{Bandwidth, CrashWindow, FaultPlan, Model, SimConfig};
@@ -95,5 +94,4 @@ pub use error::SimError;
 pub use metrics::Metrics;
 pub use program::{NodeInfo, NodeProgram, NodeStatus};
 pub use rng::derive_node_seed;
-pub use threaded::ThreadedSimulation;
 pub use transfer::{ChunkAssembler, ChunkedSender, MultiSender};

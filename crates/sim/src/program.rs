@@ -51,7 +51,12 @@ pub enum NodeStatus {
 /// [`NodeInfo`]. When every node has returned [`NodeStatus::Halted`] the
 /// run ends and [`NodeProgram::finish`] collects each node's output.
 ///
-/// Programs must be `Send` so the threaded executor can own one per thread.
+/// Programs must be `Send`. That keeps `Rc`-shared state out of programs
+/// — half of the argument that nodes interact through messages only; the
+/// other half is that `on_round` borrows one node's context and nothing
+/// else — and it keeps [`Simulation<P>`](crate::Simulation) and the
+/// engines built on it `Send`, an auto trait their callers would
+/// otherwise lose silently.
 pub trait NodeProgram: Send {
     /// The node's local output (the `T_i` of the paper for the triangle
     /// algorithms).

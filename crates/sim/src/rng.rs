@@ -3,8 +3,8 @@
 /// Derives the seed of node `node_index`'s RNG from the master seed.
 ///
 /// Uses the SplitMix64 finalizer, which decorrelates consecutive node
-/// indices; the derivation is a pure function so the sequential and
-/// threaded executors produce identical randomness.
+/// indices; the derivation is a pure function of `(master, node_index)`,
+/// so a node's randomness does not depend on the order nodes are run in.
 ///
 /// ```
 /// use congest_sim::derive_node_seed;

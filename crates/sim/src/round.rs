@@ -1,12 +1,16 @@
-//! The round bookkeeping both executors share.
+//! The round bookkeeping of the engine.
 //!
 //! [`RoundState`] owns everything about an epoch that is not a node
 //! program: the double-buffered inboxes, the list of nodes still
-//! running, the epoch's [`Metrics`] and the fault layer. An executor
-//! supplies only the compute step — run every active node once and
-//! [`settle`](RoundState::settle) each in ascending id order — so the
-//! sequential and threaded engines cannot drift apart in what they
-//! deliver, count or drop.
+//! running, the epoch's [`Metrics`] and the fault layer. Its one owner,
+//! [`Simulation`](crate::Simulation), supplies only the compute step —
+//! run every active node once and [`settle`](RoundState::settle) each in
+//! ascending id order. The order is part of the contract: it is what
+//! makes an inbox arrive in *sender order* (lower ids first, a
+//! duplicated message next to its original), and programs lean on that
+//! — the distributed engine's per-round acknowledgement `dedup` removes
+//! adjacent repeats only. Fault decisions do not depend on it: they are
+//! drawn from per-sender streams (`faults.rs`).
 //!
 //! **Cost model.** A round costs `O(active nodes + messages delivered)`
 //! on the host: nothing scans, allocates or drops per *halted* node, so

@@ -210,7 +210,9 @@
 //! final graph and triangle set are identical to the strictly ordered
 //! [`TriangleIndex`](crate::TriangleIndex) on any stream —
 //! property-tested across all four workload generator families, in
-//! every scheduling/aggregation mode, on both executors.
+//! every scheduling/aggregation mode — and a run repeats bit for bit,
+//! reports and [`CongestCost`]s included, from its graph, fault plan and
+//! seed, which the same tests pin on a second engine built alike.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -219,8 +221,8 @@ use std::time::Duration;
 use congest_graph::{AdjacencyView, Edge, Graph, NodeId, Triangle, TriangleSet};
 use congest_hash::CHECKSUM_BITS;
 use congest_sim::{
-    Bandwidth, EpochReport, FaultPlan, NodeProgram, NodeStatus, ReceivedMessage, RoundContext,
-    SimConfig, Simulation, ThreadedSimulation,
+    Bandwidth, FaultPlan, NodeProgram, NodeStatus, ReceivedMessage, RoundContext, SimConfig,
+    Simulation,
 };
 use congest_wire::{BitReader, BitWriter, IdCodec, Payload};
 
@@ -307,132 +309,6 @@ impl Aggregation {
         match self {
             Aggregation::Free => "free",
             Aggregation::Convergecast => "convergecast",
-        }
-    }
-}
-
-/// Which epoch executor drives the simulated network inside a
-/// [`DistributedTriangleEngine`].
-///
-/// Both executors expose the same resumable epoch API and produce
-/// **bit-identical** metrics and node states (`congest-sim`'s test suite
-/// checks this), so the choice never affects results — only how the
-/// rounds are executed on the host machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SimExecutor {
-    /// The sequential engine: one host thread steps every node. Fastest
-    /// for experiment sweeps (no thread or channel overhead) and the
-    /// default.
-    #[default]
-    Sequential,
-    /// [`ThreadedSimulation`]: one host thread per network node,
-    /// synchronized round-by-round by a coordinator. Demonstrates that
-    /// the dynamic protocol relies only on message passing, and lets a
-    /// workload exploit host parallelism when per-round node work is
-    /// heavy.
-    Threaded,
-}
-
-impl SimExecutor {
-    /// Short lowercase name, used in logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimExecutor::Sequential => "sequential",
-            SimExecutor::Threaded => "threaded",
-        }
-    }
-}
-
-/// The executor-polymorphic epoch engine: both variants keep node
-/// programs alive across [`run_epoch`](EpochEngine::run_epoch) calls.
-enum EpochEngine {
-    Sequential(Simulation<DynamicTriangleNode>),
-    Threaded(ThreadedSimulation<DynamicTriangleNode>),
-}
-
-impl EpochEngine {
-    fn new(graph: &Graph, config: SimConfig, executor: SimExecutor) -> Self {
-        let factory = |info: &congest_sim::NodeInfo| {
-            DynamicTriangleNode::new(info.id, info.neighbors.clone())
-        };
-        match executor {
-            SimExecutor::Sequential => {
-                EpochEngine::Sequential(Simulation::new(graph, config, factory))
-            }
-            SimExecutor::Threaded => {
-                EpochEngine::Threaded(ThreadedSimulation::new(graph, config, factory))
-            }
-        }
-    }
-
-    fn executor(&self) -> SimExecutor {
-        match self {
-            EpochEngine::Sequential(_) => SimExecutor::Sequential,
-            EpochEngine::Threaded(_) => SimExecutor::Threaded,
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            EpochEngine::Sequential(sim) => sim.node_count(),
-            EpochEngine::Threaded(sim) => sim.node_count(),
-        }
-    }
-
-    fn program(&self, node: NodeId) -> &DynamicTriangleNode {
-        match self {
-            EpochEngine::Sequential(sim) => sim.program(node),
-            EpochEngine::Threaded(sim) => sim.program(node),
-        }
-    }
-
-    fn program_mut(&mut self, node: NodeId) -> &mut DynamicTriangleNode {
-        match self {
-            EpochEngine::Sequential(sim) => sim.program_mut(node),
-            EpochEngine::Threaded(sim) => sim.program_mut(node),
-        }
-    }
-
-    fn inject(&mut self, to: NodeId, payload: Payload) {
-        match self {
-            EpochEngine::Sequential(sim) => sim.inject(to, payload),
-            EpochEngine::Threaded(sim) => sim.inject(to, payload),
-        }
-    }
-
-    fn update_topology(&mut self, node: NodeId, neighbors: Vec<NodeId>) {
-        match self {
-            EpochEngine::Sequential(sim) => sim.update_topology(node, neighbors),
-            EpochEngine::Threaded(sim) => sim.update_topology(node, neighbors),
-        }
-    }
-
-    fn run_epoch(&mut self) -> EpochReport {
-        match self {
-            EpochEngine::Sequential(sim) => sim.run_epoch(),
-            EpochEngine::Threaded(sim) => sim.run_epoch(),
-        }
-    }
-
-    /// Index of the next epoch to run (crash windows are keyed by it).
-    fn epoch(&self) -> u64 {
-        match self {
-            EpochEngine::Sequential(sim) => sim.epoch(),
-            EpochEngine::Threaded(sim) => sim.epoch(),
-        }
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        match self {
-            EpochEngine::Sequential(sim) => sim.set_fault_plan(plan),
-            EpochEngine::Threaded(sim) => sim.set_fault_plan(plan),
-        }
-    }
-
-    fn set_max_rounds(&mut self, max_rounds: u64) {
-        match self {
-            EpochEngine::Sequential(sim) => sim.set_max_rounds(max_rounds),
-            EpochEngine::Threaded(sim) => sim.set_max_rounds(max_rounds),
         }
     }
 }
@@ -1217,7 +1093,7 @@ impl NodeProgram for DynamicTriangleNode {
 /// assert!(engine.last_batch_cost().rounds >= 1);
 /// ```
 pub struct DistributedTriangleEngine {
-    sim: EpochEngine,
+    sim: Simulation<DynamicTriangleNode>,
     /// The global triangle set (the coordinator's merge is the only
     /// writer).
     triangles: TriangleSet,
@@ -1305,16 +1181,9 @@ struct BatchSnapshot {
 
 impl DistributedTriangleEngine {
     /// An empty engine on `node_count` nodes, in [`ApplyMode::Eager`],
-    /// with the default CONGEST bandwidth and the sequential executor.
+    /// with the default CONGEST bandwidth.
     pub fn new(node_count: usize) -> Self {
         Self::with_bandwidth(node_count, Bandwidth::default())
-    }
-
-    /// An empty engine with an explicit epoch executor (see
-    /// [`SimExecutor`]; results are identical either way).
-    pub fn with_executor(node_count: usize, executor: SimExecutor) -> Self {
-        let empty = congest_graph::GraphBuilder::new(node_count).build();
-        Self::build(&empty, Bandwidth::default(), executor)
     }
 
     /// An empty engine with an explicit per-link bandwidth budget.
@@ -1326,7 +1195,7 @@ impl DistributedTriangleEngine {
     /// message under the CONGEST convention.
     pub fn with_bandwidth(node_count: usize, bandwidth: Bandwidth) -> Self {
         let empty = congest_graph::GraphBuilder::new(node_count).build();
-        Self::build(&empty, bandwidth, SimExecutor::Sequential)
+        Self::build(&empty, bandwidth)
     }
 
     /// An engine seeded with a static graph's edges and triangles (the
@@ -1337,18 +1206,6 @@ impl DistributedTriangleEngine {
     }
 
     /// [`from_graph`](DistributedTriangleEngine::from_graph) with an
-    /// explicit epoch executor: [`SimExecutor::Threaded`] runs every
-    /// batch epoch thread-per-node on `ThreadedSimulation`'s identical
-    /// epoch API (bit-identical results, property-tested against the
-    /// sequential engine and the oracle).
-    pub fn from_graph_with_executor(graph: &Graph, executor: SimExecutor) -> Self {
-        let mut engine = Self::build(graph, Bandwidth::default(), executor);
-        engine.triangles = congest_graph::triangles::list_all(graph);
-        engine.edge_count = graph.edge_count();
-        engine
-    }
-
-    /// [`from_graph`](DistributedTriangleEngine::from_graph) with an
     /// explicit per-link bandwidth budget.
     ///
     /// # Panics
@@ -1356,13 +1213,13 @@ impl DistributedTriangleEngine {
     /// Panics if the budget cannot carry a single edge (see
     /// [`with_bandwidth`](DistributedTriangleEngine::with_bandwidth)).
     pub fn from_graph_with_bandwidth(graph: &Graph, bandwidth: Bandwidth) -> Self {
-        let mut engine = Self::build(graph, bandwidth, SimExecutor::Sequential);
+        let mut engine = Self::build(graph, bandwidth);
         engine.triangles = congest_graph::triangles::list_all(graph);
         engine.edge_count = graph.edge_count();
         engine
     }
 
-    fn build(graph: &Graph, bandwidth: Bandwidth, executor: SimExecutor) -> Self {
+    fn build(graph: &Graph, bandwidth: Bandwidth) -> Self {
         let config = SimConfig::congest(0).with_bandwidth(bandwidth);
         let bandwidth_bits = bandwidth.bits_per_round(graph.node_count().max(1));
         // The protocol's smallest message is one edge (two ids); a budget
@@ -1378,7 +1235,9 @@ impl DistributedTriangleEngine {
                 graph.node_count(),
             );
         }
-        let sim = EpochEngine::new(graph, config, executor);
+        let sim = Simulation::new(graph, config, |info| {
+            DynamicTriangleNode::new(info.id, info.neighbors.clone())
+        });
         DistributedTriangleEngine {
             sim,
             triangles: TriangleSet::new(),
@@ -1401,6 +1260,10 @@ impl DistributedTriangleEngine {
 
     /// Sets the application mode (builder style). Switching away from
     /// deferred mode first flushes anything buffered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that [`flush`](DistributedTriangleEngine::flush) does.
     pub fn with_mode(mut self, mode: ApplyMode) -> Self {
         if mode != self.mode && !self.pending.is_empty() {
             self.flush();
@@ -1509,11 +1372,6 @@ impl DistributedTriangleEngine {
     /// The candidate aggregation mode in effect.
     pub fn aggregation(&self) -> Aggregation {
         self.aggregation
-    }
-
-    /// The epoch executor driving the simulated network.
-    pub fn executor(&self) -> SimExecutor {
-        self.sim.executor()
     }
 
     /// Number of nodes (network and graph — they are the same thing
@@ -1641,10 +1499,19 @@ impl DistributedTriangleEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the epoch surfaces a broadcast protocol error, which
-    /// cannot happen with payloads produced by this engine (the trait's
-    /// `flush` has no error channel; `apply` returns
-    /// [`StreamError::Protocol`] instead).
+    /// Panics if the epoch fails, because the trait's `flush` has no
+    /// error channel. Two failures are reachable with this engine's own
+    /// payloads: [`StreamError::RoundLimit`], when the epoch outlasts a
+    /// cap set with
+    /// [`with_max_rounds`](DistributedTriangleEngine::with_max_rounds),
+    /// and [`StreamError::RecoveryExhausted`], when streams still fail
+    /// verification after the bounded repair epochs of a
+    /// [`with_fault_plan`](DistributedTriangleEngine::with_fault_plan)
+    /// engine; [`StreamError::Protocol`] needs corrupt injected traffic.
+    /// Eager [`apply`](DistributedTriangleEngine::apply) returns all
+    /// three as typed errors — use it where a cap or a fault plan is
+    /// set. [`with_mode`](DistributedTriangleEngine::with_mode) flushes,
+    /// so it panics likewise.
     pub fn flush(&mut self) -> ApplyReport {
         if self.pending.is_empty() {
             return ApplyReport::default();
@@ -1652,7 +1519,7 @@ impl DistributedTriangleEngine {
         let buffered = self.pending.take();
         let mut report = self
             .process_batch(&buffered)
-            .unwrap_or_else(|e| panic!("deferred flush hit a protocol error: {e}"));
+            .unwrap_or_else(|e| panic!("deferred flush failed: {e}"));
         report.deltas_seen = 0;
         report
     }
@@ -2487,13 +2354,12 @@ impl fmt::Debug for DistributedTriangleEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "DistributedTriangleEngine(n={}, m={}, triangles={}, mode={}, exec={}, split={}, \
-             agg={}, epochs={}, rounds={})",
+            "DistributedTriangleEngine(n={}, m={}, triangles={}, mode={}, split={}, agg={}, \
+             epochs={}, rounds={})",
             self.node_count(),
             self.edge_count(),
             self.triangle_count(),
             self.mode.name(),
-            self.executor().name(),
             self.hub_split.name(),
             self.aggregation.name(),
             self.epochs,
@@ -2745,49 +2611,13 @@ mod tests {
         let s = format!("{engine:?}");
         assert!(s.contains("n=6"));
         assert!(s.contains("epochs=0"));
-        assert!(s.contains("exec=sequential"));
     }
 
     #[test]
-    fn threaded_executor_reaches_the_same_state_with_identical_cost() {
-        let g = Gnp::new(18, 0.2).seeded(21).generate();
-        let mut seq =
-            DistributedTriangleEngine::from_graph_with_executor(&g, SimExecutor::Sequential);
-        let mut thr =
-            DistributedTriangleEngine::from_graph_with_executor(&g, SimExecutor::Threaded);
-        assert_eq!(seq.executor(), SimExecutor::Sequential);
-        assert_eq!(thr.executor(), SimExecutor::Threaded);
-        for step in 0..5u32 {
-            let mut b = DeltaBatch::new();
-            for j in 0..8u32 {
-                let a = (step * 5 + j * 7) % 18;
-                let c = (step * 3 + j * 11 + 1) % 18;
-                if a != c {
-                    if (step + j) % 3 == 0 {
-                        b.remove(v(a), v(c));
-                    } else {
-                        b.insert(v(a), v(c));
-                    }
-                }
-            }
-            let rs = seq.apply(&b).unwrap();
-            let rt = thr.apply(&b).unwrap();
-            assert_eq!(rs, rt, "step {step}: per-batch reports must match");
-            assert_eq!(seq.triangles(), thr.triangles(), "step {step}");
-            // The executors produce bit-identical network metrics.
-            assert_eq!(seq.last_batch_cost(), thr.last_batch_cost(), "step {step}");
-        }
-        assert_eq!(seq.total_cost(), thr.total_cost());
-        assert!(thr.matches_oracle());
-    }
-
-    #[test]
-    fn threaded_executor_default_is_sequential() {
-        assert_eq!(SimExecutor::default(), SimExecutor::Sequential);
-        assert_eq!(SimExecutor::Threaded.name(), "threaded");
-        let engine = DistributedTriangleEngine::with_executor(4, SimExecutor::Threaded);
-        assert_eq!(engine.executor(), SimExecutor::Threaded);
-        assert_eq!(engine.node_count(), 4);
+    fn engine_and_its_simulation_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Simulation<DynamicTriangleNode>>();
+        assert_send::<DistributedTriangleEngine>();
     }
 
     #[test]
@@ -2796,6 +2626,20 @@ mod tests {
         // 8 bits cannot carry two 10-bit ids for n = 1000; the engine
         // must refuse up front instead of panicking mid-epoch.
         let _ = DistributedTriangleEngine::with_bandwidth(1000, Bandwidth::Bits(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "deferred flush failed: epoch hit the round cap after 1 rounds")]
+    fn deferred_flush_panics_with_the_error_it_cannot_return() {
+        let mut engine = DistributedTriangleEngine::new(20)
+            .with_mode(ApplyMode::Deferred)
+            .with_max_rounds(1);
+        let mut b = DeltaBatch::new();
+        for i in 0..10 {
+            b.insert(v(i), v(i + 1));
+        }
+        engine.apply(&b).unwrap();
+        engine.flush();
     }
 
     #[test]
@@ -2900,49 +2744,47 @@ mod tests {
     }
 
     #[test]
-    fn fully_cancelling_batches_cost_the_zero_round_floor_on_both_executors() {
-        for executor in [SimExecutor::Sequential, SimExecutor::Threaded] {
-            // A triangle {0,1,2} plus two spare nodes.
-            let mut b = congest_graph::GraphBuilder::new(5);
-            b.add_edge(v(0), v(1)).unwrap();
-            b.add_edge(v(1), v(2)).unwrap();
-            b.add_edge(v(0), v(2)).unwrap();
-            let base = b.build();
-            let mut engine = DistributedTriangleEngine::from_graph_with_executor(&base, executor);
-            // One real batch first, so the floor demonstrably does not
-            // reset earlier accounting.
-            let mut real = DeltaBatch::new();
-            real.insert(v(2), v(3));
-            engine.apply(&real).unwrap();
-            let epochs_before = engine.epochs();
-            let cost_before = engine.total_cost();
-            let last_before = engine.last_batch_cost();
-            assert!(cost_before.rounds > 0);
+    fn fully_cancelling_batches_cost_the_zero_round_floor() {
+        // A triangle {0,1,2} plus two spare nodes.
+        let mut b = congest_graph::GraphBuilder::new(5);
+        b.add_edge(v(0), v(1)).unwrap();
+        b.add_edge(v(1), v(2)).unwrap();
+        b.add_edge(v(0), v(2)).unwrap();
+        let base = b.build();
+        let mut engine = DistributedTriangleEngine::from_graph(&base);
+        // One real batch first, so the floor demonstrably does not
+        // reset earlier accounting.
+        let mut real = DeltaBatch::new();
+        real.insert(v(2), v(3));
+        engine.apply(&real).unwrap();
+        let epochs_before = engine.epochs();
+        let cost_before = engine.total_cost();
+        let last_before = engine.last_batch_cost();
+        assert!(cost_before.rounds > 0);
 
-            // insert+remove of an absent edge: the insert coalesces
-            // away and the surviving remove classifies as a no-op —
-            // zero effective deltas, zero-length broadcast phases.
-            let mut cancel_absent = DeltaBatch::new();
-            cancel_absent.insert(v(3), v(4)).remove(v(3), v(4));
-            // remove+insert of a present edge: the remove coalesces
-            // away and the surviving insert is already present.
-            let mut cancel_present = DeltaBatch::new();
-            cancel_present.remove(v(0), v(1)).insert(v(0), v(1));
+        // insert+remove of an absent edge: the insert coalesces
+        // away and the surviving remove classifies as a no-op —
+        // zero effective deltas, zero-length broadcast phases.
+        let mut cancel_absent = DeltaBatch::new();
+        cancel_absent.insert(v(3), v(4)).remove(v(3), v(4));
+        // remove+insert of a present edge: the remove coalesces
+        // away and the surviving insert is already present.
+        let mut cancel_present = DeltaBatch::new();
+        cancel_present.remove(v(0), v(1)).insert(v(0), v(1));
 
-            for (name, batch) in [("absent", &cancel_absent), ("present", &cancel_present)] {
-                let r = engine.apply(batch).unwrap();
-                let ctx = format!("executor {}, {name} flap", executor.name());
-                assert_eq!(r.noops, 2, "{ctx}");
-                assert_eq!(r.inserts_applied + r.removes_applied, 0, "{ctx}");
-                assert_eq!(r.triangles_added + r.triangles_removed, 0, "{ctx}");
-                // The documented floor: no epoch runs at all.
-                assert_eq!(engine.epochs(), epochs_before, "{ctx}");
-                assert_eq!(engine.total_cost(), cost_before, "{ctx}");
-                assert_eq!(engine.last_batch_cost(), last_before, "{ctx}");
-            }
-            assert!(engine.matches_oracle());
-            assert_eq!(engine.triangle_count(), 1);
+        for (name, batch) in [("absent", &cancel_absent), ("present", &cancel_present)] {
+            let r = engine.apply(batch).unwrap();
+            let ctx = format!("{name} flap");
+            assert_eq!(r.noops, 2, "{ctx}");
+            assert_eq!(r.inserts_applied + r.removes_applied, 0, "{ctx}");
+            assert_eq!(r.triangles_added + r.triangles_removed, 0, "{ctx}");
+            // The documented floor: no epoch runs at all.
+            assert_eq!(engine.epochs(), epochs_before, "{ctx}");
+            assert_eq!(engine.total_cost(), cost_before, "{ctx}");
+            assert_eq!(engine.last_batch_cost(), last_before, "{ctx}");
         }
+        assert!(engine.matches_oracle());
+        assert_eq!(engine.triangle_count(), 1);
     }
 
     #[test]
@@ -3066,15 +2908,15 @@ mod tests {
     }
 
     #[test]
-    fn split_and_convergecast_stay_in_lockstep_across_executors() {
+    fn split_and_convergecast_runs_repeat_bit_for_bit() {
         let g = Gnp::new(16, 0.25).seeded(33).generate();
-        let build = |executor| {
-            DistributedTriangleEngine::from_graph_with_executor(&g, executor)
+        let build = || {
+            DistributedTriangleEngine::from_graph(&g)
                 .with_hub_split(HubSplit::Budget(1))
                 .with_aggregation(Aggregation::Convergecast)
         };
-        let mut seq = build(SimExecutor::Sequential);
-        let mut thr = build(SimExecutor::Threaded);
+        let mut first = build();
+        let mut second = build();
         for step in 0..4u32 {
             let mut b = DeltaBatch::new();
             for j in 0..8u32 {
@@ -3088,15 +2930,19 @@ mod tests {
                     }
                 }
             }
-            let rs = seq.apply(&b).unwrap();
-            let rt = thr.apply(&b).unwrap();
-            assert_eq!(rs, rt, "step {step}");
-            assert_eq!(seq.triangles(), thr.triangles(), "step {step}");
-            assert_eq!(seq.last_batch_cost(), thr.last_batch_cost(), "step {step}");
+            let ra = first.apply(&b).unwrap();
+            let rb = second.apply(&b).unwrap();
+            assert_eq!(ra, rb, "step {step}");
+            assert_eq!(first.triangles(), second.triangles(), "step {step}");
+            assert_eq!(
+                first.last_batch_cost(),
+                second.last_batch_cost(),
+                "step {step}"
+            );
         }
-        assert!(seq.matches_oracle() && thr.matches_oracle());
-        assert_eq!(seq.total_cost(), thr.total_cost());
-        assert!(seq.total_cost().convergecast_rounds > 0);
+        assert!(first.matches_oracle() && second.matches_oracle());
+        assert_eq!(first.total_cost(), second.total_cost());
+        assert!(first.total_cost().convergecast_rounds > 0);
     }
 
     #[test]

@@ -146,7 +146,6 @@ pub use arena::{ArenaStats, NeighborArena};
 pub use delta::{DeltaBatch, DeltaOp, EdgeDelta};
 pub use distributed::{
     Aggregation, CongestCost, DistributedTriangleEngine, HubSplit, ReceivedBitsSkew, RecoveryStats,
-    SimExecutor,
 };
 // Fault schedules are authored against the simulator's types; re-export
 // them so chaos harnesses need only this crate.

@@ -14,8 +14,8 @@
 //!
 //! * **Persistence, caller-runs** — the engine thread is worker 0: an
 //!   `S`-shard engine owns `S − 1` helper threads, spawned once (lazily,
-//!   on the first pipelined batch) and fed work descriptors over the
-//!   `crossbeam` shim's channels. In every wave the engine sends the
+//!   on the first pipelined batch) and fed work descriptors over
+//!   `std::sync::mpsc` channels. In every wave the engine sends the
 //!   helpers' jobs first, runs worker 0's job itself, then collects the
 //!   `S − 1` responses — so a wave costs `S − 1` wake-ups, not `S` plus
 //!   a sleeping engine thread.
@@ -58,12 +58,12 @@
 //! a batch handed off or kept lands in the registry as
 //! `pool.waves_handed_off` and `pool.waves_inline`.
 
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use congest_graph::{Edge, Triangle};
-use crossbeam::channel::{unbounded, Receiver, RecvError, Sender, TryRecvError};
 
 use crate::delta::{DeltaOp, EdgeDelta};
 use crate::shard::{intersect_sorted, Shard, ShardOp, ShardStore};
@@ -190,11 +190,11 @@ impl ShardPool {
     /// `workers − 1` spawned helpers.
     pub(crate) fn new(workers: usize) -> Self {
         let spin = std::thread::available_parallelism().is_ok_and(|cores| workers <= cores.get());
-        let (result_tx, results) = unbounded();
+        let (result_tx, results) = channel();
         let mut jobs = Vec::new();
         let mut handles = Vec::new();
         for worker in 1..workers {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let result_tx = result_tx.clone();
             jobs.push(tx);
             handles.push(std::thread::spawn(move || {

@@ -9,8 +9,7 @@ use congest_graph::generators::{Classic, Gnp, PlantedLight, TriangleFreeBipartit
 use congest_graph::triangles as oracle;
 use congest_graph::{Graph, NodeId};
 use congest_stream::{
-    Aggregation, ApplyMode, DeltaBatch, DistributedTriangleEngine, HubSplit, SimExecutor,
-    TriangleIndex,
+    Aggregation, ApplyMode, DeltaBatch, DistributedTriangleEngine, HubSplit, TriangleIndex,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -52,10 +51,11 @@ fn random_batches(n: usize, batch_count: usize, batch_size: usize, seed: u64) ->
 /// Drives the distributed engine (eager and deferred, in the default
 /// helper-split + convergecast mode) through the stream, plus the
 /// legacy unsplit/free-merge protocol and a maximally hub-split engine
-/// on **both executors**, checking exact triangle-set equality with the
+/// **built twice**, checking exact triangle-set equality with the
 /// single-threaded engine after every batch and with the centralized
-/// oracle at the end, executor lockstep (identical reports and
-/// bit-identical network cost), and the network-cost invariants.
+/// oracle at the end, repeatability (two engines built alike report
+/// identically, bit-identical network cost included), and the
+/// network-cost invariants.
 fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut reference = TriangleIndex::from_graph(base);
     let mut eager = DistributedTriangleEngine::from_graph(base);
@@ -65,15 +65,13 @@ fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut legacy = DistributedTriangleEngine::from_graph(base)
         .with_hub_split(HubSplit::Off)
         .with_aggregation(Aggregation::Free);
-    // Maximal helper-splitting with the accounted convergecast, on both
-    // executors: must stay in lockstep with each other and with the
-    // reference.
-    let mut split_seq =
-        DistributedTriangleEngine::from_graph_with_executor(base, SimExecutor::Sequential)
-            .with_hub_split(HubSplit::Budget(1));
-    let mut split_thr =
-        DistributedTriangleEngine::from_graph_with_executor(base, SimExecutor::Threaded)
-            .with_hub_split(HubSplit::Budget(1));
+    // Maximal helper-splitting with the accounted convergecast, twice
+    // from the same graph: a run must repeat bit for bit, and stay in
+    // lockstep with the reference.
+    let build_split =
+        || DistributedTriangleEngine::from_graph(base).with_hub_split(HubSplit::Budget(1));
+    let mut split = build_split();
+    let mut split_again = build_split();
 
     for (i, batch) in batches.iter().enumerate() {
         reference.apply(batch).expect("in-range batch");
@@ -101,20 +99,16 @@ fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
             "legacy batch {i}"
         );
 
-        let rs = split_seq.apply(batch).expect("in-range batch");
-        let rt = split_thr.apply(batch).expect("in-range batch");
-        assert_eq!(rs, rt, "executor reports diverged at batch {i}");
+        let rs = split.apply(batch).expect("in-range batch");
+        let ra = split_again.apply(batch).expect("in-range batch");
+        assert_eq!(rs, ra, "a repeated run's reports diverged at batch {i}");
         assert_eq!(rs, report, "hub split changed batch {i}'s report");
         assert_eq!(
-            split_seq.last_batch_cost(),
-            split_thr.last_batch_cost(),
-            "executors must report bit-identical network cost (batch {i})"
+            split.last_batch_cost(),
+            split_again.last_batch_cost(),
+            "a repeated run must report bit-identical network cost (batch {i})"
         );
-        assert_eq!(
-            split_seq.triangles(),
-            reference.triangles(),
-            "split batch {i}"
-        );
+        assert_eq!(split.triangles(), reference.triangles(), "split batch {i}");
 
         deferred.apply(batch).expect("in-range batch");
         if i % 3 == 2 {
@@ -126,9 +120,9 @@ fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     assert!(eager.matches_oracle(), "final state vs oracle");
     assert_eq!(eager.triangles(), &expected, "vs recount");
     assert!(legacy.matches_oracle(), "legacy protocol vs oracle");
-    assert!(split_seq.matches_oracle(), "split sequential vs oracle");
-    assert!(split_thr.matches_oracle(), "split threaded vs oracle");
-    assert_eq!(split_seq.total_cost(), split_thr.total_cost());
+    assert!(split.matches_oracle(), "split vs oracle");
+    assert!(split_again.matches_oracle(), "repeated split vs oracle");
+    assert_eq!(split.total_cost(), split_again.total_cost());
     deferred.flush();
     assert_eq!(deferred.triangles(), &expected, "deferred vs recount");
 
@@ -202,46 +196,6 @@ proptest! {
         let base = Classic::Complete(n).generate();
         let batches = random_batches(n, 5, 10, seed);
         check_distributed_against_oracle(&base, &batches);
-    }
-
-    /// The thread-per-node executor knob is a pure execution choice:
-    /// driving the dynamic protocol on `ThreadedSimulation`'s epoch API
-    /// leaves the engine oracle-exact and in lockstep with the
-    /// sequential executor *and* the single-threaded engine — same
-    /// triangle sets, same per-batch reports, bit-identical network
-    /// cost — on every batch of a random stream.
-    #[test]
-    fn threaded_executor_is_oracle_exact_and_matches_sequential(
-        n in 6usize..20,
-        p in 0.05f64..0.35,
-        seed in any::<u64>(),
-    ) {
-        let base = Gnp::new(n, p).seeded(seed).generate();
-        let batches = random_batches(n, 4, 10, seed ^ 0x7A4EAD);
-        let mut reference = TriangleIndex::from_graph(&base);
-        let mut sequential =
-            DistributedTriangleEngine::from_graph_with_executor(&base, SimExecutor::Sequential);
-        let mut threaded =
-            DistributedTriangleEngine::from_graph_with_executor(&base, SimExecutor::Threaded);
-        prop_assert_eq!(threaded.executor(), SimExecutor::Threaded);
-        for (i, batch) in batches.iter().enumerate() {
-            reference.apply(batch).expect("in-range batch");
-            let rs = sequential.apply(batch).expect("in-range batch");
-            let rt = threaded.apply(batch).expect("in-range batch");
-            assert_eq!(rs, rt, "per-batch reports diverged at batch {i}");
-            assert_eq!(
-                threaded.triangles(),
-                reference.triangles(),
-                "threaded executor diverged from the single-threaded engine at batch {i}"
-            );
-            assert_eq!(
-                sequential.last_batch_cost(),
-                threaded.last_batch_cost(),
-                "executors must report bit-identical network cost (batch {i})"
-            );
-        }
-        prop_assert!(threaded.matches_oracle());
-        prop_assert_eq!(sequential.total_cost(), threaded.total_cost());
     }
 
     /// Narrow and wide bandwidth reach the same state: the per-link

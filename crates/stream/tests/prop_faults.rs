@@ -9,7 +9,7 @@
 use congest_graph::generators::{Gnp, PlantedHeavy, PlantedLight, TriangleFreeBipartite};
 use congest_graph::{Graph, NodeId};
 use congest_stream::{
-    DeltaBatch, DistributedTriangleEngine, FaultPlan, SimExecutor, StreamError, TriangleIndex,
+    DeltaBatch, DistributedTriangleEngine, FaultPlan, StreamError, TriangleIndex,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,40 +40,39 @@ fn random_batches(n: usize, batch_count: usize, batch_size: usize, seed: u64) ->
         .collect()
 }
 
-/// Drives hardened engines on **both executors** through the stream
-/// under `plan`. After every batch that applies cleanly the triangle
-/// set must exactly match the fault-free single-threaded engine, and
-/// the two executors must report bit-identical [`CongestCost`]s —
-/// including `recovery_rounds` — under the same fault seed. A typed
-/// error is allowed (and must hit both executors identically); silent
-/// divergence is not.
+/// Drives **two** hardened engines, built from the same graph, plan
+/// and seed, through the stream. After every batch that applies cleanly
+/// the triangle set must exactly match the fault-free single-threaded
+/// engine, and the run must be repeatable: both engines report
+/// identical [`ApplyReport`]s and bit-identical [`CongestCost`]s —
+/// including `recovery_rounds` — which is what "reproducible bit for
+/// bit from its seed" promises. A typed error is allowed (and must hit
+/// both runs identically); silent divergence is not.
 ///
+/// [`ApplyReport`]: congest_stream::ApplyReport
 /// [`CongestCost`]: congest_stream::CongestCost
 fn check_chaos(base: &Graph, batches: &[DeltaBatch], plan: FaultPlan) {
     let mut reference = TriangleIndex::from_graph(base);
-    let mut seq =
-        DistributedTriangleEngine::from_graph_with_executor(base, SimExecutor::Sequential)
-            .with_fault_plan(plan);
-    let mut thr = DistributedTriangleEngine::from_graph_with_executor(base, SimExecutor::Threaded)
-        .with_fault_plan(plan);
-    assert_eq!(seq.hardened(), !plan.is_quiet());
+    let mut first = DistributedTriangleEngine::from_graph(base).with_fault_plan(plan);
+    let mut again = DistributedTriangleEngine::from_graph(base).with_fault_plan(plan);
+    assert_eq!(first.hardened(), !plan.is_quiet());
 
     for (i, batch) in batches.iter().enumerate() {
         reference.apply(batch).expect("in-range batch");
-        let rs = seq.apply(batch);
-        let rt = thr.apply(batch);
-        match (&rs, &rt) {
+        let rf = first.apply(batch);
+        let ra = again.apply(batch);
+        match (&rf, &ra) {
             (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "executor reports diverged at batch {i}");
+                assert_eq!(a, b, "a repeated run's reports diverged at batch {i}");
                 assert_eq!(
-                    seq.triangles(),
+                    first.triangles(),
                     reference.triangles(),
                     "recovered state diverged from the fault-free engine at batch {i}"
                 );
                 assert_eq!(
-                    seq.last_batch_cost(),
-                    thr.last_batch_cost(),
-                    "executors must report bit-identical cost (incl. recovery) at batch {i}"
+                    first.last_batch_cost(),
+                    again.last_batch_cost(),
+                    "a repeated run must report bit-identical cost (incl. recovery) at batch {i}"
                 );
             }
             (Err(ea), Err(eb)) => {
@@ -87,14 +86,17 @@ fn check_chaos(base: &Graph, batches: &[DeltaBatch], plan: FaultPlan) {
                 return;
             }
             _ => {
-                panic!("executors disagreed on batch {i}: seq={rs:?} thr={rt:?} (same fault seed)")
+                panic!("two runs disagreed on batch {i}: {rf:?} against {ra:?} (same fault seed)")
             }
         }
     }
-    assert!(seq.matches_oracle(), "final sequential state vs oracle");
-    assert!(thr.matches_oracle(), "final threaded state vs oracle");
-    assert_eq!(seq.total_cost(), thr.total_cost());
-    assert_eq!(seq.recovery_stats(), thr.recovery_stats());
+    assert!(first.matches_oracle(), "final state vs oracle");
+    assert!(
+        again.matches_oracle(),
+        "repeated run's final state vs oracle"
+    );
+    assert_eq!(first.total_cost(), again.total_cost());
+    assert_eq!(first.recovery_stats(), again.recovery_stats());
 }
 
 /// The fault sweep every family runs: quiet, light loss, corruption
@@ -240,11 +242,8 @@ fn a_lost_chunk_costs_a_round_trip_not_a_deadline() {
     let plan = FaultPlan::default().with_drop(0.01).with_seed(0xFA17);
     let batches = random_batches(n, 10, 20, 0xD15C0);
     let mut quiet = DistributedTriangleEngine::from_graph(&base);
-    let mut seq =
-        DistributedTriangleEngine::from_graph_with_executor(&base, SimExecutor::Sequential)
-            .with_fault_plan(plan);
-    let mut thr = DistributedTriangleEngine::from_graph_with_executor(&base, SimExecutor::Threaded)
-        .with_fault_plan(plan);
+    let mut lossy = DistributedTriangleEngine::from_graph(&base).with_fault_plan(plan);
+    let mut again = DistributedTriangleEngine::from_graph(&base).with_fault_plan(plan);
     let mut lost = 0;
     for (i, batch) in batches.iter().enumerate() {
         let report = quiet.apply(batch).expect("in-range batch");
@@ -252,15 +251,19 @@ fn a_lost_chunk_costs_a_round_trip_not_a_deadline() {
             report.inserts_applied + report.removes_applied > 0,
             "batch {i} must be effective"
         );
-        seq.apply(batch).expect("1% loss is recoverable");
-        thr.apply(batch).expect("1% loss is recoverable");
-        let (twin, cost) = (quiet.last_batch_cost(), seq.last_batch_cost());
+        lossy.apply(batch).expect("1% loss is recoverable");
+        again.apply(batch).expect("1% loss is recoverable");
+        let (twin, cost) = (quiet.last_batch_cost(), lossy.last_batch_cost());
         assert_eq!(
             cost,
-            thr.last_batch_cost(),
-            "executors diverged at batch {i}"
+            again.last_batch_cost(),
+            "a repeated run diverged at batch {i}"
         );
-        assert_eq!(seq.triangles(), quiet.triangles(), "diverged at batch {i}");
+        assert_eq!(
+            lossy.triangles(),
+            quiet.triangles(),
+            "diverged at batch {i}"
+        );
         assert!(
             cost.rounds <= 6 * twin.rounds + cost.recovery_rounds,
             "batch {i}: {cost:?} against a quiet twin of {twin:?}"
@@ -273,9 +276,9 @@ fn a_lost_chunk_costs_a_round_trip_not_a_deadline() {
         lost += cost.recovery_rounds;
     }
     assert!(lost > 0, "the plan must actually lose something");
-    assert_eq!(seq.recovery_stats().degraded_epochs, 0);
-    assert_eq!(seq.recovery_stats(), thr.recovery_stats());
-    assert!(seq.matches_oracle() && thr.matches_oracle());
+    assert_eq!(lossy.recovery_stats().degraded_epochs, 0);
+    assert_eq!(lossy.recovery_stats(), again.recovery_stats());
+    assert!(lossy.matches_oracle() && again.matches_oracle());
 }
 
 /// Total message loss exhausts the bounded retransmission budget and

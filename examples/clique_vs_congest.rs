@@ -4,8 +4,7 @@
 //! The paper's contribution is sublinear listing in the *standard* CONGEST
 //! model; in the much stronger clique model the Dolev-style deterministic
 //! algorithm needs only ~n^{1/3} rounds. This example runs both on the same
-//! input, prints the round counts and the per-node traffic, and shows the
-//! threaded executor producing bit-identical results to the sequential one.
+//! input and prints the round counts and the per-node traffic.
 //!
 //! ```bash
 //! cargo run --release --example clique_vs_congest
@@ -13,7 +12,6 @@
 
 use congest::graph::triangles as reference;
 use congest::prelude::*;
-use congest::sim::ThreadedSimulation;
 use congest::triangles::baselines::{DolevCliqueListing, NaiveLocalListing};
 use congest::triangles::run_congest;
 
@@ -53,15 +51,4 @@ fn main() {
     assert_eq!(dolev.triangles, truth);
     println!("\nboth baselines list T(G) exactly; the clique baseline needs far fewer rounds,");
     println!("while the CONGEST algorithms must work around the restricted topology.");
-
-    // The threaded (thread-per-node) executor is observationally identical
-    // to the sequential engine — node programs only interact via messages.
-    let threaded =
-        ThreadedSimulation::new(&graph, SimConfig::clique(1), DolevCliqueListing::new).run();
-    assert_eq!(threaded.metrics, dolev.metrics);
-    println!("\nthread-per-node executor reproduced the sequential clique run bit-for-bit");
-    println!(
-        "({} rounds, {} messages).",
-        threaded.metrics.rounds, threaded.metrics.messages
-    );
 }

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use congest_stream::{
         Aggregation, ApplyMode, BaseGraph, CongestCost, DeltaBatch, DistributedTriangleEngine,
         EdgeDelta, HubSplit, Lease, RunSummary, Scenario, ServeHandle, ShardedTriangleIndex,
-        SimExecutor, StreamEngine, TriangleIndex, TriangleServer, WorkerTelemetry, WorkloadRunner,
+        StreamEngine, TriangleIndex, TriangleServer, WorkerTelemetry, WorkloadRunner,
     };
     pub use congest_triangles::{
         find_triangles, list_triangles, ConstantsProfile, EpsilonChoice, FindingConfig,

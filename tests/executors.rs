@@ -1,63 +1,9 @@
-//! The two executors (sequential and thread-per-node) are observationally
-//! equivalent on the paper's algorithms: same outputs, same metrics, same
-//! round counts. This is the strongest evidence that the node programs rely
-//! only on the message-passing interface the model allows.
-
-use congest::graph::generators::Gnp;
-use congest::prelude::*;
-use congest::sim::ThreadedSimulation;
-use congest::triangles::baselines::NaiveLocalListing;
-use congest::triangles::{A1Program, A2Program, A3Program};
-
-fn assert_equivalent<P, F>(graph: &congest::graph::Graph, config: SimConfig, factory: F)
-where
-    P: congest::sim::NodeProgram<Output = TriangleSet> + 'static,
-    F: FnMut(&congest::sim::NodeInfo) -> P + Clone,
-{
-    let sequential = Simulation::new(graph, config, factory.clone()).run();
-    let threaded = ThreadedSimulation::new(graph, config, factory).run();
-    assert_eq!(sequential.outputs, threaded.outputs);
-    assert_eq!(sequential.metrics, threaded.metrics);
-    assert_eq!(sequential.termination, threaded.termination);
-}
-
-#[test]
-fn a1_is_executor_independent() {
-    let graph = Gnp::new(30, 0.4).seeded(1).generate();
-    assert_equivalent(&graph, SimConfig::congest(7), |info| {
-        A1Program::new(info, 0.4, 1.0)
-    });
-}
-
-#[test]
-fn a2_is_executor_independent() {
-    let graph = Gnp::new(30, 0.4).seeded(2).generate();
-    assert_equivalent(&graph, SimConfig::congest(8), |info| {
-        A2Program::new(info, 0.4, 1.0)
-    });
-}
-
-#[test]
-fn a3_is_executor_independent() {
-    let graph = Gnp::new(26, 0.4).seeded(3).generate();
-    assert_equivalent(&graph, SimConfig::congest(9), |info| {
-        A3Program::new(info, 0.3, ConstantsProfile::Scaled)
-    });
-}
-
-#[test]
-fn naive_baseline_is_executor_independent() {
-    let graph = Gnp::new(30, 0.5).seeded(4).generate();
-    assert_equivalent(&graph, SimConfig::congest(10), NaiveLocalListing::new);
-}
-
-// ---------------------------------------------------------------------
-// Round semantics at the edges of a node's life — halting, crashing,
-// waking, the round cap — pinned on both executors under one seeded
-// drop + duplicate + corrupt plan.
-// ---------------------------------------------------------------------
+//! Round semantics at the edges of a node's life — halting, crashing,
+//! waking, the round cap — pinned on [`Simulation`] under one seeded
+//! drop + duplicate + corrupt plan, through the public API only.
 
 use congest::graph::generators::Classic;
+use congest::prelude::*;
 use congest::sim::{FaultPlan, NodeProgram, NodeStatus, RoundContext, Termination};
 use congest::wire::{BitWriter, Payload};
 
@@ -130,38 +76,30 @@ fn lossy_config() -> SimConfig {
     SimConfig::congest(11).with_faults(plan)
 }
 
-/// Drives the three scripted epochs on one executor type.
-macro_rules! drive_script {
-    ($executor:ident, $one_lingers:expr) => {{
-        let graph = Classic::Complete(4).generate();
-        let mut sim = $executor::new(&graph, lossy_config(), |_| Scripted {
-            one_lingers: $one_lingers,
-            log: Vec::new(),
-        });
-        // Client input for a node that is down when the epoch starts.
-        sim.inject(NodeId(3), Payload::from_parts(vec![0xEE], 8));
-        let first = sim.run_epoch();
-        sim.set_max_rounds(5);
-        let capped = sim.run_epoch();
-        sim.set_max_rounds(1_000);
-        let last = sim.run_epoch();
-        let logs: Vec<Log> = graph
-            .nodes()
-            .map(|node| sim.program_mut(node).finish())
-            .collect();
-        ([first, capped, last], logs)
-    }};
+/// Drives the three scripted epochs.
+fn drive_script(one_lingers: bool) -> ([EpochReport; 3], Vec<Log>) {
+    let graph = Classic::Complete(4).generate();
+    let mut sim = Simulation::new(&graph, lossy_config(), |_| Scripted {
+        one_lingers,
+        log: Vec::new(),
+    });
+    // Client input for a node that is down when the epoch starts.
+    sim.inject(NodeId(3), Payload::from_parts(vec![0xEE], 8));
+    let first = sim.run_epoch();
+    sim.set_max_rounds(5);
+    let capped = sim.run_epoch();
+    sim.set_max_rounds(1_000);
+    let last = sim.run_epoch();
+    let logs: Vec<Log> = graph
+        .nodes()
+        .map(|node| sim.program_mut(node).finish())
+        .collect();
+    ([first, capped, last], logs)
 }
 
 #[test]
-fn halting_crashing_waking_and_the_round_cap_agree_on_both_executors() {
-    let (epochs, logs) = drive_script!(Simulation, false);
-    let (threaded_epochs, threaded_logs) = drive_script!(ThreadedSimulation, false);
-    assert_eq!(logs, threaded_logs);
-    for (a, b) in epochs.iter().zip(&threaded_epochs) {
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.termination, b.termination);
-    }
+fn halting_crashing_waking_and_the_round_cap() {
+    let (epochs, logs) = drive_script(false);
     let [first, capped, last] = &epochs;
     let of = |logs: &'_ [Log], node: usize, epoch: u64| -> Log {
         let in_epoch = logs[node].iter().filter(|e| e.0 == epoch);
@@ -193,7 +131,7 @@ fn halting_crashing_waking_and_the_round_cap_agree_on_both_executors() {
     // decisions like any other. With node 1 up for the whole epoch
     // instead, every sender's fault stream must sit where it sat, so
     // what nodes 0 and 2 read from each other cannot change.
-    let (twin_epochs, twin_logs) = drive_script!(Simulation, true);
+    let (twin_epochs, twin_logs) = drive_script(true);
     assert_eq!(entries(0, 0), of(&twin_logs, 0, 0));
     assert_eq!(entries(2, 0), of(&twin_logs, 2, 0));
     assert_eq!(twin_epochs[0].metrics, first.metrics);
