@@ -10,10 +10,11 @@
 //! **Cost model.** On the host a round costs `O(active nodes + messages
 //! delivered)` and an epoch `O(n)` once: the round bookkeeping (see
 //! `round.rs`) never visits a halted node, inboxes are double-buffered
-//! and keep their capacity, and every node queues its sends into one
-//! reused destination-sorted buffer. A long phase in which a few nodes
-//! wait out a deadline is therefore nearly free, and host time follows
-//! simulated traffic rather than `n × rounds`.
+//! (and keep their capacity unless the program takes them by value),
+//! and every node queues its sends into one reused destination-sorted
+//! buffer. A long phase in which a few nodes wait out a deadline is
+//! therefore nearly free, and host time follows simulated traffic
+//! rather than `n × rounds`.
 //!
 //! **One executor.** The model's rounds are synchronous, so a run has
 //! one schedule and its rounds, messages and bits cannot depend on who
