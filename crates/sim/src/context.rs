@@ -47,7 +47,9 @@ pub struct RoundContext<'a> {
     pub(crate) info: &'a NodeInfo,
     pub(crate) round: u64,
     pub(crate) epoch: u64,
-    pub(crate) inbox: &'a mut Vec<ReceivedMessage>,
+    /// `None` once [`take_inbox`](RoundContext::take_inbox) has handed
+    /// the buffer's borrow to its drain.
+    pub(crate) inbox: Option<&'a mut Vec<ReceivedMessage>>,
     pub(crate) outbox: &'a mut Outbox,
     pub(crate) rng: &'a mut SmallRng,
 }
@@ -102,15 +104,23 @@ impl<'a> RoundContext<'a> {
 
     /// Messages delivered to this node at the start of this round.
     pub fn inbox(&self) -> &[ReceivedMessage] {
-        self.inbox
+        self.inbox.as_deref().map_or(&[], Vec::as_slice)
     }
 
-    /// Takes ownership of the inbox, leaving it empty.
+    /// Takes ownership of the messages, leaving the inbox empty.
     ///
     /// Useful when the handler wants to iterate over the messages while also
-    /// sending, which a borrowed inbox would prevent.
-    pub fn take_inbox(&mut self) -> Vec<ReceivedMessage> {
-        std::mem::take(self.inbox)
+    /// sending, which a borrowed inbox would prevent. The messages are
+    /// drained out of the engine's buffer, in sender order, so the buffer
+    /// keeps its capacity for the rounds to come; whatever the caller does
+    /// not consume is dropped. The borrow moves into the returned
+    /// iterator, not into `self`, and a second call in the same round
+    /// yields nothing.
+    pub fn take_inbox(&mut self) -> impl Iterator<Item = ReceivedMessage> + 'a {
+        self.inbox
+            .take()
+            .into_iter()
+            .flat_map(|inbox| inbox.drain(..))
     }
 
     /// This node's deterministic random generator.
@@ -251,7 +261,7 @@ mod tests {
                 info,
                 round: 0,
                 epoch: 0,
-                inbox: &mut inbox,
+                inbox: Some(&mut inbox),
                 outbox: &mut outbox,
                 rng: &mut rng,
             };
@@ -366,25 +376,31 @@ mod tests {
     #[test]
     fn take_inbox_empties_the_inbox() {
         let info = info();
-        let mut inbox = vec![ReceivedMessage {
+        let mut inbox = Vec::with_capacity(8);
+        inbox.push(ReceivedMessage {
             from: NodeId(1),
             payload: Payload::new(),
-        }];
+        });
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut ctx = RoundContext {
             info: &info,
             round: 3,
             epoch: 1,
-            inbox: &mut inbox,
+            inbox: Some(&mut inbox),
             outbox: &mut outbox,
             rng: &mut rng,
         };
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.epoch(), 1);
         assert_eq!(ctx.inbox().len(), 1);
-        let taken = ctx.take_inbox();
+        let taken: Vec<_> = ctx.take_inbox().collect();
         assert_eq!(taken.len(), 1);
         assert!(ctx.inbox().is_empty());
+        // Taken once a round; the buffer stays the engine's, allocation
+        // and all.
+        assert_eq!(ctx.take_inbox().count(), 0);
+        assert!(inbox.is_empty());
+        assert_eq!(inbox.capacity(), 8);
     }
 }

@@ -10,11 +10,15 @@
 //! **Cost model.** On the host a round costs `O(active nodes + messages
 //! delivered)` and an epoch `O(n)` once: the round bookkeeping (see
 //! `round.rs`) never visits a halted node, inboxes are double-buffered
-//! (and keep their capacity unless the program takes them by value),
-//! and every node queues its sends into one reused destination-sorted
-//! buffer. A long phase in which a few nodes wait out a deadline is
-//! therefore nearly free, and host time follows simulated traffic
-//! rather than `n × rounds`.
+//! and keep their capacity (a program reads its inbox by reference or
+//! drains it with [`RoundContext::take_inbox`]; neither gives the
+//! buffer away), and every node queues its sends into one reused
+//! destination-sorted buffer. A long phase in which a few nodes wait
+//! out a deadline is therefore nearly free, and host time follows
+//! simulated traffic rather than `n × rounds`. The chunked-transfer
+//! helpers carry the same model through the node boundary: inside
+//! `on_round` a round costs the streams still sending plus the chunks
+//! received (see [`transfer`](crate::transfer)).
 //!
 //! **One executor.** The model's rounds are synchronous, so a run has
 //! one schedule and its rounds, messages and bits cannot depend on who
@@ -292,7 +296,7 @@ impl<P: NodeProgram> Simulation<P> {
                         info: &infos[i],
                         round,
                         epoch,
-                        inbox: state.inbox_mut(i),
+                        inbox: Some(state.inbox_mut(i)),
                         outbox: &mut outbox,
                         rng: &mut rngs[i],
                     };
@@ -725,7 +729,7 @@ mod tests {
                         info: &infos[i],
                         round,
                         epoch,
-                        inbox: state.inbox_mut(i),
+                        inbox: Some(state.inbox_mut(i)),
                         outbox: &mut outbox,
                         rng: &mut rngs[i],
                     };

@@ -30,11 +30,10 @@ pub(crate) struct RoundState {
     /// queued for round 0. Empty for every node that is not active.
     inboxes: Vec<Vec<ReceivedMessage>>,
     /// What each node will read next round. The two buffers swap at the
-    /// end of a round, so an inbox keeps its capacity across rounds — for
-    /// a program that reads `ctx.inbox()` by reference. Every program in
-    /// the repository calls `ctx.take_inbox()` instead, which moves the
-    /// buffer out and leaves an unallocated one: those inboxes are
-    /// allocated afresh each round they receive mail.
+    /// end of a round, so an inbox keeps its capacity across rounds,
+    /// however the program reads it: `ctx.inbox()` borrows the buffer and
+    /// `ctx.take_inbox()` drains it in place. A node's two buffers grow to
+    /// its busiest round once and are never allocated again.
     next: Vec<Vec<ReceivedMessage>>,
     /// Nodes that sit out the rest of the epoch (halted or crashed).
     halted: Vec<bool>,

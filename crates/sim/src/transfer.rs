@@ -19,8 +19,27 @@
 //! the host, wherever in the payload it sits: the sender seeks with
 //! [`BitReader::skip`] and both sides move bits with
 //! [`BitWriter::append`], so a whole transfer is linear in its length.
-
-use std::collections::BTreeMap;
+//!
+//! Inside a node, a round costs the streams still sending plus the chunks
+//! received — the node-side half of the simulator's `O(active nodes +
+//! messages delivered)`. A phase is sized for the longest stream the caps
+//! allow and most streams end in its first rounds, so:
+//!
+//! * [`MultiSender`] holds only unfinished streams, sorted by destination.
+//!   A stream leaves the list in the round its last chunk is handed to the
+//!   outbox (an empty payload is never listed), so
+//!   [`pump`](MultiSender::pump) visits `O(streams still sending)` entries,
+//!   [`is_done`](MultiSender::is_done) is an emptiness test, and the
+//!   chunks reach the outbox in ascending destination order — the order
+//!   in which it appends without searching.
+//! * [`MultiAssembler`] holds one buffer per sender, sorted by sender.
+//!   The engine settles nodes in ascending id order, so an inbox arrives
+//!   in *sender order* (`round.rs` makes that a contract): a push goes to
+//!   the buffer after the one last pushed to (or back to the first, a
+//!   round later) when that is the sender's, which it is while the same
+//!   neighbours keep streaming; a first round appends; anything else —
+//!   a stream that ended, a new one in the middle — is one binary search.
+//!   Pushing in any other order is still correct, only slower.
 
 use congest_graph::NodeId;
 use congest_wire::{BitReader, BitWriter, Payload};
@@ -30,9 +49,9 @@ use crate::{RoundContext, SimError};
 /// Number of rounds a payload of `payload_bits` bits occupies a link whose
 /// per-round budget is `bandwidth_bits`.
 ///
-/// The empty payload still takes one round when `always_send_one` transfers
-/// are used; this helper reports 0 for it, matching [`ChunkedSender`], which
-/// sends nothing for an empty payload.
+/// The empty payload occupies the link for 0 rounds, matching
+/// [`ChunkedSender`], which sends nothing for it; a phase that must last at
+/// least one round says so itself (`.max(1)`).
 pub fn rounds_for_bits(payload_bits: usize, bandwidth_bits: usize) -> u64 {
     assert!(bandwidth_bits > 0, "bandwidth must be positive");
     (payload_bits as u64).div_ceil(bandwidth_bits as u64)
@@ -135,7 +154,8 @@ impl ChunkAssembler {
 /// lasts as many rounds as the longest of them.
 #[derive(Debug, Default)]
 pub struct MultiSender {
-    senders: BTreeMap<NodeId, ChunkedSender>,
+    /// The transfers with bits left to send, ascending by destination.
+    senders: Vec<ChunkedSender>,
 }
 
 impl MultiSender {
@@ -147,36 +167,62 @@ impl MultiSender {
     /// Queues `payload` for `dest`, replacing any previous queued transfer
     /// to the same destination.
     pub fn queue(&mut self, dest: NodeId, payload: Payload) {
-        self.senders.insert(dest, ChunkedSender::new(dest, payload));
+        let at = match self.senders.last() {
+            // The usual "for each neighbour" loop queues in ascending order.
+            Some(last) if last.dest < dest => Err(self.senders.len()),
+            _ => self.senders.binary_search_by_key(&dest, |s| s.dest),
+        };
+        let sender = ChunkedSender::new(dest, payload);
+        match (at, sender.is_done()) {
+            (Ok(at), false) => self.senders[at] = sender,
+            (Ok(at), true) => {
+                self.senders.remove(at);
+            }
+            (Err(at), false) => self.senders.insert(at, sender),
+            (Err(_), true) => {}
+        }
     }
 
     /// Whether every queued transfer has completed.
     pub fn is_done(&self) -> bool {
-        self.senders.values().all(ChunkedSender::is_done)
+        self.senders.is_empty()
     }
 
     /// The number of rounds the slowest queued transfer still needs.
     pub fn remaining_rounds(&self, bandwidth_bits: usize) -> u64 {
         self.senders
-            .values()
+            .iter()
             .map(|s| s.remaining_rounds(bandwidth_bits))
             .max()
             .unwrap_or(0)
     }
 
-    /// Pumps every unfinished transfer once. Returns whether everything is
-    /// complete after this round.
+    /// Pumps every unfinished transfer once, in ascending destination
+    /// order, and forgets the ones that finished. Returns whether
+    /// everything is complete after this round.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`SimError`] encountered.
+    /// Propagates the first [`SimError`] encountered; the transfer that
+    /// met it and every later one are left as they were.
     pub fn pump(&mut self, ctx: &mut RoundContext<'_>) -> Result<bool, SimError> {
-        for sender in self.senders.values_mut() {
-            if !sender.is_done() {
-                sender.pump(ctx)?;
+        let mut failure = None;
+        self.senders.retain_mut(|sender| {
+            if failure.is_some() {
+                return true;
             }
+            match sender.pump(ctx) {
+                Ok(done) => !done,
+                Err(e) => {
+                    failure = Some(e);
+                    true
+                }
+            }
+        });
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(self.is_done()),
         }
-        Ok(self.is_done())
     }
 }
 
@@ -184,7 +230,10 @@ impl MultiSender {
 /// several neighbours stream payloads concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct MultiAssembler {
-    buffers: BTreeMap<NodeId, ChunkAssembler>,
+    /// One buffer per sender heard from, ascending by sender.
+    buffers: Vec<(NodeId, ChunkAssembler)>,
+    /// The index after the buffer last pushed to.
+    next: usize,
 }
 
 impl MultiAssembler {
@@ -195,7 +244,30 @@ impl MultiAssembler {
 
     /// Appends a chunk received from `from`.
     pub fn push(&mut self, from: NodeId, chunk: &Payload) {
-        self.buffers.entry(from).or_default().push(chunk);
+        // In sender order the buffer after the last one used is the
+        // likeliest to be next, and a round later the first one.
+        let guess = if self.next < self.buffers.len() {
+            self.next
+        } else {
+            0
+        };
+        let at = match self.buffers.get(guess) {
+            Some((sender, _)) if *sender == from => guess,
+            _ => {
+                let at = match self.buffers.last() {
+                    Some((last, _)) if *last < from => Err(self.buffers.len()),
+                    _ => self
+                        .buffers
+                        .binary_search_by_key(&from, |(sender, _)| *sender),
+                };
+                at.unwrap_or_else(|at| {
+                    self.buffers.insert(at, (from, ChunkAssembler::new()));
+                    at
+                })
+            }
+        };
+        self.buffers[at].1.push(chunk);
+        self.next = at + 1;
     }
 
     /// Finalizes all buffers into `(sender, payload)` pairs, sorted by
@@ -209,16 +281,29 @@ impl MultiAssembler {
 
     /// The senders that have contributed at least one chunk.
     pub fn senders(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.buffers.keys().copied()
+        self.buffers.iter().map(|(from, _)| *from)
+    }
+
+    /// Every sender heard from with its buffer as it stands, in ascending
+    /// sender order — for a receiver that has to look at unfinished
+    /// streams (how many bits have arrived, or a copy of one of them)
+    /// without consuming the assembler.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &ChunkAssembler)> + '_ {
+        self.buffers.iter().map(|(from, asm)| (*from, asm))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NodeProgram, NodeStatus, RoundContext, SimConfig, Simulation};
+    use std::collections::BTreeMap;
+
+    use crate::context::Outbox;
+    use crate::{Model, NodeInfo, NodeProgram, NodeStatus, RoundContext, SimConfig, Simulation};
     use congest_graph::generators::Classic;
     use congest_wire::{BitWriter, IdCodec};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn rounds_for_bits_is_ceiling_division() {
@@ -344,5 +429,231 @@ mod tests {
         let p = asm.finish();
         let mut r = BitReader::new(&p);
         assert_eq!(r.read_bits(5).unwrap(), 0b10101);
+    }
+
+    /// The `BTreeMap` body [`MultiSender`] had before it moved onto the
+    /// sorted list of live streams; kept as the oracle.
+    #[derive(Default)]
+    struct ReferenceMultiSender {
+        senders: BTreeMap<NodeId, ChunkedSender>,
+    }
+
+    impl ReferenceMultiSender {
+        fn queue(&mut self, dest: NodeId, payload: Payload) {
+            self.senders.insert(dest, ChunkedSender::new(dest, payload));
+        }
+
+        fn is_done(&self) -> bool {
+            self.senders.values().all(ChunkedSender::is_done)
+        }
+
+        fn remaining_rounds(&self, bandwidth_bits: usize) -> u64 {
+            self.senders
+                .values()
+                .map(|s| s.remaining_rounds(bandwidth_bits))
+                .max()
+                .unwrap_or(0)
+        }
+
+        fn pump(&mut self, ctx: &mut RoundContext<'_>) -> Result<bool, SimError> {
+            for sender in self.senders.values_mut() {
+                if !sender.is_done() {
+                    sender.pump(ctx)?;
+                }
+            }
+            Ok(self.is_done())
+        }
+    }
+
+    const BANDWIDTH: usize = 8;
+
+    fn hub_info() -> NodeInfo {
+        NodeInfo {
+            id: NodeId(0),
+            n: 8,
+            neighbors: vec![NodeId(1), NodeId(2), NodeId(3)],
+            model: Model::Congest,
+            bandwidth_bits: BANDWIDTH,
+        }
+    }
+
+    /// A stream of `chunks` chunks, the last one partial, whose bytes name
+    /// the stream (`tag`) and the chunk.
+    fn stream(tag: u8, chunks: usize) -> Payload {
+        if chunks == 0 {
+            return Payload::new();
+        }
+        let bytes: Vec<u8> = (0..chunks).map(|i| (tag << 4) | i as u8).collect();
+        Payload::from_parts(bytes, chunks * BANDWIDTH - 3)
+    }
+
+    /// One round of node 0: `pre_queued` is sent by hand first, then
+    /// `pump` runs. Returns `pump`'s result and what reached the outbox.
+    fn round(
+        info: &NodeInfo,
+        pre_queued: Option<NodeId>,
+        pump: impl FnOnce(&mut RoundContext<'_>) -> Result<bool, SimError>,
+    ) -> (Result<bool, SimError>, Vec<(NodeId, Payload)>) {
+        let mut inbox = Vec::new();
+        let mut outbox = Outbox::default();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut ctx = RoundContext {
+            info,
+            round: 0,
+            epoch: 0,
+            inbox: Some(&mut inbox),
+            outbox: &mut outbox,
+            rng: &mut rng,
+        };
+        if let Some(to) = pre_queued {
+            ctx.send(to, Payload::new()).unwrap();
+        }
+        let result = pump(&mut ctx);
+        (result, outbox.messages)
+    }
+
+    /// A re-`queue` in the middle of a phase.
+    #[derive(Debug, Clone, Copy)]
+    struct Requeue {
+        before_round: usize,
+        dest: NodeId,
+        chunks: usize,
+    }
+
+    /// Drives both senders through one phase and holds them equal round
+    /// by round. Returns whether the re-queue hit a stream that was still
+    /// sending.
+    fn assert_same_phase(lengths: [usize; 3], requeue: Option<Requeue>) -> bool {
+        let info = hub_info();
+        let mut live = MultiSender::new();
+        let mut reference = ReferenceMultiSender::default();
+        for (i, &chunks) in lengths.iter().enumerate() {
+            let dest = NodeId(i as u32 + 1);
+            live.queue(dest, stream(dest.0 as u8, chunks));
+            reference.queue(dest, stream(dest.0 as u8, chunks));
+        }
+        let mut hit_busy = false;
+        for r in 0..8 {
+            if let Some(q) = requeue.filter(|q| q.before_round == r) {
+                hit_busy = !reference.senders[&q.dest].is_done();
+                live.queue(q.dest, stream(0xA, q.chunks));
+                reference.queue(q.dest, stream(0xA, q.chunks));
+            }
+            let what = format!("{lengths:?} {requeue:?} round {r}");
+            assert_eq!(live.is_done(), reference.is_done(), "{what}");
+            assert_eq!(
+                live.remaining_rounds(BANDWIDTH),
+                reference.remaining_rounds(BANDWIDTH),
+                "{what}"
+            );
+            let (got, sent) = round(&info, None, |ctx| live.pump(ctx));
+            let (expected, reference_sent) = round(&info, None, |ctx| reference.pump(ctx));
+            assert_eq!(got, expected, "{what}");
+            assert_eq!(sent, reference_sent, "{what}");
+            // Chunks leave in ascending destination order.
+            assert!(sent.windows(2).all(|w| w[0].0 < w[1].0), "{what}");
+        }
+        assert!(live.is_done() && reference.is_done());
+        hit_busy
+    }
+
+    #[test]
+    fn multi_sender_matches_the_btree_reference_on_every_small_phase() {
+        let (mut busy, mut finished) = (0, 0);
+        for code in 0..4usize.pow(3) {
+            let lengths = [code % 4, code / 4 % 4, code / 16];
+            assert_same_phase(lengths, None);
+            for before_round in [1, 2] {
+                for dest in 1..=3 {
+                    for chunks in 0..=2 {
+                        let requeue = Requeue {
+                            before_round,
+                            dest: NodeId(dest),
+                            chunks,
+                        };
+                        if assert_same_phase(lengths, Some(requeue)) {
+                            busy += 1;
+                        } else {
+                            finished += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The enumeration replaced streams in mid-flight and re-opened
+        // destinations whose stream had ended (or never existed).
+        assert!(busy > 100 && finished > 100, "{busy} {finished}");
+    }
+
+    #[test]
+    fn a_duplicate_destination_stops_the_pump_where_the_reference_stops() {
+        let info = hub_info();
+        for blocked in 1..=3 {
+            let mut live = MultiSender::new();
+            let mut reference = ReferenceMultiSender::default();
+            for dest in 1..=3u32 {
+                live.queue(NodeId(dest), stream(dest as u8, 2));
+                reference.queue(NodeId(dest), stream(dest as u8, 2));
+            }
+            // The program already sent to `blocked` by hand this round.
+            let blocked = NodeId(blocked);
+            let (got, sent) = round(&info, Some(blocked), |ctx| live.pump(ctx));
+            let (expected, reference_sent) = round(&info, Some(blocked), |ctx| reference.pump(ctx));
+            assert_eq!(
+                got,
+                Err(SimError::DuplicateMessage {
+                    from: NodeId(0),
+                    to: blocked
+                })
+            );
+            assert_eq!(got, expected);
+            assert_eq!(sent, reference_sent);
+            // Streams before `blocked` moved on by a chunk; `blocked` and
+            // the ones after it did not, so the phase now needs two more
+            // rounds whichever one it was.
+            for _ in 0..3 {
+                assert_eq!(live.is_done(), reference.is_done());
+                assert_eq!(
+                    live.remaining_rounds(BANDWIDTH),
+                    reference.remaining_rounds(BANDWIDTH)
+                );
+                let (got, sent) = round(&info, None, |ctx| live.pump(ctx));
+                let (expected, reference_sent) = round(&info, None, |ctx| reference.pump(ctx));
+                assert_eq!(got, expected);
+                assert_eq!(sent, reference_sent);
+            }
+            assert!(live.is_done());
+        }
+    }
+
+    #[test]
+    fn multi_assembler_is_sender_sorted_whatever_the_push_order() {
+        let chunk = |byte: u8| Payload::from_parts(vec![byte], 8);
+        let mut asm = MultiAssembler::new();
+        // Round one in sender order (appends), with a duplicated message
+        // next to its original; round two revisits; then a late, low
+        // sender and an out-of-order push.
+        for (from, byte) in [(2, 0x20), (5, 0x50), (5, 0x51), (9, 0x90)] {
+            asm.push(NodeId(from), &chunk(byte));
+        }
+        for (from, byte) in [(2, 0x21), (9, 0x91), (1, 0x10), (7, 0x70), (5, 0x52)] {
+            asm.push(NodeId(from), &chunk(byte));
+        }
+        let senders: Vec<u32> = asm.senders().map(|v| v.0).collect();
+        assert_eq!(senders, vec![1, 2, 5, 7, 9]);
+        let lengths: Vec<(u32, usize)> = asm.iter().map(|(v, a)| (v.0, a.bit_len())).collect();
+        assert_eq!(lengths, vec![(1, 8), (2, 16), (5, 24), (7, 8), (9, 16)]);
+        let parts = asm.finish();
+        let bytes: Vec<(u32, &[u8])> = parts.iter().map(|(v, p)| (v.0, p.as_bytes())).collect();
+        assert_eq!(
+            bytes,
+            vec![
+                (1, &[0x10][..]),
+                (2, &[0x20, 0x21][..]),
+                (5, &[0x50, 0x51, 0x52][..]),
+                (7, &[0x70][..]),
+                (9, &[0x90, 0x91][..]),
+            ]
+        );
     }
 }

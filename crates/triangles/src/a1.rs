@@ -11,15 +11,13 @@
 //!
 //! Round complexity: `O(n^{1−ε})`.
 
-use std::collections::BTreeSet;
-
 use congest_graph::{NodeId, Triangle, TriangleSet};
 use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
 use congest_wire::IdCodec;
 use rand::Rng;
 
-use crate::common::{ids_to_nodes, nodes_to_ids, try_decode_id_list};
+use crate::common::{encode_node_list, ids_to_nodes, try_decode_id_list};
 use crate::params::PhasePlan;
 
 /// Node program implementing Algorithm A1.
@@ -33,8 +31,6 @@ pub struct A1Program {
     /// round.
     plan: PhasePlan,
     codec: IdCodec,
-    /// Sorted copy of this node's neighbourhood, for intersection queries.
-    neighborhood: BTreeSet<NodeId>,
     sender: MultiSender,
     assembler: MultiAssembler,
     found: TriangleSet,
@@ -59,7 +55,6 @@ impl A1Program {
             sample_cap,
             plan,
             codec,
-            neighborhood: info.neighbors.iter().copied().collect(),
             sender: MultiSender::new(),
             assembler: MultiAssembler::new(),
             found: TriangleSet::new(),
@@ -76,7 +71,7 @@ impl A1Program {
         self.sample_cap
     }
 
-    fn process_received(&mut self, me: NodeId) {
+    fn process_received(&mut self, me: NodeId, neighbors: &[NodeId]) {
         let assembler = std::mem::take(&mut self.assembler);
         for (sender, payload) in assembler.finish() {
             let Some(ids) = try_decode_id_list(self.codec, &payload) else {
@@ -86,7 +81,7 @@ impl A1Program {
                 // {sender, l} is an edge because l ∈ S_sender ⊆ N(sender);
                 // {me, sender} is an edge because sender is a neighbour;
                 // {me, l} is checked locally, so the triple is a triangle.
-                if l != me && l != sender && self.neighborhood.contains(&l) {
+                if l != me && l != sender && neighbors.binary_search(&l).is_ok() {
                     self.found.insert(Triangle::new(me, sender, l));
                 }
             }
@@ -113,20 +108,15 @@ impl NodeProgram for A1Program {
             0 => {
                 if position.is_first {
                     // Sample S_j and queue it to every neighbour.
-                    let neighbors = ctx.neighbors().to_vec();
                     let mut sample = Vec::new();
-                    for &v in &neighbors {
+                    for at in 0..ctx.degree() {
                         if ctx.rng().gen_bool(self.sample_probability) {
-                            sample.push(v);
+                            sample.push(ctx.neighbors()[at]);
                         }
                     }
                     if sample.len() <= self.sample_cap {
-                        let payload = {
-                            let mut w = congest_wire::BitWriter::new();
-                            self.codec.encode_list(&mut w, &nodes_to_ids(&sample));
-                            w.finish()
-                        };
-                        for &v in ctx.neighbors().to_vec().iter() {
+                        let payload = encode_node_list(self.codec, &sample);
+                        for &v in ctx.neighbors() {
                             self.sender.queue(v, payload.clone());
                         }
                     }
@@ -138,7 +128,7 @@ impl NodeProgram for A1Program {
             }
             _ => {
                 // Final round: every chunk has arrived; decode and report.
-                self.process_received(ctx.id());
+                self.process_received(ctx.id(), ctx.neighbors());
                 NodeStatus::Halted
             }
         }

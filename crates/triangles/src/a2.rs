@@ -17,15 +17,13 @@
 //!
 //! Round complexity: `O(n^{1−ε/2})`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use congest_graph::{Edge, NodeId, TriangleSet};
 use congest_hash::{HashFunction, KWiseFamily};
 use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::{BitReader, BitWriter, IdCodec, Wire};
+use congest_wire::{BitReader, IdCodec, Wire};
 
-use crate::common::{ids_to_nodes, nodes_to_ids, triangles_in_edge_set, try_decode_id_list};
+use crate::common::{encode_node_list, ids_to_nodes, triangles_in_edge_set, try_decode_id_list};
 use crate::params::PhasePlan;
 
 /// Node program implementing Algorithm A2.
@@ -38,12 +36,8 @@ pub struct A2Program {
     codec: IdCodec,
     /// The hash function this node sampled and distributed.
     own_hash: Option<HashFunction>,
-    /// Hash functions received from neighbours.
-    neighbor_hashes: BTreeMap<NodeId, HashFunction>,
     sender: MultiSender,
     assembler: MultiAssembler,
-    /// Edges received in step 2 (the set `F_i`).
-    received_edges: BTreeSet<Edge>,
     found: TriangleSet,
 }
 
@@ -70,10 +64,8 @@ impl A2Program {
             plan,
             codec,
             own_hash: None,
-            neighbor_hashes: BTreeMap::new(),
             sender: MultiSender::new(),
             assembler: MultiAssembler::new(),
-            received_edges: BTreeSet::new(),
             found: TriangleSet::new(),
         }
     }
@@ -94,37 +86,34 @@ impl A2Program {
     }
 
     /// Finalizes the hash-distribution phase: decode `h_a` for every
-    /// neighbour `a` and queue the edge sets `E_j^a`.
-    fn start_edge_phase(&mut self, ctx: &mut RoundContext<'_>) {
+    /// neighbour `a` heard from (the assembler hands them over in sender
+    /// order) and queue the edge set `E_j^a`.
+    fn start_edge_phase(&mut self, neighbors: &[NodeId]) {
         let assembler = std::mem::take(&mut self.assembler);
-        for (sender, payload) in assembler.finish() {
+        for (a, payload) in assembler.finish() {
             let mut reader = BitReader::new(&payload);
-            if let Ok(hash) = self.family.decode_function(&mut reader) {
-                self.neighbor_hashes.insert(sender, hash);
-            }
-        }
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        for (&a, hash) in &self.neighbor_hashes {
-            let mut endpoints = Vec::new();
-            for &l in &neighbors {
-                if l != a && hash.hash(l.as_u64()) == 0 {
-                    endpoints.push(l);
-                }
-            }
+            let Ok(hash) = self.family.decode_function(&mut reader) else {
+                continue;
+            };
             // The edge {j, a} itself also belongs to E_j^a when h_a(a) = 0,
             // but sending it is pointless (a already knows its incident
             // edges), so it is skipped; this only removes redundant traffic.
+            let endpoints: Vec<NodeId> = neighbors
+                .iter()
+                .copied()
+                .filter(|&l| l != a && hash.hash(l.as_u64()) == 0)
+                .collect();
             if endpoints.len() <= self.edge_set_cap {
-                let mut w = BitWriter::new();
-                self.codec.encode_list(&mut w, &nodes_to_ids(&endpoints));
-                self.sender.queue(a, w.finish());
+                self.sender
+                    .queue(a, encode_node_list(self.codec, &endpoints));
             }
         }
     }
 
-    /// Finalizes the edge phase: decode every received `E_j^i` and list the
-    /// triangles of the collected edge set.
+    /// Finalizes the edge phase: decode every received `E_j^i` into the
+    /// set `F_i` and list its triangles.
     fn finish_and_list(&mut self, me: NodeId, neighbors: &[NodeId]) {
+        let mut received_edges = Vec::new();
         let assembler = std::mem::take(&mut self.assembler);
         for (sender, payload) in assembler.finish() {
             let Some(ids) = try_decode_id_list(self.codec, &payload) else {
@@ -132,17 +121,18 @@ impl A2Program {
             };
             for l in ids_to_nodes(&ids) {
                 if l != sender {
-                    self.received_edges.insert(Edge::new(sender, l));
+                    received_edges.push(Edge::new(sender, l));
                 }
             }
         }
         // Node i also knows its own incident edges; adding them matches the
         // paper's F_i (edges received) plus local knowledge and increases the
         // number of triangles node i can certify without extra communication.
-        for &v in neighbors {
-            self.received_edges.insert(Edge::new(me, v));
-        }
-        self.found = triangles_in_edge_set(&self.received_edges);
+        received_edges.extend(neighbors.iter().map(|&v| Edge::new(me, v)));
+        // An edge both of whose endpoints are neighbours arrives twice.
+        received_edges.sort_unstable();
+        received_edges.dedup();
+        self.found = triangles_in_edge_set(&received_edges);
     }
 }
 
@@ -166,7 +156,7 @@ impl NodeProgram for A2Program {
                     let hash = self.family.sample(ctx.rng());
                     let payload = hash.to_payload();
                     self.own_hash = Some(hash);
-                    for &v in ctx.neighbors().to_vec().iter() {
+                    for &v in ctx.neighbors() {
                         self.sender.queue(v, payload.clone());
                     }
                 }
@@ -177,7 +167,7 @@ impl NodeProgram for A2Program {
             }
             1 => {
                 if position.is_first {
-                    self.start_edge_phase(ctx);
+                    self.start_edge_phase(ctx.neighbors());
                 }
                 self.sender
                     .pump(ctx)
@@ -185,9 +175,7 @@ impl NodeProgram for A2Program {
                 NodeStatus::Active
             }
             _ => {
-                let me = ctx.id();
-                let neighbors = ctx.neighbors().to_vec();
-                self.finish_and_list(me, &neighbors);
+                self.finish_and_list(ctx.id(), ctx.neighbors());
                 NodeStatus::Halted
             }
         }

@@ -26,15 +26,13 @@
 //!
 //! Round complexity: `O(|X| + r log n)`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use congest_graph::{NodeId, Triangle, TriangleSet};
 use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::{BitReader, BitWriter, IdCodec};
+use congest_wire::{BitReader, BitWriter, IdCodec, Payload};
 use rand::Rng;
 
-use crate::common::{ids_to_nodes, nodes_to_ids};
+use crate::common::{encode_node_list, ids_to_nodes, write_node_list};
 use crate::params::PhasePlan;
 
 /// How a node learns whether it belongs to the set `X`.
@@ -123,21 +121,19 @@ pub struct AXrProgram {
 
     in_x: bool,
     membership_decided: bool,
-    /// `N(me) ∩ X`, learnt from the announcement round.
-    x_neighbors: BTreeSet<NodeId>,
-    /// `N(j) ∩ X` for every neighbour `j`, learnt from the distribution
-    /// phase.
-    x_sets: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// `N(me) ∩ X`, learnt from the announcement round; ascending.
+    x_neighbors: Vec<NodeId>,
+    /// `N(j) ∩ X`, ascending, for every neighbour `j` heard from in the
+    /// distribution phase; ascending by `j`.
+    x_sets: Vec<(NodeId, Vec<NodeId>)>,
     /// Whether this node is still in `U`.
     in_u: bool,
-    /// Neighbours currently believed to be in `U`.
-    u_neighbors: BTreeSet<NodeId>,
+    /// Neighbours currently believed to be in `U`; ascending.
+    u_neighbors: Vec<NodeId>,
     /// Whether this node decided it is r-good in the current iteration.
     good_this_iteration: bool,
     /// `V^X_{U,r}(me)` of the current iteration.
     v_list: Vec<NodeId>,
-    /// This node's sorted neighbourhood (for membership tests).
-    neighborhood: BTreeSet<NodeId>,
 
     sender: MultiSender,
     assembler: MultiAssembler,
@@ -176,13 +172,12 @@ impl AXrProgram {
             r_cap,
             in_x,
             membership_decided,
-            x_neighbors: BTreeSet::new(),
-            x_sets: BTreeMap::new(),
+            x_neighbors: Vec::new(),
+            x_sets: Vec::new(),
             in_u: true,
-            u_neighbors: info.neighbors.iter().copied().collect(),
+            u_neighbors: info.neighbors.clone(),
             good_this_iteration: false,
             v_list: Vec::new(),
-            neighborhood: info.neighbors.iter().copied().collect(),
             sender: MultiSender::new(),
             assembler: MultiAssembler::new(),
             found: TriangleSet::new(),
@@ -199,38 +194,27 @@ impl AXrProgram {
         self.in_x
     }
 
-    /// Whether the pair `{a, b}` is in `Δ(X)` as far as this node can tell
-    /// from the `N(·) ∩ X` sets it holds for `a` and `b`.
-    fn pair_in_delta(&self, a: NodeId, b: NodeId) -> bool {
-        let xa = self.x_sets.get(&a);
-        let xb = self.x_sets.get(&b);
-        match (xa, xb) {
-            (Some(xa), Some(xb)) => xa.intersection(xb).next().is_none(),
-            // Missing information is treated as "no known common witness";
-            // this can only add candidates, and soundness does not depend on
-            // Δ(X) (see the module documentation).
-            _ => true,
-        }
-    }
-
     /// Interprets the data received during the phase that just ended.
-    fn finalize_previous_phase(&mut self, previous: PhaseKind, me: NodeId) {
+    /// `parts` come in ascending sender order, which is what keeps the
+    /// lists built here sorted.
+    fn finalize_previous_phase(&mut self, previous: PhaseKind, me: NodeId, neighbors: &[NodeId]) {
         let parts = std::mem::take(&mut self.assembler).finish();
         match previous {
             PhaseKind::XAnnounce => {
-                for (from, payload) in parts {
-                    let mut r = BitReader::new(&payload);
-                    if let Ok(true) = r.read_bool() {
-                        self.x_neighbors.insert(from);
-                    }
-                }
+                self.x_neighbors = parts
+                    .iter()
+                    .filter(|(_, payload)| announced(payload) == Some(true))
+                    .map(|(from, _)| *from)
+                    .collect();
             }
             PhaseKind::XNeighborhood => {
+                self.x_sets.clear();
                 for (from, payload) in parts {
                     let mut r = BitReader::new(&payload);
                     if let Ok(ids) = self.codec.decode_list(&mut r) {
-                        self.x_sets
-                            .insert(from, ids_to_nodes(&ids).into_iter().collect());
+                        let mut set: Vec<NodeId> = ids_to_nodes(&ids).collect();
+                        set.sort_unstable();
+                        self.x_sets.push((from, set));
                     }
                 }
             }
@@ -250,7 +234,7 @@ impl AXrProgram {
                         continue;
                     };
                     for l in ids_to_nodes(&ids) {
-                        if l != me && l != k && self.neighborhood.contains(&l) {
+                        if l != me && l != k && neighbors.binary_search(&l).is_ok() {
                             self.found.insert(Triangle::new(me, k, l));
                         }
                     }
@@ -266,19 +250,19 @@ impl AXrProgram {
                         continue;
                     };
                     for m in ids_to_nodes(&ids) {
-                        if m != me && m != j && self.neighborhood.contains(&m) {
+                        if m != me && m != j && neighbors.binary_search(&m).is_ok() {
                             self.found.insert(Triangle::new(j, me, m));
                         }
                     }
                 }
             }
             PhaseKind::UPhase => {
-                for (from, payload) in parts {
-                    let mut r = BitReader::new(&payload);
-                    if let Ok(false) = r.read_bool() {
-                        self.u_neighbors.remove(&from);
-                    }
-                }
+                let left: Vec<NodeId> = parts
+                    .iter()
+                    .filter(|(_, payload)| announced(payload) == Some(false))
+                    .map(|(from, _)| *from)
+                    .collect();
+                self.u_neighbors.retain(|v| left.binary_search(v).is_err());
             }
         }
     }
@@ -294,26 +278,13 @@ impl AXrProgram {
                     }
                     self.membership_decided = true;
                 }
-                let mut w = BitWriter::new();
-                w.write_bool(self.in_x);
-                let payload = w.finish();
-                for &v in ctx.neighbors().to_vec().iter() {
-                    ctx.send(v, payload.clone())
-                        .expect("a single bit fits any bandwidth budget");
-                }
+                announce(ctx, self.in_x);
                 NodeStatus::Active
             }
             PhaseKind::XNeighborhood => {
-                let list: Vec<NodeId> = self
-                    .x_neighbors
-                    .iter()
-                    .copied()
-                    .take(self.config.x_cap.max(1))
-                    .collect();
-                let mut w = BitWriter::new();
-                self.codec.encode_list(&mut w, &nodes_to_ids(&list));
-                let payload = w.finish();
-                for &v in ctx.neighbors().to_vec().iter() {
+                let shipped = self.x_neighbors.len().min(self.config.x_cap.max(1));
+                let payload = encode_node_list(self.codec, &self.x_neighbors[..shipped]);
+                for &v in ctx.neighbors() {
                     self.sender.queue(v, payload.clone());
                 }
                 NodeStatus::Active
@@ -325,41 +296,59 @@ impl AXrProgram {
                     // round).
                     return NodeStatus::Halted;
                 }
-                let me = ctx.id();
-                let targets: Vec<NodeId> = self.u_neighbors.iter().copied().collect();
-                for &j in &targets {
-                    // S^X_U(j, me) = { l ∈ N(me) ∩ U : l ≠ j, {j,l} ∈ Δ(X) }.
-                    let mut s = Vec::new();
-                    for &l in &targets {
-                        if l != j && self.pair_in_delta(j, l) {
-                            s.push(l);
-                        }
+                let targets = &self.u_neighbors;
+                let t = targets.len();
+                // Every target's N(·) ∩ X, looked up once.
+                let sets: Vec<Option<&[NodeId]>> = targets
+                    .iter()
+                    .map(|k| {
+                        let at = self.x_sets.binary_search_by_key(k, |(from, _)| *from);
+                        at.ok().map(|at| self.x_sets[at].1.as_slice())
+                    })
+                    .collect();
+                // Whether {targets[a], targets[b]} ∈ Δ(X) as far as this
+                // node can tell, at `a * t + b`. The relation is symmetric,
+                // so each unordered pair is decided once. Missing
+                // information is treated as "no known common witness"; this
+                // can only add candidates, and soundness does not depend on
+                // Δ(X) (see the module documentation).
+                let mut in_delta = vec![false; t * t];
+                for a in 0..t {
+                    for b in a + 1..t {
+                        let pair = match (sets[a], sets[b]) {
+                            (Some(xa), Some(xb)) => sorted_disjoint(xa, xb),
+                            _ => true,
+                        };
+                        in_delta[a * t + b] = pair;
+                        in_delta[b * t + a] = pair;
                     }
+                }
+                for (a, &j) in targets.iter().enumerate() {
+                    // S^X_U(j, me) = { l ∈ N(me) ∩ U : l ≠ j, {j,l} ∈ Δ(X) };
+                    // the diagonal of `in_delta` is false.
+                    let s: Vec<NodeId> = targets
+                        .iter()
+                        .zip(&in_delta[a * t..(a + 1) * t])
+                        .filter(|(_, &pair)| pair)
+                        .map(|(&l, _)| l)
+                        .collect();
                     let mut w = BitWriter::new();
                     if s.len() <= self.r_cap && (s.len() as f64) <= self.config.r {
                         w.write_bool(true);
-                        self.codec.encode_list(&mut w, &nodes_to_ids(&s));
+                        write_node_list(self.codec, &mut w, &s);
                     } else {
                         w.write_bool(false);
                     }
                     self.sender.queue(j, w.finish());
-                    let _ = me;
                 }
                 NodeStatus::Active
             }
             PhaseKind::VPhase => {
                 // Step 4.3 sender side: r-good nodes ship V^X_{U,r}.
                 if self.in_u && self.good_this_iteration && !self.v_list.is_empty() {
-                    let list: Vec<NodeId> = self
-                        .v_list
-                        .iter()
-                        .copied()
-                        .take(self.r_cap.max(1))
-                        .collect();
-                    let mut w = BitWriter::new();
-                    self.codec.encode_list(&mut w, &nodes_to_ids(&list));
-                    let payload = w.finish();
-                    for &l in self.u_neighbors.clone().iter() {
+                    let shipped = self.v_list.len().min(self.r_cap.max(1));
+                    let payload = encode_node_list(self.codec, &self.v_list[..shipped]);
+                    for &l in &self.u_neighbors {
                         self.sender.queue(l, payload.clone());
                     }
                 }
@@ -370,17 +359,42 @@ impl AXrProgram {
                 if self.in_u && self.good_this_iteration {
                     self.in_u = false;
                 }
-                let mut w = BitWriter::new();
-                w.write_bool(self.in_u);
-                let payload = w.finish();
-                for &v in ctx.neighbors().to_vec().iter() {
-                    ctx.send(v, payload.clone())
-                        .expect("a single bit fits any bandwidth budget");
-                }
+                announce(ctx, self.in_u);
                 NodeStatus::Active
             }
         }
     }
+}
+
+/// Sends the one-bit announcement `bit` to every neighbour.
+fn announce(ctx: &mut RoundContext<'_>, bit: bool) {
+    let mut w = BitWriter::new();
+    w.write_bool(bit);
+    let payload = w.finish();
+    for at in 0..ctx.degree() {
+        let v = ctx.neighbors()[at];
+        ctx.send(v, payload.clone())
+            .expect("a single bit fits any bandwidth budget");
+    }
+}
+
+/// The bit a one-bit announcement carries, if `payload` is one.
+fn announced(payload: &Payload) -> Option<bool> {
+    BitReader::new(payload).read_bool().ok()
+}
+
+/// Whether two ascending lists share no element; stops at the first one
+/// they share.
+fn sorted_disjoint(a: &[NodeId], b: &[NodeId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
 }
 
 impl NodeProgram for AXrProgram {
@@ -406,7 +420,7 @@ impl NodeProgram for AXrProgram {
         // just ended; interpret it before starting the new phase.
         if position.is_first && position.phase > 0 {
             let previous = phase_kind(position.phase - 1);
-            self.finalize_previous_phase(previous, ctx.id());
+            self.finalize_previous_phase(previous, ctx.id(), ctx.neighbors());
             self.sender = MultiSender::new();
         }
 

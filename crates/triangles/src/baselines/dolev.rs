@@ -189,8 +189,9 @@ pub struct DolevCliqueListing {
     /// Edges received as an intermediate during hop 1.
     relayed: Vec<Edge>,
     /// Edges received as a responsible node during hop 2, together with the
-    /// node's own incident edges.
-    gathered: BTreeSet<Edge>,
+    /// node's own incident edges; sorted and deduplicated in the last
+    /// round.
+    gathered: Vec<Edge>,
     /// Edges dropped because a per-link cap was exceeded (0 in healthy
     /// runs); exposed through [`DolevCliqueListing::dropped`].
     dropped: usize,
@@ -217,7 +218,7 @@ impl DolevCliqueListing {
             codec,
             plan,
             relayed: Vec::new(),
-            gathered: BTreeSet::new(),
+            gathered: Vec::new(),
             dropped: 0,
             sender: MultiSender::new(),
             assembler: MultiAssembler::new(),
@@ -347,9 +348,10 @@ impl NodeProgram for DolevCliqueListing {
                 self.drain_assembler_into_gathered();
                 // A node also knows its own incident edges for free.
                 let me = ctx.id();
-                for &v in ctx.neighbors() {
-                    self.gathered.insert(Edge::new(me, v));
-                }
+                self.gathered
+                    .extend(ctx.neighbors().iter().map(|&v| Edge::new(me, v)));
+                self.gathered.sort_unstable();
+                self.gathered.dedup();
                 self.found = triangles_in_edge_set(&self.gathered);
                 NodeStatus::Halted
             }

@@ -11,14 +11,12 @@
 //! outputs exactly the triangles containing itself), whose transcript size
 //! the lower-bound experiment measures.
 
-use std::collections::BTreeMap;
-
-use congest_graph::{NodeId, Triangle, TriangleSet};
+use congest_graph::{for_each_common, NodeId, Triangle, TriangleSet};
 use congest_sim::transfer::{MultiAssembler, MultiSender};
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::{BitWriter, IdCodec};
+use congest_wire::IdCodec;
 
-use crate::common::{ids_to_nodes, nodes_to_ids, try_decode_id_list};
+use crate::common::{encode_node_list, id_list_bits_announced, ids_to_nodes, try_decode_id_list};
 
 /// Node program implementing the naive 2-hop local listing baseline.
 #[derive(Debug)]
@@ -27,8 +25,14 @@ pub struct NaiveLocalListing {
     neighborhood: Vec<NodeId>,
     sender: MultiSender,
     assembler: MultiAssembler,
-    /// Completed neighbour lists, keyed by neighbour.
-    neighbor_lists: BTreeMap<NodeId, Vec<NodeId>>,
+    /// Per neighbour (parallel to `neighborhood`): how long its stream has
+    /// to be before it is worth looking at — the length prefix first, then
+    /// the whole list the prefix announces.
+    awaited_bits: Vec<usize>,
+    /// Completed neighbour lists, parallel to `neighborhood`.
+    neighbor_lists: Vec<Option<Vec<NodeId>>>,
+    /// How many of them are complete.
+    complete: usize,
     started: bool,
     found: TriangleSet,
 }
@@ -36,46 +40,79 @@ pub struct NaiveLocalListing {
 impl NaiveLocalListing {
     /// Creates the program for one node.
     pub fn new(info: &NodeInfo) -> Self {
+        let codec = IdCodec::new(info.n.max(1) as u64);
+        let degree = info.neighbors.len();
         NaiveLocalListing {
-            codec: IdCodec::new(info.n.max(1) as u64),
+            codec,
             neighborhood: info.neighbors.clone(),
             sender: MultiSender::new(),
             assembler: MultiAssembler::new(),
-            neighbor_lists: BTreeMap::new(),
+            awaited_bits: vec![codec.list_bit_len(0); degree],
+            neighbor_lists: vec![None; degree],
+            complete: 0,
             started: false,
             found: TriangleSet::new(),
         }
     }
 
-    /// Attempts to decode the (possibly still incomplete) lists received so
-    /// far; returns whether every neighbour's list is now complete.
+    /// Decodes the lists that have arrived in full since the last call;
+    /// returns whether every neighbour's list is now complete.
+    ///
+    /// The unfinished streams are looked at in place. One is copied out
+    /// only when it has reached the length it is awaited at, which happens
+    /// twice in its life: once to read the length prefix, once to decode
+    /// the finished list.
     fn harvest_complete_lists(&mut self) -> bool {
-        // Snapshot the assembled payloads without consuming the assembler:
-        // re-assemble from a clone each round. The graphs involved are
-        // simulator-scale, so the extra decoding work is negligible.
-        let assembler = self.assembler.clone();
-        for (from, payload) in assembler.finish() {
-            if self.neighbor_lists.contains_key(&from) {
+        if self.complete == self.neighborhood.len() {
+            return true;
+        }
+        // Streams and neighbours both ascend, so one cursor pairs them.
+        let mut slot = 0;
+        for (from, stream) in self.assembler.iter() {
+            while slot < self.neighborhood.len() && self.neighborhood[slot] < from {
+                slot += 1;
+            }
+            if self.neighborhood.get(slot) != Some(&from)
+                || self.neighbor_lists[slot].is_some()
+                || stream.bit_len() < self.awaited_bits[slot]
+            {
                 continue;
             }
-            if let Some(ids) = try_decode_id_list(self.codec, &payload) {
-                self.neighbor_lists.insert(from, ids_to_nodes(&ids));
+            let bits = stream.clone().finish();
+            match id_list_bits_announced(self.codec, &bits) {
+                // The prefix is in: come back when the list it announces is.
+                Some(total) if total > bits.bit_len() => self.awaited_bits[slot] = total,
+                _ => match try_decode_id_list(self.codec, &bits) {
+                    Some(ids) => {
+                        let mut list: Vec<NodeId> = ids_to_nodes(&ids).collect();
+                        list.sort_unstable();
+                        self.neighbor_lists[slot] = Some(list);
+                        self.complete += 1;
+                    }
+                    // Malformed: look again only if more arrives.
+                    None => self.awaited_bits[slot] = bits.bit_len() + 1,
+                },
             }
         }
-        self.neighbor_lists.len() == self.neighborhood.len()
+        self.complete == self.neighborhood.len()
     }
 
     fn list_local_triangles(&mut self, me: NodeId) {
-        for (i, &u) in self.neighborhood.iter().enumerate() {
-            let Some(list_u) = self.neighbor_lists.get(&u) else {
+        let mut found = Vec::new();
+        for (i, (&u, list_u)) in self
+            .neighborhood
+            .iter()
+            .zip(&self.neighbor_lists)
+            .enumerate()
+        {
+            let Some(list_u) = list_u else {
                 continue;
             };
-            for &w in &self.neighborhood[i + 1..] {
-                if list_u.contains(&w) {
-                    self.found.insert(Triangle::new(me, u, w));
-                }
-            }
+            for_each_common(&self.neighborhood[i + 1..], list_u, |w| {
+                found.push(Triangle::new(me, u, w));
+            });
         }
+        self.found = found.into_iter().collect();
     }
 }
 
@@ -85,11 +122,8 @@ impl NodeProgram for NaiveLocalListing {
     fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
         if !self.started {
             self.started = true;
-            let mut w = BitWriter::new();
-            self.codec
-                .encode_list(&mut w, &nodes_to_ids(&self.neighborhood));
-            let payload = w.finish();
-            for &v in ctx.neighbors().to_vec().iter() {
+            let payload = encode_node_list(self.codec, &self.neighborhood);
+            for &v in ctx.neighbors() {
                 self.sender.queue(v, payload.clone());
             }
         }

@@ -1,5 +1,6 @@
 //! Bit-level writer and reader.
 
+use crate::small::Bits;
 use crate::{Payload, WireError};
 
 /// Append-only bit buffer, most-significant bit first.
@@ -9,16 +10,24 @@ use crate::{Payload, WireError};
 /// written — this is what the simulator charges against the bandwidth
 /// budget.
 ///
-/// Bits move a byte at a time: a write of `width` bits costs
-/// `O(width / 8 + 1)` steps, an [`append`](BitWriter::append) between
-/// byte-aligned positions is one slice copy.
+/// Bits gather in a 64-bit word and reach the buffer eight bytes at a
+/// time: a write costs a shift and an OR, plus one eight-byte store each
+/// time the word fills. An [`append`](BitWriter::append) of a long run
+/// between byte-aligned positions is one slice copy. A string that ends
+/// up no longer than a message never touches the heap (see [`Payload`]).
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
-    /// Exactly `ceil(bit_len / 8)` bytes; the padding bits of the last
-    /// one are zero, so a later write can OR into it.
-    bytes: Vec<u8>,
-    bit_len: usize,
+    /// The whole bytes written out so far.
+    flushed: Bits,
+    /// The bits written since, in the low `pending` bits.
+    word: u64,
+    /// How many bits `word` holds: under 64 between calls.
+    pending: u32,
 }
+
+/// [`BitWriter::append`] copies a byte-aligned run as a slice from this
+/// many bits up; a shorter one is cheaper through the word.
+const SLICE_COPY_MIN_BITS: usize = 64;
 
 impl BitWriter {
     /// Creates an empty writer.
@@ -28,7 +37,7 @@ impl BitWriter {
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        self.flushed.bit_len() + self.pending as usize
     }
 
     /// Appends the `width` low-order bits of `value`, most significant
@@ -47,26 +56,28 @@ impl BitWriter {
                 "value {value} does not fit in {width} bits"
             );
         }
-        // `remaining` counts the low-order bits of `value` still to go.
-        let mut remaining = width;
-        let used = self.bit_len % 8;
-        if used != 0 && remaining > 0 {
-            // Top up the partial last byte.
-            let free = 8 - used;
-            let take = free.min(remaining);
-            remaining -= take;
-            let chunk = (value >> remaining) as u8 & (0xFF >> (8 - take));
-            *self.bytes.last_mut().expect("a partial byte exists") |= chunk << (free - take);
+        let pending = self.pending as usize;
+        if pending + width < 64 {
+            self.word = (self.word << width) | value;
+            self.pending = (pending + width) as u32;
+            return;
         }
-        while remaining >= 8 {
-            remaining -= 8;
-            self.bytes.push((value >> remaining) as u8);
-        }
-        if remaining > 0 {
-            // The tail starts a new byte, left-aligned over zero padding.
-            self.bytes.push((value << (8 - remaining)) as u8);
-        }
-        self.bit_len += width;
+        // The word fills: its `room` free bits take the top of `value`,
+        // the low `rest` bits of `value` start the next word.
+        let room = 64 - pending;
+        let rest = width - room;
+        let full = if pending == 0 {
+            value
+        } else {
+            (self.word << room) | (value >> rest)
+        };
+        self.flushed.push(&full.to_be_bytes(), 64);
+        self.word = if rest == 0 {
+            0
+        } else {
+            value & (u64::MAX >> (64 - rest))
+        };
+        self.pending = rest as u32;
     }
 
     /// Appends a single boolean as one bit.
@@ -82,8 +93,8 @@ impl BitWriter {
 
     /// Moves the next `len` bits of `reader` onto the end of this writer
     /// — the one bit-copy behind chunking, reassembly and
-    /// [`write_payload`](BitWriter::write_payload). When both sides sit
-    /// on a byte boundary the bits move as one slice copy.
+    /// [`write_payload`](BitWriter::write_payload). A long run between
+    /// byte boundaries moves as one slice copy.
     ///
     /// # Errors
     ///
@@ -91,19 +102,19 @@ impl BitWriter {
     /// in `reader`; nothing is read or written in that case.
     pub fn append(&mut self, reader: &mut BitReader<'_>, len: usize) -> Result<(), WireError> {
         reader.require(len)?;
-        if self.bit_len.is_multiple_of(8) && reader.cursor.is_multiple_of(8) {
-            let start = reader.cursor / 8;
-            let source = &reader.payload.as_bytes()[start..start + len.div_ceil(8)];
-            self.bytes.extend_from_slice(source);
-            if !len.is_multiple_of(8) {
-                // The source's last byte carries bits past `len`.
-                *self.bytes.last_mut().expect("len is positive") &= 0xFF << (8 - len % 8);
-            }
-            self.bit_len += len;
-            reader.cursor += len;
-            return Ok(());
-        }
         let mut remaining = len;
+        if len >= SLICE_COPY_MIN_BITS
+            && self.pending.is_multiple_of(8)
+            && reader.cursor.is_multiple_of(8)
+        {
+            self.flush_word();
+            let start = reader.cursor / 8;
+            let whole = len / 8;
+            self.flushed
+                .push(&reader.bytes[start..start + whole], whole * 8);
+            reader.cursor += whole * 8;
+            remaining -= whole * 8;
+        }
         while remaining > 0 {
             let step = remaining.min(64);
             self.write_bits(reader.read_bits(step)?, step);
@@ -112,28 +123,48 @@ impl BitWriter {
         Ok(())
     }
 
+    /// Writes out what the word holds, left-aligned so that the padding
+    /// bits of a partial last byte are zero. Only the last write may leave
+    /// a partial byte behind: anywhere else the word must hold whole bytes.
+    fn flush_word(&mut self) {
+        let held = self.pending as usize;
+        if held > 0 {
+            let bytes = (self.word << (64 - held)).to_be_bytes();
+            self.flushed.push(&bytes[..held.div_ceil(8)], held);
+            self.word = 0;
+            self.pending = 0;
+        }
+    }
+
     /// Finalizes the writer into an immutable payload.
-    pub fn finish(self) -> Payload {
-        Payload::from_parts(self.bytes, self.bit_len)
+    pub fn finish(mut self) -> Payload {
+        self.flush_word();
+        Payload::from_bits(self.flushed)
     }
 }
 
 /// Sequential reader over a [`Payload`].
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
-    payload: &'a Payload,
+    /// The payload's bytes and length, looked up once.
+    bytes: &'a [u8],
+    bit_len: usize,
     cursor: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader positioned at the first bit of `payload`.
     pub fn new(payload: &'a Payload) -> Self {
-        Self { payload, cursor: 0 }
+        Self {
+            bytes: payload.as_bytes(),
+            bit_len: payload.bit_len(),
+            cursor: 0,
+        }
     }
 
     /// Number of bits that have not been consumed yet.
     pub fn remaining(&self) -> usize {
-        self.payload.bit_len() - self.cursor
+        self.bit_len - self.cursor
     }
 
     /// Whether every bit of the payload has been consumed.
@@ -160,7 +191,7 @@ impl<'a> BitReader<'a> {
     pub fn read_bits(&mut self, width: usize) -> Result<u64, WireError> {
         assert!(width <= 64, "bit width {width} exceeds 64");
         self.require(width)?;
-        let bytes = self.payload.as_bytes();
+        let bytes = self.bytes;
         let mut value = 0u64;
         let mut remaining = width;
         while remaining > 0 {
@@ -323,5 +354,155 @@ mod tests {
         assert_eq!(w.bit_len(), 2);
         w.write_bool(false);
         assert_eq!(w.bit_len(), 3);
+    }
+    /// A bit string spelled out: the model the writer is held to.
+    #[derive(Default)]
+    struct Model(Vec<bool>);
+
+    impl Model {
+        fn write_bits(&mut self, value: u64, width: usize) {
+            self.0
+                .extend((0..width).rev().map(|bit| (value >> bit) & 1 == 1));
+        }
+
+        fn payload(&self) -> Payload {
+            let mut bytes = vec![0u8; self.0.len().div_ceil(8)];
+            for (i, _) in self.0.iter().enumerate().filter(|(_, &bit)| bit) {
+                bytes[i / 8] |= 0x80 >> (i % 8);
+            }
+            Payload::from_parts(bytes, self.0.len())
+        }
+    }
+
+    fn hash_of(p: &Payload) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        p.hash(&mut h);
+        h.finish()
+    }
+
+    /// Same length, same bits, same bytes with clean padding, equal and
+    /// hashing equally — however each side was built.
+    fn assert_same(got: &Payload, model: &Model, what: &str) {
+        let expected = model.payload();
+        assert_eq!(got.bit_len(), model.0.len(), "{what}");
+        assert_eq!(got.as_bytes(), expected.as_bytes(), "{what}");
+        assert_eq!(got, &expected, "{what}");
+        assert_eq!(hash_of(got), hash_of(&expected), "{what}");
+    }
+
+    /// A value of `width` bits with both ends set and a pattern between.
+    fn pattern(width: usize, salt: u64) -> u64 {
+        let raw = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(salt | 1) | 1 | (1 << 63);
+        raw >> (64 - width)
+    }
+
+    /// The bit offsets of the bytes either side of where a string leaves
+    /// the in-place buffer.
+    fn offsets_around_the_spill() -> std::ops::RangeInclusive<usize> {
+        let edge = crate::small::INLINE_BYTES * 8;
+        edge - 24..=edge + 16
+    }
+
+    #[test]
+    fn every_width_lands_on_every_offset_around_the_spill() {
+        for offset in offsets_around_the_spill() {
+            for width in 1..=64 {
+                let (mut w, mut model) = (BitWriter::new(), Model::default());
+                // Reach `offset` in uneven steps, so the word boundary
+                // falls somewhere else each time.
+                let mut at = 0;
+                while at < offset {
+                    let step = (offset - at).min(1 + (at + width) % 61);
+                    w.write_bits(pattern(step, at as u64), step);
+                    model.write_bits(pattern(step, at as u64), step);
+                    at += step;
+                }
+                assert_eq!(w.bit_len(), offset);
+                w.write_bits(pattern(width, 7), width);
+                model.write_bits(pattern(width, 7), width);
+                assert_eq!(w.bit_len(), offset + width);
+                // What follows lands on clean padding.
+                w.write_bits(0b101, 3);
+                model.write_bits(0b101, 3);
+                let what = format!("width {width} at bit {offset}");
+                let p = w.finish();
+                assert_same(&p, &model, &what);
+                let mut r = BitReader::new(&p);
+                r.skip(offset).unwrap();
+                assert_eq!(r.read_bits(width).unwrap(), pattern(width, 7), "{what}");
+                assert_eq!(r.read_bits(3).unwrap(), 0b101, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_crosses_the_spill_aligned_and_unaligned() {
+        // A source long enough for the slice copy, read from byte-aligned
+        // and unaligned positions, onto writers that are empty, aligned,
+        // unaligned and already spilled.
+        let mut source_model = Model::default();
+        for i in 0..100 {
+            source_model.write_bits(pattern(37, i), 37);
+        }
+        let source = source_model.payload();
+        for writer_offset in [0, 8, 13, 64, 200, 236, 240, 244, 400] {
+            for reader_offset in [0, 5, 8, 64, 67] {
+                for len in [0, 1, 7, 8, 20, 63, 64, 65, 240, 255, 256, 257, 1000, 3001] {
+                    let (mut w, mut model) = (BitWriter::new(), Model::default());
+                    let mut at = 0;
+                    while at < writer_offset {
+                        let step = (writer_offset - at).min(29);
+                        w.write_bits(pattern(step, at as u64), step);
+                        model.write_bits(pattern(step, at as u64), step);
+                        at += step;
+                    }
+                    let mut r = BitReader::new(&source);
+                    r.skip(reader_offset).unwrap();
+                    w.append(&mut r, len).unwrap();
+                    model
+                        .0
+                        .extend_from_slice(&source_model.0[reader_offset..reader_offset + len]);
+                    assert_eq!(r.remaining(), source.bit_len() - reader_offset - len);
+                    w.write_bits(0b11, 2);
+                    model.write_bits(0b11, 2);
+                    let what = format!("{len} bits from {reader_offset} onto {writer_offset}");
+                    assert_same(&w.finish(), &model, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_and_spilled_strings_agree_with_from_parts() {
+        // The same content three ways — one write a bit, one write a
+        // word, `from_parts` — at every length around the spill.
+        for bit_len in offsets_around_the_spill() {
+            let mut model = Model::default();
+            let (mut by_bit, mut by_word) = (BitWriter::new(), BitWriter::new());
+            let mut at = 0;
+            while at < bit_len {
+                let step = (bit_len - at).min(64);
+                let value = pattern(step, at as u64);
+                model.write_bits(value, step);
+                by_word.write_bits(value, step);
+                for bit in (0..step).rev() {
+                    by_bit.write_bool((value >> bit) & 1 == 1);
+                }
+                at += step;
+            }
+            let what = format!("{bit_len} bits");
+            let (by_bit, by_word) = (by_bit.finish(), by_word.finish());
+            assert_same(&by_bit, &model, &what);
+            assert_same(&by_word, &model, &what);
+            assert_eq!(by_bit, by_word, "{what}");
+            // A clone of a writer in mid-word carries the word along.
+            let mut first = BitWriter::new();
+            first.write_bits(pattern(13, 1), 13);
+            let mut second = first.clone();
+            first.write_bits(1, 1);
+            second.write_bits(0, 1);
+            assert_ne!(first.finish(), second.finish());
+        }
     }
 }

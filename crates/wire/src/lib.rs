@@ -10,9 +10,13 @@
 //! This crate provides:
 //!
 //! * [`BitWriter`] / [`BitReader`] — append-only bit buffers with
-//!   most-significant-bit-first packing; bits move a byte at a time, and
-//!   [`BitReader::skip`] / [`BitWriter::append`] seek and copy bit runs
-//!   without decoding them,
+//!   most-significant-bit-first packing; the writer gathers bits in a
+//!   word and stores eight bytes at a time, the reader takes them a byte
+//!   at a time, and [`BitReader::skip`] / [`BitWriter::append`] seek and
+//!   copy bit runs without decoding them,
+//! * [`Payload`] — the finished bit string; one that fits a message (30
+//!   bytes) lives in the value itself, so building, cloning and dropping
+//!   a message allocates nothing,
 //! * the [`Wire`] trait — types that know how to encode and decode
 //!   themselves and how many bits they occupy,
 //! * ready-made codecs for the primitives the algorithms need: fixed-width
@@ -42,6 +46,7 @@ mod bits;
 mod codec;
 mod error;
 mod payload;
+mod small;
 
 pub use bits::{BitReader, BitWriter};
 pub use codec::{bits_for_count, bits_for_value, IdCodec, Wire};

@@ -1,6 +1,9 @@
 //! Owned bit strings exchanged between nodes.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+use crate::small::Bits;
 
 /// An immutable bit string, the unit of data carried by a single CONGEST
 /// message (or by one fragment of a chunked transfer).
@@ -8,10 +11,11 @@ use std::fmt;
 /// The payload knows its exact length in bits so that the simulator can
 /// enforce the per-round bandwidth budget precisely; the backing storage is
 /// byte-aligned for convenience but trailing padding bits are not counted.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+/// A payload of up to 30 bytes — any single message — is stored in place
+/// and costs no allocation to build, clone or drop.
+#[derive(Clone, Default)]
 pub struct Payload {
-    bytes: Vec<u8>,
-    bit_len: usize,
+    bits: Bits,
 }
 
 impl Payload {
@@ -42,23 +46,30 @@ impl Payload {
             let last = bytes.last_mut().expect("a partial byte exists");
             *last &= 0xFF << (8 - bit_len % 8);
         }
-        Self { bytes, bit_len }
+        Payload {
+            bits: Bits::from_vec(bytes, bit_len),
+        }
+    }
+
+    /// Wraps a finished bit string.
+    pub(crate) fn from_bits(bits: Bits) -> Self {
+        Payload { bits }
     }
 
     /// Number of significant bits in the payload.
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        self.bits.bit_len()
     }
 
     /// Whether the payload carries no bits at all.
     pub fn is_empty(&self) -> bool {
-        self.bit_len == 0
+        self.bit_len() == 0
     }
 
     /// Backing bytes: exactly `ceil(bit_len / 8)` of them, the padding
     /// bits of the last one zero.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        self.bits.as_bytes()
     }
 
     /// Reads the bit at `index` (0 = first written bit).
@@ -67,8 +78,8 @@ impl Payload {
     ///
     /// Panics if `index >= self.bit_len()`.
     pub fn bit(&self, index: usize) -> bool {
-        assert!(index < self.bit_len, "bit index {index} out of range");
-        let byte = self.bytes[index / 8];
+        assert!(index < self.bit_len(), "bit index {index} out of range");
+        let byte = self.as_bytes()[index / 8];
         let shift = 7 - (index % 8);
         (byte >> shift) & 1 == 1
     }
@@ -80,22 +91,39 @@ impl Payload {
     ///
     /// Panics if `index >= self.bit_len()`.
     pub fn with_flipped_bit(&self, index: usize) -> Payload {
-        assert!(index < self.bit_len, "bit index {index} out of range");
+        assert!(index < self.bit_len(), "bit index {index} out of range");
         let mut flipped = self.clone();
-        flipped.bytes[index / 8] ^= 0x80 >> (index % 8);
+        flipped.bits.as_bytes_mut()[index / 8] ^= 0x80 >> (index % 8);
         flipped
+    }
+}
+
+/// Equality is by content — the length and the significant bits — whether
+/// a string sits in place or, having grown through a writer, on the heap.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.bit_len() == other.bit_len() && self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Payload {}
+
+impl Hash for Payload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+        self.bit_len().hash(state);
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Payload({} bits:", self.bit_len)?;
-        let shown = self.bit_len.min(64);
+        write!(f, "Payload({} bits:", self.bit_len())?;
+        let shown = self.bit_len().min(64);
         write!(f, " ")?;
         for i in 0..shown {
             write!(f, "{}", u8::from(self.bit(i)))?;
         }
-        if shown < self.bit_len {
+        if shown < self.bit_len() {
             write!(f, "…")?;
         }
         write!(f, ")")
@@ -165,5 +193,39 @@ mod tests {
         let s = format!("{p:?}");
         assert!(s.contains("2 bits"));
         assert!(s.contains("11"));
+    }
+    #[test]
+    fn a_payload_is_no_bigger_than_a_vec_and_a_length() {
+        assert!(std::mem::size_of::<Payload>() <= 32);
+    }
+
+    #[test]
+    fn from_parts_and_flips_work_in_place_and_on_the_heap() {
+        // 30 bytes stay in the value, 31 do not; nothing observable
+        // tells the two apart.
+        for bytes in [1usize, 29, 30, 31, 32, 100] {
+            for spare in [0, 3, 7] {
+                let bit_len = bytes * 8 - spare;
+                let raw: Vec<u8> = (0..bytes).map(|i| (i as u8).wrapping_mul(37) | 1).collect();
+                let p = Payload::from_parts(raw.clone(), bit_len);
+                assert_eq!(p.bit_len(), bit_len);
+                assert_eq!(p.as_bytes().len(), bytes);
+                assert_eq!(p.as_bytes()[..bytes - 1], raw[..bytes - 1]);
+                assert_eq!(p.as_bytes()[bytes - 1], raw[bytes - 1] & (0xFF << spare));
+                // Dirty padding and surplus bytes change nothing.
+                let mut dirty = raw.clone();
+                dirty[bytes - 1] |= !(0xFFu8 << spare);
+                dirty.extend([0xAA; 40]);
+                assert_eq!(Payload::from_parts(dirty, bit_len), p);
+                for index in [0, bit_len / 2, bit_len - 1] {
+                    let q = p.with_flipped_bit(index);
+                    assert_ne!(q, p);
+                    assert_eq!(q.bit(index), !p.bit(index));
+                    assert_eq!(q.bit_len(), bit_len);
+                    assert_eq!(q.with_flipped_bit(index), p);
+                }
+                assert_eq!(p.clone(), p);
+            }
+        }
     }
 }
