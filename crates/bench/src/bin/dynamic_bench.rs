@@ -2,7 +2,7 @@
 //! distributed dynamic triangle engine buys over re-running the paper's
 //! one-shot drivers after every update batch.
 //!
-//! Three sections:
+//! Five sections:
 //!
 //! * the **matrix** drives the four churn scenarios (uniform, hotspot,
 //!   planted-burst, grow-then-shrink) through
@@ -22,8 +22,9 @@
 //!   budget (a star whose every spoke edge is removed in one batch),
 //!   run once with the legacy both-endpoints schedule
 //!   (`HubSplit::Off`) and once with the helper-split schedule
-//!   (`HubSplit::Auto`), both under free aggregation so the comparison
-//!   isolates the broadcast phases. The split schedule must flatten the
+//!   (`HubSplit::Auto`). Both read the epoch's broadcast prefix —
+//!   `rounds − convergecast_rounds` — so the comparison isolates the
+//!   phases the split reschedules. The split schedule must flatten the
 //!   hotspot epoch by ≥ 2x (`HOTSPOT_SPLIT_IMPROVEMENT_FLOOR`,
 //!   enforced in-binary; rounds are deterministic, so the floor binds
 //!   on every machine), and `gate` holds the split rounds
@@ -40,9 +41,9 @@
 //!   (`fault_drop1pct_rounds_per_batch`) so recovery cannot silently get
 //!   more expensive.
 //!
-//! All other sections run the engine in its defaults — helper-split
-//! scheduling *and* CONGEST-accounted convergecast aggregation — so the
-//! headline speedups now charge the dynamic engine for its own merge;
+//! Every section runs the engine's CONGEST-accounted convergecast
+//! merge, and all but the hotspot control run helper-split scheduling,
+//! so the headline speedups charge the dynamic engine for its own merge;
 //! `headline_convergecast_rounds_per_batch` splits that cost out and is
 //! gated lower-is-better.
 //!
@@ -64,14 +65,13 @@
 //! `--replay size:N|window:MS` (default `size:500`); its round costs
 //! and oracle verdict land under the JSON's `"replay"` key.
 //!
-//! The headline and hotspot sections also export the simulator's
-//! received-bits skew (max over mean per-node received bits, the
-//! hub-imbalance signal helper-splitting attacks) into the JSON.
+//! The headline section also exports the simulator's received-bits
+//! skew (max over mean per-node received bits) into the JSON. The hub
+//! epoch's skew is not exported: under the convergecast it measures the
+//! funnel of every aggregate into the forest root, not the split.
 //!
 //! Output: a plain-text table on stdout and `BENCH_dynamic.json` in the
 //! current directory.
-
-use std::fmt::Write as _;
 
 use congest_bench::gate::HOTSPOT_SPLIT_IMPROVEMENT_FLOOR;
 use congest_bench::{json, table::fmt_f64, Table};
@@ -79,8 +79,8 @@ use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::{GraphBuilder, NodeId};
 use congest_sim::Bandwidth;
 use congest_stream::{
-    Aggregation, ApplyMode, BaseGraph, BatchSource, CongestCost, DeltaBatch,
-    DistributedTriangleEngine, FaultPlan, HubSplit, RecoveryStats, Replay, ReplayPolicy, Scenario,
+    ApplyMode, BaseGraph, BatchSource, CongestCost, DeltaBatch, DistributedTriangleEngine,
+    FaultPlan, HubSplit, RecoveryStats, Replay, ReplayPolicy, Scenario,
 };
 use congest_triangles::{find_triangles, list_triangles, FindingConfig, ListingConfig};
 
@@ -107,41 +107,41 @@ impl DynamicRun {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            "{{\"scenario\":\"{}\",\"mode\":\"{}\",\"n\":{},\"batches\":{},\"deltas\":{},\
-             \"total_rounds\":{},\"total_messages\":{},\"total_bits\":{},\
-             \"total_convergecast_rounds\":{},\
-             \"mean_rounds_per_batch\":{:.4},\"max_batch_rounds\":{},\
-             \"mean_bits_per_batch\":{:.1},\"final_triangles\":{},\"oracle_ok\":{}}}",
-            self.name,
-            self.mode,
-            self.n,
-            self.batches,
-            self.deltas,
-            self.total.rounds,
-            self.total.messages,
-            self.total.bits,
-            self.total.convergecast_rounds,
-            self.mean_rounds_per_batch(),
-            self.max_batch_rounds,
-            self.mean_bits_per_batch(),
-            self.final_triangles,
-            self.oracle_ok,
-        )
+        let mut out = String::from("{");
+        json::push_str(&mut out, "scenario", &self.name);
+        json::push_str(&mut out, "mode", self.mode);
+        let total = &self.total;
+        for (key, value) in [
+            ("n", self.n as f64),
+            ("batches", self.batches as f64),
+            ("deltas", self.deltas as f64),
+            ("total_rounds", total.rounds as f64),
+            ("total_messages", total.messages as f64),
+            ("total_bits", total.bits as f64),
+            (
+                "total_convergecast_rounds",
+                total.convergecast_rounds as f64,
+            ),
+            ("mean_rounds_per_batch", self.mean_rounds_per_batch()),
+            ("max_batch_rounds", self.max_batch_rounds as f64),
+            ("mean_bits_per_batch", self.mean_bits_per_batch()),
+            ("final_triangles", self.final_triangles as f64),
+        ] {
+            json::push_num(&mut out, key, value);
+        }
+        json::push_bool(&mut out, "oracle_ok", self.oracle_ok);
+        json::finish_object(&mut out);
+        out
     }
 }
 
-/// What the hotspot-epoch sweep measured: the same hub-bound removal
-/// batch under the legacy both-endpoints broadcast schedule and under
-/// helper-splitting.
+/// What the hotspot-epoch sweep measured: the broadcast prefix of the
+/// same hub-bound removal batch under the legacy both-endpoints
+/// schedule and under helper-splitting.
 struct HotspotSweep {
     spokes: u32,
     unsplit_rounds: u64,
     split_rounds: u64,
-    /// Per-node received-bits skew (max/mean) of the one hub epoch under
-    /// each schedule — the imbalance helper-splitting exists to flatten.
-    unsplit_skew: f64,
-    split_skew: f64,
     oracle_ok: bool,
 }
 
@@ -155,9 +155,9 @@ impl HotspotSweep {
 /// exactly one: a star (plus a rim, so the removals retire real
 /// triangles) whose spoke edges are all torn down in a single batch.
 /// The hub's load is `spokes` against an average-load budget of ~2 —
-/// ≥ 8x over budget from 16 spokes up. Both runs use free aggregation
-/// so the comparison isolates the broadcast phases the split
-/// reschedules.
+/// ≥ 8x over budget from 16 spokes up. Both runs read the broadcast
+/// prefix (`rounds − convergecast_rounds`), so the comparison isolates
+/// the phases the split reschedules.
 fn hotspot_sweep(quick: bool) -> HotspotSweep {
     let spokes: u32 = if quick { 64 } else { 128 };
     let mut b = GraphBuilder::new(spokes as usize + 1);
@@ -173,28 +173,21 @@ fn hotspot_sweep(quick: bool) -> HotspotSweep {
         tear.remove(NodeId(0), NodeId(i));
     }
     let run = |split: HubSplit| {
-        let mut engine = DistributedTriangleEngine::from_graph(&graph)
-            .with_hub_split(split)
-            .with_aggregation(Aggregation::Free);
+        let mut engine = DistributedTriangleEngine::from_graph(&graph).with_hub_split(split);
         engine.apply(&tear).expect("hub batch is in range");
+        let cost = engine.last_batch_cost();
         (
-            engine.last_batch_cost().rounds,
+            cost.rounds - cost.convergecast_rounds,
             engine.matches_oracle(),
             engine.triangle_count(),
-            engine
-                .received_bits_skew()
-                .map(|s| s.max_ratio)
-                .unwrap_or(f64::NAN),
         )
     };
-    let (unsplit_rounds, unsplit_ok, unsplit_triangles, unsplit_skew) = run(HubSplit::Off);
-    let (split_rounds, split_ok, split_triangles, split_skew) = run(HubSplit::Auto);
+    let (unsplit_rounds, unsplit_ok, unsplit_triangles) = run(HubSplit::Off);
+    let (split_rounds, split_ok, split_triangles) = run(HubSplit::Auto);
     HotspotSweep {
         spokes,
         unsplit_rounds,
         split_rounds,
-        unsplit_skew,
-        split_skew,
         oracle_ok: unsplit_ok && split_ok && unsplit_triangles == split_triangles,
     }
 }
@@ -225,25 +218,29 @@ impl FaultPoint {
     }
 
     fn to_json(&self) -> String {
-        format!(
-            "{{\"drop_rate\":{},\"batches\":{},\"total_rounds\":{},\
-             \"recovery_rounds\":{},\"trailer_rounds\":{},\"idle_rounds\":{},\
-             \"mean_rounds_per_batch\":{:.4},\
-             \"recovery_rounds_per_batch\":{:.4},\"retransmit_rounds\":{},\
-             \"epoch_repairs\":{},\"degraded_epochs\":{},\"oracle_ok\":{}}}",
-            self.drop_rate,
-            self.batches,
-            self.total.rounds,
-            self.total.recovery_rounds,
-            self.total.trailer_rounds,
-            self.total.idle_rounds,
-            self.mean_rounds_per_batch(),
-            self.recovery_rounds_per_batch(),
-            self.stats.retransmit_rounds,
-            self.stats.epoch_repairs,
-            self.stats.degraded_epochs,
-            self.oracle_ok,
-        )
+        let mut out = String::from("{");
+        let (total, stats) = (&self.total, &self.stats);
+        for (key, value) in [
+            ("drop_rate", self.drop_rate),
+            ("batches", self.batches as f64),
+            ("total_rounds", total.rounds as f64),
+            ("recovery_rounds", total.recovery_rounds as f64),
+            ("trailer_rounds", total.trailer_rounds as f64),
+            ("idle_rounds", total.idle_rounds as f64),
+            ("mean_rounds_per_batch", self.mean_rounds_per_batch()),
+            (
+                "recovery_rounds_per_batch",
+                self.recovery_rounds_per_batch(),
+            ),
+            ("retransmit_rounds", stats.retransmit_rounds as f64),
+            ("epoch_repairs", stats.epoch_repairs as f64),
+            ("degraded_epochs", stats.degraded_epochs as f64),
+        ] {
+            json::push_num(&mut out, key, value);
+        }
+        json::push_bool(&mut out, "oracle_ok", self.oracle_ok);
+        json::finish_object(&mut out);
+        out
     }
 }
 
@@ -337,8 +334,7 @@ fn capture_trace(path: &std::path::Path) {
         .with_base(BaseGraph::Gnp { p: 0.05 })
         .seeded(0x00D1_7ACE);
     let base = scenario.base_graph();
-    let mut engine =
-        DistributedTriangleEngine::from_graph(&base).with_aggregation(Aggregation::Convergecast);
+    let mut engine = DistributedTriangleEngine::from_graph(&base);
     for batch in scenario.batches() {
         engine.apply(&batch).expect("scenario batches are in range");
     }
@@ -349,7 +345,6 @@ fn capture_trace(path: &std::path::Path) {
     // the `distributed/recovery` span family `trace_check` requires is
     // present in the capture.
     let mut faulted = DistributedTriangleEngine::from_graph(&base)
-        .with_aggregation(Aggregation::Convergecast)
         .with_fault_plan(FaultPlan::default().with_drop(0.02).with_seed(0x0000_FA17));
     for batch in scenario.batches() {
         faulted
@@ -643,9 +638,9 @@ fn main() {
         }
         e.triangle_count()
     };
-    let mut bw_json = String::from("[");
+    let mut bw_points: Vec<String> = Vec::new();
     print!("bandwidth sweep (rounds/batch): ");
-    for (i, factor) in [2u32, 8, 32].into_iter().enumerate() {
+    for factor in [2u32, 8, 32] {
         let mut engine = DistributedTriangleEngine::from_graph_with_bandwidth(
             &sweep_base,
             Bandwidth::LogFactor(factor),
@@ -660,15 +655,12 @@ fn main() {
         );
         let mean = engine.total_cost().rounds as f64 / engine.epochs().max(1) as f64;
         print!("B={factor}·log n → {mean:.1}  ");
-        if i > 0 {
-            bw_json.push(',');
-        }
-        let _ = write!(
-            bw_json,
-            "{{\"log_factor\":{factor},\"mean_rounds_per_batch\":{mean:.4}}}"
-        );
+        let mut point = String::from("{");
+        json::push_num(&mut point, "log_factor", f64::from(factor));
+        json::push_num(&mut point, "mean_rounds_per_batch", mean);
+        json::finish_object(&mut point);
+        bw_points.push(point);
     }
-    bw_json.push(']');
     println!();
 
     // Hotspot sweep: the helper-split schedule against the legacy
@@ -676,7 +668,7 @@ fn main() {
     let hotspot = hotspot_sweep(quick);
     let hotspot_improvement = hotspot.improvement();
     println!(
-        "hotspot sweep ({} spoke removals on one hub, free merge): \
+        "hotspot sweep ({} spoke removals on one hub, broadcast prefix): \
          unsplit {} rounds/batch → split {} rounds/batch \
          ({hotspot_improvement:.1}x flatter; floor {HOTSPOT_SPLIT_IMPROVEMENT_FLOOR}x)",
         hotspot.spokes, hotspot.unsplit_rounds, hotspot.split_rounds,
@@ -691,15 +683,13 @@ fn main() {
     );
 
     // Per-node received-bits skew: how far the worst-loaded node sits
-    // above the mean. The headline's uniform churn should stay modest;
-    // the hub epoch shows the imbalance the split schedule flattens.
+    // above the mean. The headline's uniform churn should stay modest.
     let (headline_skew_max, headline_skew_mean) = headline_skew
         .map(|s| (s.max_ratio, s.mean_ratio))
         .unwrap_or((f64::NAN, f64::NAN));
     println!(
         "received-bits skew (max/mean per node): headline max {headline_skew_max:.1}x \
-         mean {headline_skew_mean:.1}x; hub epoch unsplit {:.1}x → split {:.1}x",
-        hotspot.unsplit_skew, hotspot.split_skew,
+         mean {headline_skew_mean:.1}x"
     );
 
     // Fault sweep: the same fixed-seed churn stream through the
@@ -778,70 +768,74 @@ fn main() {
     // deterministic per seed, so the gate needs no hardware fingerprint
     // — only the scenario shape (`quick`, `headline_n`) and the batch
     // source (`source_fingerprint`) must match.
-    let mut json = String::from("{\"bench\":\"dynamic\",\"schema_version\":4,");
-    let _ = write!(
-        json,
-        "\"quick\":{},\"headline_n\":{},\"headline_batches\":{},\"source_fingerprint\":\"{}\",",
-        if quick { 1 } else { 0 },
-        headline_run.n,
-        headline_run.batches,
-        fingerprint_hex(BatchSource::fingerprint(&headline)),
+    let runs: Vec<String> = runs
+        .iter()
+        .chain([&deferred, &headline_run])
+        .map(DynamicRun::to_json)
+        .collect();
+    let fault_json: Vec<String> = fault_points.iter().map(FaultPoint::to_json).collect();
+    let mut out = String::from("{");
+    json::push_str(&mut out, "bench", "dynamic");
+    json::push_num(&mut out, "schema_version", 5.0);
+    json::push_num(&mut out, "quick", f64::from(u8::from(quick)));
+    json::push_num(&mut out, "headline_n", headline_run.n as f64);
+    json::push_num(&mut out, "headline_batches", headline_run.batches as f64);
+    json::push_str(
+        &mut out,
+        "source_fingerprint",
+        &fingerprint_hex(BatchSource::fingerprint(&headline)),
     );
-    json.push_str("\"runs\":[");
-    for (i, r) in runs.iter().chain([&deferred, &headline_run]).enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&r.to_json());
+    for (key, array) in [
+        ("runs", runs.join(",")),
+        ("fault_sweep", fault_json.join(",")),
+        ("bandwidth_sweep", bw_points.join(",")),
+    ] {
+        json::push_raw(&mut out, key, &format!("[{array}]"));
     }
-    json.push_str("],\"fault_sweep\":[");
-    for (i, p) in fault_points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&p.to_json());
+    for (key, value) in [
+        ("fault_zero_round_ratio", fault_zero_round_ratio),
+        (
+            "fault_drop1pct_rounds_per_batch",
+            fault_drop1.mean_rounds_per_batch(),
+        ),
+        (
+            "fault_drop1pct_recovery_rounds_per_batch",
+            fault_drop1.recovery_rounds_per_batch(),
+        ),
+        ("headline_mean_rounds_per_batch", mean_rounds),
+        (
+            "headline_max_batch_rounds",
+            headline_run.max_batch_rounds as f64,
+        ),
+        (
+            "headline_mean_bits_per_batch",
+            headline_run.mean_bits_per_batch(),
+        ),
+        (
+            "headline_convergecast_rounds_per_batch",
+            headline_convergecast_per_batch,
+        ),
+        ("finding_rerun_rounds", finding.total_rounds as f64),
+        ("listing_rerun_rounds", listing.total_rounds as f64),
+        ("headline_round_speedup_vs_finding", speedup_vs_finding),
+        ("headline_round_speedup_vs_listing", speedup_vs_listing),
+        ("headline_bits_ratio_vs_listing", bits_ratio_vs_listing),
+        ("headline_received_bits_skew_max", headline_skew_max),
+        ("headline_received_bits_skew_mean", headline_skew_mean),
+        ("hotspot_spokes", f64::from(hotspot.spokes)),
+        (
+            "hotspot_rounds_per_batch_unsplit",
+            hotspot.unsplit_rounds as f64,
+        ),
+        ("hotspot_rounds_per_batch", hotspot.split_rounds as f64),
+        ("hotspot_split_round_improvement", hotspot_improvement),
+    ] {
+        json::push_num(&mut out, key, value);
     }
-    let _ = write!(
-        json,
-        "],\"fault_zero_round_ratio\":{fault_zero_round_ratio:.3},\
-         \"fault_drop1pct_rounds_per_batch\":{:.4},\
-         \"fault_drop1pct_recovery_rounds_per_batch\":{:.4},\
-         \"bandwidth_sweep\":{bw_json},\
-         \"headline_mean_rounds_per_batch\":{mean_rounds:.4},\
-         \"headline_max_batch_rounds\":{},\
-         \"headline_mean_bits_per_batch\":{:.1},\
-         \"headline_convergecast_rounds_per_batch\":{headline_convergecast_per_batch:.4},\
-         \"finding_rerun_rounds\":{},\
-         \"listing_rerun_rounds\":{},\
-         \"headline_round_speedup_vs_finding\":{speedup_vs_finding:.3},\
-         \"headline_round_speedup_vs_listing\":{speedup_vs_listing:.3},\
-         \"headline_bits_ratio_vs_listing\":{bits_ratio_vs_listing:.3},\
-         \"headline_received_bits_skew_max\":{},\
-         \"headline_received_bits_skew_mean\":{},\
-         \"hotspot_spokes\":{},\
-         \"hotspot_rounds_per_batch_unsplit\":{},\
-         \"hotspot_rounds_per_batch\":{},\
-         \"hotspot_received_bits_skew_unsplit\":{},\
-         \"hotspot_received_bits_skew_split\":{},\
-         \"hotspot_split_round_improvement\":{hotspot_improvement:.3},\
-         \"replay\":{}}}",
-        fault_drop1.mean_rounds_per_batch(),
-        fault_drop1.recovery_rounds_per_batch(),
-        headline_run.max_batch_rounds,
-        headline_run.mean_bits_per_batch(),
-        finding.total_rounds,
-        listing.total_rounds,
-        json::num(headline_skew_max),
-        json::num(headline_skew_mean),
-        hotspot.spokes,
-        hotspot.unsplit_rounds,
-        hotspot.split_rounds,
-        json::num(hotspot.unsplit_skew),
-        json::num(hotspot.split_skew),
-        replay_json.as_deref().unwrap_or("null"),
-    );
-    std::fs::write("BENCH_dynamic.json", &json).expect("write BENCH_dynamic.json");
-    println!("\nwrote BENCH_dynamic.json ({} runs)", runs.len() + 2);
+    json::push_raw(&mut out, "replay", replay_json.as_deref().unwrap_or("null"));
+    json::finish_object(&mut out);
+    std::fs::write("BENCH_dynamic.json", &out).expect("write BENCH_dynamic.json");
+    println!("\nwrote BENCH_dynamic.json ({} runs)", runs.len());
 
     if let Some(path) = &trace_out {
         capture_trace(path);

@@ -5,15 +5,14 @@
 //! Compares a fresh `BENCH_stream.json`, `BENCH_dynamic.json` or
 //! `BENCH_serve.json` against the committed baseline. Which bench the
 //! two files come from is read from their own `"bench"` key; the
-//! metrics, directions, tolerances, fingerprint keys and absolute floors
-//! for each live in [`congest_bench::gate::TABLES`].
+//! metrics, directions, tolerances and fingerprint keys for each live in
+//! [`congest_bench::gate::TABLES`].
 //!
 //! Exit status: 0 when nothing regressed (or the baseline's fingerprint
 //! is foreign, in which case the comparison is printed but not
-//! enforced), 1 when an enforced metric moved past its tolerance or a
-//! binding floor was missed, 2 when the files cannot be gated at all —
-//! unreadable, malformed or truncated JSON, two different benches, or a
-//! bench no table covers.
+//! enforced), 1 when an enforced metric moved past its tolerance, 2 when
+//! the files cannot be gated at all — unreadable, malformed or truncated
+//! JSON, two different benches, or a bench no table covers.
 
 use congest_bench::gate::compare;
 

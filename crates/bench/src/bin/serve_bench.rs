@@ -1,29 +1,28 @@
 //! Serve-mode SLO harness: an open-loop load generator over the
 //! epoch-stamped lease layer (`TriangleServer`).
 //!
-//! Three phases, all run with span tracing disabled so the gated
-//! numbers never pay for instrumentation:
+//! One measurement, the **open-loop SLO ramp**, run with span tracing
+//! disabled so the gated numbers never pay for instrumentation: reader
+//! threads issue leased queries (count / node-support /
+//! edge-in-triangle / top-k) on a *fixed arrival schedule* while the
+//! writer applies churn batches uninterrupted. The schedule is
+//! open-loop: each query's latency is measured from its scheduled
+//! arrival, not its issue time, so queueing delay when the server falls
+//! behind is charged to the server (no coordinated omission). The
+//! target rate doubles until a step trips — achieved rate below 90% of
+//! target, or more than 1% of reads over the 1 ms SLO — and the last
+//! passing step is the **max sustainable rate**, reported with its
+//! p50/p99 read latencies. The write-throughput ratio and closed-loop
+//! read throughput are `perf_report`'s (`serve.write_ratio_attached`,
+//! `reads_per_s` on `serve_mixed`).
 //!
-//! 1. **SLO ramp** — reader threads issue leased queries (count /
-//!    node-support / edge-in-triangle / top-k) on a *fixed arrival
-//!    schedule* while the writer applies churn batches uninterrupted.
-//!    The schedule is open-loop: each query's latency is measured from
-//!    its scheduled arrival, not its issue time, so queueing delay when
-//!    the server falls behind is charged to the server (no coordinated
-//!    omission). The target rate doubles until a step trips — achieved
-//!    rate below 90% of target, or more than 1% of reads over the 1 ms
-//!    SLO — and the last passing step is the **max sustainable rate**,
-//!    reported with its p50/p99 read latencies.
-//! 2. **Write-throughput ratio** — the writer's delta throughput with a
-//!    full reader complement leasing under its feet, over the same
-//!    writer with no readers attached. The serving layer's contract is
-//!    that readers never block the write pipeline, so this must stay
-//!    at 0.9 or above (enforced in-binary on machines with >= 4
-//!    hardware threads, best-of-two).
-//! 3. **Read scaling** — closed-loop aggregate query throughput at 1,
-//!    2 and 4 reader threads; the best multi-reader rate must beat the
-//!    single-reader rate by >= 1.2x on >= 4-thread machines, proving
-//!    leases actually let readers scale instead of serializing them.
+//! **What the ramp does not yet measure.** The writer cycles its
+//! batches (`batches[b % len]`), so after the first lap it applies
+//! deltas that are already in effect: no-ops, which publish almost
+//! nothing. Readers therefore mostly race a writer that does no work,
+//! and the committed `serve_max_sustainable_rps` of a `--quick` run is
+//! the ramp's cap (1 024 000), not a knee. A stationary non-repeating
+//! batch source is ROADMAP item 6's next step.
 //!
 //! `--quick` shrinks the graph, windows and ramp cap (what CI runs);
 //! `--readers N` overrides the reader-thread count. `--input FILE`
@@ -32,24 +31,20 @@
 //! size:N|window:MS` (default `size:500`) — the load generator then
 //! cycles the recorded batches instead of the generated ones. Results
 //! land in `BENCH_serve.json` — flat top-level keys for the gated
-//! metrics (`serve_max_sustainable_rps`, `serve_read_p50_us`,
-//! `serve_read_p99_us`, `serve_write_throughput_ratio`),
-//! `cow_clones_per_batch` (whole-shard copies per batch with the
-//! readers attached; near zero unless leases pin every retained write
-//! buffer) plus the
+//! metrics (`serve_max_sustainable_rps`, `serve_read_p99_us`) and
+//! `serve_read_p50_us`, `cow_clones_per_batch` (whole-shard copies per
+//! batch on the ramp's servers, the worst step's; near zero unless
+//! leases pin every retained write buffer) plus the
 //! `hardware_threads`/`quick`/`source_fingerprint` fingerprint
 //! `gate` compares under (a baseline recorded against one batch
 //! source never gates a run against another), and the observability
 //! registry snapshot (which carries the `serve.active_leases` /
 //! `serve.oldest_lease_epoch_lag` gauges from the final publishes).
 
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use congest_bench::gate::{PARALLEL_FLOOR_MIN_THREADS, SERVE_WRITE_RATIO_FLOOR};
-use congest_bench::{table::fmt_f64, Table};
+use congest_bench::{json, table::fmt_f64, Table};
 use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::{AdjacencyView, Graph, NodeId};
 use congest_obs::Histogram;
@@ -70,9 +65,6 @@ const OVER_SLO_LIMIT: f64 = 0.01;
 const ACHIEVED_FRACTION: f64 = 0.90;
 /// First ramp target in reads/sec.
 const RAMP_START_RPS: f64 = 2000.0;
-/// Floor for the best multi-reader closed-loop rate over the
-/// single-reader rate (enforced on >= 4-thread machines).
-const READ_SCALING_FLOOR: f64 = 1.2;
 
 #[derive(Debug)]
 struct Args {
@@ -145,6 +137,10 @@ struct StepOutcome {
     p50_us: f64,
     p99_us: f64,
     over_slo: f64,
+    /// Whole-shard copies per applied batch on this step's server — the
+    /// fallback left when readers pin every retained write buffer
+    /// (`TriangleServer::cow_stats`).
+    cow_clones_per_batch: f64,
 }
 
 impl StepOutcome {
@@ -173,7 +169,7 @@ fn open_loop_step(
     let interval_ns = readers as f64 * 1e9 / target_rps;
     let start = Instant::now();
 
-    let per_thread: Vec<(Histogram, u64, u64)> = std::thread::scope(|scope| {
+    let (per_thread, applied): (Vec<(Histogram, u64, u64)>, usize) = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..readers)
             .map(|r| {
                 let handle = handle.clone();
@@ -231,10 +227,11 @@ fn open_loop_step(
                 .expect("scenario batches only touch in-range nodes");
             b += 1;
         }
-        workers
+        let per_thread = workers
             .into_iter()
             .map(|w| w.join().expect("reader thread panicked"))
-            .collect()
+            .collect();
+        (per_thread, b)
     });
 
     let mut hist = Histogram::new();
@@ -256,6 +253,7 @@ fn open_loop_step(
         } else {
             over as f64 / completed as f64
         },
+        cow_clones_per_batch: server.cow_stats().clones as f64 / applied.max(1) as f64,
     }
 }
 
@@ -290,108 +288,6 @@ fn ramp(
         target *= 2.0;
     }
     (best, steps)
-}
-
-/// The writer's delta throughput over one window with `readers`
-/// closed-loop reader threads attached (0 = the detached baseline), and
-/// how many whole-shard copies a batch cost it on average — the
-/// fallback left when readers pin every retained write buffer
-/// (`TriangleServer::cow_stats`).
-fn write_throughput(
-    base: &Graph,
-    batches: &[DeltaBatch],
-    readers: usize,
-    window: Duration,
-) -> (f64, f64) {
-    let mut server = make_server(base, 4);
-    let handle = server.handle();
-    let n = base.node_count() as u32;
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for r in 0..readers {
-            let handle = handle.clone();
-            let done = &done;
-            scope.spawn(move || {
-                let mut node = r as u32;
-                while !done.load(Ordering::Acquire) {
-                    let lease = handle.lease();
-                    black_box(lease.triangle_count());
-                    black_box(lease.node_support(NodeId(node % n)));
-                    node = node.wrapping_add(1);
-                }
-            });
-        }
-        let start = Instant::now();
-        let mut deltas = 0usize;
-        let mut b = 0usize;
-        while start.elapsed() < window {
-            let batch = &batches[b % batches.len()];
-            server
-                .apply(batch)
-                .expect("scenario batches only touch in-range nodes");
-            deltas += batch.len();
-            b += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        done.store(true, Ordering::Release);
-        (
-            deltas as f64 / elapsed,
-            server.cow_stats().clones as f64 / b.max(1) as f64,
-        )
-    })
-}
-
-/// Aggregate closed-loop query throughput with `readers` threads while
-/// the writer churns — the scaling probe.
-fn closed_loop_reads(
-    base: &Graph,
-    batches: &[DeltaBatch],
-    readers: usize,
-    window: Duration,
-) -> f64 {
-    let mut server = make_server(base, 4);
-    let handle = server.handle();
-    let n = base.node_count() as u32;
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..readers)
-            .map(|r| {
-                let handle = handle.clone();
-                let done = &done;
-                scope.spawn(move || {
-                    let mut node = r as u32;
-                    let mut queries = 0u64;
-                    while !done.load(Ordering::Acquire) {
-                        let lease = handle.lease();
-                        black_box(lease.triangle_count());
-                        black_box(lease.node_support(NodeId(node % n)));
-                        node = node.wrapping_add(1);
-                        queries += 1;
-                    }
-                    queries
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        let mut b = 0usize;
-        while start.elapsed() < window {
-            server
-                .apply(&batches[b % batches.len()])
-                .expect("scenario batches only touch in-range nodes");
-            b += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        done.store(true, Ordering::Release);
-        let total: u64 = workers
-            .into_iter()
-            .map(|w| w.join().expect("reader thread panicked"))
-            .sum();
-        total as f64 / elapsed
-    })
-}
-
-fn best_of_two(mut run: impl FnMut() -> f64) -> f64 {
-    run().max(run())
 }
 
 fn main() {
@@ -475,7 +371,6 @@ fn main() {
         if args.quick { ", --quick" } else { "" }
     );
 
-    // Phase 1: open-loop SLO ramp.
     let (sustained, steps) = ramp(&base, &batches, readers, window, cap_rps);
     let mut table = Table::new([
         "target_rps",
@@ -498,115 +393,52 @@ fn main() {
     table.print();
     match &sustained {
         Some(step) => println!(
-            "\nmax sustainable: {} reads/sec (p50 {} us, p99 {} us)\n",
+            "\nmax sustainable: {} reads/sec (p50 {} us, p99 {} us){}",
             fmt_f64(step.target_rps),
             fmt_f64(step.p50_us),
             fmt_f64(step.p99_us),
+            if steps.last().is_some_and(StepOutcome::passes) {
+                " — the ramp's cap, not a knee"
+            } else {
+                ""
+            },
         ),
-        None => println!("\nmax sustainable: none — the first ramp step already tripped\n"),
+        None => println!("\nmax sustainable: none — the first ramp step already tripped"),
     }
-
-    // Phase 2: write-throughput ratio (readers attached vs detached).
-    let detached = best_of_two(|| write_throughput(&base, &batches, 0, window).0);
-    // The worse of the two attached runs: a copy is a cost, not noise.
-    let mut cow_clones_per_batch = 0.0f64;
-    let attached = best_of_two(|| {
-        let (rate, clones) = write_throughput(&base, &batches, readers, window);
-        cow_clones_per_batch = cow_clones_per_batch.max(clones);
-        rate
-    });
-    let write_ratio = attached / detached;
-    println!(
-        "write throughput: detached {} deltas/sec, {readers} reader(s) attached {} \
-         deltas/sec -> ratio {:.3} ({cow_clones_per_batch:.4} whole-shard copies per batch attached)",
-        fmt_f64(detached),
-        fmt_f64(attached),
-        write_ratio
-    );
-
-    // Phase 3: closed-loop read scaling across reader counts.
-    let reader_counts = [1usize, 2, 4];
-    let rates: Vec<f64> = reader_counts
+    // The worst step's: a copy is a cost, not noise.
+    let cow_clones_per_batch = steps
         .iter()
-        .map(|&r| best_of_two(|| closed_loop_reads(&base, &batches, r, window)))
-        .collect();
-    let best_multi = rates[1..].iter().cloned().fold(f64::MIN, f64::max);
-    let read_scaling = best_multi / rates[0];
-    for (r, rate) in reader_counts.iter().zip(&rates) {
-        println!(
-            "closed-loop reads @ {r} reader(s): {} queries/sec",
-            fmt_f64(*rate)
-        );
-    }
-    println!("read scaling (best multi-reader / single-reader): {read_scaling:.3}\n");
-
-    // In-binary floors: only on machines where readers and the writer
-    // can genuinely contend, and after best-of-two trimmed the noise.
-    let mut floor_failures: Vec<String> = Vec::new();
-    if (hardware_threads as f64) >= PARALLEL_FLOOR_MIN_THREADS {
-        if write_ratio < SERVE_WRITE_RATIO_FLOOR {
-            floor_failures.push(format!(
-                "write throughput ratio {write_ratio:.3} below the \
-                 {SERVE_WRITE_RATIO_FLOOR} floor — readers are blocking the write pipeline"
-            ));
-        }
-        if read_scaling < READ_SCALING_FLOOR {
-            floor_failures.push(format!(
-                "read scaling {read_scaling:.3} below the {READ_SCALING_FLOOR} floor — \
-                 leased readers are serializing instead of scaling"
-            ));
-        }
-    } else {
-        println!(
-            "floors skipped: {hardware_threads} hardware thread(s) cannot express \
-             reader/writer contention (needs >= {PARALLEL_FLOOR_MIN_THREADS:.0})"
-        );
-    }
+        .map(|s| s.cow_clones_per_batch)
+        .fold(0.0, f64::max);
+    println!("whole-shard copies per batch under the readers: {cow_clones_per_batch:.4}\n");
 
     // Machine-readable results for the CI gate.
-    let mut json = String::from("{\"bench\":\"serve\",\"schema_version\":2,");
-    let _ = write!(
-        json,
-        "\"quick\":{},\"hardware_threads\":{hardware_threads},\"serve_readers\":{readers},\
-         \"source\":\"{}\",\"source_fingerprint\":\"{}\",\"replay_policy\":{},",
-        u8::from(args.quick),
-        congest_obs::json::escape(&source_name),
-        fingerprint_hex(source_fingerprint),
-        replay_policy
-            .as_deref()
-            .map(|p| format!("\"{}\"", congest_obs::json::escape(p)))
-            .unwrap_or_else(|| "null".to_string()),
-    );
     let (max_rps, p50, p99) = match &sustained {
         Some(s) => (s.target_rps, s.p50_us, s.p99_us),
         None => (f64::NAN, f64::NAN, f64::NAN),
     };
-    let _ = write!(
-        json,
-        "\"serve_max_sustainable_rps\":{},\"serve_read_p50_us\":{},\"serve_read_p99_us\":{},",
-        congest_obs::json::num(max_rps),
-        congest_obs::json::num(p50),
-        congest_obs::json::num(p99),
+    let mut out = String::from("{");
+    json::push_str(&mut out, "bench", "serve");
+    json::push_num(&mut out, "schema_version", 3.0);
+    json::push_num(&mut out, "quick", f64::from(u8::from(args.quick)));
+    json::push_num(&mut out, "hardware_threads", hardware_threads as f64);
+    json::push_num(&mut out, "serve_readers", readers as f64);
+    json::push_str(&mut out, "source", &source_name);
+    json::push_str(
+        &mut out,
+        "source_fingerprint",
+        &fingerprint_hex(source_fingerprint),
     );
-    let _ = write!(
-        json,
-        "\"serve_write_throughput_ratio\":{},\"serve_write_deltas_per_sec_detached\":{},\
-         \"cow_clones_per_batch\":{},\"serve_read_scaling_best\":{},",
-        congest_obs::json::num(write_ratio),
-        congest_obs::json::num(detached),
-        congest_obs::json::num(cow_clones_per_batch),
-        congest_obs::json::num(read_scaling),
-    );
-    json.push_str("\"obs\":");
-    json.push_str(&congest_obs::snapshot().to_json());
-    json.push('}');
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
-
-    if !floor_failures.is_empty() {
-        for failure in &floor_failures {
-            eprintln!("ERROR: {failure}");
-        }
-        std::process::exit(1);
+    match &replay_policy {
+        Some(policy) => json::push_str(&mut out, "replay_policy", policy),
+        None => json::push_raw(&mut out, "replay_policy", "null"),
     }
+    json::push_num(&mut out, "serve_max_sustainable_rps", max_rps);
+    json::push_num(&mut out, "serve_read_p50_us", p50);
+    json::push_num(&mut out, "serve_read_p99_us", p99);
+    json::push_num(&mut out, "cow_clones_per_batch", cow_clones_per_batch);
+    json::push_raw(&mut out, "obs", &congest_obs::snapshot().to_json());
+    json::finish_object(&mut out);
+    std::fs::write("BENCH_serve.json", &out).expect("write BENCH_serve.json");
+    println!("wrote BENCH_serve.json");
 }

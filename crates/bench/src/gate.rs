@@ -3,9 +3,9 @@
 //!
 //! One [`GateTable`] per bench ([`TABLES`]) holds everything that differs
 //! between the stream, dynamic and serve gates: the fingerprint keys that
-//! must match for a comparison to be like-for-like, one [`Row`] per gated
-//! metric (key, direction, tolerance), and the absolute floors that
-//! need no baseline. [`compare`] parses both files with
+//! must match for a comparison to be like-for-like and one [`Row`] per
+//! gated metric (key, direction, tolerance). Absolute floors live in the
+//! benches that measure them, not here. [`compare`] parses both files with
 //! [`congest_obs::json::Value`], picks the table from their own
 //! `"bench"` key and looks every key up at the top level, so nested
 //! objects may repeat a key in any position.
@@ -26,34 +26,11 @@ pub const DEFAULT_TOLERANCE: f64 = 0.20;
 /// tens of percent.
 pub const LATENCY_TOLERANCE: f64 = 0.50;
 
-/// Maximum regression the span instrumentation may cost when tracing is
-/// *disabled* (2%): the observability layer's contract is a near-zero
-/// disabled hot path (one relaxed atomic load per span site), and this
-/// band is what keeps that contract honest as instrumentation spreads.
-/// `stream_bench` always runs its gated sweeps with tracing off, so a
-/// fresh run vs the committed baseline measures exactly the disabled
-/// overhead (plus scheduler noise, which best-of-three already trims).
-pub const DISABLED_OVERHEAD_TOLERANCE: f64 = 0.02;
-
-/// Minimum hardware threads for a parallelism floor to bind — below it
-/// the workers of a pool, or a writer and its readers, share cores and
-/// the floor is reported but skipped. `stream_bench` and `serve_bench`
-/// hold their in-binary floors to the same bound.
-pub const PARALLEL_FLOOR_MIN_THREADS: f64 = 4.0;
-
 /// Absolute floor for the hotspot round improvement of the helper-split
 /// schedule over the unsplit protocol (`dynamic_bench` enforces it
 /// in-binary on a hub carrying ≥ 8x the per-phase budget; rounds are
 /// deterministic, so the floor binds on every machine).
 pub const HOTSPOT_SPLIT_IMPROVEMENT_FLOOR: f64 = 2.0;
-
-/// Absolute floor for the serve write-throughput ratio (readers attached
-/// vs detached): queries must never block the write pipeline, so the
-/// writer keeps >= 90% of its no-reader throughput with a full reader
-/// complement leasing under its feet. `serve_bench` enforces it
-/// in-binary; the serve table re-checks it so the gate stays meaningful
-/// against a baseline that predates the metric.
-pub const SERVE_WRITE_RATIO_FLOOR: f64 = 0.9;
 
 /// Which way a gated metric may move freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,42 +58,23 @@ pub struct GateTable {
     pub fingerprint: &'static [&'static str],
     /// The gated metrics.
     pub rows: &'static [Row],
-    /// `(key, minimum)` floors on the current run alone, enforced with
-    /// no baseline once the machine has [`PARALLEL_FLOOR_MIN_THREADS`].
-    pub floors: &'static [(&'static str, f64)],
 }
 
 /// The gate tables, one per bench binary.
 #[rustfmt::skip] // one row per line
 pub const TABLES: [GateTable; 3] = [
-    // Every stream metric is timing-derived — absolute throughputs
-    // obviously, but the parallel speedup scales with core count and the
-    // recompute ratio with cache behaviour — so `hardware_threads` pins
-    // the machine, `quick` the sweep shape and `source_fingerprint` the
-    // headline workload. The kernel rows sweep the shared intersection
-    // core on a degree-skewed pair (galloping must win) and a balanced
-    // pair (the merge must hold), so a selection-heuristic regression
-    // surfaces directly rather than diluted through an engine run.
-    // (`sweep_single_deltas_per_sec` stays in the JSON as trajectory
-    // data: an 8-batch slice is as noisy as the tolerance, and
-    // `stream_bench` enforces the S=1 floor on the same run.) The last
-    // two rows are the disabled-overhead guard: a same-process ratio,
-    // whose run-to-run noise largely cancels, and the hotspot p99, where
-    // per-span overhead would surface first (hub-heavy batches cross the
-    // most span sites per delta).
+    // The parallel speedup is timing-derived and scales with core
+    // count, so `hardware_threads` pins the machine, `quick` the run
+    // shape and `source_fingerprint` the shard sweep's stream. Headline
+    // throughput, the recompute ratio, the pool sweeps and the kernel
+    // are `perf_report`'s, per layer. (`sweep_single_deltas_per_sec`
+    // stays in the JSON as trajectory data: an 8-batch slice is as
+    // noisy as the tolerance, and `stream_bench` enforces the S=1 floor
+    // on the same run.)
     GateTable {
         bench: "stream",
         fingerprint: &["hardware_threads", "quick", "source_fingerprint"],
-        rows: &[
-            ("headline_deltas_per_sec", Higher, DEFAULT_TOLERANCE),
-            ("headline_speedup_vs_recompute", Higher, DEFAULT_TOLERANCE),
-            ("sweep_best_parallel_speedup", Higher, DEFAULT_TOLERANCE),
-            ("intersect_kernel_skewed_melems_per_sec", Higher, DEFAULT_TOLERANCE),
-            ("intersect_kernel_balanced_melems_per_sec", Higher, DEFAULT_TOLERANCE),
-            ("smallbatch_pool_speedup_vs_single", Higher, DISABLED_OVERHEAD_TOLERANCE),
-            ("hotspot_pool_p99_us", Lower, DISABLED_OVERHEAD_TOLERANCE),
-        ],
-        floors: &[],
+        rows: &[("sweep_best_parallel_speedup", Higher, DEFAULT_TOLERANCE)],
     },
     // Every dynamic metric is a round or bit count, deterministic per
     // seed and so comparable across machines: the fingerprint pins only
@@ -136,7 +94,6 @@ pub const TABLES: [GateTable; 3] = [
             ("headline_convergecast_rounds_per_batch", Lower, DEFAULT_TOLERANCE),
             ("fault_drop1pct_rounds_per_batch", Lower, DEFAULT_TOLERANCE),
         ],
-        floors: &[],
     },
     // Serve metrics are timing-derived and hardware-bound (readers and
     // the writer contend for cores): same fingerprint as the stream
@@ -149,7 +106,6 @@ pub const TABLES: [GateTable; 3] = [
             ("serve_max_sustainable_rps", Higher, DEFAULT_TOLERANCE),
             ("serve_read_p99_us", Lower, LATENCY_TOLERANCE),
         ],
-        floors: &[("serve_write_throughput_ratio", SERVE_WRITE_RATIO_FLOOR)],
     },
 ];
 
@@ -235,9 +191,10 @@ fn number(file: &Value, key: &str) -> Option<f64> {
 /// Compares one metric between the two files.
 ///
 /// A metric missing from either side is skipped, not failed: the baseline
-/// may predate a metric (schema growth) and a flag-restricted run may
-/// omit one (`--shards 2` leaves no parallel-speedup ratio). Only a move
-/// of more than the row's tolerance in the bad direction fails.
+/// may predate a metric (schema growth) and a run may write `null` for
+/// one (a serve ramp whose first step trips has no sustainable rate).
+/// Only a move of more than the row's tolerance in the bad direction
+/// fails.
 pub fn check(baseline: &Value, current: &Value, &(key, direction, tolerance): &Row) -> MetricCheck {
     let base = number(baseline, key);
     let cur = number(current, key);
@@ -263,9 +220,9 @@ pub fn check(baseline: &Value, current: &Value, &(key, direction, tolerance): &R
 pub struct Outcome {
     /// The bench both files come from.
     pub bench: &'static str,
-    /// One line per fingerprint mismatch, row and floor.
+    /// One line per fingerprint mismatch and row.
     pub report: String,
-    /// Whether an enforced row regressed or a binding floor was missed.
+    /// Whether an enforced row regressed.
     pub failed: bool,
 }
 
@@ -319,24 +276,6 @@ pub fn compare(baseline: &str, current: &str) -> Result<Outcome, GateError> {
         } else {
             let _ = writeln!(report, "{check} [not gated: foreign baseline fingerprint]");
         }
-    }
-    let threads = number(&current, "hardware_threads").unwrap_or(1.0);
-    for &(key, min) in table.floors {
-        let Some(value) = number(&current, key) else {
-            continue;
-        };
-        let verdict = if threads < PARALLEL_FLOOR_MIN_THREADS {
-            "skipped (too few threads to contend)"
-        } else if value < min {
-            failed = true;
-            "BELOW FLOOR"
-        } else {
-            "ok"
-        };
-        let _ = writeln!(
-            report,
-            "floor {key}: {value:.3} (>= {min} required) on {threads:.0} hardware thread(s) — {verdict}"
-        );
     }
     Ok(Outcome {
         bench: table.bench,
@@ -433,36 +372,9 @@ mod tests {
             for key in table.fingerprint {
                 assert!(baseline.get(key).is_some(), "{path}: no \"{key}\"");
             }
-            let metrics = table.rows.iter().map(|&(key, ..)| key);
-            for key in metrics.chain(table.floors.iter().map(|&(key, _)| key)) {
+            for &(key, ..) in table.rows {
                 assert!(number(&baseline, key).is_some(), "{path}: no \"{key}\"");
             }
-        }
-    }
-
-    #[test]
-    fn the_disabled_overhead_guard_is_a_tight_band() {
-        // A 1% wobble passes, a 3% regression fails, in both directions.
-        const { assert!(DISABLED_OVERHEAD_TOLERANCE < DEFAULT_TOLERANCE) };
-        let base = r#"{"smallbatch_pool_speedup_vs_single":3.0,"hotspot_pool_p99_us":1000.0}"#;
-        let wobble = r#"{"smallbatch_pool_speedup_vs_single":2.97,"hotspot_pool_p99_us":1010.0}"#;
-        let regressed = r#"{"smallbatch_pool_speedup_vs_single":2.9,"hotspot_pool_p99_us":1030.0}"#;
-        let guard = TABLES[0]
-            .rows
-            .iter()
-            .filter(|&&(_, _, tolerance)| tolerance == DISABLED_OVERHEAD_TOLERANCE);
-        assert_eq!(
-            guard
-                .clone()
-                .map(|&(_, direction, _)| direction)
-                .collect::<Vec<_>>(),
-            [Higher, Lower]
-        );
-        for row in guard {
-            let ok = check_text(base, wobble, row);
-            assert!(!ok.regressed, "{ok}");
-            let bad = check_text(base, regressed, row);
-            assert!(bad.regressed, "{bad}");
         }
     }
 

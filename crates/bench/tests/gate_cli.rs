@@ -53,13 +53,6 @@ fn exit_status_follows_the_comparison() {
             let foreign = format!("\"source_fingerprint\":\"0000000000000000\",{regressed}");
             assert_eq!(gate(&path, &copy_with(&foreign)), 0, "{foreign}");
         }
-        // The floors need no baseline, only four threads.
-        for &(key, min) in table.floors {
-            let under =
-                |threads: u32| format!("\"hardware_threads\":{threads},\"{key}\":{}", min / 2.0);
-            assert_eq!(gate(&path, &copy_with(&under(4))), 1, "{key} on 4 threads");
-            assert_eq!(gate(&path, &copy_with(&under(3))), 0, "{key} on 3 threads");
-        }
 
         // Files that cannot be gated at all: half a file on either side,
         // another bench, no file.

@@ -48,15 +48,15 @@
 //!   broadcast slices to their deltas' other endpoints, so hotspot
 //!   epochs scale with the *average* rather than the maximum incident
 //!   load), third vertices detect triangle births/deaths locally, and
-//!   the candidate sets are dedup-merged up a BFS-forest
-//!   [`Aggregation::Convergecast`] in accounted rounds (the same
-//!   exactly-once dedup core the sharded engine uses; the unaccounted
-//!   [`Aggregation::Free`] merge survives as the bench control). It
-//!   reports per-batch round/message cost ([`CongestCost`], with the
-//!   aggregation rounds split out) — the paper's yardstick — which the
-//!   `dynamic_bench` harness compares against re-running the Theorem 1/2
-//!   drivers per batch (≥5x floor; ~100x in practice even while paying
-//!   for its own merge).
+//!   the candidate sets are dedup-merged up a BFS-forest convergecast in
+//!   accounted rounds (the same exactly-once dedup core the sharded
+//!   engine uses; no coordinator-side merge goes unpaid). It reports
+//!   per-batch round/message cost ([`CongestCost`], with the aggregation
+//!   rounds split out, so the broadcast prefix a [`HubSplit`] schedules
+//!   is `rounds − convergecast_rounds` on a quiet engine) — the paper's
+//!   yardstick — which the `dynamic_bench` harness compares against
+//!   re-running the Theorem 1/2 drivers per batch (≥5x floor; ~100x in
+//!   practice even while paying for its own merge).
 //! * [`TriangleServer`] / [`ServeHandle`] / [`Lease`] — the serving
 //!   layer: one writer applies batches and publishes **epoch-stamped
 //!   read snapshots** (an O(S) handle-copy per batch; shard buffers are
@@ -69,7 +69,9 @@
 //!   up from an op log (left-right buffers, [`CowStats`]), so a write
 //!   costs `O(batch)` and no lease can see bytes under mutation.
 //!   `serve_bench` drives it with an open-loop load generator and gates
-//!   the max-sustainable-rps and read-latency numbers.
+//!   the max-sustainable-rps and read-latency numbers; `perf_report`'s
+//!   `serve_mixed` workload measures publish cost, closed-loop reads and
+//!   the write ratio.
 //! * [`StreamEngine`] — the trait all engines implement; the harness is
 //!   generic over it. Its [`AdjacencyView`](congest_graph::AdjacencyView)
 //!   supertrait is what makes the layer **snapshot-free**: the
@@ -145,7 +147,7 @@ mod workload;
 pub use arena::{ArenaStats, NeighborArena};
 pub use delta::{DeltaBatch, DeltaOp, EdgeDelta};
 pub use distributed::{
-    Aggregation, CongestCost, DistributedTriangleEngine, HubSplit, ReceivedBitsSkew, RecoveryStats,
+    CongestCost, DistributedTriangleEngine, HubSplit, ReceivedBitsSkew, RecoveryStats,
 };
 // Fault schedules are authored against the simulator's types; re-export
 // them so chaos harnesses need only this crate.

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use congest_obs::trace;
 use congest_stream::{
-    Aggregation, BaseGraph, CongestCost, DistributedTriangleEngine, Scenario, ShardedTriangleIndex,
+    BaseGraph, CongestCost, DistributedTriangleEngine, Scenario, ShardedTriangleIndex,
 };
 
 fn scenario(seed: u64) -> Scenario {
@@ -43,8 +43,7 @@ fn run_sharded(seed: u64) -> (usize, String) {
 /// plus the per-batch CONGEST costs (bit-identical across runs or bust).
 fn run_distributed(seed: u64) -> (usize, String, Vec<CongestCost>) {
     let base = scenario(seed).base_graph();
-    let mut engine =
-        DistributedTriangleEngine::from_graph(&base).with_aggregation(Aggregation::Convergecast);
+    let mut engine = DistributedTriangleEngine::from_graph(&base);
     let mut costs = Vec::new();
     for batch in scenario(seed).batches() {
         engine
