@@ -9,8 +9,15 @@
 //! carry a sequence number, the parent answers every chunk with the
 //! sequence number it expects next, and a child whose acknowledgement
 //! does not arrive in the round it is due resends from its first
-//! unacknowledged chunk. The [module documentation](super) has the
-//! rule in prose and the reason each constant has its value.
+//! unacknowledged chunk. The parent → child direction of a forest link
+//! is otherwise idle during the convergecast, so the answers cost the
+//! protocol no rounds; a parent answers once per child per round, in
+//! order or not. An empty aggregate stays the one-bit chunk `[more = 0]`
+//! — the only 1-bit message there is, so no lost or flipped bit can
+//! forge it. A lost chunk or acknowledgement thus costs its link one
+//! round trip, and the epoch that much only if the link is on the
+//! critical path. Each constant below says why it has its value; the
+//! per-node deadline behind them is in [`recovery`](super::recovery).
 
 use std::collections::VecDeque;
 
@@ -41,7 +48,10 @@ pub(super) const MAX_LINK_RESENDS: u32 = 8;
 /// child whose final acknowledgement was lost — and who therefore
 /// resends its last chunk every [`ACK_TIMEOUT_ROUNDS`] — can be answered
 /// again. Three resend opportunities: a child is left stranded only if
-/// the acknowledgement *and* three resends in a row are lost.
+/// the acknowledgement *and* three resends in a row are lost. (With a
+/// single chance, a child is stranded whenever the acknowledgement and
+/// its one resend are both lost: at 1 % drop on 2 000 links that
+/// degraded 4 epochs in 40.)
 pub(super) const LINGER_ROUNDS: u64 = 3 * ACK_TIMEOUT_ROUNDS;
 
 /// The child's end: streams pre-framed chunks to the parent.

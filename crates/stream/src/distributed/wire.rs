@@ -1,10 +1,12 @@
-//! Bit layouts of everything the distributed engine puts on a link:
-//! broadcast data messages, the self-checking trailer of a hardened
-//! broadcast stream, convergecast aggregates, their chunk framing and
-//! the acknowledgements that answer them. The node program and the
+//! Bit layouts of everything the distributed engine puts on a link or
+//! injects into a node: the batch and repair descriptors, broadcast data
+//! messages, the self-checking trailer of a hardened broadcast stream,
+//! convergecast aggregates, their chunk framing and the
+//! acknowledgements that answer them. The node program and the
 //! coordinator call these builders and parsers and never touch a bit
-//! themselves; the [module documentation](super) gives the layouts in
-//! prose.
+//! themselves; the [protocol overview](super::DistributedTriangleEngine)
+//! and the [recovery](super::recovery) and [link](super::link) modules
+//! give the layouts in prose.
 
 use std::collections::VecDeque;
 
@@ -16,6 +18,11 @@ use congest_wire::{bits_for_count, BitReader, BitWriter, IdCodec, Payload};
 /// batch descriptor (out-of-band client input, not CONGEST traffic) and
 /// of the candidate-count fields in convergecast streams.
 pub(super) const COUNT_BITS: usize = 32;
+
+/// Width of the per-node convergecast deadline field in hardened
+/// descriptors (an absolute round number; 32 bits could overflow on
+/// pathological bounds, 48 cannot in practice).
+const DEADLINE_BITS: usize = 48;
 
 /// Width of the sequence number a hardened convergecast chunk carries
 /// beside its `more` flag, and of the acknowledgement that answers it.
@@ -87,6 +94,195 @@ pub(super) fn decode_edges(
         ));
     }
     Ok(out)
+}
+
+/// One node's batch descriptor: the epoch's phase lengths, the node's
+/// place in the convergecast forest (its parent, `None` at a component
+/// root, and how many child streams it absorbs before forwarding its
+/// own), its incident deltas flagged with whether it broadcasts them
+/// and, on a hardened engine, the rejoin state sync and the
+/// convergecast deadline. `S` and `L` are the sync
+/// list and a delta list, borrowed when encoding and owned when decoded.
+/// The layout, hardened-only fields bracketed:
+///
+/// ```text
+/// [kind = 0 | sync flag | sync count | sync ids]
+/// rm_rounds | ins_rounds | parent flag | parent | child count | [deadline]
+/// removal count | (edge | broadcast flag)* | insertion count | (edge | broadcast flag)*
+/// ```
+#[derive(Default)]
+pub(super) struct BatchDescriptor<S, L> {
+    pub(super) rm_rounds: u64,
+    pub(super) ins_rounds: u64,
+    pub(super) parent: Option<NodeId>,
+    pub(super) child_count: usize,
+    pub(super) sync: Option<S>,
+    /// Absolute round after which the node stops waiting for
+    /// convergecast children (0 on a quiet engine).
+    pub(super) deadline: u64,
+    pub(super) removes: L,
+    pub(super) inserts: L,
+}
+
+/// A batch descriptor as a node decodes and keeps it.
+pub(super) type ReceivedBatch = BatchDescriptor<Vec<NodeId>, Vec<(Edge, bool)>>;
+
+/// A decoded descriptor.
+pub(super) enum Descriptor {
+    Batch(ReceivedBatch),
+    /// A repair epoch's (hardened only): its data rounds, and each
+    /// stream to re-send as `(receiver, removal count, edges)`.
+    Repair {
+        rounds: u64,
+        streams: Vec<(NodeId, usize, Vec<Edge>)>,
+    },
+}
+
+/// Reads a `bits`-wide field, naming it in the detail if bits run out.
+fn read(r: &mut BitReader<'_>, bits: usize, what: &str) -> Result<u64, String> {
+    r.read_bits(bits).map_err(|e| format!("{what}: {e}"))
+}
+
+/// Encodes one node's batch descriptor. The kind bit, the sync list
+/// and the deadline are written only when `hardened`.
+pub(super) fn encode_batch(
+    codec: IdCodec,
+    hardened: bool,
+    d: &BatchDescriptor<&[NodeId], &[(Edge, bool)]>,
+) -> Payload {
+    let mut w = BitWriter::new();
+    if hardened {
+        w.write_bool(false); // kind: batch, not repair
+        w.write_bool(d.sync.is_some());
+        if let Some(list) = d.sync {
+            w.write_bits(list.len() as u64, COUNT_BITS);
+            list.iter().for_each(|v| codec.encode(&mut w, v.as_u64()));
+        }
+    }
+    w.write_bits(d.rm_rounds, COUNT_BITS);
+    w.write_bits(d.ins_rounds, COUNT_BITS);
+    w.write_bool(d.parent.is_some());
+    if let Some(parent) = d.parent {
+        codec.encode(&mut w, parent.as_u64());
+    }
+    w.write_bits(d.child_count as u64, COUNT_BITS);
+    if hardened {
+        w.write_bits(d.deadline, DEADLINE_BITS);
+    }
+    for list in [d.removes, d.inserts] {
+        w.write_bits(list.len() as u64, COUNT_BITS);
+        for &(e, bcast) in list {
+            encode_edges(codec, &mut w, &[e]);
+            w.write_bool(bcast);
+        }
+    }
+    w.finish()
+}
+
+/// One stream a repair descriptor names: `(receiver, removals,
+/// insertions)`.
+pub(super) type RepairStream<'a> = (NodeId, &'a [Edge], &'a [Edge]);
+
+/// Encodes a repair descriptor: the epoch's data rounds, then each
+/// stream the node re-sends.
+///
+/// ```text
+/// kind = 1 | rounds | stream count | (receiver | removal count | edge count | edges)*
+/// ```
+pub(super) fn encode_repair(codec: IdCodec, rounds: u64, streams: &[RepairStream<'_>]) -> Payload {
+    let mut w = BitWriter::new();
+    w.write_bool(true); // kind: repair
+    w.write_bits(rounds, COUNT_BITS);
+    w.write_bits(streams.len() as u64, COUNT_BITS);
+    for &(to, rm, ins) in streams {
+        codec.encode(&mut w, to.as_u64());
+        w.write_bits(rm.len() as u64, COUNT_BITS);
+        w.write_bits((rm.len() + ins.len()) as u64, COUNT_BITS);
+        encode_edges(codec, &mut w, rm);
+        encode_edges(codec, &mut w, ins);
+    }
+    w.finish()
+}
+
+/// Decodes a descriptor in the layout a `hardened` or quiet node
+/// expects, ids checked against `0..n`; a repair stream must fit its
+/// rounds at `per_message` edges a message.
+pub(super) fn decode_descriptor(
+    codec: IdCodec,
+    n: usize,
+    per_message: usize,
+    hardened: bool,
+    payload: &Payload,
+) -> Result<Descriptor, String> {
+    let r = &mut BitReader::new(payload);
+    let mut sync = None;
+    if hardened {
+        if read(r, 1, "descriptor kind")? == 1 {
+            return decode_repair(codec, n, per_message, r);
+        }
+        if read(r, 1, "descriptor sync flag")? == 1 {
+            let count = read(r, COUNT_BITS, "descriptor sync length")?;
+            let list: Result<_, _> = (0..count).map(|_| decode_node(codec, r, n)).collect();
+            sync = Some(list?);
+        }
+    }
+    let rm_rounds = read(r, COUNT_BITS, "descriptor rm_rounds")?;
+    let ins_rounds = read(r, COUNT_BITS, "descriptor ins_rounds")?;
+    let mut parent = None;
+    if read(r, 1, "descriptor parent flag")? == 1 {
+        parent = Some(decode_node(codec, r, n)?);
+    }
+    let child_count = read(r, COUNT_BITS, "descriptor child count")? as usize;
+    let mut deadline = 0;
+    if hardened {
+        deadline = read(r, DEADLINE_BITS, "descriptor deadline")?;
+    }
+    let mut phases: [Vec<(Edge, bool)>; 2] = Default::default();
+    for phase in &mut phases {
+        for _ in 0..read(r, COUNT_BITS, "descriptor list length")? {
+            let e = decode_edge(codec, r, n)?;
+            phase.push((e, read(r, 1, "descriptor broadcast flag")? == 1));
+        }
+    }
+    let [removes, inserts] = phases;
+    Ok(Descriptor::Batch(BatchDescriptor {
+        rm_rounds,
+        ins_rounds,
+        parent,
+        child_count,
+        sync,
+        deadline,
+        removes,
+        inserts,
+    }))
+}
+
+/// The rest of a repair descriptor, after its kind bit.
+fn decode_repair(
+    codec: IdCodec,
+    n: usize,
+    per_message: usize,
+    r: &mut BitReader<'_>,
+) -> Result<Descriptor, String> {
+    let rounds = read(r, COUNT_BITS, "repair descriptor rounds")?;
+    let capacity = rounds as usize * per_message;
+    let mut streams = Vec::new();
+    for _ in 0..read(r, COUNT_BITS, "repair descriptor target count")? {
+        let to = decode_node(codec, r, n)?;
+        let rm_len = read(r, COUNT_BITS, "repair descriptor removal prefix")? as usize;
+        let count = read(r, COUNT_BITS, "repair descriptor edge count")?;
+        let edges: Vec<Edge> = (0..count)
+            .map(|_| decode_edge(codec, r, n))
+            .collect::<Result<_, _>>()?;
+        if rm_len > edges.len() || edges.len() > capacity {
+            return Err(format!(
+                "repair stream of {} edges ({rm_len} removals) does not fit {rounds} rounds",
+                edges.len()
+            ));
+        }
+        streams.push((to, rm_len, edges));
+    }
+    Ok(Descriptor::Repair { rounds, streams })
 }
 
 /// One hardened broadcast stream being reassembled by its receiver: the
@@ -285,9 +481,7 @@ pub(super) fn decode_aggregate(
     let mut born = Vec::new();
     let mut cs = Checksum61::new();
     for list in [&mut dead, &mut born] {
-        let count = r
-            .read_bits(COUNT_BITS)
-            .map_err(|e| format!("aggregate count: {e}"))?;
+        let count = read(&mut r, COUNT_BITS, "aggregate count")?;
         for _ in 0..count {
             let a = decode_node(codec, &mut r, n)?;
             let b = decode_node(codec, &mut r, n)?;
@@ -302,9 +496,7 @@ pub(super) fn decode_aggregate(
         }
     }
     if checked {
-        let expect = r
-            .read_bits(CHECKSUM_BITS)
-            .map_err(|e| format!("aggregate checksum: {e}"))?;
+        let expect = read(&mut r, CHECKSUM_BITS, "aggregate checksum")?;
         if expect != cs.value() {
             return Err("aggregate checksum mismatch".into());
         }
@@ -561,5 +753,66 @@ mod tests {
         assert_eq!(parse_ack(&Payload::new()), None);
         assert_eq!(parse_ack(&Payload::from_parts(vec![0], 1)), None);
         assert_eq!(parse_ack(&Payload::from_parts(vec![0], 3)), None);
+    }
+
+    /// The first `len` bits of `payload`.
+    fn prefix(payload: &Payload, len: usize) -> Payload {
+        let mut w = BitWriter::new();
+        w.append(&mut BitReader::new(payload), len).unwrap();
+        w.finish()
+    }
+
+    #[test]
+    fn descriptors_round_trip_and_every_truncation_fails() {
+        let codec = IdCodec::new(64);
+        let [a, b, c] = [(1, 2), (2, 9), (3, 4)].map(|(x, y)| Edge::new(v(x), v(y)));
+        let (removes, inserts, sync) = ([(a, true), (b, false)], [(c, true)], [v(5), v(7)]);
+        for hardened in [false, true] {
+            let sent = BatchDescriptor {
+                rm_rounds: 2,
+                ins_rounds: 1,
+                parent: Some(v(6)),
+                child_count: 3,
+                sync: hardened.then_some(&sync[..]),
+                deadline: if hardened { 40 } else { 0 },
+                removes: &removes[..],
+                inserts: &inserts[..],
+            };
+            let payload = encode_batch(codec, hardened, &sent);
+            let Ok(Descriptor::Batch(got)) = decode_descriptor(codec, 64, 1, hardened, &payload)
+            else {
+                panic!("hardened={hardened}: a batch descriptor must decode");
+            };
+            assert_eq!(
+                (got.rm_rounds, got.ins_rounds, got.parent, got.child_count),
+                (2, 1, Some(v(6)), 3)
+            );
+            assert_eq!(
+                (got.sync.as_deref(), got.deadline),
+                (sent.sync, sent.deadline)
+            );
+            assert_eq!(
+                (&got.removes[..], &got.inserts[..]),
+                (sent.removes, sent.inserts)
+            );
+            for len in 0..payload.bit_len() {
+                let cut = prefix(&payload, len);
+                assert!(decode_descriptor(codec, 64, 1, hardened, &cut).is_err());
+            }
+        }
+        let streams: [RepairStream<'_>; 1] = [(v(3), &[a], &[b, c])];
+        let payload = encode_repair(codec, 3, &streams);
+        let Ok(Descriptor::Repair { rounds, streams }) =
+            decode_descriptor(codec, 64, 1, true, &payload)
+        else {
+            panic!("a repair descriptor must decode");
+        };
+        assert_eq!((rounds, streams), (3, vec![(v(3), 1, vec![a, b, c])]));
+        for len in 0..payload.bit_len() {
+            assert!(decode_descriptor(codec, 64, 1, true, &prefix(&payload, len)).is_err());
+        }
+        // A stream longer than its rounds can carry is refused.
+        let short = encode_repair(codec, 2, &[(v(3), &[a], &[b, c])]);
+        assert!(decode_descriptor(codec, 64, 1, true, &short).is_err());
     }
 }

@@ -66,26 +66,31 @@ pub enum StreamError {
     /// duplicate node ids). The engine's own broadcasts never produce
     /// this; it surfaces corrupt or hostile injected traffic instead of
     /// silently truncating ids. The epoch's effects on the engine are
-    /// unspecified once a payload is corrupt — treat the engine as
-    /// unusable.
+    /// unspecified once a payload is corrupt, so the engine refuses
+    /// every later batch with [`StreamError::Poisoned`].
     Protocol {
         /// The node that received the corrupt payload.
         node: NodeId,
         /// What failed to decode.
         detail: String,
     },
-    /// The engine's persistent worker pool was poisoned by a worker
-    /// panic that a caller caught. The shard state may be lost
-    /// mid-batch, so further applies are refused instead of sending
-    /// jobs to a pool in an undefined state.
+    /// An earlier batch failed partway, so the engine's state is
+    /// undefined and further applies are refused. On a
+    /// [`ShardedTriangleIndex`](crate::ShardedTriangleIndex) the
+    /// persistent worker pool was poisoned by a worker panic that a
+    /// caller caught (the shard state may be lost mid-batch); on a
+    /// [`DistributedTriangleEngine`](crate::DistributedTriangleEngine)
+    /// an epoch returned [`Protocol`](StreamError::Protocol),
+    /// [`RoundLimit`](StreamError::RoundLimit) or
+    /// [`RecoveryExhausted`](StreamError::RecoveryExhausted).
     Poisoned,
     /// A simulated epoch hit the configured round cap before every node
     /// halted. A hardened epoch ends by itself whatever is lost — a dead
     /// convergecast link is given up after a bounded number of resends,
     /// and a per-node deadline backstops that — so under a fault plan
     /// this means the cap was set below what the epoch's own deadlines
-    /// allow; the batch did not apply cleanly, so treat the engine as
-    /// unusable.
+    /// allow; the batch did not apply cleanly, so the engine refuses
+    /// every later batch with [`StreamError::Poisoned`].
     RoundLimit {
         /// Rounds executed when the cap fired.
         rounds: u64,
@@ -93,7 +98,8 @@ pub enum StreamError {
     /// The self-healing recovery protocol gave up: after the bounded
     /// number of retransmission epochs some streams still failed
     /// verification. The engine refuses to report a possibly-wrong
-    /// result — rebuild it, or rerun with a gentler fault plan.
+    /// result, and every later batch with [`StreamError::Poisoned`] —
+    /// rebuild it, or rerun with a gentler fault plan.
     RecoveryExhausted {
         /// Retransmission epochs attempted.
         attempts: u32,
@@ -115,7 +121,7 @@ impl fmt::Display for StreamError {
             ),
             StreamError::Poisoned => write!(
                 f,
-                "engine poisoned by an earlier worker panic; discard it and rebuild from a graph"
+                "engine poisoned by an earlier failed batch; discard it and rebuild from a graph"
             ),
             StreamError::RoundLimit { rounds } => write!(
                 f,

@@ -5,46 +5,14 @@
 //! centralized oracle (`list_all_on`) *and* the single-threaded
 //! [`TriangleIndex`]'s state on the same stream.
 
+mod common;
+
+use common::random_batches;
 use congest_graph::generators::{Classic, Gnp, PlantedLight, TriangleFreeBipartite};
 use congest_graph::triangles as oracle;
-use congest_graph::{Graph, NodeId};
+use congest_graph::Graph;
 use congest_stream::{ApplyMode, DeltaBatch, DistributedTriangleEngine, HubSplit, TriangleIndex};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Random batch stream over `n` nodes (same shape as the sharded
-/// engine's property tests: 60/40 insert bias, one delta in eight
-/// repeats the previous edge to exercise duplicates and coalescing).
-fn random_batches(n: usize, batch_count: usize, batch_size: usize, seed: u64) -> Vec<DeltaBatch> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut last: Option<(NodeId, NodeId)> = None;
-    (0..batch_count)
-        .map(|_| {
-            let mut batch = DeltaBatch::new();
-            for _ in 0..batch_size {
-                let (u, v) = match last {
-                    Some(pair) if rng.gen_bool(0.125) => pair,
-                    _ => {
-                        let u = rng.gen_range(0..n);
-                        let mut v = rng.gen_range(0..n);
-                        while v == u {
-                            v = rng.gen_range(0..n);
-                        }
-                        (NodeId::from_index(u), NodeId::from_index(v))
-                    }
-                };
-                last = Some((u, v));
-                if rng.gen_bool(0.6) {
-                    batch.insert(u, v);
-                } else {
-                    batch.remove(u, v);
-                }
-            }
-            batch
-        })
-        .collect()
-}
 
 /// Drives the distributed engine (eager and deferred, in the default
 /// helper-split mode) through the stream, plus the unsplit

@@ -10,6 +10,9 @@
 //! code path the big benchmarks exercise — and every wave is handed to
 //! the helper threads, hub-heavy batches included.
 
+mod common;
+
+use common::random_batches;
 use congest_graph::generators::{Classic, Gnp, PlantedLight, TriangleFreeBipartite};
 use congest_graph::triangles as oracle;
 use congest_graph::{Graph, NodeId};
@@ -19,39 +22,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
-
-/// Random batch stream over `n` nodes (same shape as the single-threaded
-/// engine's property tests: 60/40 insert bias, one delta in eight repeats
-/// the previous edge to exercise duplicates and coalescing).
-fn random_batches(n: usize, batch_count: usize, batch_size: usize, seed: u64) -> Vec<DeltaBatch> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut last: Option<(NodeId, NodeId)> = None;
-    (0..batch_count)
-        .map(|_| {
-            let mut batch = DeltaBatch::new();
-            for _ in 0..batch_size {
-                let (u, v) = match last {
-                    Some(pair) if rng.gen_bool(0.125) => pair,
-                    _ => {
-                        let u = rng.gen_range(0..n);
-                        let mut v = rng.gen_range(0..n);
-                        while v == u {
-                            v = rng.gen_range(0..n);
-                        }
-                        (NodeId::from_index(u), NodeId::from_index(v))
-                    }
-                };
-                last = Some((u, v));
-                if rng.gen_bool(0.6) {
-                    batch.insert(u, v);
-                } else {
-                    batch.remove(u, v);
-                }
-            }
-            batch
-        })
-        .collect()
-}
 
 /// Batches in which (for every tested `S > 1`) *every* edge crosses a
 /// shard boundary: nodes are partitioned by `id mod S`, so joining `u` to
