@@ -3,7 +3,7 @@
 //! steps — classify the batch against the graph, plan the epoch, run it,
 //! merge its candidates, settle the graph.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -36,32 +36,104 @@ impl EpochDeltas {
 
 /// One phase's broadcast assignment: each touched online node's
 /// incident deltas, in batch order, each flagged with whether that node
-/// broadcasts it. The phase's round count, the descriptors' broadcast
-/// flags and the repair mirror's list of broadcasters all read it.
-pub(super) type Assignment = BTreeMap<NodeId, Vec<(Edge, bool)>>;
+/// broadcasts it — one row per node, rows ascending by node, over one
+/// flat list. The phase's round count, the descriptors' broadcast flags
+/// and the repair mirror's list of broadcasters all read it.
+#[derive(Default)]
+pub(super) struct Assignment {
+    /// Each touched online node with the end of its row in `entries`.
+    rows: Vec<(NodeId, usize)>,
+    entries: Vec<(Edge, bool)>,
+}
+
+impl Assignment {
+    /// Every online endpoint of every delta, each flagged to broadcast.
+    fn new(edges: &[Edge], crashed: &[bool]) -> Self {
+        let mut incident: Vec<(NodeId, Edge)> = edges
+            .iter()
+            .flat_map(|e| [(e.lo(), *e), (e.hi(), *e)])
+            .filter(|(node, _)| !crashed[node.index()])
+            .collect();
+        // Stable: a node's row keeps the batch order.
+        incident.sort_by_key(|&(node, _)| node);
+        let mut assignment = Assignment {
+            rows: Vec::new(),
+            entries: Vec::with_capacity(incident.len()),
+        };
+        for (node, e) in incident {
+            if assignment.rows.last().is_none_or(|&(last, _)| last != node) {
+                assignment.rows.push((node, 0));
+            }
+            assignment.entries.push((e, true));
+            assignment.rows.last_mut().expect("just pushed").1 = assignment.entries.len();
+        }
+        assignment
+    }
+
+    /// The `k`-th row's range in `entries`.
+    fn span(&self, k: usize) -> std::ops::Range<usize> {
+        let start = if k == 0 { 0 } else { self.rows[k - 1].1 };
+        start..self.rows[k].1
+    }
+
+    /// Each touched online node's row, ascending by node.
+    pub(super) fn rows(&self) -> impl Iterator<Item = (NodeId, &[(Edge, bool)])> {
+        (0..self.rows.len()).map(|k| (self.rows[k].0, &self.entries[self.span(k)]))
+    }
+}
 
 /// The coordinator-computed BFS forest of one epoch's union topology:
 /// convergecast parents, per-node child counts, and one root per
-/// connected component (whose aggregates the coordinator reads).
+/// connected component (whose aggregates the coordinator reads). The
+/// engine keeps one and refills it every epoch, buffers and all.
+#[derive(Default)]
 pub(super) struct BfsForest {
     parent: Vec<Option<NodeId>>,
     children: Vec<usize>,
     roots: Vec<NodeId>,
-    /// Subtree height per node (leaves 0), used to derive per-node
-    /// convergecast deadlines on hardened engines.
-    pub(super) height: Vec<u64>,
+    /// The forest's nodes in BFS order: the traversal's queue, kept.
+    order: Vec<NodeId>,
+    /// Which nodes the traversal has reached (crashed nodes start out
+    /// reached, so they neither relay nor root a component).
+    visited: Vec<bool>,
+    /// Node-indexed: where a node's union list sits in the epoch's
+    /// list of insertion endpoints, [`NOT_AN_ENDPOINT`] for every other
+    /// node. Left all [`NOT_AN_ENDPOINT`] between epochs.
+    union_slot: Vec<u32>,
 }
 
-/// Everything the coordinator decided about one epoch before running it.
+/// A node whose neighbour list a batch's insertions leave unchanged.
+const NOT_AN_ENDPOINT: u32 = u32::MAX;
+
+impl BfsForest {
+    /// Subtree height per node (leaves 0), from which a hardened engine
+    /// derives per-node convergecast deadlines.
+    pub(super) fn heights(&self) -> Vec<u64> {
+        let mut height = vec![0; self.parent.len()];
+        // Reverse BFS order visits every child before its parent.
+        for &u in self.order.iter().rev() {
+            if let Some(p) = self.parent[u.index()] {
+                let lift = height[u.index()] + 1;
+                height[p.index()] = height[p.index()].max(lift);
+            }
+        }
+        height
+    }
+}
+
+/// Everything the coordinator decided about one epoch before running it
+/// (its forest is the engine's).
 pub(super) struct EpochPlan {
     /// Which nodes sit the epoch out (all `false` unless the fault plan
     /// schedules a crash).
     pub(super) crashed: Vec<bool>,
     pub(super) rm: Assignment,
     pub(super) ins: Assignment,
+    /// The two phases' data rounds.
+    rm_rounds: u64,
+    ins_rounds: u64,
     /// Data plus trailer rounds: everything after it is convergecast.
     broadcast_end: u64,
-    forest: BfsForest,
     /// What only a hardened epoch needs; `None` on a quiet engine.
     hardened: Option<HardenedEpoch>,
 }
@@ -140,6 +212,7 @@ impl DistributedTriangleEngine {
             skew_sum: 0.0,
             fault_plan: FaultPlan::default(),
             offline: BTreeMap::new(),
+            forest: BfsForest::default(),
             recovery: RecoveryStats::default(),
             poisoned: false,
         }
@@ -431,7 +504,7 @@ impl DistributedTriangleEngine {
         let metrics = self.run(&plan)?;
         match plan.hardened.take() {
             Some(epoch) => self.merge_hardened(&deltas, &plan, epoch, &metrics, &mut report)?,
-            None => self.merge_roots(&plan.forest.roots, &mut report),
+            None => self.merge_roots(&mut report),
         }
         self.settle(&deltas);
         Ok(report)
@@ -479,61 +552,71 @@ impl DistributedTriangleEngine {
         let ins = self.assign(&deltas.inserts, &crashed);
         let phase_rounds = |assignment: &Assignment| {
             assignment
-                .values()
-                .map(|list| list.iter().filter(|(_, bcast)| *bcast).count())
+                .rows()
+                .map(|(_, row)| row.iter().filter(|(_, bcast)| *bcast).count())
                 .max()
                 .map_or(0, |load| load.div_ceil(per_message) as u64)
         };
         let (rm_rounds, ins_rounds) = (phase_rounds(&rm), phase_rounds(&ins));
-        let forest = self.epoch_topology(&deltas.inserts, &crashed);
+        self.epoch_topology(&deltas.inserts, &crashed);
         let hardened = self
             .hardened()
-            .then(|| self.plan_hardened(deltas, &crashed, &forest, rm_rounds, ins_rounds));
+            .then(|| self.plan_hardened(deltas, &crashed, rm_rounds, ins_rounds));
         let trailer_rounds = hardened.as_ref().map_or(0, |h| h.trailer_rounds);
 
-        // Every online node needs the phase lengths to know when the
-        // epoch ends, even pure detectors — and every node has a
-        // convergecast leg to play. Crashed nodes get nothing: they sit
-        // the epoch out.
-        for node in online(&crashed) {
-            let i = node.index();
-            let descriptor = BatchDescriptor {
-                rm_rounds,
-                ins_rounds,
-                parent: forest.parent[i],
-                child_count: forest.children[i],
-                sync: hardened
-                    .as_ref()
-                    .and_then(|h| h.sync_lists.get(&node))
-                    .map(Vec::as_slice),
-                deadline: hardened.as_ref().map_or(0, |h| h.deadlines[i]),
-                removes: rm.get(&node).map_or(&[][..], Vec::as_slice),
-                inserts: ins.get(&node).map_or(&[][..], Vec::as_slice),
-            };
-            let payload = wire::encode_batch(codec, hardened.is_some(), &descriptor);
-            self.sim.inject(node, payload);
-        }
-        EpochPlan {
+        let plan = EpochPlan {
             crashed,
             rm,
             ins,
+            rm_rounds,
+            ins_rounds,
             broadcast_end: rm_rounds + ins_rounds + trailer_rounds,
-            forest,
             hardened,
+        };
+        self.inject_descriptors(codec, &plan);
+        plan
+    }
+
+    /// Injects every online node's descriptor. Every online node needs
+    /// the phase lengths to know when the epoch ends, even pure
+    /// detectors — and every node has a convergecast leg to play.
+    /// Crashed nodes get nothing: they sit the epoch out. One ascending
+    /// pass: the assignment rows and the sync lists are node-sorted, so
+    /// each is read at a cursor.
+    fn inject_descriptors(&mut self, codec: IdCodec, plan: &EpochPlan) {
+        let (mut rm_rows, mut ins_rows) = (plan.rm.rows().peekable(), plan.ins.rows().peekable());
+        let hardened = plan.hardened.as_ref();
+        let mut syncs = hardened
+            .map_or(&[][..], |h| &h.sync_lists)
+            .iter()
+            .peekable();
+        for node in online(&plan.crashed) {
+            let i = node.index();
+            let descriptor = BatchDescriptor {
+                rm_rounds: plan.rm_rounds,
+                ins_rounds: plan.ins_rounds,
+                parent: self.forest.parent[i],
+                child_count: self.forest.children[i],
+                sync: syncs
+                    .next_if(|(to, _)| *to == node)
+                    .map(|(_, list)| list.as_slice()),
+                deadline: hardened.map_or(0, |h| h.deadlines[i]),
+                removes: rm_rows
+                    .next_if(|(to, _)| *to == node)
+                    .map_or(&[][..], |(_, row)| row),
+                inserts: ins_rows
+                    .next_if(|(to, _)| *to == node)
+                    .map_or(&[][..], |(_, row)| row),
+            };
+            let payload = wire::encode_batch(codec, hardened.is_some(), &descriptor);
+            self.sim.inject(node, payload);
         }
     }
 
     /// One phase's broadcast assignment: every online endpoint of every
     /// delta, then helper-split scheduling under the phase budget.
     fn assign(&self, edges: &[Edge], crashed: &[bool]) -> Assignment {
-        let mut assignment = Assignment::new();
-        for e in edges {
-            for node in [e.lo(), e.hi()] {
-                if !crashed[node.index()] {
-                    assignment.entry(node).or_default().push((*e, true));
-                }
-            }
-        }
+        let mut assignment = Assignment::new(edges, crashed);
         let budget = self.phase_budget(&assignment);
         plan_broadcasts(&mut assignment, budget);
         assignment
@@ -544,14 +627,14 @@ impl DistributedTriangleEngine {
     /// nodes under [`HubSplit::Auto`], the explicit value (clamped to
     /// ≥ 1) under [`HubSplit::Budget`].
     fn phase_budget(&self, assignment: &Assignment) -> Option<usize> {
-        if assignment.is_empty() {
+        if assignment.rows.is_empty() {
             return None;
         }
         match self.hub_split {
             HubSplit::Off => None,
             HubSplit::Auto => {
-                let entries: usize = assignment.values().map(Vec::len).sum();
-                Some(entries.div_ceil(assignment.len()).max(1))
+                let entries = assignment.entries.len();
+                Some(entries.div_ceil(assignment.rows.len()).max(1))
             }
             HubSplit::Budget(budget) => Some(budget.max(1)),
         }
@@ -560,83 +643,83 @@ impl DistributedTriangleEngine {
     /// Moves the communication topology to the union `G ∪ G'` — a
     /// removed link still carries its tear-down broadcast (and its
     /// convergecast leg), an inserted link exists as soon as its edge
-    /// does — and returns the convergecast forest spanning it. Union
-    /// lists are accumulated per node first so several inserts at one
-    /// endpoint compose instead of overwriting each other; the forest is
-    /// computed before the topology mutations so it can read the
-    /// pre-batch lists of untouched nodes.
-    fn epoch_topology(&mut self, inserts: &[Edge], crashed: &[bool]) -> BfsForest {
-        let mut union_lists: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    /// does — and fills the engine's convergecast forest spanning it.
+    /// Union lists are accumulated per node first so several inserts at
+    /// one endpoint compose instead of overwriting each other; the
+    /// forest is computed before the topology mutations so it can read
+    /// the pre-batch lists of untouched nodes.
+    fn epoch_topology(&mut self, inserts: &[Edge], crashed: &[bool]) {
+        let mut forest = std::mem::take(&mut self.forest);
+        forest.union_slot.resize(self.node_count(), NOT_AN_ENDPOINT);
+        let mut union_lists: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
         for e in inserts {
             for (node, other) in [(e.lo(), e.hi()), (e.hi(), e.lo())] {
-                let list = union_lists
-                    .entry(node)
-                    .or_insert_with(|| self.neighbors(node).to_vec());
-                sorted_insert(list, other);
+                let slot = &mut forest.union_slot[node.index()];
+                if *slot == NOT_AN_ENDPOINT {
+                    *slot = union_lists.len() as u32;
+                    union_lists.push((node, self.neighbors(node).to_vec()));
+                }
+                sorted_insert(&mut union_lists[*slot as usize].1, other);
             }
         }
-        let forest = self.bfs_forest(&union_lists, crashed);
+        self.bfs_forest(&mut forest, &union_lists, crashed);
         for (node, list) in union_lists {
+            forest.union_slot[node.index()] = NOT_AN_ENDPOINT;
             self.sim.update_topology(node, list);
         }
-        forest
+        self.forest = forest;
     }
 
     /// Computes the BFS forest of the epoch's union topology `G ∪ G'`
-    /// for the convergecast: `union_lists` holds the already-updated
-    /// lists of insertion endpoints, every other node keeps its current
+    /// for the convergecast into `forest`: `union_lists` holds the
+    /// already-updated lists of insertion endpoints (found through
+    /// `forest.union_slot`), every other node keeps its current
     /// (pre-batch) list.
     fn bfs_forest(
         &self,
-        union_lists: &BTreeMap<NodeId, Vec<NodeId>>,
+        forest: &mut BfsForest,
+        union_lists: &[(NodeId, Vec<NodeId>)],
         crashed: &[bool],
-    ) -> BfsForest {
+    ) {
         let n = self.node_count();
-        let mut forest = BfsForest {
-            parent: vec![None; n],
-            children: vec![0; n],
-            roots: Vec::new(),
-            height: vec![0; n],
-        };
-        let mut visited = vec![false; n];
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        forest.parent.clear();
+        forest.parent.resize(n, None);
+        forest.children.clear();
+        forest.children.resize(n, 0);
+        forest.roots.clear();
+        forest.order.clear();
+        // Crashed nodes sit out the epoch entirely: they neither relay
+        // nor root a component (their candidates are recomputed
+        // centrally), so they start out visited.
+        forest.visited.clear();
+        forest.visited.extend_from_slice(crashed);
         for i in 0..n {
-            // Crashed nodes sit out the epoch entirely: they neither
-            // relay nor root a component (their candidates are
-            // recomputed centrally).
-            if visited[i] || crashed[i] {
+            if forest.visited[i] {
                 continue;
             }
             let root = NodeId::from_index(i);
-            visited[i] = true;
+            forest.visited[i] = true;
             forest.roots.push(root);
-            queue.push_back(root);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                let neighbors = match union_lists.get(&u) {
-                    Some(list) => list.as_slice(),
-                    None => self.neighbors(u),
+            // The order list is the queue: everything past `head` is
+            // waiting to be expanded.
+            let mut head = forest.order.len();
+            forest.order.push(root);
+            while let Some(&u) = forest.order.get(head) {
+                head += 1;
+                let neighbors = match forest.union_slot[u.index()] {
+                    NOT_AN_ENDPOINT => self.neighbors(u),
+                    k => &union_lists[k as usize].1,
                 };
                 for &w in neighbors {
-                    if !visited[w.index()] && !crashed[w.index()] {
-                        visited[w.index()] = true;
+                    if !forest.visited[w.index()] {
+                        forest.visited[w.index()] = true;
                         forest.parent[w.index()] = Some(u);
                         forest.children[u.index()] += 1;
-                        queue.push_back(w);
+                        forest.order.push(w);
                     }
                 }
             }
         }
-        // Heights bottom-up: reverse BFS order visits every child before
-        // its parent.
-        for &u in order.iter().rev() {
-            if let Some(p) = forest.parent[u.index()] {
-                let lift = forest.height[u.index()] + 1;
-                forest.height[p.index()] = forest.height[p.index()].max(lift);
-            }
-        }
-        forest
     }
 
     /// Runs the planned epoch and books its cost; returns its metrics.
@@ -715,12 +798,12 @@ impl DistributedTriangleEngine {
     /// root over accounted rounds, so the coordinator only reads the
     /// roots. (A hardened engine reads everything and recovers what is
     /// missing: [`merge_hardened`](Self::merge_hardened).)
-    fn merge_roots(&mut self, roots: &[NodeId], report: &mut ApplyReport) {
+    fn merge_roots(&mut self, report: &mut ApplyReport) {
         let _span = congest_obs::trace::span("distributed", "merge");
-        for &root in roots {
-            let (dead, born) = self.sim.program_mut(root).take_aggregates();
-            report.triangles_removed += merge_removed_candidates(&mut self.triangles, dead.iter());
-            report.triangles_added += merge_added_candidates(&mut self.triangles, born.iter());
+        for &root in &self.forest.roots {
+            let (dead, born) = self.sim.program(root).aggregates();
+            report.triangles_removed += merge_removed_candidates(&mut self.triangles, dead);
+            report.triangles_added += merge_added_candidates(&mut self.triangles, born);
         }
     }
 
@@ -729,11 +812,13 @@ impl DistributedTriangleEngine {
     /// shedding many edges in one batch gets a single O(degree) clone,
     /// not one per edge.
     fn settle(&mut self, deltas: &EpochDeltas) {
-        let removed_endpoints: BTreeSet<NodeId> = deltas
+        let mut removed_endpoints: Vec<NodeId> = deltas
             .removes
             .iter()
             .flat_map(|e| [e.lo(), e.hi()])
             .collect();
+        removed_endpoints.sort_unstable();
+        removed_endpoints.dedup();
         for node in removed_endpoints {
             let list = self.neighbors(node).to_vec();
             self.sim.update_topology(node, list);
@@ -769,31 +854,40 @@ fn plan_broadcasts(assignment: &mut Assignment, budget: Option<usize>) {
     let Some(budget) = budget else {
         return;
     };
-    // Each effective delta starts with both endpoints broadcasting.
-    let mut broadcasters: BTreeMap<Edge, usize> = BTreeMap::new();
-    for list in assignment.values() {
-        for (e, _) in list {
-            *broadcasters.entry(*e).or_insert(0) += 1;
+    // Each effective delta starts with one broadcaster per online
+    // endpoint, counted on the phase's sorted edge list.
+    let mut broadcasters: Vec<(Edge, usize)> = Vec::with_capacity(assignment.entries.len());
+    let mut edges: Vec<Edge> = assignment.entries.iter().map(|&(e, _)| e).collect();
+    edges.sort_unstable();
+    for e in edges {
+        match broadcasters.last_mut() {
+            Some((last, count)) if *last == e => *count += 1,
+            _ => broadcasters.push((e, 1)),
         }
     }
-    let mut order: Vec<NodeId> = assignment.keys().copied().collect();
-    order.sort_by_key(|v| (std::cmp::Reverse(assignment[v].len()), v.index()));
-    for node in order {
-        let list = assignment.get_mut(&node).expect("node was listed");
-        let mut load = list.len();
+    // Heaviest first; rows ascend by node, and the sort is stable.
+    let mut order: Vec<usize> = (0..assignment.rows.len()).collect();
+    order.sort_by_key(|&k| std::cmp::Reverse(assignment.span(k).len()));
+    for k in order {
+        let span = assignment.span(k);
+        let row = &mut assignment.entries[span];
+        let mut load = row.len();
         if load <= budget {
             break; // sorted by decreasing load: nobody left is over
         }
-        let mut by_edge: Vec<usize> = (0..list.len()).collect();
-        by_edge.sort_unstable_by_key(|&i| list[i].0);
+        let mut by_edge: Vec<usize> = (0..row.len()).collect();
+        by_edge.sort_unstable_by_key(|&i| row[i].0);
         for i in by_edge {
             if load <= budget {
                 break;
             }
-            let count = broadcasters.get_mut(&list[i].0).expect("edge was counted");
+            let at = broadcasters
+                .binary_search_by_key(&row[i].0, |&(edge, _)| edge)
+                .expect("edge was counted");
+            let count = &mut broadcasters[at].1;
             if *count > 1 {
                 *count -= 1;
-                list[i].1 = false;
+                row[i].1 = false;
                 load -= 1;
             }
         }

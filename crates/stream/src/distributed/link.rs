@@ -19,8 +19,6 @@
 //! critical path. Each constant below says why it has its value; the
 //! per-node deadline behind them is in [`recovery`](super::recovery).
 
-use std::collections::VecDeque;
-
 use congest_wire::{BitWriter, Payload};
 
 use super::wire::{self, SEQ_SPACE};
@@ -54,34 +52,49 @@ pub(super) const MAX_LINK_RESENDS: u32 = 8;
 /// degraded 4 epochs in 40.)
 pub(super) const LINGER_ROUNDS: u64 = 3 * ACK_TIMEOUT_ROUNDS;
 
-/// The child's end: streams pre-framed chunks to the parent.
+/// The child's end: streams a serialized aggregate to the parent. It
+/// keeps the stream itself — in place when it fits a message's 30 bytes
+/// — and cuts chunk *i* out of it whenever chunk *i* is sent, a
+/// go-back-N resend included ([`wire::chunk_at`]).
 pub(super) struct LinkSender {
-    chunks: VecDeque<Payload>,
-    /// Whether the parent acknowledges (hardened) or every transmission
-    /// counts as delivered (quiet).
+    stream: Payload,
+    bandwidth_bits: usize,
+    /// How many chunks the stream is cut into.
+    chunks: usize,
+    /// Whether the parent acknowledges (hardened, sequenced chunks) or
+    /// every transmission counts as delivered (quiet).
     acknowledged: bool,
     /// Index of the first chunk the parent has not acknowledged.
     base: usize,
     /// The rounds in which chunks `base..` were last transmitted, oldest
-    /// first; never more than [`WINDOW`].
-    in_flight: VecDeque<u64>,
+    /// first: the first `in_flight` entries.
+    sent: [u64; WINDOW],
+    in_flight: usize,
     /// Timeouts since the parent last acknowledged anything new.
     resends: u32,
     gave_up: bool,
 }
 
 impl LinkSender {
-    /// A sender for `chunks` (the framing must match: sequenced chunks
-    /// if and only if `acknowledged`).
-    pub(super) fn new(chunks: VecDeque<Payload>, acknowledged: bool) -> Self {
+    /// A sender of `stream` in chunks of `bandwidth_bits`, sequenced if
+    /// and only if `acknowledged`.
+    pub(super) fn new(stream: Payload, bandwidth_bits: usize, acknowledged: bool) -> Self {
         LinkSender {
-            chunks,
+            chunks: wire::chunk_count(stream.bit_len(), bandwidth_bits, acknowledged),
+            stream,
+            bandwidth_bits,
             acknowledged,
             base: 0,
-            in_flight: VecDeque::new(),
+            sent: [0; WINDOW],
+            in_flight: 0,
             resends: 0,
             gave_up: false,
         }
+    }
+
+    /// Chunk `index`, framed for this link.
+    fn chunk(&self, index: usize) -> Payload {
+        wire::chunk_at(&self.stream, index, self.bandwidth_bits, self.acknowledged)
     }
 
     /// Absorbs one message from the parent. Anything that is not an
@@ -92,11 +105,12 @@ impl LinkSender {
             return;
         };
         let advance = (expected + SEQ_SPACE - self.base % SEQ_SPACE) % SEQ_SPACE;
-        if advance == 0 || advance > self.in_flight.len() {
+        if advance == 0 || advance > self.in_flight {
             return;
         }
         self.base += advance;
-        self.in_flight.drain(..advance);
+        self.sent.copy_within(advance..self.in_flight, 0);
+        self.in_flight -= advance;
         self.resends = 0;
     }
 
@@ -108,12 +122,9 @@ impl LinkSender {
         }
         if !self.acknowledged {
             self.base += 1;
-            return Some(std::mem::take(&mut self.chunks[self.base - 1]));
+            return Some(self.chunk(self.base - 1));
         }
-        let overdue = self
-            .in_flight
-            .front()
-            .is_some_and(|&sent| round >= sent + ACK_TIMEOUT_ROUNDS);
+        let overdue = self.in_flight > 0 && round >= self.sent[0] + ACK_TIMEOUT_ROUNDS;
         if overdue {
             if self.resends == MAX_LINK_RESENDS {
                 self.gave_up = true;
@@ -121,20 +132,21 @@ impl LinkSender {
             }
             self.resends += 1;
             // Go back: everything from `base` on is sent again.
-            self.in_flight.clear();
+            self.in_flight = 0;
         }
-        let next = self.base + self.in_flight.len();
-        if self.in_flight.len() == WINDOW || next == self.chunks.len() {
+        let next = self.base + self.in_flight;
+        if self.in_flight == WINDOW || next == self.chunks {
             return None;
         }
-        self.in_flight.push_back(round);
-        Some(self.chunks[next].clone())
+        self.sent[self.in_flight] = round;
+        self.in_flight += 1;
+        Some(self.chunk(next))
     }
 
     /// Whether the link is done with: every chunk acknowledged (or, on
     /// a quiet engine, sent), or given up.
     pub(super) fn finished(&self) -> bool {
-        self.gave_up || self.base == self.chunks.len()
+        self.gave_up || self.base == self.chunks
     }
 
     /// Whether the sender stopped because [`MAX_LINK_RESENDS`] resends
@@ -227,7 +239,7 @@ impl LinkReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::{NodeId, Triangle, TriangleSet};
+    use congest_graph::{NodeId, Triangle};
     use congest_wire::IdCodec;
 
     const N: usize = 64;
@@ -240,10 +252,8 @@ mod tests {
     /// A checked aggregate of one triangle and the bandwidth at which it
     /// frames into exactly `chunks` sequenced chunks.
     fn stream_of(chunks: usize) -> (Payload, usize) {
-        let mut dead = TriangleSet::new();
-        dead.insert(Triangle::new(NodeId(3), NodeId(10), NodeId(40)));
-        let stream =
-            wire::serialize_aggregate(IdCodec::new(N as u64), &dead, &TriangleSet::new(), true);
+        let dead = [Triangle::new(NodeId(3), NodeId(10), NodeId(40))];
+        let stream = wire::serialize_aggregate(IdCodec::new(N as u64), &dead, &[], true);
         let bandwidth = stream.bit_len().div_ceil(chunks) + 1 + wire::SEQ_BITS;
         assert_eq!(wire::chunk_stream(&stream, bandwidth, true).len(), chunks);
         (stream, bandwidth)
@@ -292,7 +302,7 @@ mod tests {
     /// deadline), and verifies what it reassembled.
     fn run(stream: &Payload, bandwidth: usize, up: Fault, down: Fault) -> Outcome {
         let codec = IdCodec::new(N as u64);
-        let mut tx = LinkSender::new(wire::chunk_stream(stream, bandwidth, true), true);
+        let mut tx = LinkSender::new(stream.clone(), bandwidth, true);
         let mut rx = LinkReceiver::new(true);
         let (mut to_parent, mut to_child): (Vec<Payload>, Vec<Payload>) = (Vec::new(), Vec::new());
         let (mut sent_up, mut sent_down) = (0usize, 0usize);
@@ -326,7 +336,10 @@ mod tests {
                         Receipt::Chunk => answer = true,
                         Receipt::Complete(rebuilt) => {
                             answer = true;
-                            match wire::decode_aggregate(codec, N, &rebuilt, true) {
+                            let (mut dead, mut born) = (Vec::new(), Vec::new());
+                            match wire::decode_aggregate(
+                                codec, N, &rebuilt, true, &mut dead, &mut born,
+                            ) {
                                 Ok(_) => accepted = Some(rebuilt),
                                 Err(_) => trouble = true,
                             }
@@ -453,7 +466,7 @@ mod tests {
     #[test]
     fn a_dead_link_is_given_up_after_the_resend_budget() {
         let (stream, bandwidth) = stream_of(3);
-        let mut tx = LinkSender::new(wire::chunk_stream(&stream, bandwidth, true), true);
+        let mut tx = LinkSender::new(stream, bandwidth, true);
         let mut transmissions = 0;
         let mut round = 0;
         while !tx.finished() {
@@ -472,9 +485,8 @@ mod tests {
     #[test]
     fn a_quiet_link_sends_one_chunk_a_round_and_takes_chunks_as_they_come() {
         let (stream, _) = stream_of(1);
-        let chunks = wire::chunk_stream(&stream, 16, false);
-        let count = chunks.len() as u64;
-        let mut tx = LinkSender::new(chunks, false);
+        let count = wire::chunk_stream(&stream, 16, false).len() as u64;
+        let mut tx = LinkSender::new(stream.clone(), 16, false);
         let mut rx = LinkReceiver::new(false);
         let mut rebuilt = None;
         for round in 0..count {

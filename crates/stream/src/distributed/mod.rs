@@ -209,6 +209,9 @@ pub struct DistributedTriangleEngine {
     /// keeps the true list here (advanced every batch) and re-seeds the
     /// node from it when it rejoins.
     offline: BTreeMap<NodeId, Vec<NodeId>>,
+    /// The convergecast forest of the latest epoch, refilled in place by
+    /// every plan.
+    forest: coordinator::BfsForest,
     /// Cumulative self-healing statistics (see [`RecoveryStats`]).
     recovery: RecoveryStats,
     /// Latched by the first epoch that fails: its effects on the graph

@@ -6,17 +6,18 @@
 //! descriptor names (see [`recovery`](super::recovery) and
 //! [`link`](super::link)).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use congest_graph::{Edge, NodeId, Triangle, TriangleSet};
 use congest_sim::{NodeProgram, NodeStatus, ReceivedMessage, RoundContext};
 use congest_wire::{BitWriter, IdCodec, Payload};
 
 use super::link::{LinkReceiver, LinkSender, Receipt};
 use super::wire::{self, Descriptor, ReceivedBatch, StreamBuf, TrailerLayout};
-use crate::shard::{merge_added_candidates, sorted_insert, sorted_remove};
+use crate::shard::{dedup_candidates, merge_added_candidates, sorted_insert, sorted_remove};
 
-/// One network node's program.
+/// One network node's program. Its per-epoch state is reset when the
+/// next descriptor loads (see `load_descriptor`), so a node with nothing
+/// to broadcast, observe or forward allocates and frees nothing from one
+/// epoch to the next.
 #[derive(Default)]
 pub(super) struct DynamicTriangleNode {
     id: NodeId,
@@ -35,29 +36,37 @@ pub(super) struct DynamicTriangleNode {
     /// A repair descriptor sets only `ins_rounds`; the sync list is taken
     /// out on commit.
     epoch: ReceivedBatch,
-    /// Per-neighbour broadcast queues, chunked to `edges_per_message`.
-    /// In a repair epoch `ins_queues` holds the whole streams to
-    /// re-send, removals leading.
-    pub(super) rm_queues: Vec<(NodeId, Vec<Edge>)>,
-    pub(super) ins_queues: Vec<(NodeId, Vec<Edge>)>,
-    /// Candidate triangle deltas observed this epoch; folded into the
-    /// convergecast aggregate at the start of the aggregation phase (a
-    /// repair epoch leaves them for the hardened coordinator to drain).
+    /// Per-neighbour broadcast queues, chunked to `edges_per_message`
+    /// when sent. Only a node with deltas to broadcast builds any. In a
+    /// repair epoch `ins_queues` holds the whole streams to re-send,
+    /// removals leading.
+    pub(super) rm_queues: Queues,
+    pub(super) ins_queues: Queues,
+    /// Candidate triangle deltas observed this epoch, unsorted and with
+    /// repeats; moved into the convergecast aggregate at the start of
+    /// the aggregation phase (a repair epoch leaves them for the
+    /// hardened coordinator to drain).
     dead: Vec<Triangle>,
     born: Vec<Triangle>,
-    /// The children whose streams have ended, by id — a final chunk
-    /// that arrives twice is still one child.
-    finished: BTreeSet<NodeId>,
-    /// The receiving end of each child's convergecast link.
-    child_links: BTreeMap<NodeId, LinkReceiver>,
-    /// The dedup-merged candidate aggregates (own observations plus
-    /// every finished child stream) — the `shard.rs` merge core keeps
+    /// How many children's streams have ended. A child is counted once,
+    /// when its [`ChildLink`]'s `finished` flag is first set — a final
+    /// chunk that arrives twice is still one child.
+    finished: usize,
+    /// The receiving end of each child's convergecast link, sorted by
+    /// child. A child's entry is made when its first chunk arrives; an
+    /// inbox is in sender order, so within a round they are made in
+    /// ascending order.
+    child_links: Vec<ChildLink>,
+    /// The dedup-merged candidate aggregates — own observations plus
+    /// every finished child stream — as sorted, duplicate-free runs,
+    /// serialized upward in that order: the `shard.rs` merge core keeps
     /// each triangle exactly once, which is also what bounds the bits
     /// forwarded upward.
-    agg_dead: TriangleSet,
-    agg_born: TriangleSet,
-    /// The sending end of the link to the parent, carrying the
-    /// serialized aggregate (`None` until the node starts sending).
+    agg_dead: Vec<Triangle>,
+    agg_born: Vec<Triangle>,
+    /// The sending end of the link to the parent, holding the serialized
+    /// aggregate and cutting each chunk from it when it is sent (`None`
+    /// until the node starts sending, and on a forest root).
     up_link: Option<LinkSender>,
     /// First protocol violation observed this epoch (corrupt payload);
     /// surfaced by the coordinator as
@@ -67,6 +76,52 @@ pub(super) struct DynamicTriangleNode {
     /// allocated — under a quiet plan, which leaves every path below
     /// bit-identical to the legacy protocol.
     hardened: Option<Box<HardenedNode>>,
+}
+
+/// One phase's broadcast queues: every queued edge beside its receiving
+/// neighbour, receivers ascending — so each receiver's queue is one run
+/// — and a receiver's edges in batch order. One allocation a phase,
+/// whatever the degree.
+pub(super) type Queues = Vec<(NodeId, Edge)>;
+
+/// Each receiver of `queues` with its run.
+pub(super) fn runs(queues: &[(NodeId, Edge)]) -> impl Iterator<Item = (NodeId, &[(NodeId, Edge)])> {
+    queues
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run))
+}
+
+/// The edges of a run of queue entries.
+pub(super) fn edges(run: &[(NodeId, Edge)]) -> impl Iterator<Item = Edge> + '_ {
+    run.iter().map(|&(_, e)| e)
+}
+
+/// Queues for the flagged `deltas` over the given neighbour list, each
+/// skipping the delta's other endpoint (it already knows).
+fn build_queues(neighbors: &[NodeId], deltas: &[(Edge, bool)]) -> Queues {
+    let flagged = deltas.iter().filter(|&&(_, bcast)| bcast).count();
+    if flagged == 0 {
+        return Queues::new();
+    }
+    let mut queues = Queues::with_capacity(neighbors.len() * flagged);
+    for &nb in neighbors {
+        queues.extend(
+            deltas
+                .iter()
+                .filter(|&&(e, bcast)| bcast && !e.contains(nb))
+                .map(|&(e, _)| (nb, e)),
+        );
+    }
+    queues
+}
+
+/// One child's convergecast link, as its parent keeps it.
+struct ChildLink {
+    child: NodeId,
+    link: LinkReceiver,
+    /// Whether the child's stream has been counted as ended: complete,
+    /// or (quiet engines) given up on as garbled.
+    finished: bool,
 }
 
 /// The state only a hardened node keeps: broadcast streams close with a
@@ -87,11 +142,12 @@ struct HardenedNode {
     /// The pre-built trailer of each stream this node sends this epoch,
     /// by receiving neighbour.
     trailers: Vec<(NodeId, Payload)>,
-    /// Buffered incoming broadcast streams, by sender.
-    stream_bufs: BTreeMap<NodeId, StreamBuf>,
-    /// Senders whose stream verified this epoch (the coordinator reads
-    /// this to find the streams that did not).
-    verified: BTreeSet<NodeId>,
+    /// Buffered incoming broadcast streams, sorted by sender (an inbox
+    /// is in sender order, so a round's new senders arrive ascending).
+    stream_bufs: Vec<(NodeId, StreamBuf)>,
+    /// Senders whose stream verified this epoch, ascending (the
+    /// coordinator reads this to find the streams that did not).
+    verified: Vec<NodeId>,
     /// Latched when a convergecast stream was rejected, a link was
     /// given up or the deadline fired — the epoch then counts as
     /// degraded.
@@ -102,10 +158,28 @@ struct HardenedNode {
     repair_mode: bool,
 }
 
+impl HardenedNode {
+    /// Resets the per-epoch state (see `load_descriptor`); the pre-batch
+    /// snapshot stays.
+    fn reset(&mut self) {
+        self.trailer = TrailerLayout::default();
+        self.trailers = Vec::new();
+        self.stream_bufs.clear();
+        self.verified.clear();
+        self.agg_trouble = false;
+        self.repair_mode = false;
+    }
+}
+
 /// Appends to `out` the triangle `{u, v, id}` of every delivered edge
 /// `{u, v}` whose endpoints are both in `slice` — the purely local
 /// check a third vertex makes, because it owns its own list.
-fn collect_triangles(id: NodeId, slice: &[NodeId], edges: &[Edge], out: &mut Vec<Triangle>) {
+fn collect_triangles(
+    id: NodeId,
+    slice: &[NodeId],
+    edges: impl IntoIterator<Item = Edge>,
+    out: &mut Vec<Triangle>,
+) {
     for e in edges {
         if e.contains(id) {
             continue;
@@ -137,7 +211,7 @@ impl DynamicTriangleNode {
     pub(super) fn verified(&self, from: NodeId) -> bool {
         self.hardened
             .as_ref()
-            .is_some_and(|h| h.verified.contains(&from))
+            .is_some_and(|h| h.verified.binary_search(&from).is_ok())
     }
 
     /// Whether the node latched convergecast trouble in the last epoch.
@@ -145,21 +219,18 @@ impl DynamicTriangleNode {
         self.hardened.as_ref().is_some_and(|h| h.agg_trouble)
     }
 
-    /// Takes the candidate lists gathered during the last epoch.
-    pub(super) fn drain_candidates(&mut self) -> (Vec<Triangle>, Vec<Triangle>) {
-        (
-            std::mem::take(&mut self.dead),
-            std::mem::take(&mut self.born),
-        )
+    /// Merges the candidates gathered during the last epoch, and not yet
+    /// drained, into `dead` / `born` and forgets them.
+    pub(super) fn drain_candidates_into(&mut self, dead: &mut TriangleSet, born: &mut TriangleSet) {
+        merge_added_candidates(dead, self.dead.drain(..).as_slice());
+        merge_added_candidates(born, self.born.drain(..).as_slice());
     }
 
-    /// Takes the convergecast aggregates (meaningful on forest roots
-    /// after a main epoch).
-    pub(super) fn take_aggregates(&mut self) -> (TriangleSet, TriangleSet) {
-        (
-            std::mem::take(&mut self.agg_dead),
-            std::mem::take(&mut self.agg_born),
-        )
+    /// The convergecast aggregates of the last main epoch, sorted and
+    /// duplicate-free (meaningful on forest roots, or on every node of
+    /// a hardened engine); the next descriptor clears them.
+    pub(super) fn aggregates(&self) -> (&[Triangle], &[Triangle]) {
+        (&self.agg_dead, &self.agg_born)
     }
 
     /// Latches the first protocol violation of the epoch.
@@ -182,48 +253,31 @@ impl DynamicTriangleNode {
         self.hardened.as_ref().is_some_and(|h| h.repair_mode)
     }
 
-    /// Builds per-neighbour broadcast queues for the flagged `deltas`
-    /// over the given neighbour list, skipping the other endpoint (it
-    /// already knows), chunked so each round's message fits the budget.
-    fn build_queues(neighbors: &[NodeId], deltas: &[(Edge, bool)]) -> Vec<(NodeId, Vec<Edge>)> {
-        if !deltas.iter().any(|&(_, bcast)| bcast) {
-            return Vec::new();
-        }
-        neighbors
-            .iter()
-            .filter_map(|&nb| {
-                let q: Vec<Edge> = deltas
-                    .iter()
-                    .filter(|&&(e, bcast)| bcast && !e.contains(nb))
-                    .map(|&(e, _)| e)
-                    .collect();
-                (!q.is_empty()).then_some((nb, q))
-            })
-            .collect()
-    }
-
-    /// Decodes the injected descriptor and prepares the epoch; resets
-    /// all per-epoch state first so nothing leaks across epochs (the
-    /// adjacency slice and its pre-batch snapshot are the only
-    /// carry-overs — repair epochs still verify against them — besides
-    /// candidates the coordinator has not drained yet).
+    /// Decodes the injected descriptor and prepares the epoch. First it
+    /// resets all per-epoch state, so nothing leaks across epochs. Three
+    /// things carry over: the adjacency slice, the hardened pre-batch
+    /// snapshot (repair epochs still verify against it) and candidates
+    /// the coordinator has not drained yet. The child links and the
+    /// verified senders are cleared in place, keeping their capacity:
+    /// every inner forest node, every receiver, fills them each epoch.
+    /// The broadcast queues, the aggregates and the trailers are freed
+    /// instead (the stream buffers go once they are verified): only the
+    /// few nodes a batch touches, or whose subtree saw a candidate, fill
+    /// them, and kept, their capacity would stay with every node the
+    /// stream ever touched.
     fn load_descriptor(&mut self, ctx: &mut RoundContext<'_>) {
-        let hardened = self.hardened.take().map(|mut h| {
-            let pre_adjacency = h.pre_adjacency.take();
-            *h = HardenedNode {
-                pre_adjacency,
-                ..HardenedNode::default()
-            };
-            h
-        });
-        *self = DynamicTriangleNode {
-            id: self.id,
-            adjacency: std::mem::take(&mut self.adjacency),
-            dead: std::mem::take(&mut self.dead),
-            born: std::mem::take(&mut self.born),
-            hardened,
-            ..Self::default()
-        };
+        self.epoch = ReceivedBatch::default();
+        self.rm_queues = Queues::new();
+        self.ins_queues = Queues::new();
+        self.finished = 0;
+        self.child_links.clear();
+        self.agg_dead = Vec::new();
+        self.agg_born = Vec::new();
+        self.up_link = None;
+        self.protocol_error = None;
+        if let Some(h) = &mut self.hardened {
+            h.reset();
+        }
         let codec = ctx.id_codec().codec();
         let n = ctx.n();
         let bandwidth_bits = ctx.bandwidth_bits();
@@ -242,12 +296,13 @@ impl DynamicTriangleNode {
             // queues came verbatim from the repair descriptor.
             return;
         }
+        self.child_links.reserve_exact(self.epoch.child_count);
         if let Some(h) = &mut self.hardened {
             let touched = !(self.epoch.removes.is_empty() && self.epoch.inserts.is_empty());
             h.pre_adjacency = touched.then(|| self.adjacency.clone());
         }
         // Removal broadcasts go over the pre-batch neighbourhood.
-        self.rm_queues = Self::build_queues(&self.adjacency, &self.epoch.removes);
+        self.rm_queues = build_queues(&self.adjacency, &self.epoch.removes);
     }
 
     /// Takes on one decoded descriptor. A repair descriptor (hardened
@@ -282,14 +337,17 @@ impl DynamicTriangleNode {
                     .expect("only a hardened node decodes repair descriptors");
                 let capacity = rounds as usize * per_message;
                 let layout = TrailerLayout::new(capacity, capacity, bandwidth_bits);
-                h.trailers = streams
-                    .iter()
-                    .map(|(to, rm_len, edges)| (*to, layout.build(*rm_len, edges, &[])))
-                    .collect();
+                h.trailers.clear();
+                h.trailers.extend(streams.iter().map(|(to, rm_len, edges)| {
+                    (*to, layout.build(*rm_len, edges.iter().copied()))
+                }));
                 h.trailer = layout;
                 h.repair_mode = true;
                 self.epoch.ins_rounds = rounds;
-                self.ins_queues = streams.into_iter().map(|(to, _, q)| (to, q)).collect();
+                self.ins_queues.clear();
+                for (to, _, q) in streams {
+                    self.ins_queues.extend(q.into_iter().map(|e| (to, e)));
+                }
             }
         }
     }
@@ -309,20 +367,22 @@ impl DynamicTriangleNode {
                 sorted_insert(&mut self.adjacency, other);
             }
         }
-        self.ins_queues = Self::build_queues(&self.adjacency, &self.epoch.inserts);
+        self.ins_queues = build_queues(&self.adjacency, &self.epoch.inserts);
         if let Some(h) = &mut self.hardened {
-            let mut streams: BTreeMap<NodeId, [&[Edge]; 2]> = BTreeMap::new();
-            for (nb, q) in &self.rm_queues {
-                streams.entry(*nb).or_default()[0] = q;
+            // Both phases' queues ascend by neighbour: walk them
+            // together, one stream per neighbour either phase names.
+            let mut rm = runs(&self.rm_queues).peekable();
+            let mut ins = runs(&self.ins_queues).peekable();
+            while let Some(nb) = match (rm.peek(), ins.peek()) {
+                (Some(&(a, _)), Some(&(b, _))) => Some(a.min(b)),
+                (Some(&(a, _)), None) | (None, Some(&(a, _))) => Some(a),
+                (None, None) => None,
+            } {
+                let rm_q = rm.next_if(|&(to, _)| to == nb).map_or(&[][..], |(_, q)| q);
+                let ins_q = ins.next_if(|&(to, _)| to == nb).map_or(&[][..], |(_, q)| q);
+                let trailer = h.trailer.build(rm_q.len(), edges(rm_q).chain(edges(ins_q)));
+                h.trailers.push((nb, trailer));
             }
-            for (nb, q) in &self.ins_queues {
-                streams.entry(*nb).or_default()[1] = q;
-            }
-            let layout = h.trailer;
-            h.trailers = streams
-                .into_iter()
-                .map(|(nb, [rm, ins])| (nb, layout.build(rm.len(), rm, ins)))
-                .collect();
         }
     }
 
@@ -353,11 +413,11 @@ impl DynamicTriangleNode {
             return;
         };
         let per_message = wire::edges_per_message(bandwidth_bits, codec.width());
-        for (nb, q) in queues {
+        for (nb, q) in runs(queues) {
             if let Some(chunk) = q.chunks(per_message).nth(wave as usize) {
                 let mut w = BitWriter::new();
-                wire::encode_edges(codec, &mut w, chunk);
-                ctx.send(*nb, w.finish())
+                wire::encode_edges(codec, &mut w, edges(chunk));
+                ctx.send(nb, w.finish())
                     .expect("one in-budget message per link per round");
             }
         }
@@ -379,9 +439,15 @@ impl DynamicTriangleNode {
             let Some((edges, rm_len)) = h.trailer.verify(buf) else {
                 continue;
             };
-            collect_triangles(self.id, pre, &edges[..rm_len], &mut self.dead);
-            collect_triangles(self.id, &self.adjacency, &edges[rm_len..], &mut self.born);
-            h.verified.insert(from);
+            let (rm, ins) = edges.split_at(rm_len);
+            collect_triangles(self.id, pre, rm.iter().copied(), &mut self.dead);
+            collect_triangles(
+                self.id,
+                &self.adjacency,
+                ins.iter().copied(),
+                &mut self.born,
+            );
+            h.verified.push(from);
         }
     }
 
@@ -394,7 +460,10 @@ impl DynamicTriangleNode {
     fn receive(&mut self, ctx: &mut RoundContext<'_>, r: u64, data_end: u64, broadcast_end: u64) {
         let codec = ctx.id_codec().codec();
         let n = ctx.n();
-        let mut answer: Vec<NodeId> = Vec::new();
+        // An inbox is in sender order, so a duplicated chunk sits next
+        // to its twin: a child owed an answer gets one, once its last
+        // message of the round has been read.
+        let mut owed: Option<NodeId> = None;
         for m in ctx.take_inbox() {
             if r > broadcast_end {
                 // Convergecast: the parent sends nothing but
@@ -403,15 +472,31 @@ impl DynamicTriangleNode {
                     if let Some(up) = &mut self.up_link {
                         up.on_ack(&m.payload);
                     }
-                } else if self.receive_chunk(codec, n, r, &m) {
-                    answer.push(m.from);
+                    continue;
+                }
+                if let Some(child) = owed.filter(|&child| child != m.from) {
+                    self.answer(ctx, child);
+                    owed = None;
+                }
+                if self.receive_chunk(codec, n, r, &m) {
+                    owed = Some(m.from);
                 }
             } else if let Some(h) = &mut self.hardened {
                 // A message that fails to decode poisons its stream's
                 // buffer rather than the epoch. Conversion happens once
                 // the trailer rounds are over, only for streams whose
                 // trailer verifies.
-                let buf = h.stream_bufs.entry(m.from).or_default();
+                let at = match h
+                    .stream_bufs
+                    .binary_search_by_key(&m.from, |(from, _)| *from)
+                {
+                    Ok(at) => at,
+                    Err(at) => {
+                        h.stream_bufs.insert(at, (m.from, StreamBuf::default()));
+                        at
+                    }
+                };
+                let buf = &mut h.stream_bufs[at].1;
                 if r <= data_end {
                     buf.push_data(codec, n, &m.payload);
                 } else {
@@ -430,18 +515,33 @@ impl DynamicTriangleNode {
                         } else {
                             &mut self.dead
                         };
-                        collect_triangles(self.id, &self.adjacency, &edges, out);
+                        collect_triangles(self.id, &self.adjacency, edges, out);
                     }
                     Err(detail) => self.record_protocol_error(m.from, detail),
                 }
             }
         }
-        // An inbox is in sender order, so a duplicated chunk sits next
-        // to its twin: one answer per child per round.
-        answer.dedup();
-        for child in answer {
-            ctx.send(child, self.child_links[&child].ack())
-                .expect("acknowledgements fit the link budget");
+        if let Some(child) = owed {
+            self.answer(ctx, child);
+        }
+    }
+
+    /// Acknowledges what `child`'s link has accepted so far.
+    fn answer(&self, ctx: &mut RoundContext<'_>, child: NodeId) {
+        let at = self
+            .child_links
+            .binary_search_by_key(&child, |c| c.child)
+            .expect("only a child with a link is owed an answer");
+        ctx.send(child, self.child_links[at].link.ack())
+            .expect("acknowledgements fit the link budget");
+    }
+
+    /// Counts the child at `child_links[at]` as finished, once.
+    fn finish_child(&mut self, at: usize) {
+        let child = &mut self.child_links[at];
+        if !child.finished {
+            child.finished = true;
+            self.finished += 1;
         }
     }
 
@@ -452,11 +552,19 @@ impl DynamicTriangleNode {
     /// acknowledgement.
     fn receive_chunk(&mut self, codec: IdCodec, n: usize, round: u64, m: &ReceivedMessage) -> bool {
         let hardened = self.hardened.is_some();
-        let link = self
-            .child_links
-            .entry(m.from)
-            .or_insert_with(|| LinkReceiver::new(hardened));
-        let stream = match link.on_chunk(round, &m.payload) {
+        let at = match self.child_links.binary_search_by_key(&m.from, |c| c.child) {
+            Ok(at) => at,
+            Err(at) => {
+                let link = ChildLink {
+                    child: m.from,
+                    link: LinkReceiver::new(hardened),
+                    finished: false,
+                };
+                self.child_links.insert(at, link);
+                at
+            }
+        };
+        let stream = match self.child_links[at].link.on_chunk(round, &m.payload) {
             // To a hardened receiver as good as lost: unanswered, it
             // is sent again.
             Receipt::Garbled if hardened => return false,
@@ -464,23 +572,30 @@ impl DynamicTriangleNode {
                 self.record_protocol_error(m.from, "empty convergecast chunk".into());
                 // Count the stream as finished so the epoch still
                 // terminates; the error surfaces after it.
-                self.finished.insert(m.from);
+                self.finish_child(at);
                 return false;
             }
             Receipt::Chunk => return hardened,
             Receipt::Complete(stream) => stream,
         };
-        match wire::decode_aggregate(codec, n, &stream, hardened) {
-            Ok((dead, born)) => {
-                merge_added_candidates(&mut self.agg_dead, &dead);
-                merge_added_candidates(&mut self.agg_born, &born);
+        match wire::decode_aggregate(
+            codec,
+            n,
+            &stream,
+            hardened,
+            &mut self.agg_dead,
+            &mut self.agg_born,
+        ) {
+            Ok(()) => {
+                dedup_candidates(&mut self.agg_dead);
+                dedup_candidates(&mut self.agg_born);
             }
             // A hardened receiver degrades instead of erroring: the
             // coordinator reads every node's aggregates directly.
             Err(_) if hardened => self.latch_trouble(),
             Err(detail) => self.record_protocol_error(m.from, detail),
         }
-        self.finished.insert(m.from);
+        self.finish_child(at);
         hardened
     }
 
@@ -496,11 +611,14 @@ impl DynamicTriangleNode {
         broadcast_end: u64,
     ) -> NodeStatus {
         if r == broadcast_end {
-            let (dead, born) = self.drain_candidates();
-            merge_added_candidates(&mut self.agg_dead, &dead);
-            merge_added_candidates(&mut self.agg_born, &born);
+            // The aggregates are empty until now: the observations
+            // become them, buffer and all.
+            std::mem::swap(&mut self.agg_dead, &mut self.dead);
+            std::mem::swap(&mut self.agg_born, &mut self.born);
+            dedup_candidates(&mut self.agg_dead);
+            dedup_candidates(&mut self.agg_born);
         }
-        if self.finished.len() < self.epoch.child_count {
+        if self.finished < self.epoch.child_count {
             if self.hardened.is_none() || r < self.epoch.deadline {
                 return NodeStatus::Active;
             }
@@ -512,7 +630,7 @@ impl DynamicTriangleNode {
             // engine, so nothing verified is lost — only network-side
             // merging.
             self.latch_trouble();
-            self.epoch.child_count = self.finished.len();
+            self.epoch.child_count = self.finished;
         }
         if let Some(parent) = self.epoch.parent {
             let hardened = self.hardened.is_some();
@@ -521,10 +639,7 @@ impl DynamicTriangleNode {
             let up = self.up_link.get_or_insert_with(|| {
                 let stream =
                     wire::serialize_aggregate(codec, &self.agg_dead, &self.agg_born, hardened);
-                LinkSender::new(
-                    wire::chunk_stream(&stream, bandwidth_bits, hardened),
-                    hardened,
-                )
+                LinkSender::new(stream, bandwidth_bits, hardened)
             });
             if let Some(chunk) = up.poll(r) {
                 ctx.send(parent, chunk)
@@ -538,7 +653,7 @@ impl DynamicTriangleNode {
             }
         }
         // A child whose last acknowledgement was lost will ask again.
-        if self.child_links.values().any(|link| link.lingering(r)) {
+        if self.child_links.iter().any(|c| c.link.lingering(r)) {
             return NodeStatus::Active;
         }
         NodeStatus::Halted
@@ -602,20 +717,25 @@ mod tests {
             parent.epoch.child_count = 2;
             let final_chunk = |from: u32| ReceivedMessage {
                 from: v(from),
-                payload: wire::chunk_stream(&Payload::new(), 8, hardened)
-                    .pop_front()
-                    .expect("chunking never yields zero chunks"),
+                payload: wire::chunk_at(&Payload::new(), 0, 8, hardened),
             };
             // Child 1's only chunk arrives twice (a duplicating link).
             assert_eq!(parent.receive_chunk(codec, 8, 1, &final_chunk(1)), hardened);
             assert_eq!(parent.receive_chunk(codec, 8, 1, &final_chunk(1)), hardened);
             assert!(
-                parent.finished.len() < parent.epoch.child_count,
+                parent.finished < parent.epoch.child_count,
                 "hardened={hardened}: the parent must keep waiting for child 2"
             );
             parent.receive_chunk(codec, 8, 2, &final_chunk(2));
-            assert_eq!(parent.finished.len(), parent.epoch.child_count);
+            assert_eq!(parent.finished, parent.epoch.child_count);
             assert!(parent.protocol_error.is_none() && !parent.agg_trouble());
         }
+    }
+
+    #[test]
+    fn a_node_fits_in_seven_cache_lines() {
+        // Every node is visited in every round of an epoch; its footprint
+        // is what those visits pull through the cache.
+        assert!(std::mem::size_of::<DynamicTriangleNode>() <= 440);
     }
 }

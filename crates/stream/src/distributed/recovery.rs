@@ -62,8 +62,9 @@ use congest_hash::CHECKSUM_BITS;
 use congest_sim::Metrics;
 use congest_wire::IdCodec;
 
-use super::coordinator::{online, BfsForest, EpochDeltas, EpochPlan};
+use super::coordinator::{online, EpochDeltas, EpochPlan};
 use super::link::{ACK_TIMEOUT_ROUNDS, MAX_LINK_RESENDS};
+use super::node::{edges, runs};
 use super::wire::{self, RepairStream, TrailerLayout, COUNT_BITS};
 use super::DistributedTriangleEngine;
 use crate::index::{ApplyReport, StreamError};
@@ -90,8 +91,9 @@ pub(super) struct HardenedEpoch {
     snapshot: BatchSnapshot,
     /// Per-node convergecast deadlines, by node index.
     pub(super) deadlines: Vec<u64>,
-    /// The slices rejoining nodes re-seed themselves from.
-    pub(super) sync_lists: BTreeMap<NodeId, Vec<NodeId>>,
+    /// The slices rejoining nodes re-seed themselves from, ascending by
+    /// node.
+    pub(super) sync_lists: Vec<(NodeId, Vec<NodeId>)>,
 }
 
 /// Pre- and post-batch neighbour lists of the nodes a batch touches —
@@ -154,7 +156,6 @@ impl DistributedTriangleEngine {
         &mut self,
         deltas: &EpochDeltas,
         crashed: &[bool],
-        forest: &BfsForest,
         rm_rounds: u64,
         ins_rounds: u64,
     ) -> HardenedEpoch {
@@ -208,18 +209,23 @@ impl DistributedTriangleEngine {
         let hop =
             agg_bits.div_ceil(per_chunk) + ACK_TIMEOUT_ROUNDS * (1 + u64::from(MAX_LINK_RESENDS));
         let broadcast_end = rm_rounds + ins_rounds + trailer.rounds();
-        let deadlines = forest
-            .height
-            .iter()
-            .map(|&height| broadcast_end + (height + 1) * hop + 2)
+        let deadlines = self
+            .forest
+            .heights()
+            .into_iter()
+            .map(|height| broadcast_end + (height + 1) * hop + 2)
             .collect();
 
         // Rejoining nodes leave the shadow now that their sync list is
         // fixed: from this epoch on their in-network slice is live again.
-        let (sync_lists, offline) = std::mem::take(&mut self.offline)
-            .into_iter()
-            .partition(|(node, _)| !crashed[node.index()]);
-        self.offline = offline;
+        let mut sync_lists = Vec::new();
+        self.offline.retain(|&node, list| {
+            let rejoins = !crashed[node.index()];
+            if rejoins {
+                sync_lists.push((node, std::mem::take(list)));
+            }
+            !rejoins
+        });
         HardenedEpoch {
             trailer_rounds: trailer.rounds(),
             uncovered,
@@ -326,12 +332,10 @@ impl DistributedTriangleEngine {
         for node in online(crashed) {
             let prog = self.sim.program_mut(node);
             trouble |= prog.agg_trouble();
-            let (dead, born) = prog.drain_candidates();
-            merge_added_candidates(&mut got.dead, &dead);
-            merge_added_candidates(&mut got.born, &born);
-            let (agg_dead, agg_born) = prog.take_aggregates();
-            merge_added_candidates(&mut got.dead, agg_dead.iter());
-            merge_added_candidates(&mut got.born, agg_born.iter());
+            prog.drain_candidates_into(&mut got.dead, &mut got.born);
+            let (agg_dead, agg_born) = prog.aggregates();
+            merge_added_candidates(&mut got.dead, agg_dead);
+            merge_added_candidates(&mut got.born, agg_born);
         }
         trouble
     }
@@ -372,11 +376,11 @@ impl DistributedTriangleEngine {
     fn unverified_streams(&self, plan: &EpochPlan) -> BTreeMap<(NodeId, NodeId), PendingStream> {
         let mut pending: BTreeMap<(NodeId, NodeId), PendingStream> = BTreeMap::new();
         for (phase, assignment) in [&plan.rm, &plan.ins].into_iter().enumerate() {
-            for &s in assignment.keys() {
+            for (s, _) in assignment.rows() {
                 let sender = self.sim.program(s);
-                for (w, q) in [&sender.rm_queues, &sender.ins_queues][phase] {
-                    if !plan.crashed[w.index()] && !self.sim.program(*w).verified(s) {
-                        pending.entry((s, *w)).or_default()[phase].clone_from(q);
+                for (w, q) in runs([&sender.rm_queues, &sender.ins_queues][phase]) {
+                    if !plan.crashed[w.index()] && !self.sim.program(w).verified(s) {
+                        pending.entry((s, w)).or_default()[phase] = edges(q).collect();
                     }
                 }
             }

@@ -3,9 +3,11 @@
 
 use congest_graph::generators::{Classic, Gnp};
 use congest_graph::triangles as oracle;
-use congest_graph::{AdjacencyView, Graph, NodeId, Triangle, TriangleSet};
+use congest_graph::{AdjacencyView, Graph, NodeId, Triangle};
 use congest_sim::{Bandwidth, FaultPlan, Simulation};
 use congest_wire::{BitReader, BitWriter, IdCodec};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use super::node::DynamicTriangleNode;
 use super::{wire, CongestCost, DistributedTriangleEngine, HubSplit};
@@ -446,6 +448,61 @@ fn hardening_a_sub_chunk_bandwidth_is_rejected() {
         .with_fault_plan(FaultPlan::default().with_drop(0.01));
 }
 
+/// `count` batches of `size` random deltas over `n` nodes, 60/40
+/// insertions to removals (the property suites' stream shape).
+fn random_batches(n: u32, count: usize, size: usize, seed: u64) -> Vec<DeltaBatch> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|_| {
+            let mut batch = DeltaBatch::new();
+            for _ in 0..size {
+                let u = rng.gen_range(0..n);
+                let w = (u + rng.gen_range(1..n)) % n;
+                if rng.gen_bool(0.6) {
+                    batch.insert(v(u), v(w));
+                } else {
+                    batch.remove(v(u), v(w));
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// The engine's live graph as a frozen one.
+fn live_graph(engine: &DistributedTriangleEngine) -> Graph {
+    let mut b = congest_graph::GraphBuilder::new(engine.node_count());
+    for i in 0..engine.node_count() {
+        let u = NodeId::from_index(i);
+        for &w in engine.neighbors(u).iter().filter(|&&w| w > u) {
+            b.add_edge(u, w).unwrap();
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn a_reused_engine_costs_what_a_fresh_one_costs() {
+    // Node programs clear their per-epoch state in place between
+    // epochs; whatever one epoch leaves in a node's buffers, the next
+    // must report, cost and find exactly what an engine built fresh on
+    // the same graph does.
+    for seed in 1..=3 {
+        let base = Gnp::new(48, 0.12).seeded(seed).generate();
+        for split in [HubSplit::Auto, HubSplit::Off, HubSplit::Budget(1)] {
+            let mut reused = DistributedTriangleEngine::from_graph(&base).with_hub_split(split);
+            for (step, batch) in random_batches(48, 30, 12, seed).iter().enumerate() {
+                let mut fresh = DistributedTriangleEngine::from_graph(&live_graph(&reused))
+                    .with_hub_split(split);
+                let what = format!("seed {seed}, {split:?}, batch {step}");
+                assert_eq!(reused.apply(batch), fresh.apply(batch), "{what}");
+                assert_eq!(reused.last_batch_cost(), fresh.last_batch_cost(), "{what}");
+                assert_eq!(reused.triangles(), fresh.triangles(), "{what}");
+            }
+        }
+    }
+}
+
 #[test]
 fn split_and_convergecast_runs_repeat_bit_for_bit() {
     let g = Gnp::new(16, 0.25).seeded(33).generate();
@@ -563,11 +620,11 @@ fn decode_rejects_degenerate_and_truncated_payloads() {
 #[test]
 fn aggregate_streams_round_trip_through_chunking() {
     let codec = IdCodec::new(64);
-    let mut dead = TriangleSet::new();
-    dead.insert(Triangle::new(v(0), v(1), v(2)));
-    dead.insert(Triangle::new(v(3), v(10), v(40)));
-    let mut born = TriangleSet::new();
-    born.insert(Triangle::new(v(5), v(6), v(63)));
+    let dead = [
+        Triangle::new(v(0), v(1), v(2)),
+        Triangle::new(v(3), v(10), v(40)),
+    ];
+    let born = [Triangle::new(v(5), v(6), v(63))];
     let stream = wire::serialize_aggregate(codec, &dead, &born, false);
     // Chunk to a tiny budget and reassemble, exactly as a parent
     // node does.
@@ -583,17 +640,18 @@ fn aggregate_streams_round_trip_through_chunking() {
             rebuilt.append(&mut r, chunk.bit_len() - 1).unwrap();
         }
         assert!(finished);
-        let (d, b) =
-            wire::decode_aggregate(codec, 64, &rebuilt.finish(), false).expect("round trip");
-        assert_eq!(d, dead.iter().copied().collect::<Vec<_>>());
-        assert_eq!(b, born.iter().copied().collect::<Vec<_>>());
+        let (mut d, mut b) = (Vec::new(), Vec::new());
+        wire::decode_aggregate(codec, 64, &rebuilt.finish(), false, &mut d, &mut b)
+            .expect("round trip");
+        assert_eq!((&d[..], &b[..]), (&dead[..], &born[..]));
     }
     // The empty aggregate is a single flag-only chunk.
-    let empty = wire::serialize_aggregate(codec, &TriangleSet::new(), &TriangleSet::new(), false);
+    let empty = wire::serialize_aggregate(codec, &[], &[], false);
     assert_eq!(empty.bit_len(), 0);
     let chunks = wire::chunk_stream(&empty, 16, false);
     assert_eq!(chunks.len(), 1);
     assert_eq!(chunks[0].bit_len(), 1);
-    let (d, b) = wire::decode_aggregate(codec, 64, &empty, false).unwrap();
+    let (mut d, mut b) = (Vec::new(), Vec::new());
+    wire::decode_aggregate(codec, 64, &empty, false, &mut d, &mut b).unwrap();
     assert!(d.is_empty() && b.is_empty());
 }

@@ -8,9 +8,7 @@
 //! and the [recovery](super::recovery) and [link](super::link) modules
 //! give the layouts in prose.
 
-use std::collections::VecDeque;
-
-use congest_graph::{Edge, NodeId, Triangle, TriangleSet};
+use congest_graph::{Edge, NodeId, Triangle};
 use congest_hash::{Checksum61, CHECKSUM_BITS};
 use congest_wire::{bits_for_count, BitReader, BitWriter, IdCodec, Payload};
 
@@ -66,7 +64,11 @@ pub(super) fn decode_edge(codec: IdCodec, r: &mut BitReader<'_>, n: usize) -> Re
 }
 
 /// Appends `edges` to `w`, two ids each.
-pub(super) fn encode_edges(codec: IdCodec, w: &mut BitWriter, edges: &[Edge]) {
+pub(super) fn encode_edges(
+    codec: IdCodec,
+    w: &mut BitWriter,
+    edges: impl IntoIterator<Item = Edge>,
+) {
     for e in edges {
         codec.encode(w, e.lo().as_u64());
         codec.encode(w, e.hi().as_u64());
@@ -74,26 +76,51 @@ pub(super) fn encode_edges(codec: IdCodec, w: &mut BitWriter, edges: &[Edge]) {
 }
 
 /// Decodes the edges packed into a broadcast message, rejecting
-/// payloads that are not an exact sequence of in-range edges.
+/// payloads that are not an exact sequence of in-range edges. The whole
+/// message is checked before its first edge is handed out, and nothing
+/// is allocated: the edges are read off the payload as they are
+/// iterated.
 pub(super) fn decode_edges(
     codec: IdCodec,
     payload: &Payload,
     n: usize,
-) -> Result<Vec<Edge>, String> {
-    let mut out = Vec::new();
-    let mut r = BitReader::new(payload);
+) -> Result<Edges<'_>, String> {
     let pair = 2 * codec.width();
-    let mut remaining = payload.bit_len();
-    while remaining >= pair {
-        out.push(decode_edge(codec, &mut r, n)?);
-        remaining -= pair;
+    let edges = Edges {
+        codec,
+        n,
+        reader: BitReader::new(payload),
+        left: payload.bit_len() / pair,
+    };
+    let mut check = edges.reader.clone();
+    for _ in 0..edges.left {
+        decode_edge(codec, &mut check, n)?;
     }
-    if remaining != 0 {
+    if !check.is_exhausted() {
         return Err(format!(
-            "broadcast payload has {remaining} trailing bits (not a whole edge)"
+            "broadcast payload has {} trailing bits (not a whole edge)",
+            check.remaining()
         ));
     }
-    Ok(out)
+    Ok(edges)
+}
+
+/// The edges of one checked broadcast message (see [`decode_edges`]).
+#[derive(Debug)]
+pub(super) struct Edges<'a> {
+    codec: IdCodec,
+    n: usize,
+    reader: BitReader<'a>,
+    left: usize,
+}
+
+impl Iterator for Edges<'_> {
+    type Item = Edge;
+
+    fn next(&mut self) -> Option<Edge> {
+        self.left = self.left.checked_sub(1)?;
+        Some(decode_edge(self.codec, &mut self.reader, self.n).expect("checked whole"))
+    }
 }
 
 /// One node's batch descriptor: the epoch's phase lengths, the node's
@@ -103,12 +130,14 @@ pub(super) fn decode_edges(
 /// and, on a hardened engine, the rejoin state sync and the
 /// convergecast deadline. `S` and `L` are the sync
 /// list and a delta list, borrowed when encoding and owned when decoded.
-/// The layout, hardened-only fields bracketed:
+/// The layout, hardened-only fields bracketed and the deltas present
+/// only behind a set `touched` flag — a node the batch does not touch
+/// gets the header alone:
 ///
 /// ```text
 /// [kind = 0 | sync flag | sync count | sync ids]
-/// rm_rounds | ins_rounds | parent flag | parent | child count | [deadline]
-/// removal count | (edge | broadcast flag)* | insertion count | (edge | broadcast flag)*
+/// rm_rounds | ins_rounds | parent flag | parent | child count | [deadline] | touched
+/// (removal count | (edge | broadcast flag)* | insertion count | (edge | broadcast flag)*)
 /// ```
 #[derive(Default)]
 pub(super) struct BatchDescriptor<S, L> {
@@ -169,10 +198,12 @@ pub(super) fn encode_batch(
     if hardened {
         w.write_bits(d.deadline, DEADLINE_BITS);
     }
-    for list in [d.removes, d.inserts] {
+    let touched = !(d.removes.is_empty() && d.inserts.is_empty());
+    w.write_bool(touched);
+    for list in [d.removes, d.inserts].into_iter().filter(|_| touched) {
         w.write_bits(list.len() as u64, COUNT_BITS);
         for &(e, bcast) in list {
-            encode_edges(codec, &mut w, &[e]);
+            encode_edges(codec, &mut w, [e]);
             w.write_bool(bcast);
         }
     }
@@ -198,8 +229,7 @@ pub(super) fn encode_repair(codec: IdCodec, rounds: u64, streams: &[RepairStream
         codec.encode(&mut w, to.as_u64());
         w.write_bits(rm.len() as u64, COUNT_BITS);
         w.write_bits((rm.len() + ins.len()) as u64, COUNT_BITS);
-        encode_edges(codec, &mut w, rm);
-        encode_edges(codec, &mut w, ins);
+        encode_edges(codec, &mut w, rm.iter().chain(ins).copied());
     }
     w.finish()
 }
@@ -238,7 +268,8 @@ pub(super) fn decode_descriptor(
         deadline = read(r, DEADLINE_BITS, "descriptor deadline")?;
     }
     let mut phases: [Vec<(Edge, bool)>; 2] = Default::default();
-    for phase in &mut phases {
+    let touched = read(r, 1, "descriptor touched flag")? == 1;
+    for phase in phases.iter_mut().filter(|_| touched) {
         for _ in 0..read(r, COUNT_BITS, "descriptor list length")? {
             let e = decode_edge(codec, r, n)?;
             phase.push((e, read(r, 1, "descriptor broadcast flag")? == 1));
@@ -376,7 +407,7 @@ impl TrailerLayout {
     }
 
     /// Folds a stream into the trailer checksum.
-    fn checksum<'a>(rm_len: usize, edges: impl Iterator<Item = &'a Edge>) -> u64 {
+    fn checksum(rm_len: usize, edges: impl IntoIterator<Item = Edge>) -> u64 {
         let mut cs = Checksum61::new();
         cs.update(rm_len as u64);
         for e in edges {
@@ -386,16 +417,15 @@ impl TrailerLayout {
         cs.value()
     }
 
-    /// The trailer of the stream `head ++ tail`, whose first `rm_len`
-    /// edges are removals.
-    pub(super) fn build(&self, rm_len: usize, head: &[Edge], tail: &[Edge]) -> Payload {
+    /// The trailer of the stream `edges`, whose first `rm_len` edges are
+    /// removals.
+    pub(super) fn build(&self, rm_len: usize, edges: impl IntoIterator<Item = Edge>) -> Payload {
+        let mut total = 0;
+        let checksum = Self::checksum(rm_len, edges.into_iter().inspect(|_| total += 1));
         let mut w = BitWriter::new();
         w.write_bits(rm_len as u64, self.rm_bits);
-        w.write_bits((head.len() + tail.len()) as u64, self.total_bits);
-        w.write_bits(
-            Self::checksum(rm_len, head.iter().chain(tail)),
-            CHECKSUM_BITS,
-        );
+        w.write_bits(total, self.total_bits);
+        w.write_bits(checksum, CHECKSUM_BITS);
         w.finish()
     }
 
@@ -428,20 +458,21 @@ impl TrailerLayout {
         let checksum = r.read_bits(CHECKSUM_BITS).expect("length-checked");
         let sound = total == buf.edges.len()
             && rm_len <= total
-            && checksum == Self::checksum(rm_len, buf.edges.iter());
+            && checksum == Self::checksum(rm_len, buf.edges.iter().copied());
         sound.then_some((buf.edges, rm_len))
     }
 }
 
-/// Serializes the merged candidate aggregate for the upward
-/// convergecast leg. An empty aggregate is the empty stream (one 1-bit
-/// chunk), so quiet subtrees cost almost nothing, hardened or not. A
-/// non-empty `checked` stream closes with a [`Checksum61`] over its id
-/// words so receivers can reject corrupted reassemblies.
+/// Serializes the merged candidate aggregate — two sorted,
+/// duplicate-free runs — for the upward convergecast leg. An empty
+/// aggregate is the empty stream (one 1-bit chunk), so quiet subtrees
+/// cost almost nothing, hardened or not. A non-empty `checked` stream
+/// closes with a [`Checksum61`] over its id words so receivers can
+/// reject corrupted reassemblies.
 pub(super) fn serialize_aggregate(
     codec: IdCodec,
-    dead: &TriangleSet,
-    born: &TriangleSet,
+    dead: &[Triangle],
+    born: &[Triangle],
     checked: bool,
 ) -> Payload {
     if dead.is_empty() && born.is_empty() {
@@ -451,7 +482,7 @@ pub(super) fn serialize_aggregate(
     let mut cs = Checksum61::new();
     for set in [dead, born] {
         w.write_bits(set.len() as u64, COUNT_BITS);
-        for t in set.iter() {
+        for t in set {
             for v in t.nodes() {
                 codec.encode(&mut w, v.as_u64());
                 cs.update(v.as_u64());
@@ -464,23 +495,42 @@ pub(super) fn serialize_aggregate(
     w.finish()
 }
 
-/// Decodes a reassembled convergecast stream back into candidate
-/// lists, validating counts, ids and triangle well-formedness (and the
-/// closing checksum of a `checked` stream).
+/// Decodes a reassembled convergecast stream, appending its candidates
+/// to `dead` and `born` and validating counts, ids and triangle
+/// well-formedness (and the closing checksum of a `checked` stream). A
+/// stream that fails appends nothing.
 pub(super) fn decode_aggregate(
     codec: IdCodec,
     n: usize,
     stream: &Payload,
     checked: bool,
-) -> Result<(Vec<Triangle>, Vec<Triangle>), String> {
+    dead: &mut Vec<Triangle>,
+    born: &mut Vec<Triangle>,
+) -> Result<(), String> {
+    let kept = (dead.len(), born.len());
+    let decoded = decode_aggregate_onto(codec, n, stream, checked, dead, born);
+    if decoded.is_err() {
+        dead.truncate(kept.0);
+        born.truncate(kept.1);
+    }
+    decoded
+}
+
+/// [`decode_aggregate`] without the roll-back.
+fn decode_aggregate_onto(
+    codec: IdCodec,
+    n: usize,
+    stream: &Payload,
+    checked: bool,
+    dead: &mut Vec<Triangle>,
+    born: &mut Vec<Triangle>,
+) -> Result<(), String> {
     if stream.bit_len() == 0 {
-        return Ok((Vec::new(), Vec::new()));
+        return Ok(());
     }
     let mut r = BitReader::new(stream);
-    let mut dead = Vec::new();
-    let mut born = Vec::new();
     let mut cs = Checksum61::new();
-    for list in [&mut dead, &mut born] {
+    for list in [dead, born] {
         let count = read(&mut r, COUNT_BITS, "aggregate count")?;
         for _ in 0..count {
             let a = decode_node(codec, &mut r, n)?;
@@ -507,7 +557,7 @@ pub(super) fn decode_aggregate(
             r.remaining()
         ));
     }
-    Ok((dead, born))
+    Ok(())
 }
 
 /// Data bits one convergecast chunk carries beside its header: the
@@ -517,22 +567,59 @@ pub(super) fn chunk_data_bits(bandwidth_bits: usize, sequenced: bool) -> usize {
     bandwidth_bits.saturating_sub(header).max(1)
 }
 
-/// Splits a serialized aggregate into link-budget-sized chunk
-/// messages, `[more | data]` on the quiet path and
-/// `[more | seq | data]` when `sequenced`, each with at least one data
-/// bit. The empty stream becomes the single flag-only chunk `[0]` in
-/// both framings — the cheapest possible "my subtree saw nothing", and
-/// one a lost or flipped bit cannot forge: it is the only 1-bit message
-/// there is.
+/// How many chunk messages a serialized aggregate of `stream_bits` bits
+/// is cut into (see [`chunk_at`]): at least one, the flag-only chunk of
+/// the empty stream.
+pub(super) fn chunk_count(stream_bits: usize, bandwidth_bits: usize, sequenced: bool) -> usize {
+    stream_bits
+        .div_ceil(chunk_data_bits(bandwidth_bits, sequenced))
+        .max(1)
+}
+
+/// The `index`-th link-budget-sized chunk message of a serialized
+/// aggregate, built from the stream on demand so a sender keeps only the
+/// stream: `[more | data]` on the quiet path and `[more | seq | data]`
+/// when `sequenced`, each with at least one data bit. The empty stream
+/// is the single flag-only chunk `[0]` in both framings — the cheapest
+/// possible "my subtree saw nothing", and one a lost or flipped bit
+/// cannot forge: it is the only 1-bit message there is.
+pub(super) fn chunk_at(
+    stream: &Payload,
+    index: usize,
+    bandwidth_bits: usize,
+    sequenced: bool,
+) -> Payload {
+    let per_chunk = chunk_data_bits(bandwidth_bits, sequenced);
+    let total = stream.bit_len();
+    let offset = index * per_chunk;
+    debug_assert!(
+        offset < total || (index == 0 && total == 0),
+        "chunk {index} out of range"
+    );
+    let take = per_chunk.min(total - offset);
+    let mut w = BitWriter::new();
+    w.write_bool(offset + take < total);
+    if sequenced && total > 0 {
+        w.write_bits((index % SEQ_SPACE) as u64, SEQ_BITS);
+    }
+    let mut reader = BitReader::new(stream);
+    reader.skip(offset).expect("offset within stream");
+    w.append(&mut reader, take).expect("chunk within stream");
+    w.finish()
+}
+
+/// Every chunk of a serialized aggregate at once, cut in one pass — the
+/// oracle [`chunk_at`] is tested against.
+#[cfg(test)]
 pub(super) fn chunk_stream(
     stream: &Payload,
     bandwidth_bits: usize,
     sequenced: bool,
-) -> VecDeque<Payload> {
+) -> Vec<Payload> {
     let per_chunk = chunk_data_bits(bandwidth_bits, sequenced);
     let total = stream.bit_len();
     let mut reader = BitReader::new(stream);
-    let mut chunks = VecDeque::new();
+    let mut chunks = Vec::new();
     let mut offset = 0;
     loop {
         let take = per_chunk.min(total - offset);
@@ -542,7 +629,7 @@ pub(super) fn chunk_stream(
             w.write_bits((chunks.len() % SEQ_SPACE) as u64, SEQ_BITS);
         }
         w.append(&mut reader, take).expect("chunk within stream");
-        chunks.push_back(w.finish());
+        chunks.push(w.finish());
         offset += take;
         if offset >= total {
             return chunks;
@@ -562,7 +649,7 @@ pub(super) struct Chunk<'a> {
     pub(super) data: BitReader<'a>,
 }
 
-/// Parses one chunk produced by [`chunk_stream`]. `None` for a message
+/// Parses one chunk produced by [`chunk_at`]. `None` for a message
 /// that cannot be one: no bits at all, or — `sequenced` — a flag-only
 /// message saying `more`, or a header with no data bit behind it.
 pub(super) fn parse_chunk(payload: &Payload, sequenced: bool) -> Option<Chunk<'_>> {
@@ -623,11 +710,10 @@ mod tests {
         let mut buf = StreamBuf::default();
         for e in stream {
             let mut w = BitWriter::new();
-            encode_edges(codec, &mut w, std::slice::from_ref(e));
+            encode_edges(codec, &mut w, [*e]);
             buf.push_data(codec, 64, &w.finish());
         }
-        let (head, tail) = stream.split_at(rm_len);
-        let trailer = layout.build(rm_len, head, tail);
+        let trailer = layout.build(rm_len, stream.iter().copied());
         for i in 0..layout.rounds() as usize {
             let chunk = TrailerLayout::chunk(&trailer, i, bandwidth).expect("within rounds");
             assert!(chunk.bit_len() <= bandwidth);
@@ -695,9 +781,8 @@ mod tests {
     #[test]
     fn sequenced_chunks_number_themselves_and_the_empty_stream_stays_one_bit() {
         let codec = IdCodec::new(64);
-        let mut dead = TriangleSet::new();
-        dead.insert(Triangle::new(v(0), v(1), v(2)));
-        let stream = serialize_aggregate(codec, &dead, &TriangleSet::new(), true);
+        let dead = [Triangle::new(v(0), v(1), v(2))];
+        let stream = serialize_aggregate(codec, &dead, &[], true);
         assert_eq!(stream.bit_len(), 2 * COUNT_BITS + 18 + CHECKSUM_BITS);
         let chunks = chunk_stream(&stream, 16, true);
         assert_eq!(chunks.len(), stream.bit_len().div_ceil(13));
@@ -710,12 +795,13 @@ mod tests {
             let len = parsed.data.remaining();
             rebuilt.append(&mut parsed.data, len).unwrap();
         }
-        let (d, b) = decode_aggregate(codec, 64, &rebuilt.finish(), true).expect("round trip");
-        assert_eq!(d, dead.iter().copied().collect::<Vec<_>>());
+        let (mut d, mut b) = (Vec::new(), Vec::new());
+        decode_aggregate(codec, 64, &rebuilt.finish(), true, &mut d, &mut b).expect("round trip");
+        assert_eq!(d, dead);
         assert!(b.is_empty());
 
         // Hardened or not, "nothing seen" is the one-bit chunk.
-        let empty = serialize_aggregate(codec, &TriangleSet::new(), &TriangleSet::new(), true);
+        let empty = serialize_aggregate(codec, &[], &[], true);
         let chunks = chunk_stream(&empty, 16, true);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].bit_len(), 1);
@@ -731,15 +817,51 @@ mod tests {
     #[test]
     fn a_checked_aggregate_rejects_any_flipped_bit() {
         let codec = IdCodec::new(64);
-        let mut born = TriangleSet::new();
-        born.insert(Triangle::new(v(5), v(6), v(63)));
-        let stream = serialize_aggregate(codec, &TriangleSet::new(), &born, true);
+        let born = [Triangle::new(v(5), v(6), v(63))];
+        let stream = serialize_aggregate(codec, &[], &born, true);
+        let kept = vec![Triangle::new(v(0), v(1), v(2))];
         for bit in 0..stream.bit_len() {
             let flipped = stream.with_flipped_bit(bit);
+            let (mut d, mut b) = (kept.clone(), kept.clone());
             assert!(
-                decode_aggregate(codec, 64, &flipped, true).is_err(),
+                decode_aggregate(codec, 64, &flipped, true, &mut d, &mut b).is_err(),
                 "flipped bit {bit} went unnoticed"
             );
+            assert_eq!(
+                (&d, &b),
+                (&kept, &kept),
+                "flipped bit {bit} left candidates behind"
+            );
+        }
+    }
+
+    #[test]
+    fn on_demand_chunks_equal_the_materialised_ones() {
+        // Every stream length up to four chunks and a bit, at every
+        // narrow budget, in both framings.
+        for bandwidth in 4..=24 {
+            for sequenced in [false, true] {
+                let per_chunk = chunk_data_bits(bandwidth, sequenced);
+                for len in 0..=4 * per_chunk + 1 {
+                    let mut w = BitWriter::new();
+                    for i in 0..len {
+                        w.write_bool((i * 7 + len) % 3 == 0);
+                    }
+                    let stream = w.finish();
+                    let chunks = chunk_stream(&stream, bandwidth, sequenced);
+                    let what = format!("{len} bits at {bandwidth}, sequenced={sequenced}");
+                    assert_eq!(
+                        chunk_count(len, bandwidth, sequenced),
+                        chunks.len(),
+                        "{what}"
+                    );
+                    for (i, chunk) in chunks.iter().enumerate() {
+                        let built = chunk_at(&stream, i, bandwidth, sequenced);
+                        assert_eq!(&built, chunk, "{what}: chunk {i}");
+                        assert_eq!(built.as_bytes(), chunk.as_bytes(), "{what}: chunk {i}");
+                    }
+                }
+            }
         }
     }
 

@@ -92,6 +92,17 @@ pub(crate) fn merge_added_candidates<'a>(
         .count()
 }
 
+/// The sorted-run form of the same merge: `run` is a sorted,
+/// duplicate-free run with candidates appended to it, and afterwards the
+/// whole of it is sorted and duplicate-free again — each triangle kept
+/// once however many vantage points reported it, in the order a
+/// [`TriangleSet`] iterates. The distributed engine's node programs keep
+/// their convergecast aggregates this way.
+pub(crate) fn dedup_candidates(run: &mut Vec<Triangle>) {
+    run.sort_unstable();
+    run.dedup();
+}
+
 /// Per-node triangle-support counters: `counts[v]` is the number of
 /// live triangles containing node `v`. The counts live behind an `Arc`
 /// so a serve-mode publish shares them with readers in `O(1)`; the
