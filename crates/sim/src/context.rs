@@ -4,6 +4,7 @@ use congest_graph::NodeId;
 use congest_wire::{BitReader, BitWriter, IdCodec, Payload, WireError};
 use rand::rngs::SmallRng;
 
+use crate::stream::Streams;
 use crate::{Model, NodeInfo, SimError};
 
 /// A message delivered to a node at the start of a round.
@@ -41,8 +42,9 @@ impl Outbox {
 /// Everything a node program can see and do during one round.
 ///
 /// The context exposes only model-legal information: the node's static
-/// [`NodeInfo`], the messages received this round, a deterministic RNG, and
-/// a validated send operation.
+/// [`NodeInfo`], the messages received this round, the stream bits
+/// delivered so far, a deterministic RNG, and validated send and stream
+/// operations.
 pub struct RoundContext<'a> {
     pub(crate) info: &'a NodeInfo,
     pub(crate) round: u64,
@@ -50,6 +52,8 @@ pub struct RoundContext<'a> {
     /// `None` once [`take_inbox`](RoundContext::take_inbox) has handed
     /// the buffer's borrow to its drain.
     pub(crate) inbox: Option<&'a mut Vec<ReceivedMessage>>,
+    /// Every node's streams; this node touches only its own.
+    pub(crate) streams: &'a mut Streams,
     pub(crate) outbox: &'a mut Outbox,
     pub(crate) rng: &'a mut SmallRng,
 }
@@ -146,15 +150,10 @@ impl<'a> RoundContext<'a> {
     /// * [`SimError::InvalidDestination`] if `to` is this node, is not a
     ///   node of the network, or (in the CONGEST model) is not a neighbour.
     /// * [`SimError::DuplicateMessage`] if a message to `to` was already
-    ///   queued this round.
+    ///   queued this round, or a stream to `to` still has bits to send.
     pub fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), SimError> {
         let from = self.info.id;
-        if to == from || to.index() >= self.info.n {
-            return Err(SimError::InvalidDestination { from, to });
-        }
-        if self.info.model == Model::Congest && !self.info.is_neighbor(to) {
-            return Err(SimError::InvalidDestination { from, to });
-        }
+        self.check_destination(to)?;
         if payload.bit_len() > self.info.bandwidth_bits {
             return Err(SimError::BandwidthExceeded {
                 from,
@@ -162,6 +161,9 @@ impl<'a> RoundContext<'a> {
                 bits: payload.bit_len(),
                 budget: self.info.bandwidth_bits,
             });
+        }
+        if self.streams.is_streaming(from.index(), to) {
+            return Err(SimError::DuplicateMessage { from, to });
         }
         match self.outbox.position(to) {
             Ok(_) => Err(SimError::DuplicateMessage { from, to }),
@@ -172,9 +174,61 @@ impl<'a> RoundContext<'a> {
         }
     }
 
-    /// Whether a message to `to` has already been queued this round.
+    /// Opens a transfer of `payload` to `to` that the simulator carries
+    /// over as many rounds as the bandwidth needs: `⌈bits / B⌉` of them,
+    /// starting with this one. Each round it moves the next `B` bits (or
+    /// what is left) as one message on that link — booked, and subject to
+    /// faults, exactly like a [`send`](RoundContext::send) of that chunk
+    /// — into the receiver's buffer for this node, where
+    /// [`take_streams`](RoundContext::take_streams) collects it from the
+    /// next round on. The stream keeps moving while this node sleeps, and
+    /// stops when it halts or the epoch ends. An empty payload sends
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::InvalidDestination`] as for
+    ///   [`send`](RoundContext::send).
+    /// * [`SimError::DuplicateMessage`] if a message to `to` was already
+    ///   queued this round, or a stream to `to` still has bits to send.
+    pub fn stream(&mut self, to: NodeId, payload: Payload) -> Result<(), SimError> {
+        self.check_destination(to)?;
+        if self.has_queued(to) {
+            return Err(SimError::DuplicateMessage {
+                from: self.info.id,
+                to,
+            });
+        }
+        self.streams.open(self.info.id.index(), to, payload);
+        Ok(())
+    }
+
+    /// Takes the stream bits delivered to this node before this round and
+    /// not taken yet: one bit string per sender, ascending by sender, each
+    /// the concatenation of what arrived from it in arrival order — a
+    /// whole stream once its phase is over, the part delivered so far
+    /// while it still runs. Bits sent this round are not among them.
+    pub fn take_streams(&mut self) -> Vec<(NodeId, Payload)> {
+        self.streams.take(self.info.id.index(), self.round)
+    }
+
+    /// Whether this round's turn on the link to `to` is taken: a message
+    /// to `to` is queued, or a stream to `to` still has bits to send.
     pub fn has_queued(&self, to: NodeId) -> bool {
-        self.outbox.position(to).is_ok()
+        self.outbox.position(to).is_ok() || self.streams.is_streaming(self.info.id.index(), to)
+    }
+
+    /// Fails unless `to` is another node this one may talk to.
+    fn check_destination(&self, to: NodeId) -> Result<(), SimError> {
+        let from = self.info.id;
+        let reachable = to != from
+            && to.index() < self.info.n
+            && (self.info.model == Model::CongestClique || self.info.is_neighbor(to));
+        if reachable {
+            Ok(())
+        } else {
+            Err(SimError::InvalidDestination { from, to })
+        }
     }
 }
 
@@ -217,8 +271,8 @@ impl IdPayloadCodec {
     }
 
     /// Encodes a length-prefixed identifier list as a standalone payload
-    /// (which may exceed a single message budget — pair with the chunked
-    /// transfer helpers for transmission).
+    /// (which may exceed a single message budget — send it with
+    /// [`RoundContext::stream`]).
     pub fn list(&self, ids: &[u64]) -> Payload {
         let mut w = BitWriter::new();
         self.codec.encode_list(&mut w, ids);
@@ -226,7 +280,7 @@ impl IdPayloadCodec {
     }
 
     /// Decodes a payload produced by [`IdPayloadCodec::list`], ignoring any
-    /// trailing padding bits (as produced by chunk reassembly).
+    /// bits after the list.
     ///
     /// # Errors
     ///
@@ -254,6 +308,7 @@ mod tests {
 
     fn with_ctx<R>(info: &NodeInfo, f: impl FnOnce(&mut RoundContext<'_>) -> R) -> (R, Outbox) {
         let mut inbox = Vec::new();
+        let mut streams = Streams::new(info.n);
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(1);
         let r = {
@@ -262,6 +317,7 @@ mod tests {
                 round: 0,
                 epoch: 0,
                 inbox: Some(&mut inbox),
+                streams: &mut streams,
                 outbox: &mut outbox,
                 rng: &mut rng,
             };
@@ -381,6 +437,7 @@ mod tests {
             from: NodeId(1),
             payload: Payload::new(),
         });
+        let mut streams = Streams::new(info.n);
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut ctx = RoundContext {
@@ -388,6 +445,7 @@ mod tests {
             round: 3,
             epoch: 1,
             inbox: Some(&mut inbox),
+            streams: &mut streams,
             outbox: &mut outbox,
             rng: &mut rng,
         };

@@ -7,25 +7,28 @@
 //! [`Simulation::update_topology`] — the substrate of the dynamic
 //! (CONGEST-simulated) triangle engine in `congest-stream`.
 //!
-//! **Cost model.** On the host a round costs `O(active nodes + messages
-//! delivered)` and an epoch `O(n)` once: the round bookkeeping (see
-//! `round.rs`) never visits a halted node, inboxes are double-buffered
-//! and keep their capacity (a program reads its inbox by reference or
-//! drains it with [`RoundContext::take_inbox`]; neither gives the
-//! buffer away), and every node queues its sends into one reused
-//! destination-sorted buffer. A long phase in which a few nodes wait
-//! out a deadline is therefore nearly free, and host time follows
-//! simulated traffic rather than `n × rounds`. The chunked-transfer
-//! helpers carry the same model through the node boundary: inside
-//! `on_round` a round costs the streams still sending plus the chunks
-//! received (see [`transfer`](crate::transfer)).
+//! **Cost model.** On the host a round costs the nodes that are due plus
+//! the messages and stream chunks moved — with a flag test for every
+//! running node that is not due — and an epoch `O(n)` once. The round
+//! bookkeeping (see `round.rs`) never visits a halted node, nor a node
+//! that sleeps ([`NodeStatus::Sleep`](crate::NodeStatus::Sleep)) until its
+//! round comes or a message reaches it; inboxes are double-buffered and
+//! keep their capacity (a program reads its inbox by reference or drains
+//! it with [`RoundContext::take_inbox`]; neither gives the buffer away);
+//! every node queues its sends into one reused destination-sorted buffer;
+//! and a multi-round transfer is one stream the round state carries a
+//! chunk a round ([`RoundContext::stream`]), not a message the program
+//! cuts, sends, drains and glues back every round. A phase in which nodes
+//! only wait for their streams to drain, or a few nodes wait out a
+//! deadline, is therefore nearly free, and host time follows simulated
+//! traffic rather than `n × rounds`.
 //!
 //! **One executor.** The model's rounds are synchronous, so a run has
 //! one schedule and its rounds, messages and bits cannot depend on who
 //! calls `on_round`. [`Simulation`] is the only owner of the round
-//! state: it visits the active nodes in ascending order, and within a
+//! state: it visits the due nodes in ascending order, and within a
 //! round no node can observe that order — `on_round` borrows one node's
-//! info, inbox, outbox and RNG and nothing else, and
+//! info, inbox, streams, outbox and RNG and nothing else, and
 //! [`NodeProgram`]`: Send` keeps `Rc`-shared state out of programs. The
 //! unit tests below hold the engine to it: they run every round's nodes
 //! in a seeded shuffled order and compare with
@@ -291,12 +294,18 @@ impl<P: NodeProgram> Simulation<P> {
         state.run_epoch(config.max_rounds, |state, round| {
             for k in 0..state.active().len() {
                 let i = state.active()[k];
+                if !state.due(i, round) {
+                    state.pass(i);
+                    continue;
+                }
                 let status = {
+                    let (inbox, streams) = state.io(i);
                     let mut ctx = RoundContext {
                         info: &infos[i],
                         round,
                         epoch,
-                        inbox: Some(state.inbox_mut(i)),
+                        inbox: Some(inbox),
+                        streams,
                         outbox: &mut outbox,
                         rng: &mut rngs[i],
                     };
@@ -697,13 +706,13 @@ mod tests {
     // the claim is checked.
     // -----------------------------------------------------------------
 
-    /// One epoch of `sim` with every round's active nodes *run* in an
-    /// order drawn from `order`, each on an outbox of its own, and only
-    /// then settled — ascending, through the same [`RoundState::settle`]
-    /// the engine calls. Must be indistinguishable from
-    /// [`Simulation::run_epoch`]: a program that was handed another
-    /// node's inbox or RNG, or that saw a neighbour's sends of the same
-    /// round, would make the two differ.
+    /// One epoch of `sim` with every round's due nodes *run* in an order
+    /// drawn from `order`, each on an outbox of its own, and only then
+    /// settled — ascending, through the same [`RoundState::settle`] and
+    /// [`RoundState::pass`] the engine calls. Must be indistinguishable
+    /// from [`Simulation::run_epoch`]: a program that was handed another
+    /// node's inbox, streams or RNG, or that saw a neighbour's sends or
+    /// stream chunks of the same round, would make the two differ.
     fn run_epoch_shuffled<P: NodeProgram>(
         sim: &mut Simulation<P>,
         order: &mut SmallRng,
@@ -717,7 +726,12 @@ mod tests {
         } = sim;
         let epoch = state.epoch();
         state.run_epoch(config.max_rounds, |state, round| {
-            let mut visit = state.active().to_vec();
+            let active = state.active().to_vec();
+            let mut visit: Vec<usize> = active
+                .iter()
+                .copied()
+                .filter(|&i| state.due(i, round))
+                .collect();
             for k in (1..visit.len()).rev() {
                 visit.swap(k, order.gen_range(0..=k));
             }
@@ -725,11 +739,13 @@ mod tests {
                 .into_iter()
                 .map(|i| {
                     let mut outbox = Outbox::default();
+                    let (inbox, streams) = state.io(i);
                     let mut ctx = RoundContext {
                         info: &infos[i],
                         round,
                         epoch,
-                        inbox: Some(state.inbox_mut(i)),
+                        inbox: Some(inbox),
+                        streams,
                         outbox: &mut outbox,
                         rng: &mut rngs[i],
                     };
@@ -737,8 +753,12 @@ mod tests {
                 })
                 .collect();
             replies.sort_unstable_by_key(|&(i, ..)| i);
-            for (i, status, mut outbox) in replies {
-                state.settle(i, status, &mut outbox.messages);
+            let mut replies = replies.into_iter().peekable();
+            for i in active {
+                match replies.next_if(|&(visited, ..)| visited == i) {
+                    Some((_, status, mut outbox)) => state.settle(i, status, &mut outbox.messages),
+                    None => state.pass(i),
+                }
             }
         })
     }
@@ -908,6 +928,68 @@ mod tests {
                 .with_crash(2, 0, 1);
             let config = SimConfig::congest(99).with_faults(plan);
             assert_order_independent(&g, config, || NoisyGossip { sum: 0 });
+        }
+    }
+
+    /// Streams a random-length string to every neighbour in round 0 — a
+    /// direct message instead where it came out shorter than a byte — and sleeps
+    /// until round 6, waking early only for messages. Records what it
+    /// reads, and when; takes its streams whenever it is awake.
+    struct StreamSleeper {
+        read: Vec<(u64, NodeId, Payload)>,
+    }
+
+    impl NodeProgram for StreamSleeper {
+        type Output = Vec<(u64, NodeId, Payload)>;
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
+            let round = ctx.round();
+            if round == 0 {
+                for at in 0..ctx.degree() {
+                    let v = ctx.neighbors()[at];
+                    let len = ctx.rng().gen_range(0..40usize);
+                    let bytes = (0..5).map(|_| ctx.rng().gen()).collect();
+                    let bits = Payload::from_parts(bytes, len);
+                    if len < 8 {
+                        ctx.send(v, ctx.id_codec().single(u64::from(v.0))).unwrap();
+                    } else {
+                        ctx.stream(v, bits).unwrap();
+                    }
+                }
+            }
+            for m in ctx.take_inbox() {
+                self.read.push((round, m.from, m.payload));
+            }
+            for (from, bits) in ctx.take_streams() {
+                self.read.push((round, from, bits));
+            }
+            if round >= 6 {
+                NodeStatus::Halted
+            } else {
+                NodeStatus::Sleep(6)
+            }
+        }
+        fn finish(&mut self) -> Vec<(u64, NodeId, Payload)> {
+            std::mem::take(&mut self.read)
+        }
+    }
+
+    #[test]
+    fn shuffled_visits_match_ascending_with_streams_and_sleepers() {
+        let g = Gnp::new(20, 0.35).seeded(11).generate();
+        let sleeper = || StreamSleeper { read: Vec::new() };
+        let report = assert_order_independent(&g, SimConfig::congest(99), sleeper);
+        // Nodes woke early for messages and read streams in pieces.
+        let early = report.outputs.iter().flatten().filter(|r| r.0 == 1).count();
+        assert!(early > 20, "{early}");
+        for (drop_p, corrupt_p, dup_p) in [(0.1, 0.0, 0.0), (0.05, 0.05, 0.05), (0.0, 0.2, 0.1)] {
+            let plan = FaultPlan::default()
+                .with_drop(drop_p)
+                .with_corruption(corrupt_p)
+                .with_duplication(dup_p)
+                .with_seed(0xFA)
+                .with_crash(2, 0, 1);
+            let config = SimConfig::congest(99).with_faults(plan);
+            assert_order_independent(&g, config, sleeper);
         }
     }
 

@@ -54,11 +54,36 @@ impl FaultState {
         !self.quiet() && self.plan.crashed(node, epoch)
     }
 
-    /// Decides the fate of one message sent by `from`: `None` if it is
-    /// lost, otherwise the payload that arrives (possibly with one bit
-    /// flipped) and whether it arrives twice. Books the fault counters;
-    /// the caller books the arrivals. Must be called for every CONGEST
-    /// delivery in the engine's canonical order (injections bypass it).
+    /// Decides the fate of one `bits`-bit message sent by `from`: `None`
+    /// if it is lost, otherwise which bit (if any) arrives flipped and
+    /// whether it arrives twice. Books the fault counters; the caller
+    /// books the arrivals. Must be called for every CONGEST delivery —
+    /// a message or a stream chunk — in the engine's canonical order
+    /// (injections bypass it).
+    pub(crate) fn fate(&mut self, from: usize, bits: usize, metrics: &mut Metrics) -> Option<Fate> {
+        if self.quiet() {
+            return Some(Fate::default());
+        }
+        let rng = &mut self.rngs[from];
+        if self.plan.drop_p > 0.0 && rng.gen_bool(self.plan.drop_p) {
+            metrics.record_drop(from, bits);
+            return None;
+        }
+        let mut fate = Fate::default();
+        if self.plan.corrupt_p > 0.0 && rng.gen_bool(self.plan.corrupt_p) && bits > 0 {
+            fate.flip = Some(rng.gen_range(0..bits));
+            metrics.corrupted_messages += 1;
+        }
+        fate.twice = self.plan.duplicate_p > 0.0 && rng.gen_bool(self.plan.duplicate_p);
+        if fate.twice {
+            metrics.duplicated_messages += 1;
+        }
+        Some(fate)
+    }
+
+    /// [`fate`](FaultState::fate) applied to a whole message: `None` if
+    /// it is lost, otherwise the payload that arrives and whether it
+    /// arrives twice.
     pub(crate) fn transit(
         &mut self,
         from: usize,
@@ -68,23 +93,22 @@ impl FaultState {
         if self.quiet() {
             return Some((payload, false));
         }
-        let bits = payload.bit_len();
-        let rng = &mut self.rngs[from];
-        if self.plan.drop_p > 0.0 && rng.gen_bool(self.plan.drop_p) {
-            metrics.record_drop(from, bits);
-            return None;
-        }
-        let mut payload = payload;
-        if self.plan.corrupt_p > 0.0 && rng.gen_bool(self.plan.corrupt_p) && bits > 0 {
-            payload = payload.with_flipped_bit(rng.gen_range(0..bits));
-            metrics.corrupted_messages += 1;
-        }
-        let duplicated = self.plan.duplicate_p > 0.0 && rng.gen_bool(self.plan.duplicate_p);
-        if duplicated {
-            metrics.duplicated_messages += 1;
-        }
-        Some((payload, duplicated))
+        let fate = self.fate(from, payload.bit_len(), metrics)?;
+        let payload = match fate.flip {
+            Some(bit) => payload.with_flipped_bit(bit),
+            None => payload,
+        };
+        Some((payload, fate.twice))
     }
+}
+
+/// What the fault layer does to one delivery that is not lost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Fate {
+    /// The bit that arrives inverted, counted from the first bit sent.
+    pub(crate) flip: Option<usize>,
+    /// Whether the delivery arrives twice.
+    pub(crate) twice: bool,
 }
 
 #[cfg(test)]

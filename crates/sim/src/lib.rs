@@ -11,8 +11,11 @@
 //! This crate makes that model executable:
 //!
 //! * [`NodeProgram`] — the per-node state machine interface; a program sees
-//!   only its own [`NodeInfo`] (id, `n`, neighbour list), its inbox and its
-//!   per-node deterministic RNG.
+//!   only its own [`NodeInfo`] (id, `n`, neighbour list), its inbox, the
+//!   streams sent to it and its per-node deterministic RNG. Each round it
+//!   returns a [`NodeStatus`]: active, halted, or asleep until a given
+//!   round ([`NodeStatus::Sleep`]) — a sleeping node is not visited until
+//!   that round or a message reaches it.
 //! * [`Simulation`] — the round engine, and the only executor: the model's
 //!   rounds are synchronous, so a run has one schedule and its rounds,
 //!   messages and bits cannot depend on who calls a node program. It runs
@@ -32,9 +35,13 @@
 //!   per-sender streams, so a run repeats bit for bit from its seeds. The
 //!   default plan is quiet and preserves the paper's reliable model
 //!   bit-for-bit.
-//! * [`transfer`] — chunked multi-round transfers ([`ChunkedSender`],
-//!   [`ChunkAssembler`], [`MultiSender`]): the paper's "send the set `S` to
-//!   the neighbour" steps, which take `⌈|S| log n / B⌉` rounds.
+//! * Streams — the paper's "send the set `S` to the neighbour" steps,
+//!   which take `⌈|S| log n / B⌉` rounds: a node hands the whole payload
+//!   to [`RoundContext::stream`] once, the simulator moves `B` bits of it
+//!   a round — each chunk booked and faulted exactly as a message — and
+//!   the receiver collects what has arrived with
+//!   [`RoundContext::take_streams`]. [`transfer::rounds_for_bits`] sizes
+//!   the phases that carry them.
 //!
 //! ```
 //! use congest_graph::generators::Classic;
@@ -85,6 +92,7 @@ mod metrics;
 mod program;
 mod rng;
 mod round;
+mod stream;
 pub mod transfer;
 
 pub use config::{Bandwidth, CrashWindow, FaultPlan, Model, SimConfig};
@@ -94,4 +102,3 @@ pub use error::SimError;
 pub use metrics::Metrics;
 pub use program::{NodeInfo, NodeProgram, NodeStatus};
 pub use rng::derive_node_seed;
-pub use transfer::{ChunkAssembler, ChunkedSender, MultiSender};

@@ -39,7 +39,15 @@ impl NodeInfo {
 pub enum NodeStatus {
     /// The node wants to keep participating.
     Active,
+    /// The node has nothing to do before the given round of this epoch:
+    /// its `on_round` is next called in that round, or in an earlier one
+    /// in which a message reaches it. Its streams keep moving while it
+    /// sleeps, and a stream chunk arriving does not wake it. A round no
+    /// later than the next one makes this [`Active`](NodeStatus::Active).
+    Sleep(u64),
     /// The node has terminated; its `on_round` will not be called again.
+    /// What it sent this round — messages and one chunk of each of its
+    /// streams — still goes out; then its streams stop.
     Halted,
 }
 
@@ -47,9 +55,11 @@ pub enum NodeStatus {
 ///
 /// Each round the engine calls [`NodeProgram::on_round`] with a
 /// [`RoundContext`] exposing the inbox (messages sent to this node in the
-/// previous round), the outbox, the node's deterministic RNG and its static
-/// [`NodeInfo`]. When every node has returned [`NodeStatus::Halted`] the
-/// run ends and [`NodeProgram::finish`] collects each node's output.
+/// previous round), the streams delivered so far, the outbox, the node's
+/// deterministic RNG and its static [`NodeInfo`] — unless the node is
+/// asleep ([`NodeStatus::Sleep`]). When every node has returned
+/// [`NodeStatus::Halted`] the run ends and [`NodeProgram::finish`]
+/// collects each node's output.
 ///
 /// Programs must be `Send`. That keeps `Rc`-shared state out of programs
 /// — half of the argument that nodes interact through messages only; the

@@ -1,27 +1,31 @@
 //! The round bookkeeping of the engine.
 //!
 //! [`RoundState`] owns everything about an epoch that is not a node
-//! program: the double-buffered inboxes, the list of nodes still
-//! running, the epoch's [`Metrics`] and the fault layer. Its one owner,
+//! program: the double-buffered inboxes, the streams (`stream.rs`), the
+//! list of nodes still running and when each is next due, the epoch's
+//! [`Metrics`] and the fault layer. Its one owner,
 //! [`Simulation`](crate::Simulation), supplies only the compute step —
-//! run every active node once and [`settle`](RoundState::settle) each in
-//! ascending id order. The order is part of the contract: it is what
-//! makes an inbox arrive in *sender order* (lower ids first, a
-//! duplicated message next to its original), and programs lean on that
-//! — the distributed engine's per-round acknowledgement `dedup` removes
-//! adjacent repeats only. Fault decisions do not depend on it: they are
-//! drawn from per-sender streams (`faults.rs`).
+//! walk the running nodes in ascending id order, run each one that is
+//! [`due`](RoundState::due) and [`settle`](RoundState::settle) it, and
+//! [`pass`](RoundState::pass) the others. The order is part of the
+//! contract: it is what makes an inbox arrive in *sender order* (lower ids
+//! first, a duplicated message next to its original), and programs lean on
+//! that — the distributed engine's per-round acknowledgement `dedup`
+//! removes adjacent repeats only. Fault decisions do not depend on it:
+//! they are drawn from per-sender streams (`faults.rs`).
 //!
-//! **Cost model.** A round costs `O(active nodes + messages delivered)`
-//! on the host: nothing scans, allocates or drops per *halted* node, so
-//! a long phase in which a handful of nodes wait out a deadline is
-//! nearly free. An epoch costs `O(n)` once (fresh metrics, the active
-//! list, the crash schedule).
+//! **Cost model.** A round costs a flag test per running node, plus the
+//! nodes that are due, plus the messages and stream chunks moved: a
+//! sleeping node is not visited, and nothing scans, allocates or drops per
+//! *halted* node, so a long phase in which nodes wait for their streams to
+//! drain or for a deadline is nearly free. An epoch costs `O(n)` once
+//! (fresh metrics, the active list, the crash schedule).
 
 use congest_graph::NodeId;
 use congest_wire::Payload;
 
 use crate::faults::FaultState;
+use crate::stream::{OutStream, Streams};
 use crate::{EpochReport, Metrics, NodeStatus, ReceivedMessage, SimConfig, Termination};
 
 /// Per-simulation round state; see the [module documentation](self).
@@ -35,14 +39,23 @@ pub(crate) struct RoundState {
     /// `ctx.take_inbox()` drains it in place. A node's two buffers grow to
     /// its busiest round once and are never allocated again.
     next: Vec<Vec<ReceivedMessage>>,
+    /// Every node's multi-round transfers; nothing for a node that never
+    /// streams.
+    streams: Streams,
+    /// The per-message budget, which every stream chunk fills.
+    bandwidth_bits: usize,
     /// Nodes that sit out the rest of the epoch (halted or crashed).
     halted: Vec<bool>,
+    /// The first round in which each node is due whatever its inbox: 0
+    /// for an active node, the round it asked for a sleeping one.
+    wake: Vec<u64>,
     /// The nodes still running, ascending — the canonical settle order.
     active: Vec<usize>,
     /// Nodes that halted during the current round; they leave `active`
     /// when it ends.
     newly_halted: Vec<usize>,
-    /// Whether any node has queued a message in the current round.
+    /// Whether any node has sent a message or a stream chunk in the
+    /// current round.
     sent_this_round: bool,
     /// Traffic of the epoch in progress.
     metrics: Metrics,
@@ -50,6 +63,8 @@ pub(crate) struct RoundState {
     faults: FaultState,
     /// Number of completed epochs (the index of the next one).
     epoch: u64,
+    /// The round in progress, numbered from 0 in each epoch.
+    round: u64,
 }
 
 impl RoundState {
@@ -59,13 +74,17 @@ impl RoundState {
         RoundState {
             inboxes: empty_inboxes(),
             next: empty_inboxes(),
+            streams: Streams::new(n),
+            bandwidth_bits: config.bandwidth.bits_per_round(n.max(1)),
             halted: vec![false; n],
+            wake: vec![0; n],
             active: Vec::with_capacity(n),
             newly_halted: Vec::new(),
             sent_this_round: false,
             metrics: Metrics::default(),
             faults: FaultState::new(config, n),
             epoch: 0,
+            round: 0,
         }
     }
 
@@ -91,15 +110,22 @@ impl RoundState {
         &self.active
     }
 
-    /// The messages `node` reads this round.
-    pub(crate) fn inbox_mut(&mut self, node: usize) -> &mut Vec<ReceivedMessage> {
-        &mut self.inboxes[node]
+    /// Whether `node` runs in `round`: it is awake, or a message reached
+    /// it. Stream chunks do not count.
+    pub(crate) fn due(&self, node: usize, round: u64) -> bool {
+        self.wake[node] <= round || !self.inboxes[node].is_empty()
     }
 
-    /// Drives one epoch. `compute(state, round)` must run every node of
-    /// [`active`](RoundState::active) once on its
-    /// [`inbox_mut`](RoundState::inbox_mut) and then
-    /// [`settle`](RoundState::settle) each of them, in ascending order.
+    /// What `node` works on this round: its inbox and the streams.
+    pub(crate) fn io(&mut self, node: usize) -> (&mut Vec<ReceivedMessage>, &mut Streams) {
+        (&mut self.inboxes[node], &mut self.streams)
+    }
+
+    /// Drives one epoch. `compute(state, round)` must walk
+    /// [`active`](RoundState::active) in ascending order and, for each
+    /// node, either run it on its [`io`](RoundState::io) and
+    /// [`settle`](RoundState::settle) it — if it is
+    /// [`due`](RoundState::due) — or [`pass`](RoundState::pass) it.
     pub(crate) fn run_epoch(
         &mut self,
         max_rounds: u64,
@@ -113,6 +139,7 @@ impl RoundState {
             // one (no compute, inbound counted and dropped); its program
             // state is left intact for the rejoin re-seed.
             self.halted[node] = self.faults.crashed(node, self.epoch);
+            self.wake[node] = 0;
             if self.halted[node] {
                 self.inboxes[node].clear();
             } else {
@@ -120,26 +147,28 @@ impl RoundState {
             }
         }
 
-        let mut round: u64 = 0;
+        self.round = 0;
         let termination = loop {
             if self.active.is_empty() {
                 break Termination::AllHalted;
             }
-            if round >= max_rounds {
+            if self.round >= max_rounds {
                 break Termination::RoundLimit;
             }
-            compute(self, round);
+            compute(self, self.round);
             self.end_round();
-            round += 1;
+            self.round += 1;
         };
 
-        // Undelivered messages do not leak into the next epoch.
+        // Undelivered messages and streams do not leak into the next
+        // epoch.
         for &node in &self.active {
             self.inboxes[node].clear();
         }
+        self.streams.clear();
         self.epoch += 1;
         let mut metrics = std::mem::take(&mut self.metrics);
-        metrics.rounds = round;
+        metrics.rounds = self.round;
         EpochReport {
             metrics,
             termination,
@@ -147,8 +176,9 @@ impl RoundState {
     }
 
     /// Books the outcome of `node`'s round: empties the inbox it read,
-    /// retires it if it halted, and sends `outbox` (drained, in its
-    /// destination order) through the fault layer.
+    /// notes when it is next due, sends `outbox` (drained, in its
+    /// destination order) and a chunk of each of its streams, and retires
+    /// it — streams and all — if it halted.
     pub(crate) fn settle(
         &mut self,
         node: usize,
@@ -156,14 +186,82 @@ impl RoundState {
         outbox: &mut Vec<(NodeId, Payload)>,
     ) {
         self.inboxes[node].clear();
+        self.wake[node] = match status {
+            NodeStatus::Sleep(round) => round,
+            NodeStatus::Active | NodeStatus::Halted => 0,
+        };
+        self.transmit(node, outbox);
         if status == NodeStatus::Halted {
             self.halted[node] = true;
             self.newly_halted.push(node);
+            self.streams.stop(node);
         }
-        self.sent_this_round |= !outbox.is_empty();
+    }
+
+    /// A round of `node` that was not due: its streams move on.
+    pub(crate) fn pass(&mut self, node: usize) {
+        self.transmit(node, &mut Vec::new());
+    }
+
+    /// Sends `from`'s messages and a chunk of each of its streams, all
+    /// in ascending destination order — the order its fault draws follow,
+    /// as if each chunk had been one more message of the outbox.
+    fn transmit(&mut self, from: usize, outbox: &mut Vec<(NodeId, Payload)>) {
+        let out = self.streams.take_out(from);
+        self.sent_this_round |= !outbox.is_empty() || !out.is_empty();
+        if out.is_empty() {
+            for (to, payload) in outbox.drain(..) {
+                self.deliver(from, to.index(), payload);
+            }
+        } else {
+            self.transmit_with_streams(from, outbox, out);
+        }
+    }
+
+    /// [`transmit`](RoundState::transmit) for a node with live streams,
+    /// kept out of the path every other node takes.
+    #[inline(never)]
+    fn transmit_with_streams(
+        &mut self,
+        from: usize,
+        outbox: &mut Vec<(NodeId, Payload)>,
+        mut out: Vec<OutStream>,
+    ) {
+        let mut streams = out.iter_mut().peekable();
         for (to, payload) in outbox.drain(..) {
-            self.deliver(node, to.index(), payload);
+            while let Some(stream) = streams.next_if(|stream| stream.to() < to) {
+                self.move_chunk(from, stream);
+            }
+            self.deliver(from, to.index(), payload);
         }
+        for stream in streams {
+            self.move_chunk(from, stream);
+        }
+        self.streams.put_out(from, out);
+    }
+
+    /// Moves the next chunk of one of `from`'s streams, through the
+    /// fault layer, booked like a message of the same length.
+    fn move_chunk(&mut self, from: usize, stream: &mut OutStream) {
+        let len = stream.remaining().min(self.bandwidth_bits);
+        let to = stream.to().index();
+        let (copies, flip) = match self.faults.fate(from, len, &mut self.metrics) {
+            None => (0, None),
+            Some(fate) => (1 + usize::from(fate.twice), fate.flip),
+        };
+        for _ in 0..copies {
+            self.metrics.record_delivery(from, to, len);
+        }
+        // A chunk to a node that no longer runs is paid for, never stored.
+        let copies = if self.halted[to] { 0 } else { copies };
+        self.streams.carry(
+            self.round,
+            NodeId::from_index(from),
+            stream,
+            len,
+            copies,
+            flip,
+        );
     }
 
     /// One CONGEST delivery, through the fault layer.
@@ -192,8 +290,8 @@ impl RoundState {
         }
     }
 
-    /// Retires the nodes that halted this round and makes the deliveries
-    /// of this round the inboxes of the next.
+    /// Retires the nodes that halted this round and makes the messages
+    /// delivered in it the inboxes of the next.
     fn end_round(&mut self) {
         // A message the fault layer then lost was still sent.
         if !std::mem::take(&mut self.sent_this_round) {
@@ -222,6 +320,38 @@ mod tests {
         Payload::from_parts(vec![0xAB], 8)
     }
 
+    /// One visit: the node, the round, its inbox and the streams.
+    type Visit<'a> = (usize, u64, &'a mut Vec<ReceivedMessage>, &'a mut Streams);
+
+    /// Runs one epoch the way the engine walks it: every due node is
+    /// visited — `visit` returns the destinations it sends `payload()` to
+    /// and its status — and every other running node passes. Returns the
+    /// rounds each node was visited in.
+    fn drive(
+        state: &mut RoundState,
+        max_rounds: u64,
+        mut visit: impl FnMut(Visit<'_>) -> (Vec<u32>, NodeStatus),
+    ) -> (EpochReport, Vec<Vec<u64>>) {
+        let mut visits = vec![Vec::new(); state.inboxes.len()];
+        let report = state.run_epoch(max_rounds, |state, round| {
+            for k in 0..state.active().len() {
+                let node = state.active()[k];
+                if !state.due(node, round) {
+                    state.pass(node);
+                    continue;
+                }
+                visits[node].push(round);
+                let (inbox, streams) = state.io(node);
+                let (sends, status) = visit((node, round, inbox, streams));
+                let mut outbox: Vec<(NodeId, Payload)> =
+                    sends.iter().map(|&to| (NodeId(to), payload())).collect();
+                state.settle(node, status, &mut outbox);
+                assert!(outbox.is_empty());
+            }
+        });
+        (report, visits)
+    }
+
     /// Runs one epoch in which node `i` sends `sends[i]` in round 0 and
     /// halts in the round given by `halts_at[i]`; returns what each node
     /// read per round.
@@ -232,24 +362,120 @@ mod tests {
         halts_at: &[u64],
     ) -> (EpochReport, Vec<Vec<usize>>) {
         let mut read = vec![Vec::new(); sends.len()];
-        let report = state.run_epoch(max_rounds, |state, round| {
-            for k in 0..state.active().len() {
-                let node = state.active()[k];
-                read[node].push(state.inbox_mut(node).len());
-                let mut outbox: Vec<(NodeId, Payload)> = Vec::new();
-                if round == 0 {
-                    outbox.extend(sends[node].iter().map(|&to| (NodeId(to), payload())));
-                }
-                let status = if round >= halts_at[node] {
-                    NodeStatus::Halted
-                } else {
-                    NodeStatus::Active
-                };
-                state.settle(node, status, &mut outbox);
-                assert!(outbox.is_empty());
-            }
+        let (report, _) = drive(state, max_rounds, |(node, round, inbox, _)| {
+            read[node].push(inbox.len());
+            let sends = if round == 0 {
+                sends[node].to_vec()
+            } else {
+                Vec::new()
+            };
+            let status = if round >= halts_at[node] {
+                NodeStatus::Halted
+            } else {
+                NodeStatus::Active
+            };
+            (sends, status)
         });
         (report, read)
+    }
+
+    fn bits(len: usize) -> Payload {
+        Payload::from_parts(vec![0x5A; len.div_ceil(8)], len)
+    }
+
+    #[test]
+    fn a_sleeper_wakes_at_its_round_or_when_a_message_reaches_it() {
+        let mut state = RoundState::new(&SimConfig::congest(0), 3);
+        // Node 0 sleeps until round 6; node 1 wakes in round 2 to message
+        // it; node 2 only streams to it, 8 bits a round from round 0 on.
+        let (report, visits) = drive(&mut state, 20, |(node, round, inbox, streams)| match node {
+            0 => {
+                let status = if round >= 6 {
+                    NodeStatus::Halted
+                } else {
+                    NodeStatus::Sleep(6)
+                };
+                (Vec::new(), status)
+            }
+            _ if round >= 7 => (Vec::new(), NodeStatus::Halted),
+            1 if round == 0 => (Vec::new(), NodeStatus::Sleep(2)),
+            1 => (vec![0], NodeStatus::Sleep(7)),
+            _ => {
+                assert!(inbox.is_empty());
+                if round == 0 {
+                    streams.open(2, NodeId(0), bits(40));
+                }
+                (Vec::new(), NodeStatus::Sleep(7))
+            }
+        });
+        assert_eq!(
+            visits[0],
+            vec![0, 3, 6],
+            "woken by the message, not by chunks"
+        );
+        assert_eq!(visits[1], vec![0, 2, 7]);
+        assert_eq!(visits[2], vec![0, 7]);
+        // Node 2's five chunks moved while both ends slept.
+        assert_eq!(report.metrics.messages, 6);
+        assert_eq!(report.metrics.received_bits[0], 8 + 40);
+        assert_eq!(report.metrics.rounds, 8);
+    }
+
+    #[test]
+    fn sleeping_until_the_next_round_is_being_active() {
+        let run = |sleep: fn(u64) -> NodeStatus| {
+            let mut state = RoundState::new(&SimConfig::congest(0), 3);
+            drive(&mut state, 12, |(node, round, _, streams)| {
+                if round == 0 && node == 1 {
+                    streams.open(1, NodeId(2), bits(30));
+                }
+                let sends = if (round + node as u64).is_multiple_of(3) {
+                    vec![((node + 1) % 3) as u32]
+                } else {
+                    Vec::new()
+                };
+                let status = if round == 4 + node as u64 {
+                    NodeStatus::Halted
+                } else {
+                    sleep(round)
+                };
+                (sends, status)
+            })
+        };
+        let active = run(|_| NodeStatus::Active);
+        for sleep in [
+            (|round| NodeStatus::Sleep(round + 1)) as fn(u64) -> NodeStatus,
+            |round| NodeStatus::Sleep(round),
+            |_| NodeStatus::Sleep(0),
+        ] {
+            let (report, visits) = run(sleep);
+            assert_eq!(visits, active.1);
+            assert_eq!(report.metrics, active.0.metrics);
+            assert_eq!(report.termination, active.0.termination);
+        }
+    }
+
+    #[test]
+    fn an_epoch_of_sleepers_out_of_reach_ends_at_the_cap_like_active_nodes() {
+        let run = |status: NodeStatus| {
+            let mut state = RoundState::new(&SimConfig::congest(0), 3);
+            drive(&mut state, 9, |(node, round, _, streams)| {
+                if round == 0 && node == 0 {
+                    streams.open(0, NodeId(2), bits(20));
+                }
+                (Vec::new(), status)
+            })
+        };
+        let (asleep, visits) = run(NodeStatus::Sleep(100));
+        let (active, _) = run(NodeStatus::Active);
+        assert_eq!(visits, vec![vec![0]; 3]);
+        assert_eq!(asleep.termination, Termination::RoundLimit);
+        assert_eq!(asleep.termination, active.termination);
+        assert_eq!(asleep.metrics.rounds, 9);
+        assert_eq!(asleep.metrics.rounds, active.metrics.rounds);
+        // Three rounds carried chunks; the other six were silent.
+        assert_eq!(asleep.metrics.silent_rounds, 6);
+        assert_eq!(asleep.metrics, active.metrics);
     }
 
     #[test]

@@ -1,307 +1,284 @@
-//! Chunked multi-round transfers.
+//! How long a transfer occupies a link, and the chunked-transfer helpers
+//! the simulator's streams replaced.
 //!
-//! Several steps of the paper's algorithms ship payloads much larger than
-//! one message: "node `j` sends the set `S_j` to each neighbour" (Algorithm
-//! A1), "node `k` sends `S^X_U(j,k)` to `j`" (Algorithm A(X,r) step 4.1),
-//! etc. Under the CONGEST budget such a transfer occupies the link for
-//! `⌈bits / B⌉` consecutive rounds. [`ChunkedSender`] performs exactly that
-//! fragmentation; [`ChunkAssembler`] re-assembles the bit stream on the
-//! receiving side; [`MultiSender`] manages one chunked stream per
-//! destination and pumps them all each round, which is how "send a
-//! (different) set to every neighbour in parallel" steps are realized.
+//! A payload of `bits` bits sent over a link whose per-round budget is `B`
+//! takes `⌈bits / B⌉` rounds; [`rounds_for_bits`] is what every phase plan
+//! is sized with. The transfer itself is a stream the round state carries
+//! (see [`RoundContext::stream`](crate::RoundContext::stream)).
 //!
-//! The helpers do not add any framing of their own: algorithms send
-//! self-delimiting payloads (length-prefixed lists) and run each transfer
-//! inside a phase whose length all nodes can compute from `n`, `ε`, `r` and
-//! the bandwidth, exactly as the paper's round accounting assumes.
-//!
-//! **Cost model.** Cutting or absorbing a chunk costs `O(chunk bits)` on
-//! the host, wherever in the payload it sits: the sender seeks with
-//! [`BitReader::skip`] and both sides move bits with
-//! [`BitWriter::append`], so a whole transfer is linear in its length.
-//!
-//! Inside a node, a round costs the streams still sending plus the chunks
-//! received — the node-side half of the simulator's `O(active nodes +
-//! messages delivered)`. A phase is sized for the longest stream the caps
-//! allow and most streams end in its first rounds, so:
-//!
-//! * [`MultiSender`] holds only unfinished streams, sorted by destination.
-//!   A stream leaves the list in the round its last chunk is handed to the
-//!   outbox (an empty payload is never listed), so
-//!   [`pump`](MultiSender::pump) visits `O(streams still sending)` entries,
-//!   [`is_done`](MultiSender::is_done) is an emptiness test, and the
-//!   chunks reach the outbox in ascending destination order — the order
-//!   in which it appends without searching.
-//! * [`MultiAssembler`] holds one buffer per sender, sorted by sender.
-//!   The engine settles nodes in ascending id order, so an inbox arrives
-//!   in *sender order* (`round.rs` makes that a contract): a push goes to
-//!   the buffer after the one last pushed to (or back to the first, a
-//!   round later) when that is the sender's, which it is while the same
-//!   neighbours keep streaming; a first round appends; anything else —
-//!   a stream that ended, a new one in the middle — is one binary search.
-//!   Pushing in any other order is still correct, only slower.
-
-use congest_graph::NodeId;
-use congest_wire::{BitReader, BitWriter, Payload};
-
-use crate::{RoundContext, SimError};
+//! The helpers node programs used before — a sender that cut one chunk a
+//! round into the outbox and an assembler that glued the inbox back
+//! together per sender — live on under `#[cfg(test)]` as the oracle the
+//! streams are held to, bit for bit.
 
 /// Number of rounds a payload of `payload_bits` bits occupies a link whose
 /// per-round budget is `bandwidth_bits`.
 ///
-/// The empty payload occupies the link for 0 rounds, matching
-/// [`ChunkedSender`], which sends nothing for it; a phase that must last at
-/// least one round says so itself (`.max(1)`).
+/// The empty payload occupies the link for 0 rounds, matching a stream of
+/// it, which sends nothing; a phase that must last at least one round says
+/// so itself (`.max(1)`).
 pub fn rounds_for_bits(payload_bits: usize, bandwidth_bits: usize) -> u64 {
     assert!(bandwidth_bits > 0, "bandwidth must be positive");
     (payload_bits as u64).div_ceil(bandwidth_bits as u64)
 }
 
-/// Sends one long payload to one destination over as many rounds as needed.
-///
-/// Call [`ChunkedSender::pump`] exactly once per round until
-/// [`ChunkedSender::is_done`] turns true.
-#[derive(Debug, Clone)]
-pub struct ChunkedSender {
-    dest: NodeId,
-    payload: Payload,
-    cursor: usize,
-}
+#[cfg(test)]
+/// The chunked-transfer helpers, kept as the oracle of the streams: what
+/// `MultiSender::pump` hands the outbox and `MultiAssembler` glues back
+/// together is what a stream moves and lands.
+pub(crate) mod oracle {
+    use congest_graph::NodeId;
+    use congest_wire::{BitReader, BitWriter, Payload};
 
-impl ChunkedSender {
-    /// Creates a sender that will ship `payload` to `dest`.
-    pub fn new(dest: NodeId, payload: Payload) -> Self {
-        ChunkedSender {
-            dest,
-            payload,
-            cursor: 0,
-        }
-    }
+    use super::rounds_for_bits;
+    use crate::{RoundContext, SimError};
 
-    /// The destination node.
-    pub fn dest(&self) -> NodeId {
-        self.dest
-    }
-
-    /// Whether the whole payload has been handed to the outbox.
-    pub fn is_done(&self) -> bool {
-        self.cursor >= self.payload.bit_len()
-    }
-
-    /// Number of rounds still needed under the given bandwidth.
-    pub fn remaining_rounds(&self, bandwidth_bits: usize) -> u64 {
-        rounds_for_bits(self.payload.bit_len() - self.cursor, bandwidth_bits)
-    }
-
-    /// Sends the next chunk (if any) through `ctx`. Returns whether the
-    /// transfer is complete after this round.
+    /// Sends one long payload to one destination over as many rounds as needed.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the underlying send (for example when a
-    /// message to the same destination was already queued this round).
-    pub fn pump(&mut self, ctx: &mut RoundContext<'_>) -> Result<bool, SimError> {
-        if self.is_done() {
-            return Ok(true);
-        }
-        let budget = ctx.bandwidth_bits();
-        let len = (self.payload.bit_len() - self.cursor).min(budget);
-        let mut reader = BitReader::new(&self.payload);
-        reader.skip(self.cursor).expect("cursor is within payload");
-        let mut chunk = BitWriter::new();
-        chunk
-            .append(&mut reader, len)
-            .expect("chunk is within payload");
-        ctx.send(self.dest, chunk.finish())?;
-        self.cursor += len;
-        Ok(self.is_done())
-    }
-}
-
-/// Reassembles the chunks of one logical transfer from one sender.
-#[derive(Debug, Clone, Default)]
-pub struct ChunkAssembler {
-    writer: BitWriter,
-}
-
-impl ChunkAssembler {
-    /// Creates an empty assembler.
-    pub fn new() -> Self {
-        Self::default()
+    /// Call [`ChunkedSender::pump`] exactly once per round until
+    /// [`ChunkedSender::is_done`] turns true.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ChunkedSender {
+        dest: NodeId,
+        payload: Payload,
+        cursor: usize,
     }
 
-    /// Appends a received chunk.
-    pub fn push(&mut self, chunk: &Payload) {
-        self.writer.write_payload(chunk);
-    }
-
-    /// Number of bits accumulated so far.
-    pub fn bit_len(&self) -> usize {
-        self.writer.bit_len()
-    }
-
-    /// Finalizes the accumulated bits into one payload.
-    pub fn finish(self) -> Payload {
-        self.writer.finish()
-    }
-}
-
-/// Manages one chunked transfer per destination and pumps all of them each
-/// round.
-///
-/// This is the sender side of the "send a set to every neighbour" steps: the
-/// per-destination payloads may have different lengths, and the whole phase
-/// lasts as many rounds as the longest of them.
-#[derive(Debug, Default)]
-pub struct MultiSender {
-    /// The transfers with bits left to send, ascending by destination.
-    senders: Vec<ChunkedSender>,
-}
-
-impl MultiSender {
-    /// Creates a sender with no queued transfers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queues `payload` for `dest`, replacing any previous queued transfer
-    /// to the same destination.
-    pub fn queue(&mut self, dest: NodeId, payload: Payload) {
-        let at = match self.senders.last() {
-            // The usual "for each neighbour" loop queues in ascending order.
-            Some(last) if last.dest < dest => Err(self.senders.len()),
-            _ => self.senders.binary_search_by_key(&dest, |s| s.dest),
-        };
-        let sender = ChunkedSender::new(dest, payload);
-        match (at, sender.is_done()) {
-            (Ok(at), false) => self.senders[at] = sender,
-            (Ok(at), true) => {
-                self.senders.remove(at);
+    impl ChunkedSender {
+        /// Creates a sender that will ship `payload` to `dest`.
+        pub fn new(dest: NodeId, payload: Payload) -> Self {
+            ChunkedSender {
+                dest,
+                payload,
+                cursor: 0,
             }
-            (Err(at), false) => self.senders.insert(at, sender),
-            (Err(_), true) => {}
+        }
+
+        /// Whether the whole payload has been handed to the outbox.
+        pub fn is_done(&self) -> bool {
+            self.cursor >= self.payload.bit_len()
+        }
+
+        /// Number of rounds still needed under the given bandwidth.
+        pub fn remaining_rounds(&self, bandwidth_bits: usize) -> u64 {
+            rounds_for_bits(self.payload.bit_len() - self.cursor, bandwidth_bits)
+        }
+
+        /// Sends the next chunk (if any) through `ctx`. Returns whether the
+        /// transfer is complete after this round.
+        ///
+        /// # Errors
+        ///
+        /// Propagates [`SimError`] from the underlying send (for example when a
+        /// message to the same destination was already queued this round).
+        pub fn pump(&mut self, ctx: &mut RoundContext<'_>) -> Result<bool, SimError> {
+            if self.is_done() {
+                return Ok(true);
+            }
+            let budget = ctx.bandwidth_bits();
+            let len = (self.payload.bit_len() - self.cursor).min(budget);
+            let mut reader = BitReader::new(&self.payload);
+            reader.skip(self.cursor).expect("cursor is within payload");
+            let mut chunk = BitWriter::new();
+            chunk
+                .append(&mut reader, len)
+                .expect("chunk is within payload");
+            ctx.send(self.dest, chunk.finish())?;
+            self.cursor += len;
+            Ok(self.is_done())
         }
     }
 
-    /// Whether every queued transfer has completed.
-    pub fn is_done(&self) -> bool {
-        self.senders.is_empty()
+    /// Reassembles the chunks of one logical transfer from one sender.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct ChunkAssembler {
+        writer: BitWriter,
     }
 
-    /// The number of rounds the slowest queued transfer still needs.
-    pub fn remaining_rounds(&self, bandwidth_bits: usize) -> u64 {
-        self.senders
-            .iter()
-            .map(|s| s.remaining_rounds(bandwidth_bits))
-            .max()
-            .unwrap_or(0)
+    impl ChunkAssembler {
+        /// Creates an empty assembler.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Appends a received chunk.
+        pub fn push(&mut self, chunk: &Payload) {
+            self.writer.write_payload(chunk);
+        }
+
+        /// Number of bits accumulated so far.
+        pub fn bit_len(&self) -> usize {
+            self.writer.bit_len()
+        }
+
+        /// Finalizes the accumulated bits into one payload.
+        pub fn finish(self) -> Payload {
+            self.writer.finish()
+        }
     }
 
-    /// Pumps every unfinished transfer once, in ascending destination
-    /// order, and forgets the ones that finished. Returns whether
-    /// everything is complete after this round.
+    /// Manages one chunked transfer per destination and pumps all of them each
+    /// round.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SimError`] encountered; the transfer that
-    /// met it and every later one are left as they were.
-    pub fn pump(&mut self, ctx: &mut RoundContext<'_>) -> Result<bool, SimError> {
-        let mut failure = None;
-        self.senders.retain_mut(|sender| {
-            if failure.is_some() {
-                return true;
-            }
-            match sender.pump(ctx) {
-                Ok(done) => !done,
-                Err(e) => {
-                    failure = Some(e);
-                    true
+    /// This is the sender side of the "send a set to every neighbour" steps: the
+    /// per-destination payloads may have different lengths, and the whole phase
+    /// lasts as many rounds as the longest of them.
+    #[derive(Debug, Default)]
+    pub(crate) struct MultiSender {
+        /// The transfers with bits left to send, ascending by destination.
+        senders: Vec<ChunkedSender>,
+    }
+
+    impl MultiSender {
+        /// Creates a sender with no queued transfers.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Queues `payload` for `dest`, replacing any previous queued transfer
+        /// to the same destination.
+        pub fn queue(&mut self, dest: NodeId, payload: Payload) {
+            let at = match self.senders.last() {
+                // The usual "for each neighbour" loop queues in ascending order.
+                Some(last) if last.dest < dest => Err(self.senders.len()),
+                _ => self.senders.binary_search_by_key(&dest, |s| s.dest),
+            };
+            let sender = ChunkedSender::new(dest, payload);
+            match (at, sender.is_done()) {
+                (Ok(at), false) => self.senders[at] = sender,
+                (Ok(at), true) => {
+                    self.senders.remove(at);
                 }
+                (Err(at), false) => self.senders.insert(at, sender),
+                (Err(_), true) => {}
             }
-        });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(self.is_done()),
+        }
+
+        /// Whether every queued transfer has completed.
+        pub fn is_done(&self) -> bool {
+            self.senders.is_empty()
+        }
+
+        /// The number of rounds the slowest queued transfer still needs.
+        pub fn remaining_rounds(&self, bandwidth_bits: usize) -> u64 {
+            self.senders
+                .iter()
+                .map(|s| s.remaining_rounds(bandwidth_bits))
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// Pumps every unfinished transfer once, in ascending destination
+        /// order, and forgets the ones that finished. Returns whether
+        /// everything is complete after this round.
+        ///
+        /// # Errors
+        ///
+        /// Propagates the first [`SimError`] encountered; the transfer that
+        /// met it and every later one are left as they were.
+        pub fn pump(&mut self, ctx: &mut RoundContext<'_>) -> Result<bool, SimError> {
+            let mut failure = None;
+            self.senders.retain_mut(|sender| {
+                if failure.is_some() {
+                    return true;
+                }
+                match sender.pump(ctx) {
+                    Ok(done) => !done,
+                    Err(e) => {
+                        failure = Some(e);
+                        true
+                    }
+                }
+            });
+            match failure {
+                Some(e) => Err(e),
+                None => Ok(self.is_done()),
+            }
         }
     }
-}
 
-/// Per-sender reassembly buffers for the receiving side of a phase in which
-/// several neighbours stream payloads concurrently.
-#[derive(Debug, Clone, Default)]
-pub struct MultiAssembler {
-    /// One buffer per sender heard from, ascending by sender.
-    buffers: Vec<(NodeId, ChunkAssembler)>,
-    /// The index after the buffer last pushed to.
-    next: usize,
-}
-
-impl MultiAssembler {
-    /// Creates an empty set of buffers.
-    pub fn new() -> Self {
-        Self::default()
+    /// Per-sender reassembly buffers for the receiving side of a phase in which
+    /// several neighbours stream payloads concurrently.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct MultiAssembler {
+        /// One buffer per sender heard from, ascending by sender.
+        buffers: Vec<(NodeId, ChunkAssembler)>,
+        /// The index after the buffer last pushed to.
+        next: usize,
     }
 
-    /// Appends a chunk received from `from`.
-    pub fn push(&mut self, from: NodeId, chunk: &Payload) {
-        // In sender order the buffer after the last one used is the
-        // likeliest to be next, and a round later the first one.
-        let guess = if self.next < self.buffers.len() {
-            self.next
-        } else {
-            0
-        };
-        let at = match self.buffers.get(guess) {
-            Some((sender, _)) if *sender == from => guess,
-            _ => {
-                let at = match self.buffers.last() {
-                    Some((last, _)) if *last < from => Err(self.buffers.len()),
-                    _ => self
-                        .buffers
-                        .binary_search_by_key(&from, |(sender, _)| *sender),
-                };
-                at.unwrap_or_else(|at| {
-                    self.buffers.insert(at, (from, ChunkAssembler::new()));
-                    at
-                })
-            }
-        };
-        self.buffers[at].1.push(chunk);
-        self.next = at + 1;
-    }
+    impl MultiAssembler {
+        /// Creates an empty set of buffers.
+        pub fn new() -> Self {
+            Self::default()
+        }
 
-    /// Finalizes all buffers into `(sender, payload)` pairs, sorted by
-    /// sender id.
-    pub fn finish(self) -> Vec<(NodeId, Payload)> {
-        self.buffers
-            .into_iter()
-            .map(|(from, asm)| (from, asm.finish()))
-            .collect()
-    }
+        /// Appends a chunk received from `from`.
+        pub fn push(&mut self, from: NodeId, chunk: &Payload) {
+            // In sender order the buffer after the last one used is the
+            // likeliest to be next, and a round later the first one.
+            let guess = if self.next < self.buffers.len() {
+                self.next
+            } else {
+                0
+            };
+            let at = match self.buffers.get(guess) {
+                Some((sender, _)) if *sender == from => guess,
+                _ => {
+                    let at = match self.buffers.last() {
+                        Some((last, _)) if *last < from => Err(self.buffers.len()),
+                        _ => self
+                            .buffers
+                            .binary_search_by_key(&from, |(sender, _)| *sender),
+                    };
+                    at.unwrap_or_else(|at| {
+                        self.buffers.insert(at, (from, ChunkAssembler::new()));
+                        at
+                    })
+                }
+            };
+            self.buffers[at].1.push(chunk);
+            self.next = at + 1;
+        }
 
-    /// The senders that have contributed at least one chunk.
-    pub fn senders(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.buffers.iter().map(|(from, _)| *from)
-    }
+        /// Finalizes all buffers into `(sender, payload)` pairs, sorted by
+        /// sender id.
+        pub fn finish(self) -> Vec<(NodeId, Payload)> {
+            self.buffers
+                .into_iter()
+                .map(|(from, asm)| (from, asm.finish()))
+                .collect()
+        }
 
-    /// Every sender heard from with its buffer as it stands, in ascending
-    /// sender order — for a receiver that has to look at unfinished
-    /// streams (how many bits have arrived, or a copy of one of them)
-    /// without consuming the assembler.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &ChunkAssembler)> + '_ {
-        self.buffers.iter().map(|(from, asm)| (*from, asm))
+        /// The senders that have contributed at least one chunk.
+        pub fn senders(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.buffers.iter().map(|(from, _)| *from)
+        }
+
+        /// Every sender heard from with its buffer as it stands, in ascending
+        /// sender order — for a receiver that has to look at unfinished
+        /// streams (how many bits have arrived, or a copy of one of them)
+        /// without consuming the assembler.
+        pub fn iter(&self) -> impl Iterator<Item = (NodeId, &ChunkAssembler)> + '_ {
+            self.buffers.iter().map(|(from, asm)| (*from, asm))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{ChunkAssembler, ChunkedSender, MultiAssembler, MultiSender};
     use super::*;
     use std::collections::BTreeMap;
 
     use crate::context::Outbox;
-    use crate::{Model, NodeInfo, NodeProgram, NodeStatus, RoundContext, SimConfig, Simulation};
+    use crate::stream::Streams;
+    use crate::{
+        Model, NodeInfo, NodeProgram, NodeStatus, RoundContext, SimConfig, SimError, Simulation,
+    };
     use congest_graph::generators::Classic;
-    use congest_wire::{BitWriter, IdCodec};
+    use congest_graph::NodeId;
+    use congest_wire::{BitReader, BitWriter, IdCodec, Payload};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -495,6 +472,7 @@ mod tests {
         pump: impl FnOnce(&mut RoundContext<'_>) -> Result<bool, SimError>,
     ) -> (Result<bool, SimError>, Vec<(NodeId, Payload)>) {
         let mut inbox = Vec::new();
+        let mut streams = Streams::new(info.n);
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(0);
         let mut ctx = RoundContext {
@@ -502,6 +480,7 @@ mod tests {
             round: 0,
             epoch: 0,
             inbox: Some(&mut inbox),
+            streams: &mut streams,
             outbox: &mut outbox,
             rng: &mut rng,
         };

@@ -12,9 +12,9 @@
 //! Round complexity: `O(n^{1−ε})`.
 
 use congest_graph::{NodeId, Triangle, TriangleSet};
-use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
+use congest_sim::transfer::rounds_for_bits;
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::IdCodec;
+use congest_wire::{IdCodec, Payload};
 use rand::Rng;
 
 use crate::common::{encode_node_list, ids_to_nodes, try_decode_id_list};
@@ -31,8 +31,6 @@ pub struct A1Program {
     /// round.
     plan: PhasePlan,
     codec: IdCodec,
-    sender: MultiSender,
-    assembler: MultiAssembler,
     found: TriangleSet,
 }
 
@@ -55,8 +53,6 @@ impl A1Program {
             sample_cap,
             plan,
             codec,
-            sender: MultiSender::new(),
-            assembler: MultiAssembler::new(),
             found: TriangleSet::new(),
         }
     }
@@ -71,9 +67,13 @@ impl A1Program {
         self.sample_cap
     }
 
-    fn process_received(&mut self, me: NodeId, neighbors: &[NodeId]) {
-        let assembler = std::mem::take(&mut self.assembler);
-        for (sender, payload) in assembler.finish() {
+    fn process_received(
+        &mut self,
+        me: NodeId,
+        neighbors: &[NodeId],
+        samples: Vec<(NodeId, Payload)>,
+    ) {
+        for (sender, payload) in samples {
             let Some(ids) = try_decode_id_list(self.codec, &payload) else {
                 continue;
             };
@@ -98,16 +98,10 @@ impl NodeProgram for A1Program {
             return NodeStatus::Halted;
         };
 
-        // Collect chunks delivered this round (sent during the previous
-        // round, i.e. the broadcast phase).
-        for m in ctx.take_inbox() {
-            self.assembler.push(m.from, &m.payload);
-        }
-
         match position.phase {
             0 => {
                 if position.is_first {
-                    // Sample S_j and queue it to every neighbour.
+                    // Sample S_j and stream it to every neighbour.
                     let mut sample = Vec::new();
                     for at in 0..ctx.degree() {
                         if ctx.rng().gen_bool(self.sample_probability) {
@@ -116,19 +110,20 @@ impl NodeProgram for A1Program {
                     }
                     if sample.len() <= self.sample_cap {
                         let payload = encode_node_list(self.codec, &sample);
-                        for &v in ctx.neighbors() {
-                            self.sender.queue(v, payload.clone());
+                        for at in 0..ctx.degree() {
+                            let v = ctx.neighbors()[at];
+                            ctx.stream(v, payload.clone())
+                                .expect("one A1 stream a link");
                         }
                     }
                 }
-                self.sender
-                    .pump(ctx)
-                    .expect("A1 broadcast chunks fit the bandwidth budget");
-                NodeStatus::Active
+                // The streams drain by themselves; wake when they are in.
+                NodeStatus::Sleep(self.plan.start_of(1))
             }
             _ => {
-                // Final round: every chunk has arrived; decode and report.
-                self.process_received(ctx.id(), ctx.neighbors());
+                // Final round: every stream has arrived; decode and report.
+                let samples = ctx.take_streams();
+                self.process_received(ctx.id(), ctx.neighbors(), samples);
                 NodeStatus::Halted
             }
         }

@@ -19,9 +19,9 @@
 
 use congest_graph::{Edge, NodeId, TriangleSet};
 use congest_hash::{HashFunction, KWiseFamily};
-use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
+use congest_sim::transfer::rounds_for_bits;
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::{BitReader, IdCodec, Wire};
+use congest_wire::{BitReader, IdCodec, Payload, Wire};
 
 use crate::common::{encode_node_list, ids_to_nodes, triangles_in_edge_set, try_decode_id_list};
 use crate::params::PhasePlan;
@@ -36,8 +36,6 @@ pub struct A2Program {
     codec: IdCodec,
     /// The hash function this node sampled and distributed.
     own_hash: Option<HashFunction>,
-    sender: MultiSender,
-    assembler: MultiAssembler,
     found: TriangleSet,
 }
 
@@ -64,8 +62,6 @@ impl A2Program {
             plan,
             codec,
             own_hash: None,
-            sender: MultiSender::new(),
-            assembler: MultiAssembler::new(),
             found: TriangleSet::new(),
         }
     }
@@ -86,11 +82,10 @@ impl A2Program {
     }
 
     /// Finalizes the hash-distribution phase: decode `h_a` for every
-    /// neighbour `a` heard from (the assembler hands them over in sender
-    /// order) and queue the edge set `E_j^a`.
-    fn start_edge_phase(&mut self, neighbors: &[NodeId]) {
-        let assembler = std::mem::take(&mut self.assembler);
-        for (a, payload) in assembler.finish() {
+    /// neighbour `a` heard from (the streams come in sender order) and
+    /// stream the edge set `E_j^a` to it.
+    fn start_edge_phase(&mut self, ctx: &mut RoundContext<'_>) {
+        for (a, payload) in ctx.take_streams() {
             let mut reader = BitReader::new(&payload);
             let Ok(hash) = self.family.decode_function(&mut reader) else {
                 continue;
@@ -98,24 +93,24 @@ impl A2Program {
             // The edge {j, a} itself also belongs to E_j^a when h_a(a) = 0,
             // but sending it is pointless (a already knows its incident
             // edges), so it is skipped; this only removes redundant traffic.
-            let endpoints: Vec<NodeId> = neighbors
+            let endpoints: Vec<NodeId> = ctx
+                .neighbors()
                 .iter()
                 .copied()
                 .filter(|&l| l != a && hash.hash(l.as_u64()) == 0)
                 .collect();
             if endpoints.len() <= self.edge_set_cap {
-                self.sender
-                    .queue(a, encode_node_list(self.codec, &endpoints));
+                ctx.stream(a, encode_node_list(self.codec, &endpoints))
+                    .expect("one edge-set stream a link");
             }
         }
     }
 
     /// Finalizes the edge phase: decode every received `E_j^i` into the
     /// set `F_i` and list its triangles.
-    fn finish_and_list(&mut self, me: NodeId, neighbors: &[NodeId]) {
+    fn finish_and_list(&mut self, me: NodeId, neighbors: &[NodeId], sets: Vec<(NodeId, Payload)>) {
         let mut received_edges = Vec::new();
-        let assembler = std::mem::take(&mut self.assembler);
-        for (sender, payload) in assembler.finish() {
+        for (sender, payload) in sets {
             let Some(ids) = try_decode_id_list(self.codec, &payload) else {
                 continue;
             };
@@ -145,37 +140,30 @@ impl NodeProgram for A2Program {
             return NodeStatus::Halted;
         };
 
-        for m in ctx.take_inbox() {
-            self.assembler.push(m.from, &m.payload);
-        }
-
         match position.phase {
             0 => {
                 if position.is_first {
-                    // Sample h_i and broadcast it to the neighbourhood.
+                    // Sample h_i and stream it to the neighbourhood.
                     let hash = self.family.sample(ctx.rng());
                     let payload = hash.to_payload();
                     self.own_hash = Some(hash);
-                    for &v in ctx.neighbors() {
-                        self.sender.queue(v, payload.clone());
+                    for at in 0..ctx.degree() {
+                        let v = ctx.neighbors()[at];
+                        ctx.stream(v, payload.clone())
+                            .expect("one hash stream a link");
                     }
                 }
-                self.sender
-                    .pump(ctx)
-                    .expect("hash chunks fit the bandwidth budget");
-                NodeStatus::Active
+                NodeStatus::Sleep(self.plan.start_of(1))
             }
             1 => {
                 if position.is_first {
-                    self.start_edge_phase(ctx.neighbors());
+                    self.start_edge_phase(ctx);
                 }
-                self.sender
-                    .pump(ctx)
-                    .expect("edge-set chunks fit the bandwidth budget");
-                NodeStatus::Active
+                NodeStatus::Sleep(self.plan.start_of(2))
             }
             _ => {
-                self.finish_and_list(ctx.id(), ctx.neighbors());
+                let sets = ctx.take_streams();
+                self.finish_and_list(ctx.id(), ctx.neighbors(), sets);
                 NodeStatus::Halted
             }
         }

@@ -27,7 +27,7 @@
 //! Round complexity: `O(|X| + r log n)`.
 
 use congest_graph::{NodeId, Triangle, TriangleSet};
-use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
+use congest_sim::transfer::rounds_for_bits;
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
 use congest_wire::{BitReader, BitWriter, IdCodec, Payload};
 use rand::Rng;
@@ -135,8 +135,6 @@ pub struct AXrProgram {
     /// `V^X_{U,r}(me)` of the current iteration.
     v_list: Vec<NodeId>,
 
-    sender: MultiSender,
-    assembler: MultiAssembler,
     found: TriangleSet,
 }
 
@@ -178,8 +176,6 @@ impl AXrProgram {
             u_neighbors: info.neighbors.clone(),
             good_this_iteration: false,
             v_list: Vec::new(),
-            sender: MultiSender::new(),
-            assembler: MultiAssembler::new(),
             found: TriangleSet::new(),
         }
     }
@@ -194,11 +190,16 @@ impl AXrProgram {
         self.in_x
     }
 
-    /// Interprets the data received during the phase that just ended.
-    /// `parts` come in ascending sender order, which is what keeps the
-    /// lists built here sorted.
-    fn finalize_previous_phase(&mut self, previous: PhaseKind, me: NodeId, neighbors: &[NodeId]) {
-        let parts = std::mem::take(&mut self.assembler).finish();
+    /// Interprets the data received during the phase that just ended —
+    /// announcements or streams, one per sender. `parts` come in ascending
+    /// sender order, which is what keeps the lists built here sorted.
+    fn finalize_previous_phase(
+        &mut self,
+        previous: PhaseKind,
+        me: NodeId,
+        neighbors: &[NodeId],
+        parts: Vec<(NodeId, Payload)>,
+    ) {
         match previous {
             PhaseKind::XAnnounce => {
                 self.x_neighbors = parts
@@ -284,8 +285,9 @@ impl AXrProgram {
             PhaseKind::XNeighborhood => {
                 let shipped = self.x_neighbors.len().min(self.config.x_cap.max(1));
                 let payload = encode_node_list(self.codec, &self.x_neighbors[..shipped]);
-                for &v in ctx.neighbors() {
-                    self.sender.queue(v, payload.clone());
+                for at in 0..ctx.degree() {
+                    let v = ctx.neighbors()[at];
+                    self.stream(ctx, v, payload.clone());
                 }
                 NodeStatus::Active
             }
@@ -339,7 +341,7 @@ impl AXrProgram {
                     } else {
                         w.write_bool(false);
                     }
-                    self.sender.queue(j, w.finish());
+                    self.stream(ctx, j, w.finish());
                 }
                 NodeStatus::Active
             }
@@ -349,7 +351,7 @@ impl AXrProgram {
                     let shipped = self.v_list.len().min(self.r_cap.max(1));
                     let payload = encode_node_list(self.codec, &self.v_list[..shipped]);
                     for &l in &self.u_neighbors {
-                        self.sender.queue(l, payload.clone());
+                        self.stream(ctx, l, payload.clone());
                     }
                 }
                 NodeStatus::Active
@@ -364,6 +366,28 @@ impl AXrProgram {
             }
         }
     }
+
+    /// Streams `payload` to `to`, cut where this node's part ends: a
+    /// chunk due in the cut-off round or later is never sent.
+    fn stream(&self, ctx: &mut RoundContext<'_>, to: NodeId, payload: Payload) {
+        let room = self.config.round_cutoff.map_or(usize::MAX, |cutoff| {
+            (cutoff - ctx.round()) as usize * ctx.bandwidth_bits()
+        });
+        let payload = if payload.bit_len() <= room {
+            payload
+        } else {
+            Payload::from_parts(payload.as_bytes().to_vec(), room)
+        };
+        ctx.stream(to, payload).expect("one A(X,r) stream a link");
+    }
+}
+
+/// The one-bit announcements of the round before, one per sender in
+/// ascending sender order; of a message that arrived twice, the first.
+fn announcements(ctx: &mut RoundContext<'_>) -> Vec<(NodeId, Payload)> {
+    let mut parts: Vec<(NodeId, Payload)> = ctx.take_inbox().map(|m| (m.from, m.payload)).collect();
+    parts.dedup_by_key(|(from, _)| *from);
+    parts
 }
 
 /// Sends the one-bit announcement `bit` to every neighbour.
@@ -412,42 +436,45 @@ impl NodeProgram for AXrProgram {
         };
         let kind = phase_kind(position.phase);
 
-        // Messages delivered this round.
-        for m in ctx.take_inbox() {
-            self.assembler.push(m.from, &m.payload);
-        }
-        // At a phase boundary the buffered data belongs to the phase that
-        // just ended; interpret it before starting the new phase.
+        // At a phase boundary what arrived belongs to the phase that just
+        // ended; interpret it before starting the new phase.
         if position.is_first && position.phase > 0 {
             let previous = phase_kind(position.phase - 1);
-            self.finalize_previous_phase(previous, ctx.id(), ctx.neighbors());
-            self.sender = MultiSender::new();
+            let parts = match previous {
+                PhaseKind::XAnnounce | PhaseKind::UPhase => announcements(ctx),
+                _ => ctx.take_streams(),
+            };
+            self.finalize_previous_phase(previous, ctx.id(), ctx.neighbors(), parts);
+            // Phases are sized from the caps the payloads obey.
+            debug_assert!(
+                ctx.neighbors().iter().all(|&v| !ctx.has_queued(v)),
+                "a stream outlived its phase"
+            );
         }
 
-        let mut status = NodeStatus::Active;
-        if position.is_first {
-            status = self.start_phase(kind, ctx);
-        }
+        let status = if position.is_first {
+            self.start_phase(kind, ctx)
+        } else {
+            NodeStatus::Active
+        };
         if status == NodeStatus::Halted {
             return NodeStatus::Halted;
         }
-        if matches!(
-            kind,
-            PhaseKind::XNeighborhood | PhaseKind::SPhase | PhaseKind::VPhase
-        ) {
-            self.sender
-                .pump(ctx)
-                .expect("chunked transfers fit the bandwidth budget");
+        if position.phase + 1 == self.plan.phase_count() {
+            // The very last round of the schedule (a one-round U phase):
+            // nothing further will be delivered that this node still needs
+            // (the final U announcements are irrelevant), so halt.
+            debug_assert!(position.is_last);
+            return NodeStatus::Halted;
         }
-
-        // The very last round of the schedule: nothing further will be
-        // delivered that this node still needs (the final U announcements
-        // are irrelevant), so halt.
-        if position.phase + 1 == self.plan.phase_count() && position.is_last {
-            NodeStatus::Halted
-        } else {
-            NodeStatus::Active
-        }
+        // Streams drain by themselves; wake for the next phase, or for the
+        // cut-off if that comes first.
+        let next = self.plan.start_of(position.phase + 1);
+        NodeStatus::Sleep(
+            self.config
+                .round_cutoff
+                .map_or(next, |cutoff| next.min(cutoff)),
+        )
     }
 
     fn finish(&mut self) -> TriangleSet {

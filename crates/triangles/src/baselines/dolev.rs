@@ -24,9 +24,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use congest_graph::{Edge, NodeId, TriangleSet};
-use congest_sim::transfer::{rounds_for_bits, MultiAssembler, MultiSender};
+use congest_sim::transfer::rounds_for_bits;
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::{bits_for_count, BitReader, BitWriter, IdCodec, WireError};
+use congest_wire::{bits_for_count, BitReader, BitWriter, IdCodec, Payload, WireError};
 
 use crate::common::triangles_in_edge_set;
 use crate::params::PhasePlan;
@@ -178,6 +178,14 @@ impl EdgeListCodec {
         }
         Ok(out)
     }
+
+    /// The edges of every well-formed list in `parts`, in order.
+    fn decode_all(self, parts: &[(NodeId, Payload)]) -> impl Iterator<Item = Edge> + '_ {
+        parts
+            .iter()
+            .filter_map(move |(_, payload)| self.decode(payload).ok())
+            .flatten()
+    }
 }
 
 /// Node program implementing the clique listing baseline.
@@ -195,8 +203,6 @@ pub struct DolevCliqueListing {
     /// Edges dropped because a per-link cap was exceeded (0 in healthy
     /// runs); exposed through [`DolevCliqueListing::dropped`].
     dropped: usize,
-    sender: MultiSender,
-    assembler: MultiAssembler,
     found: TriangleSet,
 }
 
@@ -220,8 +226,6 @@ impl DolevCliqueListing {
             relayed: Vec::new(),
             gathered: Vec::new(),
             dropped: 0,
-            sender: MultiSender::new(),
-            assembler: MultiAssembler::new(),
             found: TriangleSet::new(),
         }
     }
@@ -263,12 +267,14 @@ impl DolevCliqueListing {
                 // No self-messages in the model: relay locally.
                 self.relayed.extend(edges);
             } else {
-                self.sender.queue(intermediate, self.codec.encode(&edges));
+                ctx.stream(intermediate, self.codec.encode(&edges))
+                    .expect("one hop-1 stream a link");
             }
         }
     }
 
-    fn queue_hop2(&mut self, me: NodeId) {
+    fn queue_hop2(&mut self, ctx: &mut RoundContext<'_>) {
+        let me = ctx.id();
         let mut per_destination: BTreeMap<NodeId, Vec<Edge>> = BTreeMap::new();
         let relayed = std::mem::take(&mut self.relayed);
         for e in relayed {
@@ -289,25 +295,8 @@ impl DolevCliqueListing {
                 self.dropped += edges.len() - self.params.hop2_cap;
                 edges.truncate(self.params.hop2_cap);
             }
-            self.sender.queue(dest, self.codec.encode(&edges));
-        }
-    }
-
-    fn drain_assembler_into_relayed(&mut self) {
-        let parts = std::mem::take(&mut self.assembler).finish();
-        for (_, payload) in parts {
-            if let Ok(edges) = self.codec.decode(&payload) {
-                self.relayed.extend(edges);
-            }
-        }
-    }
-
-    fn drain_assembler_into_gathered(&mut self) {
-        let parts = std::mem::take(&mut self.assembler).finish();
-        for (_, payload) in parts {
-            if let Ok(edges) = self.codec.decode(&payload) {
-                self.gathered.extend(edges);
-            }
+            ctx.stream(dest, self.codec.encode(&edges))
+                .expect("one hop-2 stream a link");
         }
     }
 }
@@ -320,32 +309,24 @@ impl NodeProgram for DolevCliqueListing {
         let Some(position) = self.plan.position(round) else {
             return NodeStatus::Halted;
         };
-        for m in ctx.take_inbox() {
-            self.assembler.push(m.from, &m.payload);
-        }
         match position.phase {
             0 => {
                 if position.is_first {
                     self.queue_hop1(ctx);
                 }
-                self.sender
-                    .pump(ctx)
-                    .expect("hop-1 chunks fit the bandwidth budget");
-                NodeStatus::Active
+                NodeStatus::Sleep(self.plan.start_of(1))
             }
             1 => {
                 if position.is_first {
-                    self.drain_assembler_into_relayed();
-                    self.sender = MultiSender::new();
-                    self.queue_hop2(ctx.id());
+                    let parts = ctx.take_streams();
+                    self.relayed.extend(self.codec.decode_all(&parts));
+                    self.queue_hop2(ctx);
                 }
-                self.sender
-                    .pump(ctx)
-                    .expect("hop-2 chunks fit the bandwidth budget");
-                NodeStatus::Active
+                NodeStatus::Sleep(self.plan.start_of(2))
             }
             _ => {
-                self.drain_assembler_into_gathered();
+                let parts = ctx.take_streams();
+                self.gathered.extend(self.codec.decode_all(&parts));
                 // A node also knows its own incident edges for free.
                 let me = ctx.id();
                 self.gathered

@@ -4,7 +4,10 @@
 //! node has received the complete list of each neighbour it lists all
 //! triangles containing itself. Termination is data-dependent (a node halts
 //! when it has finished sending and every neighbour's list has decoded
-//! completely), so no global knowledge of `d_max` is needed.
+//! completely), so no global knowledge of `d_max` is needed. Between the
+//! rounds in which something can change — a neighbour's stream reaching the
+//! length it is awaited at, or this node's own last chunk leaving — a node
+//! sleeps.
 //!
 //! This is simultaneously the Table 1 baseline for the standard CONGEST
 //! model and the *local listing* algorithm of Proposition 5 (every node
@@ -12,9 +15,9 @@
 //! the lower-bound experiment measures.
 
 use congest_graph::{for_each_common, NodeId, Triangle, TriangleSet};
-use congest_sim::transfer::{MultiAssembler, MultiSender};
+use congest_sim::transfer::rounds_for_bits;
 use congest_sim::{NodeInfo, NodeProgram, NodeStatus, RoundContext};
-use congest_wire::IdCodec;
+use congest_wire::{BitWriter, IdCodec, Payload};
 
 use crate::common::{encode_node_list, id_list_bits_announced, ids_to_nodes, try_decode_id_list};
 
@@ -23,8 +26,12 @@ use crate::common::{encode_node_list, id_list_bits_announced, ids_to_nodes, try_
 pub struct NaiveLocalListing {
     codec: IdCodec,
     neighborhood: Vec<NodeId>,
-    sender: MultiSender,
-    assembler: MultiAssembler,
+    /// The first round in which this node's own streams have all been
+    /// sent; known once it has opened them.
+    sending_until: u64,
+    /// Per neighbour (parallel to `neighborhood`): the bits of its stream
+    /// taken so far.
+    received: Vec<BitWriter>,
     /// Per neighbour (parallel to `neighborhood`): how long its stream has
     /// to be before it is worth looking at — the length prefix first, then
     /// the whole list the prefix announces.
@@ -45,13 +52,26 @@ impl NaiveLocalListing {
         NaiveLocalListing {
             codec,
             neighborhood: info.neighbors.clone(),
-            sender: MultiSender::new(),
-            assembler: MultiAssembler::new(),
+            sending_until: 0,
+            received: vec![BitWriter::new(); degree],
             awaited_bits: vec![codec.list_bit_len(0); degree],
             neighbor_lists: vec![None; degree],
             complete: 0,
             started: false,
             found: TriangleSet::new(),
+        }
+    }
+
+    /// Appends what the neighbours' streams delivered since the last
+    /// round to their buffers.
+    fn absorb(&mut self, parts: Vec<(NodeId, Payload)>) {
+        // Streams and neighbours both ascend, so one cursor pairs them.
+        let mut slot = 0;
+        for (from, bits) in parts {
+            while self.neighborhood[slot] < from {
+                slot += 1;
+            }
+            self.received[slot].write_payload(&bits);
         }
     }
 
@@ -66,16 +86,9 @@ impl NaiveLocalListing {
         if self.complete == self.neighborhood.len() {
             return true;
         }
-        // Streams and neighbours both ascend, so one cursor pairs them.
-        let mut slot = 0;
-        for (from, stream) in self.assembler.iter() {
-            while slot < self.neighborhood.len() && self.neighborhood[slot] < from {
-                slot += 1;
-            }
-            if self.neighborhood.get(slot) != Some(&from)
-                || self.neighbor_lists[slot].is_some()
-                || stream.bit_len() < self.awaited_bits[slot]
-            {
+        for slot in 0..self.neighborhood.len() {
+            let stream = &self.received[slot];
+            if self.neighbor_lists[slot].is_some() || stream.bit_len() < self.awaited_bits[slot] {
                 continue;
             }
             let bits = stream.clone().finish();
@@ -95,6 +108,23 @@ impl NaiveLocalListing {
             }
         }
         self.complete == self.neighborhood.len()
+    }
+
+    /// The first round after `round` in which a neighbour's stream could
+    /// reach the length it is awaited at — a link carries at most two
+    /// chunks a round, a chunk and its duplicate, so none gets there
+    /// sooner — or, once every list is in, the round this node's own last
+    /// chunk leaves.
+    fn next_check(&self, round: u64, bandwidth_bits: usize) -> u64 {
+        let per_round = 2 * bandwidth_bits;
+        (0..self.neighborhood.len())
+            .filter(|&slot| self.neighbor_lists[slot].is_none())
+            .map(|slot| {
+                let missing = self.awaited_bits[slot] - self.received[slot].bit_len();
+                round + missing.div_ceil(per_round) as u64
+            })
+            .min()
+            .unwrap_or(self.sending_until - 1)
     }
 
     fn list_local_triangles(&mut self, me: NodeId) {
@@ -123,23 +153,28 @@ impl NodeProgram for NaiveLocalListing {
         if !self.started {
             self.started = true;
             let payload = encode_node_list(self.codec, &self.neighborhood);
-            for &v in ctx.neighbors() {
-                self.sender.queue(v, payload.clone());
+            if !self.neighborhood.is_empty() {
+                self.sending_until =
+                    ctx.round() + rounds_for_bits(payload.bit_len(), ctx.bandwidth_bits());
+            }
+            for at in 0..ctx.degree() {
+                let v = ctx.neighbors()[at];
+                ctx.stream(v, payload.clone())
+                    .expect("one neighbourhood stream a link");
             }
         }
-        for m in ctx.take_inbox() {
-            self.assembler.push(m.from, &m.payload);
-        }
-        self.sender
-            .pump(ctx)
-            .expect("neighbourhood chunks fit the bandwidth budget");
+        let parts = ctx.take_streams();
+        self.absorb(parts);
 
+        // The last chunk of this node's own streams moves this round or
+        // has moved already.
+        let all_sent = ctx.round() + 1 >= self.sending_until;
         let all_received = self.harvest_complete_lists();
-        if all_received && self.sender.is_done() {
+        if all_received && all_sent {
             self.list_local_triangles(ctx.id());
             NodeStatus::Halted
         } else {
-            NodeStatus::Active
+            NodeStatus::Sleep(self.next_check(ctx.round(), ctx.bandwidth_bits()))
         }
     }
 
@@ -154,7 +189,7 @@ mod tests {
     use crate::common::run_congest;
     use congest_graph::generators::{Classic, Gnp, TriangleFreeBipartite};
     use congest_graph::triangles as reference;
-    use congest_sim::SimConfig;
+    use congest_sim::{FaultPlan, SimConfig, Simulation};
 
     fn run_naive(graph: &congest_graph::Graph, seed: u64) -> crate::AlgorithmRun {
         run_congest(graph, SimConfig::congest(seed), NaiveLocalListing::new)
@@ -197,6 +232,70 @@ mod tests {
         let sparse_run = run_naive(&sparse, 1);
         let dense_run = run_naive(&dense, 1);
         assert!(dense_run.rounds() > 4 * sparse_run.rounds());
+    }
+
+    /// The program, woken every round when `poll` is set, with the round
+    /// it halted in next to its output.
+    struct Watched {
+        program: NaiveLocalListing,
+        poll: bool,
+        halted_in: Option<u64>,
+    }
+
+    impl NodeProgram for Watched {
+        type Output = (TriangleSet, Option<u64>);
+
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
+            match self.program.on_round(ctx) {
+                NodeStatus::Sleep(_) if self.poll => NodeStatus::Active,
+                NodeStatus::Halted => {
+                    self.halted_in = Some(ctx.round());
+                    NodeStatus::Halted
+                }
+                status => status,
+            }
+        }
+
+        fn finish(&mut self) -> (TriangleSet, Option<u64>) {
+            (self.program.finish(), self.halted_in)
+        }
+    }
+
+    #[test]
+    fn sleeping_between_checks_changes_nothing_even_under_faults() {
+        let g = Gnp::new(40, 0.3).seeded(5).generate();
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan::default().with_drop(0.05),
+            FaultPlan::default().with_duplication(0.5),
+            FaultPlan::default().with_corruption(0.05),
+            FaultPlan::default()
+                .with_drop(0.05)
+                .with_duplication(0.1)
+                .with_corruption(0.05),
+        ];
+        let seeds = 0..4;
+        for (plan, seed) in plans
+            .iter()
+            .flat_map(|plan| seeds.clone().map(move |seed| (plan, seed)))
+        {
+            // Under faults a list may never decode: the cap ends the run.
+            let config = SimConfig::congest(3)
+                .with_faults(plan.with_seed(seed))
+                .with_max_rounds(60);
+            let run = |poll| {
+                Simulation::new(&g, config, |info| Watched {
+                    program: NaiveLocalListing::new(info),
+                    poll,
+                    halted_in: None,
+                })
+                .run()
+            };
+            let (asleep, polling) = (run(false), run(true));
+            assert_eq!(asleep.metrics, polling.metrics, "{plan:?}");
+            assert_eq!(asleep.outputs, polling.outputs, "{plan:?}");
+            assert_eq!(asleep.termination, polling.termination, "{plan:?}");
+        }
     }
 
     #[test]

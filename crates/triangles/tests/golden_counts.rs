@@ -228,6 +228,61 @@ fn simulated_counts_and_outputs_are_unchanged() {
     );
 }
 
+/// Both drivers at the size the `static_drivers` benchmark times:
+/// `G(512, 0.06)`, B = 18 bits, one repetition each, every program row
+/// with the seed its driver derives for it. Taken before chunked
+/// transfers moved into the simulator.
+const GOLDEN_PAPER_SIZED: &str = "\
+a1: 258 126024 2076284 6175 4732 027d40a690fc3d33
+a3_finding: 377 299395 4473280 13436 4881 af916c1b2be2e455
+find_triangles: 635 6549564 4901 8434f4c9fdc34fa3
+a2: 269 438136 7452206 21568 4902 4047bd72ed55781f
+a3_listing: 538 277031 4076821 12801 4790 689adf230bcb8e88
+list_triangles: 807 11529027 4902 6920475d2b4453f3
+";
+
+#[test]
+fn paper_sized_drivers_are_unchanged() {
+    let seed = 2017;
+    let g = Gnp::new(512, 0.06).seeded(seed).generate();
+    let finding = FindingConfig::scaled(&g).with_repetitions(1);
+    let listing = ListingConfig::paper(&g).with_repetitions(1);
+    let (fe, le) = (finding.epsilon.epsilon(), listing.epsilon.epsilon());
+    let congest = |index: usize| SimConfig::congest(derive_node_seed(seed, index));
+    let mut now = String::new();
+    let mut row = |what: &str, cells: String| writeln!(now, "{what}: {cells}").unwrap();
+    let a1 = run_congest(&g, congest(0), |info| {
+        A1Program::new(info, fe, finding.profile.cap_factor())
+    });
+    let a3 = run_congest(&g, congest(1), |info| {
+        A3Program::new(info, fe, finding.profile)
+    });
+    row("a1", program_row(&a1));
+    row("a3_finding", program_row(&a3));
+    let found = find_triangles(&g, &finding, seed);
+    row(
+        "find_triangles",
+        driver_row(found.total_rounds, found.total_bits, &found.found),
+    );
+    let a2 = run_congest(&g, congest(0), |info| {
+        A2Program::new(info, le, listing.profile.cap_factor())
+    });
+    let a3 = run_congest(&g, congest(1), |info| {
+        A3Program::new(info, le, listing.profile)
+    });
+    row("a2", program_row(&a2));
+    row("a3_listing", program_row(&a3));
+    let listed = list_triangles(&g, &listing, seed);
+    row(
+        "list_triangles",
+        driver_row(listed.total_rounds, listed.total_bits, &listed.listed),
+    );
+    assert!(
+        now == GOLDEN_PAPER_SIZED,
+        "the paper-sized rows moved; the table is now:\n{now}"
+    );
+}
+
 /// The naive baseline on `G(n, ½)`, the graphs ROADMAP item 7 places the
 /// crossover on. Its harvest loop and its local listing were rewritten
 /// for host cost alone; these rows were taken before that.

@@ -191,19 +191,30 @@ impl<'a> BitReader<'a> {
     pub fn read_bits(&mut self, width: usize) -> Result<u64, WireError> {
         assert!(width <= 64, "bit width {width} exceeds 64");
         self.require(width)?;
-        let bytes = self.bytes;
-        let mut value = 0u64;
-        let mut remaining = width;
-        while remaining > 0 {
-            // Take what is left of the current byte, or less.
-            let available = 8 - self.cursor % 8;
-            let take = available.min(remaining);
-            let chunk = (bytes[self.cursor / 8] >> (available - take)) & (0xFF >> (8 - take));
-            value = (value << take) | u64::from(chunk);
-            self.cursor += take;
-            remaining -= take;
+        if width == 0 {
+            return Ok(0);
         }
-        Ok(value)
+        // The bits sit in at most nine bytes from the cursor's; one
+        // big-endian window of sixteen holds them all, so a read is a
+        // load and two shifts whatever its width and offset. Within
+        // sixteen bytes of the end — all of a short message — the bytes
+        // that hold the run are gathered one by one instead.
+        let start = self.cursor / 8;
+        let window = match self.bytes.get(start..start + 16) {
+            Some(bytes) => u128::from_be_bytes(bytes.try_into().expect("sixteen bytes")),
+            None => {
+                let end = (self.cursor + width).div_ceil(8);
+                self.bytes[start..end]
+                    .iter()
+                    .enumerate()
+                    .fold(0, |window, (i, &byte)| {
+                        window | u128::from(byte) << (120 - 8 * i)
+                    })
+            }
+        };
+        let value = (window << (self.cursor % 8)) >> (128 - width);
+        self.cursor += width;
+        Ok(value as u64)
     }
 
     /// Reads a single bit as a boolean.
@@ -432,6 +443,28 @@ mod tests {
                 r.skip(offset).unwrap();
                 assert_eq!(r.read_bits(width).unwrap(), pattern(width, 7), "{what}");
                 assert_eq!(r.read_bits(3).unwrap(), 0b101, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_reads_match_the_model_at_every_offset_and_near_the_end() {
+        // 200 bits: reads from every offset, of every width that fits,
+        // so the last ones end on the final bit with no bytes to spare.
+        let mut model = Model::default();
+        for i in 0..8 {
+            model.write_bits(pattern(25, i), 25);
+        }
+        let p = model.payload();
+        for offset in 0..p.bit_len() {
+            for width in 0..=64.min(p.bit_len() - offset) {
+                let mut r = BitReader::new(&p);
+                r.skip(offset).unwrap();
+                let expected = model.0[offset..offset + width]
+                    .iter()
+                    .fold(0u64, |acc, &bit| (acc << 1) | u64::from(bit));
+                assert_eq!(r.read_bits(width).unwrap(), expected, "{width} at {offset}");
+                assert_eq!(r.remaining(), p.bit_len() - offset - width);
             }
         }
     }

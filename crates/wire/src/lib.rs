@@ -11,9 +11,11 @@
 //!
 //! * [`BitWriter`] / [`BitReader`] — append-only bit buffers with
 //!   most-significant-bit-first packing; the writer gathers bits in a
-//!   word and stores eight bytes at a time, the reader takes them a byte
-//!   at a time, and [`BitReader::skip`] / [`BitWriter::append`] seek and
-//!   copy bit runs without decoding them,
+//!   word and stores eight bytes at a time, the reader takes any run of up
+//!   to 64 bits with one load from wherever it starts, and
+//!   [`BitReader::skip`] / [`BitWriter::append`] seek and copy bit runs
+//!   without decoding them — a run of at most 64 bits is one word read and
+//!   one word written,
 //! * [`Payload`] — the finished bit string; one that fits a message (30
 //!   bytes) lives in the value itself, so building, cloning and dropping
 //!   a message allocates nothing,
