@@ -79,8 +79,8 @@ use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::{GraphBuilder, NodeId};
 use congest_sim::Bandwidth;
 use congest_stream::{
-    ApplyMode, BaseGraph, BatchSource, CongestCost, DeltaBatch, DistributedTriangleEngine,
-    FaultPlan, HubSplit, RecoveryStats, Replay, ReplayPolicy, Scenario,
+    BaseGraph, BatchSource, CongestCost, DeltaBatch, DistributedTriangleEngine, FaultPlan,
+    HubSplit, RecoveryStats, Replay, ReplayPolicy, Scenario,
 };
 use congest_triangles::{find_triangles, list_triangles, FindingConfig, ListingConfig};
 
@@ -291,27 +291,31 @@ fn fault_sweep(quick: bool) -> (CongestCost, Vec<FaultPoint>) {
 }
 
 /// Drives one scenario through the distributed engine and totals the
-/// network cost.
-fn run_dynamic(scenario: &Scenario, mode: ApplyMode, flush_every: usize) -> DynamicRun {
+/// network cost: batch by batch, or with `flush_every = Some(k)` deferred
+/// — each window of `k` batches (and the last, shorter one) applied as
+/// their merge, one epoch. The engine coalesces every batch it is given,
+/// so a window of one batch runs the epoch the batch itself would.
+fn run_dynamic(scenario: &Scenario, flush_every: Option<usize>) -> DynamicRun {
     let base = scenario.base_graph();
-    let mut engine = DistributedTriangleEngine::from_graph(&base).with_mode(mode);
+    let mut engine = DistributedTriangleEngine::from_graph(&base);
     let batches = scenario.batches();
     let mut max_batch_rounds = 0u64;
-    let mut deltas = 0usize;
-    for (i, batch) in batches.iter().enumerate() {
-        deltas += batch.len();
-        engine.apply(batch).expect("scenario batches are in range");
-        if mode == ApplyMode::Deferred && ((i + 1) % flush_every == 0 || i + 1 == batches.len()) {
-            engine.flush();
-        }
+    for window in batches.chunks(flush_every.unwrap_or(1)) {
+        engine
+            .apply(&DeltaBatch::merge(window))
+            .expect("scenario batches are in range");
         max_batch_rounds = max_batch_rounds.max(engine.last_batch_cost().rounds);
     }
     DynamicRun {
         name: scenario.name(),
-        mode: mode.name(),
+        mode: if flush_every.is_some() {
+            "deferred"
+        } else {
+            "eager"
+        },
         n: scenario.node_count(),
         batches: batches.len(),
-        deltas,
+        deltas: batches.iter().map(DeltaBatch::len).sum(),
         total: engine.total_cost(),
         max_batch_rounds,
         final_triangles: engine.triangle_count(),
@@ -524,7 +528,7 @@ fn main() {
     let mut runs: Vec<DynamicRun> = Vec::new();
 
     for scenario in &matrix {
-        let eager = run_dynamic(scenario, ApplyMode::Eager, 1);
+        let eager = run_dynamic(scenario, None);
         table.row([
             eager.name.clone(),
             eager.mode.to_string(),
@@ -539,7 +543,7 @@ fn main() {
         runs.push(eager);
     }
     // One deferred variant: whole windows coalesce into single epochs.
-    let deferred = run_dynamic(&matrix[0], ApplyMode::Deferred, 4);
+    let deferred = run_dynamic(&matrix[0], Some(4));
     table.row([
         deferred.name.clone(),
         "deferred/4".to_string(),

@@ -48,9 +48,8 @@ use congest_bench::{json, table::fmt_f64, Table};
 use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::NodeId;
 use congest_stream::{
-    split_batch_for_workers, ApplyMode, BaseGraph, BatchSource, DistributedTriangleEngine,
-    FaultPlan, Replay, ReplayPolicy, RunSummary, Scenario, ShardedTriangleIndex, TriangleServer,
-    WorkloadRunner,
+    split_batch_for_workers, BaseGraph, BatchSource, DistributedTriangleEngine, FaultPlan, Replay,
+    ReplayPolicy, RunSummary, Scenario, ShardedTriangleIndex, TriangleServer, WorkloadRunner,
 };
 
 /// Minimum hardware threads for the S=4 parallel-speedup floor to bind:
@@ -391,13 +390,14 @@ fn main() {
     };
 
     for scenario in scenarios() {
-        for mode in [ApplyMode::Eager, ApplyMode::Deferred] {
-            let summary = WorkloadRunner::new(scenario.clone())
-                .with_mode(mode)
-                .flush_every(4)
+        for deferred in [false, true] {
+            let mut runner = WorkloadRunner::new(scenario.clone())
                 .recompute_every(8)
-                .verified(true)
-                .run();
+                .verified(true);
+            if deferred {
+                runner = runner.flush_every(4);
+            }
+            let summary = runner.run();
             let note = summary
                 .recompute
                 .map(|r| format!("{:.1}x vs recompute", r.speedup))

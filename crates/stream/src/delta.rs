@@ -5,13 +5,13 @@
 //! Batches support [coalescing](DeltaBatch::coalesce): because a single
 //! edge's final presence depends only on the **last** operation touching
 //! it, any prefix of flapping (insert/remove/insert …) can be dropped
-//! without changing the post-batch graph. The deferred mode of
-//! [`TriangleIndex`](crate::TriangleIndex) exploits this to merge
-//! overlapping batches before paying for triangle updates.
+//! without changing the post-batch graph. A caller that holds a window
+//! of batches back applies their [merge](DeltaBatch::merge) as one batch,
+//! so edges that flap inside the window cost the engines nothing (the
+//! [`WorkloadRunner`](crate::WorkloadRunner)'s flush policies do this).
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use congest_graph::{Edge, NodeId};
 
@@ -158,52 +158,6 @@ impl DeltaBatch {
             all.extend_from(b);
         }
         all.coalesce()
-    }
-}
-
-/// The deferred-mode buffer shared by both engines: concatenated batches
-/// plus the arrival time of the oldest still-buffered delta (the clock
-/// behind deadline-based flush policies and the staleness percentiles).
-///
-/// Keeping the set/reset rules for that clock in one place is the point:
-/// it starts when the buffer goes non-empty, survives further buffering,
-/// and clears only when the buffer is taken.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PendingBuffer {
-    batch: DeltaBatch,
-    since: Option<Instant>,
-}
-
-impl PendingBuffer {
-    /// Number of buffered deltas.
-    pub(crate) fn len(&self) -> usize {
-        self.batch.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.batch.is_empty()
-    }
-
-    /// How long the oldest buffered delta has been waiting (`None` while
-    /// nothing is pending).
-    pub(crate) fn age(&self) -> Option<Duration> {
-        self.since.map(|since| since.elapsed())
-    }
-
-    /// Appends a batch, starting the staleness clock if the buffer was
-    /// empty.
-    pub(crate) fn buffer(&mut self, batch: &DeltaBatch) {
-        if !batch.is_empty() && self.batch.is_empty() {
-            self.since = Some(Instant::now());
-        }
-        self.batch.extend_from(batch);
-    }
-
-    /// Takes everything buffered and resets the staleness clock.
-    pub(crate) fn take(&mut self) -> DeltaBatch {
-        self.since = None;
-        std::mem::take(&mut self.batch)
     }
 }
 

@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 use congest_graph::{AdjacencyView, Edge, Graph, NodeId, TriangleSet};
 use congest_sim::{Bandwidth, FaultPlan, Metrics, SimConfig, Simulation};
@@ -16,8 +15,8 @@ use super::node::DynamicTriangleNode;
 use super::recovery::HardenedEpoch;
 use super::wire::{self, BatchDescriptor};
 use super::{DistributedTriangleEngine, HubSplit};
-use crate::delta::{DeltaBatch, DeltaOp, PendingBuffer};
-use crate::index::{validate_batch, ApplyMode, ApplyReport, StreamError};
+use crate::delta::{DeltaBatch, DeltaOp};
+use crate::index::{validate_batch, ApplyReport, StreamError};
 use crate::shard::{merge_added_candidates, merge_removed_candidates, sorted_insert};
 
 /// The effective deltas of one batch, in classification order.
@@ -139,8 +138,8 @@ pub(super) struct EpochPlan {
 }
 
 impl DistributedTriangleEngine {
-    /// An empty engine on `node_count` nodes, in [`ApplyMode::Eager`],
-    /// with the default CONGEST bandwidth.
+    /// An empty engine on `node_count` nodes with the default CONGEST
+    /// bandwidth.
     pub fn new(node_count: usize) -> Self {
         Self::with_bandwidth(node_count, Bandwidth::default())
     }
@@ -201,8 +200,6 @@ impl DistributedTriangleEngine {
             sim,
             triangles: TriangleSet::new(),
             edge_count: 0,
-            mode: ApplyMode::Eager,
-            pending: PendingBuffer::default(),
             bandwidth_bits,
             hub_split: HubSplit::default(),
             last_batch: CongestCost::default(),
@@ -216,20 +213,6 @@ impl DistributedTriangleEngine {
             recovery: RecoveryStats::default(),
             poisoned: false,
         }
-    }
-
-    /// Sets the application mode (builder style). Switching away from
-    /// deferred mode first flushes anything buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if that [`flush`](DistributedTriangleEngine::flush) does.
-    pub fn with_mode(mut self, mode: ApplyMode) -> Self {
-        if mode != self.mode && !self.pending.is_empty() {
-            self.flush();
-        }
-        self.mode = mode;
-        self
     }
 
     /// Sets the broadcast scheduling policy (builder style; see
@@ -301,11 +284,6 @@ impl DistributedTriangleEngine {
         self.recovery
     }
 
-    /// The application mode in effect.
-    pub fn mode(&self) -> ApplyMode {
-        self.mode
-    }
-
     /// The broadcast scheduling policy in effect.
     pub fn hub_split(&self) -> HubSplit {
         self.hub_split
@@ -317,7 +295,7 @@ impl DistributedTriangleEngine {
         self.sim.node_count()
     }
 
-    /// Number of present undirected edges (excluding pending deltas).
+    /// Number of present undirected edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
     }
@@ -345,7 +323,7 @@ impl DistributedTriangleEngine {
         self.neighbors(node).len()
     }
 
-    /// Whether `{a, b}` is currently an edge (excluding pending deltas).
+    /// Whether `{a, b}` is currently an edge.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         if a == b || a.index() >= self.node_count() || b.index() >= self.node_count() {
             return false;
@@ -358,8 +336,7 @@ impl DistributedTriangleEngine {
         self.neighbors(from).binary_search(&to).is_ok()
     }
 
-    /// The live triangle set (in deferred mode this reflects only
-    /// flushed batches).
+    /// The live triangle set.
     pub fn triangles(&self) -> &TriangleSet {
         &self.triangles
     }
@@ -367,17 +344,6 @@ impl DistributedTriangleEngine {
     /// Number of live triangles.
     pub fn triangle_count(&self) -> usize {
         self.triangles.len()
-    }
-
-    /// Deltas buffered by deferred mode and not yet flushed.
-    pub fn pending_deltas(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How long the oldest buffered delta has been waiting (`None` while
-    /// nothing is pending).
-    pub fn pending_age(&self) -> Option<Duration> {
-        self.pending.age()
     }
 
     /// CONGEST cost of the most recent batch epoch (zero before the
@@ -407,8 +373,8 @@ impl DistributedTriangleEngine {
         })
     }
 
-    /// Applies a batch according to the [`ApplyMode`] (same contract as
-    /// the centralized engines).
+    /// Applies a batch as one network epoch (same contract as the
+    /// centralized engines).
     ///
     /// # Errors
     ///
@@ -433,62 +399,16 @@ impl DistributedTriangleEngine {
             return Err(StreamError::Poisoned);
         }
         validate_batch(batch, self.node_count())?;
-        match self.mode {
-            ApplyMode::Eager => self.run_batch(batch),
-            ApplyMode::Deferred => {
-                self.pending.buffer(batch);
-                Ok(ApplyReport {
-                    deltas_seen: batch.len(),
-                    deltas_deferred: batch.len(),
-                    ..ApplyReport::default()
-                })
-            }
-        }
-    }
-
-    /// Coalesces and applies every buffered batch as a single epoch
-    /// (no-op in eager mode or with nothing pending); same accounting as
-    /// the centralized engines' `flush`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the epoch fails, because the trait's `flush` has no
-    /// error channel. Two failures are reachable with this engine's own
-    /// payloads: [`StreamError::RoundLimit`], when the epoch outlasts a
-    /// cap set with
-    /// [`with_max_rounds`](DistributedTriangleEngine::with_max_rounds),
-    /// and [`StreamError::RecoveryExhausted`], when streams still fail
-    /// verification after the bounded repair epochs of a
-    /// [`with_fault_plan`](DistributedTriangleEngine::with_fault_plan)
-    /// engine; [`StreamError::Protocol`] needs corrupt injected traffic.
-    /// Eager [`apply`](DistributedTriangleEngine::apply) returns all
-    /// three as typed errors — use it where a cap or a fault plan is
-    /// set. [`with_mode`](DistributedTriangleEngine::with_mode) flushes,
-    /// so it panics likewise. A failed epoch latches the engine, after
-    /// which `apply` buffers nothing, so a later flush is a no-op.
-    pub fn flush(&mut self) -> ApplyReport {
-        if self.pending.is_empty() {
-            return ApplyReport::default();
-        }
-        let buffered = self.pending.take();
-        let mut report = self
-            .run_batch(&buffered)
-            .unwrap_or_else(|e| panic!("deferred flush failed: {e}"));
-        report.deltas_seen = 0;
-        report
+        // A failed epoch applied partially: latch the engine.
+        let result = self.process_batch(batch);
+        self.poisoned = result.is_err();
+        result
     }
 
     /// Whether the live triangle set exactly equals a snapshot-free
     /// from-scratch recount on the engine's own adjacency view.
     pub fn matches_oracle(&self) -> bool {
         self.triangles == congest_graph::triangles::list_all_on(self)
-    }
-
-    /// Runs one validated batch; a failure latches the engine.
-    fn run_batch(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
-        let result = self.process_batch(batch);
-        self.poisoned = result.is_err();
-        result
     }
 
     /// Runs one pre-validated batch as a network epoch (see the
@@ -894,9 +814,9 @@ fn plan_broadcasts(assignment: &mut Assignment, budget: Option<usize>) {
     }
 }
 
-/// The engine *is* an adjacency view (pending deltas excluded), read
-/// straight from the network nodes' own slices: the oracle and the
-/// static CONGEST drivers run on the live distributed graph directly.
+/// The engine *is* an adjacency view, read straight from the network
+/// nodes' own slices: the oracle and the static CONGEST drivers run on
+/// the live distributed graph directly.
 impl AdjacencyView for DistributedTriangleEngine {
     fn node_count(&self) -> usize {
         DistributedTriangleEngine::node_count(self)
@@ -923,12 +843,11 @@ impl fmt::Debug for DistributedTriangleEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "DistributedTriangleEngine(n={}, m={}, triangles={}, mode={}, split={}, \
-             epochs={}, rounds={})",
+            "DistributedTriangleEngine(n={}, m={}, triangles={}, split={}, epochs={}, \
+             rounds={})",
             self.node_count(),
             self.edge_count(),
             self.triangle_count(),
-            self.mode.name(),
             self.hub_split.name(),
             self.epochs,
             self.total.rounds,

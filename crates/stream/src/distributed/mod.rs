@@ -12,9 +12,6 @@ use std::collections::BTreeMap;
 use congest_graph::{NodeId, TriangleSet};
 use congest_sim::{FaultPlan, Simulation};
 
-use crate::delta::PendingBuffer;
-use crate::index::ApplyMode;
-
 mod coordinator;
 mod cost;
 mod link;
@@ -184,9 +181,6 @@ pub struct DistributedTriangleEngine {
     triangles: TriangleSet,
     /// Number of present undirected edges.
     edge_count: usize,
-    mode: ApplyMode,
-    /// Deferred-mode buffer (concatenated batches + staleness clock).
-    pending: PendingBuffer,
     /// Per-link per-round budget, in bits.
     bandwidth_bits: usize,
     /// Broadcast scheduling policy (helper-split hub broadcasts).

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use super::node::DynamicTriangleNode;
 use super::{wire, CongestCost, DistributedTriangleEngine, HubSplit};
 use crate::delta::DeltaBatch;
-use crate::index::{ApplyMode, StreamError, TriangleIndex};
+use crate::index::{StreamError, TriangleIndex};
 
 fn v(i: u32) -> NodeId {
     NodeId(i)
@@ -140,38 +140,24 @@ fn noop_batches_run_no_epoch() {
     assert_eq!(engine.epochs(), 0);
 }
 
+/// Deferral is the caller's: it holds a window of batches back and
+/// applies their merge as one batch when it flushes.
 #[test]
 fn deferred_mode_buffers_until_flush() {
-    let mut engine = DistributedTriangleEngine::new(3).with_mode(ApplyMode::Deferred);
-    assert_eq!(engine.mode(), ApplyMode::Deferred);
-    let mut b = DeltaBatch::new();
-    b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-    let r = engine.apply(&b).unwrap();
-    assert_eq!(r.deltas_deferred, 3);
-    assert_eq!(engine.triangle_count(), 0);
-    assert_eq!(engine.pending_deltas(), 3);
-    assert!(engine.pending_age().is_some());
+    let mut engine = DistributedTriangleEngine::new(3);
+    let mut open = DeltaBatch::new();
+    open.insert(v(0), v(1)).insert(v(1), v(2));
+    let mut close = DeltaBatch::new();
+    close.insert(v(0), v(2));
+    let window = vec![open, close];
 
-    let r = engine.flush();
-    assert_eq!(r.deltas_seen, 0);
+    let r = engine.apply(&DeltaBatch::merge(&window)).unwrap();
+    assert_eq!(r.deltas_seen, 3);
     assert_eq!(r.inserts_applied, 3);
     assert_eq!(r.triangles_added, 1);
-    assert_eq!(engine.pending_deltas(), 0);
-    assert!(engine.pending_age().is_none());
     assert!(engine.matches_oracle());
     // The whole deferred window cost one epoch.
     assert_eq!(engine.epochs(), 1);
-}
-
-#[test]
-fn switching_modes_flushes_pending_deltas_in_order() {
-    let mut engine = DistributedTriangleEngine::new(2).with_mode(ApplyMode::Deferred);
-    let mut ins = DeltaBatch::new();
-    ins.insert(v(0), v(1));
-    engine.apply(&ins).unwrap();
-    let engine = engine.with_mode(ApplyMode::Eager);
-    assert_eq!(engine.pending_deltas(), 0);
-    assert!(engine.has_edge(v(0), v(1)));
 }
 
 #[test]
@@ -265,20 +251,6 @@ fn sub_edge_bandwidth_is_rejected_at_construction() {
     // 8 bits cannot carry two 10-bit ids for n = 1000; the engine
     // must refuse up front instead of panicking mid-epoch.
     let _ = DistributedTriangleEngine::with_bandwidth(1000, Bandwidth::Bits(8));
-}
-
-#[test]
-#[should_panic(expected = "deferred flush failed: epoch hit the round cap after 1 rounds")]
-fn deferred_flush_panics_with_the_error_it_cannot_return() {
-    let mut engine = DistributedTriangleEngine::new(20)
-        .with_mode(ApplyMode::Deferred)
-        .with_max_rounds(1);
-    let mut b = DeltaBatch::new();
-    for i in 0..10 {
-        b.insert(v(i), v(i + 1));
-    }
-    engine.apply(&b).unwrap();
-    engine.flush();
 }
 
 #[test]
@@ -583,13 +555,10 @@ fn a_round_limit_poisons_the_engine() {
         engine.apply(&batch).unwrap_err(),
         StreamError::RoundLimit { rounds: 3 }
     );
-    let mut engine = engine
-        .with_max_rounds(10_000)
-        .with_mode(ApplyMode::Deferred);
+    let mut engine = engine.with_max_rounds(10_000);
     let mut one = DeltaBatch::new();
     one.insert(v(0), v(1));
     assert_eq!(engine.apply(&one).unwrap_err(), StreamError::Poisoned);
-    assert_eq!(engine.pending_deltas(), 0);
 }
 
 #[test]

@@ -1,35 +1,34 @@
 //! The [`StreamEngine`] abstraction: what every incremental triangle
 //! engine offers the workload harness.
 //!
-//! Both engines — the single-threaded [`TriangleIndex`] and the
-//! multi-core [`ShardedTriangleIndex`] — maintain adjacency plus the live
+//! All three engines — the single-threaded [`TriangleIndex`], the
+//! multi-core [`ShardedTriangleIndex`] and the simulated-network
+//! [`DistributedTriangleEngine`] — maintain adjacency plus the live
 //! triangle set under [`DeltaBatch`]es; the
-//! [`WorkloadRunner`](crate::WorkloadRunner) drives either through the
-//! same scenario via this trait. The [`AdjacencyView`] supertrait is what
-//! makes the harness snapshot-free: oracle recounts and the static
-//! CONGEST drivers read the engine's live adjacency directly.
-
-use std::time::Duration;
+//! [`WorkloadRunner`](crate::WorkloadRunner) drives the first two
+//! through the same scenario via this trait. `apply` is the one write
+//! path: a caller that wants to defer work holds its batches back and
+//! applies their [merge](DeltaBatch::merge). The [`AdjacencyView`]
+//! supertrait is what makes the harness snapshot-free: oracle recounts
+//! and the static CONGEST drivers read the engine's live adjacency
+//! directly.
 
 use congest_graph::AdjacencyView;
 
 use crate::arena::ArenaStats;
 use crate::delta::DeltaBatch;
 use crate::distributed::DistributedTriangleEngine;
-use crate::index::{ApplyMode, ApplyReport, StreamError, TriangleIndex};
+use crate::index::{ApplyReport, StreamError, TriangleIndex};
 use crate::pool::WorkerTelemetry;
 use crate::sharded::ShardedTriangleIndex;
 
 /// An incremental triangle engine over batched edge deltas.
 ///
-/// Implementations keep the invariant that, once all buffered work is
-/// flushed, the live triangle set equals a from-scratch recount on the
-/// engine's own [`AdjacencyView`].
+/// Implementations keep the invariant that, after every applied batch,
+/// the live triangle set equals a from-scratch recount on the engine's
+/// own [`AdjacencyView`].
 pub trait StreamEngine: AdjacencyView {
-    /// The application mode in effect.
-    fn mode(&self) -> ApplyMode;
-
-    /// Applies (or, in deferred mode, buffers) a batch.
+    /// Applies a batch.
     ///
     /// # Errors
     ///
@@ -37,17 +36,7 @@ pub trait StreamEngine: AdjacencyView {
     /// outside the graph; the batch is then applied not at all.
     fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError>;
 
-    /// Coalesces and applies everything buffered by deferred mode.
-    fn flush(&mut self) -> ApplyReport;
-
-    /// Deltas buffered and not yet flushed.
-    fn pending_deltas(&self) -> usize;
-
-    /// Staleness of the oldest buffered delta (`None` while nothing is
-    /// pending).
-    fn pending_age(&self) -> Option<Duration>;
-
-    /// Number of live triangles (excluding pending deltas).
+    /// Number of live triangles.
     fn triangle_count(&self) -> usize;
 
     /// Whether the live triangle set equals a from-scratch recount on the
@@ -88,24 +77,8 @@ pub trait StreamEngine: AdjacencyView {
 }
 
 impl StreamEngine for TriangleIndex {
-    fn mode(&self) -> ApplyMode {
-        TriangleIndex::mode(self)
-    }
-
     fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
         TriangleIndex::apply(self, batch)
-    }
-
-    fn flush(&mut self) -> ApplyReport {
-        TriangleIndex::flush(self)
-    }
-
-    fn pending_deltas(&self) -> usize {
-        TriangleIndex::pending_deltas(self)
-    }
-
-    fn pending_age(&self) -> Option<Duration> {
-        TriangleIndex::pending_age(self)
     }
 
     fn triangle_count(&self) -> usize {
@@ -130,24 +103,8 @@ impl StreamEngine for TriangleIndex {
 }
 
 impl StreamEngine for ShardedTriangleIndex {
-    fn mode(&self) -> ApplyMode {
-        ShardedTriangleIndex::mode(self)
-    }
-
     fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
         ShardedTriangleIndex::apply(self, batch)
-    }
-
-    fn flush(&mut self) -> ApplyReport {
-        ShardedTriangleIndex::flush(self)
-    }
-
-    fn pending_deltas(&self) -> usize {
-        ShardedTriangleIndex::pending_deltas(self)
-    }
-
-    fn pending_age(&self) -> Option<Duration> {
-        ShardedTriangleIndex::pending_age(self)
     }
 
     fn triangle_count(&self) -> usize {
@@ -176,24 +133,8 @@ impl StreamEngine for ShardedTriangleIndex {
 }
 
 impl StreamEngine for DistributedTriangleEngine {
-    fn mode(&self) -> ApplyMode {
-        DistributedTriangleEngine::mode(self)
-    }
-
     fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
         DistributedTriangleEngine::apply(self, batch)
-    }
-
-    fn flush(&mut self) -> ApplyReport {
-        DistributedTriangleEngine::flush(self)
-    }
-
-    fn pending_deltas(&self) -> usize {
-        DistributedTriangleEngine::pending_deltas(self)
-    }
-
-    fn pending_age(&self) -> Option<Duration> {
-        DistributedTriangleEngine::pending_age(self)
     }
 
     fn triangle_count(&self) -> usize {
@@ -223,7 +164,6 @@ mod tests {
             .insert(NodeId(1), NodeId(2))
             .insert(NodeId(0), NodeId(2));
         engine.apply(&batch).unwrap();
-        engine.flush();
         (engine.triangle_count(), engine.matches_oracle())
     }
 

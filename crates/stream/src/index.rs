@@ -10,45 +10,14 @@
 //! the two degrees are badly skewed). A batch of `b` deltas therefore costs
 //! `O(b · d̄ log d_max)` instead of the `O(m^{3/2})` a from-scratch recount
 //! pays — the asymmetry the workload harness quantifies.
-//!
-//! Two application modes are supported:
-//!
-//! * [`ApplyMode::Eager`] — every [`apply`](TriangleIndex::apply) updates
-//!   the triangle set immediately;
-//! * [`ApplyMode::Deferred`] — batches accumulate and coalesce (at most one
-//!   op per edge survives) until [`flush`](TriangleIndex::flush), so edges
-//!   that flap inside the window cost nothing.
 
 use std::fmt;
-use std::time::Duration;
 
 use congest_graph::{AdjacencyView, Graph, GraphBuilder, NodeId, Triangle, TriangleSet};
 
 use crate::arena::{ArenaStats, NeighborArena};
-use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta, PendingBuffer};
+use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
 use crate::shard::{intersect_sorted, NodeSupport};
-
-/// When the engine pays for triangle maintenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ApplyMode {
-    /// Update triangles on every [`TriangleIndex::apply`] call.
-    #[default]
-    Eager,
-    /// Buffer and coalesce batches; update triangles on
-    /// [`TriangleIndex::flush`] (or just before any read that needs a
-    /// consistent view).
-    Deferred,
-}
-
-impl ApplyMode {
-    /// Short lowercase name, used in logs and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            ApplyMode::Eager => "eager",
-            ApplyMode::Deferred => "deferred",
-        }
-    }
-}
 
 /// Errors surfaced by the streaming engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,7 +107,7 @@ impl fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// Rejects any delta referencing a node outside `0..node_count` — the
-/// shared whole-batch validation both engines run before touching state,
+/// shared whole-batch validation every engine runs before touching state,
 /// so batches apply atomically or not at all.
 pub(crate) fn validate_batch(batch: &DeltaBatch, node_count: usize) -> Result<(), StreamError> {
     for d in batch {
@@ -151,7 +120,7 @@ pub(crate) fn validate_batch(batch: &DeltaBatch, node_count: usize) -> Result<()
     Ok(())
 }
 
-/// What applying (or deferring) a batch did.
+/// What applying a batch did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyReport {
     /// Deltas handed to the engine.
@@ -167,9 +136,6 @@ pub struct ApplyReport {
     pub triangles_added: usize,
     /// Triangles retired.
     pub triangles_removed: usize,
-    /// Deltas buffered for a later [`TriangleIndex::flush`] (deferred mode
-    /// only; they are *not* counted in the applied/noop fields yet).
-    pub deltas_deferred: usize,
 }
 
 impl ApplyReport {
@@ -181,7 +147,6 @@ impl ApplyReport {
         self.noops += other.noops;
         self.triangles_added += other.triangles_added;
         self.triangles_removed += other.triangles_removed;
-        self.deltas_deferred += other.deltas_deferred;
     }
 }
 
@@ -215,21 +180,16 @@ pub struct TriangleIndex {
     support: NodeSupport,
     /// Number of present undirected edges.
     edge_count: usize,
-    mode: ApplyMode,
-    /// Deferred-mode buffer (concatenated batches + staleness clock).
-    pending: PendingBuffer,
 }
 
 impl TriangleIndex {
-    /// An empty index on `node_count` nodes, in [`ApplyMode::Eager`].
+    /// An empty index on `node_count` nodes.
     pub fn new(node_count: usize) -> Self {
         TriangleIndex {
             adjacency: NeighborArena::new(node_count),
             triangles: TriangleSet::new(),
             support: NodeSupport::new(node_count),
             edge_count: 0,
-            mode: ApplyMode::Eager,
-            pending: PendingBuffer::default(),
         }
     }
 
@@ -247,26 +207,7 @@ impl TriangleIndex {
             triangles,
             support,
             edge_count: graph.edge_count(),
-            mode: ApplyMode::Eager,
-            pending: PendingBuffer::default(),
         }
-    }
-
-    /// Sets the application mode (builder style).
-    ///
-    /// Switching away from deferred mode first flushes anything buffered,
-    /// so deltas are never reordered across the mode change.
-    pub fn with_mode(mut self, mode: ApplyMode) -> Self {
-        if mode != self.mode && !self.pending.is_empty() {
-            self.flush();
-        }
-        self.mode = mode;
-        self
-    }
-
-    /// The application mode in effect.
-    pub fn mode(&self) -> ApplyMode {
-        self.mode
     }
 
     /// Number of nodes.
@@ -274,12 +215,12 @@ impl TriangleIndex {
         self.adjacency.slot_count()
     }
 
-    /// Number of present undirected edges (excluding pending deltas).
+    /// Number of present undirected edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
     }
 
-    /// Whether `{a, b}` is currently an edge (excluding pending deltas).
+    /// Whether `{a, b}` is currently an edge.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         if a == b || a.index() >= self.node_count() || b.index() >= self.node_count() {
             return false;
@@ -316,15 +257,11 @@ impl TriangleIndex {
     }
 
     /// The live triangle set.
-    ///
-    /// In deferred mode this reflects only flushed batches; call
-    /// [`flush`](TriangleIndex::flush) first for a consistent view.
     pub fn triangles(&self) -> &TriangleSet {
         &self.triangles
     }
 
-    /// Number of live triangles (same staleness caveat as
-    /// [`triangles`](TriangleIndex::triangles)).
+    /// Number of live triangles.
     pub fn triangle_count(&self) -> usize {
         self.triangles.len()
     }
@@ -354,64 +291,29 @@ impl TriangleIndex {
         congest_graph::count_common(self.neighbors(a), self.neighbors(b))
     }
 
-    /// Deltas buffered by deferred mode and not yet flushed.
-    pub fn pending_deltas(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How long the oldest buffered delta has been waiting (`None` while
-    /// nothing is pending). Deadline-based flush policies compare this
-    /// staleness against their budget.
-    pub fn pending_age(&self) -> Option<Duration> {
-        self.pending.age()
-    }
-
-    /// Applies a batch according to the [`ApplyMode`].
-    ///
-    /// Eager mode applies the deltas in order, immediately. Deferred mode
-    /// only validates and buffers them; the returned report then has
-    /// `deltas_deferred > 0` and zero applied counts.
+    /// Applies a batch: its deltas in order, immediately.
     ///
     /// # Errors
     ///
     /// [`StreamError::NodeOutOfRange`] if any delta references a node
     /// outside the graph; the batch is then applied not at all.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
-        self.validate(batch)?;
-        match self.mode {
-            ApplyMode::Eager => Ok(self.apply_validated(batch)),
-            ApplyMode::Deferred => {
-                self.pending.buffer(batch);
-                Ok(ApplyReport {
-                    deltas_seen: batch.len(),
-                    deltas_deferred: batch.len(),
-                    ..ApplyReport::default()
-                })
-            }
+        validate_batch(batch, self.node_count())?;
+        let mut report = ApplyReport {
+            deltas_seen: batch.len(),
+            ..ApplyReport::default()
+        };
+        for delta in batch {
+            self.apply_delta(delta, &mut report);
         }
+        // Each batch is one arena epoch: slabs freed by this batch's churn
+        // become reusable (and oversized arenas compact) at the boundary.
+        self.adjacency.advance_epoch();
+        Ok(report)
     }
 
-    /// Coalesces and applies every buffered batch (no-op in eager mode or
-    /// with nothing pending). The report's `noops` includes the deltas the
-    /// coalescer discarded outright; `deltas_seen` stays 0 because the
-    /// buffered deltas were already counted as seen when
-    /// [`apply`](TriangleIndex::apply) buffered them — summing apply and
-    /// flush reports therefore counts each delta exactly once.
-    pub fn flush(&mut self) -> ApplyReport {
-        if self.pending.is_empty() {
-            return ApplyReport::default();
-        }
-        let buffered = self.pending.take();
-        let coalesced = buffered.coalesce();
-        let mut report = self.apply_validated(&coalesced);
-        report.deltas_seen = 0;
-        report.noops += buffered.len() - coalesced.len();
-        report
-    }
-
-    /// Freezes the current graph (pending deltas excluded) into an
-    /// immutable [`Graph`], e.g. to hand to the CONGEST algorithms or the
-    /// centralized oracle.
+    /// Freezes the current graph into an immutable [`Graph`], e.g. to
+    /// hand to the CONGEST algorithms or the centralized oracle.
     pub fn snapshot(&self) -> Graph {
         let mut b = GraphBuilder::new(self.node_count());
         for u in 0..self.node_count() {
@@ -433,25 +335,6 @@ impl TriangleIndex {
     /// [`AdjacencyView`] implementation; no `O(m)` snapshot is built.
     pub fn matches_oracle(&self) -> bool {
         self.triangles == congest_graph::triangles::list_all_on(self)
-    }
-
-    fn validate(&self, batch: &DeltaBatch) -> Result<(), StreamError> {
-        validate_batch(batch, self.node_count())
-    }
-
-    /// Applies a pre-validated batch eagerly. Each batch is one arena
-    /// epoch: slabs freed by this batch's churn become reusable (and
-    /// oversized arenas compact) at the boundary.
-    fn apply_validated(&mut self, batch: &DeltaBatch) -> ApplyReport {
-        let mut report = ApplyReport {
-            deltas_seen: batch.len(),
-            ..ApplyReport::default()
-        };
-        for delta in batch {
-            self.apply_delta(delta, &mut report);
-        }
-        self.adjacency.advance_epoch();
-        report
     }
 
     fn apply_delta(&mut self, delta: &EdgeDelta, report: &mut ApplyReport) {
@@ -510,7 +393,7 @@ impl TriangleIndex {
     }
 }
 
-/// The index *is* an adjacency view (pending deltas excluded), so the
+/// The index *is* an adjacency view, so the
 /// oracle and the CONGEST drivers run on it directly — no snapshot.
 impl AdjacencyView for TriangleIndex {
     fn node_count(&self) -> usize {
@@ -625,37 +508,37 @@ mod tests {
         assert!(err.to_string().contains("outside the indexed graph"));
     }
 
+    /// Deferral is the caller's: it holds a window of batches back and
+    /// applies their merge as one batch when it flushes.
     #[test]
     fn deferred_mode_buffers_until_flush() {
-        let mut idx = TriangleIndex::new(3).with_mode(ApplyMode::Deferred);
-        assert_eq!(idx.mode(), ApplyMode::Deferred);
-        let mut b = DeltaBatch::new();
-        b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-        let r = idx.apply(&b).unwrap();
-        assert_eq!(r.deltas_deferred, 3);
-        assert_eq!(idx.triangle_count(), 0);
-        assert_eq!(idx.pending_deltas(), 3);
+        let mut idx = TriangleIndex::new(3);
+        let mut open = DeltaBatch::new();
+        open.insert(v(0), v(1)).insert(v(1), v(2));
+        let mut close = DeltaBatch::new();
+        close.insert(v(0), v(2));
+        let window = vec![open, close];
 
-        let r = idx.flush();
+        let r = idx.apply(&DeltaBatch::merge(&window)).unwrap();
         assert_eq!(r.inserts_applied, 3);
         assert_eq!(r.triangles_added, 1);
-        assert_eq!(idx.pending_deltas(), 0);
         assert!(idx.matches_oracle());
     }
 
     #[test]
     fn deferred_flap_costs_nothing_at_flush() {
-        let mut idx = TriangleIndex::new(4).with_mode(ApplyMode::Deferred);
+        let mut idx = TriangleIndex::new(4);
         let mut flap = DeltaBatch::new();
         flap.insert(v(0), v(1)).remove(v(0), v(1));
-        idx.apply(&flap).unwrap();
-        let r = idx.flush();
-        // Both deltas were counted as seen at apply time, not again here.
-        assert_eq!(r.deltas_seen, 0);
-        // The insert was coalesced away; the surviving remove is a no-op.
+        let merged = DeltaBatch::merge([&flap]);
+        // The insert was coalesced away before the engine saw it…
+        assert_eq!(flap.len() - merged.len(), 1);
+        let r = idx.apply(&merged).unwrap();
+        // …and the surviving remove is a no-op.
+        assert_eq!(r.deltas_seen, 1);
         assert_eq!(r.inserts_applied, 0);
         assert_eq!(r.removes_applied, 0);
-        assert_eq!(r.noops, 2);
+        assert_eq!(r.noops, 1);
         assert_eq!(idx.edge_count(), 0);
     }
 
@@ -663,7 +546,7 @@ mod tests {
     fn deferred_equals_eager_on_the_same_stream() {
         let g = Gnp::new(30, 0.15).seeded(4).generate();
         let mut eager = TriangleIndex::from_graph(&g);
-        let mut deferred = TriangleIndex::from_graph(&g).with_mode(ApplyMode::Deferred);
+        let mut deferred = TriangleIndex::from_graph(&g);
 
         let batches: Vec<DeltaBatch> = (0..10u32)
             .map(|i| {
@@ -676,36 +559,11 @@ mod tests {
             .collect();
         for b in &batches {
             eager.apply(b).unwrap();
-            deferred.apply(b).unwrap();
         }
-        deferred.flush();
+        deferred.apply(&DeltaBatch::merge(&batches)).unwrap();
         assert_eq!(eager.triangles(), deferred.triangles());
         assert_eq!(eager.snapshot(), deferred.snapshot());
         assert!(eager.matches_oracle());
-    }
-
-    #[test]
-    fn switching_modes_flushes_pending_deltas_in_order() {
-        let mut idx = TriangleIndex::new(2).with_mode(ApplyMode::Deferred);
-        let mut ins = DeltaBatch::new();
-        ins.insert(v(0), v(1));
-        idx.apply(&ins).unwrap();
-        // The buffered insert must land before any eager-mode delta.
-        let mut idx = idx.with_mode(ApplyMode::Eager);
-        assert_eq!(idx.pending_deltas(), 0);
-        assert!(idx.has_edge(v(0), v(1)));
-        let mut rem = DeltaBatch::new();
-        rem.remove(v(0), v(1));
-        let r = idx.apply(&rem).unwrap();
-        assert_eq!(r.removes_applied, 1);
-        assert_eq!(idx.edge_count(), 0);
-        assert!(idx.matches_oracle());
-    }
-
-    #[test]
-    fn flush_in_eager_mode_is_a_noop() {
-        let mut idx = TriangleIndex::new(2);
-        assert_eq!(idx.flush(), ApplyReport::default());
     }
 
     #[test]
@@ -742,26 +600,6 @@ mod tests {
         let r = idx.apply(&close).unwrap();
         assert_eq!(r.triangles_added, 2); // {0,1,2} and {0,1,3}
         assert!(idx.matches_oracle());
-    }
-
-    #[test]
-    fn mode_names() {
-        assert_eq!(ApplyMode::Eager.name(), "eager");
-        assert_eq!(ApplyMode::Deferred.name(), "deferred");
-    }
-
-    #[test]
-    fn pending_age_tracks_the_oldest_buffered_delta() {
-        let mut idx = TriangleIndex::new(3).with_mode(ApplyMode::Deferred);
-        assert!(idx.pending_age().is_none());
-        let mut b = DeltaBatch::new();
-        b.insert(v(0), v(1));
-        idx.apply(&b).unwrap();
-        let age = idx.pending_age().expect("one delta is pending");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(idx.pending_age().unwrap() > age, "age grows while pending");
-        idx.flush();
-        assert!(idx.pending_age().is_none());
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   common-neighbour intersection on its two endpoints (walked from the
 //!   lower-degree side), so a batch costs `O(batch · d̄ log d_max)`
 //!   instead of the `O(m^{3/2})` of a from-scratch recount.
-//!   [`ApplyMode::Eager`] applies immediately; [`ApplyMode::Deferred`]
-//!   coalesces overlapping batches (only the last op per edge survives)
-//!   before paying.
 //! * [`ShardedTriangleIndex`] — the multi-core engine: adjacency is
 //!   partitioned across `S` shards by node hash (`id mod S`), each shard
 //!   owning the full neighbour lists of its nodes, and a batch applies in
@@ -73,7 +70,9 @@
 //!   `serve_mixed` workload measures publish cost, closed-loop reads and
 //!   the write ratio.
 //! * [`StreamEngine`] — the trait all engines implement; the harness is
-//!   generic over it. Its [`AdjacencyView`](congest_graph::AdjacencyView)
+//!   generic over it. [`apply`](StreamEngine::apply) is every engine's
+//!   one write path: a batch applies when it is handed over. Its
+//!   [`AdjacencyView`](congest_graph::AdjacencyView)
 //!   supertrait is what makes the layer **snapshot-free**: the
 //!   centralized oracle and the paper's Theorem 1/2 drivers run directly
 //!   on a live index with no `O(m)` rebuild.
@@ -86,9 +85,12 @@
 //!   window ([`ReplayPolicy`]). Every source names and fingerprints
 //!   itself so bench gates refuse cross-source baseline comparisons.
 //! * [`WorkloadRunner`] — a load-test harness generic over any
-//!   [`BatchSource`]: drives batches at an optional target rate,
-//!   flushed by batch count and/or a staleness deadline
-//!   ([`WorkloadRunner::flush_deadline`]), summarized as throughput,
+//!   [`BatchSource`]: drives batches at an optional target rate, either
+//!   eagerly or deferred — held back in a window whose
+//!   [merge](DeltaBatch::merge) (only the last op per edge survives) is
+//!   applied as one batch when a flush by batch count
+//!   ([`WorkloadRunner::flush_every`]) and/or staleness deadline
+//!   ([`WorkloadRunner::flush_deadline`]) is due — summarized as throughput,
 //!   latency percentiles, at-flush staleness percentiles and
 //!   incremental-vs-recompute speedup ([`RunSummary`], JSON-serializable
 //!   with the source's identity embedded).
@@ -102,9 +104,7 @@
 //!
 //! ```
 //! use congest_graph::generators::Gnp;
-//! use congest_stream::{
-//!     ApplyMode, DeltaBatch, Scenario, ShardedTriangleIndex, TriangleIndex, WorkloadRunner,
-//! };
+//! use congest_stream::{DeltaBatch, Scenario, ShardedTriangleIndex, TriangleIndex, WorkloadRunner};
 //!
 //! // Incremental maintenance…
 //! let base = Gnp::new(50, 0.1).seeded(2).generate();
@@ -119,13 +119,26 @@
 //! sharded.apply(&batch).unwrap();
 //! assert_eq!(sharded.triangles(), index.triangles());
 //!
-//! // …and load-testing it.
+//! // …a window of batches held back and applied as their merge…
+//! let mut more = DeltaBatch::new();
+//! more.insert(congest_graph::NodeId(1), congest_graph::NodeId(2));
+//! let mut less = DeltaBatch::new();
+//! less.remove(congest_graph::NodeId(0), congest_graph::NodeId(1));
+//! let window = [more, less];
+//! sharded.apply(&DeltaBatch::merge(&window)).unwrap();
+//! for b in &window {
+//!     index.apply(b).unwrap();
+//! }
+//! assert_eq!(sharded.triangles(), index.triangles());
+//!
+//! // …and load-testing it, flushing a deferred window every 2 batches.
 //! let summary = WorkloadRunner::new(Scenario::uniform_churn(50, 5, 10))
-//!     .with_mode(ApplyMode::Deferred)
 //!     .with_shards(4)
+//!     .flush_every(2)
 //!     .verified(true)
 //!     .run();
 //! assert!(summary.oracle_ok);
+//! assert_eq!(summary.mode, "deferred");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -153,7 +166,7 @@ pub use distributed::{
 // them so chaos harnesses need only this crate.
 pub use congest_sim::{CrashWindow, FaultPlan};
 pub use engine::StreamEngine;
-pub use index::{ApplyMode, ApplyReport, StreamError, TriangleIndex};
+pub use index::{ApplyReport, StreamError, TriangleIndex};
 pub use pool::WorkerTelemetry;
 pub use runner::{LatencyStats, RecomputeStats, RunSummary, StalenessStats, WorkloadRunner};
 pub use serve::{Lease, ServeHandle, TriangleServer, STALE_LEASE_WARN_EPOCHS};

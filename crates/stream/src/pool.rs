@@ -167,8 +167,8 @@ struct Response {
 /// The persistent worker pool of an `S`-shard engine: `S − 1` long-lived
 /// helper threads, one job channel each, one shared response channel
 /// back; the engine thread is worker 0. Created lazily by the engine on
-/// its first pipelined batch and reused for every batch and flush after
-/// that; dropped (and joined) with the engine.
+/// its first pipelined batch and reused for every batch after that;
+/// dropped (and joined) with the engine.
 pub(crate) struct ShardPool {
     /// `jobs[i]` feeds helper `i + 1`.
     jobs: Vec<Sender<Job>>,

@@ -1,9 +1,14 @@
-//! The workload runner: drives a [`TriangleIndex`] through any
-//! [`BatchSource`] — a synthetic [`Scenario`] or a replayed temporal
-//! file — and measures what a service operator would ask about:
-//! throughput, per-batch latency percentiles, and how much the
-//! incremental engine saves over recomputing the triangle set from
-//! scratch.
+//! The workload runner: drives a [`TriangleIndex`] or a
+//! [`ShardedTriangleIndex`] through any [`BatchSource`] — a synthetic
+//! [`Scenario`] or a replayed temporal file — and measures what a
+//! service operator would ask about: throughput, per-batch latency
+//! percentiles, at-flush staleness, and how much the incremental engine
+//! saves over recomputing the triangle set from scratch.
+//!
+//! Deferral is the runner's, not the engine's: a deferred run holds
+//! batches back in a window and, when a flush is due, applies their
+//! [merge](DeltaBatch::merge) through the engine's one write path,
+//! [`StreamEngine::apply`].
 //!
 //! Latency and staleness percentiles come from streaming log-bucketed
 //! [`Histogram`]s (fixed ≈ 30 KiB each, ≤ 1.6% relative bucket error),
@@ -17,8 +22,9 @@ use congest_graph::triangles as oracle;
 use congest_obs::json;
 use congest_obs::Histogram;
 
+use crate::delta::DeltaBatch;
 use crate::engine::StreamEngine;
-use crate::index::{ApplyMode, ApplyReport, TriangleIndex};
+use crate::index::{ApplyReport, TriangleIndex};
 use crate::sharded::ShardedTriangleIndex;
 use crate::source::BatchSource;
 use crate::workload::Scenario;
@@ -39,18 +45,6 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Computes percentiles from raw per-batch durations (convenience
-    /// wrapper: records everything into a streaming histogram first, so
-    /// percentiles carry the histogram's ≤ 1.6% bucket resolution while
-    /// max and mean stay exact).
-    pub fn from_durations(durations: &[Duration]) -> Self {
-        let mut hist = Histogram::new();
-        for d in durations {
-            hist.record(*d);
-        }
-        LatencyStats::from_histogram(&hist)
-    }
-
     /// Reads the percentiles off a streaming histogram.
     pub fn from_histogram(hist: &Histogram) -> Self {
         if hist.is_empty() {
@@ -66,9 +60,9 @@ impl LatencyStats {
     }
 }
 
-/// Staleness of deferred work: how long the oldest buffered delta had
-/// been waiting each time the engine flushed, in microseconds. All zero
-/// for eager runs (nothing is ever buffered).
+/// Staleness of deferred work: how long the oldest held-back delta had
+/// been waiting each time the runner flushed its window, in
+/// microseconds. All zero for eager runs (nothing is ever held back).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StalenessStats {
     /// Number of flushes that found buffered work.
@@ -82,16 +76,6 @@ pub struct StalenessStats {
 }
 
 impl StalenessStats {
-    /// Computes percentiles from the raw at-flush staleness samples
-    /// (convenience wrapper over [`StalenessStats::from_histogram`]).
-    pub fn from_durations(durations: &[Duration]) -> Self {
-        let mut hist = Histogram::new();
-        for d in durations {
-            hist.record(*d);
-        }
-        StalenessStats::from_histogram(&hist)
-    }
-
     /// Reads the percentiles off a streaming histogram.
     pub fn from_histogram(hist: &Histogram) -> Self {
         if hist.is_empty() {
@@ -139,17 +123,17 @@ pub struct RunSummary {
     pub batch_count: usize,
     /// Nominal deltas per batch.
     pub batch_size: usize,
-    /// Apply mode name (`eager` / `deferred`) — the **effective** mode
-    /// reported by the engine after the run, not merely the requested
-    /// one, so baselines are self-describing.
+    /// `deferred` when the run held batches back under a flush policy
+    /// ([`WorkloadRunner::flush_every`] or
+    /// [`WorkloadRunner::flush_deadline`]), `eager` otherwise.
     pub mode: String,
     /// Shard count of the sharded engine, `None` for the single-threaded
-    /// [`TriangleIndex`]. Like [`mode`](RunSummary::mode), this is the
-    /// effective count the engine reports (requested counts are clamped
-    /// to at least 1).
+    /// [`TriangleIndex`]. This is the effective count the engine reports
+    /// (requested counts are clamped to at least 1), so baselines are
+    /// self-describing.
     pub shards: Option<usize>,
-    /// Count-based flush period of deferred runs (`None` for eager runs,
-    /// where nothing is ever buffered).
+    /// Count-based flush period of deferred runs (`None` when no count
+    /// policy was set).
     pub flush_every: Option<usize>,
     /// Deadline-based flush budget, if one was set (milliseconds).
     pub flush_deadline_ms: Option<f64>,
@@ -159,7 +143,8 @@ pub struct RunSummary {
     pub final_edges: usize,
     /// Live triangles after the stream.
     pub final_triangles: usize,
-    /// Totals of every apply/flush report.
+    /// Totals of every apply report; a flush books the deltas its merge
+    /// coalesced away as seen no-ops, so each delta is counted once.
     pub totals: ApplyReport,
     /// Wall-clock seconds for the whole run (including pacing sleeps).
     pub elapsed_secs: f64,
@@ -175,7 +160,8 @@ pub struct RunSummary {
     pub target_batches_per_sec: Option<f64>,
     /// Per-batch latency percentiles.
     pub latency: LatencyStats,
-    /// Staleness of buffered work at each flush (all zero in eager mode).
+    /// Staleness of held-back work at each flush (all zero in eager
+    /// runs).
     pub staleness: StalenessStats,
     /// Mean over pool-applied batches of the busiest worker's busy time
     /// as a share of the batch's apply wall time (`None` when no batch
@@ -296,6 +282,15 @@ impl RunSummary {
 
 /// Drives a triangle engine through any [`BatchSource`].
 ///
+/// A run is eager unless a flush policy is set: with
+/// [`flush_every`](WorkloadRunner::flush_every) and/or
+/// [`flush_deadline`](WorkloadRunner::flush_deadline) the runner holds
+/// batches back and applies each window's merge as one batch. The engine
+/// validates that merge when it is applied, so a window with an
+/// out-of-range delta would be rejected whole at its flush; batch
+/// sources only produce in-range deltas, and the runner panics if one
+/// does not.
+///
 /// The default source type is [`Scenario`], so the historical
 /// constructor keeps working unchanged:
 ///
@@ -327,14 +322,12 @@ impl RunSummary {
 #[derive(Debug, Clone)]
 pub struct WorkloadRunner<S: BatchSource = Scenario> {
     source: S,
-    mode: ApplyMode,
     /// `None` drives the single-threaded [`TriangleIndex`]; `Some(s)`
     /// drives a [`ShardedTriangleIndex`] with `s` shards.
     shards: Option<usize>,
-    /// In deferred mode, flush after this many batches (>= 1).
-    flush_every: usize,
-    /// In deferred mode, also flush whenever the oldest buffered delta is
-    /// older than this.
+    /// Flush the held-back window after this many batches (>= 1).
+    flush_every: Option<usize>,
+    /// Flush the held-back window once its oldest delta is this old.
     flush_deadline: Option<Duration>,
     /// Time a from-scratch recount every `k` batches; 0 disables.
     recompute_every: usize,
@@ -347,9 +340,9 @@ pub struct WorkloadRunner<S: BatchSource = Scenario> {
 }
 
 impl WorkloadRunner<Scenario> {
-    /// A runner with eager application, the single-threaded engine, no
-    /// pacing, recompute sampling every 8 batches and no final oracle
-    /// check.
+    /// A runner with eager application (no flush policy), the
+    /// single-threaded engine, no pacing, recompute sampling every 8
+    /// batches and no final oracle check.
     pub fn new(scenario: Scenario) -> Self {
         Self::from_source(scenario)
     }
@@ -368,21 +361,14 @@ impl<S: BatchSource> WorkloadRunner<S> {
     pub fn from_source(source: S) -> Self {
         WorkloadRunner {
             source,
-            mode: ApplyMode::Eager,
             shards: None,
-            flush_every: 8,
+            flush_every: None,
             flush_deadline: None,
             recompute_every: 8,
             target_batches_per_sec: None,
             verify: false,
             parallel_threshold: None,
         }
-    }
-
-    /// Sets the apply mode (builder style).
-    pub fn with_mode(mut self, mode: ApplyMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Drives a [`ShardedTriangleIndex`] with `shards` shards instead of
@@ -402,16 +388,24 @@ impl<S: BatchSource> WorkloadRunner<S> {
         self
     }
 
-    /// Sets the deferred-mode flush period (builder style, clamped to 1+).
+    /// Defers the run (builder style): hold batches back and flush the
+    /// window after every `batches` of them (clamped to 1+), and after
+    /// the last batch.
     pub fn flush_every(mut self, batches: usize) -> Self {
-        self.flush_every = batches.max(1);
+        self.flush_every = Some(batches.max(1));
         self
     }
 
-    /// Latency-bounded flushing (builder style): in deferred mode, also
-    /// flush as soon as the oldest buffered delta has waited longer than
-    /// `deadline`. Caps how stale a read of the triangle set can get
-    /// while still amortizing flush work over multiple batches.
+    /// Defers the run with latency-bounded flushing (builder style):
+    /// flush the held-back window once its oldest delta has waited
+    /// `deadline`. The check runs after each batch and, in a
+    /// [paced](WorkloadRunner::paced) run, while the runner waits for
+    /// the next batch's slot — so a window is flushed at its deadline
+    /// (plus timer slack), not when the next batch arrives. Caps how
+    /// stale a read of the triangle set can get while still amortizing
+    /// flush work over multiple batches. Combined with
+    /// [`flush_every`](WorkloadRunner::flush_every), whichever is due
+    /// first flushes.
     pub fn flush_deadline(mut self, deadline: Duration) -> Self {
         self.flush_deadline = Some(deadline);
         self
@@ -449,9 +443,9 @@ impl<S: BatchSource> WorkloadRunner<S> {
     pub fn run(&self) -> RunSummary {
         let base = self.source.base_graph();
         match self.shards {
-            None => self.run_engine(TriangleIndex::from_graph(&base).with_mode(self.mode), &base),
+            None => self.run_engine(TriangleIndex::from_graph(&base), &base),
             Some(s) => {
-                let mut engine = ShardedTriangleIndex::from_graph(&base, s).with_mode(self.mode);
+                let mut engine = ShardedTriangleIndex::from_graph(&base, s);
                 if let Some(threshold) = self.parallel_threshold {
                     engine = engine.with_parallel_threshold(threshold);
                 }
@@ -477,6 +471,8 @@ impl<S: BatchSource> WorkloadRunner<S> {
         let mut sampling_total = Duration::ZERO;
         let mut recompute_samples = 0usize;
 
+        let deferred = self.is_deferred();
+        let mut window = Window::default();
         let pacing_interval = self
             .target_batches_per_sec
             .map(|rate| Duration::from_secs_f64(1.0 / rate));
@@ -484,31 +480,40 @@ impl<S: BatchSource> WorkloadRunner<S> {
         let mut next_slot = run_start;
 
         for (i, batch) in self.source.batch_iter().enumerate() {
+            // A deadline flush that falls due while the run waits for this
+            // batch's slot runs then; its time joins this batch's sample.
+            let mut waited_flush = Duration::ZERO;
             if let Some(interval) = pacing_interval {
-                let now = Instant::now();
-                if next_slot > now {
-                    std::thread::sleep(next_slot - now);
+                if let Some(due) = window.due(self.flush_deadline) {
+                    if due < next_slot {
+                        sleep_until(due);
+                        let start = Instant::now();
+                        totals.absorb(&window.flush(&mut index, &mut staleness_hist));
+                        waited_flush = start.elapsed();
+                    }
                 }
+                sleep_until(next_slot);
                 next_slot += interval;
             }
 
             let start = Instant::now();
-            let report = index
-                .apply(&batch)
-                .expect("batch sources only touch in-range nodes");
-            totals.absorb(&report);
-            let flush_due = self.mode == ApplyMode::Deferred
-                && ((i + 1) % self.flush_every == 0
+            if deferred {
+                window.push(batch);
+                let flush_due = self.flush_every.is_some_and(|k| (i + 1) % k == 0)
                     || i + 1 == batch_count
-                    || self.deadline_exceeded(&index));
-            if flush_due {
-                congest_obs::span!("runner", "flush");
-                if let Some(age) = index.pending_age() {
-                    staleness_hist.record(age);
+                    || window
+                        .due(self.flush_deadline)
+                        .is_some_and(|due| due <= Instant::now());
+                if flush_due {
+                    totals.absorb(&window.flush(&mut index, &mut staleness_hist));
                 }
-                totals.absorb(&index.flush());
+            } else {
+                let report = index
+                    .apply(&batch)
+                    .expect("batch sources only touch in-range nodes");
+                totals.absorb(&report);
             }
-            latency_hist.record(start.elapsed());
+            latency_hist.record(start.elapsed() + waited_flush);
 
             if self.recompute_every > 0 && i % self.recompute_every == 0 {
                 // Time the from-scratch alternative on the same state the
@@ -527,9 +532,7 @@ impl<S: BatchSource> WorkloadRunner<S> {
         }
         // Safety net for sources whose iterator disagrees with their
         // declared batch count: deferred work must never outlive the run.
-        if self.mode == ApplyMode::Deferred && index.pending_age().is_some() {
-            totals.absorb(&index.flush());
-        }
+        totals.absorb(&window.flush(&mut index, &mut staleness_hist));
         let elapsed = run_start.elapsed();
 
         let busy: Duration = latency_hist.total();
@@ -568,10 +571,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
             .saturating_sub(sampling_total)
             .as_secs_f64()
             .max(f64::MIN_POSITIVE);
-        // Engine-reported mode and shard count: what actually ran, so a
-        // committed baseline describes itself even if requested knobs
-        // were clamped or overridden.
-        let effective_mode = index.mode();
         let telemetry = index.worker_telemetry();
         // Fold pool telemetry and flush staleness into the process-wide
         // registry: last run wins for gauges, which is what the bench
@@ -605,9 +604,11 @@ impl<S: BatchSource> WorkloadRunner<S> {
             n: self.source.node_count(),
             batch_count,
             batch_size: self.source.batch_size(),
-            mode: effective_mode.name().to_string(),
+            mode: if deferred { "deferred" } else { "eager" }.to_string(),
+            // The engine-reported count: what actually ran, even where the
+            // requested one was clamped.
             shards: self.shards.map(|_| index.shard_count()),
-            flush_every: (effective_mode == ApplyMode::Deferred).then_some(self.flush_every),
+            flush_every: self.flush_every,
             flush_deadline_ms: self.flush_deadline.map(|d| d.as_secs_f64() * 1e3),
             base_edges,
             final_edges: index.edge_count(),
@@ -628,12 +629,62 @@ impl<S: BatchSource> WorkloadRunner<S> {
         }
     }
 
-    /// Whether the deadline-based flush policy demands a flush now.
-    fn deadline_exceeded<E: StreamEngine>(&self, index: &E) -> bool {
-        match self.flush_deadline {
-            Some(deadline) => index.pending_age().is_some_and(|age| age >= deadline),
-            None => false,
+    /// Whether a flush policy is set, i.e. the run holds batches back.
+    fn is_deferred(&self) -> bool {
+        self.flush_every.is_some() || self.flush_deadline.is_some()
+    }
+}
+
+/// The batches a deferred run holds back, and when the oldest of them
+/// arrived (the clock behind the deadline policy and the staleness
+/// samples).
+#[derive(Default)]
+struct Window {
+    batches: Vec<DeltaBatch>,
+    since: Option<Instant>,
+}
+
+impl Window {
+    /// Holds `batch` back, starting the clock if the window was empty.
+    fn push(&mut self, batch: DeltaBatch) {
+        if batch.is_empty() {
+            return;
         }
+        self.since.get_or_insert_with(Instant::now);
+        self.batches.push(batch);
+    }
+
+    /// When the deadline policy wants the window flushed (`None` while
+    /// nothing is held back or no deadline is set).
+    fn due(&self, deadline: Option<Duration>) -> Option<Instant> {
+        Some(self.since? + deadline?)
+    }
+
+    /// Applies the window's merge as one batch, records its staleness and
+    /// empties it. Every held delta counts as seen; those the merge
+    /// coalesced away count as no-ops. A no-op on an empty window.
+    fn flush<E: StreamEngine>(&mut self, engine: &mut E, staleness: &mut Histogram) -> ApplyReport {
+        let Some(since) = self.since.take() else {
+            return ApplyReport::default();
+        };
+        congest_obs::span!("runner", "flush");
+        staleness.record(since.elapsed());
+        let held: usize = self.batches.iter().map(DeltaBatch::len).sum();
+        let merged = DeltaBatch::merge(&self.batches);
+        self.batches.clear();
+        let mut report = engine
+            .apply(&merged)
+            .expect("batch sources only touch in-range nodes");
+        report.deltas_seen += held - merged.len();
+        report.noops += held - merged.len();
+        report
+    }
+}
+
+fn sleep_until(deadline: Instant) {
+    let now = Instant::now();
+    if deadline > now {
+        std::thread::sleep(deadline - now);
     }
 }
 
@@ -663,24 +714,69 @@ mod tests {
     #[test]
     fn deferred_runner_flushes_everything_by_the_end() {
         let summary = WorkloadRunner::new(small_scenario())
-            .with_mode(ApplyMode::Deferred)
             .flush_every(5)
             .verified(true)
             .run();
         assert!(summary.oracle_ok);
         // Deferred runs are self-describing: the flush policy is in the
         // summary and its JSON.
+        assert_eq!(summary.mode, "deferred");
         assert_eq!(summary.flush_every, Some(5));
         assert!(summary.to_json().contains("\"flush_every\":5"));
-        // Every delta was deferred once and counted as seen exactly once
-        // (flushes do not re-count), so eager and deferred throughput
-        // numbers are directly comparable.
-        assert_eq!(summary.totals.deltas_deferred, 12 * 25);
+        // 12 batches in windows of 5: flushes after batches 5, 10 and 12.
+        assert_eq!(summary.staleness.flushes, 3);
+        // Every delta was counted as seen exactly once (a flush books
+        // what its merge coalesced away), so eager and deferred
+        // throughput numbers are directly comparable.
         assert_eq!(summary.totals.deltas_seen, 12 * 25);
         assert_eq!(
             summary.totals.inserts_applied + summary.totals.removes_applied + summary.totals.noops,
             12 * 25
         );
+    }
+
+    #[test]
+    fn window_clock_tracks_the_oldest_held_delta() {
+        use congest_graph::NodeId;
+        let mut window = Window::default();
+        window.push(DeltaBatch::new());
+        assert_eq!(window.since, None, "an empty batch starts no clock");
+        let mut b = DeltaBatch::new();
+        b.insert(NodeId(0), NodeId(1));
+        window.push(b.clone());
+        let since = window.since.expect("one delta is held");
+        std::thread::sleep(Duration::from_millis(2));
+        window.push(b);
+        assert_eq!(
+            window.since,
+            Some(since),
+            "the oldest delta keeps the clock"
+        );
+        let deadline = Duration::from_millis(1);
+        assert_eq!(window.due(Some(deadline)), Some(since + deadline));
+        assert_eq!(window.due(None), None);
+
+        let mut index = TriangleIndex::new(2);
+        let mut staleness = Histogram::new();
+        let report = window.flush(&mut index, &mut staleness);
+        assert!(
+            staleness.max_ns() >= 2_000_000,
+            "staleness is the oldest's age"
+        );
+        assert_eq!(report.deltas_seen, 2);
+        assert_eq!(report.inserts_applied, 1);
+        assert_eq!(report.noops, 1, "the duplicate was coalesced away");
+        assert_eq!(window.since, None);
+        assert!(window.batches.is_empty());
+    }
+
+    #[test]
+    fn flushing_an_empty_window_is_a_noop() {
+        let mut index = TriangleIndex::new(2);
+        let mut staleness = Histogram::new();
+        let report = Window::default().flush(&mut index, &mut staleness);
+        assert_eq!(report, ApplyReport::default());
+        assert!(staleness.is_empty(), "no held work, no staleness sample");
     }
 
     #[test]
@@ -731,20 +827,20 @@ mod tests {
 
     #[test]
     fn deadline_flushing_bounds_staleness_and_reports_it() {
-        // Pace the run so buffered deltas age measurably, with a count
-        // threshold too large to ever fire: every flush but the final one
-        // must come from the deadline policy.
+        // Pace the run so held-back deltas age measurably, with no count
+        // policy: every flush but the final one must come from the
+        // deadline policy.
         let scenario = Scenario::uniform_churn(40, 10, 10).seeded(3);
         let deadline = Duration::from_millis(20);
         let summary = WorkloadRunner::new(scenario)
-            .with_mode(ApplyMode::Deferred)
-            .flush_every(1_000_000)
             .flush_deadline(deadline)
             .recompute_every(0)
             .paced(100.0)
             .verified(true)
             .run();
         assert!(summary.oracle_ok);
+        assert_eq!(summary.mode, "deferred");
+        assert_eq!(summary.flush_every, None);
         assert_eq!(summary.flush_deadline_ms, Some(20.0));
         // 10 batches at ~10ms spacing against a 20ms budget: the deadline
         // fires several times, not just the end-of-run flush.
@@ -777,7 +873,6 @@ mod tests {
         // Deferred sharded run with a deadline: every knob that shaped
         // the run is recoverable from the JSON alone.
         let summary = WorkloadRunner::new(small_scenario())
-            .with_mode(ApplyMode::Deferred)
             .with_shards(4)
             .flush_every(3)
             .flush_deadline(Duration::from_millis(50))
@@ -820,17 +915,25 @@ mod tests {
         assert!(single.to_json().contains("\"worker_busy_max_share\":null"));
     }
 
+    fn histogram_of(durations: &[Duration]) -> Histogram {
+        let mut hist = Histogram::new();
+        for d in durations {
+            hist.record(*d);
+        }
+        hist
+    }
+
     #[test]
     fn staleness_stats_of_empty_input_are_zero() {
         assert_eq!(
-            StalenessStats::from_durations(&[]),
+            StalenessStats::from_histogram(&Histogram::new()),
             StalenessStats::default()
         );
-        let stats = StalenessStats::from_durations(&[
+        let stats = StalenessStats::from_histogram(&histogram_of(&[
             Duration::from_micros(100),
             Duration::from_micros(300),
             Duration::from_micros(200),
-        ]);
+        ]));
         assert_eq!(stats.flushes, 3);
         // The median comes off the streaming histogram: within one
         // log-bucket (≤ 1.6%) of the exact 200 µs sorted-vec answer.
@@ -849,11 +952,11 @@ mod tests {
     fn single_sample_percentiles_are_that_sample() {
         // The p99 nearest-rank index must clamp on 1-element (and any
         // boundary-sized) samples instead of trusting float rounding.
-        let one = [Duration::from_micros(42)];
-        let s = StalenessStats::from_durations(&one);
+        let one = histogram_of(&[Duration::from_micros(42)]);
+        let s = StalenessStats::from_histogram(&one);
         assert_eq!(s.flushes, 1);
         assert_eq!((s.p50_us, s.p99_us, s.max_us), (42.0, 42.0, 42.0));
-        let l = LatencyStats::from_durations(&one);
+        let l = LatencyStats::from_histogram(&one);
         assert_eq!(
             (l.p50_us, l.p90_us, l.p99_us, l.max_us),
             (42.0, 42.0, 42.0, 42.0)
@@ -924,7 +1027,10 @@ mod tests {
 
     #[test]
     fn latency_stats_of_empty_input_are_zero() {
-        assert_eq!(LatencyStats::from_durations(&[]), LatencyStats::default());
+        assert_eq!(
+            LatencyStats::from_histogram(&Histogram::new()),
+            LatencyStats::default()
+        );
     }
 
     #[test]
@@ -983,7 +1089,6 @@ mod tests {
         let replay = Replay::new(list, ReplayPolicy::BySize(25)).with_label("synthetic");
         let expected_fp = replay.fingerprint();
         let summary = WorkloadRunner::from_source(replay)
-            .with_mode(ApplyMode::Deferred)
             .flush_every(4)
             .verified(true)
             .run();

@@ -9,8 +9,8 @@
 //!   triangle maintenance; [`TriangleIndex`](crate::TriangleIndex) calls
 //!   it on its central adjacency and
 //!   [`ShardedTriangleIndex`](crate::ShardedTriangleIndex) calls it from
-//!   every worker thread, so eager and deferred modes behave identically
-//!   per shard and centrally.
+//!   every worker thread, so both engines intersect identically per
+//!   shard and centrally.
 //!
 //! [`Graph`]: congest_graph::Graph
 //! * [`ShardSpec`] — the node→shard mapping. Nodes are partitioned by

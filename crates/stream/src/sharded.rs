@@ -51,12 +51,11 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use congest_graph::{AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, TriangleSet};
 
-use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta, PendingBuffer};
-use crate::index::{validate_batch, ApplyMode, ApplyReport, StreamError};
+use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
+use crate::index::{validate_batch, ApplyReport, StreamError};
 use crate::pool::{BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry};
 use crate::shard::{
     intersect_sorted, merge_added_candidates_supported, merge_removed_candidates_supported,
@@ -139,13 +138,10 @@ pub struct ShardedTriangleIndex {
     support: NodeSupport,
     /// Number of present undirected edges.
     edge_count: usize,
-    mode: ApplyMode,
-    /// Deferred-mode buffer (concatenated batches + staleness clock).
-    pending: PendingBuffer,
     /// Batch size below which the apply takes the sequential path.
     parallel_threshold: usize,
     /// The persistent worker pool, spawned lazily on the first pipelined
-    /// batch and reused for every batch and flush after that.
+    /// batch and reused for every batch after that.
     pool: Option<ShardPool>,
     telemetry: TelemetryAccum,
 }
@@ -162,8 +158,6 @@ impl Clone for ShardedTriangleIndex {
             triangles: self.triangles.clone(),
             support: self.support.clone(),
             edge_count: self.edge_count,
-            mode: self.mode,
-            pending: self.pending.clone(),
             parallel_threshold: self.parallel_threshold,
             pool: None,
             telemetry: self.telemetry,
@@ -173,15 +167,13 @@ impl Clone for ShardedTriangleIndex {
 
 impl ShardedTriangleIndex {
     /// An empty index on `node_count` nodes over `shard_count` shards
-    /// (clamped to at least 1), in [`ApplyMode::Eager`].
+    /// (clamped to at least 1).
     pub fn new(node_count: usize, shard_count: usize) -> Self {
         ShardedTriangleIndex {
             store: ShardStore::new(node_count, shard_count),
             triangles: TriangleSet::new(),
             support: NodeSupport::new(node_count),
             edge_count: 0,
-            mode: ApplyMode::Eager,
-            pending: PendingBuffer::default(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             pool: None,
             telemetry: TelemetryAccum::default(),
@@ -202,18 +194,6 @@ impl ShardedTriangleIndex {
         index
     }
 
-    /// Sets the application mode (builder style).
-    ///
-    /// Switching away from deferred mode first flushes anything buffered,
-    /// so deltas are never reordered across the mode change.
-    pub fn with_mode(mut self, mode: ApplyMode) -> Self {
-        if mode != self.mode && !self.pending.is_empty() {
-            self.flush();
-        }
-        self.mode = mode;
-        self
-    }
-
     /// Sets the batch size below which applies run on the strictly
     /// ordered sequential path instead of the two-phase pipeline (builder
     /// style). Under any non-zero threshold a single-shard index takes
@@ -229,11 +209,6 @@ impl ShardedTriangleIndex {
         self
     }
 
-    /// The application mode in effect.
-    pub fn mode(&self) -> ApplyMode {
-        self.mode
-    }
-
     /// Number of shards `S`.
     pub fn shard_count(&self) -> usize {
         self.store.shard_count()
@@ -244,7 +219,7 @@ impl ShardedTriangleIndex {
         self.store.node_count()
     }
 
-    /// Number of present undirected edges (excluding pending deltas).
+    /// Number of present undirected edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
     }
@@ -267,21 +242,17 @@ impl ShardedTriangleIndex {
         self.store.degree(node)
     }
 
-    /// Whether `{a, b}` is currently an edge (excluding pending deltas).
+    /// Whether `{a, b}` is currently an edge.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
         self.store.has_edge(a, b)
     }
 
     /// The live triangle set.
-    ///
-    /// In deferred mode this reflects only flushed batches; call
-    /// [`flush`](ShardedTriangleIndex::flush) first for a consistent view.
     pub fn triangles(&self) -> &TriangleSet {
         &self.triangles
     }
 
-    /// Number of live triangles (same staleness caveat as
-    /// [`triangles`](ShardedTriangleIndex::triangles)).
+    /// Number of live triangles.
     pub fn triangle_count(&self) -> usize {
         self.triangles.len()
     }
@@ -341,17 +312,6 @@ impl ShardedTriangleIndex {
         self.support.share()
     }
 
-    /// Deltas buffered by deferred mode and not yet flushed.
-    pub fn pending_deltas(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How long the oldest buffered delta has been waiting (`None` while
-    /// nothing is pending).
-    pub fn pending_age(&self) -> Option<Duration> {
-        self.pending.age()
-    }
-
     /// Lifetime worker-pool telemetry: busy-share balance over every
     /// pipelined batch (`None` while every batch so
     /// far took the strictly ordered path, which never reaches the
@@ -374,7 +334,7 @@ impl ShardedTriangleIndex {
         self.pool.as_ref().is_some_and(ShardPool::poisoned)
     }
 
-    /// Applies a batch according to the [`ApplyMode`] (same contract as
+    /// Applies a batch (same contract as
     /// [`TriangleIndex::apply`](crate::TriangleIndex::apply)).
     ///
     /// # Errors
@@ -390,51 +350,22 @@ impl ShardedTriangleIndex {
         if self.poisoned() {
             return Err(StreamError::Poisoned);
         }
-        self.validate(batch)?;
-        match self.mode {
-            ApplyMode::Eager => Ok(self.apply_validated(batch)),
-            ApplyMode::Deferred => {
-                self.pending.buffer(batch);
-                Ok(ApplyReport {
-                    deltas_seen: batch.len(),
-                    deltas_deferred: batch.len(),
-                    ..ApplyReport::default()
-                })
-            }
-        }
-    }
-
-    /// Coalesces and applies every buffered batch (no-op in eager mode or
-    /// with nothing pending); same accounting as
-    /// [`TriangleIndex::flush`](crate::TriangleIndex::flush).
-    ///
-    /// Large flushes hand the **raw** buffered stream straight to the
-    /// two-phase pipeline (and so to the persistent pool): every worker
-    /// already coalesces its own slice (and counts the ops it drops as
-    /// no-ops), so the coalescing cost of a deferred flush is spread
-    /// across the shard workers instead of being paid as a sequential
-    /// `O(b log b)` step up front. Small flushes keep the central
-    /// coalesce — they take the strictly ordered sequential path, which
-    /// applies deltas one at a time and would otherwise pay per-delta for
-    /// ops the coalescer discards for free.
-    pub fn flush(&mut self) -> ApplyReport {
-        if self.pending.is_empty() || self.poisoned() {
-            // A poisoned engine refuses to touch its (possibly lost)
-            // store: the buffered deltas stay pending and `apply`
-            // reports the poisoning as a clean error.
-            return ApplyReport::default();
-        }
-        let buffered = self.pending.take();
-        let mut report = if self.takes_ordered_path(buffered.len()) {
-            let coalesced = buffered.coalesce();
-            let mut report = self.apply_ordered(&coalesced);
-            report.noops += buffered.len() - coalesced.len();
-            report
+        validate_batch(batch, self.node_count())?;
+        // Under a non-zero parallel threshold, every batch of a
+        // single-shard engine and every batch shorter than the threshold
+        // takes the strictly ordered path: there the pipeline cannot pay
+        // for itself. Both paths leave the identical final graph and
+        // triangle set; on batches that flap an edge the per-batch
+        // tallies differ (the pipeline's coalescer counts dropped ops as
+        // no-ops where the ordered path applies them), which is why the
+        // paths are selected by size, never by content.
+        let ordered = self.parallel_threshold > 0
+            && (self.store.shard_count() == 1 || batch.len() < self.parallel_threshold);
+        Ok(if ordered {
+            self.apply_ordered(batch)
         } else {
-            self.apply_pipelined(&buffered)
-        };
-        report.deltas_seen = 0;
-        report
+            self.apply_pipelined(batch)
+        })
     }
 
     /// Rebuilds a poisoned engine in place from `graph`, so one panicked
@@ -443,11 +374,8 @@ impl ShardedTriangleIndex {
     /// dropped — which closes its job channels and **joins every worker
     /// thread**, panicked ones included — the shard store, triangle set
     /// and support counters are reseeded from `graph`, and a fresh pool
-    /// spawns lazily on the next pipelined batch. Apply mode, thresholds
-    /// and accumulated telemetry survive; buffered deferred deltas do
-    /// **not** (the batch that poisoned the engine may be half-applied,
-    /// so `graph` is the new ground truth and older buffered intent
-    /// cannot be replayed against it safely).
+    /// spawns lazily on the next pipelined batch. Thresholds and
+    /// accumulated telemetry survive.
     ///
     /// `graph` is whatever consistent state the caller still holds — a
     /// published serve view frozen with [`snapshot`](Self::snapshot), a
@@ -463,10 +391,9 @@ impl ShardedTriangleIndex {
         self.triangles = congest_graph::triangles::list_all(graph);
         self.support = NodeSupport::seed_from(&self.triangles, graph.node_count());
         self.edge_count = graph.edge_count();
-        self.pending = PendingBuffer::default();
     }
 
-    /// Freezes the current graph (pending deltas excluded) into an
+    /// Freezes the current graph into an
     /// immutable [`Graph`]. **O(m)**: every neighbour list is walked and
     /// re-inserted into a fresh builder, so this is a full copy of the
     /// adjacency — not a cheap view. Rarely needed now that the index
@@ -490,33 +417,6 @@ impl ShardedTriangleIndex {
     /// from-scratch recount on the index's own adjacency view.
     pub fn matches_oracle(&self) -> bool {
         self.triangles == congest_graph::triangles::list_all_on(self)
-    }
-
-    fn validate(&self, batch: &DeltaBatch) -> Result<(), StreamError> {
-        validate_batch(batch, self.node_count())
-    }
-
-    /// Whether a batch of `len` deltas takes the strictly ordered path:
-    /// under a non-zero parallel threshold, every batch of a
-    /// single-shard engine and every batch shorter than the threshold.
-    fn takes_ordered_path(&self, len: usize) -> bool {
-        self.parallel_threshold > 0
-            && (self.store.shard_count() == 1 || len < self.parallel_threshold)
-    }
-
-    /// Applies a pre-validated batch: the strictly ordered sequential path
-    /// when the pipeline cannot pay for itself, the two-phase pipeline
-    /// otherwise. Both paths leave the identical final graph and triangle
-    /// set; on batches that flap an edge the per-batch tallies differ
-    /// (the pipeline's coalescer counts dropped ops as no-ops where the
-    /// ordered path applies them), which is why the paths are selected by
-    /// size, never by content.
-    fn apply_validated(&mut self, batch: &DeltaBatch) -> ApplyReport {
-        if self.takes_ordered_path(batch.len()) {
-            self.apply_ordered(batch)
-        } else {
-            self.apply_pipelined(batch)
-        }
     }
 
     /// The reference path: deltas applied one at a time, in order, exactly
@@ -636,7 +536,7 @@ impl ShardedTriangleIndex {
         report: &mut ApplyReport,
     ) -> Vec<WorkerPlan> {
         let shard_count = work.len();
-        // `apply`/`flush` refuse poisoned engines before reaching this
+        // `apply` refuses poisoned engines before reaching this
         // point, so the only reason to respawn is a worker-count change.
         let needs_fresh_pool = match self.pool.as_ref() {
             Some(pool) => pool.worker_count() != shard_count,
@@ -707,7 +607,7 @@ impl ShardedTriangleIndex {
     }
 }
 
-/// The sharded index *is* an adjacency view (pending deltas excluded):
+/// The sharded index *is* an adjacency view:
 /// the oracle and the CONGEST drivers run on it directly — no snapshot.
 impl AdjacencyView for ShardedTriangleIndex {
     fn node_count(&self) -> usize {
@@ -735,12 +635,11 @@ impl fmt::Debug for ShardedTriangleIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ShardedTriangleIndex(n={}, m={}, shards={}, triangles={}, mode={})",
+            "ShardedTriangleIndex(n={}, m={}, shards={}, triangles={})",
             self.node_count(),
             self.edge_count(),
             self.shard_count(),
             self.triangle_count(),
-            self.mode.name(),
         )
     }
 }
@@ -883,56 +782,52 @@ mod tests {
         assert_eq!(idx.edge_count(), 0);
     }
 
+    /// Deferral is the caller's: it holds a window of batches back and
+    /// applies their merge as one batch when it flushes.
     #[test]
     fn deferred_mode_buffers_until_flush() {
-        let mut idx = parallel(ShardedTriangleIndex::new(3, 2)).with_mode(ApplyMode::Deferred);
-        assert_eq!(idx.mode(), ApplyMode::Deferred);
-        let mut b = DeltaBatch::new();
-        b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-        let r = idx.apply(&b).unwrap();
-        assert_eq!(r.deltas_deferred, 3);
-        assert_eq!(idx.triangle_count(), 0);
-        assert_eq!(idx.pending_deltas(), 3);
-        assert!(idx.pending_age().is_some());
+        let mut idx = parallel(ShardedTriangleIndex::new(3, 2));
+        let mut open = DeltaBatch::new();
+        open.insert(v(0), v(1)).insert(v(1), v(2));
+        let mut close = DeltaBatch::new();
+        close.insert(v(0), v(2));
+        let window = vec![open, close];
 
-        let r = idx.flush();
-        assert_eq!(r.deltas_seen, 0);
+        let r = idx.apply(&DeltaBatch::merge(&window)).unwrap();
+        assert_eq!(r.deltas_seen, 3);
         assert_eq!(r.inserts_applied, 3);
         assert_eq!(r.triangles_added, 1);
-        assert_eq!(idx.pending_deltas(), 0);
-        assert!(idx.pending_age().is_none());
         assert!(idx.matches_oracle());
     }
 
     #[test]
     fn deferred_flap_costs_nothing_at_flush() {
-        let mut idx = ShardedTriangleIndex::new(4, 2).with_mode(ApplyMode::Deferred);
+        let mut idx = ShardedTriangleIndex::new(4, 2);
         let mut flap = DeltaBatch::new();
         flap.insert(v(0), v(1)).remove(v(0), v(1));
-        idx.apply(&flap).unwrap();
-        let r = idx.flush();
-        assert_eq!(r.deltas_seen, 0);
+        let merged = DeltaBatch::merge([&flap]);
+        // The insert was coalesced away before the engine saw it…
+        assert_eq!(flap.len() - merged.len(), 1);
+        let r = idx.apply(&merged).unwrap();
         assert_eq!(r.inserts_applied, 0);
         assert_eq!(r.removes_applied, 0);
-        // The insert was coalesced away; the surviving remove is a no-op.
-        assert_eq!(r.noops, 2);
+        // …and the surviving remove is a no-op.
+        assert_eq!(r.noops, 1);
         assert_eq!(idx.edge_count(), 0);
     }
 
     #[test]
     fn large_deferred_flush_runs_the_pipeline_and_keeps_the_accounting() {
         use crate::index::TriangleIndex;
-        // Threshold 0 forces the pipeline, so this flush exercises the
-        // worker-local coalesce of the raw buffered stream (no central
-        // pre-coalesce).
+        // Threshold 0 forces the pipeline, so this flush's merged window
+        // runs on the pool.
         let g = Gnp::new(40, 0.15).seeded(3).generate();
-        let mut idx =
-            parallel(ShardedTriangleIndex::from_graph(&g, 3)).with_mode(ApplyMode::Deferred);
-        let mut reference = TriangleIndex::from_graph(&g).with_mode(ApplyMode::Deferred);
+        let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, 3));
+        let mut reference = TriangleIndex::from_graph(&g);
 
         // A stream with heavy flapping: the same edges are hit repeatedly
-        // across buffered batches, so coalescing has real work to do.
-        let mut total = 0usize;
+        // across the window's batches, so coalescing has real work to do.
+        let mut window = Vec::new();
         for step in 0..6u32 {
             let mut b = DeltaBatch::new();
             for j in 0..30u32 {
@@ -947,16 +842,19 @@ mod tests {
                     b.remove(v(a), v(c));
                 }
             }
-            total += b.len();
-            idx.apply(&b).unwrap();
-            reference.apply(&b).unwrap();
+            window.push(b);
         }
-        let r = idx.flush();
-        reference.flush();
-        // Flush accounting: deltas were counted as seen when buffered, and
-        // every buffered delta lands in exactly one tally here.
-        assert_eq!(r.deltas_seen, 0);
-        assert_eq!(r.inserts_applied + r.removes_applied + r.noops, total);
+        let total: usize = window.iter().map(DeltaBatch::len).sum();
+        let merged = DeltaBatch::merge(&window);
+        let r = idx.apply(&merged).unwrap();
+        reference.apply(&merged).unwrap();
+        // Flush accounting: every merged delta lands in exactly one
+        // tally, and the caller books the rest as coalesced away.
+        assert_eq!(r.deltas_seen, merged.len());
+        assert_eq!(
+            r.inserts_applied + r.removes_applied + r.noops + (total - merged.len()),
+            total
+        );
         // Same final state as the single-threaded engine's flush.
         assert_eq!(idx.triangles(), reference.triangles());
         assert_eq!(idx.edge_count(), reference.edge_count());
@@ -965,32 +863,20 @@ mod tests {
 
     #[test]
     fn small_deferred_flush_keeps_the_ordered_path_accounting() {
-        // Default threshold: a 2-delta flush goes through the sequential
-        // path with a central coalesce, preserving the historical tallies
-        // (see `deferred_flap_costs_nothing_at_flush`).
-        let mut idx = ShardedTriangleIndex::new(4, 2).with_mode(ApplyMode::Deferred);
+        // Default threshold: a 2-delta merged window goes through the
+        // sequential path (see `deferred_flap_costs_nothing_at_flush`).
+        let mut idx = ShardedTriangleIndex::new(4, 2);
         let mut flap = DeltaBatch::new();
         flap.insert(v(0), v(1))
             .remove(v(0), v(1))
             .insert(v(2), v(3));
-        idx.apply(&flap).unwrap();
-        let r = idx.flush();
-        assert_eq!(r.deltas_seen, 0);
+        let merged = DeltaBatch::merge([&flap]);
+        assert_eq!(flap.len() - merged.len(), 1); // the flap's insert
+        let r = idx.apply(&merged).unwrap();
         assert_eq!(r.inserts_applied, 1); // {2,3}
         assert_eq!(r.removes_applied, 0);
-        assert_eq!(r.noops, 2); // the flap
+        assert_eq!(r.noops, 1); // the flap's remove
         assert!(idx.has_edge(v(2), v(3)));
-    }
-
-    #[test]
-    fn switching_modes_flushes_pending_deltas_in_order() {
-        let mut ins = DeltaBatch::new();
-        ins.insert(v(0), v(1));
-        let mut idx = ShardedTriangleIndex::new(2, 2).with_mode(ApplyMode::Deferred);
-        idx.apply(&ins).unwrap();
-        let idx = idx.with_mode(ApplyMode::Eager);
-        assert_eq!(idx.pending_deltas(), 0);
-        assert!(idx.has_edge(v(0), v(1)));
     }
 
     #[test]
@@ -1124,9 +1010,6 @@ mod tests {
         let mut more = DeltaBatch::new();
         more.insert(v(3), v(4));
         assert_eq!(idx.apply(&more).unwrap_err(), StreamError::Poisoned);
-        // Flushing refuses to touch the store too (and keeps nothing
-        // half-applied).
-        assert_eq!(idx.flush(), ApplyReport::default());
     }
 
     #[test]
@@ -1413,6 +1296,5 @@ mod tests {
         let s = format!("{idx:?}");
         assert!(s.contains("n=6"));
         assert!(s.contains("shards=2"));
-        assert!(s.contains("mode=eager"));
     }
 }

@@ -1,16 +1,18 @@
 //! Property tests for the deadline-triggered deferred flush path:
 //! whatever the deadline, a deadline-flushed run must end oracle-exact,
-//! and the at-flush staleness percentiles must be monotone in the
-//! deadline (a tighter budget can only make buffered work *less* stale).
+//! the at-flush staleness percentiles must be monotone in the deadline
+//! (a tighter budget can only make held-back work *less* stale), and a
+//! paced run flushes at its deadline rather than when the next batch
+//! arrives.
 
 use std::time::Duration;
 
-use congest_stream::{ApplyMode, BaseGraph, RunSummary, Scenario, WorkloadRunner};
+use congest_stream::{BaseGraph, RunSummary, Scenario, WorkloadRunner};
 use proptest::prelude::*;
 
-/// A short paced stream so buffered deltas age measurably between
-/// batches without making the suite slow: 10 batches at 200/s is ~50 ms
-/// of wall-clock per run.
+/// A short stream of 10 batches; paced at 200/s it takes ~50 ms of
+/// wall-clock per run, so held-back deltas age measurably between
+/// batches without making the suite slow.
 fn paced_scenario(seed: u64) -> Scenario {
     Scenario::uniform_churn(40, 10, 12)
         .with_base(BaseGraph::Gnp { p: 0.08 })
@@ -18,14 +20,21 @@ fn paced_scenario(seed: u64) -> Scenario {
 }
 
 fn run_with_deadline(seed: u64, shards: Option<usize>, deadline: Duration) -> RunSummary {
+    run_paced(seed, shards, deadline, 200.0)
+}
+
+/// No count policy: every flush but the final end-of-run one comes from
+/// the deadline policy.
+fn run_paced(
+    seed: u64,
+    shards: Option<usize>,
+    deadline: Duration,
+    batches_per_sec: f64,
+) -> RunSummary {
     let mut runner = WorkloadRunner::new(paced_scenario(seed))
-        .with_mode(ApplyMode::Deferred)
-        // A count threshold too large to ever fire: every flush but the
-        // final end-of-run one comes from the deadline policy.
-        .flush_every(1_000_000)
         .flush_deadline(deadline)
         .recompute_every(0)
-        .paced(200.0)
+        .paced(batches_per_sec)
         .verified(true);
     if let Some(s) = shards {
         runner = runner.with_shards(s);
@@ -51,7 +60,7 @@ proptest! {
             prop_assert!(summary.staleness.p50_us <= summary.staleness.p99_us);
             prop_assert!(summary.staleness.p99_us <= summary.staleness.max_us);
             // Every deferred delta was flushed and counted exactly once.
-            prop_assert_eq!(summary.totals.deltas_deferred, 10 * 12);
+            prop_assert_eq!(summary.totals.deltas_seen, 10 * 12);
             prop_assert_eq!(
                 summary.totals.inserts_applied
                     + summary.totals.removes_applied
@@ -86,5 +95,29 @@ proptest! {
         );
         // …and therefore flushes at most as often.
         prop_assert!(tight.staleness.flushes >= loose.staleness.flushes);
+    }
+
+    /// The deadline binds while the runner waits for the next batch: at
+    /// 50 batches/s (20 ms apart) with a 2 ms deadline, every window is
+    /// flushed about 2 ms after its batch arrived, never a whole batch
+    /// interval late.
+    #[test]
+    fn a_paced_window_is_flushed_at_its_deadline(seed in any::<u64>()) {
+        let summary = run_paced(seed, None, Duration::from_millis(2), 50.0);
+        prop_assert!(summary.oracle_ok);
+        // One flush per batch: nine at their deadline, the last at the
+        // end of the run.
+        prop_assert_eq!(summary.staleness.flushes, 10);
+        prop_assert!(
+            summary.staleness.max_us < 10_000.0,
+            "a flush waited for the next batch: {:?}",
+            summary.staleness
+        );
+        // A flush run while waiting joins the next batch's sample, so
+        // there is still one latency sample per batch (busy time is the
+        // samples' sum) and busy time stays below the paced wall-clock.
+        let samples = summary.busy_secs * 1e6 / summary.latency.mean_us;
+        prop_assert_eq!(samples.round(), 10.0);
+        prop_assert!(summary.busy_secs < summary.elapsed_secs);
     }
 }

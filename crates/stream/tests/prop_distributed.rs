@@ -1,5 +1,6 @@
 //! Property tests for the distributed dynamic engine: across every
-//! workload generator family and both apply modes, the live triangle set
+//! workload generator family, batch by batch or deferred in windows
+//! applied as their merge, the live triangle set
 //! of [`DistributedTriangleEngine`] — maintained by the simulated
 //! CONGEST network itself — exactly equals a from-scratch recount by the
 //! centralized oracle (`list_all_on`) *and* the single-threaded
@@ -11,7 +12,7 @@ use common::random_batches;
 use congest_graph::generators::{Classic, Gnp, PlantedLight, TriangleFreeBipartite};
 use congest_graph::triangles as oracle;
 use congest_graph::Graph;
-use congest_stream::{ApplyMode, DeltaBatch, DistributedTriangleEngine, HubSplit, TriangleIndex};
+use congest_stream::{DeltaBatch, DistributedTriangleEngine, HubSplit, TriangleIndex};
 use proptest::prelude::*;
 
 /// Drives the distributed engine (eager and deferred, in the default
@@ -25,7 +26,9 @@ use proptest::prelude::*;
 fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut reference = TriangleIndex::from_graph(base);
     let mut eager = DistributedTriangleEngine::from_graph(base);
-    let mut deferred = DistributedTriangleEngine::from_graph(base).with_mode(ApplyMode::Deferred);
+    // Deferred: windows of three batches, each applied as their merge.
+    let mut deferred = DistributedTriangleEngine::from_graph(base);
+    let mut window = Vec::new();
     // The PR-3 schedule (both endpoints broadcast), kept as the
     // benchmark control: still oracle-exact.
     let mut legacy = DistributedTriangleEngine::from_graph(base).with_hub_split(HubSplit::Off);
@@ -87,9 +90,10 @@ fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
         );
         assert_eq!(split.triangles(), reference.triangles(), "split batch {i}");
 
-        deferred.apply(batch).expect("in-range batch");
+        window.push(batch.clone());
         if i % 3 == 2 {
-            deferred.flush();
+            let merged = DeltaBatch::merge(&std::mem::take(&mut window));
+            deferred.apply(&merged).expect("in-range batch");
             assert_eq!(deferred.triangles(), reference.triangles());
         }
     }
@@ -100,7 +104,9 @@ fn check_distributed_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     assert!(split.matches_oracle(), "split vs oracle");
     assert!(split_again.matches_oracle(), "repeated split vs oracle");
     assert_eq!(split.total_cost(), split_again.total_cost());
-    deferred.flush();
+    deferred
+        .apply(&DeltaBatch::merge(&window))
+        .expect("in-range batch");
     assert_eq!(deferred.triangles(), &expected, "deferred vs recount");
 
     // The deferred engine coalesces whole windows into single epochs, so

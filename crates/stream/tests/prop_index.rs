@@ -2,7 +2,8 @@
 //! sequence of delta batches — insertions, removals, duplicates, no-ops,
 //! flapping edges — the live triangle set of [`TriangleIndex`] exactly
 //! equals a from-scratch recount by the centralized oracle, across
-//! multiple generator families and in both apply modes.
+//! multiple generator families, applied batch by batch or deferred in
+//! windows applied as their merge.
 
 mod common;
 
@@ -10,14 +11,16 @@ use common::random_batches;
 use congest_graph::generators::{Classic, Gnp, PlantedLight, TriangleFreeBipartite};
 use congest_graph::triangles as oracle;
 use congest_graph::Graph;
-use congest_stream::{ApplyMode, DeltaBatch, TriangleIndex};
+use congest_stream::{DeltaBatch, TriangleIndex};
 use proptest::prelude::*;
 
 /// Drives eager and deferred indices through the same stream, checking the
-/// oracle invariant after every eager batch and after every deferred flush.
+/// oracle invariant after every eager batch and after every deferred flush
+/// (a window of three batches applied as their merge).
 fn check_stream_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut eager = TriangleIndex::from_graph(base);
-    let mut deferred = TriangleIndex::from_graph(base).with_mode(ApplyMode::Deferred);
+    let mut deferred = TriangleIndex::from_graph(base);
+    let mut window = Vec::new();
 
     for (i, batch) in batches.iter().enumerate() {
         eager.apply(batch).expect("in-range batch");
@@ -25,9 +28,10 @@ fn check_stream_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
             eager.matches_oracle(),
             "eager index diverged from recount after batch {i}"
         );
-        deferred.apply(batch).expect("in-range batch");
+        window.push(batch.clone());
         if i % 3 == 2 {
-            deferred.flush();
+            let merged = DeltaBatch::merge(&std::mem::take(&mut window));
+            deferred.apply(&merged).expect("in-range batch");
             assert_eq!(
                 deferred.triangles(),
                 eager.triangles(),
@@ -35,7 +39,9 @@ fn check_stream_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
             );
         }
     }
-    deferred.flush();
+    deferred
+        .apply(&DeltaBatch::merge(&window))
+        .expect("in-range batch");
     assert_eq!(deferred.triangles(), eager.triangles());
     assert_eq!(deferred.snapshot(), eager.snapshot());
     assert_eq!(

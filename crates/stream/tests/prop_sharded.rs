@@ -1,5 +1,6 @@
 //! Property tests for the sharded engine: across every workload generator
-//! family, shard counts `S ∈ {1, 3, 8}`, both apply modes and
+//! family, shard counts `S ∈ {1, 3, 8}`, batch by batch or deferred in
+//! windows applied as their merge, and
 //! deliberately cross-shard-heavy batches, the live triangle set of
 //! [`ShardedTriangleIndex`] exactly equals a from-scratch recount by the
 //! centralized oracle *and* the single-threaded [`TriangleIndex`]'s state
@@ -16,7 +17,7 @@ use common::random_batches;
 use congest_graph::generators::{Classic, Gnp, PlantedLight, TriangleFreeBipartite};
 use congest_graph::triangles as oracle;
 use congest_graph::{Graph, NodeId};
-use congest_stream::{ApplyMode, DeltaBatch, ShardedTriangleIndex, TriangleIndex};
+use congest_stream::{DeltaBatch, ShardedTriangleIndex, TriangleIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,21 +100,19 @@ fn hub_heavy_batches(n: usize, batch_count: usize, seed: u64) -> Vec<DeltaBatch>
 
 /// Drives the sharded engine at every shard count through the stream,
 /// checking exact triangle-set equality with the single-threaded engine
-/// after every batch and with the centralized oracle at the end.
+/// after every batch (every deferred flush: a window of three batches
+/// applied as their merge) and with the centralized oracle at the end.
 fn check_sharded_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut reference = TriangleIndex::from_graph(base);
-    let mut sharded: Vec<ShardedTriangleIndex> = SHARD_COUNTS
-        .iter()
-        .map(|&s| ShardedTriangleIndex::from_graph(base, s).with_parallel_threshold(0))
-        .collect();
-    let mut deferred: Vec<ShardedTriangleIndex> = SHARD_COUNTS
-        .iter()
-        .map(|&s| {
-            ShardedTriangleIndex::from_graph(base, s)
-                .with_parallel_threshold(0)
-                .with_mode(ApplyMode::Deferred)
-        })
-        .collect();
+    let build = || -> Vec<ShardedTriangleIndex> {
+        SHARD_COUNTS
+            .iter()
+            .map(|&s| ShardedTriangleIndex::from_graph(base, s).with_parallel_threshold(0))
+            .collect()
+    };
+    let mut sharded = build();
+    let mut deferred = build();
+    let mut window = Vec::new();
 
     for (i, batch) in batches.iter().enumerate() {
         reference.apply(batch).expect("in-range batch");
@@ -126,10 +125,11 @@ fn check_sharded_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
             );
             assert_eq!(engine.edge_count(), reference.edge_count(), "S={s}");
         }
-        for engine in deferred.iter_mut() {
-            engine.apply(batch).expect("in-range batch");
-            if i % 3 == 2 {
-                engine.flush();
+        window.push(batch.clone());
+        if i % 3 == 2 {
+            let merged = DeltaBatch::merge(&std::mem::take(&mut window));
+            for engine in deferred.iter_mut() {
+                engine.apply(&merged).expect("in-range batch");
                 assert_eq!(engine.triangles(), reference.triangles());
             }
         }
@@ -139,8 +139,9 @@ fn check_sharded_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
         assert!(engine.matches_oracle(), "S={s} final state vs oracle");
         assert_eq!(engine.triangles(), &expected, "S={s} vs recount");
     }
+    let merged = DeltaBatch::merge(&window);
     for (engine, &s) in deferred.iter_mut().zip(&SHARD_COUNTS) {
-        engine.flush();
+        engine.apply(&merged).expect("in-range batch");
         assert_eq!(engine.triangles(), &expected, "deferred S={s} vs recount");
     }
 }

@@ -60,9 +60,9 @@ pub mod prelude {
     pub use congest_info::{rivin_edge_lower_bound, LowerBoundReport};
     pub use congest_sim::{Bandwidth, EpochReport, Model, RunReport, SimConfig, Simulation};
     pub use congest_stream::{
-        ApplyMode, BaseGraph, CongestCost, DeltaBatch, DistributedTriangleEngine, EdgeDelta,
-        HubSplit, Lease, RunSummary, Scenario, ServeHandle, ShardedTriangleIndex, StreamEngine,
-        TriangleIndex, TriangleServer, WorkerTelemetry, WorkloadRunner,
+        BaseGraph, CongestCost, DeltaBatch, DistributedTriangleEngine, EdgeDelta, HubSplit, Lease,
+        RunSummary, Scenario, ServeHandle, ShardedTriangleIndex, StreamEngine, TriangleIndex,
+        TriangleServer, WorkerTelemetry, WorkloadRunner,
     };
     pub use congest_triangles::{
         find_triangles, list_triangles, ConstantsProfile, EpsilonChoice, FindingConfig,

@@ -40,16 +40,18 @@ fn every_scenario_family_stays_consistent_with_the_oracle() {
             BaseGraph::TriangleFreeBipartite { p: 0.15 },
         ] {
             let scenario = scenario.clone().with_base(base).seeded(100 + i as u64);
-            for mode in [ApplyMode::Eager, ApplyMode::Deferred] {
-                let summary = WorkloadRunner::new(scenario.clone())
-                    .with_mode(mode)
+            for deferred in [false, true] {
+                let mut runner = WorkloadRunner::new(scenario.clone())
                     .recompute_every(0)
-                    .verified(true)
-                    .run();
+                    .verified(true);
+                if deferred {
+                    runner = runner.flush_every(8);
+                }
+                let summary = runner.run();
                 assert!(
                     summary.oracle_ok,
-                    "{} in {:?} mode diverged from the oracle",
-                    summary.scenario, mode
+                    "{} in {} mode diverged from the oracle",
+                    summary.scenario, summary.mode
                 );
             }
         }
