@@ -148,17 +148,17 @@ fn capture_trace(path: &std::path::Path) {
     congest_obs::trace::clear();
     congest_obs::set_enabled(true);
 
-    // Pooled sharded engine on a high-rate stream of 48-delta batches:
-    // parallel threshold 0 keeps every batch on the pool, so all five
-    // apply phases appear in the trace deterministically.
-    let pooled_scenario = Scenario::uniform_churn(2_000, 150, 48)
+    // Pooled sharded engine on 2 048-delta batches: past the pool's
+    // hand-off floor whatever the degrees, so every batch runs on the
+    // pool and all five apply phases appear in the trace
+    // deterministically.
+    let pooled_scenario = Scenario::uniform_churn(2_000, 8, 2_048)
         .with_base(BaseGraph::Gnp { p: 0.005 })
         .seeded(0x5B47C4);
     let pooled = WorkloadRunner::new(pooled_scenario)
         .with_shards(4)
         .recompute_every(0)
         .verified(true)
-        .with_parallel_threshold(0)
         .run();
     assert!(pooled.oracle_ok, "traced sharded run diverged from oracle");
 

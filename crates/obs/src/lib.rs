@@ -21,11 +21,12 @@
 //!   be compiled out entirely by building this crate without the
 //!   `spans` feature — a disabled span site then costs nothing at all.
 //! * [`registry`] — a process-wide counter/gauge registry
-//!   ([`counter_add`], [`gauge_set`]) snapshotted to JSON or a text
-//!   report; the engines fold their existing telemetry
-//!   (`WorkerTelemetry`, pool wave counts) into it, and the serve
-//!   layer publishes its `serve.active_leases` and
-//!   `serve.oldest_lease_epoch_lag` gauges here (writer-side, once per
+//!   ([`counter_add`], [`gauge_set`], [`gauge_max`]) snapshotted to JSON
+//!   or a text report; the engines fold their existing telemetry
+//!   (`WorkerTelemetry`, arena health) into it, and the serve layer
+//!   publishes its `serve.active_leases`,
+//!   `serve.oldest_lease_epoch_lag` and `serve.lease_age_epochs_max`
+//!   gauges here (writer-side, once per
 //!   published epoch, so the query hot path never touches the registry
 //!   mutex). The serve span families (`serve/publish`,
 //!   `serve/lease_acquire`, `serve/query`) ride the same span substrate
@@ -59,5 +60,5 @@ pub mod trace;
 
 pub use clock::now_us;
 pub use hist::{nearest_rank_index, Histogram};
-pub use registry::{counter_add, gauge_set, snapshot, MetricsSnapshot};
+pub use registry::{counter_add, gauge_max, gauge_set, snapshot, MetricsSnapshot};
 pub use trace::{enabled, flush_thread, record_span, set_enabled, span, SpanGuard, TraceEvent};

@@ -1,8 +1,9 @@
 //! The process-wide counter/gauge registry.
 //!
 //! A deliberately small surface: monotonically increasing counters
-//! ([`counter_add`]) and last-write-wins gauges ([`gauge_set`]), both
-//! keyed by `&'static str` names (dotted, e.g. `"pool.waves_inline"`).
+//! ([`counter_add`]), last-write-wins gauges ([`gauge_set`]) and
+//! running-maximum gauges ([`gauge_max`]), all keyed by `&'static str`
+//! names (dotted, e.g. `"serve.buffer_swaps"`).
 //! Updates land at batch/run granularity — never per delta — so one
 //! short mutex hold per update is cheap; the lock-free discipline of the
 //! span path is not needed here. Snapshots render to JSON (merged into
@@ -33,6 +34,14 @@ pub fn counter_add(name: &'static str, delta: u64) {
 pub fn gauge_set(name: &'static str, value: f64) {
     let mut inner = REGISTRY.lock().expect("metrics registry poisoned");
     inner.gauges.insert(name, value);
+}
+
+/// Raises the named gauge to `value` if that is larger (a running
+/// maximum; created at `value` on first use).
+pub fn gauge_max(name: &'static str, value: f64) {
+    let mut inner = REGISTRY.lock().expect("metrics registry poisoned");
+    let gauge = inner.gauges.entry(name).or_insert(value);
+    *gauge = gauge.max(value);
 }
 
 /// A point-in-time copy of the registry, sorted by name.
@@ -109,9 +118,13 @@ mod tests {
         counter_add("test.hits", 3);
         gauge_set("test.share", 0.25);
         gauge_set("test.share", 0.75);
+        gauge_max("test.peak", 3.0);
+        gauge_max("test.peak", 7.0);
+        gauge_max("test.peak", 5.0);
         let snap = snapshot();
         assert_eq!(snap.counters.get("test.hits"), Some(&5));
         assert_eq!(snap.gauges.get("test.share"), Some(&0.75));
+        assert_eq!(snap.gauges.get("test.peak"), Some(&7.0));
         reset();
         assert!(snapshot().is_empty());
     }

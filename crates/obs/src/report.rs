@@ -89,7 +89,7 @@ mod tests {
             },
         ];
         let mut snapshot = MetricsSnapshot::default();
-        snapshot.counters.insert("pool.waves_handed_off", 4);
+        snapshot.counters.insert("serve.buffer_swaps", 4);
         snapshot.gauges.insert("pool.busy_max_share", 0.5);
         let report = text_report(&events, &snapshot);
         assert!(report.contains("sharded/collect"));
@@ -102,7 +102,7 @@ mod tests {
         for token in ["2", "40", "20.0", "30"] {
             assert!(line.contains(token), "missing {token} in {line:?}");
         }
-        assert!(report.contains("pool.waves_handed_off"));
+        assert!(report.contains("serve.buffer_swaps"));
         assert!(report.contains("pool.busy_max_share"));
     }
 

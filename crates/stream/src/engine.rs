@@ -50,7 +50,7 @@ pub trait StreamEngine: AdjacencyView {
     /// Lifetime worker-pool telemetry — busy-share balance over every
     /// pool-applied batch — for engines backed by a
     /// persistent worker pool. The default is `None`: engines without a
-    /// pool (or pool-backed engines whose batches all took the inline or
+    /// pool (or pool-backed engines whose batches all took the
     /// sequential path) have no worker balance to report.
     fn worker_telemetry(&self) -> Option<WorkerTelemetry> {
         None

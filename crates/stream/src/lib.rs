@@ -24,18 +24,17 @@
 //!   type's documentation walks through the full pipeline; per-run
 //!   balance is observable via [`WorkerTelemetry`]). **Picking `S`**:
 //!   use the number of available cores for sustained churn (the
-//!   `stream_bench` sweep measures S ∈ {1, 2, 4, 8}). `S = 1` and
-//!   batches under 128 deltas take the strictly ordered sequential
-//!   path. A larger batch pays for the pipeline — partition, per-slice
-//!   coalesce, routing — whether or not its waves leave the engine
-//!   thread, and they leave it only when their estimated work covers
-//!   the helpers' wake-ups: on `perf_report`'s `pool_smallbatch`
-//!   (S = 2, 256-delta batches, 2 cores) every wave stays inline and
-//!   the engine runs at about 0.47× the single-threaded one; on
-//!   5000-delta batches (`bigbatch_sharded`), where the waves are
-//!   handed off, it is about 0.72×.
-//!   Where parallelism cannot pay, a sharded index costs a small
-//!   multiple, not a few percent.
+//!   `stream_bench` sweep measures S ∈ {1, 2, 4, 8}). A batch takes
+//!   the pipeline only when `S > 1` and its estimated collect work
+//!   (endpoint degrees plus a flat cost per delta, on the pre-batch
+//!   adjacency) covers the helpers' wake-ups — 1 024 deltas always do
+//!   — and then every wave leaves the engine thread; every other batch
+//!   takes the strictly ordered sequential path. On `perf_report`'s
+//!   `pool_smallbatch` (S = 2, 256-delta batches, 2 cores) every batch
+//!   runs ordered, at about 0.6× the single-threaded engine; on
+//!   5000-delta batches (`bigbatch_sharded`), every one pooled, it is
+//!   about 0.7×. Where parallelism cannot pay, a sharded index costs
+//!   a small multiple, not a few percent.
 //! * [`DistributedTriangleEngine`] — the **distributed dynamic** engine:
 //!   every graph node is a node of a simulated CONGEST network that owns
 //!   its adjacency slice, and each batch runs as one epoch of

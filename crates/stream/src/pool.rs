@@ -19,12 +19,13 @@
 //!   helpers' jobs first, runs worker 0's job itself, then collects the
 //!   `S − 1` responses — so a wave costs `S − 1` wake-ups, not `S` plus
 //!   a sleeping engine thread.
-//! * **Hand-off only when it pays** — every wave knows its estimated
-//!   work in the pool's own currency (endpoint degrees, op counts). A
-//!   wave under [`HANDOFF_WORK_FLOOR`] — roughly two wake-ups' worth —
-//!   runs all `S` jobs on the engine thread, in worker order, with no
-//!   send: the same jobs, so reports, triangle sets and arena state do
-//!   not depend on which thread ran a wave. A waiting side (a helper
+//! * **Hand-off only when it pays** — a batch reaches the pool only
+//!   if [`worth_handing_off`] says its estimated collect work, in the
+//!   pool's own currency (endpoint degrees plus a flat cost per delta),
+//!   reaches [`HANDOFF_WORK_FLOOR`] — roughly two wake-ups' worth. Every
+//!   other batch takes the engine's strictly ordered path and never
+//!   touches the pool, and a batch that does is handed off whole: all
+//!   three of its waves go out to the helpers. A waiting side (a helper
 //!   between jobs, the engine before the last response) spins for at
 //!   most [`SPIN_BEFORE_PARK`] before it blocks, and only while the
 //!   machine has a core for every worker; an oversubscribed pool parks
@@ -54,9 +55,7 @@
 //!
 //! Every response also carries the job's busy time, which the engine
 //! aggregates into [`WorkerTelemetry`] — how evenly the partition spread
-//! a batch; worker 0's busy time is the engine thread's. How many waves
-//! a batch handed off or kept lands in the registry as
-//! `pool.waves_handed_off` and `pool.waves_inline`.
+//! a batch; worker 0's busy time is the engine thread's.
 
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -65,19 +64,32 @@ use std::time::{Duration, Instant};
 
 use congest_graph::{Edge, Triangle};
 
-use crate::delta::{DeltaOp, EdgeDelta};
+use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
 use crate::shard::{intersect_sorted, Shard, ShardOp, ShardStore};
 
-/// Estimated work ([`ShardStore::intersection_cost`] per edge, plus
-/// [`ITEM_WORK`] per item) under which a wave is not handed to the
-/// helpers: about 100 µs of intersections and list edits, which is what
-/// two futex wake-ups cost. Below it the engine thread runs every
-/// worker's job itself.
+/// Estimated work ([`ShardStore::intersection_cost`] plus [`ITEM_WORK`]
+/// per delta) under which a batch is not handed to the pool: about
+/// 100 µs of intersections and list edits, which is what two futex
+/// wake-ups cost. Below it the engine applies the batch in order on its
+/// own thread. 1 024 deltas reach it whatever their degrees.
 const HANDOFF_WORK_FLOOR: usize = 32_768;
 
-/// What one delta, edge or routed op costs beside its degree-based
-/// estimate: classification, routing, one list edit.
+/// What one delta costs beside its degree-based estimate:
+/// classification, routing, its list edits.
 const ITEM_WORK: usize = 32;
+
+/// Whether `batch` is worth the pool: its estimated collect work on the
+/// pre-batch `store` — the hand-off currency, counted per raw delta and
+/// only until it reaches [`HANDOFF_WORK_FLOOR`] — pays for waking the
+/// helpers. A function of the batch and the pre-batch degrees alone, so
+/// an engine's path choice is the same at every shard count.
+pub(crate) fn worth_handing_off(store: &ShardStore, batch: &DeltaBatch) -> bool {
+    let mut work = 0usize;
+    batch.into_iter().any(|delta| {
+        work += store.intersection_cost(delta.edge) + ITEM_WORK;
+        work >= HANDOFF_WORK_FLOOR
+    })
+}
 
 /// How long a waiting side polls its channel before it blocks. A wave's
 /// jobs finish within tens of microseconds of each other, so a short
@@ -104,10 +116,9 @@ pub(crate) struct WorkerPlan {
 /// engine's lifetime: how evenly the batch work spread across workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerTelemetry {
-    /// Batches that ran the pipeline, and so went through the pool —
-    /// whether or not any of their waves left the engine thread.
-    /// Batches on the strictly ordered path are not counted: they never
-    /// reach the pool.
+    /// Batches that ran the pipeline, and so handed every wave to the
+    /// pool. Batches on the strictly ordered path are not counted: they
+    /// never reach the pool.
     pub pooled_batches: usize,
     /// Mean over pooled batches of the busiest worker's busy time as a
     /// share of the batch's apply wall time. A hot hub pushes this
@@ -281,94 +292,51 @@ fn recv_spinning<T>(channel: &Receiver<T>, spin: bool) -> Result<T, RecvError> {
 /// and accumulates per-worker telemetry. Every wave goes through
 /// [`dispatch`](BatchRun::dispatch) and [`gather`](BatchRun::gather), so
 /// the protocol — helpers' jobs out, worker 0's job here, `S` payloads
-/// back — and the hand-off decision live in one place.
+/// back — lives in one place.
 pub(crate) struct BatchRun<'a> {
     pool: &'a ShardPool,
-    /// Estimated work from which a wave is handed to the helpers.
-    work_floor: usize,
     started: Instant,
     busy: Vec<Duration>,
-    /// Responses of the dispatched wave's jobs the engine ran itself.
-    ready: Vec<Response>,
-    /// Helper responses the dispatched wave still owes.
-    in_flight: usize,
-    waves_handed_off: u64,
-    waves_inline: u64,
+    /// The response of worker 0's job, which the engine ran itself.
+    ready: Option<Response>,
 }
 
 impl<'a> BatchRun<'a> {
     /// Starts a batch on `pool`.
     pub(crate) fn new(pool: &'a ShardPool) -> Self {
-        let workers = pool.worker_count();
         BatchRun {
             pool,
-            work_floor: HANDOFF_WORK_FLOOR,
             started: Instant::now(),
-            busy: vec![Duration::ZERO; workers],
-            ready: Vec::new(),
-            in_flight: 0,
-            waves_handed_off: 0,
-            waves_inline: 0,
+            busy: vec![Duration::ZERO; pool.worker_count()],
+            ready: None,
         }
     }
 
-    /// Hands every wave to the helpers, whatever its work (an engine
-    /// whose parallel threshold is 0 asks for the pool on every batch).
-    pub(crate) fn force_handoff(mut self) -> Self {
-        self.work_floor = 0;
-        self
-    }
-
-    /// The hand-off currency of a slice of edges: estimated
-    /// intersection work plus [`ITEM_WORK`] each. Stops counting at the
-    /// floor, so a big wave is recognised after its first few hundred
-    /// edges.
-    fn edge_work(&self, store: &ShardStore, edges: impl IntoIterator<Item = Edge>) -> usize {
-        let mut work = 0usize;
-        for edge in edges {
-            if work >= self.work_floor {
-                break;
-            }
-            work += store.intersection_cost(edge) + ITEM_WORK;
-        }
-        work
-    }
-
-    /// Starts a wave of one job per worker, `work` being its estimated
-    /// total. At or above the floor the helpers' jobs are sent first and
-    /// the engine runs worker 0's; below it the engine runs all of them,
-    /// in worker order. Finish with [`gather`](BatchRun::gather).
-    fn dispatch(&mut self, jobs: Vec<Job>, work: usize) {
+    /// Starts a wave of one job per worker: the helpers' jobs are sent
+    /// first, then the engine runs worker 0's. Finish with
+    /// [`gather`](BatchRun::gather).
+    fn dispatch(&mut self, jobs: Vec<Job>) {
         debug_assert_eq!(jobs.len(), self.pool.worker_count());
-        let mut jobs = jobs.into_iter().enumerate();
-        let own = jobs.next();
-        if work >= self.work_floor {
-            self.waves_handed_off += 1;
-            for (worker, job) in jobs.by_ref() {
-                self.pool.send(worker, job);
-                self.in_flight += 1;
-            }
-        } else {
-            self.waves_inline += 1;
+        let mut jobs = jobs.into_iter();
+        let own = jobs.next().expect("a pool has at least one worker");
+        for (worker, job) in (1..).zip(jobs) {
+            self.pool.send(worker, job);
         }
-        self.ready.extend(
-            own.into_iter()
-                .chain(jobs)
-                .map(|(worker, job)| run_job(worker, job)),
-        );
+        self.ready = Some(run_job(0, own));
     }
 
     /// Completes the dispatched wave: every worker's payload, in worker
     /// order. Re-raises a job's panic, the engine's own included.
     fn gather(&mut self) -> Vec<Payload> {
         let pool = self.pool;
-        let mut payloads: Vec<Option<Payload>> = (0..pool.worker_count()).map(|_| None).collect();
-        let in_flight = std::mem::take(&mut self.in_flight);
+        let workers = pool.worker_count();
+        let mut payloads: Vec<Option<Payload>> = (0..workers).map(|_| None).collect();
         for response in self
             .ready
-            .drain(..)
+            .take()
             .map(|response| pool.checked(response))
-            .chain((0..in_flight).map(|_| pool.recv()))
+            .into_iter()
+            .chain((1..workers).map(|_| pool.recv()))
         {
             self.busy[response.worker] += response.busy;
             payloads[response.worker] = Some(response.payload);
@@ -387,7 +355,6 @@ impl<'a> BatchRun<'a> {
         store: ShardStore,
         work: Vec<Vec<EdgeDelta>>,
     ) -> (ShardStore, Vec<WorkerPlan>) {
-        let estimate = self.edge_work(&store, work.iter().flatten().map(|delta| delta.edge));
         let store = Arc::new(store);
         let jobs = work
             .into_iter()
@@ -396,7 +363,7 @@ impl<'a> BatchRun<'a> {
                 deltas,
             })
             .collect();
-        self.dispatch(jobs, estimate);
+        self.dispatch(jobs);
         let plans = self
             .gather()
             .into_iter()
@@ -414,13 +381,12 @@ impl<'a> BatchRun<'a> {
     /// the helpers write; finish with
     /// [`finish_record`](BatchRun::finish_record).
     pub(crate) fn start_record(&mut self, shards: Vec<Arc<Shard>>, routed: Vec<Vec<ShardOp>>) {
-        let items: usize = routed.iter().map(Vec::len).sum();
         let jobs = shards
             .into_iter()
             .zip(routed)
             .map(|(shard, ops)| Job::Record { shard, ops })
             .collect();
-        self.dispatch(jobs, items * ITEM_WORK);
+        self.dispatch(jobs);
     }
 
     /// Phase 2 end: collects the mutated shards back in slot order.
@@ -441,7 +407,6 @@ impl<'a> BatchRun<'a> {
         store: ShardStore,
         inserts: Vec<Vec<Edge>>,
     ) -> (ShardStore, Vec<Vec<Triangle>>) {
-        let estimate = self.edge_work(&store, inserts.iter().flatten().copied());
         let store = Arc::new(store);
         let jobs = inserts
             .into_iter()
@@ -450,7 +415,7 @@ impl<'a> BatchRun<'a> {
                 edges,
             })
             .collect();
-        self.dispatch(jobs, estimate);
+        self.dispatch(jobs);
         let candidates = self
             .gather()
             .into_iter()
@@ -463,7 +428,7 @@ impl<'a> BatchRun<'a> {
     }
 
     /// Ends the batch: per-batch busy shares relative to the apply's
-    /// wall time, and where the waves ran.
+    /// wall time.
     pub(crate) fn finish(self) -> BatchStats {
         let wall = self.started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         let workers = self.busy.len().max(1) as f64;
@@ -473,19 +438,9 @@ impl<'a> BatchRun<'a> {
             .map(|d| d.as_secs_f64())
             .fold(0.0, f64::max);
         let total: f64 = self.busy.iter().map(|d| d.as_secs_f64()).sum();
-        for (name, waves) in [
-            ("pool.waves_handed_off", self.waves_handed_off),
-            ("pool.waves_inline", self.waves_inline),
-        ] {
-            if waves > 0 {
-                congest_obs::counter_add(name, waves);
-            }
-        }
         BatchStats {
             busy_max_share: (max / wall).min(1.0),
             busy_mean_share: (total / (workers * wall)).min(1.0),
-            waves_handed_off: self.waves_handed_off,
-            waves_inline: self.waves_inline,
         }
     }
 }
@@ -500,10 +455,6 @@ fn reclaim(store: Arc<ShardStore>) -> ShardStore {
 pub(crate) struct BatchStats {
     pub(crate) busy_max_share: f64,
     pub(crate) busy_mean_share: f64,
-    /// Waves whose jobs went out to the helpers.
-    pub(crate) waves_handed_off: u64,
-    /// Waves the engine thread ran alone, under the work floor.
-    pub(crate) waves_inline: u64,
 }
 
 /// A helper's loop: exits when the engine drops its job sender.
@@ -765,7 +716,7 @@ mod tests {
         // The twin of the two tests above for a job that crosses
         // threads: worker 1's job runs on the pool's only helper.
         let pool = ShardPool::new(2);
-        let mut run = BatchRun::new(&pool).force_handoff();
+        let mut run = BatchRun::new(&pool);
         let shards = vec![Arc::new(Shard::new(1)), Arc::new(Shard::new(1))];
         let routed = vec![
             Vec::new(),
@@ -795,51 +746,76 @@ mod tests {
 
     #[test]
     fn pool_round_trips_all_three_phases() {
-        // Once with every wave handed to the helper, once with every
-        // wave kept on this thread (the batch is far under the floor).
-        for forced in [true, false] {
-            let pool = ShardPool::new(2);
-            let store = sample_store();
-            let mut run = BatchRun::new(&pool);
-            if forced {
-                run = run.force_handoff();
+        let pool = ShardPool::new(2);
+        let store = sample_store();
+        let mut run = BatchRun::new(&pool);
+
+        // Collect: worker 0 removes {0, 1} — {0,1,2} dies — and worker
+        // 1 inserts {2, 3}.
+        let work = vec![
+            vec![EdgeDelta::remove(v(0), v(1))],
+            vec![EdgeDelta::insert(v(2), v(3))],
+        ];
+        let (mut store, plans) = run.collect(store, work);
+        assert_eq!(plans[0].removed, vec![Triangle::new(v(0), v(1), v(2))]);
+        assert!(plans[1].removed.is_empty());
+        assert_eq!(plans[1].inserts.len(), 1);
+
+        // Record: each shard's owner applies the ops routed to it.
+        let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); 2];
+        for plan in &plans {
+            for (dest, ops) in plan.ops.iter().enumerate() {
+                routed[dest].extend_from_slice(ops);
             }
+        }
+        run.start_record(store.take_shards(), routed);
+        store.restore_shards(run.finish_record());
+        assert!(!store.has_edge(v(0), v(1)));
+        assert!(store.has_edge(v(2), v(3)));
 
-            // Collect: worker 0 removes {0, 1} — {0,1,2} dies — and
-            // worker 1 inserts {2, 3}.
-            let work = vec![
-                vec![EdgeDelta::remove(v(0), v(1))],
-                vec![EdgeDelta::insert(v(2), v(3))],
-            ];
-            let (mut store, plans) = run.collect(store, work);
-            assert_eq!(plans[0].removed, vec![Triangle::new(v(0), v(1), v(2))]);
-            assert!(plans[1].removed.is_empty());
-            assert_eq!(plans[1].inserts.len(), 1);
+        // Insert collect: {2, 3} closes {0, 2, 3} on the new adjacency.
+        let inserts = vec![Vec::new(), plans[1].inserts.clone()];
+        let (store, candidates) = run.insert_collect(store, inserts);
+        let born: Vec<Triangle> = candidates.into_iter().flatten().collect();
+        assert_eq!(born, vec![Triangle::new(v(0), v(2), v(3))]);
+        assert_eq!(store.half_edges(), 2 * 4);
 
-            // Record: each shard's owner applies the ops routed to it.
-            let mut routed: Vec<Vec<ShardOp>> = vec![Vec::new(); 2];
-            for plan in &plans {
-                for (dest, ops) in plan.ops.iter().enumerate() {
-                    routed[dest].extend_from_slice(ops);
+        let stats = run.finish();
+        assert!(stats.busy_max_share >= stats.busy_mean_share);
+        assert!(stats.busy_max_share <= 1.0);
+    }
+
+    #[test]
+    fn the_hand_off_floor_counts_raw_deltas_on_the_pre_batch_store() {
+        let store = sample_store();
+        let flaps = |len: usize| {
+            let mut batch = DeltaBatch::new();
+            for i in 0..len {
+                if i % 2 == 0 {
+                    batch.insert(v(4), v(5));
+                } else {
+                    batch.remove(v(4), v(5));
                 }
             }
-            run.start_record(store.take_shards(), routed);
-            store.restore_shards(run.finish_record());
-            assert!(!store.has_edge(v(0), v(1)));
-            assert!(store.has_edge(v(2), v(3)));
-
-            // Insert collect: {2, 3} closes {0, 2, 3} on the new adjacency.
-            let inserts = vec![Vec::new(), plans[1].inserts.clone()];
-            let (store, candidates) = run.insert_collect(store, inserts);
-            let born: Vec<Triangle> = candidates.into_iter().flatten().collect();
-            assert_eq!(born, vec![Triangle::new(v(0), v(2), v(3))]);
-            assert_eq!(store.half_edges(), 2 * 4);
-
-            let stats = run.finish();
-            assert!(stats.busy_max_share >= stats.busy_mean_share);
-            assert!(stats.busy_max_share <= 1.0);
-            let waves = if forced { (3, 0) } else { (0, 3) };
-            assert_eq!((stats.waves_handed_off, stats.waves_inline), waves);
+            batch
+        };
+        // 1 024 deltas reach the floor on their flat cost alone, whatever
+        // the degrees — even an insert-and-remove flap of one edge.
+        assert!(worth_handing_off(
+            &store,
+            &flaps(HANDOFF_WORK_FLOOR / ITEM_WORK)
+        ));
+        // Both endpoints have degree 0 (intersection cost 1): 896 flaps
+        // estimate 896 × 33 = 29 568, under the floor.
+        assert!(!worth_handing_off(&store, &flaps(896)));
+        assert!(!worth_handing_off(&store, &DeltaBatch::new()));
+        // The same 896 deltas on the edge 0–1, whose endpoints have
+        // degrees 3 and 2 (cost 5), estimate 896 × 37 = 33 152: degrees
+        // count, and they are the pre-batch ones.
+        let mut edge = DeltaBatch::new();
+        for _ in 0..448 {
+            edge.remove(v(0), v(1)).insert(v(0), v(1));
         }
+        assert!(worth_handing_off(&store, &edge));
     }
 }

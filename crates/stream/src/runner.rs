@@ -335,8 +335,6 @@ pub struct WorkloadRunner<S: BatchSource = Scenario> {
     target_batches_per_sec: Option<f64>,
     /// Check the final triangle set against the oracle.
     verify: bool,
-    /// Override of the sharded engine's parallel threshold.
-    parallel_threshold: Option<usize>,
 }
 
 impl WorkloadRunner<Scenario> {
@@ -367,7 +365,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
             recompute_every: 8,
             target_batches_per_sec: None,
             verify: false,
-            parallel_threshold: None,
         }
     }
 
@@ -375,16 +372,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
     /// the single-threaded [`TriangleIndex`] (builder style).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Overrides the sharded engine's parallel threshold (builder style;
-    /// only meaningful together with
-    /// [`with_shards`](WorkloadRunner::with_shards)). 0 forces the
-    /// two-phase pipeline on every batch — the small-batch benchmark
-    /// sweeps use this so sub-threshold batches still exercise the pool.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = Some(threshold);
         self
     }
 
@@ -444,13 +431,7 @@ impl<S: BatchSource> WorkloadRunner<S> {
         let base = self.source.base_graph();
         match self.shards {
             None => self.run_engine(TriangleIndex::from_graph(&base), &base),
-            Some(s) => {
-                let mut engine = ShardedTriangleIndex::from_graph(&base, s);
-                if let Some(threshold) = self.parallel_threshold {
-                    engine = engine.with_parallel_threshold(threshold);
-                }
-                self.run_engine(engine, &base)
-            }
+            Some(s) => self.run_engine(ShardedTriangleIndex::from_graph(&base, s), &base),
         }
     }
 
@@ -896,10 +877,19 @@ mod tests {
 
     #[test]
     fn pool_runs_report_worker_telemetry_and_single_runs_do_not() {
-        // Threshold 0 forces every batch through the pool at S=4.
-        let pooled = WorkloadRunner::new(small_scenario())
+        // 1 024-delta batches cross the pool's hand-off floor whatever
+        // their degrees, so at S = 4 every one of them is pooled.
+        let scenario = Scenario::uniform_churn(60, 3, 1024)
+            .with_base(BaseGraph::Gnp { p: 0.08 })
+            .seeded(21);
+        let mut engine = ShardedTriangleIndex::from_graph(&scenario.base_graph(), 4);
+        for batch in scenario.batches() {
+            engine.apply(&batch).unwrap();
+        }
+        let telemetry = engine.worker_telemetry().expect("pool batches ran");
+        assert_eq!(telemetry.pooled_batches, 3);
+        let pooled = WorkloadRunner::new(scenario)
             .with_shards(4)
-            .with_parallel_threshold(0)
             .recompute_every(0)
             .run();
         let max = pooled.worker_busy_max_share.expect("pool batches ran");

@@ -50,8 +50,9 @@
 //! A dropped [`Lease`] retires itself from the server's epoch table and
 //! frees the buffers only its view held. Observability:
 //! `serve/lease_acquire`, `serve/query` and `serve/publish` span
-//! families, the `serve.active_leases`, `serve.oldest_lease_epoch_lag`
-//! and `serve.lease_age_epochs_max` gauges and the
+//! families, the `serve.active_leases` and `serve.oldest_lease_epoch_lag`
+//! gauges (last value), the `serve.lease_age_epochs_max` gauge (the
+//! oldest lease's age at the worst publish so far) and the
 //! `serve.buffer_swaps`, `serve.buffer_clones` and `serve.replayed_ops`
 //! counters (all updated writer-side at each publish, so the query path
 //! stays contention-free). A reader that acquires a lease and forgets
@@ -264,12 +265,11 @@ impl TriangleServer {
         congest_obs::gauge_set("serve.active_leases", active as f64);
         let age = oldest.map_or(0, |o| self.epoch - o);
         congest_obs::gauge_set("serve.oldest_lease_epoch_lag", age as f64);
-        // The same quantity under the name dashboards alert on: the age
-        // of the oldest outstanding lease, in epochs. Past the warning
-        // threshold every publish ticks the counter, so an abandoned
-        // lease shows up as a *growing* number, not just a high gauge a
-        // later quiet period would overwrite.
-        congest_obs::gauge_set("serve.lease_age_epochs_max", age as f64);
+        // The same quantity as a running maximum, which a later quiet
+        // period cannot overwrite. Past the warning threshold every
+        // publish also ticks the counter, so an abandoned lease shows up
+        // as a *growing* number.
+        congest_obs::gauge_max("serve.lease_age_epochs_max", age as f64);
         if age > STALE_LEASE_WARN_EPOCHS {
             congest_obs::counter_add("serve.stale_lease_warnings", 1);
         }
@@ -539,34 +539,42 @@ mod tests {
     fn leases_survive_heavy_churn_and_match_the_oracle() {
         // Removals force arena frees while a lease pins the pre-churn
         // epoch: the frozen view must keep answering exactly, and the
-        // writer must keep matching its own oracle.
-        let g = Classic::Complete(12).generate();
-        let mut server =
-            TriangleServer::new(ShardedTriangleIndex::from_graph(&g, 3).with_parallel_threshold(0));
-        let handle = server.handle();
-        let pinned = handle.lease();
-        let pinned_triangles = oracle::list_all_on(&pinned);
-        assert_eq!(pinned.triangle_count(), pinned_triangles.len());
+        // writer must keep matching its own oracle. On both write paths:
+        // one ring offset of K12 a round runs ordered, sixteen of K64 —
+        // 1 024 deltas, past the pool's hand-off floor — run pooled.
+        for (n, offsets) in [(12u32, 1u32), (64, 16)] {
+            let g = Classic::Complete(n as usize).generate();
+            let mut server = TriangleServer::new(ShardedTriangleIndex::from_graph(&g, 3));
+            let handle = server.handle();
+            let pinned = handle.lease();
+            let pinned_triangles = oracle::list_all_on(&pinned);
+            assert_eq!(pinned.triangle_count(), pinned_triangles.len());
 
-        for round in 0..6u32 {
-            let mut batch = DeltaBatch::new();
-            for i in 0..12u32 {
-                let j = (i + round + 1) % 12;
-                if i != j {
-                    if round % 2 == 0 {
-                        batch.remove(v(i), v(j));
-                    } else {
-                        batch.insert(v(i), v(j));
+            for round in 0..6u32 {
+                let mut batch = DeltaBatch::new();
+                for i in 0..n {
+                    for k in 0..offsets {
+                        let j = (i + (round * offsets + k) % (n - 1) + 1) % n;
+                        if round % 2 == 0 {
+                            batch.remove(v(i), v(j));
+                        } else {
+                            batch.insert(v(i), v(j));
+                        }
                     }
                 }
+                server.apply(&batch).unwrap();
+                assert!(server.engine().matches_oracle(), "K{n} round {round}");
+                // The pinned epoch never moves: a recount on the frozen
+                // adjacency still equals the set it was published with.
+                assert_eq!(pinned.epoch(), 0);
+                assert_eq!(oracle::list_all_on(&pinned), pinned_triangles);
+                assert_eq!(pinned.edge_count(), g.edge_count());
             }
-            server.apply(&batch).unwrap();
-            assert!(server.engine().matches_oracle(), "round {round}");
-            // The pinned epoch never moves: a recount on the frozen
-            // adjacency still equals the set it was published with.
-            assert_eq!(pinned.epoch(), 0);
-            assert_eq!(oracle::list_all_on(&pinned), pinned_triangles);
-            assert_eq!(pinned.edge_count(), g.edge_count());
+            let pooled = server
+                .engine()
+                .worker_telemetry()
+                .map_or(0, |t| t.pooled_batches);
+            assert_eq!(pooled, if offsets > 1 { 6 } else { 0 }, "K{n}");
         }
     }
 
@@ -627,13 +635,17 @@ mod tests {
             warnings >= warnings_before + 4,
             "stale publishes must warn: before={warnings_before} after={warnings}"
         );
-        // The age gauge is published (value-asserting it would race
-        // with concurrent tests' publishes; the counter above carries
-        // the deterministic assertion).
-        assert!(snap.gauges.contains_key("serve.lease_age_epochs_max"));
         // The lease itself still pins epoch 0 — observable, not fatal.
         assert_eq!(server.oldest_lease_epoch(), Some(0));
         assert_eq!(abandoned.epoch(), 0);
+
+        // Once it drops, the next publish sees no lease at all, yet the
+        // age gauge still holds the 20 epochs before it. A running
+        // maximum only rises, so other tests' publishes cannot lower it.
+        drop(abandoned);
+        server.apply(&DeltaBatch::new()).unwrap();
+        let max = congest_obs::snapshot().gauges["serve.lease_age_epochs_max"];
+        assert!(max >= (STALE_LEASE_WARN_EPOCHS + 4) as f64, "{max}");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!    load balancing, fixed before the batch runs as in the paper's
 //!    A2/A3, and no work changes hands mid-batch. The engine thread is
 //!    worker 0 beside `S − 1` long-lived helpers, spawned once and fed
-//!    work descriptors over channels, and a wave too small to pay for a
-//!    wake-up stays on the engine thread altogether:
+//!    work descriptors over channels:
 //!    * *collect* (read-only on the pre-batch adjacency): each worker
 //!      coalesces its slice (at most one op per edge survives),
 //!      classifies the survivors against the current edge set and
@@ -48,6 +47,16 @@
 //! strictly-ordered application, though per-batch `ApplyReport` tallies
 //! can differ on batches that flap an edge (the coalescer counts the
 //! dropped ops as no-ops instead of applying them).
+//!
+//! The pipeline only pays where the paper's partition does: on a batch
+//! with enough intersection work to keep `S` workers busy. So a batch
+//! takes it only when `S > 1` and the pool's estimate of its collect
+//! work on the pre-batch adjacency reaches the hand-off floor (see
+//! [`crate::pool`]); every other batch is applied delta by delta, in
+//! order, on the engine thread, exactly as `TriangleIndex` does. The
+//! choice is a function of the batch and the pre-batch degrees, the same
+//! at every `S > 1`, and both paths leave the same graph, triangle set
+//! and supports.
 
 use std::fmt;
 use std::sync::Arc;
@@ -56,23 +65,13 @@ use congest_graph::{AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, 
 
 use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
 use crate::index::{validate_batch, ApplyReport, StreamError};
-use crate::pool::{BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry};
+use crate::pool::{
+    worth_handing_off, BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry,
+};
 use crate::shard::{
     intersect_sorted, merge_added_candidates_supported, merge_removed_candidates_supported,
     CowStats, NodeSupport, ShardOp, ShardStore,
 };
-
-/// Below this many deltas a batch takes the strictly ordered sequential
-/// path: partitioning, per-slice coalescing and routing cost more than
-/// a tiny batch's intersections. This gate only picks the *pipeline*;
-/// whether a pipelined batch's waves leave the engine thread is decided
-/// per wave by the pool — the engine is worker 0 of its `S`, helpers
-/// are woken only for a wave whose estimated work reaches the pool's
-/// hand-off floor (about two wake-ups' worth), and a waiting side spins
-/// briefly before parking while the machine has a core per worker (see
-/// [`crate::pool`]). A threshold of 0 forces both: the pipeline on every
-/// batch, the helpers on every wave.
-const DEFAULT_PARALLEL_THRESHOLD: usize = 128;
 
 /// Aggregates per-batch pool stats into the engine's lifetime
 /// [`WorkerTelemetry`].
@@ -81,8 +80,6 @@ struct TelemetryAccum {
     pooled_batches: usize,
     max_share_sum: f64,
     mean_share_sum: f64,
-    waves_handed_off: u64,
-    waves_inline: u64,
 }
 
 impl TelemetryAccum {
@@ -90,8 +87,6 @@ impl TelemetryAccum {
         self.pooled_batches += 1;
         self.max_share_sum += stats.busy_max_share;
         self.mean_share_sum += stats.busy_mean_share;
-        self.waves_handed_off += stats.waves_handed_off;
-        self.waves_inline += stats.waves_inline;
     }
 
     fn summary(&self) -> Option<WorkerTelemetry> {
@@ -138,8 +133,6 @@ pub struct ShardedTriangleIndex {
     support: NodeSupport,
     /// Number of present undirected edges.
     edge_count: usize,
-    /// Batch size below which the apply takes the sequential path.
-    parallel_threshold: usize,
     /// The persistent worker pool, spawned lazily on the first pipelined
     /// batch and reused for every batch after that.
     pool: Option<ShardPool>,
@@ -158,7 +151,6 @@ impl Clone for ShardedTriangleIndex {
             triangles: self.triangles.clone(),
             support: self.support.clone(),
             edge_count: self.edge_count,
-            parallel_threshold: self.parallel_threshold,
             pool: None,
             telemetry: self.telemetry,
         }
@@ -174,7 +166,6 @@ impl ShardedTriangleIndex {
             triangles: TriangleSet::new(),
             support: NodeSupport::new(node_count),
             edge_count: 0,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             pool: None,
             telemetry: TelemetryAccum::default(),
         }
@@ -192,21 +183,6 @@ impl ShardedTriangleIndex {
         index.support = NodeSupport::seed_from(&index.triangles, graph.node_count());
         index.edge_count = graph.edge_count();
         index
-    }
-
-    /// Sets the batch size below which applies run on the strictly
-    /// ordered sequential path instead of the two-phase pipeline (builder
-    /// style). Under any non-zero threshold a single-shard index takes
-    /// the sequential path on every batch — with one shard there is no
-    /// cross-shard coordination to amortize, and the pipeline's
-    /// partition/coalesce/route overhead is pure loss. Setting the
-    /// threshold to 0 forces the pipeline on every batch and every shard
-    /// count (the property tests do this so tiny batches still cover the
-    /// pool-backed path; a single-shard pool has no helper threads, so
-    /// there it runs on the engine thread alone).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
     }
 
     /// Number of shards `S`.
@@ -351,20 +327,17 @@ impl ShardedTriangleIndex {
             return Err(StreamError::Poisoned);
         }
         validate_batch(batch, self.node_count())?;
-        // Under a non-zero parallel threshold, every batch of a
-        // single-shard engine and every batch shorter than the threshold
-        // takes the strictly ordered path: there the pipeline cannot pay
-        // for itself. Both paths leave the identical final graph and
+        // The pipeline only for a batch that will leave the engine
+        // thread: more than one shard, and estimated work that pays for
+        // the hand-off. Both paths leave the identical final graph and
         // triangle set; on batches that flap an edge the per-batch
         // tallies differ (the pipeline's coalescer counts dropped ops as
-        // no-ops where the ordered path applies them), which is why the
-        // paths are selected by size, never by content.
-        let ordered = self.parallel_threshold > 0
-            && (self.store.shard_count() == 1 || batch.len() < self.parallel_threshold);
-        Ok(if ordered {
-            self.apply_ordered(batch)
-        } else {
+        // no-ops where the ordered path applies them).
+        let pipelined = self.shard_count() > 1 && worth_handing_off(&self.store, batch);
+        Ok(if pipelined {
             self.apply_pipelined(batch)
+        } else {
+            self.apply_ordered(batch)
         })
     }
 
@@ -374,8 +347,8 @@ impl ShardedTriangleIndex {
     /// dropped — which closes its job channels and **joins every worker
     /// thread**, panicked ones included — the shard store, triangle set
     /// and support counters are reseeded from `graph`, and a fresh pool
-    /// spawns lazily on the next pipelined batch. Thresholds and
-    /// accumulated telemetry survive.
+    /// spawns lazily on the next pipelined batch. Accumulated telemetry
+    /// survives.
     ///
     /// `graph` is whatever consistent state the caller still holds — a
     /// published serve view frozen with [`snapshot`](Self::snapshot), a
@@ -480,17 +453,12 @@ impl ShardedTriangleIndex {
     }
 
     /// The two-phase pipeline (see the [module documentation](self)),
-    /// on the persistent pool — which for a single shard is the engine
-    /// thread alone.
+    /// on the persistent pool.
     fn apply_pipelined(&mut self, batch: &DeltaBatch) -> ApplyReport {
         let mut report = ApplyReport {
             deltas_seen: batch.len(),
             ..ApplyReport::default()
         };
-        if batch.is_empty() {
-            return report;
-        }
-
         let spec = self.store.spec();
         let shard_count = spec.shard_count();
 
@@ -536,20 +504,10 @@ impl ShardedTriangleIndex {
         report: &mut ApplyReport,
     ) -> Vec<WorkerPlan> {
         let shard_count = work.len();
-        // `apply` refuses poisoned engines before reaching this
-        // point, so the only reason to respawn is a worker-count change.
-        let needs_fresh_pool = match self.pool.as_ref() {
-            Some(pool) => pool.worker_count() != shard_count,
-            None => true,
-        };
-        if needs_fresh_pool {
-            self.pool = Some(ShardPool::new(shard_count));
-        }
-        let pool = self.pool.as_ref().expect("pool was just ensured");
+        // `apply` refuses poisoned engines before reaching this point,
+        // and the shard count is fixed at construction.
+        let pool: &ShardPool = self.pool.get_or_insert_with(|| ShardPool::new(shard_count));
         let mut run = BatchRun::new(pool);
-        if self.parallel_threshold == 0 {
-            run = run.force_handoff();
-        }
 
         // Wave 1: collect (read-only, on the pre-batch adjacency).
         let collect_span = congest_obs::trace::span("pool", "wave_collect");
@@ -654,9 +612,23 @@ mod tests {
         NodeId(i)
     }
 
-    /// Forces the pool-backed pipeline even on tiny batches.
-    fn parallel(index: ShardedTriangleIndex) -> ShardedTriangleIndex {
-        index.with_parallel_threshold(0)
+    /// Applies `batch` on the pipeline when `pipeline` is set — which
+    /// `apply` takes only for a batch past the hand-off floor, far above
+    /// these tests' batches — and through `apply` otherwise.
+    fn apply_on(idx: &mut ShardedTriangleIndex, batch: &DeltaBatch, pipeline: bool) -> ApplyReport {
+        if pipeline {
+            idx.apply_pipelined(batch)
+        } else {
+            idx.apply(batch).unwrap()
+        }
+    }
+
+    /// Every (shard count, pipeline) pair a test runs: each shard count
+    /// through `apply`, and through the pipeline wherever `S > 1`.
+    fn paths(shards: &[usize]) -> Vec<(usize, bool)> {
+        let mut out: Vec<(usize, bool)> = shards.iter().map(|&s| (s, false)).collect();
+        out.extend(shards.iter().filter(|&&s| s > 1).map(|&s| (s, true)));
+        out
     }
 
     #[test]
@@ -671,32 +643,34 @@ mod tests {
 
     #[test]
     fn inserting_a_triangle_step_by_step() {
-        let mut idx = parallel(ShardedTriangleIndex::new(4, 2));
-        let mut b = DeltaBatch::new();
-        b.insert(v(0), v(1)).insert(v(1), v(2));
-        let r = idx.apply(&b).unwrap();
-        assert_eq!(r.inserts_applied, 2);
-        assert_eq!(r.triangles_added, 0);
+        for (shards, pipeline) in paths(&[2]) {
+            let mut idx = ShardedTriangleIndex::new(4, shards);
+            let mut b = DeltaBatch::new();
+            b.insert(v(0), v(1)).insert(v(1), v(2));
+            let r = apply_on(&mut idx, &b, pipeline);
+            assert_eq!(r.inserts_applied, 2);
+            assert_eq!(r.triangles_added, 0);
 
-        let mut close = DeltaBatch::new();
-        close.insert(v(0), v(2));
-        let r = idx.apply(&close).unwrap();
-        assert_eq!(r.triangles_added, 1);
-        assert_eq!(idx.triangle_count(), 1);
-        assert!(idx.triangles().contains(&Triangle::new(v(0), v(1), v(2))));
-        assert!(idx.matches_oracle());
+            let mut close = DeltaBatch::new();
+            close.insert(v(0), v(2));
+            let r = apply_on(&mut idx, &close, pipeline);
+            assert_eq!(r.triangles_added, 1, "pipeline={pipeline}");
+            assert_eq!(idx.triangle_count(), 1);
+            assert!(idx.triangles().contains(&Triangle::new(v(0), v(1), v(2))));
+            assert!(idx.matches_oracle());
+        }
     }
 
     #[test]
     fn one_batch_inserting_a_whole_triangle_counts_it_once() {
         // All three edges of the triangle arrive in one batch; every edge
         // is an insert candidate generator, the merge dedupes to one.
-        for shards in [1, 2, 3, 5] {
-            let mut idx = parallel(ShardedTriangleIndex::new(4, shards));
+        for (shards, pipeline) in paths(&[1, 2, 3, 5]) {
+            let mut idx = ShardedTriangleIndex::new(4, shards);
             let mut b = DeltaBatch::new();
             b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-            let r = idx.apply(&b).unwrap();
-            assert_eq!(r.triangles_added, 1, "shards={shards}");
+            let r = apply_on(&mut idx, &b, pipeline);
+            assert_eq!(r.triangles_added, 1, "shards={shards} pipeline={pipeline}");
             assert_eq!(idx.triangle_count(), 1);
             assert!(idx.matches_oracle());
         }
@@ -704,16 +678,19 @@ mod tests {
 
     #[test]
     fn one_batch_removing_two_edges_of_a_triangle_counts_it_once() {
-        for shards in [1, 2, 4] {
+        for (shards, pipeline) in paths(&[1, 2, 4]) {
             let k4 = Classic::Complete(4).generate();
-            let mut idx = parallel(ShardedTriangleIndex::from_graph(&k4, shards));
+            let mut idx = ShardedTriangleIndex::from_graph(&k4, shards);
             assert_eq!(idx.triangle_count(), 4);
             let mut b = DeltaBatch::new();
             b.remove(v(0), v(1)).remove(v(1), v(2));
-            let r = idx.apply(&b).unwrap();
+            let r = apply_on(&mut idx, &b, pipeline);
             // {0,1,2} dies by two of its edges but is counted once;
             // {0,1,3} and {1,2,3} die by one edge each.
-            assert_eq!(r.triangles_removed, 3, "shards={shards}");
+            assert_eq!(
+                r.triangles_removed, 3,
+                "shards={shards} pipeline={pipeline}"
+            );
             assert_eq!(idx.triangle_count(), 1);
             assert!(idx.matches_oracle());
         }
@@ -726,13 +703,13 @@ mod tests {
         // whose wing died in the same batch.
         let mut base = DeltaBatch::new();
         base.insert(v(0), v(1)).insert(v(1), v(2));
-        for shards in [1, 2, 3] {
-            let mut idx = parallel(ShardedTriangleIndex::new(4, shards));
-            idx.apply(&base).unwrap();
+        for (shards, pipeline) in paths(&[1, 2, 3]) {
+            let mut idx = ShardedTriangleIndex::new(4, shards);
+            apply_on(&mut idx, &base, pipeline);
             let mut b = DeltaBatch::new();
             b.remove(v(1), v(2)).insert(v(0), v(2));
-            let r = idx.apply(&b).unwrap();
-            assert_eq!(r.triangles_added, 0, "shards={shards}");
+            let r = apply_on(&mut idx, &b, pipeline);
+            assert_eq!(r.triangles_added, 0, "shards={shards} pipeline={pipeline}");
             assert_eq!(r.triangles_removed, 0);
             assert_eq!(idx.triangle_count(), 0);
             assert!(idx.matches_oracle());
@@ -786,18 +763,20 @@ mod tests {
     /// applies their merge as one batch when it flushes.
     #[test]
     fn deferred_mode_buffers_until_flush() {
-        let mut idx = parallel(ShardedTriangleIndex::new(3, 2));
         let mut open = DeltaBatch::new();
         open.insert(v(0), v(1)).insert(v(1), v(2));
         let mut close = DeltaBatch::new();
         close.insert(v(0), v(2));
         let window = vec![open, close];
 
-        let r = idx.apply(&DeltaBatch::merge(&window)).unwrap();
-        assert_eq!(r.deltas_seen, 3);
-        assert_eq!(r.inserts_applied, 3);
-        assert_eq!(r.triangles_added, 1);
-        assert!(idx.matches_oracle());
+        for (shards, pipeline) in paths(&[2]) {
+            let mut idx = ShardedTriangleIndex::new(3, shards);
+            let r = apply_on(&mut idx, &DeltaBatch::merge(&window), pipeline);
+            assert_eq!(r.deltas_seen, 3);
+            assert_eq!(r.inserts_applied, 3);
+            assert_eq!(r.triangles_added, 1);
+            assert!(idx.matches_oracle());
+        }
     }
 
     #[test]
@@ -819,10 +798,10 @@ mod tests {
     #[test]
     fn large_deferred_flush_runs_the_pipeline_and_keeps_the_accounting() {
         use crate::index::TriangleIndex;
-        // Threshold 0 forces the pipeline, so this flush's merged window
-        // runs on the pool.
+        // The merged window is under the hand-off floor, so it is run
+        // on the pipeline directly.
         let g = Gnp::new(40, 0.15).seeded(3).generate();
-        let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, 3));
+        let mut idx = ShardedTriangleIndex::from_graph(&g, 3);
         let mut reference = TriangleIndex::from_graph(&g);
 
         // A stream with heavy flapping: the same edges are hit repeatedly
@@ -846,7 +825,7 @@ mod tests {
         }
         let total: usize = window.iter().map(DeltaBatch::len).sum();
         let merged = DeltaBatch::merge(&window);
-        let r = idx.apply(&merged).unwrap();
+        let r = apply_on(&mut idx, &merged, true);
         reference.apply(&merged).unwrap();
         // Flush accounting: every merged delta lands in exactly one
         // tally, and the caller books the rest as coalesced away.
@@ -863,8 +842,8 @@ mod tests {
 
     #[test]
     fn small_deferred_flush_keeps_the_ordered_path_accounting() {
-        // Default threshold: a 2-delta merged window goes through the
-        // sequential path (see `deferred_flap_costs_nothing_at_flush`).
+        // A 2-delta merged window goes through the sequential path (see
+        // `deferred_flap_costs_nothing_at_flush`).
         let mut idx = ShardedTriangleIndex::new(4, 2);
         let mut flap = DeltaBatch::new();
         flap.insert(v(0), v(1))
@@ -883,56 +862,29 @@ mod tests {
     fn agrees_with_the_single_threaded_index_on_a_stream() {
         use crate::index::TriangleIndex;
         let g = Gnp::new(60, 0.12).seeded(11).generate();
-        let mut reference = TriangleIndex::from_graph(&g);
-        let mut sharded = parallel(ShardedTriangleIndex::from_graph(&g, 4));
-        for step in 0..20u32 {
-            let mut b = DeltaBatch::new();
-            for j in 0..10u32 {
-                let a = (step * 7 + j * 13) % 60;
-                let c = (step * 11 + j * 17 + 1) % 60;
-                if a != c {
-                    if (step + j) % 3 == 0 {
-                        b.remove(v(a), v(c));
-                    } else {
-                        b.insert(v(a), v(c));
+        for (shards, pipeline) in paths(&[4]) {
+            let mut reference = TriangleIndex::from_graph(&g);
+            let mut sharded = ShardedTriangleIndex::from_graph(&g, shards);
+            for step in 0..20u32 {
+                let mut b = DeltaBatch::new();
+                for j in 0..10u32 {
+                    let a = (step * 7 + j * 13) % 60;
+                    let c = (step * 11 + j * 17 + 1) % 60;
+                    if a != c {
+                        if (step + j) % 3 == 0 {
+                            b.remove(v(a), v(c));
+                        } else {
+                            b.insert(v(a), v(c));
+                        }
                     }
                 }
+                reference.apply(&b).unwrap();
+                apply_on(&mut sharded, &b, pipeline);
+                assert_eq!(reference.triangles(), sharded.triangles(), "step {step}");
+                assert_eq!(reference.edge_count(), sharded.edge_count());
             }
-            reference.apply(&b).unwrap();
-            sharded.apply(&b).unwrap();
-            assert_eq!(reference.triangles(), sharded.triangles(), "step {step}");
-            assert_eq!(reference.edge_count(), sharded.edge_count());
+            assert!(sharded.matches_oracle());
         }
-        assert!(sharded.matches_oracle());
-    }
-
-    #[test]
-    fn a_single_shard_pipeline_runs_on_a_pool_without_helpers() {
-        use crate::index::TriangleIndex;
-        let g = Gnp::new(50, 0.15).seeded(17).generate();
-        let mut reference = TriangleIndex::from_graph(&g);
-        let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, 1));
-        // `churn` never repeats an edge within a batch, so the
-        // pipeline's coalescer drops nothing and its per-batch tallies
-        // equal the strictly ordered engine's.
-        let steps = 8;
-        for step in 0..steps {
-            let b = churn(step, 50);
-            let rr = reference.apply(&b).unwrap();
-            let rs = idx.apply(&b).unwrap();
-            assert_eq!(rr, rs, "step {step}");
-            assert_eq!(idx.triangles(), reference.triangles(), "step {step}");
-            assert_eq!(idx.edge_count(), reference.edge_count(), "step {step}");
-        }
-        assert!(idx.matches_oracle());
-        let pool = idx.pool.as_ref().expect("the pipeline ran on a pool");
-        assert_eq!(
-            pool.worker_count(),
-            1,
-            "the engine thread is the only worker"
-        );
-        let telemetry = idx.worker_telemetry().expect("pipelined batches ran");
-        assert_eq!(telemetry.pooled_batches, steps as usize);
     }
 
     #[test]
@@ -943,7 +895,7 @@ mod tests {
         // helpers get empty slices — the static partition's worst case.
         let n = 40usize;
         let mut reference = TriangleIndex::new(n);
-        let mut idx = parallel(ShardedTriangleIndex::new(n, 4));
+        let mut idx = ShardedTriangleIndex::new(n, 4);
         // Build the star plus a rim so removals have triangles to retire.
         let mut star = DeltaBatch::new();
         for i in 1..n as u32 {
@@ -953,7 +905,7 @@ mod tests {
             star.insert(v(i), v(i + 1));
         }
         reference.apply(&star).unwrap();
-        idx.apply(&star).unwrap();
+        apply_on(&mut idx, &star, true);
         assert_eq!(idx.triangles(), reference.triangles());
 
         // Tear half the hub down in one batch.
@@ -962,12 +914,12 @@ mod tests {
             tear.remove(v(0), v(i));
         }
         let rr = reference.apply(&tear).unwrap();
-        let rs = idx.apply(&tear).unwrap();
+        let rs = apply_on(&mut idx, &tear, true);
         assert_eq!(rs.triangles_removed, rr.triangles_removed);
         assert_eq!(idx.triangles(), reference.triangles());
         assert!(idx.matches_oracle());
         let telemetry = idx.worker_telemetry().expect("pool batches ran");
-        assert!(telemetry.pooled_batches >= 2);
+        assert_eq!(telemetry.pooled_batches, 2);
     }
 
     #[test]
@@ -976,10 +928,10 @@ mod tests {
         use crate::pool::BatchRun;
         use crate::shard::Shard;
 
-        let mut idx = parallel(ShardedTriangleIndex::new(8, 2));
+        let mut idx = ShardedTriangleIndex::new(8, 2);
         let mut b = DeltaBatch::new();
         b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-        idx.apply(&b).expect("healthy engine applies");
+        apply_on(&mut idx, &b, true);
         assert!(!idx.poisoned());
 
         // Poison the engine's own pool the way a real mid-batch worker
@@ -1020,10 +972,10 @@ mod tests {
         use crate::shard::Shard;
 
         let g = Gnp::new(24, 0.2).seeded(23).generate();
-        let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, 3));
+        let mut idx = ShardedTriangleIndex::from_graph(&g, 3);
         let mut b = DeltaBatch::new();
         b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-        idx.apply(&b).expect("healthy engine applies");
+        apply_on(&mut idx, &b, true);
         // The consistent state a real writer would still hold (published
         // view / checkpoint), frozen before the poisoning batch.
         let checkpoint = idx.snapshot();
@@ -1077,7 +1029,7 @@ mod tests {
                 }
             }
             let rr = reference.apply(&b).expect("reference applies");
-            let rs = idx.apply(&b).expect("recovered engine applies");
+            let rs = apply_on(&mut idx, &b, true);
             assert_eq!(rr, rs, "step {step}");
             assert_eq!(idx.triangles(), reference.triangles(), "step {step}");
         }
@@ -1088,20 +1040,22 @@ mod tests {
 
     #[test]
     fn clones_share_state_but_not_the_pool() {
-        let mut idx = parallel(ShardedTriangleIndex::new(6, 3));
+        let mut idx = ShardedTriangleIndex::new(6, 3);
         let mut b = DeltaBatch::new();
         b.insert(v(0), v(1)).insert(v(1), v(2)).insert(v(0), v(2));
-        idx.apply(&b).unwrap();
+        apply_on(&mut idx, &b, true);
 
         // The clone starts with the same state and lazily spawns its own
         // workers on the next pipelined batch.
         let mut copy = idx.clone();
+        assert!(copy.pool.is_none());
         assert_eq!(copy.triangle_count(), 1);
         let mut more = DeltaBatch::new();
         more.insert(v(3), v(4))
             .insert(v(4), v(5))
             .insert(v(3), v(5));
-        copy.apply(&more).unwrap();
+        apply_on(&mut copy, &more, true);
+        assert!(copy.pool.is_some());
         assert_eq!(copy.triangle_count(), 2);
         assert_eq!(idx.triangle_count(), 1, "the original is unaffected");
         assert!(copy.matches_oracle());
@@ -1152,6 +1106,74 @@ mod tests {
         b
     }
 
+    /// Everything an engine's state consists of besides the arena
+    /// layout, which follows the order the path wrote its lists in.
+    fn assert_same_state(a: &ShardedTriangleIndex, b: &ShardedTriangleIndex, what: &str) {
+        assert_eq!(a.triangles(), b.triangles(), "{what}");
+        assert_eq!(a.edge_count(), b.edge_count(), "{what}");
+        for node in AdjacencyView::nodes(a) {
+            assert_eq!(a.neighbors(node), b.neighbors(node), "{what}");
+            assert_eq!(a.node_support(node), b.node_support(node), "{what}");
+        }
+        assert!(a.matches_oracle() && b.matches_oracle(), "{what}");
+    }
+
+    fn pooled_batches(idx: &ShardedTriangleIndex) -> usize {
+        idx.worker_telemetry().map_or(0, |t| t.pooled_batches)
+    }
+
+    #[test]
+    fn apply_pools_a_batch_by_its_estimated_work_not_its_length() {
+        // Batches of 219 to 256 deltas whose endpoints keep
+        // single-digit degrees estimate well under the hand-off floor:
+        // at S = 2 every one runs ordered and the pool never spawns.
+        let mut ordered = ShardedTriangleIndex::new(4096, 2);
+        for step in 0..12 {
+            let batch = low_degree_batch(step);
+            assert!(batch.len() >= 219, "step {step}");
+            ordered.apply(&batch).unwrap();
+        }
+        assert_eq!(ordered.worker_telemetry(), None);
+        assert!(ordered.pool.is_none());
+
+        // 1 024 raw deltas reach the floor on their flat cost alone, so
+        // a path of degree-2 nodes pools at every S > 1.
+        let mut long = DeltaBatch::new();
+        for i in 0..1024 {
+            long.insert(v(i), v(i + 1));
+        }
+        // Eight hubs share 600 leaves: joining the hubs pairwise is 28
+        // deltas, each with two endpoints of degree 600, and crosses
+        // the floor by the 27th — and closes 28 · 600 + C(8, 3) = 16 856
+        // triangles.
+        let mut bipartite = GraphBuilder::new(608);
+        for hub in 0..8 {
+            for leaf in 8..608 {
+                bipartite.add_edge(v(hub), v(leaf)).unwrap();
+            }
+        }
+        let bipartite = bipartite.build();
+        let mut hubs = DeltaBatch::new();
+        for a in 0..8 {
+            for b in a + 1..8 {
+                hubs.insert(v(a), v(b));
+            }
+        }
+        assert!(hubs.len() < 128);
+        for shards in [1, 2, 3] {
+            let mut idx = ShardedTriangleIndex::new(1025, shards);
+            idx.apply(&long).unwrap();
+            assert_eq!(pooled_batches(&idx), usize::from(shards > 1), "S={shards}");
+
+            let mut idx = ShardedTriangleIndex::from_graph(&bipartite, shards);
+            let r = idx.apply(&hubs).unwrap();
+            assert_eq!(r.triangles_added, 16_856, "S={shards}");
+            assert!(idx.matches_oracle(), "S={shards}");
+            // S = 1 never pools.
+            assert_eq!(pooled_batches(&idx), usize::from(shards > 1), "S={shards}");
+        }
+    }
+
     /// A 300-delta batch against `index`'s current mean-degree-50
     /// graph: scattered inserts alternating with removals of live edges.
     fn dense_batch(index: &ShardedTriangleIndex, step: u32) -> DeltaBatch {
@@ -1170,79 +1192,80 @@ mod tests {
         b
     }
 
-    /// Everything an engine's state consists of, beyond the reports
-    /// compared batch by batch.
-    fn assert_same_state(a: &ShardedTriangleIndex, b: &ShardedTriangleIndex, what: &str) {
-        assert_eq!(a.triangles(), b.triangles(), "{what}");
-        assert_eq!(a.arena_stats(), b.arena_stats(), "{what}");
-        for node in AdjacencyView::nodes(a) {
-            assert_eq!(a.neighbors(node), b.neighbors(node), "{what}");
-            assert_eq!(a.node_support(node), b.node_support(node), "{what}");
-        }
-        assert!(a.matches_oracle() && b.matches_oracle(), "{what}");
-    }
-
     #[test]
     fn inline_waves_and_handed_off_waves_leave_identical_state() {
+        // One engine keeps every batch on its own thread (`apply` runs
+        // these batches ordered), the other hands every wave of every
+        // batch to the pool: same graph, triangles and supports.
         for shards in [2, 3] {
-            let before = congest_obs::registry::snapshot().counters;
             let mut inline = ShardedTriangleIndex::new(4096, shards);
-            let mut forced = parallel(ShardedTriangleIndex::new(4096, shards));
+            let mut handed_off = ShardedTriangleIndex::new(4096, shards);
             for step in 0..12 {
                 let batch = low_degree_batch(step);
                 let ri = inline.apply(&batch).unwrap();
-                let rf = forced.apply(&batch).unwrap();
-                assert_eq!(ri, rf, "S={shards} step {step}");
+                let rh = handed_off.apply_pipelined(&batch);
                 assert!(ri.triangles_added >= 40, "S={shards} step {step}");
+                assert_eq!(ri.triangles_added, rh.triangles_added, "S={shards}");
+                assert_eq!(ri.triangles_removed, rh.triangles_removed, "S={shards}");
             }
-            assert_same_state(&inline, &forced, &format!("low degree, S={shards}"));
+            assert_same_state(&inline, &handed_off, &format!("low degree, S={shards}"));
+            assert_eq!(pooled_batches(&inline), 0);
+            assert_eq!(pooled_batches(&handed_off), 12);
 
-            // Three waves a batch (collect, record, insert), none of
-            // them near the floor: the default engine kept every one on
-            // its own thread, the forced engine handed every one off.
-            let (inline, forced) = (inline.telemetry, forced.telemetry);
-            assert_eq!((inline.waves_handed_off, inline.waves_inline), (0, 36));
-            assert_eq!((forced.waves_handed_off, forced.waves_inline), (36, 0));
-            assert_eq!(inline.pooled_batches, 12);
-            // The registry is process-wide and other tests run pooled
-            // batches beside this one, so it can only be bounded below.
-            let after = congest_obs::registry::snapshot().counters;
-            for name in ["pool.waves_handed_off", "pool.waves_inline"] {
-                let grew = after[name] - before.get(name).copied().unwrap_or(0);
-                assert!(grew >= 36, "{name} grew by {grew}");
-            }
-
-            // Mean degree 50, 300 deltas: waves around the hand-off
-            // floor on lists long enough for slabs to promote and free,
-            // where arena layout would show any difference in what the
-            // two engines' record waves do.
+            // Mean degree 50, 300 deltas: lists long enough for slabs to
+            // promote and free.
             let g = Gnp::new(600, 50.0 / 599.0).seeded(29).generate();
             let mut inline = ShardedTriangleIndex::from_graph(&g, shards);
-            let mut forced = parallel(ShardedTriangleIndex::from_graph(&g, shards));
+            let mut handed_off = ShardedTriangleIndex::from_graph(&g, shards);
             for step in 0..8 {
                 let batch = dense_batch(&inline, step);
-                let ri = inline.apply(&batch).unwrap();
-                let rf = forced.apply(&batch).unwrap();
-                assert_eq!(ri, rf, "S={shards} step {step}");
-                assert!(ri.removes_applied >= 100 && ri.inserts_applied >= 100);
+                inline.apply_ordered(&batch);
+                let rh = handed_off.apply_pipelined(&batch);
+                assert!(rh.removes_applied >= 100 && rh.inserts_applied >= 100);
             }
-            assert_same_state(&inline, &forced, &format!("mean degree 50, S={shards}"));
+            assert_same_state(&inline, &handed_off, &format!("mean degree 50, S={shards}"));
         }
+    }
+
+    #[test]
+    fn a_single_shard_pipeline_runs_on_a_pool_without_helpers() {
+        use crate::index::TriangleIndex;
+        // `apply` never pipelines a single-shard batch, but the pipeline
+        // itself still runs on one shard: the engine thread alone.
+        let g = Gnp::new(50, 0.15).seeded(17).generate();
+        let mut reference = TriangleIndex::from_graph(&g);
+        let mut idx = ShardedTriangleIndex::from_graph(&g, 1);
+        // `churn` never repeats an edge within a batch, so the
+        // pipeline's coalescer drops nothing and its per-batch tallies
+        // equal the strictly ordered engine's.
+        let steps = 8;
+        for step in 0..steps {
+            let b = churn(step, 50);
+            let rr = reference.apply(&b).unwrap();
+            let rs = apply_on(&mut idx, &b, true);
+            assert_eq!(rr, rs, "step {step}");
+            assert_eq!(idx.triangles(), reference.triangles(), "step {step}");
+            assert_eq!(idx.edge_count(), reference.edge_count(), "step {step}");
+        }
+        assert!(idx.matches_oracle());
+        let pool = idx.pool.as_ref().expect("the pipeline ran on a pool");
+        assert_eq!(
+            pool.worker_count(),
+            1,
+            "the engine thread is the only worker"
+        );
+        assert_eq!(pooled_batches(&idx), steps as usize);
     }
 
     #[test]
     fn a_bare_index_never_retains_a_buffer_on_any_path() {
-        // Ordered (S = 1), the pipeline on one shard and on three: with
+        // Ordered on one shard and on three, the pipeline on three: with
         // no view ever published every write is in place.
         let g = Gnp::new(50, 0.15).seeded(17).generate();
-        let engines = [
-            ShardedTriangleIndex::from_graph(&g, 1),
-            parallel(ShardedTriangleIndex::from_graph(&g, 1)),
-            parallel(ShardedTriangleIndex::from_graph(&g, 3)),
-        ];
-        for mut idx in engines {
+        for (shards, pipeline) in paths(&[1, 3]) {
+            let mut idx = ShardedTriangleIndex::from_graph(&g, shards);
             for step in 0..6 {
-                idx.apply(&churn(step, 50)).unwrap();
+                apply_on(&mut idx, &churn(step, 50), pipeline);
             }
             let cow = idx.cow_stats();
             assert_eq!(
@@ -1259,12 +1282,12 @@ mod tests {
     #[test]
     fn clones_and_recovery_carry_no_retained_buffers() {
         let g = Gnp::new(50, 0.15).seeded(17).generate();
-        for shards in [1, 3] {
-            let mut idx = parallel(ShardedTriangleIndex::from_graph(&g, shards));
+        for (shards, pipeline) in paths(&[1, 3]) {
+            let mut idx = ShardedTriangleIndex::from_graph(&g, shards);
             // What a serve publish holds: the writer must swap past it.
             let mut view = idx.clone_store();
             for step in 0..4 {
-                idx.apply(&churn(step, 50)).unwrap();
+                apply_on(&mut idx, &churn(step, 50), pipeline);
                 view = idx.clone_store();
             }
             assert!(idx.retained_buffers() > 0, "shards={shards}");
@@ -1272,7 +1295,7 @@ mod tests {
 
             let mut copy = idx.clone();
             assert_eq!(copy.retained_buffers(), 0);
-            copy.apply(&churn(4, 50)).unwrap();
+            apply_on(&mut copy, &churn(4, 50), pipeline);
             assert!(copy.matches_oracle());
             assert_eq!(
                 copy.retained_buffers(),
@@ -1283,7 +1306,7 @@ mod tests {
             let checkpoint = idx.snapshot();
             idx.recover(&checkpoint);
             assert_eq!(idx.retained_buffers(), 0, "shards={shards}");
-            idx.apply(&churn(4, 50)).unwrap();
+            apply_on(&mut idx, &churn(4, 50), pipeline);
             assert_eq!(idx.triangles(), copy.triangles());
             assert!(idx.matches_oracle());
             drop(view);

@@ -8,10 +8,11 @@
 //! support vector).
 //!
 //! The readers hammer leases while the writer applies the stream on
-//! both write paths: three shards with the pipeline forced on
-//! (`with_parallel_threshold(0)`), so the race window covers the
-//! pool-backed two-phase path, and one shard on the strictly ordered
-//! path (what `perf_report`'s `serve_mixed` runs). Either way every
+//! both write paths: three shards fed batches long enough to cross the
+//! pool's hand-off floor, so the race window covers the pool-backed
+//! two-phase path, and the strictly ordered path — three shards fed
+//! short batches, and one shard (what `perf_report`'s `serve_mixed`
+//! runs). Either way every
 //! write has to get past the buffer the last view pins — by swapping in
 //! a retained buffer no reader still holds, or by copying when readers
 //! hold them all — and readers that keep a lease across several batches
@@ -31,14 +32,24 @@ use proptest::prelude::*;
 /// lease before checking it.
 #[derive(Clone, Copy)]
 struct Setup {
-    /// 3: the pool-backed pipeline, forced on. 1: the ordered path.
+    /// 3 or 1. Only a multi-shard engine ever pools a batch.
     shards: usize,
+    /// Deltas a batch: [`SHORT_LEN`] keeps every batch on the ordered
+    /// path, [`POOLED_LEN`] pools every one at `S > 1`.
+    batch_len: usize,
     /// Readers keep each lease until the writer is 0–4 epochs past it
     /// (cycling), instead of checking and dropping it at once.
     hold: bool,
 }
 
 const READERS: usize = 3;
+
+/// A batch length whose estimated work stays far under the pool's
+/// hand-off floor on these 40-node graphs.
+const SHORT_LEN: usize = 24;
+
+/// A batch length that reaches the hand-off floor whatever the degrees.
+const POOLED_LEN: usize = 1024;
 
 /// Raises a flag when the reader thread that owns it unwinds, so the
 /// writer stops waiting for it and the failed assertion surfaces at the
@@ -55,18 +66,13 @@ impl Drop for FlagOnPanic<'_> {
 
 impl Setup {
     fn server(self, base: &congest_graph::Graph) -> TriangleServer {
-        let engine = ShardedTriangleIndex::from_graph(base, self.shards);
-        TriangleServer::new(if self.shards > 1 {
-            engine.with_parallel_threshold(0)
-        } else {
-            engine
-        })
+        TriangleServer::new(ShardedTriangleIndex::from_graph(base, self.shards))
     }
 }
 
 /// One scenario per generator family, over the same churn shape.
-fn family_scenario(family: usize, seed: u64, batches: usize) -> Scenario {
-    let (n, batch_size) = (40, 24);
+fn family_scenario(family: usize, seed: u64, batches: usize, batch_size: usize) -> Scenario {
+    let n = 40;
     let scenario = match family {
         0 => Scenario::uniform_churn(n, batches, batch_size),
         1 => Scenario::hotspot_churn(n, batches, batch_size),
@@ -147,7 +153,8 @@ fn check_lease_consistency(lease: &Lease) -> (u64, usize, usize) {
 /// reader is parked holding one, so no batch goes by unobserved and a
 /// held lease really is behind the writer when it is checked.
 fn run_family(family: usize, seed: u64, setup: Setup) {
-    let scenario = family_scenario(family, seed, if setup.hold { 16 } else { 8 });
+    let batch_count = if setup.hold { 16 } else { 8 };
+    let scenario = family_scenario(family, seed, batch_count, setup.batch_len);
     let base = scenario.base_graph();
     let batches = scenario.batches();
     let n = scenario.node_count();
@@ -267,21 +274,34 @@ fn run_family(family: usize, seed: u64, setup: Setup) {
             detached_engine.neighbors(node)
         );
     }
-    if setup.shards == 1 {
-        // The ordered path is deterministic down to the slab layout:
-        // whether a batch wrote in place, on a replayed buffer or on a
-        // copy must not show in the arena. (On the pool the adaptive
-        // split threshold follows measured busy time, so two runs may
-        // land lists differently with or without readers.)
-        assert_eq!(attached_engine.arena_stats(), detached_engine.arena_stats());
-    }
+    // Both paths are deterministic down to the slab layout: whether a
+    // batch wrote in place, on a replayed buffer or on a copy must not
+    // show in the arena.
+    assert_eq!(attached_engine.arena_stats(), detached_engine.arena_stats());
     assert!(attached_engine.matches_oracle());
+    let pooled = attached_engine
+        .worker_telemetry()
+        .map_or(0, |t| t.pooled_batches);
+    let expected = if setup.shards > 1 && setup.batch_len >= POOLED_LEN {
+        batches.len()
+    } else {
+        0
+    };
+    assert_eq!(pooled, expected, "family {family}: pooled batches");
 }
 
-/// The configuration the suite started with: the pool, leases dropped
-/// as soon as they are checked.
+/// Three shards and long batches: every batch on the pool, leases
+/// dropped as soon as they are checked.
 const POOLED: Setup = Setup {
     shards: 3,
+    batch_len: POOLED_LEN,
+    hold: false,
+};
+
+/// The same three shards fed short batches: every batch ordered.
+const SHORT: Setup = Setup {
+    shards: 3,
+    batch_len: SHORT_LEN,
     hold: false,
 };
 
@@ -292,6 +312,7 @@ proptest! {
     #[test]
     fn uniform_churn_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
         run_family(0, seed, POOLED);
+        run_family(0, seed, SHORT);
     }
 
     /// Generator family 2: hotspot (power-law) churn — hub shards are
@@ -299,12 +320,14 @@ proptest! {
     #[test]
     fn hotspot_churn_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
         run_family(1, seed, POOLED);
+        run_family(1, seed, SHORT);
     }
 
     /// Generator family 3: planted-triangle bursts.
     #[test]
     fn planted_burst_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
         run_family(2, seed, POOLED);
+        run_family(2, seed, SHORT);
     }
 
     /// Generator family 4: grow-then-shrink — the shrink half frees
@@ -313,6 +336,7 @@ proptest! {
     #[test]
     fn grow_then_shrink_readers_are_lockstep_with_their_epoch(seed in any::<u64>()) {
         run_family(3, seed, POOLED);
+        run_family(3, seed, SHORT);
     }
 
     /// All four families on one shard and the ordered path — the
@@ -322,11 +346,11 @@ proptest! {
         seed in any::<u64>(),
         family in 0usize..4,
     ) {
-        run_family(family, seed, Setup { shards: 1, hold: false });
+        run_family(family, seed, Setup { shards: 1, batch_len: SHORT_LEN, hold: false });
     }
 
     /// Readers that hold each lease across 0–4 batches, on both write
-    /// paths: stale leases pin retained buffers, so swaps and copies
+    /// paths (pooled: three shards, long batches): stale leases pin retained buffers, so swaps and copies
     /// mix, and every lease must still recount to its own
     /// `triangle_count()` when it is finally checked.
     #[test]
@@ -335,6 +359,7 @@ proptest! {
         family in 0usize..4,
         pooled in any::<bool>(),
     ) {
-        run_family(family, seed, Setup { shards: if pooled { 3 } else { 1 }, hold: true });
+        let setup = if pooled { POOLED } else { Setup { shards: 1, batch_len: SHORT_LEN, hold: false } };
+        run_family(family, seed, Setup { hold: true, ..setup });
     }
 }

@@ -24,18 +24,25 @@ fn scenario(seed: u64) -> Scenario {
         .seeded(seed)
 }
 
-/// Drives a pooled sharded engine over the stream, returning its final
-/// state fingerprint (edges, live triangle set as a sorted debug list).
+/// Batches of this many raw deltas reach the shard pool's hand-off
+/// floor whatever their degrees, so `apply` pools every one of them.
+const POOLED_LEN: usize = 1024;
+
+/// Drives a sharded engine over the stream, then over three batches
+/// long enough to be pooled, returning its final state fingerprint
+/// (edges, live triangle set as a sorted debug list).
 fn run_sharded(seed: u64) -> (usize, String) {
     let base = scenario(seed).base_graph();
-    // Threshold 0 forces every batch through the persistent pool.
-    let mut index = ShardedTriangleIndex::from_graph(&base, 4).with_parallel_threshold(0);
-    for batch in scenario(seed).batches() {
+    let mut index = ShardedTriangleIndex::from_graph(&base, 4);
+    let pooled = Scenario::hotspot_churn(40, 3, POOLED_LEN).seeded(seed);
+    for batch in scenario(seed).batches().iter().chain(&pooled.batches()) {
         index
-            .apply(&batch)
+            .apply(batch)
             .expect("scenario batches only touch in-range nodes");
     }
     assert!(index.matches_oracle(), "sharded run diverged from oracle");
+    let telemetry = index.worker_telemetry().expect("long batches pooled");
+    assert_eq!(telemetry.pooled_batches, 3);
     (index.edge_count(), format!("{:?}", index.triangles()))
 }
 
