@@ -11,8 +11,9 @@
 //! Layout and lifecycle:
 //!
 //! * **Slots** — each list is addressed by a dense `u32` slot id (the
-//!   node index for [`TriangleIndex`](crate::TriangleIndex), the local
-//!   index inside a shard for the sharded engine). A slot records its
+//!   local index inside a shard, which on a
+//!   [`TriangleIndex`](crate::TriangleIndex)'s one shard is the node
+//!   index). A slot records its
 //!   `(offset, len, size class)` into the shared buffer.
 //! * **Power-of-two slabs** — storage is granted in slabs of capacity
 //!   `2^class`. A list that outgrows its slab moves to the next class;

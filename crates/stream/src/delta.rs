@@ -10,7 +10,6 @@
 //! so edges that flap inside the window cost the engines nothing (the
 //! [`WorkloadRunner`](crate::WorkloadRunner)'s flush policies do this).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use congest_graph::{Edge, NodeId};
@@ -138,15 +137,8 @@ impl DeltaBatch {
     /// post-batch graph as applying the original (a property the tests
     /// check exhaustively).
     pub fn coalesce(&self) -> DeltaBatch {
-        let mut last: BTreeMap<Edge, DeltaOp> = BTreeMap::new();
-        for d in &self.deltas {
-            last.insert(d.edge, d.op);
-        }
         DeltaBatch {
-            deltas: last
-                .into_iter()
-                .map(|(edge, op)| EdgeDelta { edge, op })
-                .collect(),
+            deltas: coalesce(&self.deltas),
         }
     }
 
@@ -159,6 +151,23 @@ impl DeltaBatch {
         }
         all.coalesce()
     }
+}
+
+/// The one coalescer: `deltas` stably sorted by edge, keeping the last
+/// op of each edge. [`DeltaBatch::coalesce`], the distributed
+/// coordinator and the shard pool's workers all run it, so every engine
+/// that coalesces drops the same ops.
+pub(crate) fn coalesce(deltas: &[EdgeDelta]) -> Vec<EdgeDelta> {
+    let mut out = deltas.to_vec();
+    out.sort_by_key(|d| d.edge);
+    out.dedup_by(|later, kept| {
+        let same = later.edge == kept.edge;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    out
 }
 
 impl FromIterator<EdgeDelta> for DeltaBatch {
@@ -180,6 +189,7 @@ impl<'a> IntoIterator for &'a DeltaBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(i: u32) -> NodeId {
         NodeId(i)
@@ -226,6 +236,36 @@ mod tests {
             merged.deltas(),
             &[EdgeDelta::remove(v(0), v(1)), EdgeDelta::insert(v(2), v(3)),]
         );
+    }
+
+    proptest! {
+        /// The coalescer equals a last-writer-wins map over the batch:
+        /// one delta per edge, in edge order, carrying the edge's last op.
+        #[test]
+        fn coalesce_keeps_what_a_last_writer_map_keeps(
+            raw in prop::collection::vec((0u32..12, 0u32..12, any::<bool>()), 0..64),
+        ) {
+            let batch: DeltaBatch = raw
+                .iter()
+                .filter(|(a, b, _)| a != b)
+                .map(|&(a, b, insert)| {
+                    if insert {
+                        EdgeDelta::insert(v(a), v(b))
+                    } else {
+                        EdgeDelta::remove(v(a), v(b))
+                    }
+                })
+                .collect();
+            let mut last = std::collections::BTreeMap::new();
+            for d in &batch {
+                last.insert(d.edge, d.op);
+            }
+            let expected: DeltaBatch = last
+                .into_iter()
+                .map(|(edge, op)| EdgeDelta { edge, op })
+                .collect();
+            prop_assert_eq!(batch.coalesce(), expected);
+        }
     }
 
     #[test]

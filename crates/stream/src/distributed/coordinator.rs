@@ -15,7 +15,7 @@ use super::node::DynamicTriangleNode;
 use super::recovery::HardenedEpoch;
 use super::wire::{self, BatchDescriptor};
 use super::{DistributedTriangleEngine, HubSplit};
-use crate::delta::{DeltaBatch, DeltaOp};
+use crate::delta::{coalesce, DeltaBatch, DeltaOp};
 use crate::index::{validate_batch, ApplyReport, StreamError};
 use crate::shard::{merge_added_candidates, merge_removed_candidates, sorted_insert};
 
@@ -433,7 +433,7 @@ impl DistributedTriangleEngine {
     /// Coalesces the batch and classifies the survivors against the
     /// current graph: only effective deltas enter the network.
     fn classify(&self, raw: &DeltaBatch) -> (ApplyReport, EpochDeltas) {
-        let coalesced = raw.coalesce();
+        let coalesced = coalesce(raw.deltas());
         let mut report = ApplyReport {
             deltas_seen: raw.len(),
             noops: raw.len() - coalesced.len(),

@@ -53,9 +53,9 @@ pub use cost::{CongestCost, ReceivedBitsSkew, RecoveryStats};
 /// ```
 ///
 /// The paper's Theorem 1/2 drivers answer one-shot queries on a static
-/// graph; the centralized streaming engines
-/// ([`TriangleIndex`](crate::TriangleIndex),
-/// [`ShardedTriangleIndex`](crate::ShardedTriangleIndex)) maintain the
+/// graph; the centralized streaming engine
+/// ([`ShardedTriangleIndex`](crate::ShardedTriangleIndex), and its
+/// one-shard form [`TriangleIndex`](crate::TriangleIndex)) maintains the
 /// triangle set incrementally but on one machine. This engine is the
 /// missing counterpart: every graph node is a network node that **owns
 /// its adjacency slice** `N(v)` and maintains the triangles it can see;

@@ -1,17 +1,17 @@
 //! The [`StreamEngine`] abstraction: what every incremental triangle
 //! engine offers the workload harness.
 //!
-//! All three engines — the single-threaded [`TriangleIndex`], the
-//! multi-core [`ShardedTriangleIndex`] and the simulated-network
-//! [`DistributedTriangleEngine`] — maintain adjacency plus the live
+//! Every engine — the multi-core [`ShardedTriangleIndex`] (whose
+//! one-shard form is [`TriangleIndex`]) and the simulated-network
+//! [`DistributedTriangleEngine`] — maintains adjacency plus the live
 //! triangle set under [`DeltaBatch`]es; the
-//! [`WorkloadRunner`](crate::WorkloadRunner) drives the first two
-//! through the same scenario via this trait. `apply` is the one write
-//! path: a caller that wants to defer work holds its batches back and
-//! applies their [merge](DeltaBatch::merge). The [`AdjacencyView`]
-//! supertrait is what makes the harness snapshot-free: oracle recounts
-//! and the static CONGEST drivers read the engine's live adjacency
-//! directly.
+//! [`WorkloadRunner`](crate::WorkloadRunner) drives the shared-memory
+//! engine at any shard count through the same scenario via this trait.
+//! `apply` is the one write path: a caller that wants to defer work
+//! holds its batches back and applies their [merge](DeltaBatch::merge).
+//! The [`AdjacencyView`] supertrait is what makes the harness
+//! snapshot-free: oracle recounts and the static CONGEST drivers read
+//! the engine's live adjacency directly.
 
 use congest_graph::AdjacencyView;
 
@@ -76,29 +76,34 @@ pub trait StreamEngine: AdjacencyView {
     }
 }
 
+/// The one-shard engine answers as the sharded engine it wraps.
 impl StreamEngine for TriangleIndex {
     fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
-        TriangleIndex::apply(self, batch)
+        StreamEngine::apply(&mut **self, batch)
     }
 
     fn triangle_count(&self) -> usize {
-        TriangleIndex::triangle_count(self)
+        StreamEngine::triangle_count(&**self)
     }
 
     fn matches_oracle(&self) -> bool {
-        TriangleIndex::matches_oracle(self)
+        StreamEngine::matches_oracle(&**self)
     }
 
     fn shard_count(&self) -> usize {
-        1
+        StreamEngine::shard_count(&**self)
+    }
+
+    fn worker_telemetry(&self) -> Option<WorkerTelemetry> {
+        StreamEngine::worker_telemetry(&**self)
     }
 
     fn arena_stats(&self) -> Option<ArenaStats> {
-        Some(TriangleIndex::arena_stats(self))
+        StreamEngine::arena_stats(&**self)
     }
 
     fn node_support(&self, node: congest_graph::NodeId) -> Option<usize> {
-        Some(TriangleIndex::node_support(self, node))
+        StreamEngine::node_support(&**self, node)
     }
 }
 

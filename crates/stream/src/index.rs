@@ -1,9 +1,12 @@
-//! The incremental triangle index.
+//! The incremental triangle index and what every engine's apply shares.
 //!
 //! [`TriangleIndex`] maintains the adjacency structure of an evolving graph
 //! **and** its live set of triangles under [`DeltaBatch`]es of edge
-//! insertions and removals. Each applied delta only touches the
-//! neighbourhoods of its two endpoints: inserting or removing `{u, v}`
+//! insertions and removals. It is the one-shard
+//! [`ShardedTriangleIndex`]: the partition decides where the lists live,
+//! and the rule that applies a delta stays the same at every shard count
+//! (the sharded engine's ordered loop). Each applied delta only touches
+//! the neighbourhoods of its two endpoints: inserting or removing `{u, v}`
 //! adds or retires exactly the triangles `{u, v, w}` with
 //! `w ∈ N(u) ∩ N(v)`, found by a sorted-adjacency intersection that always
 //! walks the **lower-degree** endpoint (and switches to binary probing when
@@ -12,12 +15,12 @@
 //! pays — the asymmetry the workload harness quantifies.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-use congest_graph::{AdjacencyView, Graph, GraphBuilder, NodeId, Triangle, TriangleSet};
+use congest_graph::{AdjacencyView, Graph, NodeId};
 
-use crate::arena::{ArenaStats, NeighborArena};
-use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
-use crate::shard::{intersect_sorted, NodeSupport};
+use crate::delta::DeltaBatch;
+use crate::sharded::ShardedTriangleIndex;
 
 /// Errors surfaced by the streaming engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,7 +153,10 @@ impl ApplyReport {
     }
 }
 
-/// Incremental triangle engine over batched edge deltas.
+/// The one-shard engine: a [`ShardedTriangleIndex`] over a single
+/// shard. Every batch runs the ordered loop on the caller's thread and no
+/// worker pool ever spawns; reads and writes are the sharded engine's,
+/// reached through [`Deref`].
 ///
 /// ```
 /// use congest_graph::generators::Gnp;
@@ -167,229 +173,37 @@ impl ApplyReport {
 /// // The live set always equals a from-scratch recount.
 /// assert_eq!(index.triangles(), &oracle::list_all(&index.snapshot()));
 /// ```
+///
+/// Cloning is the sharded engine's `O(S)` copy-on-write clone: the two
+/// share the shard buffer until either writes, and the writer then
+/// copies it once.
 #[derive(Debug, Clone)]
-pub struct TriangleIndex {
-    /// Sorted neighbour list per node (slot = node index), packed into
-    /// one flat [`NeighborArena`] — the mutable mirror of the CSR
-    /// layout `congest_graph::Graph` freezes.
-    adjacency: NeighborArena,
-    /// The live triangle set.
-    triangles: TriangleSet,
-    /// Per-node triangle-support counters, maintained at the same two
-    /// sites that mutate `triangles`.
-    support: NodeSupport,
-    /// Number of present undirected edges.
-    edge_count: usize,
-}
+pub struct TriangleIndex(ShardedTriangleIndex);
 
 impl TriangleIndex {
     /// An empty index on `node_count` nodes.
     pub fn new(node_count: usize) -> Self {
-        TriangleIndex {
-            adjacency: NeighborArena::new(node_count),
-            triangles: TriangleSet::new(),
-            support: NodeSupport::new(node_count),
-            edge_count: 0,
-        }
+        TriangleIndex(ShardedTriangleIndex::new(node_count, 1))
     }
 
     /// An index seeded with a static graph's edges and triangles (the
     /// triangles are computed once with the centralized reference listing).
     pub fn from_graph(graph: &Graph) -> Self {
-        let mut adjacency = NeighborArena::new(graph.node_count());
-        for v in graph.nodes() {
-            adjacency.seed(v.index(), graph.neighbors(v));
-        }
-        let triangles = congest_graph::triangles::list_all(graph);
-        let support = NodeSupport::seed_from(&triangles, graph.node_count());
-        TriangleIndex {
-            adjacency,
-            triangles,
-            support,
-            edge_count: graph.edge_count(),
-        }
+        TriangleIndex(ShardedTriangleIndex::from_graph(graph, 1))
     }
+}
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adjacency.slot_count()
+impl Deref for TriangleIndex {
+    type Target = ShardedTriangleIndex;
+
+    fn deref(&self) -> &ShardedTriangleIndex {
+        &self.0
     }
+}
 
-    /// Number of present undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Whether `{a, b}` is currently an edge.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        if a == b || a.index() >= self.node_count() || b.index() >= self.node_count() {
-            return false;
-        }
-        let (from, to) = if self.degree(a) <= self.degree(b) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.adjacency.contains(from.index(), to)
-    }
-
-    /// Current degree of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency.len_of(node.index())
-    }
-
-    /// Sorted neighbour list of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        self.adjacency.neighbors(node.index())
-    }
-
-    /// Health counters of the index's neighbour arena.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.adjacency.stats()
-    }
-
-    /// The live triangle set.
-    pub fn triangles(&self) -> &TriangleSet {
-        &self.triangles
-    }
-
-    /// Number of live triangles.
-    pub fn triangle_count(&self) -> usize {
-        self.triangles.len()
-    }
-
-    /// Number of live triangles containing `node`, maintained
-    /// incrementally alongside the triangle set — O(1), no
-    /// re-intersection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_support(&self, node: NodeId) -> usize {
-        self.support.of(node)
-    }
-
-    /// Number of live triangles containing the edge `{a, b}` — one
-    /// sorted-list intersection (`O(deg a + deg b)`); 0 when the edge is
-    /// absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn edge_support(&self, a: NodeId, b: NodeId) -> usize {
-        if !self.has_edge(a, b) {
-            return 0;
-        }
-        congest_graph::count_common(self.neighbors(a), self.neighbors(b))
-    }
-
-    /// Applies a batch: its deltas in order, immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::NodeOutOfRange`] if any delta references a node
-    /// outside the graph; the batch is then applied not at all.
-    pub fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport, StreamError> {
-        validate_batch(batch, self.node_count())?;
-        let mut report = ApplyReport {
-            deltas_seen: batch.len(),
-            ..ApplyReport::default()
-        };
-        for delta in batch {
-            self.apply_delta(delta, &mut report);
-        }
-        // Each batch is one arena epoch: slabs freed by this batch's churn
-        // become reusable (and oversized arenas compact) at the boundary.
-        self.adjacency.advance_epoch();
-        Ok(report)
-    }
-
-    /// Freezes the current graph into an immutable [`Graph`], e.g. to
-    /// hand to the CONGEST algorithms or the centralized oracle.
-    pub fn snapshot(&self) -> Graph {
-        let mut b = GraphBuilder::new(self.node_count());
-        for u in 0..self.node_count() {
-            let u = NodeId::from_index(u);
-            for &v in self.adjacency.neighbors(u.index()) {
-                if u < v {
-                    b.add_edge(u, v).expect("index adjacency is always valid");
-                }
-            }
-        }
-        b.build()
-    }
-
-    /// Whether the live triangle set exactly equals a from-scratch recount
-    /// — the engine's correctness invariant, used by tests and the
-    /// workload runner's self-check.
-    ///
-    /// The recount runs directly on the index through its
-    /// [`AdjacencyView`] implementation; no `O(m)` snapshot is built.
-    pub fn matches_oracle(&self) -> bool {
-        self.triangles == congest_graph::triangles::list_all_on(self)
-    }
-
-    fn apply_delta(&mut self, delta: &EdgeDelta, report: &mut ApplyReport) {
-        let (u, v) = delta.edge.endpoints();
-        let present = self.adjacency.contains(u.index(), v);
-        match delta.op {
-            DeltaOp::Insert => {
-                if present {
-                    report.noops += 1;
-                    return;
-                }
-                // Triangles created by {u,v} are exactly {u,v,w} for the
-                // current common neighbours w — collected *before* the edge
-                // goes in, on the neighbourhood state the new edge closes.
-                let common = self.common_neighbors(u, v);
-                for w in common {
-                    let t = Triangle::new(u, v, w);
-                    if self.triangles.insert(t) {
-                        self.support.record(&t);
-                        report.triangles_added += 1;
-                    }
-                }
-                self.adjacency.insert(u.index(), v);
-                self.adjacency.insert(v.index(), u);
-                self.edge_count += 1;
-                report.inserts_applied += 1;
-            }
-            DeltaOp::Remove => {
-                if !present {
-                    report.noops += 1;
-                    return;
-                }
-                let common = self.common_neighbors(u, v);
-                for w in common {
-                    let t = Triangle::new(u, v, w);
-                    if self.triangles.remove(&t) {
-                        self.support.retire(&t);
-                        report.triangles_removed += 1;
-                    }
-                }
-                self.adjacency.remove(u.index(), v);
-                self.adjacency.remove(v.index(), u);
-                self.edge_count -= 1;
-                report.removes_applied += 1;
-            }
-        }
-    }
-
-    /// `N(u) ∩ N(v)` on the current adjacency, via the shared adaptive
-    /// intersection core ([`shard::intersect_sorted`](crate::shard)).
-    fn common_neighbors(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        intersect_sorted(
-            self.adjacency.neighbors(u.index()),
-            self.adjacency.neighbors(v.index()),
-        )
+impl DerefMut for TriangleIndex {
+    fn deref_mut(&mut self) -> &mut ShardedTriangleIndex {
+        &mut self.0
     }
 }
 
@@ -397,23 +211,15 @@ impl TriangleIndex {
 /// oracle and the CONGEST drivers run on it directly — no snapshot.
 impl AdjacencyView for TriangleIndex {
     fn node_count(&self) -> usize {
-        TriangleIndex::node_count(self)
+        self.0.node_count()
     }
 
     fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        TriangleIndex::neighbors(self, node)
+        self.0.neighbors(node)
     }
 
     fn edge_count(&self) -> usize {
-        TriangleIndex::edge_count(self)
-    }
-
-    fn degree(&self, node: NodeId) -> usize {
-        TriangleIndex::degree(self, node)
-    }
-
-    fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        TriangleIndex::has_edge(self, a, b)
+        self.0.edge_count()
     }
 }
 
@@ -422,6 +228,7 @@ mod tests {
     use super::*;
     use congest_graph::generators::{Classic, Gnp};
     use congest_graph::triangles as oracle;
+    use congest_graph::Triangle;
 
     fn v(i: u32) -> NodeId {
         NodeId(i)

@@ -4,37 +4,36 @@
 //! service facing continuous traffic instead sees an *evolving* graph and
 //! must keep its triangle set current. This crate provides that layer:
 //!
-//! * [`TriangleIndex`] — the single-threaded engine: maintains adjacency
-//!   **and** the live [`TriangleSet`](congest_graph::TriangleSet) under
-//!   [`DeltaBatch`]es of edge insertions/removals. Each delta only pays a
-//!   common-neighbour intersection on its two endpoints (walked from the
-//!   lower-degree side), so a batch costs `O(batch · d̄ log d_max)`
-//!   instead of the `O(m^{3/2})` of a from-scratch recount.
+//! * [`TriangleIndex`] — the one-shard engine: a [`ShardedTriangleIndex`]
+//!   over a single shard, which maintains adjacency **and** the live
+//!   [`TriangleSet`](congest_graph::TriangleSet) under [`DeltaBatch`]es
+//!   of edge insertions/removals on the calling thread. Each delta only
+//!   pays a common-neighbour intersection on its two endpoints (walked
+//!   from the lower-degree side), so a batch costs
+//!   `O(batch · d̄ log d_max)` instead of the `O(m^{3/2})` of a
+//!   from-scratch recount.
 //! * [`ShardedTriangleIndex`] — the multi-core engine: adjacency is
 //!   partitioned across `S` shards by node hash (`id mod S`), each shard
-//!   owning the full neighbour lists of its nodes, and a batch applies in
-//!   two phases — three shard-parallel waves (collect, record,
-//!   insert-collect) on a **persistent caller-runs pool** (the engine
-//!   thread is worker 0 beside `S − 1` helpers spawned once per engine
-//!   and fed over channels; each worker does its own `id mod S` slice
-//!   end to end and no work moves between workers mid-batch, so the
-//!   engine's state is a function of its input alone), then a merge
-//!   that dedupes
-//!   triangle deltas so each triangle is counted exactly once (the
-//!   type's documentation walks through the full pipeline; per-run
-//!   balance is observable via [`WorkerTelemetry`]). **Picking `S`**:
-//!   use the number of available cores for sustained churn (the
-//!   `stream_bench` sweep measures S ∈ {1, 2, 4, 8}). A batch takes
-//!   the pipeline only when `S > 1` and its estimated collect work
-//!   (endpoint degrees plus a flat cost per delta, on the pre-batch
-//!   adjacency) covers the helpers' wake-ups — 1 024 deltas always do
-//!   — and then every wave leaves the engine thread; every other batch
-//!   takes the strictly ordered sequential path. On `perf_report`'s
-//!   `pool_smallbatch` (S = 2, 256-delta batches, 2 cores) every batch
-//!   runs ordered, at about 0.6× the single-threaded engine; on
-//!   5000-delta batches (`bigbatch_sharded`), every one pooled, it is
-//!   about 0.7×. Where parallelism cannot pay, a sharded index costs
-//!   a small multiple, not a few percent.
+//!   owning the full neighbour lists of its nodes. A batch with enough
+//!   work applies in two phases — three shard-parallel waves (collect,
+//!   record, insert-collect) on a **persistent caller-runs pool** (the
+//!   engine thread is worker 0 beside `S − 1` helpers spawned once per
+//!   engine and fed over channels; each worker does its own `id mod S`
+//!   slice end to end and no work moves between workers mid-batch, so
+//!   the engine's state is a function of its input alone), then a merge
+//!   that dedupes triangle deltas so each triangle is counted exactly
+//!   once (the type's documentation walks through the full pipeline;
+//!   per-run balance is observable via [`WorkerTelemetry`]). **Picking
+//!   `S`**: use the number of available cores for sustained churn (the
+//!   `stream_bench` sweep measures S ∈ {1, 2, 4, 8}). A batch takes the
+//!   pipeline only when `S > 1` and its estimated collect work (endpoint
+//!   degrees plus a flat cost per delta, on the pre-batch adjacency)
+//!   covers the helpers' wake-ups — 1 024 deltas always do — and then
+//!   every wave leaves the engine thread; every other batch runs the
+//!   one-shard engine's ordered loop, each write routed to the shard
+//!   that owns its list. On 5000-delta batches (`perf_report`'s
+//!   `bigbatch_sharded`, S = 2, 2 cores), every one pooled, it runs at
+//!   about 0.7× the one-shard engine.
 //! * [`DistributedTriangleEngine`] — the **distributed dynamic** engine:
 //!   every graph node is a node of a simulated CONGEST network that owns
 //!   its adjacency slice, and each batch runs as one epoch of

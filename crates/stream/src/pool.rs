@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use congest_graph::{Edge, Triangle};
 
-use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
+use crate::delta::{coalesce, DeltaBatch, DeltaOp, EdgeDelta};
 use crate::shard::{intersect_sorted, Shard, ShardOp, ShardStore};
 
 /// Estimated work ([`ShardStore::intersection_cost`] plus [`ITEM_WORK`]
@@ -556,24 +556,12 @@ fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<
         ..WorkerPlan::default()
     };
     let mut removals: Vec<Edge> = Vec::new();
-    // Worker-local coalesce: sort by (edge, arrival order) and keep the
-    // last op of each equal-edge run. Doing this per worker keeps the
-    // whole coalescing cost inside the parallel phase.
+    // Worker-local coalesce: doing this per worker keeps the whole
+    // coalescing cost inside the parallel phase. Every op it drops was
+    // superseded by a later op on the same edge: a no-op.
     let coalesce_span = congest_obs::trace::span("sharded", "coalesce");
-    let mut ordered: Vec<(EdgeDelta, usize)> =
-        deltas.iter().copied().zip(0..deltas.len()).collect();
-    ordered.sort_unstable_by_key(|&(d, i)| (d.edge, i));
-    let mut coalesced: Vec<EdgeDelta> = Vec::with_capacity(ordered.len());
-    for (delta, _) in ordered {
-        match coalesced.last_mut() {
-            Some(last) if last.edge == delta.edge => {
-                // The earlier op on this edge is superseded: a no-op.
-                *last = delta;
-                plan.noops += 1;
-            }
-            _ => coalesced.push(delta),
-        }
-    }
+    let coalesced = coalesce(deltas);
+    plan.noops += deltas.len() - coalesced.len();
     drop(coalesce_span);
     congest_obs::span!("sharded", "classify");
     for delta in &coalesced {

@@ -127,7 +127,7 @@ pub struct RunSummary {
     /// ([`WorkloadRunner::flush_every`] or
     /// [`WorkloadRunner::flush_deadline`]), `eager` otherwise.
     pub mode: String,
-    /// Shard count of the sharded engine, `None` for the single-threaded
+    /// Shard count of the sharded engine, `None` for the one-shard
     /// [`TriangleIndex`]. This is the effective count the engine reports
     /// (requested counts are clamped to at least 1), so baselines are
     /// self-describing.
@@ -322,7 +322,7 @@ impl RunSummary {
 #[derive(Debug, Clone)]
 pub struct WorkloadRunner<S: BatchSource = Scenario> {
     source: S,
-    /// `None` drives the single-threaded [`TriangleIndex`]; `Some(s)`
+    /// `None` drives the one-shard [`TriangleIndex`]; `Some(s)`
     /// drives a [`ShardedTriangleIndex`] with `s` shards.
     shards: Option<usize>,
     /// Flush the held-back window after this many batches (>= 1).

@@ -368,11 +368,7 @@ impl Lease {
 
     /// Triangles containing the edge `{a, b}` at the leased epoch — one
     /// sorted-list intersection on the leased adjacency; 0 when the
-    /// edge is absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
+    /// edge is absent, an endpoint out of range included.
     pub fn edge_support(&self, a: NodeId, b: NodeId) -> usize {
         congest_obs::span!("serve", "query");
         if !self.view.store.has_edge(a, b) {
@@ -382,11 +378,8 @@ impl Lease {
     }
 
     /// Whether `{a, b}` is an edge of at least one triangle at the
-    /// leased epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
+    /// leased epoch; `false` when the edge is absent, an endpoint out of
+    /// range included.
     pub fn edge_in_triangle(&self, a: NodeId, b: NodeId) -> bool {
         self.edge_support(a, b) > 0
     }
@@ -510,6 +503,26 @@ mod tests {
         assert_eq!(after.edge_support(v(0), v(2)), 1);
         assert!(after.edge_in_triangle(v(0), v(1)));
         assert!(!after.edge_in_triangle(v(3), v(4)));
+    }
+
+    #[test]
+    fn lease_edge_support_of_an_out_of_range_endpoint_is_zero() {
+        let mut server = TriangleServer::new(ShardedTriangleIndex::new(8, 2));
+        server.apply(&triangle_batch()).unwrap();
+        let lease = server.handle().lease();
+        assert_eq!(lease.edge_support(v(0), v(1)), 1);
+        assert_eq!(lease.edge_support(v(0), v(8)), 0);
+        assert_eq!(lease.edge_support(v(100), v(2)), 0);
+    }
+
+    #[test]
+    fn lease_edge_in_triangle_of_an_out_of_range_endpoint_is_false() {
+        let mut server = TriangleServer::new(ShardedTriangleIndex::new(8, 2));
+        server.apply(&triangle_batch()).unwrap();
+        let lease = server.handle().lease();
+        assert!(lease.edge_in_triangle(v(1), v(2)));
+        assert!(!lease.edge_in_triangle(v(1), v(8)));
+        assert!(!lease.edge_in_triangle(v(100), v(0)));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Shard-level building blocks of the streaming engines.
 //!
-//! This module holds the pieces both engines share:
+//! This module holds the pieces the engines share:
 //!
 //! * [`intersect_sorted`] — the degree-oriented common-neighbour
 //!   intersection core (re-exported from
 //!   [`congest_graph::intersect_sorted`], where the oracle and [`Graph`]
 //!   use the same implementation). It is *the* hot path of incremental
-//!   triangle maintenance; [`TriangleIndex`](crate::TriangleIndex) calls
-//!   it on its central adjacency and
-//!   [`ShardedTriangleIndex`](crate::ShardedTriangleIndex) calls it from
-//!   every worker thread, so both engines intersect identically per
-//!   shard and centrally.
+//!   triangle maintenance: [`ShardedTriangleIndex`](crate::ShardedTriangleIndex)
+//!   calls it from its ordered loop (all a
+//!   [`TriangleIndex`](crate::TriangleIndex) runs) and from every worker
+//!   thread of its pipeline, so every path intersects identically.
 //!
 //! [`Graph`]: congest_graph::Graph
 //! * [`ShardSpec`] — the node→shard mapping. Nodes are partitioned by
@@ -209,7 +208,7 @@ pub(crate) fn merge_added_candidates_supported<'a>(
 
 /// Inserts `value` into a sorted, duplicate-free list, keeping it
 /// sorted. Only the distributed engine's simulated node programs still
-/// keep flat `Vec` lists; both shared-memory engines mutate adjacency
+/// keep flat `Vec` lists; the shared-memory engine mutates adjacency
 /// through the [`NeighborArena`](crate::arena) instead.
 pub(crate) fn sorted_insert(list: &mut Vec<NodeId>, value: NodeId) {
     if let Err(pos) = list.binary_search(&value) {
@@ -560,6 +559,26 @@ impl ShardStore {
         for retained in &mut self.retained[shard] {
             retained.lag.push(Lag::Op(op));
         }
+    }
+
+    /// The arena of a one-shard store, when a batch may write straight
+    /// into it: the live buffer is unique and no retained buffer logs
+    /// what it absorbs, so [`writable`](Self::writable) would only ever
+    /// edit it in place. A batch that then writes reports so with
+    /// [`wrote_sole_arena`](Self::wrote_sole_arena).
+    pub(crate) fn sole_arena(&mut self) -> Option<&mut NeighborArena> {
+        if self.shards.len() != 1 || !self.retained[0].is_empty() {
+            return None;
+        }
+        Arc::get_mut(&mut self.shards[0]).map(|shard| &mut shard.arena)
+    }
+
+    /// Books a batch's writes through [`sole_arena`](Self::sole_arena)
+    /// as `writable` would have: one in-place first write, and an epoch
+    /// for [`advance_epoch`](Self::advance_epoch) to end.
+    pub(crate) fn wrote_sole_arena(&mut self) {
+        self.touched[0] = true;
+        self.cow.in_place += 1;
     }
 
     /// The pooled record phase's engine-side half, called per shard

@@ -42,27 +42,30 @@
 //! candidate supersets of both on consistent (pre- and post-batch)
 //! views, so the merge phase's dedup makes the counts exact. The engine
 //! is therefore equivalent to applying, within each batch, all removals
-//! before all insertions; the final graph and
-//! triangle set are identical to [`TriangleIndex`](crate::TriangleIndex)'s
-//! strictly-ordered application, though per-batch `ApplyReport` tallies
-//! can differ on batches that flap an edge (the coalescer counts the
-//! dropped ops as no-ops instead of applying them).
+//! before all insertions; the final graph and triangle set are identical
+//! to the strictly ordered application below, though per-batch
+//! `ApplyReport` tallies can differ on batches that flap an edge (the
+//! coalescer counts the dropped ops as no-ops instead of applying them).
 //!
 //! The pipeline only pays where the paper's partition does: on a batch
 //! with enough intersection work to keep `S` workers busy. So a batch
 //! takes it only when `S > 1` and the pool's estimate of its collect
 //! work on the pre-batch adjacency reaches the hand-off floor (see
-//! [`crate::pool`]); every other batch is applied delta by delta, in
-//! order, on the engine thread, exactly as `TriangleIndex` does. The
-//! choice is a function of the batch and the pre-batch degrees, the same
-//! at every `S > 1`, and both paths leave the same graph, triangle set
-//! and supports.
+//! [`crate::pool`]); every other batch runs [`apply_in_order`], the
+//! crate's one ordered loop, on the engine thread. That loop is all a
+//! [`TriangleIndex`](crate::TriangleIndex) — this engine at `S = 1` —
+//! ever runs: the partition decides where the lists live, and the rule
+//! that applies a delta is the same at every `S`. The choice of path is
+//! a function of the batch and the pre-batch degrees, the same at every
+//! `S > 1`, and both paths leave the same graph, triangle set and
+//! supports.
 
 use std::fmt;
 use std::sync::Arc;
 
 use congest_graph::{AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, TriangleSet};
 
+use crate::arena::NeighborArena;
 use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
 use crate::index::{validate_batch, ApplyReport, StreamError};
 use crate::pool::{
@@ -102,11 +105,13 @@ impl TelemetryAccum {
 
 /// Multi-core incremental triangle engine over batched edge deltas.
 ///
-/// Same contract as [`TriangleIndex`](crate::TriangleIndex) — the live
-/// triangle set always equals a from-scratch recount — but batch applies
-/// fan out across `S` shards on a persistent worker pool, each worker
-/// owning its `id mod S` slice of the batch. The module-level
-/// documentation in `sharded.rs` walks through the two-phase apply.
+/// The live triangle set always equals a from-scratch recount. A batch
+/// with enough work fans out across `S` shards on a persistent worker
+/// pool, each worker owning its `id mod S` slice of the batch; every
+/// other batch runs the ordered loop on the calling thread, which at
+/// `S = 1` is all there is — [`TriangleIndex`](crate::TriangleIndex) is
+/// this engine over one shard. The module-level documentation in
+/// `sharded.rs` walks through the two-phase apply.
 ///
 /// ```
 /// use congest_graph::generators::Gnp;
@@ -131,8 +136,6 @@ pub struct ShardedTriangleIndex {
     /// `triangles` by the same merge/apply sites (copy-on-write so a
     /// published serve view shares it for free).
     support: NodeSupport,
-    /// Number of present undirected edges.
-    edge_count: usize,
     /// The persistent worker pool, spawned lazily on the first pipelined
     /// batch and reused for every batch after that.
     pool: Option<ShardPool>,
@@ -150,7 +153,6 @@ impl Clone for ShardedTriangleIndex {
             store: self.store.clone(),
             triangles: self.triangles.clone(),
             support: self.support.clone(),
-            edge_count: self.edge_count,
             pool: None,
             telemetry: self.telemetry,
         }
@@ -165,7 +167,6 @@ impl ShardedTriangleIndex {
             store: ShardStore::new(node_count, shard_count),
             triangles: TriangleSet::new(),
             support: NodeSupport::new(node_count),
-            edge_count: 0,
             pool: None,
             telemetry: TelemetryAccum::default(),
         }
@@ -181,7 +182,6 @@ impl ShardedTriangleIndex {
         }
         index.triangles = congest_graph::triangles::list_all(graph);
         index.support = NodeSupport::seed_from(&index.triangles, graph.node_count());
-        index.edge_count = graph.edge_count();
         index
     }
 
@@ -197,7 +197,8 @@ impl ShardedTriangleIndex {
 
     /// Number of present undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        // Every undirected edge is recorded by both endpoints' owners.
+        self.store.half_edges() / 2
     }
 
     /// Sorted neighbour list of `node`, read from its owning shard.
@@ -245,11 +246,7 @@ impl ShardedTriangleIndex {
 
     /// Number of live triangles containing the edge `{a, b}` — one
     /// sorted-list intersection (`O(deg a + deg b)`); 0 when the edge is
-    /// absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
+    /// absent, an endpoint out of range included.
     pub fn edge_support(&self, a: NodeId, b: NodeId) -> usize {
         if !self.has_edge(a, b) {
             return 0;
@@ -310,8 +307,9 @@ impl ShardedTriangleIndex {
         self.pool.as_ref().is_some_and(ShardPool::poisoned)
     }
 
-    /// Applies a batch (same contract as
-    /// [`TriangleIndex::apply`](crate::TriangleIndex::apply)).
+    /// Applies a batch: on the two-phase pipeline when `S > 1` and its
+    /// estimated work reaches the pool's hand-off floor, otherwise its
+    /// deltas in order on this thread.
     ///
     /// # Errors
     ///
@@ -356,14 +354,9 @@ impl ShardedTriangleIndex {
     /// log. Calling this on a healthy engine is allowed and simply
     /// resets it to `graph`.
     pub fn recover(&mut self, graph: &Graph) {
-        self.pool = None;
-        self.store = ShardStore::new(graph.node_count(), self.store.shard_count());
-        for node in graph.nodes() {
-            self.store.seed(node, graph.neighbors(node));
-        }
-        self.triangles = congest_graph::triangles::list_all(graph);
-        self.support = NodeSupport::seed_from(&self.triangles, graph.node_count());
-        self.edge_count = graph.edge_count();
+        let telemetry = self.telemetry;
+        *self = Self::from_graph(graph, self.shard_count());
+        self.telemetry = telemetry;
     }
 
     /// Freezes the current graph into an
@@ -392,62 +385,27 @@ impl ShardedTriangleIndex {
         self.triangles == congest_graph::triangles::list_all_on(self)
     }
 
-    /// The reference path: deltas applied one at a time, in order, exactly
-    /// like [`TriangleIndex`](crate::TriangleIndex) — the degenerate
-    /// single-shard configuration *is* the central algorithm, just stored
-    /// across shard slots.
+    /// The ordered path: [`apply_in_order`], the index's loop — every
+    /// batch of a [`TriangleIndex`], and every batch the pipeline does not
+    /// take at any `S`. A one-shard store that no published view pins and
+    /// that retains no buffer lends the loop its arena for the whole
+    /// batch; otherwise each write goes through
+    /// [`ShardStore::apply_routed`], so copy-on-write and the retained
+    /// buffers' logs see it.
+    ///
+    /// [`TriangleIndex`]: crate::TriangleIndex
     fn apply_ordered(&mut self, batch: &DeltaBatch) -> ApplyReport {
-        let mut report = ApplyReport {
-            deltas_seen: batch.len(),
-            ..ApplyReport::default()
+        let (triangles, support) = (&mut self.triangles, &mut self.support);
+        let report = match self.store.sole_arena() {
+            Some(arena) => {
+                let report = apply_in_order(arena, triangles, support, batch);
+                if report.inserts_applied + report.removes_applied > 0 {
+                    self.store.wrote_sole_arena();
+                }
+                report
+            }
+            None => apply_in_order(&mut self.store, triangles, support, batch),
         };
-        let spec = self.store.spec();
-        for delta in batch {
-            let (u, v) = delta.edge.endpoints();
-            let present = self.has_edge(u, v);
-            match delta.op {
-                DeltaOp::Insert => {
-                    if present {
-                        report.noops += 1;
-                        continue;
-                    }
-                    for w in intersect_sorted(self.neighbors(u), self.neighbors(v)) {
-                        let t = Triangle::new(u, v, w);
-                        if self.triangles.insert(t) {
-                            self.support.record(&t);
-                            report.triangles_added += 1;
-                        }
-                    }
-                    self.edge_count += 1;
-                    report.inserts_applied += 1;
-                }
-                DeltaOp::Remove => {
-                    if !present {
-                        report.noops += 1;
-                        continue;
-                    }
-                    for w in intersect_sorted(self.neighbors(u), self.neighbors(v)) {
-                        let t = Triangle::new(u, v, w);
-                        if self.triangles.remove(&t) {
-                            self.support.retire(&t);
-                            report.triangles_removed += 1;
-                        }
-                    }
-                    self.edge_count -= 1;
-                    report.removes_applied += 1;
-                }
-            }
-            for (node, other) in [(u, v), (v, u)] {
-                self.store.apply_routed(
-                    spec.shard_of(node),
-                    ShardOp {
-                        local: spec.local_index(node),
-                        other,
-                        op: delta.op,
-                    },
-                );
-            }
-        }
         self.store.advance_epoch();
         report
     }
@@ -478,12 +436,9 @@ impl ShardedTriangleIndex {
             report.removes_applied += plan.removes_applied;
             report.noops += plan.noops;
         }
-        self.edge_count += report.inserts_applied;
-        self.edge_count -= report.removes_applied;
         // Every undirected edge is recorded by both endpoint owners.
-        debug_assert_eq!(
-            self.store.half_edges(),
-            2 * self.edge_count,
+        debug_assert!(
+            self.store.half_edges().is_multiple_of(2),
             "shard adjacency lost symmetry"
         );
         // One batch = one arena epoch: slabs freed by this batch's
@@ -565,6 +520,114 @@ impl ShardedTriangleIndex {
     }
 }
 
+/// What the ordered loop needs of an adjacency: a node's sorted list,
+/// and both directions of `u–v` linked or unlinked.
+trait EdgeLists {
+    /// The sorted neighbour list of `node`.
+    fn list(&self, node: NodeId) -> &[NodeId];
+    /// Records `{u, v}` in both endpoints' lists.
+    fn link(&mut self, u: NodeId, v: NodeId);
+    /// Drops `{u, v}` from both endpoints' lists.
+    fn unlink(&mut self, u: NodeId, v: NodeId);
+}
+
+/// The one shard of a single-shard store, written in place: slot = node
+/// index, no routing and no per-write uniqueness check.
+impl EdgeLists for NeighborArena {
+    fn list(&self, node: NodeId) -> &[NodeId] {
+        self.neighbors(node.index())
+    }
+
+    fn link(&mut self, u: NodeId, v: NodeId) {
+        self.insert(u.index(), v);
+        self.insert(v.index(), u);
+    }
+
+    fn unlink(&mut self, u: NodeId, v: NodeId) {
+        self.remove(u.index(), v);
+        self.remove(v.index(), u);
+    }
+}
+
+/// Any store: each direction is routed to its owning shard, through the
+/// copy-on-write and lag logging of [`ShardStore::apply_routed`].
+impl EdgeLists for ShardStore {
+    fn list(&self, node: NodeId) -> &[NodeId] {
+        self.neighbors(node)
+    }
+
+    fn link(&mut self, u: NodeId, v: NodeId) {
+        route(self, u, v, DeltaOp::Insert);
+    }
+
+    fn unlink(&mut self, u: NodeId, v: NodeId) {
+        route(self, u, v, DeltaOp::Remove);
+    }
+}
+
+/// Both directions of `u–v`, each to the shard that owns its list.
+fn route(store: &mut ShardStore, u: NodeId, v: NodeId, op: DeltaOp) {
+    let spec = store.spec();
+    for (node, other) in [(u, v), (v, u)] {
+        let local = spec.local_index(node);
+        store.apply_routed(spec.shard_of(node), ShardOp { local, other, op });
+    }
+}
+
+/// Applies `batch` delta by delta, in order — the crate's one ordered
+/// apply. An insertion of `{u, v}` adds the triangles `{u, v, w}` for the
+/// common neighbours `w` present *before* the edge goes in; a removal
+/// retires the same set before the edge goes out; a delta that would not
+/// change the graph is a no-op.
+fn apply_in_order<A: EdgeLists>(
+    lists: &mut A,
+    triangles: &mut TriangleSet,
+    support: &mut NodeSupport,
+    batch: &DeltaBatch,
+) -> ApplyReport {
+    let mut report = ApplyReport {
+        deltas_seen: batch.len(),
+        ..ApplyReport::default()
+    };
+    for delta in batch {
+        let (u, v) = delta.edge.endpoints();
+        let present = lists.list(u).binary_search(&v).is_ok();
+        match delta.op {
+            DeltaOp::Insert => {
+                if present {
+                    report.noops += 1;
+                    continue;
+                }
+                for w in intersect_sorted(lists.list(u), lists.list(v)) {
+                    let t = Triangle::new(u, v, w);
+                    if triangles.insert(t) {
+                        support.record(&t);
+                        report.triangles_added += 1;
+                    }
+                }
+                lists.link(u, v);
+                report.inserts_applied += 1;
+            }
+            DeltaOp::Remove => {
+                if !present {
+                    report.noops += 1;
+                    continue;
+                }
+                for w in intersect_sorted(lists.list(u), lists.list(v)) {
+                    let t = Triangle::new(u, v, w);
+                    if triangles.remove(&t) {
+                        support.retire(&t);
+                        report.triangles_removed += 1;
+                    }
+                }
+                lists.unlink(u, v);
+                report.removes_applied += 1;
+            }
+        }
+    }
+    report
+}
+
 /// The sharded index *is* an adjacency view:
 /// the oracle and the CONGEST drivers run on it directly — no snapshot.
 impl AdjacencyView for ShardedTriangleIndex {
@@ -578,14 +641,6 @@ impl AdjacencyView for ShardedTriangleIndex {
 
     fn edge_count(&self) -> usize {
         ShardedTriangleIndex::edge_count(self)
-    }
-
-    fn degree(&self, node: NodeId) -> usize {
-        ShardedTriangleIndex::degree(self, node)
-    }
-
-    fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        ShardedTriangleIndex::has_edge(self, a, b)
     }
 }
 
@@ -735,6 +790,14 @@ mod tests {
                 assert_eq!(AdjacencyView::neighbors(&lease, node), g.neighbors(node));
             }
         }
+    }
+
+    #[test]
+    fn edge_support_of_an_out_of_range_endpoint_is_zero() {
+        let idx = ShardedTriangleIndex::from_graph(&Classic::Complete(4).generate(), 2);
+        assert_eq!(idx.edge_support(v(0), v(1)), 2);
+        assert_eq!(idx.edge_support(v(0), v(4)), 0);
+        assert_eq!(idx.edge_support(v(9), v(1)), 0);
     }
 
     #[test]
@@ -1255,6 +1318,37 @@ mod tests {
             "the engine thread is the only worker"
         );
         assert_eq!(pooled_batches(&idx), steps as usize);
+    }
+
+    #[test]
+    fn a_one_shard_batch_counts_a_first_write_only_if_it_writes() {
+        // A bare one-shard engine hands the loop its arena; the store
+        // still books what `writable` would have: one in-place write per
+        // batch that wrote, none for a batch of no-ops.
+        let mut idx = ShardedTriangleIndex::new(4, 1);
+        let mut b = DeltaBatch::new();
+        b.insert(v(0), v(1)).insert(v(1), v(2));
+        idx.apply(&b).unwrap();
+        assert_eq!(idx.cow_stats().in_place, 1);
+        let mut noops = DeltaBatch::new();
+        noops.insert(v(0), v(1)).remove(v(2), v(3));
+        assert_eq!(idx.apply(&noops).unwrap().noops, 2);
+        assert_eq!(
+            idx.cow_stats(),
+            CowStats {
+                in_place: 1,
+                ..CowStats::default()
+            }
+        );
+        // A published view pins the buffer: the writes go through the
+        // store, which copies it once.
+        let view = idx.clone_store();
+        let mut unlink = DeltaBatch::new();
+        unlink.remove(v(0), v(1));
+        idx.apply(&unlink).unwrap();
+        assert_eq!((idx.cow_stats().in_place, idx.cow_stats().clones), (1, 1));
+        assert_eq!(view.neighbors(v(0)), &[v(1)]);
+        assert!(!idx.has_edge(v(0), v(1)));
     }
 
     #[test]

@@ -129,6 +129,9 @@ fn hub_heavy_batches(n: usize, batch_count: usize, spokes: usize, seed: u64) -> 
 /// checking exact triangle-set equality with the single-threaded engine
 /// after every batch (every deferred flush: a window of three batches
 /// applied as their merge) and with the centralized oracle at the end.
+/// Every batch the engine did not pool must also return the reference's
+/// `ApplyReport`: at every `S` an ordered batch runs the one-shard
+/// engine's loop, tallies included.
 fn check_sharded_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut reference = TriangleIndex::from_graph(base);
     let build = || -> Vec<ShardedTriangleIndex> {
@@ -142,9 +145,16 @@ fn check_sharded_against_oracle(base: &Graph, batches: &[DeltaBatch]) {
     let mut window = Vec::new();
 
     for (i, batch) in batches.iter().enumerate() {
-        reference.apply(batch).expect("in-range batch");
+        let reference_report = reference.apply(batch).expect("in-range batch");
         for (engine, &s) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-            engine.apply(batch).expect("in-range batch");
+            let pooled_before = pooled(engine);
+            let report = engine.apply(batch).expect("in-range batch");
+            if pooled(engine) == pooled_before {
+                assert_eq!(
+                    report, reference_report,
+                    "S={s} batch {i}: an ordered batch runs the reference's loop"
+                );
+            }
             assert_eq!(
                 engine.triangles(),
                 reference.triangles(),
