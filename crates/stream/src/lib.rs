@@ -33,7 +33,8 @@
 //!   one-shard engine's ordered loop, each write routed to the shard
 //!   that owns its list. On 5000-delta batches (`perf_report`'s
 //!   `bigbatch_sharded`, S = 2, 2 cores), every one pooled, it runs at
-//!   about 0.7× the one-shard engine.
+//!   1.06–1.26× the one-shard engine (four traced runs); on 256-delta
+//!   batches (`pool_smallbatch`), every one ordered, at 0.72–0.81×.
 //! * [`DistributedTriangleEngine`] — the **distributed dynamic** engine:
 //!   every graph node is a node of a simulated CONGEST network that owns
 //!   its adjacency slice, and each batch runs as one epoch of

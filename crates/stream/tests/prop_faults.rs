@@ -1,198 +1,54 @@
-//! Chaos property tests for the hardened distributed engine: every
-//! workload generator family is driven through seeded [`FaultPlan`]s —
-//! message drops, bit corruption, duplication, and a mid-stream
-//! crash/rejoin window — and the engine must either recover to
-//! oracle-exactness (accounting the recovery rounds it spent) or fail
-//! with a *typed* [`StreamError`]. It must never be silently wrong and
-//! never run past the configured round cap.
+//! Chaos tests for the hardened distributed engine. The fault sweep
+//! (`common::sweep_plans`: drops, corruption, duplication, a crash/rejoin
+//! window) runs through the shared lockstep (`common::conform`) on the
+//! G(n, p), planted-light, bipartite and complete families here, and on
+//! planted-heavy bases and replayed files in `conformance.rs`: a faulted
+//! engine must stay oracle-exact or fail with a typed error, after which
+//! it is poisoned. Beyond the sweep: a quiet plan is bit-identical to no
+//! fault layer, loss costs round trips rather than deadlines, recovery
+//! is accounted, crashes degrade and rejoin, and hopeless plans or round
+//! caps fail with a typed [`StreamError`] — never silently wrong, never
+//! past the round cap.
 
-use congest_graph::generators::{Gnp, PlantedHeavy, PlantedLight, TriangleFreeBipartite};
-use congest_graph::{Graph, NodeId};
+mod common;
+
+use common::{conform, random_batches, Config, Family};
+use congest_graph::generators::Gnp;
+use congest_graph::NodeId;
 use congest_stream::{
     DeltaBatch, DistributedTriangleEngine, FaultPlan, StreamError, TriangleIndex,
 };
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Random batch stream over `n` nodes (same shape as the fault-free
-/// distributed property tests).
-fn random_batches(n: usize, batch_count: usize, batch_size: usize, seed: u64) -> Vec<DeltaBatch> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..batch_count)
-        .map(|_| {
-            let mut batch = DeltaBatch::new();
-            for _ in 0..batch_size {
-                let u = rng.gen_range(0..n);
-                let mut v = rng.gen_range(0..n);
-                while v == u {
-                    v = rng.gen_range(0..n);
-                }
-                let (u, v) = (NodeId::from_index(u), NodeId::from_index(v));
-                if rng.gen_bool(0.6) {
-                    batch.insert(u, v);
-                } else {
-                    batch.remove(u, v);
-                }
-            }
-            batch
-        })
-        .collect()
+fn faulted(config: &Config) -> bool {
+    matches!(config, Config::Faulted(_))
 }
 
-/// Drives **two** hardened engines, built from the same graph, plan
-/// and seed, through the stream. After every batch that applies cleanly
-/// the triangle set must exactly match the fault-free single-threaded
-/// engine, and the run must be repeatable: both engines report
-/// identical [`ApplyReport`]s and bit-identical [`CongestCost`]s —
-/// including `recovery_rounds` — which is what "reproducible bit for
-/// bit from its seed" promises. A typed error is allowed (and must hit
-/// both runs identically); silent divergence is not.
-///
-/// [`ApplyReport`]: congest_stream::ApplyReport
-/// [`CongestCost`]: congest_stream::CongestCost
-fn check_chaos(base: &Graph, batches: &[DeltaBatch], plan: FaultPlan) {
-    let mut reference = TriangleIndex::from_graph(base);
-    let mut first = DistributedTriangleEngine::from_graph(base).with_fault_plan(plan);
-    let mut again = DistributedTriangleEngine::from_graph(base).with_fault_plan(plan);
-    assert_eq!(first.hardened(), !plan.is_quiet());
-
-    for (i, batch) in batches.iter().enumerate() {
-        reference.apply(batch).expect("in-range batch");
-        let rf = first.apply(batch);
-        let ra = again.apply(batch);
-        match (&rf, &ra) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "a repeated run's reports diverged at batch {i}");
-                assert_eq!(
-                    first.triangles(),
-                    reference.triangles(),
-                    "recovered state diverged from the fault-free engine at batch {i}"
-                );
-                assert_eq!(
-                    first.last_batch_cost(),
-                    again.last_batch_cost(),
-                    "a repeated run must report bit-identical cost (incl. recovery) at batch {i}"
-                );
-            }
-            (Err(ea), Err(eb)) => {
-                // Both failed with a typed error under the same seed —
-                // acceptable, and the stream ends here.
-                assert_eq!(
-                    ea.to_string(),
-                    eb.to_string(),
-                    "errors diverged at batch {i}"
-                );
-                return;
-            }
-            _ => {
-                panic!("two runs disagreed on batch {i}: {rf:?} against {ra:?} (same fault seed)")
-            }
-        }
-    }
-    assert!(first.matches_oracle(), "final state vs oracle");
-    assert!(
-        again.matches_oracle(),
-        "repeated run's final state vs oracle"
-    );
-    assert_eq!(first.total_cost(), again.total_cost());
-    assert_eq!(first.recovery_stats(), again.recovery_stats());
+#[test]
+fn gnp_survives_the_fault_sweep() {
+    conform(Family::Gnp, faulted);
 }
 
-/// The fault sweep every family runs: quiet, light loss, corruption
-/// with duplication and no loss (most convergecast links then carry
-/// the one-bit empty aggregate, which a flipped bit must not forge and
-/// a duplicate must not double-count), heavy loss with corruption and
-/// duplication, and heavy loss with one mid-stream crash/rejoin window
-/// on a low-degree node.
-fn sweep_plans(seed: u64) -> Vec<FaultPlan> {
-    vec![
-        FaultPlan::default(),
-        FaultPlan::default().with_drop(0.001).with_seed(seed),
-        FaultPlan::default()
-            .with_corruption(0.05)
-            .with_duplication(0.05)
-            .with_seed(seed),
-        FaultPlan::default()
-            .with_drop(0.01)
-            .with_corruption(0.005)
-            .with_duplication(0.005)
-            .with_seed(seed),
-        FaultPlan::default()
-            .with_drop(0.01)
-            .with_corruption(0.005)
-            .with_seed(seed)
-            .with_crash(2, 1, 3),
-    ]
+#[test]
+fn planted_light_survives_the_fault_sweep() {
+    conform(Family::PlantedLight, faulted);
+}
+
+/// Triangle-free bases: every triangle that survives recovery was
+/// created by the stream, so a single false candidate sneaking past a
+/// checksum would show.
+#[test]
+fn bipartite_survives_the_fault_sweep() {
+    conform(Family::Bipartite, faulted);
+}
+
+#[test]
+fn complete_survives_the_fault_sweep() {
+    conform(Family::Complete, faulted);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Generator family 1: G(n, p) bases through the full fault sweep.
-    #[test]
-    fn gnp_survives_the_fault_sweep(
-        n in 10usize..32,
-        p in 0.08f64..0.3,
-        seed in any::<u64>(),
-    ) {
-        let base = Gnp::new(n, p).seeded(seed).generate();
-        let batches = random_batches(n, 5, 10, seed ^ 0xC4A0);
-        for plan in sweep_plans(seed) {
-            check_chaos(&base, &batches, plan);
-        }
-    }
-
-    /// Generator family 2: planted heavy-triangle bases (one high-degree
-    /// hub — the worst case for lost broadcast streams).
-    #[test]
-    fn planted_heavy_survives_the_fault_sweep(
-        support in 6usize..14,
-        seed in any::<u64>(),
-    ) {
-        let n = support + 12;
-        let base = PlantedHeavy::new(n, support)
-            .with_background(0.05)
-            .seeded(seed)
-            .generate();
-        let batches = random_batches(n, 5, 10, seed ^ 0x11EA);
-        for plan in sweep_plans(seed) {
-            check_chaos(&base, &batches, plan);
-        }
-    }
-
-    /// Generator family 3: planted light triangles under churn and loss.
-    #[test]
-    fn planted_light_survives_the_fault_sweep(
-        count in 2usize..7,
-        seed in any::<u64>(),
-    ) {
-        let n = 3 * count + 10;
-        let base = PlantedLight::new(n, count)
-            .with_background(0.05)
-            .seeded(seed)
-            .generate();
-        let batches = random_batches(n, 5, 10, seed ^ 0x0B5E);
-        for plan in sweep_plans(seed) {
-            check_chaos(&base, &batches, plan);
-        }
-    }
-
-    /// Generator family 4: triangle-free bipartite bases — every
-    /// triangle that survives recovery was created by the stream, so a
-    /// single false candidate sneaking past a checksum would show.
-    #[test]
-    fn bipartite_survives_the_fault_sweep(
-        left in 5usize..14,
-        right in 5usize..14,
-        seed in any::<u64>(),
-    ) {
-        let base = TriangleFreeBipartite::new(left, right, 0.25).seeded(seed).generate();
-        let batches = random_batches(left + right, 5, 10, seed ^ 0xB1FA);
-        for plan in sweep_plans(seed) {
-            check_chaos(&base, &batches, plan);
-        }
-    }
 
     /// A quiet-but-seeded plan must leave every cost metric bit-identical
     /// to an engine without any fault layer: the hardened machinery only

@@ -1,8 +1,8 @@
 //! `BatchSource` pipeline tests: frozen pre-refactor golden checksums
 //! pin all four scenario families bit-identically to their historical
-//! delta streams, the writer → loader → replay pipeline is byte-stable
-//! and oracle-exact on both engines (including under a seeded fault
-//! plan), and the per-worker batch split realizes its quota exactly.
+//! delta streams, the writer → loader → replay pipeline is byte-stable,
+//! and the per-worker batch split realizes its quota exactly. Replayed
+//! files run through every engine in `conformance.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,9 +11,8 @@ use std::sync::Arc;
 use congest_graph::temporal::{SyntheticTemporal, TemporalLoader};
 use congest_hash::Checksum61;
 use congest_stream::{
-    split_batch_for_workers, BaseGraph, BatchSource, DeltaBatch, DeltaOp,
-    DistributedTriangleEngine, FaultPlan, Replay, ReplayPolicy, Scenario, ShardedTriangleIndex,
-    WorkloadRunner,
+    split_batch_for_workers, BaseGraph, BatchSource, DeltaBatch, DeltaOp, Replay, ReplayPolicy,
+    Scenario, WorkloadRunner,
 };
 use proptest::prelude::*;
 
@@ -163,39 +162,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// A replayed file is oracle-exact on both engines — the sharded
-    /// index and the distributed CONGEST engine — and the distributed
-    /// engine stays exact under a seeded lossy fault plan (recovery must
-    /// repair, not approximate).
-    #[test]
-    fn replayed_files_are_oracle_exact_on_both_engines(seed in any::<u64>()) {
-        let replay = replay_from_file(seed, ReplayPolicy::BySize(40));
-        let base = replay.base_graph();
-
-        let mut sharded = ShardedTriangleIndex::from_graph(&base, 4);
-        for batch in replay.batch_iter() {
-            sharded.apply(&batch).expect("loader bounds node ids");
-        }
-        prop_assert!(sharded.matches_oracle(), "sharded index diverged");
-
-        let mut plain = DistributedTriangleEngine::from_graph(&base);
-        for batch in replay.batch_iter() {
-            plain.apply(&batch).expect("loader bounds node ids");
-        }
-        prop_assert!(plain.matches_oracle(), "distributed engine diverged");
-        prop_assert_eq!(plain.triangle_count(), sharded.triangle_count());
-
-        let mut faulted = DistributedTriangleEngine::from_graph(&base)
-            .with_fault_plan(FaultPlan::default().with_drop(0.01).with_seed(seed));
-        for batch in replay.batch_iter() {
-            faulted
-                .apply(&batch)
-                .expect("faulted replay must recover within the repair budget");
-        }
-        prop_assert!(faulted.matches_oracle(), "faulted replay diverged");
-        prop_assert_eq!(faulted.triangle_count(), plain.triangle_count());
     }
 
     /// `split_batch_for_workers` hands worker `i` exactly
