@@ -22,91 +22,170 @@
 
 use crate::{NodeId, Triangle};
 
-/// Length-skew ratio at which [`for_each_common`] switches from the
-/// branch-light linear merge to galloping search, and past which
-/// [`intersection_cost_estimate`] bills the logarithmic kernel instead
-/// of the merge. Merge is `O(d_min + d_max)`, galloping is
-/// `O(d_min · log(d_max/d_min))`; the gallop wins once the skew beats
-/// the log by a comfortable margin.
+/// Length-skew ratio at which [`for_each_common`] switches to galloping
+/// search, and past which [`intersection_cost_estimate`] bills the
+/// logarithmic kernel. Below it the lists are *balanced*: a walk of both
+/// costs `O(d_min + d_max)`, galloping `O(d_min · log(d_max/d_min))`,
+/// and the gallop wins once the skew beats the log by a comfortable
+/// margin.
 pub const GALLOP_RATIO: usize = 16;
+
+/// Width of the signature arm's bitmap of the short list: 4 096 bits,
+/// 512 bytes of stack.
+const SIGNATURE_BITS: usize = 4096;
+
+/// Longest short list the signature arm takes: one that sets at most one
+/// bit in eight. A denser signature lets too many elements of the long
+/// list through to the confirming cursor, where the probe pays what the
+/// merge would.
+const SIGNATURE_MAX_SHORT: usize = SIGNATURE_BITS / 8;
 
 /// Visits each element of `a ∩ b` in increasing order, for sorted,
 /// duplicate-free slices. This is *the* common-neighbour intersection
 /// core of the workspace — the trait defaults below, [`Graph`]'s
-/// inherent methods and the `congest-stream` engines all route through
-/// it. The kernel is chosen adaptively per call from the length ratio:
+/// inherent methods, A2's edge-set listing, the naive baseline and the
+/// `congest-stream` engines all route through it (the centralized
+/// `list_all_on` keeps its own merge, an independent reference). Three
+/// arms, chosen by the two lengths alone:
 ///
-/// * ratio ≥ [`GALLOP_RATIO`] (hub nodes under power-law churn): each
-///   element of the short list is galloped into the long one —
-///   exponential doubling from an advancing lower bound, then a binary
-///   search inside the bracket. The lower bound never moves backwards,
-///   so the whole pass is `O(d_min · log(d_max/d_min))` amortized
-///   rather than `O(d_min · log d_max)` for repeated full-width probes.
-/// * balanced lengths: a branch-light two-pointer merge whose index
-///   advances are computed from comparisons instead of a three-way
-///   `match`, keeping the loop free of hard-to-predict branches.
+/// * **gallop** — `d_max ≥ GALLOP_RATIO · d_min` (hub nodes under
+///   power-law churn): each element of the short list is galloped into
+///   the long one — exponential doubling from an advancing lower bound,
+///   then a binary search inside the bracket. The lower bound never
+///   moves backwards, so the pass is `O(d_min · log(d_max/d_min))`
+///   amortized rather than `O(d_min · log d_max)`.
+/// * **signature probe** — balanced lengths and a short list that fills
+///   at most one bit in eight of a stack bitmap (at most 512
+///   elements): one bit per short-list element, keyed by the id's low
+///   bits, then the long list is walked up to the short list's last
+///   element and each of its elements tests its own bit. Those tests do
+///   not depend on one another, so the walk runs at the speed of
+///   independent loads rather than a merge's dependent chain; only an
+///   element whose bit is set is confirmed against a cursor into the
+///   short list. The bitmap is 4 096 bits (512 bytes).
+/// * **merge** — balanced lists too long for the signature: a
+///   branch-light two-pointer merge whose index advances are computed
+///   from comparisons. At that length a saturated signature would send
+///   most of the long list to the cursor and lose to the merge.
+///
+/// No arm allocates. On input that breaks the contract (unsorted or
+/// duplicated slices, as a faulty peer may send) every arm still
+/// terminates without panicking; what it visits is then unspecified.
 ///
 /// [`Graph`]: crate::Graph
-pub fn for_each_common<F: FnMut(NodeId)>(a: &[NodeId], b: &[NodeId], mut visit: F) {
-    let (mut small, mut large) = (a, b);
-    if small.len() > large.len() {
-        std::mem::swap(&mut small, &mut large);
-    }
+pub fn for_each_common<F: FnMut(NodeId)>(a: &[NodeId], b: &[NodeId], visit: F) {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
         return;
     }
-    if large.len() / small.len() >= GALLOP_RATIO {
-        let mut lo = 0usize;
-        for &w in small {
-            // Exponential search: double the step until the probe value
-            // at `lo + step` is no longer below `w` (or runs off the
-            // end), then binary-search the bracket that doubling
-            // established. `lo` only ever advances.
-            let mut step = 1usize;
-            while lo + step < large.len() && large[lo + step] < w {
-                step <<= 1;
-            }
-            let hi = (lo + step + 1).min(large.len());
-            match large[lo..hi].binary_search(&w) {
-                Ok(pos) => {
-                    visit(w);
-                    lo += pos + 1;
-                }
-                Err(pos) => lo += pos,
-            }
-            if lo >= large.len() {
-                break;
-            }
-        }
+    if gallops(small.len(), large.len()) {
+        gallop(small, large, visit);
+    } else if small.len() <= SIGNATURE_MAX_SHORT {
+        probe_signature(small, large, visit);
     } else {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            let x = small[i];
-            let y = large[j];
-            if x == y {
-                visit(x);
+        merge(small, large, visit);
+    }
+}
+
+/// Whether lists of length `min ≤ max` take the gallop: the test
+/// `max / min ≥ GALLOP_RATIO` without the divide. A product that
+/// overflows means `max` is below it, so that pair does not gallop.
+fn gallops(min: usize, max: usize) -> bool {
+    min.checked_mul(GALLOP_RATIO)
+        .is_some_and(|floor| max >= floor)
+}
+
+/// The gallop arm of [`for_each_common`].
+fn gallop<F: FnMut(NodeId)>(small: &[NodeId], large: &[NodeId], mut visit: F) {
+    let mut lo = 0usize;
+    for &w in small {
+        // Exponential search: double the step until the probe value at
+        // `lo + step` is no longer below `w` (or runs off the end), then
+        // binary-search the bracket that doubling established. `lo`
+        // only ever advances.
+        let mut step = 1usize;
+        while lo + step < large.len() && large[lo + step] < w {
+            step <<= 1;
+        }
+        let hi = (lo + step + 1).min(large.len());
+        match large[lo..hi].binary_search(&w) {
+            Ok(pos) => {
+                visit(w);
+                lo += pos + 1;
+            }
+            Err(pos) => lo += pos,
+        }
+        if lo >= large.len() {
+            break;
+        }
+    }
+}
+
+/// The signature arm of [`for_each_common`], for a non-empty `small`.
+fn probe_signature<F: FnMut(NodeId)>(small: &[NodeId], large: &[NodeId], mut visit: F) {
+    let bit = |id: NodeId| id.0 as usize % SIGNATURE_BITS;
+    let mut signature = [0u64; SIGNATURE_BITS / 64];
+    for &w in small {
+        let b = bit(w);
+        signature[b / 64] |= 1 << (b % 64);
+    }
+    let last = small[small.len() - 1];
+    let mut i = 0usize;
+    for &y in large {
+        if y > last {
+            break;
+        }
+        let b = bit(y);
+        if signature[b / 64] & (1 << (b % 64)) != 0 {
+            // A set bit may be another id with the same low bits:
+            // confirm against the cursor, which only moves forward.
+            while i < small.len() && small[i] < y {
                 i += 1;
-                j += 1;
-            } else {
-                i += usize::from(x < y);
-                j += usize::from(y < x);
+            }
+            if i < small.len() && small[i] == y {
+                visit(y);
+                i += 1;
             }
         }
     }
 }
 
+/// The merge arm of [`for_each_common`].
+fn merge<F: FnMut(NodeId)>(small: &[NodeId], large: &[NodeId], mut visit: F) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < small.len() && j < large.len() {
+        let x = small[i];
+        let y = large[j];
+        if x == y {
+            visit(x);
+            i += 1;
+            j += 1;
+        } else {
+            i += usize::from(x < y);
+            j += usize::from(y < x);
+        }
+    }
+}
+
 /// Estimated comparison count of [`for_each_common`] on lists of length
-/// `da` and `db`, matching the kernel the lengths select: skewed pairs
-/// bill the gallop at `d_min · (log2(d_max/d_min) + 1)`, balanced pairs
-/// bill the merge at `d_min + d_max`. Never returns zero, so cost-based
-/// chunking (the sharded pool's split budgeting) always makes progress.
+/// `da` and `db` — a bound on what the kernel pays rather than its
+/// exact work. Skewed pairs (those that gallop) bill the gallop at
+/// `d_min · (log2(d_max/d_min) + 1)`. Every other pair bills
+/// `d_min + d_max`: the merge walks that much, and the signature probe
+/// does one bit set and at most one cursor step per short-list element
+/// and at most one bit test per long-list element — steps that do not
+/// wait on one another, so past a handful of elements it costs less
+/// time than a merge of the same bill. The estimate is kept on the
+/// merge's terms because the shard pool's hand-off test reads it, and a
+/// batch's path must not move with a kernel change. Never returns zero,
+/// so cost-based chunking always makes progress.
 pub fn intersection_cost_estimate(da: usize, db: usize) -> usize {
     let (min, max) = if da <= db { (da, db) } else { (db, da) };
     if min == 0 {
         return 1;
     }
-    let ratio = max / min;
-    let cost = if ratio >= GALLOP_RATIO {
+    let cost = if gallops(min, max) {
+        let ratio = max / min;
         min * (usize::BITS - ratio.leading_zeros()) as usize
     } else {
         min + max

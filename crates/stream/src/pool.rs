@@ -62,10 +62,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use congest_graph::{Edge, Triangle};
+use congest_graph::{for_each_common, Edge, Triangle};
 
 use crate::delta::{coalesce, DeltaBatch, DeltaOp, EdgeDelta};
-use crate::shard::{intersect_sorted, Shard, ShardOp, ShardStore};
+use crate::shard::{Shard, ShardOp, ShardStore};
 
 /// Estimated work ([`ShardStore::intersection_cost`] plus [`ITEM_WORK`]
 /// per delta) under which a batch is not handed to the pool: about
@@ -602,9 +602,9 @@ fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<
 fn collect_candidates(store: &ShardStore, edges: &[Edge], out: &mut Vec<Triangle>) {
     for edge in edges {
         let (u, v) = edge.endpoints();
-        for w in intersect_sorted(store.neighbors(u), store.neighbors(v)) {
+        for_each_common(store.neighbors(u), store.neighbors(v), |w| {
             out.push(Triangle::new(u, v, w));
-        }
+        });
     }
 }
 

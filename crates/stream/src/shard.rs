@@ -2,14 +2,16 @@
 //!
 //! This module holds the pieces the engines share:
 //!
-//! * [`intersect_sorted`] — the degree-oriented common-neighbour
-//!   intersection core (re-exported from
-//!   [`congest_graph::intersect_sorted`], where the oracle and [`Graph`]
-//!   use the same implementation). It is *the* hot path of incremental
+//! * The common-neighbour intersection is
+//!   [`congest_graph::for_each_common`], the one kernel the oracle and
+//!   [`Graph`] use too (gallop, stack-signature probe or merge, chosen
+//!   by the two list lengths). It is *the* hot path of incremental
 //!   triangle maintenance: [`ShardedTriangleIndex`](crate::ShardedTriangleIndex)
-//!   calls it from its ordered loop (all a
-//!   [`TriangleIndex`](crate::TriangleIndex) runs) and from every worker
-//!   thread of its pipeline, so every path intersects identically.
+//!   calls it with a closure — no allocation per delta — from its
+//!   ordered loop (all a [`TriangleIndex`](crate::TriangleIndex) runs)
+//!   and from every worker thread of its pipeline, so every path
+//!   intersects identically. [`ShardStore::intersection_cost`] is its
+//!   cost bound, on degrees read from the arena's slot table.
 //!
 //! [`Graph`]: congest_graph::Graph
 //! * [`ShardSpec`] — the node→shard mapping. Nodes are partitioned by
@@ -55,8 +57,6 @@ use std::sync::Arc;
 use congest_graph::{Edge, NodeId, Triangle, TriangleSet};
 
 use crate::arena::{ArenaStats, NeighborArena};
-
-pub(crate) use congest_graph::intersect_sorted;
 
 use crate::delta::DeltaOp;
 
@@ -312,6 +312,11 @@ impl Shard {
         self.arena.neighbors(local)
     }
 
+    /// Length of the list at `local` slot, without forming the slice.
+    pub(crate) fn degree(&self, local: usize) -> usize {
+        self.arena.len_of(local)
+    }
+
     /// Replaces the neighbour list at `local` wholesale when seeding
     /// from a static graph (`neighbors` must already be sorted).
     pub(crate) fn seed(&mut self, local: usize, neighbors: &[NodeId]) {
@@ -495,20 +500,30 @@ impl ShardStore {
     ///
     /// Panics if `node` is out of range.
     pub(crate) fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        assert!(
-            node.index() < self.spec.node_count(),
-            "node {node} out of range"
-        );
-        self.shards[self.spec.shard_of(node)].neighbors(self.spec.local_index(node))
+        let (shard, local) = self.slot_of(node);
+        shard.neighbors(local)
     }
 
-    /// Current degree of `node`.
+    /// Current degree of `node`, read from its owning shard's slot table.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub(crate) fn degree(&self, node: NodeId) -> usize {
-        self.neighbors(node).len()
+        let (shard, local) = self.slot_of(node);
+        shard.degree(local)
+    }
+
+    /// The shard that owns `node` and the node's slot in it.
+    fn slot_of(&self, node: NodeId) -> (&Shard, usize) {
+        assert!(
+            node.index() < self.spec.node_count(),
+            "node {node} out of range"
+        );
+        (
+            &self.shards[self.spec.shard_of(node)],
+            self.spec.local_index(node),
+        )
     }
 
     /// Whether `{a, b}` is currently an edge (probing from the
@@ -526,10 +541,10 @@ impl ShardStore {
     }
 
     /// Estimated cost of intersecting the endpoint neighbourhoods of
-    /// `edge`, matching the kernel the degrees select (see
+    /// `edge`, a bound on what the kernel the degrees select pays (see
     /// [`congest_graph::intersection_cost_estimate`]): skewed pairs bill
-    /// the galloping search at `d_min · (log2(d_max/d_min) + 1)`,
-    /// balanced pairs bill the merge walk at `d_min + d_max`. The pool
+    /// the galloping search at `d_min · (log2(d_max/d_min) + 1)`, all
+    /// other pairs `d_min + d_max`, the merge's walk. The pool
     /// sizes a wave against its hand-off floor on this estimate, so a
     /// hub whose intersections gallop does not look quadratically more
     /// expensive than it runs.
@@ -719,6 +734,7 @@ impl ShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_graph::intersect_sorted;
 
     fn v(i: u32) -> NodeId {
         NodeId(i)

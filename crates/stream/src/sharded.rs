@@ -63,7 +63,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use congest_graph::{AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, TriangleSet};
+use congest_graph::{
+    for_each_common, AdjacencyView, Edge, Graph, GraphBuilder, NodeId, Triangle, TriangleSet,
+};
 
 use crate::arena::NeighborArena;
 use crate::delta::{DeltaBatch, DeltaOp, EdgeDelta};
@@ -72,8 +74,8 @@ use crate::pool::{
     worth_handing_off, BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry,
 };
 use crate::shard::{
-    intersect_sorted, merge_added_candidates_supported, merge_removed_candidates_supported,
-    CowStats, NodeSupport, ShardOp, ShardStore,
+    merge_added_candidates_supported, merge_removed_candidates_supported, CowStats, NodeSupport,
+    ShardOp, ShardStore,
 };
 
 /// Aggregates per-batch pool stats into the engine's lifetime
@@ -598,13 +600,13 @@ fn apply_in_order<A: EdgeLists>(
                     report.noops += 1;
                     continue;
                 }
-                for w in intersect_sorted(lists.list(u), lists.list(v)) {
+                for_each_common(lists.list(u), lists.list(v), |w| {
                     let t = Triangle::new(u, v, w);
                     if triangles.insert(t) {
                         support.record(&t);
                         report.triangles_added += 1;
                     }
-                }
+                });
                 lists.link(u, v);
                 report.inserts_applied += 1;
             }
@@ -613,13 +615,13 @@ fn apply_in_order<A: EdgeLists>(
                     report.noops += 1;
                     continue;
                 }
-                for w in intersect_sorted(lists.list(u), lists.list(v)) {
+                for_each_common(lists.list(u), lists.list(v), |w| {
                     let t = Triangle::new(u, v, w);
                     if triangles.remove(&t) {
                         support.retire(&t);
                         report.triangles_removed += 1;
                     }
-                }
+                });
                 lists.unlink(u, v);
                 report.removes_applied += 1;
             }
