@@ -30,11 +30,14 @@
 //!   degrees plus a flat cost per delta, on the pre-batch adjacency)
 //!   covers the helpers' wake-ups — 1 024 deltas always do — and then
 //!   every wave leaves the engine thread; every other batch runs the
-//!   one-shard engine's ordered loop, each write routed to the shard
-//!   that owns its list. On 5000-delta batches (`perf_report`'s
+//!   one-shard engine's ordered loop on the shards' arenas, lent to it
+//!   for the batch, each list found in its owning shard by one multiply
+//!   (no divide by `S`). On 5000-delta batches (`perf_report`'s
 //!   `bigbatch_sharded`, S = 2, 2 cores), every one pooled, it runs at
 //!   1.06–1.26× the one-shard engine (four traced runs); on 256-delta
-//!   batches (`pool_smallbatch`), every one ordered, at 0.72–0.81×.
+//!   batches (`pool_smallbatch`), every one ordered, at 0.78–0.87×
+//!   (three traced runs; 0.67–0.71× when every write was routed through
+//!   the store).
 //! * [`DistributedTriangleEngine`] — the **distributed dynamic** engine:
 //!   every graph node is a node of a simulated CONGEST network that owns
 //!   its adjacency slice, and each batch runs as one epoch of

@@ -586,8 +586,9 @@ fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<
             }
         }
         for (node, other) in [(u, v), (v, u)] {
-            plan.ops[spec.shard_of(node)].push(ShardOp {
-                local: spec.local_index(node),
+            let (shard, local) = spec.locate(node);
+            plan.ops[shard].push(ShardOp {
+                local,
                 other,
                 op: delta.op,
             });

@@ -20,7 +20,10 @@
 //!   churn; each shard owns the full neighbour list of every node mapped
 //!   to it, so a cross-shard edge `{u, v}` is recorded twice — once in
 //!   `shard(u)`'s copy of `N(u)` and once in `shard(v)`'s copy of `N(v)` —
-//!   exactly like the two directions of an adjacency list.
+//!   exactly like the two directions of an adjacency list. Every list
+//!   access routes through [`ShardSpec::locate`], which finds the owning
+//!   shard and the slot in it with one multiply by a reciprocal fixed at
+//!   construction, not a divide by the runtime shard count.
 //! * [`Shard`] — one shard's slice of the adjacency: sorted neighbour
 //!   lists for its owned nodes, stored in one flat
 //!   [`NeighborArena`](crate::arena) per shard and mutated only by its
@@ -34,9 +37,12 @@
 //!   pipeline stays free of `unsafe` and of locks on the read path.
 //!   A buffer is only ever mutated through a **unique** `Arc`
 //!   ([`Arc::get_mut`]): exclusive shards (always, outside serve mode)
-//!   are edited in place. A live buffer pinned by a published
-//!   serve-mode view ([`TriangleServer`](crate::TriangleServer)) is not
-//!   copied: beside it the store keeps up to [`MAX_RETAINED`] *retained*
+//!   are edited in place — the ordered loop borrows the arenas for a
+//!   whole batch ([`ShardStore::sole_arena`] at `S = 1`,
+//!   [`ShardStore::lend_arenas`] above it), so it tests uniqueness once
+//!   per shard and batch, not once per write. A live buffer pinned by a
+//!   published serve-mode view ([`TriangleServer`](crate::TriangleServer))
+//!   is not copied: beside it the store keeps up to [`MAX_RETAINED`] *retained*
 //!   buffers — the buffers earlier views were published from — each
 //!   with the log of everything the live buffer absorbed since the two
 //!   diverged. The first write of a batch takes a retained buffer no
@@ -231,20 +237,38 @@ pub(crate) fn sorted_remove(list: &mut Vec<NodeId>, value: NodeId) {
 /// consecutive ids (the hubs of the hotspot workloads) land on different
 /// shards, balancing both storage and per-batch intersection work.
 ///
+/// Routing runs on every list read and write of the ordered loop, so
+/// [`locate`](Self::locate) computes both halves without a divide: the
+/// spec keeps `c = ⌈2^64 / S⌉`, and for a 32-bit id `i` the quotient is
+/// `(c · i) >> 64` and the remainder `i − q · S` — exact for every
+/// `u32` id whenever `S ≤ 2^32` (Lemire, Kaser and Kurz, *Faster
+/// remainder by direct computation*, 2019, Theorem 1 with `F = 64`,
+/// `N = 32`). `c` is a `u128` because at `S = 1` it is `2^64` itself.
+///
 /// [`ShardedTriangleIndex`]: crate::ShardedTriangleIndex
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardSpec {
     shard_count: usize,
     node_count: usize,
+    /// `⌈2^64 / shard_count⌉`: [`locate`](Self::locate) multiplies by
+    /// it instead of dividing by the shard count.
+    recip: u128,
 }
 
 impl ShardSpec {
     /// A spec for `node_count` nodes over `shard_count` shards (clamped to
-    /// at least one shard).
+    /// at least one shard). [`locate`](Self::locate) is exact for shard
+    /// counts up to `2^32`, far past any store that fits in memory.
     pub(crate) fn new(node_count: usize, shard_count: usize) -> Self {
+        let shard_count = shard_count.max(1);
+        debug_assert!(
+            shard_count as u64 <= 1 << 32,
+            "locate is exact only for at most 2^32 shards"
+        );
         ShardSpec {
-            shard_count: shard_count.max(1),
+            shard_count,
             node_count,
+            recip: (1u128 << 64).div_ceil(shard_count as u128),
         }
     }
 
@@ -258,14 +282,14 @@ impl ShardSpec {
         self.node_count
     }
 
-    /// The shard owning `node`.
-    pub(crate) fn shard_of(&self, node: NodeId) -> usize {
-        node.index() % self.shard_count
-    }
-
-    /// The slot of `node` inside its owning shard.
-    pub(crate) fn local_index(&self, node: NodeId) -> usize {
-        node.index() / self.shard_count
+    /// The shard owning `node` and the node's slot inside it —
+    /// `(id mod S, id div S)`, by one multiply (see the type docs).
+    #[inline]
+    pub(crate) fn locate(&self, node: NodeId) -> (usize, usize) {
+        let id = u64::from(node.0);
+        let local = ((self.recip * u128::from(id)) >> 64) as u64;
+        let shard = id - local * self.shard_count as u64;
+        (shard as usize, local as usize)
     }
 
     /// Number of nodes owned by shard `s`.
@@ -520,10 +544,8 @@ impl ShardStore {
             node.index() < self.spec.node_count(),
             "node {node} out of range"
         );
-        (
-            &self.shards[self.spec.shard_of(node)],
-            self.spec.local_index(node),
-        )
+        let (shard, local) = self.spec.locate(node);
+        (&self.shards[shard], local)
     }
 
     /// Whether `{a, b}` is currently an edge (probing from the
@@ -557,7 +579,7 @@ impl ShardStore {
     /// logged: the shard's retained buffers are dropped instead, and a
     /// live buffer something else still shares is copied first.
     pub(crate) fn seed(&mut self, node: NodeId, neighbors: &[NodeId]) {
-        let shard = self.spec.shard_of(node);
+        let (shard, local) = self.spec.locate(node);
         self.retained[shard].clear();
         let live = &mut self.shards[shard];
         if Arc::get_mut(live).is_none() {
@@ -565,7 +587,7 @@ impl ShardStore {
         }
         Arc::get_mut(live)
             .expect("just made unique")
-            .seed(self.spec.local_index(node), neighbors);
+            .seed(local, neighbors);
     }
 
     /// Applies one routed mutation to the shard that owns it.
@@ -594,6 +616,30 @@ impl ShardStore {
     pub(crate) fn wrote_sole_arena(&mut self) {
         self.touched[0] = true;
         self.cow.in_place += 1;
+    }
+
+    /// Every shard's arena, lent to the ordered loop for one batch, when
+    /// the batch may write straight into them: no shard retains a buffer
+    /// that would have to log what the live one absorbs, and every live
+    /// buffer is unique, so [`writable`](Self::writable) would only ever
+    /// edit in place. The loan books each shard's first write the way
+    /// `writable` does; `None` sends the batch through
+    /// [`apply_routed`](Self::apply_routed) instead.
+    pub(crate) fn lend_arenas(&mut self) -> Option<LentArenas<'_>> {
+        if self.retained.iter().any(|retained| !retained.is_empty()) {
+            return None;
+        }
+        let arenas = self
+            .shards
+            .iter_mut()
+            .map(|live| Arc::get_mut(live).map(|shard| &mut shard.arena))
+            .collect::<Option<Vec<_>>>()?;
+        Some(LentArenas {
+            spec: self.spec,
+            arenas,
+            touched: &mut self.touched,
+            cow: &mut self.cow,
+        })
     }
 
     /// The pooled record phase's engine-side half, called per shard
@@ -716,6 +762,15 @@ impl ShardStore {
         self.retained.iter().map(Vec::len).sum()
     }
 
+    /// Each shard's own arena health counters, in shard order.
+    #[cfg(test)]
+    pub(crate) fn shard_arena_stats(&self) -> Vec<ArenaStats> {
+        self.shards
+            .iter()
+            .map(|shard| shard.arena_stats())
+            .collect()
+    }
+
     /// Which path first writes have taken so far.
     pub(crate) fn cow_stats(&self) -> CowStats {
         self.cow
@@ -728,6 +783,41 @@ impl ShardStore {
             total.absorb(&shard.arena_stats());
         }
         total
+    }
+}
+
+/// All `S` live arenas of a [`ShardStore`], borrowed for one batch by
+/// [`ShardStore::lend_arenas`]: a write goes straight to the owning
+/// shard's arena — no per-write uniqueness check and no retained-buffer
+/// log. Each shard's first write of the batch is booked as an in-place
+/// write, with an epoch for [`advance_epoch`](ShardStore::advance_epoch)
+/// to end.
+pub(crate) struct LentArenas<'a> {
+    spec: ShardSpec,
+    arenas: Vec<&'a mut NeighborArena>,
+    touched: &'a mut [bool],
+    cow: &'a mut CowStats,
+}
+
+impl LentArenas<'_> {
+    /// Sorted neighbour list of `node`, read from its owning shard.
+    pub(crate) fn neighbors(&self, node: NodeId) -> &[NodeId] {
+        let (shard, local) = self.spec.locate(node);
+        self.arenas[shard].neighbors(local)
+    }
+
+    /// Applies `op` to `other` in `node`'s list.
+    pub(crate) fn apply(&mut self, node: NodeId, other: NodeId, op: DeltaOp) {
+        let (shard, local) = self.spec.locate(node);
+        if !self.touched[shard] {
+            self.touched[shard] = true;
+            self.cow.in_place += 1;
+        }
+        let arena = &mut *self.arenas[shard];
+        match op {
+            DeltaOp::Insert => arena.insert(local, other),
+            DeltaOp::Remove => arena.remove(local, other),
+        };
     }
 }
 
@@ -780,9 +870,7 @@ mod tests {
             let mut seen = vec![0usize; n];
             let mut per_shard = vec![0usize; spec.shard_count()];
             for (i, count) in seen.iter_mut().enumerate() {
-                let node = NodeId::from_index(i);
-                let shard = spec.shard_of(node);
-                let local = spec.local_index(node);
+                let (shard, local) = spec.locate(NodeId::from_index(i));
                 assert!(local < spec.nodes_in_shard(shard), "n={n} s={s} i={i}");
                 *count += 1;
                 per_shard[shard] += 1;
@@ -791,6 +879,48 @@ mod tests {
             for (shard, &count) in per_shard.iter().enumerate() {
                 assert_eq!(count, spec.nodes_in_shard(shard), "n={n} s={s}");
             }
+        }
+    }
+
+    /// Asserts `locate` on a spec over `shards` shards equals the
+    /// dividing formula at every id of `ids`.
+    fn assert_locates(shards: u64, ids: impl IntoIterator<Item = u32>) {
+        let spec = ShardSpec::new(0, shards as usize);
+        for id in ids {
+            let (shard, local) = spec.locate(NodeId(id));
+            let id = u64::from(id);
+            assert_eq!(
+                (shard as u64, local as u64),
+                (id % shards, id / shards),
+                "S={shards} id={id}"
+            );
+        }
+    }
+
+    #[test]
+    fn locate_divides_exactly_for_small_shard_counts() {
+        for shards in 1..=64 {
+            assert_locates(shards, 0..=65_536);
+        }
+    }
+
+    #[test]
+    fn locate_divides_exactly_near_the_top_of_the_id_range() {
+        for shards in [1, 2, 3, 7, 1 << 31, (1 << 32) - 1, 1 << 32] {
+            assert_locates(shards, u32::MAX - 4_096..=u32::MAX);
+            assert_locates(shards, [0, 1, (1 << 31) - 1, 1 << 31]);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn locate_divides_exactly_for_any_shard_count_and_id(
+            shards in 1u64..=1 << 32,
+            small in 1u64..=1_024,
+            id in proptest::prelude::any::<u32>(),
+        ) {
+            assert_locates(shards, [id]);
+            assert_locates(small, [id]);
         }
     }
 
@@ -822,10 +952,11 @@ mod tests {
         store.restore_shards(shards);
         assert_eq!(store.neighbors(v(0)), ids(&[2, 4]));
 
+        let (shard, local) = store.spec().locate(v(0));
         store.apply_routed(
-            store.spec().shard_of(v(0)),
+            shard,
             ShardOp {
-                local: store.spec().local_index(v(0)),
+                local,
                 other: v(2),
                 op: DeltaOp::Remove,
             },
@@ -891,14 +1022,8 @@ mod tests {
         let spec = store.spec();
         for &(a, b, op) in edges {
             for (node, other) in [(v(a), v(b)), (v(b), v(a))] {
-                store.apply_routed(
-                    spec.shard_of(node),
-                    ShardOp {
-                        local: spec.local_index(node),
-                        other,
-                        op,
-                    },
-                );
+                let (shard, local) = spec.locate(node);
+                store.apply_routed(shard, ShardOp { local, other, op });
             }
         }
         store.advance_epoch();
@@ -1095,11 +1220,8 @@ mod tests {
                 let mut ops = vec![Vec::new(), Vec::new()];
                 for &(a, b, op) in &batch {
                     for (node, other) in [(v(a), v(b)), (v(b), v(a))] {
-                        ops[spec.shard_of(node)].push(ShardOp {
-                            local: spec.local_index(node),
-                            other,
-                            op,
-                        });
+                        let (shard, local) = spec.locate(node);
+                        ops[shard].push(ShardOp { local, other, op });
                     }
                 }
                 record(&mut plain, &ops);

@@ -74,8 +74,8 @@ use crate::pool::{
     worth_handing_off, BatchRun, BatchStats, ShardPool, WorkerPlan, WorkerTelemetry,
 };
 use crate::shard::{
-    merge_added_candidates_supported, merge_removed_candidates_supported, CowStats, NodeSupport,
-    ShardOp, ShardStore,
+    merge_added_candidates_supported, merge_removed_candidates_supported, CowStats, LentArenas,
+    NodeSupport, ShardOp, ShardStore,
 };
 
 /// Aggregates per-batch pool stats into the engine's lifetime
@@ -389,24 +389,30 @@ impl ShardedTriangleIndex {
 
     /// The ordered path: [`apply_in_order`], the index's loop — every
     /// batch of a [`TriangleIndex`], and every batch the pipeline does not
-    /// take at any `S`. A one-shard store that no published view pins and
-    /// that retains no buffer lends the loop its arena for the whole
-    /// batch; otherwise each write goes through
-    /// [`ShardStore::apply_routed`], so copy-on-write and the retained
-    /// buffers' logs see it.
+    /// take at any `S`. A store that no published view pins and that
+    /// retains no buffer lends the loop its arenas for the whole batch:
+    /// at `S = 1` the one arena, indexed by node
+    /// ([`ShardStore::sole_arena`]); at `S > 1` all of them, each list
+    /// found by [`ShardSpec::locate`](crate::shard::ShardSpec::locate)'s
+    /// multiply ([`ShardStore::lend_arenas`]). Otherwise each write goes
+    /// through [`ShardStore::apply_routed`], so copy-on-write and the
+    /// retained buffers' logs see it. The one-shard arm is kept apart
+    /// because lending a single arena through the general loan measured
+    /// slower on the one-shard workloads.
     ///
     /// [`TriangleIndex`]: crate::TriangleIndex
     fn apply_ordered(&mut self, batch: &DeltaBatch) -> ApplyReport {
         let (triangles, support) = (&mut self.triangles, &mut self.support);
-        let report = match self.store.sole_arena() {
-            Some(arena) => {
-                let report = apply_in_order(arena, triangles, support, batch);
-                if report.inserts_applied + report.removes_applied > 0 {
-                    self.store.wrote_sole_arena();
-                }
-                report
+        let report = if let Some(arena) = self.store.sole_arena() {
+            let report = apply_in_order(arena, triangles, support, batch);
+            if report.inserts_applied + report.removes_applied > 0 {
+                self.store.wrote_sole_arena();
             }
-            None => apply_in_order(&mut self.store, triangles, support, batch),
+            report
+        } else if let Some(mut arenas) = self.store.lend_arenas() {
+            apply_in_order(&mut arenas, triangles, support, batch)
+        } else {
+            apply_in_order(&mut self.store, triangles, support, batch)
         };
         self.store.advance_epoch();
         report
@@ -428,7 +434,7 @@ impl ShardedTriangleIndex {
         // counted exactly once.
         let mut work: Vec<Vec<EdgeDelta>> = vec![Vec::new(); shard_count];
         for d in batch {
-            work[spec.shard_of(d.edge.lo())].push(*d);
+            work[spec.locate(d.edge.lo()).0].push(*d);
         }
 
         let plans = self.run_pooled(work, &mut report);
@@ -551,6 +557,24 @@ impl EdgeLists for NeighborArena {
     }
 }
 
+/// Every shard's arena, lent for the batch and written in place: no
+/// per-write uniqueness check and no retained-buffer log.
+impl EdgeLists for LentArenas<'_> {
+    fn list(&self, node: NodeId) -> &[NodeId] {
+        self.neighbors(node)
+    }
+
+    fn link(&mut self, u: NodeId, v: NodeId) {
+        self.apply(u, v, DeltaOp::Insert);
+        self.apply(v, u, DeltaOp::Insert);
+    }
+
+    fn unlink(&mut self, u: NodeId, v: NodeId) {
+        self.apply(u, v, DeltaOp::Remove);
+        self.apply(v, u, DeltaOp::Remove);
+    }
+}
+
 /// Any store: each direction is routed to its owning shard, through the
 /// copy-on-write and lag logging of [`ShardStore::apply_routed`].
 impl EdgeLists for ShardStore {
@@ -571,8 +595,8 @@ impl EdgeLists for ShardStore {
 fn route(store: &mut ShardStore, u: NodeId, v: NodeId, op: DeltaOp) {
     let spec = store.spec();
     for (node, other) in [(u, v), (v, u)] {
-        let local = spec.local_index(node);
-        store.apply_routed(spec.shard_of(node), ShardOp { local, other, op });
+        let (shard, local) = spec.locate(node);
+        store.apply_routed(shard, ShardOp { local, other, op });
     }
 }
 
@@ -593,14 +617,15 @@ fn apply_in_order<A: EdgeLists>(
     };
     for delta in batch {
         let (u, v) = delta.edge.endpoints();
-        let present = lists.list(u).binary_search(&v).is_ok();
+        let list_u = lists.list(u);
+        let present = list_u.binary_search(&v).is_ok();
         match delta.op {
             DeltaOp::Insert => {
                 if present {
                     report.noops += 1;
                     continue;
                 }
-                for_each_common(lists.list(u), lists.list(v), |w| {
+                for_each_common(list_u, lists.list(v), |w| {
                     let t = Triangle::new(u, v, w);
                     if triangles.insert(t) {
                         support.record(&t);
@@ -615,7 +640,7 @@ fn apply_in_order<A: EdgeLists>(
                     report.noops += 1;
                     continue;
                 }
-                for_each_common(lists.list(u), lists.list(v), |w| {
+                for_each_common(list_u, lists.list(v), |w| {
                     let t = Triangle::new(u, v, w);
                     if triangles.remove(&t) {
                         support.retire(&t);
@@ -1289,6 +1314,86 @@ mod tests {
                 assert!(rh.removes_applied >= 100 && rh.inserts_applied >= 100);
             }
             assert_same_state(&inline, &handed_off, &format!("mean degree 50, S={shards}"));
+        }
+    }
+
+    #[test]
+    fn lent_and_routed_ordered_writes_leave_identical_state() {
+        use std::collections::BTreeSet;
+        // Twin engines on a mean-degree-50 graph. A clone pins the first
+        // one's store before its first batch, so every batch of it
+        // routes: the first copies each shard it writes past the pin,
+        // later ones log into the retained buffer the copy left behind.
+        // Nothing ever pins the second, so every batch borrows its
+        // arenas. Lists, per-shard arena layout, triangles, supports
+        // and reports must not tell the two apart.
+        let g = Gnp::new(600, 50.0 / 599.0).seeded(29).generate();
+        for shards in [2, 3] {
+            let mut routed = ShardedTriangleIndex::from_graph(&g, shards);
+            let mut lent = ShardedTriangleIndex::from_graph(&g, shards);
+            let mut view = Some(routed.clone_store());
+            let spec = lent.store.spec();
+            let mut edges: BTreeSet<Edge> = g.edges().collect();
+            for step in 0..8 {
+                let what = format!("S={shards} step {step}");
+                if step == 4 {
+                    // The reader lets go, but the store still retains the
+                    // buffer it held: the batch must still route.
+                    drop(view.take());
+                }
+                let retained = if step == 0 { 0 } else { shards };
+                assert_eq!(routed.retained_buffers(), retained, "{what}");
+                assert!(routed.store.lend_arenas().is_none(), "{what}");
+                assert!(lent.store.lend_arenas().is_some(), "{what}");
+
+                let batch = dense_batch(&lent, step);
+                // The shards a batch writes: both owners of every delta
+                // that changes the graph, in order.
+                let mut written = BTreeSet::new();
+                for d in &batch {
+                    let effective = match d.op {
+                        DeltaOp::Insert => edges.insert(d.edge),
+                        DeltaOp::Remove => edges.remove(&d.edge),
+                    };
+                    if effective {
+                        written.insert(spec.locate(d.edge.lo()).0);
+                        written.insert(spec.locate(d.edge.hi()).0);
+                    }
+                }
+                let first_writes = |idx: &ShardedTriangleIndex| {
+                    let cow = idx.cow_stats();
+                    cow.in_place + cow.clones
+                };
+                let before = (first_writes(&routed), first_writes(&lent));
+                // Both calls go to the ordered loop: these batches would
+                // pool through `apply`.
+                let report = routed.apply_ordered(&batch);
+                assert_eq!(report, lent.apply_ordered(&batch), "{what}");
+                assert!(report.removes_applied >= 100 && report.inserts_applied >= 100);
+                let booked = written.len() as u64;
+                assert_eq!(first_writes(&routed) - before.0, booked, "{what}");
+                assert_eq!(first_writes(&lent) - before.1, booked, "{what}");
+                assert_eq!(
+                    routed.store.shard_arena_stats(),
+                    lent.store.shard_arena_stats(),
+                    "{what}"
+                );
+                assert_same_state(&routed, &lent, &what);
+            }
+            assert_eq!(
+                (routed.cow_stats().clones, routed.cow_stats().swaps),
+                (shards as u64, 0)
+            );
+            assert_eq!(
+                lent.cow_stats(),
+                CowStats {
+                    in_place: 8 * shards as u64,
+                    ..CowStats::default()
+                }
+            );
+            // Shedding the retained buffers ends the routing.
+            routed.shed_retained();
+            assert!(routed.store.lend_arenas().is_some());
         }
     }
 
