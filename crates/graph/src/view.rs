@@ -45,8 +45,9 @@ const SIGNATURE_MAX_SHORT: usize = SIGNATURE_BITS / 8;
 /// core of the workspace — the trait defaults below, [`Graph`]'s
 /// inherent methods, A2's edge-set listing, the naive baseline and the
 /// `congest-stream` engines all route through it (the centralized
-/// `list_all_on` keeps its own merge, an independent reference). Three
-/// arms, chosen by the two lengths alone:
+/// `list_all_on` does not: it walks a forward array with a stamp per
+/// node, an independent reference). Three arms, chosen by the two
+/// lengths alone:
 ///
 /// * **gallop** — `d_max ≥ GALLOP_RATIO · d_min` (hub nodes under
 ///   power-law churn): each element of the short list is galloped into

@@ -135,8 +135,11 @@ impl NodeSupport {
     /// Counters seeded from an existing triangle set.
     pub(crate) fn seed_from(triangles: &TriangleSet, node_count: usize) -> Self {
         let mut support = NodeSupport::new(node_count);
+        let counts = Arc::make_mut(&mut support.counts);
         for t in triangles.iter() {
-            support.record(t);
+            for v in t.nodes() {
+                counts[v.index()] += 1;
+            }
         }
         support
     }
