@@ -146,7 +146,9 @@ impl fmt::Display for Triangle {
 /// A set of triangles (the output type `T_i` of a node, and the union `T`).
 ///
 /// Backed by an ordered set so iteration order is deterministic, which keeps
-/// experiment output and tests reproducible.
+/// experiment output and tests reproducible. It is the type of outputs: the
+/// streaming engines of `congest-stream` keep their long-lived live sets in a
+/// hash set and hand them out sorted, as a `TriangleSet`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TriangleSet {
     inner: BTreeSet<Triangle>,
@@ -174,9 +176,6 @@ impl TriangleSet {
     }
 
     /// Removes a triangle; returns `true` if it was present.
-    ///
-    /// Used by the incremental engine of `congest-stream`, which retires
-    /// triangles as their edges are deleted.
     pub fn remove(&mut self, triangle: &Triangle) -> bool {
         self.inner.remove(triangle)
     }

@@ -17,7 +17,9 @@ use super::wire::{self, BatchDescriptor};
 use super::{DistributedTriangleEngine, HubSplit};
 use crate::delta::{coalesce, DeltaBatch, DeltaOp};
 use crate::index::{validate_batch, ApplyReport, StreamError};
-use crate::shard::{merge_added_candidates, merge_removed_candidates, sorted_insert};
+use crate::shard::{
+    merge_added_candidates, merge_removed_candidates, sorted_insert, LiveTriangles,
+};
 
 /// The effective deltas of one batch, in classification order.
 #[derive(Default)]
@@ -172,7 +174,9 @@ impl DistributedTriangleEngine {
     /// [`with_bandwidth`](DistributedTriangleEngine::with_bandwidth)).
     pub fn from_graph_with_bandwidth(graph: &Graph, bandwidth: Bandwidth) -> Self {
         let mut engine = Self::build(graph, bandwidth);
-        engine.triangles = congest_graph::triangles::list_all(graph);
+        engine.triangles = congest_graph::triangles::list_all(graph)
+            .into_iter()
+            .collect();
         engine.edge_count = graph.edge_count();
         engine
     }
@@ -198,7 +202,7 @@ impl DistributedTriangleEngine {
         });
         DistributedTriangleEngine {
             sim,
-            triangles: TriangleSet::new(),
+            triangles: LiveTriangles::default(),
             edge_count: 0,
             bandwidth_bits,
             hub_split: HubSplit::default(),
@@ -336,9 +340,12 @@ impl DistributedTriangleEngine {
         self.neighbors(from).binary_search(&to).is_ok()
     }
 
-    /// The live triangle set.
-    pub fn triangles(&self) -> &TriangleSet {
-        &self.triangles
+    /// The live triangle set, sorted: built on demand from the engine's
+    /// hash set in `O(t log t)` for `t` live triangles, so it is meant
+    /// for checks and tests — call it once, not inside a loop.
+    /// [`triangle_count`](Self::triangle_count) is `O(1)`.
+    pub fn triangles(&self) -> TriangleSet {
+        self.triangles.to_sorted()
     }
 
     /// Number of live triangles.
@@ -406,9 +413,11 @@ impl DistributedTriangleEngine {
     }
 
     /// Whether the live triangle set exactly equals a snapshot-free
-    /// from-scratch recount on the engine's own adjacency view.
+    /// from-scratch recount on the engine's own adjacency view:
+    /// the same number of triangles, and every recounted one live.
     pub fn matches_oracle(&self) -> bool {
-        self.triangles == congest_graph::triangles::list_all_on(self)
+        self.triangles
+            .equals(&congest_graph::triangles::list_all_on(self))
     }
 
     /// Runs one pre-validated batch as a network epoch (see the

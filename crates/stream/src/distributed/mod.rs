@@ -9,8 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use congest_graph::{NodeId, TriangleSet};
+use congest_graph::NodeId;
 use congest_sim::{FaultPlan, Simulation};
+
+use crate::shard::LiveTriangles;
 
 mod coordinator;
 mod cost;
@@ -47,7 +49,7 @@ pub use cost::{CongestCost, ReceivedBitsSkew, RecoveryStats};
 /// engine.apply(&batch).unwrap();
 ///
 /// // The live set equals a snapshot-free recount on the engine…
-/// assert_eq!(engine.triangles(), &oracle::list_all_on(&engine));
+/// assert_eq!(engine.triangles(), oracle::list_all_on(&engine));
 /// // …and the batch took a handful of network rounds, not a re-run.
 /// assert!(engine.last_batch_cost().rounds >= 1);
 /// ```
@@ -132,7 +134,7 @@ pub use cost::{CongestCost, ReceivedBitsSkew, RecoveryStats};
 /// [`convergecast_rounds`](CongestCost::convergecast_rounds) split-out)
 /// reports the true rounds/messages/bits of aggregation, and
 /// `rounds − convergecast_rounds − recovery_rounds` is the broadcast
-/// prefix alone. The final merge into the global [`TriangleSet`] goes
+/// prefix alone. The final merge into the global live set goes
 /// through `shard::merge_removed_candidates` / `merge_added_candidates`,
 /// so the correctness argument is word-for-word the sharded one: retired
 /// triangles are exactly the triangles of `G` containing an edge of
@@ -178,7 +180,7 @@ pub struct DistributedTriangleEngine {
     sim: Simulation<node::DynamicTriangleNode>,
     /// The global triangle set (the coordinator's merge is the only
     /// writer).
-    triangles: TriangleSet,
+    triangles: LiveTriangles,
     /// Number of present undirected edges.
     edge_count: usize,
     /// Per-link per-round budget, in bits.

@@ -12,7 +12,7 @@ use congest_wire::{BitWriter, IdCodec, Payload};
 
 use super::link::{LinkReceiver, LinkSender, Receipt};
 use super::wire::{self, Descriptor, ReceivedBatch, StreamBuf, TrailerLayout};
-use crate::shard::{dedup_candidates, merge_added_candidates, sorted_insert, sorted_remove};
+use crate::shard::{dedup_candidates, sorted_insert, sorted_remove};
 
 /// One network node's program. Its per-epoch state is reset when the
 /// next descriptor loads (see `load_descriptor`), so a node with nothing
@@ -222,8 +222,8 @@ impl DynamicTriangleNode {
     /// Merges the candidates gathered during the last epoch, and not yet
     /// drained, into `dead` / `born` and forgets them.
     pub(super) fn drain_candidates_into(&mut self, dead: &mut TriangleSet, born: &mut TriangleSet) {
-        merge_added_candidates(dead, self.dead.drain(..).as_slice());
-        merge_added_candidates(born, self.born.drain(..).as_slice());
+        dead.extend(self.dead.drain(..));
+        born.extend(self.born.drain(..));
     }
 
     /// The convergecast aggregates of the last main epoch, sorted and

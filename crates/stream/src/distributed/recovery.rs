@@ -300,8 +300,8 @@ impl DistributedTriangleEngine {
         if got.degraded {
             self.recovery.degraded_epochs += 1;
         }
-        report.triangles_removed += merge_removed_candidates(&mut self.triangles, got.dead.iter());
-        report.triangles_added += merge_added_candidates(&mut self.triangles, got.born.iter());
+        report.triangles_removed += merge_removed_candidates(&mut self.triangles, &got.dead);
+        report.triangles_added += merge_added_candidates(&mut self.triangles, &got.born);
         if trace_on && (repairs_ran || got.degraded) {
             let dur = congest_obs::now_us().saturating_sub(recovery_start_us);
             congest_obs::trace::record_span("distributed", "recovery", recovery_start_us, dur);
@@ -323,9 +323,9 @@ impl DistributedTriangleEngine {
     }
 
     /// Drains every online node's per-epoch candidates *and*
-    /// convergecast aggregates into `got`. The merges are exactly-once,
-    /// so calling this repeatedly (after the main epoch and after every
-    /// repair epoch) is harmless. Returns whether any node latched
+    /// convergecast aggregates into `got`. The sets keep each candidate
+    /// once, so calling this repeatedly (after the main epoch and after
+    /// every repair epoch) is harmless. Returns whether any node latched
     /// convergecast trouble.
     fn collect_candidates(&mut self, crashed: &[bool], got: &mut Gathered) -> bool {
         let mut trouble = false;
@@ -334,8 +334,8 @@ impl DistributedTriangleEngine {
             trouble |= prog.agg_trouble();
             prog.drain_candidates_into(&mut got.dead, &mut got.born);
             let (agg_dead, agg_born) = prog.aggregates();
-            merge_added_candidates(&mut got.dead, agg_dead);
-            merge_added_candidates(&mut got.born, agg_born);
+            got.dead.extend(agg_dead.iter().copied());
+            got.born.extend(agg_born.iter().copied());
         }
         trouble
     }
@@ -361,7 +361,7 @@ impl DistributedTriangleEngine {
             } else {
                 &mut got.dead
             };
-            merge_added_candidates(set, std::iter::once(&Triangle::new(u, v, w)));
+            set.insert(Triangle::new(u, v, w));
         }
     }
 

@@ -99,10 +99,61 @@ fn from_graph_seeds_edges_and_triangles() {
     let g = Gnp::new(40, 0.2).seeded(9).generate();
     let engine = DistributedTriangleEngine::from_graph(&g);
     assert_eq!(engine.edge_count(), g.edge_count());
-    assert_eq!(engine.triangles(), &oracle::list_all(&g));
+    assert_eq!(engine.triangles(), oracle::list_all(&g));
     for node in g.nodes() {
         assert_eq!(engine.neighbors(node), g.neighbors(node));
     }
+}
+
+#[test]
+fn the_oracle_check_is_exact_set_equality() {
+    // K5 on nodes 0–4 beside the isolated nodes 5 and 6.
+    let mut b = congest_graph::GraphBuilder::new(7);
+    for i in 0..5 {
+        for j in i + 1..5 {
+            b.add_edge(v(i), v(j)).unwrap();
+        }
+    }
+    let g = b.build();
+    let live = Triangle::new(v(1), v(2), v(3));
+    let fake = Triangle::new(v(0), v(5), v(6));
+    assert!(DistributedTriangleEngine::from_graph(&g).matches_oracle());
+
+    let mut missing = DistributedTriangleEngine::from_graph(&g);
+    assert!(missing.triangles.remove(&live));
+    assert!(!missing.matches_oracle(), "one missing");
+
+    let mut extra = DistributedTriangleEngine::from_graph(&g);
+    assert!(extra.triangles.insert(fake));
+    assert!(!extra.matches_oracle(), "one extra");
+
+    let mut swapped = DistributedTriangleEngine::from_graph(&g);
+    assert!(swapped.triangles.remove(&live));
+    assert!(swapped.triangles.insert(fake));
+    assert_eq!(swapped.triangle_count(), 10);
+    assert!(!swapped.matches_oracle(), "one swapped");
+}
+
+#[test]
+fn hash_order_never_reaches_a_result() {
+    let g = Gnp::new(40, 0.35).seeded(3).generate();
+    // Built apart, so each live set draws its own hash keys.
+    let mut a = DistributedTriangleEngine::from_graph(&g);
+    let mut b = DistributedTriangleEngine::from_graph(&g);
+    for (step, batch) in random_batches(40, 6, 12, 5).iter().enumerate() {
+        assert_eq!(a.apply(batch), b.apply(batch), "step {step}");
+    }
+    assert!(a.triangle_count() > 100);
+    assert_ne!(
+        a.triangles.hash_order(),
+        b.triangles.hash_order(),
+        "two sets in one process hash alike"
+    );
+    let sorted = a.triangles();
+    assert_eq!(sorted, b.triangles());
+    let order: Vec<Triangle> = sorted.iter().copied().collect();
+    assert!(order.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
@@ -298,7 +349,7 @@ fn hub_split_flattens_hotspot_epochs() {
         let cost = engine.last_batch_cost();
         assert!(cost.convergecast_rounds > 0, "{split:?}");
         let prefix = cost.rounds - cost.convergecast_rounds;
-        (report, prefix, engine.triangles().clone())
+        (report, prefix, engine.triangles())
     };
     let (unsplit_report, unsplit_prefix, unsplit_set) = run(HubSplit::Off);
     let (split_report, split_prefix, split_set) = run(HubSplit::Auto);

@@ -4,7 +4,11 @@
 //! Every engine — the multi-core [`ShardedTriangleIndex`] (whose
 //! one-shard form is [`TriangleIndex`]) and the simulated-network
 //! [`DistributedTriangleEngine`] — maintains adjacency plus the live
-//! triangle set under [`DeltaBatch`]es; the
+//! triangle set under [`DeltaBatch`]es. The live set is a hash set:
+//! [`triangle_count`](StreamEngine::triangle_count) reads its length,
+//! and each engine's inherent `triangles()` copies it out as a sorted
+//! [`TriangleSet`](congest_graph::TriangleSet) in `O(t log t)` — for
+//! checks, not for a loop. The
 //! [`WorkloadRunner`](crate::WorkloadRunner) drives the shared-memory
 //! engine at any shard count through the same scenario via this trait.
 //! `apply` is the one write path: a caller that wants to defer work
@@ -40,7 +44,8 @@ pub trait StreamEngine: AdjacencyView {
     fn triangle_count(&self) -> usize;
 
     /// Whether the live triangle set equals a from-scratch recount on the
-    /// engine's own adjacency view.
+    /// engine's own adjacency view: the same number of triangles, and
+    /// every recounted one live.
     fn matches_oracle(&self) -> bool;
 
     /// Number of shards the engine partitions work across (1 for the

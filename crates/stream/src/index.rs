@@ -171,7 +171,7 @@ impl ApplyReport {
 /// index.apply(&batch).unwrap();
 ///
 /// // The live set always equals a from-scratch recount.
-/// assert_eq!(index.triangles(), &oracle::list_all(&index.snapshot()));
+/// assert_eq!(index.triangles(), oracle::list_all(&index.snapshot()));
 /// ```
 ///
 /// Cloning is the sharded engine's `O(S)` copy-on-write clone: the two
@@ -293,7 +293,7 @@ mod tests {
         let g = Gnp::new(40, 0.2).seeded(9).generate();
         let idx = TriangleIndex::from_graph(&g);
         assert_eq!(idx.edge_count(), g.edge_count());
-        assert_eq!(idx.triangles(), &oracle::list_all(&g));
+        assert_eq!(idx.triangles(), oracle::list_all(&g));
         assert_eq!(&idx.snapshot(), &g);
     }
 

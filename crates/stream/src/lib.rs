@@ -6,8 +6,11 @@
 //!
 //! * [`TriangleIndex`] — the one-shard engine: a [`ShardedTriangleIndex`]
 //!   over a single shard, which maintains adjacency **and** the live
-//!   [`TriangleSet`](congest_graph::TriangleSet) under [`DeltaBatch`]es
-//!   of edge insertions/removals on the calling thread. Each delta only
+//!   triangle set under [`DeltaBatch`]es of edge insertions/removals on
+//!   the calling thread. Every engine keeps its live set in a hash set
+//!   (membership is all a delta asks of it); `triangles()` returns it as
+//!   a sorted [`TriangleSet`](congest_graph::TriangleSet), built on
+//!   demand in `O(t log t)` for checks. Each delta only
 //!   pays a common-neighbour intersection on its two endpoints (walked
 //!   from the lower-degree side), so a batch costs
 //!   `O(batch · d̄ log d_max)` instead of the `O(m^{3/2})` of a

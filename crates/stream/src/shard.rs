@@ -58,6 +58,7 @@
 //!   serve-mode support queries are `O(1)` lookups instead of repeated
 //!   intersections.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use congest_graph::{Edge, NodeId, Triangle, TriangleSet};
@@ -66,8 +67,73 @@ use crate::arena::{ArenaStats, NeighborArena};
 
 use crate::delta::DeltaOp;
 
+/// The live triangle set of a streaming engine: every triangle of the
+/// current graph, each held once.
+///
+/// The engines ask it membership questions only — insert if absent,
+/// remove if present, and its length — so it is a hash set, not the
+/// sorted B-tree of [`TriangleSet`]: a point insert or remove costs one
+/// hash and a probe or two instead of a walk down a tree. The hasher is
+/// std's default keyed [`RandomState`](std::collections::hash_map::RandomState),
+/// so a crafted stream cannot aim triangles at one bucket, and two sets
+/// built in one process order their triangles differently. That order
+/// never leaves this type: it has no iterator and no `Debug`, and
+/// [`to_sorted`](Self::to_sorted) is the one way out, as the sorted
+/// [`TriangleSet`] every engine's `triangles()` returns.
+#[derive(Clone, Default)]
+pub(crate) struct LiveTriangles(HashSet<Triangle>);
+
+impl LiveTriangles {
+    /// An empty set with room for `capacity` triangles.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        LiveTriangles(HashSet::with_capacity(capacity))
+    }
+
+    /// Number of live triangles.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Inserts a triangle; returns `true` if it was not already live.
+    pub(crate) fn insert(&mut self, triangle: Triangle) -> bool {
+        self.0.insert(triangle)
+    }
+
+    /// Removes a triangle; returns `true` if it was live.
+    pub(crate) fn remove(&mut self, triangle: &Triangle) -> bool {
+        self.0.remove(triangle)
+    }
+
+    /// Whether the set holds exactly the triangles of `reference`: the
+    /// same number, and every one of them present.
+    pub(crate) fn equals(&self, reference: &TriangleSet) -> bool {
+        self.len() == reference.len() && reference.iter().all(|t| self.0.contains(t))
+    }
+
+    /// The set as a sorted [`TriangleSet`], built on demand:
+    /// `O(t log t)` for `t` live triangles, meant for checks and tests,
+    /// not for a loop.
+    pub(crate) fn to_sorted(&self) -> TriangleSet {
+        self.0.iter().copied().collect()
+    }
+
+    /// The triangles in the set's own hash order, which the tests
+    /// compare across two sets to show that the order differs and that
+    /// nothing an engine reports depends on it.
+    #[cfg(test)]
+    pub(crate) fn hash_order(&self) -> Vec<Triangle> {
+        self.0.iter().copied().collect()
+    }
+}
+
+impl FromIterator<Triangle> for LiveTriangles {
+    fn from_iter<I: IntoIterator<Item = Triangle>>(iter: I) -> Self {
+        LiveTriangles(iter.into_iter().collect())
+    }
+}
+
 /// Merges candidate *retired* triangles into the live set with
-/// exactly-once dedup: [`TriangleSet::remove`] reports whether the
+/// exactly-once dedup: [`LiveTriangles::remove`] reports whether the
 /// triangle was still present, so one observed dying through several of
 /// its edges — or by several workers / network nodes — is counted a
 /// single time. Returns the number of triangles actually retired.
@@ -75,7 +141,7 @@ use crate::delta::DeltaOp;
 /// This is the merge core of both the sharded engine's phase-2 and the
 /// distributed engine's coordinator.
 pub(crate) fn merge_removed_candidates<'a>(
-    triangles: &mut TriangleSet,
+    triangles: &mut LiveTriangles,
     candidates: impl IntoIterator<Item = &'a Triangle>,
 ) -> usize {
     candidates
@@ -88,7 +154,7 @@ pub(crate) fn merge_removed_candidates<'a>(
 /// dedup (the insertion dual of [`merge_removed_candidates`]). Returns
 /// the number of triangles actually added.
 pub(crate) fn merge_added_candidates<'a>(
-    triangles: &mut TriangleSet,
+    triangles: &mut LiveTriangles,
     candidates: impl IntoIterator<Item = &'a Triangle>,
 ) -> usize {
     candidates
@@ -115,7 +181,7 @@ pub(crate) fn dedup_candidates(run: &mut Vec<Triangle>) {
 /// most once per batch while a published view pins it.
 ///
 /// The counters are maintained by exactly the inserts/removes that
-/// mutate the [`TriangleSet`] (the `_supported` merge variants below and
+/// mutate the [`LiveTriangles`] (the `_supported` merge variants below and
 /// the engines' direct apply paths), so they are always consistent with
 /// the live set — the lockstep property tests recount them against the
 /// oracle.
@@ -132,16 +198,21 @@ impl NodeSupport {
         }
     }
 
-    /// Counters seeded from an existing triangle set.
-    pub(crate) fn seed_from(triangles: &TriangleSet, node_count: usize) -> Self {
+    /// The live set and the counters of an engine seeded with
+    /// `listing` (its graph's reference listing), built in one pass:
+    /// the set sized for every triangle up front, each node credited
+    /// once per triangle it is in.
+    pub(crate) fn seed(listing: &TriangleSet, node_count: usize) -> (LiveTriangles, Self) {
+        let mut live = LiveTriangles::with_capacity(listing.len());
         let mut support = NodeSupport::new(node_count);
         let counts = Arc::make_mut(&mut support.counts);
-        for t in triangles.iter() {
+        for t in listing {
+            live.insert(*t);
             for v in t.nodes() {
                 counts[v.index()] += 1;
             }
         }
-        support
+        (live, support)
     }
 
     /// Credits one live triangle to each of its three nodes.
@@ -179,7 +250,7 @@ impl NodeSupport {
 /// triangle from the per-node support counters — the sharded engine's
 /// merge core; the distributed engine keeps the unsupported variant.
 pub(crate) fn merge_removed_candidates_supported<'a>(
-    triangles: &mut TriangleSet,
+    triangles: &mut LiveTriangles,
     support: &mut NodeSupport,
     candidates: impl IntoIterator<Item = &'a Triangle>,
 ) -> usize {
@@ -199,7 +270,7 @@ pub(crate) fn merge_removed_candidates_supported<'a>(
 /// triangle to the per-node support counters (the insertion dual of
 /// [`merge_removed_candidates_supported`]).
 pub(crate) fn merge_added_candidates_supported<'a>(
-    triangles: &mut TriangleSet,
+    triangles: &mut LiveTriangles,
     support: &mut NodeSupport,
     candidates: impl IntoIterator<Item = &'a Triangle>,
 ) -> usize {

@@ -29,7 +29,8 @@
 //!    * *insert-collect* (read-only on the post-batch adjacency): the
 //!      candidate triangles every effective insertion closes.
 //! 2. **Merge phase** — candidate triangle deltas are deduplicated into
-//!    the global [`TriangleSet`]: a triangle whose death (or birth) was
+//!    the global live set (a hash set, see
+//!    [`LiveTriangles`](crate::shard)): a triangle whose death (or birth) was
 //!    observed by several of its edges is retired (or added) **exactly
 //!    once**, because set removal/insertion reports whether it actually
 //!    changed membership.
@@ -75,7 +76,7 @@ use crate::pool::{
 };
 use crate::shard::{
     merge_added_candidates_supported, merge_removed_candidates_supported, CowStats, LentArenas,
-    NodeSupport, ShardOp, ShardStore,
+    LiveTriangles, NodeSupport, ShardOp, ShardStore,
 };
 
 /// Aggregates per-batch pool stats into the engine's lifetime
@@ -128,12 +129,12 @@ impl TelemetryAccum {
 /// index.apply(&batch).unwrap();
 ///
 /// // The live set always equals a snapshot-free recount on the index.
-/// assert_eq!(index.triangles(), &oracle::list_all_on(&index));
+/// assert_eq!(index.triangles(), oracle::list_all_on(&index));
 /// ```
 pub struct ShardedTriangleIndex {
     store: ShardStore,
     /// The live triangle set (global: the merge phase is the only writer).
-    triangles: TriangleSet,
+    triangles: LiveTriangles,
     /// Per-node triangle-support counters, maintained alongside
     /// `triangles` by the same merge/apply sites (copy-on-write so a
     /// published serve view shares it for free).
@@ -167,7 +168,7 @@ impl ShardedTriangleIndex {
     pub fn new(node_count: usize, shard_count: usize) -> Self {
         ShardedTriangleIndex {
             store: ShardStore::new(node_count, shard_count),
-            triangles: TriangleSet::new(),
+            triangles: LiveTriangles::default(),
             support: NodeSupport::new(node_count),
             pool: None,
             telemetry: TelemetryAccum::default(),
@@ -182,8 +183,8 @@ impl ShardedTriangleIndex {
         for node in graph.nodes() {
             index.store.seed(node, graph.neighbors(node));
         }
-        index.triangles = congest_graph::triangles::list_all(graph);
-        index.support = NodeSupport::seed_from(&index.triangles, graph.node_count());
+        let listing = congest_graph::triangles::list_all(graph);
+        (index.triangles, index.support) = NodeSupport::seed(&listing, graph.node_count());
         index
     }
 
@@ -226,9 +227,12 @@ impl ShardedTriangleIndex {
         self.store.has_edge(a, b)
     }
 
-    /// The live triangle set.
-    pub fn triangles(&self) -> &TriangleSet {
-        &self.triangles
+    /// The live triangle set, sorted: built on demand from the engine's
+    /// hash set in `O(t log t)` for `t` live triangles, so it is meant
+    /// for checks and tests — call it once, not inside a loop.
+    /// [`triangle_count`](Self::triangle_count) is `O(1)`.
+    pub fn triangles(&self) -> TriangleSet {
+        self.triangles.to_sorted()
     }
 
     /// Number of live triangles.
@@ -382,9 +386,11 @@ impl ShardedTriangleIndex {
     }
 
     /// Whether the live triangle set exactly equals a snapshot-free
-    /// from-scratch recount on the index's own adjacency view.
+    /// from-scratch recount on the index's own adjacency view:
+    /// the same number of triangles, and every recounted one live.
     pub fn matches_oracle(&self) -> bool {
-        self.triangles == congest_graph::triangles::list_all_on(self)
+        self.triangles
+            .equals(&congest_graph::triangles::list_all_on(self))
     }
 
     /// The ordered path: [`apply_in_order`], the index's loop — every
@@ -607,7 +613,7 @@ fn route(store: &mut ShardStore, u: NodeId, v: NodeId, op: DeltaOp) {
 /// change the graph is a no-op.
 fn apply_in_order<A: EdgeLists>(
     lists: &mut A,
-    triangles: &mut TriangleSet,
+    triangles: &mut LiveTriangles,
     support: &mut NodeSupport,
     batch: &DeltaBatch,
 ) -> ApplyReport {
@@ -804,7 +810,7 @@ mod tests {
         for shards in [1, 2, 7] {
             let idx = ShardedTriangleIndex::from_graph(&g, shards);
             assert_eq!(idx.edge_count(), g.edge_count());
-            assert_eq!(idx.triangles(), &oracle::list_all(&g));
+            assert_eq!(idx.triangles(), oracle::list_all(&g));
             for node in g.nodes() {
                 assert_eq!(idx.neighbors(node), g.neighbors(node));
             }
@@ -1511,6 +1517,68 @@ mod tests {
             assert_eq!(idx.triangles(), copy.triangles());
             assert!(idx.matches_oracle());
             drop(view);
+        }
+    }
+
+    /// `K5` on nodes 0–4 beside the isolated nodes 5 and 6, and a triple
+    /// over the isolated pair that is no triangle of it.
+    fn k5_and_a_fake() -> (Graph, Triangle) {
+        let mut b = GraphBuilder::new(7);
+        for i in 0..5 {
+            for j in i + 1..5 {
+                b.add_edge(v(i), v(j)).unwrap();
+            }
+        }
+        (b.build(), Triangle::new(v(0), v(5), v(6)))
+    }
+
+    #[test]
+    fn the_oracle_check_is_exact_set_equality() {
+        let (g, fake) = k5_and_a_fake();
+        let live = Triangle::new(v(1), v(2), v(3));
+        for shards in [1, 3] {
+            let seeded = ShardedTriangleIndex::from_graph(&g, shards);
+            assert!(seeded.matches_oracle(), "S={shards}");
+
+            let mut missing = seeded.clone();
+            assert!(missing.triangles.remove(&live));
+            assert!(!missing.matches_oracle(), "S={shards}: one missing");
+
+            let mut extra = seeded.clone();
+            assert!(extra.triangles.insert(fake));
+            assert!(!extra.matches_oracle(), "S={shards}: one extra");
+
+            let mut swapped = seeded.clone();
+            assert!(swapped.triangles.remove(&live));
+            assert!(swapped.triangles.insert(fake));
+            assert_eq!(swapped.triangle_count(), seeded.triangle_count());
+            assert!(!swapped.matches_oracle(), "S={shards}: one swapped");
+        }
+    }
+
+    #[test]
+    fn hash_order_never_reaches_a_result() {
+        let g = Gnp::new(40, 0.35).seeded(3).generate();
+        for (shards, pipeline) in paths(&[1, 3]) {
+            // Built apart, so each set draws its own hash keys.
+            let mut a = ShardedTriangleIndex::from_graph(&g, shards);
+            let mut b = ShardedTriangleIndex::from_graph(&g, shards);
+            for step in 0..6 {
+                let batch = churn(step, 40);
+                let report = apply_on(&mut a, &batch, pipeline);
+                assert_eq!(report, apply_on(&mut b, &batch, pipeline), "step {step}");
+            }
+            assert!(a.triangle_count() > 100);
+            assert_ne!(
+                a.triangles.hash_order(),
+                b.triangles.hash_order(),
+                "two sets in one process hash alike"
+            );
+            let sorted = a.triangles();
+            assert_eq!(sorted, b.triangles());
+            let order: Vec<Triangle> = sorted.iter().copied().collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
     }
 

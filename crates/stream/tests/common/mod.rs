@@ -239,10 +239,11 @@ impl Config {
 }
 
 /// What the lockstep reads off an engine beyond [`StreamEngine`]: the
-/// live triangle set and, for the simulated network, what the last batch
-/// cost and what recovery has done so far.
+/// live triangle set (sorted on demand, so read once a step) and, for
+/// the simulated network, what the last batch cost and what recovery has
+/// done so far.
 pub trait Subject: StreamEngine {
-    fn triangles(&self) -> &TriangleSet;
+    fn triangles(&self) -> TriangleSet;
 
     fn cost(&self) -> Option<(CongestCost, RecoveryStats)> {
         None
@@ -250,19 +251,19 @@ pub trait Subject: StreamEngine {
 }
 
 impl Subject for TriangleIndex {
-    fn triangles(&self) -> &TriangleSet {
+    fn triangles(&self) -> TriangleSet {
         ShardedTriangleIndex::triangles(self)
     }
 }
 
 impl Subject for ShardedTriangleIndex {
-    fn triangles(&self) -> &TriangleSet {
+    fn triangles(&self) -> TriangleSet {
         ShardedTriangleIndex::triangles(self)
     }
 }
 
 impl Subject for DistributedTriangleEngine {
-    fn triangles(&self) -> &TriangleSet {
+    fn triangles(&self) -> TriangleSet {
         DistributedTriangleEngine::triangles(self)
     }
 
@@ -304,7 +305,7 @@ impl StreamEngine for Served {
     }
 
     fn matches_oracle(&self) -> bool {
-        oracle::list_all_on(&self.lease) == *self.triangles()
+        oracle::list_all_on(&self.lease) == self.triangles()
     }
 
     fn shard_count(&self) -> usize {
@@ -321,7 +322,7 @@ impl StreamEngine for Served {
 }
 
 impl Subject for Served {
-    fn triangles(&self) -> &TriangleSet {
+    fn triangles(&self) -> TriangleSet {
         self.server.engine().triangles()
     }
 }
@@ -333,7 +334,7 @@ fn pooled(subject: &dyn Subject) -> usize {
 
 /// The reference's adjacency and triangle set, kept across a batch.
 fn state(reference: &TriangleIndex) -> (Graph, TriangleSet) {
-    (reference.snapshot(), reference.triangles().clone())
+    (reference.snapshot(), reference.triangles())
 }
 
 /// The tally oracle: the report of applying `batch` coalesced to the
@@ -374,11 +375,14 @@ type Step<'a> = (&'a DeltaBatch, ApplyReport, ApplyReport);
 /// neighbour list; and, where the subject keeps them, every node's
 /// support. An error is allowed to a faulted configuration only, whose
 /// next `apply` must then be refused as [`StreamError::Poisoned`].
+/// `expected` is the reference's triangle set after the step, built
+/// once for every subject.
 fn apply_checked(
     subject: &mut dyn Subject,
     config: Config,
     step: &Step,
     reference: &TriangleIndex,
+    expected: &TriangleSet,
     what: &str,
 ) -> Result<(), StreamError> {
     let (batch, ordered, coalesced) = *step;
@@ -397,7 +401,7 @@ fn apply_checked(
     } else {
         assert_eq!(report, ordered, "{what}: ordered tallies");
     }
-    assert_eq!(subject.triangles(), reference.triangles(), "{what}");
+    assert_eq!(&subject.triangles(), expected, "{what}");
     let counts = (subject.triangle_count(), subject.edge_count());
     let expected_counts = (reference.triangle_count(), reference.edge_count());
     assert_eq!(counts, expected_counts, "{what}");
@@ -443,13 +447,16 @@ pub fn lockstep(base: &Graph, batches: &[DeltaBatch], configs: &[Config]) -> usi
     }
     let mut left = 0;
     let mut window = Vec::new();
-    let mut window_start = state(&reference);
+    // The reference's state before the batch and at the start of the
+    // deferred window: each is built once, when the reference reaches it.
+    let mut pre = state(&reference);
+    let mut window_start = pre.clone();
 
     for (i, batch) in batches.iter().enumerate() {
-        let pre = state(&reference);
         let ordered = reference.apply(batch).expect("in-range batch");
         assert!(reference.matches_oracle(), "reference, batch {i}");
-        let coalesced = coalesced_report(&pre, batch, reference.triangles());
+        let post = state(&reference);
+        let coalesced = coalesced_report(&pre, batch, &post.1);
         let mut steps = vec![(batch, ordered, coalesced)];
         window.push(batch.clone());
         let merged = (i % 3 == 2 || i + 1 == batches.len())
@@ -457,9 +464,9 @@ pub fn lockstep(base: &Graph, batches: &[DeltaBatch], configs: &[Config]) -> usi
         if let Some(merged) = &merged {
             let mut replay = TriangleIndex::from_graph(&window_start.0);
             let ordered = replay.apply(merged).expect("in-range batch");
-            let coalesced = coalesced_report(&window_start, merged, reference.triangles());
+            let coalesced = coalesced_report(&window_start, merged, &post.1);
             steps.push((merged, ordered, coalesced));
-            window_start = state(&reference);
+            window_start = post.clone();
         }
 
         // The simulated network's lanes end where the pooled tail begins.
@@ -474,7 +481,16 @@ pub fn lockstep(base: &Graph, batches: &[DeltaBatch], configs: &[Config]) -> usi
             let results: Vec<_> = lane
                 .subjects
                 .iter_mut()
-                .map(|subject| apply_checked(&mut **subject, lane.config, step, &reference, &what))
+                .map(|subject| {
+                    apply_checked(
+                        &mut **subject,
+                        lane.config,
+                        step,
+                        &reference,
+                        &post.1,
+                        &what,
+                    )
+                })
                 .collect();
             assert!(
                 results.windows(2).all(|r| r[0] == r[1]),
@@ -489,6 +505,7 @@ pub fn lockstep(base: &Graph, batches: &[DeltaBatch], configs: &[Config]) -> usi
                 assert_eq!(twins[0].cost(), twins[1].cost(), "{what}");
             }
         }
+        pre = post;
     }
 
     let long = batches.iter().filter(|b| b.len() >= POOLED_LEN).count();

@@ -113,7 +113,7 @@ fn run_row(graph: &Graph, split: HubSplit, plan: FaultPlan) -> String {
         skew.max_ratio.to_bits(),
         skew.mean_ratio.to_bits(),
         engine.triangle_count(),
-        fnv(engine.triangles()),
+        fnv(&engine.triangles()),
     )
 }
 
