@@ -4,8 +4,9 @@ use congest_graph::NodeId;
 use congest_wire::{BitReader, BitWriter, IdCodec, Payload, WireError};
 use rand::rngs::SmallRng;
 
+use crate::faults::FaultState;
 use crate::stream::Streams;
-use crate::{Model, NodeInfo, SimError};
+use crate::{Metrics, Model, NodeInfo, SimError};
 
 /// A message delivered to a node at the start of a round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,8 +53,13 @@ pub struct RoundContext<'a> {
     /// `None` once [`take_inbox`](RoundContext::take_inbox) has handed
     /// the buffer's borrow to its drain.
     pub(crate) inbox: Option<&'a mut Vec<ReceivedMessage>>,
-    /// Every node's streams; this node touches only its own.
+    /// Every node's streams; this node opens its own and takes what was
+    /// sent to it.
     pub(crate) streams: &'a mut Streams,
+    /// The fault layer a stream's chunks draw from when it settles.
+    pub(crate) faults: &'a mut FaultState,
+    /// The epoch's metrics, which a stream is booked in when it settles.
+    pub(crate) metrics: &'a mut Metrics,
     pub(crate) outbox: &'a mut Outbox,
     pub(crate) rng: &'a mut SmallRng,
 }
@@ -162,7 +168,7 @@ impl<'a> RoundContext<'a> {
                 budget: self.info.bandwidth_bits,
             });
         }
-        if self.streams.is_streaming(from.index(), to) {
+        if self.streams.is_streaming(from.index(), to, self.round) {
             return Err(SimError::DuplicateMessage { from, to });
         }
         match self.outbox.position(to) {
@@ -174,16 +180,17 @@ impl<'a> RoundContext<'a> {
         }
     }
 
-    /// Opens a transfer of `payload` to `to` that the simulator carries
-    /// over as many rounds as the bandwidth needs: `⌈bits / B⌉` of them,
-    /// starting with this one. Each round it moves the next `B` bits (or
-    /// what is left) as one message on that link — booked, and subject to
-    /// faults, exactly like a [`send`](RoundContext::send) of that chunk
-    /// — into the receiver's buffer for this node, where
-    /// [`take_streams`](RoundContext::take_streams) collects it from the
-    /// next round on. The stream keeps moving while this node sleeps, and
-    /// stops when it halts or the epoch ends. An empty payload sends
-    /// nothing.
+    /// Opens a transfer of `payload` to `to` that occupies the link for
+    /// as many rounds as the bandwidth needs: `⌈bits / B⌉` of them,
+    /// starting with this one. In each of them the next `B` bits (or what
+    /// is left) count as one message on that link — booked, and subject to
+    /// faults, exactly like a [`send`](RoundContext::send) of that chunk —
+    /// and the receiver's [`take_streams`](RoundContext::take_streams)
+    /// collects a round's chunk from the next round on. The simulator does
+    /// not move the chunks one by one: it settles the stream when it is
+    /// read, cut or the epoch ends, with the same result. The stream keeps
+    /// sending while this node sleeps, and stops when it halts or the epoch
+    /// ends. An empty payload sends nothing.
     ///
     /// # Errors
     ///
@@ -199,7 +206,9 @@ impl<'a> RoundContext<'a> {
                 to,
             });
         }
-        self.streams.open(self.info.id.index(), to, payload);
+        let from = self.info.id.index();
+        self.streams
+            .open(from, to, payload, self.round, self.faults, self.metrics);
         Ok(())
     }
 
@@ -209,13 +218,17 @@ impl<'a> RoundContext<'a> {
     /// whole stream once its phase is over, the part delivered so far
     /// while it still runs. Bits sent this round are not among them.
     pub fn take_streams(&mut self) -> Vec<(NodeId, Payload)> {
-        self.streams.take(self.info.id.index(), self.round)
+        self.streams
+            .take(self.info.id.index(), self.round, self.faults, self.metrics)
     }
 
     /// Whether this round's turn on the link to `to` is taken: a message
     /// to `to` is queued, or a stream to `to` still has bits to send.
     pub fn has_queued(&self, to: NodeId) -> bool {
-        self.outbox.position(to).is_ok() || self.streams.is_streaming(self.info.id.index(), to)
+        self.outbox.position(to).is_ok()
+            || self
+                .streams
+                .is_streaming(self.info.id.index(), to, self.round)
     }
 
     /// Fails unless `to` is another node this one may talk to.
@@ -308,7 +321,9 @@ mod tests {
 
     fn with_ctx<R>(info: &NodeInfo, f: impl FnOnce(&mut RoundContext<'_>) -> R) -> (R, Outbox) {
         let mut inbox = Vec::new();
-        let mut streams = Streams::new(info.n);
+        let mut streams = Streams::new(info.n, info.bandwidth_bits);
+        let mut faults = FaultState::new(&crate::SimConfig::congest(0), info.n);
+        let mut metrics = Metrics::new(info.n);
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(1);
         let r = {
@@ -318,6 +333,8 @@ mod tests {
                 epoch: 0,
                 inbox: Some(&mut inbox),
                 streams: &mut streams,
+                faults: &mut faults,
+                metrics: &mut metrics,
                 outbox: &mut outbox,
                 rng: &mut rng,
             };
@@ -437,7 +454,9 @@ mod tests {
             from: NodeId(1),
             payload: Payload::new(),
         });
-        let mut streams = Streams::new(info.n);
+        let mut streams = Streams::new(info.n, info.bandwidth_bits);
+        let mut faults = FaultState::new(&crate::SimConfig::congest(0), info.n);
+        let mut metrics = Metrics::new(info.n);
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(1);
         let mut ctx = RoundContext {
@@ -446,6 +465,8 @@ mod tests {
             epoch: 1,
             inbox: Some(&mut inbox),
             streams: &mut streams,
+            faults: &mut faults,
+            metrics: &mut metrics,
             outbox: &mut outbox,
             rng: &mut rng,
         };

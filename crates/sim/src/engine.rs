@@ -7,21 +7,24 @@
 //! [`Simulation::update_topology`] — the substrate of the dynamic
 //! (CONGEST-simulated) triangle engine in `congest-stream`.
 //!
-//! **Cost model.** On the host a round costs the nodes that are due plus
-//! the messages and stream chunks moved — with a flag test for every
-//! running node that is not due — and an epoch `O(n)` once. The round
-//! bookkeeping (see `round.rs`) never visits a halted node, nor a node
-//! that sleeps ([`NodeStatus::Sleep`](crate::NodeStatus::Sleep)) until its
-//! round comes or a message reaches it; inboxes are double-buffered and
-//! keep their capacity (a program reads its inbox by reference or drains
-//! it with [`RoundContext::take_inbox`]; neither gives the buffer away);
-//! every node queues its sends into one reused destination-sorted buffer;
-//! and a multi-round transfer is one stream the round state carries a
-//! chunk a round ([`RoundContext::stream`]), not a message the program
-//! cuts, sends, drains and glues back every round. A phase in which nodes
-//! only wait for their streams to drain, or a few nodes wait out a
-//! deadline, is therefore nearly free, and host time follows simulated
-//! traffic rather than `n × rounds`.
+//! **Cost model.** On the host a round costs the nodes that are due, the
+//! messages they send and the streams they open, read or cut — with a flag
+//! test for every running node that is not due — and an epoch `O(n)` once.
+//! The round bookkeeping (see `round.rs`) never touches a halted node, nor
+//! a node that sleeps ([`NodeStatus::Sleep`](crate::NodeStatus::Sleep))
+//! until its round comes or a message reaches it; inboxes are
+//! double-buffered and keep their capacity (a program reads its inbox by
+//! reference or drains it with
+//! [`RoundContext::take_inbox`](crate::RoundContext::take_inbox); neither
+//! gives the buffer away); every node queues its sends into one reused
+//! destination-sorted buffer; and a multi-round transfer is one stream
+//! ([`RoundContext::stream`](crate::RoundContext::stream)), not a message
+//! the program cuts, sends, drains and glues back every round: a record at
+//! its receiver, settled in closed form when it is read (`stream.rs`). A
+//! phase in which nodes only wait for their streams to drain, or a few
+//! nodes wait out a deadline, costs the flag tests alone, and host time
+//! follows the messages and streams rather than `n × rounds` or the chunks
+//! in flight.
 //!
 //! **One executor.** The model's rounds are synchronous, so a run has
 //! one schedule and its rounds, messages and bits cannot depend on who
@@ -42,7 +45,7 @@ use rand::SeedableRng;
 use crate::context::Outbox;
 use crate::rng::derive_node_seed;
 use crate::round::RoundState;
-use crate::{FaultPlan, Metrics, NodeInfo, NodeProgram, RoundContext, SimConfig};
+use crate::{FaultPlan, Metrics, NodeInfo, NodeProgram, SimConfig};
 
 /// Why a run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +115,8 @@ impl EpochReport {
 /// keeps every node program alive, so a live network can be fed
 /// successive input batches with [`Simulation::inject`] between epochs
 /// instead of being rebuilt per run. Per-node round numbering restarts
-/// at 0 each epoch; [`RoundContext::epoch`] exposes the epoch index.
+/// at 0 each epoch; [`RoundContext::epoch`](crate::RoundContext::epoch)
+/// exposes the epoch index.
 ///
 /// See the [crate-level documentation](crate) for a complete one-shot
 /// example; a resumable multi-epoch session looks like this:
@@ -288,29 +292,16 @@ impl<P: NodeProgram> Simulation<P> {
             rngs,
             state,
         } = self;
-        let epoch = state.epoch();
         // One send buffer for every node: `settle` drains it.
         let mut outbox = Outbox::default();
         state.run_epoch(config.max_rounds, |state, round| {
             for k in 0..state.active().len() {
                 let i = state.active()[k];
                 if !state.due(i, round) {
-                    state.pass(i);
                     continue;
                 }
-                let status = {
-                    let (inbox, streams) = state.io(i);
-                    let mut ctx = RoundContext {
-                        info: &infos[i],
-                        round,
-                        epoch,
-                        inbox: Some(inbox),
-                        streams,
-                        outbox: &mut outbox,
-                        rng: &mut rngs[i],
-                    };
-                    programs[i].on_round(&mut ctx)
-                };
+                let mut ctx = state.context(i, &infos[i], &mut outbox, &mut rngs[i]);
+                let status = programs[i].on_round(&mut ctx);
                 state.settle(i, status, &mut outbox.messages);
             }
         })
@@ -335,7 +326,7 @@ impl<P: NodeProgram> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bandwidth, Model, NodeStatus};
+    use crate::{Bandwidth, Model, NodeStatus, RoundContext};
     use congest_graph::generators::{Classic, Gnp};
     use rand::Rng;
 
@@ -708,9 +699,9 @@ mod tests {
 
     /// One epoch of `sim` with every round's due nodes *run* in an order
     /// drawn from `order`, each on an outbox of its own, and only then
-    /// settled — ascending, through the same [`RoundState::settle`] and
-    /// [`RoundState::pass`] the engine calls. Must be indistinguishable
-    /// from [`Simulation::run_epoch`]: a program that was handed another
+    /// settled — ascending, through the same [`RoundState::settle`] the
+    /// engine calls. Must be indistinguishable from
+    /// [`Simulation::run_epoch`]: a program that was handed another
     /// node's inbox, streams or RNG, or that saw a neighbour's sends or
     /// stream chunks of the same round, would make the two differ.
     fn run_epoch_shuffled<P: NodeProgram>(
@@ -724,10 +715,9 @@ mod tests {
             rngs,
             state,
         } = sim;
-        let epoch = state.epoch();
         state.run_epoch(config.max_rounds, |state, round| {
-            let active = state.active().to_vec();
-            let mut visit: Vec<usize> = active
+            let mut visit: Vec<usize> = state
+                .active()
                 .iter()
                 .copied()
                 .filter(|&i| state.due(i, round))
@@ -739,26 +729,13 @@ mod tests {
                 .into_iter()
                 .map(|i| {
                     let mut outbox = Outbox::default();
-                    let (inbox, streams) = state.io(i);
-                    let mut ctx = RoundContext {
-                        info: &infos[i],
-                        round,
-                        epoch,
-                        inbox: Some(inbox),
-                        streams,
-                        outbox: &mut outbox,
-                        rng: &mut rngs[i],
-                    };
+                    let mut ctx = state.context(i, &infos[i], &mut outbox, &mut rngs[i]);
                     (i, programs[i].on_round(&mut ctx), outbox)
                 })
                 .collect();
             replies.sort_unstable_by_key(|&(i, ..)| i);
-            let mut replies = replies.into_iter().peekable();
-            for i in active {
-                match replies.next_if(|&(visited, ..)| visited == i) {
-                    Some((_, status, mut outbox)) => state.settle(i, status, &mut outbox.messages),
-                    None => state.pass(i),
-                }
+            for (i, status, mut outbox) in replies {
+                state.settle(i, status, &mut outbox.messages);
             }
         })
     }

@@ -37,11 +37,13 @@
 //!   bit-for-bit.
 //! * Streams — the paper's "send the set `S` to the neighbour" steps,
 //!   which take `⌈|S| log n / B⌉` rounds: a node hands the whole payload
-//!   to [`RoundContext::stream`] once, the simulator moves `B` bits of it
-//!   a round — each chunk booked and faulted exactly as a message — and
-//!   the receiver collects what has arrived with
-//!   [`RoundContext::take_streams`]. [`transfer::rounds_for_bits`] sizes
-//!   the phases that carry them.
+//!   to [`RoundContext::stream`] once, the stream sends `B` bits of it a
+//!   round — each chunk booked and faulted exactly as a message — and the
+//!   receiver collects what has arrived with
+//!   [`RoundContext::take_streams`]. The simulator does not walk the
+//!   chunks: a stream is settled in closed form when it is read, cut or
+//!   the epoch ends. [`transfer::rounds_for_bits`] sizes the phases that
+//!   carry them.
 //!
 //! ```
 //! use congest_graph::generators::Classic;

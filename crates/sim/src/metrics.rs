@@ -53,11 +53,28 @@ impl Metrics {
 
     /// Records the delivery of a `bits`-bit message from `from` to `to`.
     pub(crate) fn record_delivery(&mut self, from: usize, to: usize, bits: usize) {
-        self.messages += 1;
+        self.record_deliveries(from, to, 1, bits);
+    }
+
+    /// Records `count` deliveries from `from` to `to` that carry `bits`
+    /// bits between them: a stream's chunks, booked whole.
+    pub(crate) fn record_deliveries(&mut self, from: usize, to: usize, count: u64, bits: usize) {
+        self.messages += count;
         self.total_bits += bits as u64;
         self.received_bits[to] += bits as u64;
-        self.received_messages[to] += 1;
+        self.received_messages[to] += count;
         self.sent_bits[from] += bits as u64;
+    }
+
+    /// Takes back `count` deliveries of `bits` bits between them that
+    /// [`record_deliveries`](Metrics::record_deliveries) booked and that
+    /// never happened: the chunks of a stream after it was cut.
+    pub(crate) fn unrecord_deliveries(&mut self, from: usize, to: usize, count: u64, bits: usize) {
+        self.messages -= count;
+        self.total_bits -= bits as u64;
+        self.received_bits[to] -= bits as u64;
+        self.received_messages[to] -= count;
+        self.sent_bits[from] -= bits as u64;
     }
 
     /// Records a message from `from` lost in transit: the sender paid for

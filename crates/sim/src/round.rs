@@ -5,28 +5,38 @@
 //! list of nodes still running and when each is next due, the epoch's
 //! [`Metrics`] and the fault layer. Its one owner,
 //! [`Simulation`](crate::Simulation), supplies only the compute step —
-//! walk the running nodes in ascending id order, run each one that is
-//! [`due`](RoundState::due) and [`settle`](RoundState::settle) it, and
-//! [`pass`](RoundState::pass) the others. The order is part of the
-//! contract: it is what makes an inbox arrive in *sender order* (lower ids
-//! first, a duplicated message next to its original), and programs lean on
-//! that — the distributed engine's per-round acknowledgement `dedup`
-//! removes adjacent repeats only. Fault decisions do not depend on it:
-//! they are drawn from per-sender streams (`faults.rs`).
+//! walk the running nodes in ascending id order and run each one that is
+//! [`due`](RoundState::due) on its [`context`](RoundState::context), then
+//! [`settle`](RoundState::settle) it; a node that is not due is skipped.
+//! The order is part of the contract: it is what makes an inbox arrive in
+//! *sender order* (lower ids first, a duplicated message next to its
+//! original), and programs lean on that — the distributed engine's
+//! per-round acknowledgement `dedup` removes adjacent repeats only. Fault
+//! decisions do not depend on it: they are drawn from per-sender streams
+//! (`faults.rs`), and a stream's chunks draw from its sender's in the
+//! sender's own order whenever they are settled.
 //!
 //! **Cost model.** A round costs a flag test per running node, plus the
-//! nodes that are due, plus the messages and stream chunks moved: a
-//! sleeping node is not visited, and nothing scans, allocates or drops per
-//! *halted* node, so a long phase in which nodes wait for their streams to
-//! drain or for a deadline is nearly free. An epoch costs `O(n)` once
-//! (fresh metrics, the active list, the crash schedule).
+//! nodes that are due, plus the messages they send and the streams they
+//! open, read or cut. Streams in flight cost a round nothing: they settle
+//! when read (`stream.rs`), and whether any of them sent in a round is one
+//! counter. A sleeping node is not touched, and nothing scans, allocates
+//! or drops per *halted* node, so a long phase in which nodes wait for
+//! their streams to drain or for a deadline costs the flag tests alone. An
+//! epoch costs `O(n)` once (fresh metrics, the active list, the crash
+//! schedule, and settling what is left of the streams).
 
 use congest_graph::NodeId;
 use congest_wire::Payload;
+use rand::rngs::SmallRng;
 
+use crate::context::Outbox;
 use crate::faults::FaultState;
-use crate::stream::{OutStream, Streams};
-use crate::{EpochReport, Metrics, NodeStatus, ReceivedMessage, SimConfig, Termination};
+use crate::stream::Streams;
+use crate::{
+    EpochReport, Metrics, NodeInfo, NodeStatus, ReceivedMessage, RoundContext, SimConfig,
+    Termination,
+};
 
 /// Per-simulation round state; see the [module documentation](self).
 pub(crate) struct RoundState {
@@ -42,8 +52,6 @@ pub(crate) struct RoundState {
     /// Every node's multi-round transfers; nothing for a node that never
     /// streams.
     streams: Streams,
-    /// The per-message budget, which every stream chunk fills.
-    bandwidth_bits: usize,
     /// Nodes that sit out the rest of the epoch (halted or crashed).
     halted: Vec<bool>,
     /// The first round in which each node is due whatever its inbox: 0
@@ -54,8 +62,7 @@ pub(crate) struct RoundState {
     /// Nodes that halted during the current round; they leave `active`
     /// when it ends.
     newly_halted: Vec<usize>,
-    /// Whether any node has sent a message or a stream chunk in the
-    /// current round.
+    /// Whether any node has sent a message in the current round.
     sent_this_round: bool,
     /// Traffic of the epoch in progress.
     metrics: Metrics,
@@ -74,8 +81,7 @@ impl RoundState {
         RoundState {
             inboxes: empty_inboxes(),
             next: empty_inboxes(),
-            streams: Streams::new(n),
-            bandwidth_bits: config.bandwidth.bits_per_round(n.max(1)),
+            streams: Streams::new(n, config.bandwidth.bits_per_round(n.max(1))),
             halted: vec![false; n],
             wake: vec![0; n],
             active: Vec::with_capacity(n),
@@ -116,16 +122,34 @@ impl RoundState {
         self.wake[node] <= round || !self.inboxes[node].is_empty()
     }
 
-    /// What `node` works on this round: its inbox and the streams.
-    pub(crate) fn io(&mut self, node: usize) -> (&mut Vec<ReceivedMessage>, &mut Streams) {
-        (&mut self.inboxes[node], &mut self.streams)
+    /// The context `node`, described by `info`, runs in this round: its
+    /// inbox, the streams, the fault layer and metrics they settle
+    /// against, and the caller's `outbox` and `rng` for it.
+    pub(crate) fn context<'a>(
+        &'a mut self,
+        node: usize,
+        info: &'a NodeInfo,
+        outbox: &'a mut Outbox,
+        rng: &'a mut SmallRng,
+    ) -> RoundContext<'a> {
+        RoundContext {
+            info,
+            round: self.round,
+            epoch: self.epoch,
+            inbox: Some(&mut self.inboxes[node]),
+            streams: &mut self.streams,
+            faults: &mut self.faults,
+            metrics: &mut self.metrics,
+            outbox,
+            rng,
+        }
     }
 
     /// Drives one epoch. `compute(state, round)` must walk
-    /// [`active`](RoundState::active) in ascending order and, for each
-    /// node, either run it on its [`io`](RoundState::io) and
-    /// [`settle`](RoundState::settle) it — if it is
-    /// [`due`](RoundState::due) — or [`pass`](RoundState::pass) it.
+    /// [`active`](RoundState::active) in ascending order and run each node
+    /// that is [`due`](RoundState::due) on its
+    /// [`context`](RoundState::context), then
+    /// [`settle`](RoundState::settle) it.
     pub(crate) fn run_epoch(
         &mut self,
         max_rounds: u64,
@@ -165,7 +189,8 @@ impl RoundState {
         for &node in &self.active {
             self.inboxes[node].clear();
         }
-        self.streams.clear();
+        self.streams
+            .end_epoch(self.round, &mut self.faults, &mut self.metrics);
         self.epoch += 1;
         let mut metrics = std::mem::take(&mut self.metrics);
         metrics.rounds = self.round;
@@ -177,8 +202,7 @@ impl RoundState {
 
     /// Books the outcome of `node`'s round: empties the inbox it read,
     /// notes when it is next due, sends `outbox` (drained, in its
-    /// destination order) and a chunk of each of its streams, and retires
-    /// it — streams and all — if it halted.
+    /// destination order) and retires it — streams and all — if it halted.
     pub(crate) fn settle(
         &mut self,
         node: usize,
@@ -194,74 +218,43 @@ impl RoundState {
         if status == NodeStatus::Halted {
             self.halted[node] = true;
             self.newly_halted.push(node);
-            self.streams.stop(node);
+            self.streams.stop(node, self.round);
         }
     }
 
-    /// A round of `node` that was not due: its streams move on.
-    pub(crate) fn pass(&mut self, node: usize) {
-        self.transmit(node, &mut Vec::new());
-    }
-
-    /// Sends `from`'s messages and a chunk of each of its streams, all
-    /// in ascending destination order — the order its fault draws follow,
-    /// as if each chunk had been one more message of the outbox.
+    /// Sends `from`'s messages in ascending destination order — the order
+    /// its fault draws follow. Under a faulty plan its stream chunks draw
+    /// from the same stream, so those due by this round are drawn first
+    /// and this round's go among the messages, as if each chunk had been
+    /// one more message of the outbox.
     fn transmit(&mut self, from: usize, outbox: &mut Vec<(NodeId, Payload)>) {
-        let out = self.streams.take_out(from);
-        self.sent_this_round |= !outbox.is_empty() || !out.is_empty();
-        if out.is_empty() {
+        self.sent_this_round |= !outbox.is_empty();
+        if self.faults.quiet() || !self.streams.drawing(from) {
             for (to, payload) in outbox.drain(..) {
                 self.deliver(from, to.index(), payload);
             }
         } else {
-            self.transmit_with_streams(from, outbox, out);
+            self.transmit_drawing(from, outbox);
         }
     }
 
-    /// [`transmit`](RoundState::transmit) for a node with live streams,
-    /// kept out of the path every other node takes.
+    /// [`transmit`](RoundState::transmit) for a node with stream chunks
+    /// to draw, kept out of the path every other node takes.
     #[inline(never)]
-    fn transmit_with_streams(
-        &mut self,
-        from: usize,
-        outbox: &mut Vec<(NodeId, Payload)>,
-        mut out: Vec<OutStream>,
-    ) {
-        let mut streams = out.iter_mut().peekable();
+    fn transmit_drawing(&mut self, from: usize, outbox: &mut Vec<(NodeId, Payload)>) {
+        let round = self.round;
+        self.streams
+            .catch_up(from, round, &mut self.faults, &mut self.metrics);
+        let mut at = 0;
         for (to, payload) in outbox.drain(..) {
-            while let Some(stream) = streams.next_if(|stream| stream.to() < to) {
-                self.move_chunk(from, stream);
-            }
+            let (faults, metrics) = (&mut self.faults, &mut self.metrics);
+            at = self
+                .streams
+                .draw(from, round, at, Some(to), faults, metrics);
             self.deliver(from, to.index(), payload);
         }
-        for stream in streams {
-            self.move_chunk(from, stream);
-        }
-        self.streams.put_out(from, out);
-    }
-
-    /// Moves the next chunk of one of `from`'s streams, through the
-    /// fault layer, booked like a message of the same length.
-    fn move_chunk(&mut self, from: usize, stream: &mut OutStream) {
-        let len = stream.remaining().min(self.bandwidth_bits);
-        let to = stream.to().index();
-        let (copies, flip) = match self.faults.fate(from, len, &mut self.metrics) {
-            None => (0, None),
-            Some(fate) => (1 + usize::from(fate.twice), fate.flip),
-        };
-        for _ in 0..copies {
-            self.metrics.record_delivery(from, to, len);
-        }
-        // A chunk to a node that no longer runs is paid for, never stored.
-        let copies = if self.halted[to] { 0 } else { copies };
-        self.streams.carry(
-            self.round,
-            NodeId::from_index(from),
-            stream,
-            len,
-            copies,
-            flip,
-        );
+        self.streams
+            .draw(from, round, at, None, &mut self.faults, &mut self.metrics);
     }
 
     /// One CONGEST delivery, through the fault layer.
@@ -293,8 +286,10 @@ impl RoundState {
     /// Retires the nodes that halted this round and makes the messages
     /// delivered in it the inboxes of the next.
     fn end_round(&mut self) {
-        // A message the fault layer then lost was still sent.
-        if !std::mem::take(&mut self.sent_this_round) {
+        // A message the fault layer then lost was still sent, and so was a
+        // stream chunk.
+        let streamed = self.streams.end_round(self.round);
+        if !std::mem::take(&mut self.sent_this_round) && !streamed {
             self.metrics.silent_rounds += 1;
         }
         if !self.newly_halted.is_empty() {
@@ -313,6 +308,8 @@ impl RoundState {
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+
     use super::*;
     use crate::FaultPlan;
 
@@ -320,33 +317,38 @@ mod tests {
         Payload::from_parts(vec![0xAB], 8)
     }
 
-    /// One visit: the node, the round, its inbox and the streams.
-    type Visit<'a> = (usize, u64, &'a mut Vec<ReceivedMessage>, &'a mut Streams);
-
     /// Runs one epoch the way the engine walks it: every due node is
-    /// visited — `visit` returns the destinations it sends `payload()` to
-    /// and its status — and every other running node passes. Returns the
-    /// rounds each node was visited in.
+    /// visited — `visit` gets its context (in the clique, so any node may
+    /// be reached) and returns its status — and every other running node
+    /// is skipped. Returns the rounds each node was visited in.
     fn drive(
         state: &mut RoundState,
         max_rounds: u64,
-        mut visit: impl FnMut(Visit<'_>) -> (Vec<u32>, NodeStatus),
+        mut visit: impl FnMut(&mut RoundContext<'_>) -> NodeStatus,
     ) -> (EpochReport, Vec<Vec<u64>>) {
-        let mut visits = vec![Vec::new(); state.inboxes.len()];
+        let n = state.inboxes.len();
+        let infos: Vec<NodeInfo> = (0..n)
+            .map(|i| NodeInfo {
+                id: NodeId::from_index(i),
+                n,
+                neighbors: Vec::new(),
+                model: crate::Model::CongestClique,
+                bandwidth_bits: SimConfig::congest(0).bandwidth.bits_per_round(n),
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut outbox = Outbox::default();
+        let mut visits = vec![Vec::new(); n];
         let report = state.run_epoch(max_rounds, |state, round| {
             for k in 0..state.active().len() {
                 let node = state.active()[k];
                 if !state.due(node, round) {
-                    state.pass(node);
                     continue;
                 }
                 visits[node].push(round);
-                let (inbox, streams) = state.io(node);
-                let (sends, status) = visit((node, round, inbox, streams));
-                let mut outbox: Vec<(NodeId, Payload)> =
-                    sends.iter().map(|&to| (NodeId(to), payload())).collect();
-                state.settle(node, status, &mut outbox);
-                assert!(outbox.is_empty());
+                let status = visit(&mut state.context(node, &infos[node], &mut outbox, &mut rng));
+                state.settle(node, status, &mut outbox.messages);
+                assert!(outbox.messages.is_empty());
             }
         });
         (report, visits)
@@ -362,19 +364,19 @@ mod tests {
         halts_at: &[u64],
     ) -> (EpochReport, Vec<Vec<usize>>) {
         let mut read = vec![Vec::new(); sends.len()];
-        let (report, _) = drive(state, max_rounds, |(node, round, inbox, _)| {
-            read[node].push(inbox.len());
-            let sends = if round == 0 {
-                sends[node].to_vec()
-            } else {
-                Vec::new()
-            };
-            let status = if round >= halts_at[node] {
+        let (report, _) = drive(state, max_rounds, |ctx| {
+            let (node, round) = (ctx.id().index(), ctx.round());
+            read[node].push(ctx.inbox().len());
+            if round == 0 {
+                for &to in sends[node] {
+                    ctx.send(NodeId(to), payload()).unwrap();
+                }
+            }
+            if round >= halts_at[node] {
                 NodeStatus::Halted
             } else {
                 NodeStatus::Active
-            };
-            (sends, status)
+            }
         });
         (report, read)
     }
@@ -388,24 +390,26 @@ mod tests {
         let mut state = RoundState::new(&SimConfig::congest(0), 3);
         // Node 0 sleeps until round 6; node 1 wakes in round 2 to message
         // it; node 2 only streams to it, 8 bits a round from round 0 on.
-        let (report, visits) = drive(&mut state, 20, |(node, round, inbox, streams)| match node {
-            0 => {
-                let status = if round >= 6 {
+        let (report, visits) = drive(&mut state, 20, |ctx| match (ctx.id().0, ctx.round()) {
+            (0, round) => {
+                if round >= 6 {
                     NodeStatus::Halted
                 } else {
                     NodeStatus::Sleep(6)
-                };
-                (Vec::new(), status)
-            }
-            _ if round >= 7 => (Vec::new(), NodeStatus::Halted),
-            1 if round == 0 => (Vec::new(), NodeStatus::Sleep(2)),
-            1 => (vec![0], NodeStatus::Sleep(7)),
-            _ => {
-                assert!(inbox.is_empty());
-                if round == 0 {
-                    streams.open(2, NodeId(0), bits(40));
                 }
-                (Vec::new(), NodeStatus::Sleep(7))
+            }
+            (_, round) if round >= 7 => NodeStatus::Halted,
+            (1, 0) => NodeStatus::Sleep(2),
+            (1, _) => {
+                ctx.send(NodeId(0), payload()).unwrap();
+                NodeStatus::Sleep(7)
+            }
+            (_, round) => {
+                assert!(ctx.inbox().is_empty());
+                if round == 0 {
+                    ctx.stream(NodeId(0), bits(40)).unwrap();
+                }
+                NodeStatus::Sleep(7)
             }
         });
         assert_eq!(
@@ -425,21 +429,22 @@ mod tests {
     fn sleeping_until_the_next_round_is_being_active() {
         let run = |sleep: fn(u64) -> NodeStatus| {
             let mut state = RoundState::new(&SimConfig::congest(0), 3);
-            drive(&mut state, 12, |(node, round, _, streams)| {
+            drive(&mut state, 12, |ctx| {
+                let (node, round) = (ctx.id().index(), ctx.round());
                 if round == 0 && node == 1 {
-                    streams.open(1, NodeId(2), bits(30));
+                    ctx.stream(NodeId(2), bits(30)).unwrap();
                 }
-                let sends = if (round + node as u64).is_multiple_of(3) {
-                    vec![((node + 1) % 3) as u32]
-                } else {
-                    Vec::new()
-                };
-                let status = if round == 4 + node as u64 {
+                if (round + node as u64).is_multiple_of(3) {
+                    let to = NodeId::from_index((node + 1) % 3);
+                    if !ctx.has_queued(to) {
+                        ctx.send(to, payload()).unwrap();
+                    }
+                }
+                if round == 4 + node as u64 {
                     NodeStatus::Halted
                 } else {
                     sleep(round)
-                };
-                (sends, status)
+                }
             })
         };
         let active = run(|_| NodeStatus::Active);
@@ -459,11 +464,11 @@ mod tests {
     fn an_epoch_of_sleepers_out_of_reach_ends_at_the_cap_like_active_nodes() {
         let run = |status: NodeStatus| {
             let mut state = RoundState::new(&SimConfig::congest(0), 3);
-            drive(&mut state, 9, |(node, round, _, streams)| {
-                if round == 0 && node == 0 {
-                    streams.open(0, NodeId(2), bits(20));
+            drive(&mut state, 9, |ctx| {
+                if ctx.round() == 0 && ctx.id() == NodeId(0) {
+                    ctx.stream(NodeId(2), bits(20)).unwrap();
                 }
-                (Vec::new(), status)
+                status
             })
         };
         let (asleep, visits) = run(NodeStatus::Sleep(100));
@@ -476,6 +481,34 @@ mod tests {
         // Three rounds carried chunks; the other six were silent.
         assert_eq!(asleep.metrics.silent_rounds, 6);
         assert_eq!(asleep.metrics, active.metrics);
+    }
+
+    #[test]
+    fn silent_rounds_follow_the_streams_as_they_end_or_are_cut() {
+        let mut state = RoundState::new(&SimConfig::congest(0), 3);
+        // At 8 bits a round: node 0 streams 2 rounds to node 1 and 5 to
+        // node 2 from round 0; node 1 streams 3 rounds to node 2 from
+        // round 6 and halts in round 7, after two of them.
+        let (report, _) = drive(&mut state, 20, |ctx| match (ctx.id().0, ctx.round()) {
+            (0, 0) => {
+                ctx.stream(NodeId(1), bits(16)).unwrap();
+                ctx.stream(NodeId(2), bits(40)).unwrap();
+                NodeStatus::Sleep(12)
+            }
+            (1, 0) => NodeStatus::Sleep(6),
+            (1, 6) => {
+                ctx.stream(NodeId(2), bits(24)).unwrap();
+                NodeStatus::Active
+            }
+            (1, 7) | (_, 12) => NodeStatus::Halted,
+            _ => NodeStatus::Sleep(12),
+        });
+        assert_eq!(report.metrics.rounds, 13);
+        assert_eq!(report.metrics.messages, 2 + 5 + 2);
+        assert_eq!(report.metrics.received_bits, vec![0, 16, 40 + 16]);
+        // Round 5 fell between the streams, and rounds 8 to 12 came after
+        // the cut one.
+        assert_eq!(report.metrics.silent_rounds, 6);
     }
 
     #[test]

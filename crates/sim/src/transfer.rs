@@ -3,8 +3,8 @@
 //!
 //! A payload of `bits` bits sent over a link whose per-round budget is `B`
 //! takes `⌈bits / B⌉` rounds; [`rounds_for_bits`] is what every phase plan
-//! is sized with. The transfer itself is a stream the round state carries
-//! (see [`RoundContext::stream`](crate::RoundContext::stream)).
+//! is sized with, and the schedule a stream is settled by. The transfer
+//! itself is a stream (see [`RoundContext::stream`](crate::RoundContext::stream)).
 //!
 //! The helpers node programs used before — a sender that cut one chunk a
 //! round into the outbox and an assembler that glued the inbox back
@@ -272,9 +272,11 @@ mod tests {
     use std::collections::BTreeMap;
 
     use crate::context::Outbox;
+    use crate::faults::FaultState;
     use crate::stream::Streams;
     use crate::{
-        Model, NodeInfo, NodeProgram, NodeStatus, RoundContext, SimConfig, SimError, Simulation,
+        Metrics, Model, NodeInfo, NodeProgram, NodeStatus, RoundContext, SimConfig, SimError,
+        Simulation,
     };
     use congest_graph::generators::Classic;
     use congest_graph::NodeId;
@@ -472,7 +474,9 @@ mod tests {
         pump: impl FnOnce(&mut RoundContext<'_>) -> Result<bool, SimError>,
     ) -> (Result<bool, SimError>, Vec<(NodeId, Payload)>) {
         let mut inbox = Vec::new();
-        let mut streams = Streams::new(info.n);
+        let mut streams = Streams::new(info.n, info.bandwidth_bits);
+        let mut faults = FaultState::new(&SimConfig::congest(0), info.n);
+        let mut metrics = Metrics::new(info.n);
         let mut outbox = Outbox::default();
         let mut rng = SmallRng::seed_from_u64(0);
         let mut ctx = RoundContext {
@@ -481,6 +485,8 @@ mod tests {
             epoch: 0,
             inbox: Some(&mut inbox),
             streams: &mut streams,
+            faults: &mut faults,
+            metrics: &mut metrics,
             outbox: &mut outbox,
             rng: &mut rng,
         };

@@ -13,8 +13,8 @@
 use std::fmt::Write as _;
 
 use congest_graph::generators::{Gnp, PlantedHeavy};
-use congest_graph::{Graph, TriangleSet};
-use congest_sim::{derive_node_seed, SimConfig};
+use congest_graph::{Graph, NodeId, TriangleSet};
+use congest_sim::{derive_node_seed, Model, NodeInfo, SimConfig};
 use congest_triangles::baselines::{DolevCliqueListing, NaiveLocalListing};
 use congest_triangles::{
     find_triangles, list_triangles, run_congest, A1Program, A2Program, A3Program, AlgorithmRun,
@@ -304,4 +304,36 @@ fn naive_baseline_on_dense_graphs_is_unchanged() {
         now == GOLDEN_NAIVE_DENSE,
         "the naive baseline's counts moved; the table is now:\n{now}"
     );
+}
+
+/// A1 and A2 run a fixed phase plan: on every input they take exactly the
+/// rounds the plan adds up to. Checked at every size of `table1_rounds`'
+/// sweep, on its graphs and with its (scaled) configurations, so a
+/// host-side change that moved a halt by one round fails here by name.
+#[test]
+fn a1_and_a2_follow_their_schedules_across_the_table1_sweep() {
+    for n in [24, 32, 48, 64, 96] {
+        let g = Gnp::new(n, 0.5).seeded(2017).generate();
+        let finding = FindingConfig::scaled(&g);
+        let listing = ListingConfig::scaled(&g);
+        let (fe, le) = (finding.epsilon.epsilon(), listing.epsilon.epsilon());
+        let info = NodeInfo {
+            id: NodeId(0),
+            n,
+            neighbors: g.neighbors(NodeId(0)).to_vec(),
+            model: Model::Congest,
+            bandwidth_bits: finding.bandwidth.bits_per_round(n),
+        };
+        let seed = 0xE1 + n as u64;
+        let a1 = run_congest(&g, SimConfig::congest(seed), |info| {
+            A1Program::new(info, fe, finding.profile.cap_factor())
+        });
+        let a1_plan = A1Program::new(&info, fe, finding.profile.cap_factor()).total_rounds();
+        assert_eq!(a1.rounds(), a1_plan, "A1 at n = {n}");
+        let a2 = run_congest(&g, SimConfig::congest(seed), |info| {
+            A2Program::new(info, le, listing.profile.cap_factor())
+        });
+        let a2_plan = A2Program::new(&info, le, listing.profile.cap_factor()).total_rounds();
+        assert_eq!(a2.rounds(), a2_plan, "A2 at n = {n}");
+    }
 }
