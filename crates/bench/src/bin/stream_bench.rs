@@ -504,7 +504,7 @@ fn main() {
         .collect();
     let mut out = String::from("{");
     json::push_str(&mut out, "bench", "stream");
-    json::push_num(&mut out, "schema_version", 7.0);
+    json::push_num(&mut out, "schema_version", 8.0);
     json::push_num(&mut out, "quick", f64::from(u8::from(args.quick)));
     push_opt(&mut out, "args_trace_out", path_text(&args.trace_out));
     push_opt(&mut out, "args_input", path_text(&args.input));

@@ -18,24 +18,18 @@
 //! * **Power-of-two slabs** — storage is granted in slabs of capacity
 //!   `2^class`. A list that outgrows its slab moves to the next class;
 //!   a list removed down to empty returns its slab. Both hand the old
-//!   slab to the free list instead of leaking it.
-//! * **Epoch-versioned free list** — a slab freed in the current epoch
-//!   is *quarantined* and stamped with the epoch that freed it: it only
-//!   becomes allocatable after an epoch advance whose *reclaim horizon*
-//!   has moved past that stamp (the engines advance once per applied
-//!   batch). Within an epoch, freed slabs are therefore never rewritten
-//!   by another slot's growth, so any read view taken at the start of
-//!   the epoch stays byte-stable even while mutations proceed. A caller
-//!   whose readers share the arena's bytes across epochs can use
-//!   [`advance_epoch_held`](NeighborArena::advance_epoch_held) to keep
-//!   every slab freed during the last `hold` epochs quarantined (and
-//!   defer compaction). The engines never need it: serve-mode leases
+//!   slab to its class's free list instead of leaking it.
+//! * **Free lists** — one per size class. A freed slab is allocatable
+//!   at once: the next allocation of its class takes it before the
+//!   buffer grows. No reader can see a freed slab — every write takes
+//!   `&mut`, and serve-mode leases
 //!   ([`TriangleServer`](crate::TriangleServer)) pin whole buffers that
 //!   are never written again, not slabs inside a live one.
-//! * **Compaction** — when promoted free slabs hold more than half the
-//!   buffer, the epoch boundary rewrites every live list tightly into a
-//!   fresh buffer and resets the free lists. Heavy remove/re-insert
-//!   churn therefore cannot grow the buffer without bound.
+//! * **Compaction** — when free slabs hold more than half the buffer,
+//!   the batch boundary ([`advance_epoch`](NeighborArena::advance_epoch))
+//!   rewrites every live list tightly into a fresh buffer and resets the
+//!   free lists. Heavy remove/re-insert churn therefore cannot grow the
+//!   buffer without bound.
 //!
 //! The arena is *the* shared adjacency-mutation implementation:
 //! [`insert`](NeighborArena::insert) / [`remove`](NeighborArena::remove)
@@ -82,16 +76,6 @@ impl SlotEntry {
     };
 }
 
-/// Free slabs of one size class, split by the epoch discipline.
-#[derive(Debug, Clone, Default)]
-struct FreeClass {
-    /// Freed behind the reclaim horizon: allocatable now.
-    ready: Vec<u32>,
-    /// `(epoch freed, offset)` pairs still quarantined: allocatable once
-    /// an epoch advance's reclaim horizon moves past the stamp.
-    quarantine: Vec<(u64, u32)>,
-}
-
 /// Point-in-time health counters of one arena (or, summed, of every
 /// shard's arena), exported through the `congest-obs` registry by the
 /// workload runner.
@@ -101,7 +85,7 @@ pub struct ArenaStats {
     pub slab_bytes: usize,
     /// Bytes of live neighbour data.
     pub live_bytes: usize,
-    /// Slabs parked on the free lists (ready + quarantined).
+    /// Slabs parked on the free lists.
     pub free_slabs: usize,
     /// Capacity of those parked slabs, in bytes (the free-list
     /// occupancy compaction watches).
@@ -128,11 +112,10 @@ pub struct NeighborArena {
     /// The one backing buffer every list lives in.
     buf: Vec<NodeId>,
     slots: Vec<SlotEntry>,
-    /// Free slabs indexed by size class.
-    free: Vec<FreeClass>,
+    /// Offsets of free slabs, indexed by size class.
+    free: Vec<Vec<u32>>,
     /// Total live elements across all slots.
     live: usize,
-    epoch: u64,
     compactions: u64,
 }
 
@@ -144,7 +127,6 @@ impl NeighborArena {
             slots: vec![SlotEntry::EMPTY; slots],
             free: Vec::new(),
             live: 0,
-            epoch: 0,
             compactions: 0,
         }
     }
@@ -201,8 +183,8 @@ impl NeighborArena {
             self.slots[slot].len += 1;
         } else {
             // Grow into the next size class, writing the new element
-            // into the copy's gap; the old slab is quarantined, not
-            // reused this epoch.
+            // into the copy's gap; the old slab goes back on its free
+            // list once copied out.
             let class = if entry.class == NO_SLAB {
                 0
             } else {
@@ -228,7 +210,7 @@ impl NeighborArena {
 
     /// Removes `value` from the sorted list at `slot`; returns whether
     /// the list changed (absent values are no-ops). A list removed down
-    /// to empty returns its slab to the (quarantined) free list.
+    /// to empty returns its slab to the free list.
     pub fn remove(&mut self, slot: usize, value: NodeId) -> bool {
         let entry = self.slots[slot];
         let (off, len) = (entry.off as usize, entry.len as usize);
@@ -248,7 +230,7 @@ impl NeighborArena {
 
     /// Replaces the list at `slot` wholesale with the (sorted,
     /// duplicate-free) `neighbors` — used when seeding from a static
-    /// graph. The old slab is quarantined like any other free.
+    /// graph. The old slab is freed like any other.
     pub fn seed(&mut self, slot: usize, neighbors: &[NodeId]) {
         debug_assert!(neighbors.is_sorted());
         let entry = self.slots[slot];
@@ -271,103 +253,11 @@ impl NeighborArena {
         self.live += neighbors.len();
     }
 
-    /// Ends the current mutation epoch: quarantined slabs become
-    /// allocatable, and the arena compacts if free slack has outgrown
-    /// the live data. The engines call this once per applied batch,
-    /// while they hold the arena exclusively. Equivalent to
-    /// [`advance_epoch_held`](NeighborArena::advance_epoch_held) with a
-    /// hold of zero epochs.
+    /// Ends the current mutation epoch: when parked slabs hold more than
+    /// half the buffer, every live list is rewritten tightly into a
+    /// fresh one and the free lists reset. The engines call this once
+    /// per applied batch, while they hold the arena exclusively.
     pub fn advance_epoch(&mut self) {
-        self.advance_epoch_held(0);
-    }
-
-    /// Ends the current mutation epoch while readers may still hold
-    /// leases on recent epochs: slabs freed during the last `hold`
-    /// epochs (counting the one just ended) stay quarantined, older
-    /// ones become allocatable. `hold == 0` means no lease is
-    /// outstanding and reproduces [`advance_epoch`]'s promote-everything
-    /// behaviour; a lease pinned `k` batches ago passes `hold == k` so
-    /// every slab its view can still reference keeps its bytes.
-    /// Compaction (which rewrites the whole buffer) only runs when
-    /// nothing is held.
-    ///
-    /// [`advance_epoch`]: NeighborArena::advance_epoch
-    pub fn advance_epoch_held(&mut self, hold: u64) {
-        self.epoch += 1;
-        let horizon = self.epoch.saturating_sub(hold);
-        for class in &mut self.free {
-            let mut i = 0;
-            while i < class.quarantine.len() {
-                if class.quarantine[i].0 < horizon {
-                    let (_, off) = class.quarantine.swap_remove(i);
-                    class.ready.push(off);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if hold == 0 {
-            self.maybe_compact();
-        }
-    }
-
-    /// Current health counters.
-    pub fn stats(&self) -> ArenaStats {
-        let elem = std::mem::size_of::<NodeId>();
-        let (free_slabs, free_elems) = self.free_totals();
-        ArenaStats {
-            slab_bytes: self.buf.len() * elem,
-            live_bytes: self.live * elem,
-            free_slabs,
-            free_bytes: free_elems * elem,
-            compactions: self.compactions,
-        }
-    }
-
-    /// `(count, total capacity)` of every parked slab.
-    fn free_totals(&self) -> (usize, usize) {
-        let mut slabs = 0usize;
-        let mut elems = 0usize;
-        for (class, free) in self.free.iter().enumerate() {
-            let n = free.ready.len() + free.quarantine.len();
-            slabs += n;
-            elems += n << class;
-        }
-        (slabs, elems)
-    }
-
-    /// Grants a slab of `class`: a ready free slab if one exists, fresh
-    /// buffer tail otherwise.
-    fn alloc(&mut self, class: u8) -> u32 {
-        if let Some(free) = self.free.get_mut(class as usize) {
-            if let Some(off) = free.ready.pop() {
-                return off;
-            }
-        }
-        let off = self.buf.len();
-        let capacity = class_capacity(class);
-        assert!(
-            off + capacity <= u32::MAX as usize,
-            "neighbour arena exceeds u32 addressing"
-        );
-        self.buf.resize(off + capacity, NodeId(0));
-        off as u32
-    }
-
-    /// Parks a slab on its class's quarantine list, stamped with the
-    /// epoch that freed it.
-    fn release(&mut self, off: u32, class: u8) {
-        if self.free.len() <= class as usize {
-            self.free
-                .resize_with(class as usize + 1, FreeClass::default);
-        }
-        self.free[class as usize].quarantine.push((self.epoch, off));
-    }
-
-    /// Rewrites every live list tightly into a fresh buffer when parked
-    /// slabs hold more than half the current one. Only called from the
-    /// epoch boundary, where the caller holds the arena exclusively.
-    fn maybe_compact(&mut self) {
         let (_, free_elems) = self.free_totals();
         if self.buf.len() < COMPACT_MIN_ELEMS || free_elems * 2 <= self.buf.len() {
             return;
@@ -393,6 +283,55 @@ impl NeighborArena {
         self.free.clear();
         self.compactions += 1;
     }
+
+    /// Current health counters.
+    pub fn stats(&self) -> ArenaStats {
+        let elem = std::mem::size_of::<NodeId>();
+        let (free_slabs, free_elems) = self.free_totals();
+        ArenaStats {
+            slab_bytes: self.buf.len() * elem,
+            live_bytes: self.live * elem,
+            free_slabs,
+            free_bytes: free_elems * elem,
+            compactions: self.compactions,
+        }
+    }
+
+    /// `(count, total capacity)` of every parked slab.
+    fn free_totals(&self) -> (usize, usize) {
+        let mut slabs = 0usize;
+        let mut elems = 0usize;
+        for (class, free) in self.free.iter().enumerate() {
+            let n = free.len();
+            slabs += n;
+            elems += n << class;
+        }
+        (slabs, elems)
+    }
+
+    /// Grants a slab of `class`: a free slab if one exists, fresh buffer
+    /// tail otherwise.
+    fn alloc(&mut self, class: u8) -> u32 {
+        if let Some(off) = self.free.get_mut(class as usize).and_then(Vec::pop) {
+            return off;
+        }
+        let off = self.buf.len();
+        let capacity = class_capacity(class);
+        assert!(
+            off + capacity <= u32::MAX as usize,
+            "neighbour arena exceeds u32 addressing"
+        );
+        self.buf.resize(off + capacity, NodeId(0));
+        off as u32
+    }
+
+    /// Parks a slab on its class's free list, allocatable at once.
+    fn release(&mut self, off: u32, class: u8) {
+        if self.free.len() <= class as usize {
+            self.free.resize_with(class as usize + 1, Vec::new);
+        }
+        self.free[class as usize].push(off);
+    }
 }
 
 #[cfg(test)]
@@ -405,6 +344,28 @@ mod tests {
 
     fn ids(values: &[u32]) -> Vec<NodeId> {
         values.iter().copied().map(NodeId).collect()
+    }
+
+    /// The layout invariant: the live and the free slabs, taken by
+    /// offset, tile the buffer — each lies inside it, no two overlap.
+    fn assert_slabs_tile_the_buffer(arena: &NeighborArena) {
+        let live = arena
+            .slots
+            .iter()
+            .filter(|entry| entry.class != NO_SLAB)
+            .map(|entry| (entry.off as usize, class_capacity(entry.class)));
+        let free = arena.free.iter().enumerate().flat_map(|(class, offs)| {
+            offs.iter()
+                .map(move |&off| (off as usize, class_capacity(class as u8)))
+        });
+        let mut slabs: Vec<(usize, usize)> = live.chain(free).collect();
+        slabs.sort_unstable();
+        let mut end = 0;
+        for (off, capacity) in slabs {
+            assert_eq!(off, end, "a slab overlaps its neighbour or leaves a gap");
+            end = off + capacity;
+        }
+        assert_eq!(end, arena.buf.len(), "the slabs cover the buffer");
     }
 
     #[test]
@@ -462,73 +423,54 @@ mod tests {
     }
 
     #[test]
-    fn free_slabs_are_quarantined_until_the_epoch_turns() {
-        let mut arena = NeighborArena::new(2);
+    fn free_slabs_feed_the_next_same_class_allocation_at_once() {
+        let mut arena = NeighborArena::new(3);
+        // Emptying: slot 0's 4-slab is freed and slot 1's same-class
+        // list takes it in the same batch, without growing the buffer.
         arena.seed(0, &ids(&[1, 2, 3, 4]));
         let slab_before = arena.stats().slab_bytes;
-        arena.seed(0, &[]); // frees the 4-slab into quarantine
-                            // A same-epoch allocation of the same class must NOT reuse it.
+        arena.seed(0, &[]);
         arena.seed(1, &ids(&[5, 6, 7]));
-        assert!(arena.stats().slab_bytes > slab_before);
-        // After the epoch turns, the promoted slab is reused.
-        arena.advance_epoch();
-        let slab_mid = arena.stats().slab_bytes;
-        arena.seed(0, &ids(&[8, 9, 10, 11]));
-        assert_eq!(arena.stats().slab_bytes, slab_mid, "ready slab reused");
-        assert_eq!(arena.neighbors(0), ids(&[8, 9, 10, 11]));
+        assert_eq!(arena.stats().slab_bytes, slab_before, "emptied slab reused");
+        assert_eq!(arena.stats().free_slabs, 0);
+        // Growth: slot 2 outgrows its 2-slab into a 4-slab, and the freed
+        // 2-slab holds slot 0's next list.
+        arena.seed(2, &ids(&[8, 9]));
+        arena.insert(2, v(10));
+        let slab_grown = arena.stats().slab_bytes;
+        arena.seed(0, &ids(&[11, 12]));
+        assert_eq!(arena.stats().slab_bytes, slab_grown, "outgrown slab reused");
+        assert_eq!(arena.neighbors(0), ids(&[11, 12]));
         assert_eq!(arena.neighbors(1), ids(&[5, 6, 7]));
+        assert_eq!(arena.neighbors(2), ids(&[8, 9, 10]));
+        assert_slabs_tile_the_buffer(&arena);
     }
 
     #[test]
-    fn held_epochs_keep_freed_slabs_quarantined() {
-        let mut arena = NeighborArena::new(2);
-        arena.seed(0, &ids(&[1, 2, 3, 4]));
-        arena.seed(0, &[]); // frees the 4-slab, stamped epoch 0
-                            // A lease is pinned at epoch 0: hold it across the advance.
-        arena.advance_epoch_held(1);
-        let slab_before = arena.stats().slab_bytes;
-        arena.seed(1, &ids(&[5, 6, 7, 8])); // same class; held slab must not be reused
-        assert!(
-            arena.stats().slab_bytes > slab_before,
-            "held slab untouched"
-        );
-        // The lease is still at epoch 0 one batch later: hold grows to 2.
-        arena.seed(1, &[]); // frees the second slab, stamped epoch 1
-        arena.advance_epoch_held(2);
-        let slab_mid = arena.stats().slab_bytes;
-        arena.seed(0, &ids(&[9, 10, 11, 12]));
-        assert!(arena.stats().slab_bytes > slab_mid, "both slabs still held");
-        // The lease drops: a plain advance promotes everything and the
-        // next same-class allocation reuses a ready slab.
-        arena.advance_epoch();
-        let slab_free = arena.stats().slab_bytes;
-        arena.seed(1, &ids(&[13, 14, 15, 16]));
-        assert_eq!(arena.stats().slab_bytes, slab_free, "promoted slab reused");
-        assert_eq!(arena.neighbors(0), ids(&[9, 10, 11, 12]));
-        assert_eq!(arena.neighbors(1), ids(&[13, 14, 15, 16]));
-    }
-
-    #[test]
-    fn compaction_is_deferred_while_an_epoch_is_held() {
-        let mut arena = NeighborArena::new(8);
-        for slot in 0..8 {
-            let big: Vec<NodeId> = (0..512).map(|i| v(i * 2)).collect();
-            arena.seed(slot, &big);
-        }
-        for slot in 0..8 {
-            arena.seed(slot, &ids(&[1, 3, 5]));
-        }
-        let before = arena.stats();
-        assert!(before.free_bytes * 2 > before.slab_bytes);
-        // A lease pins the previous epoch: the boundary must not rewrite
-        // the buffer the lease's view points into.
-        arena.advance_epoch_held(1);
-        assert_eq!(arena.stats().compactions, 0, "compaction deferred");
-        // Once nothing is held, the next boundary compacts as usual.
-        arena.advance_epoch();
-        assert!(arena.stats().compactions >= 1, "compaction caught up");
-        for slot in 0..8 {
-            assert_eq!(arena.neighbors(slot), ids(&[1, 3, 5]), "slot {slot}");
+    fn churn_keeps_the_slabs_tiling_the_buffer() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x51AB);
+        let mut arena = NeighborArena::new(16);
+        for step in 0..4_000 {
+            let slot = rng.gen_range(0..16);
+            let value = v(rng.gen_range(0..96));
+            match rng.gen_range(0..8) {
+                0..=3 => {
+                    arena.insert(slot, value);
+                }
+                4..=6 => {
+                    arena.remove(slot, value);
+                }
+                _ => {
+                    let len = rng.gen_range(0..40u32);
+                    arena.seed(slot, &(0..len).map(|i| v(i * 3)).collect::<Vec<_>>());
+                }
+            }
+            if step % 500 == 499 {
+                arena.advance_epoch();
+            }
+            assert_slabs_tile_the_buffer(&arena);
         }
     }
 
@@ -548,9 +490,9 @@ mod tests {
     #[test]
     fn churn_triggers_compaction_and_preserves_content() {
         let mut arena = NeighborArena::new(8);
-        // Grow every slot large, then shrink to tiny lists across
-        // epochs: the parked large slabs eventually dominate the buffer
-        // and the epoch boundary compacts.
+        // Grow every slot large, then shrink to tiny lists: the parked
+        // large slabs dominate the buffer and the batch boundary
+        // compacts.
         for slot in 0..8 {
             let big: Vec<NodeId> = (0..512).map(|i| v(i * 2)).collect();
             arena.seed(slot, &big);

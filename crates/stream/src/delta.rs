@@ -154,9 +154,9 @@ impl DeltaBatch {
 }
 
 /// The one coalescer: `deltas` stably sorted by edge, keeping the last
-/// op of each edge. [`DeltaBatch::coalesce`], the distributed
-/// coordinator and the shard pool's workers all run it, so every engine
-/// that coalesces drops the same ops.
+/// op of each edge. [`DeltaBatch::coalesce`] and [`classify`] (the
+/// distributed coordinator's and the shard pool's workers') both run it,
+/// so every engine that coalesces drops the same ops.
 pub(crate) fn coalesce(deltas: &[EdgeDelta]) -> Vec<EdgeDelta> {
     let mut out = deltas.to_vec();
     out.sort_by_key(|d| d.edge);
@@ -168,6 +168,30 @@ pub(crate) fn coalesce(deltas: &[EdgeDelta]) -> Vec<EdgeDelta> {
         same
     });
     out
+}
+
+/// The coalescing engines' classify step: `deltas` coalesced, and the
+/// survivors kept only where they change the edge set that `present`
+/// describes (an insert of an absent edge, a remove of a present one).
+/// Returns the no-ops — every op the coalescer dropped plus every
+/// survivor already in effect — and the effective deltas in edge order.
+/// The shard pool's workers and the distributed coordinator both run
+/// it, so their tallies follow one rule; `layer` names the caller's
+/// trace category for the `coalesce` and `classify` spans.
+pub(crate) fn classify(
+    layer: &'static str,
+    deltas: &[EdgeDelta],
+    mut present: impl FnMut(Edge) -> bool,
+) -> (usize, Vec<EdgeDelta>) {
+    let coalesce_span = congest_obs::trace::span(layer, "coalesce");
+    let mut effective = coalesce(deltas);
+    drop(coalesce_span);
+    congest_obs::span!(layer, "classify");
+    effective.retain(|d| match d.op {
+        DeltaOp::Insert => !present(d.edge),
+        DeltaOp::Remove => present(d.edge),
+    });
+    (deltas.len() - effective.len(), effective)
 }
 
 impl FromIterator<EdgeDelta> for DeltaBatch {

@@ -15,7 +15,7 @@ use super::node::DynamicTriangleNode;
 use super::recovery::HardenedEpoch;
 use super::wire::{self, BatchDescriptor};
 use super::{DistributedTriangleEngine, HubSplit};
-use crate::delta::{coalesce, DeltaBatch, DeltaOp};
+use crate::delta::{classify, DeltaBatch, DeltaOp};
 use crate::index::{validate_batch, ApplyReport, StreamError};
 use crate::shard::{
     merge_added_candidates, merge_removed_candidates, sorted_insert, LiveTriangles,
@@ -440,27 +440,27 @@ impl DistributedTriangleEngine {
     }
 
     /// Coalesces the batch and classifies the survivors against the
-    /// current graph: only effective deltas enter the network.
+    /// current graph ([`delta::classify`](crate::delta::classify)): only
+    /// effective deltas enter the network.
     fn classify(&self, raw: &DeltaBatch) -> (ApplyReport, EpochDeltas) {
-        let coalesced = coalesce(raw.deltas());
-        let mut report = ApplyReport {
-            deltas_seen: raw.len(),
-            noops: raw.len() - coalesced.len(),
-            ..ApplyReport::default()
-        };
-        let _span = congest_obs::trace::span("distributed", "classify");
+        let (noops, effective) = classify("distributed", raw.deltas(), |edge| {
+            let (u, v) = edge.endpoints();
+            self.has_edge(u, v)
+        });
         let mut deltas = EpochDeltas::default();
-        for d in &coalesced {
-            let (u, v) = d.edge.endpoints();
-            let present = self.has_edge(u, v);
+        for d in effective {
             match d.op {
-                DeltaOp::Insert if !present => deltas.inserts.push(d.edge),
-                DeltaOp::Remove if present => deltas.removes.push(d.edge),
-                _ => report.noops += 1,
+                DeltaOp::Insert => deltas.inserts.push(d.edge),
+                DeltaOp::Remove => deltas.removes.push(d.edge),
             }
         }
-        report.inserts_applied = deltas.inserts.len();
-        report.removes_applied = deltas.removes.len();
+        let report = ApplyReport {
+            deltas_seen: raw.len(),
+            noops,
+            inserts_applied: deltas.inserts.len(),
+            removes_applied: deltas.removes.len(),
+            ..ApplyReport::default()
+        };
         (report, deltas)
     }
 

@@ -90,12 +90,11 @@
 //!   window ([`ReplayPolicy`]). Every source names and fingerprints
 //!   itself so bench gates refuse cross-source baseline comparisons.
 //! * [`WorkloadRunner`] — a load-test harness generic over any
-//!   [`BatchSource`]: drives batches at an optional target rate, either
-//!   eagerly or deferred — held back in a window whose
-//!   [merge](DeltaBatch::merge) (only the last op per edge survives) is
-//!   applied as one batch when a flush by batch count
-//!   ([`WorkloadRunner::flush_every`]) and/or staleness deadline
-//!   ([`WorkloadRunner::flush_deadline`]) is due — summarized as throughput,
+//!   [`BatchSource`]: drives batches either eagerly or deferred — held
+//!   back in a window whose [merge](DeltaBatch::merge) (only the last op
+//!   per edge survives) is applied as one batch every
+//!   [`flush_every`](WorkloadRunner::flush_every) batches — summarized
+//!   as throughput,
 //!   latency percentiles, at-flush staleness percentiles and
 //!   incremental-vs-recompute speedup ([`RunSummary`], JSON-serializable
 //!   with the source's identity embedded).

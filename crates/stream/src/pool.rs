@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use congest_graph::{for_each_common, Edge, Triangle};
 
-use crate::delta::{coalesce, DeltaBatch, DeltaOp, EdgeDelta};
+use crate::delta::{classify, DeltaBatch, DeltaOp, EdgeDelta};
 use crate::shard::{Shard, ShardOp, ShardStore};
 
 /// Estimated work ([`ShardStore::intersection_cost`] plus [`ITEM_WORK`]
@@ -544,37 +544,27 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The first part of the collect pass: coalesce the slice (at most one
-/// op per edge survives — only the last op decides presence), classify
-/// the survivors against the pre-batch edge set, route adjacency
-/// mutations to their owning shards. Returns the plan (minus removal
-/// candidates) and the effective removal edges.
+/// The first part of the collect pass: coalesce the slice and classify
+/// the survivors against the pre-batch edge set
+/// ([`delta::classify`](crate::delta::classify), here inside the
+/// parallel phase), then route the adjacency mutations to their owning
+/// shards. Returns the plan (minus removal candidates) and the
+/// effective removal edges.
 fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<Edge>) {
     let spec = store.spec();
+    let (noops, effective) = classify("sharded", deltas, |edge| {
+        let (u, v) = edge.endpoints();
+        store.has_edge(u, v)
+    });
     let mut plan = WorkerPlan {
         ops: vec![Vec::new(); spec.shard_count()],
+        noops,
         ..WorkerPlan::default()
     };
     let mut removals: Vec<Edge> = Vec::new();
-    // Worker-local coalesce: doing this per worker keeps the whole
-    // coalescing cost inside the parallel phase. Every op it drops was
-    // superseded by a later op on the same edge: a no-op.
-    let coalesce_span = congest_obs::trace::span("sharded", "coalesce");
-    let coalesced = coalesce(deltas);
-    plan.noops += deltas.len() - coalesced.len();
-    drop(coalesce_span);
+    // Routing books to the classify layer too.
     congest_obs::span!("sharded", "classify");
-    for delta in &coalesced {
-        let (u, v) = delta.edge.endpoints();
-        let present = store.has_edge(u, v);
-        let effective = match delta.op {
-            DeltaOp::Insert => !present,
-            DeltaOp::Remove => present,
-        };
-        if !effective {
-            plan.noops += 1;
-            continue;
-        }
+    for delta in &effective {
         match delta.op {
             DeltaOp::Insert => {
                 plan.inserts.push(delta.edge);
@@ -585,6 +575,7 @@ fn classify_slice(store: &ShardStore, deltas: &[EdgeDelta]) -> (WorkerPlan, Vec<
                 plan.removes_applied += 1;
             }
         }
+        let (u, v) = delta.edge.endpoints();
         for (node, other) in [(u, v), (v, u)] {
             let (shard, local) = spec.locate(node);
             plan.ops[shard].push(ShardOp {

@@ -6,14 +6,15 @@
 //! saves over recomputing the triangle set from scratch.
 //!
 //! Deferral is the runner's, not the engine's: a deferred run holds
-//! batches back in a window and, when a flush is due, applies their
-//! [merge](DeltaBatch::merge) through the engine's one write path,
-//! [`StreamEngine::apply`].
+//! batches back in a window and, every
+//! [`flush_every`](WorkloadRunner::flush_every) batches and after the
+//! last, applies their [merge](DeltaBatch::merge) through the engine's
+//! one write path, [`StreamEngine::apply`].
 //!
 //! Latency and staleness percentiles come from streaming log-bucketed
 //! [`Histogram`]s (fixed ≈ 30 KiB each, ≤ 1.6% relative bucket error),
-//! not from a grow-forever sample vector — a week-long paced run costs
-//! the same memory as a 25-batch test.
+//! not from a grow-forever sample vector — a week-long run costs the
+//! same memory as a 25-batch test.
 
 use std::time::{Duration, Instant};
 
@@ -123,20 +124,17 @@ pub struct RunSummary {
     pub batch_count: usize,
     /// Nominal deltas per batch.
     pub batch_size: usize,
-    /// `deferred` when the run held batches back under a flush policy
-    /// ([`WorkloadRunner::flush_every`] or
-    /// [`WorkloadRunner::flush_deadline`]), `eager` otherwise.
+    /// `deferred` when the run held batches back under
+    /// [`WorkloadRunner::flush_every`], `eager` otherwise.
     pub mode: String,
     /// Shard count of the sharded engine, `None` for the one-shard
     /// [`TriangleIndex`]. This is the effective count the engine reports
     /// (requested counts are clamped to at least 1), so baselines are
     /// self-describing.
     pub shards: Option<usize>,
-    /// Count-based flush period of deferred runs (`None` when no count
-    /// policy was set).
+    /// Flush period of deferred runs, in batches (`None` for eager
+    /// runs).
     pub flush_every: Option<usize>,
-    /// Deadline-based flush budget, if one was set (milliseconds).
-    pub flush_deadline_ms: Option<f64>,
     /// Edges in the base graph before the stream.
     pub base_edges: usize,
     /// Edges after the stream.
@@ -146,18 +144,16 @@ pub struct RunSummary {
     /// Totals of every apply report; a flush books the deltas its merge
     /// coalesced away as seen no-ops, so each delta is counted once.
     pub totals: ApplyReport,
-    /// Wall-clock seconds for the whole run (including pacing sleeps).
+    /// Wall-clock seconds for the whole run.
     pub elapsed_secs: f64,
-    /// Seconds spent inside the engine (excluding pacing sleeps).
+    /// Seconds spent inside the engine.
     pub busy_secs: f64,
     /// Deltas per second of wall-clock with the recompute-baseline
-    /// sampling overhead excluded (pacing sleeps still count).
+    /// sampling overhead excluded.
     pub deltas_per_sec: f64,
     /// Batches per second, on the same clock as
     /// [`deltas_per_sec`](RunSummary::deltas_per_sec).
     pub batches_per_sec: f64,
-    /// Target batch rate, if the run was paced.
-    pub target_batches_per_sec: Option<f64>,
     /// Per-batch latency percentiles.
     pub latency: LatencyStats,
     /// Staleness of held-back work at each flush (all zero in eager
@@ -207,10 +203,6 @@ impl RunSummary {
             Some(k) => json::push_num(&mut out, "flush_every", k as f64),
             None => json::push_raw(&mut out, "flush_every", "null"),
         }
-        match self.flush_deadline_ms {
-            Some(ms) => json::push_num(&mut out, "flush_deadline_ms", ms),
-            None => json::push_raw(&mut out, "flush_deadline_ms", "null"),
-        }
         json::push_num(&mut out, "base_edges", self.base_edges as f64);
         json::push_num(&mut out, "final_edges", self.final_edges as f64);
         json::push_num(&mut out, "final_triangles", self.final_triangles as f64);
@@ -240,10 +232,6 @@ impl RunSummary {
         json::push_num(&mut out, "busy_secs", self.busy_secs);
         json::push_num(&mut out, "deltas_per_sec", self.deltas_per_sec);
         json::push_num(&mut out, "batches_per_sec", self.batches_per_sec);
-        match self.target_batches_per_sec {
-            Some(rate) => json::push_num(&mut out, "target_batches_per_sec", rate),
-            None => json::push_raw(&mut out, "target_batches_per_sec", "null"),
-        }
         json::push_num(&mut out, "latency_p50_us", self.latency.p50_us);
         json::push_num(&mut out, "latency_p90_us", self.latency.p90_us);
         json::push_num(&mut out, "latency_p99_us", self.latency.p99_us);
@@ -282,14 +270,12 @@ impl RunSummary {
 
 /// Drives a triangle engine through any [`BatchSource`].
 ///
-/// A run is eager unless a flush policy is set: with
-/// [`flush_every`](WorkloadRunner::flush_every) and/or
-/// [`flush_deadline`](WorkloadRunner::flush_deadline) the runner holds
-/// batches back and applies each window's merge as one batch. The engine
-/// validates that merge when it is applied, so a window with an
-/// out-of-range delta would be rejected whole at its flush; batch
-/// sources only produce in-range deltas, and the runner panics if one
-/// does not.
+/// A run is eager unless [`flush_every`](WorkloadRunner::flush_every)
+/// is set: then the runner holds batches back and applies each window's
+/// merge as one batch. The engine validates that merge when it is
+/// applied, so a window with an out-of-range delta would be rejected
+/// whole at its flush; batch sources only produce in-range deltas, and
+/// the runner panics if one does not.
 ///
 /// The default source type is [`Scenario`], so the historical
 /// constructor keeps working unchanged:
@@ -327,20 +313,16 @@ pub struct WorkloadRunner<S: BatchSource = Scenario> {
     shards: Option<usize>,
     /// Flush the held-back window after this many batches (>= 1).
     flush_every: Option<usize>,
-    /// Flush the held-back window once its oldest delta is this old.
-    flush_deadline: Option<Duration>,
     /// Time a from-scratch recount every `k` batches; 0 disables.
     recompute_every: usize,
-    /// Optional pacing target.
-    target_batches_per_sec: Option<f64>,
     /// Check the final triangle set against the oracle.
     verify: bool,
 }
 
 impl WorkloadRunner<Scenario> {
     /// A runner with eager application (no flush policy), the
-    /// single-threaded engine, no pacing, recompute sampling every 8
-    /// batches and no final oracle check.
+    /// single-threaded engine, recompute sampling every 8 batches and no
+    /// final oracle check.
     pub fn new(scenario: Scenario) -> Self {
         Self::from_source(scenario)
     }
@@ -354,16 +336,14 @@ impl WorkloadRunner<Scenario> {
 impl<S: BatchSource> WorkloadRunner<S> {
     /// A runner over any [`BatchSource`], with the same defaults as
     /// [`WorkloadRunner::new`]: eager application, the single-threaded
-    /// engine, no pacing, recompute sampling every 8 batches and no
-    /// final oracle check.
+    /// engine, recompute sampling every 8 batches and no final oracle
+    /// check.
     pub fn from_source(source: S) -> Self {
         WorkloadRunner {
             source,
             shards: None,
             flush_every: None,
-            flush_deadline: None,
             recompute_every: 8,
-            target_batches_per_sec: None,
             verify: false,
         }
     }
@@ -383,35 +363,10 @@ impl<S: BatchSource> WorkloadRunner<S> {
         self
     }
 
-    /// Defers the run with latency-bounded flushing (builder style):
-    /// flush the held-back window once its oldest delta has waited
-    /// `deadline`. The check runs after each batch and, in a
-    /// [paced](WorkloadRunner::paced) run, while the runner waits for
-    /// the next batch's slot — so a window is flushed at its deadline
-    /// (plus timer slack), not when the next batch arrives. Caps how
-    /// stale a read of the triangle set can get while still amortizing
-    /// flush work over multiple batches. Combined with
-    /// [`flush_every`](WorkloadRunner::flush_every), whichever is due
-    /// first flushes.
-    pub fn flush_deadline(mut self, deadline: Duration) -> Self {
-        self.flush_deadline = Some(deadline);
-        self
-    }
-
     /// Sets how often the recompute baseline is sampled; 0 disables
     /// (builder style).
     pub fn recompute_every(mut self, batches: usize) -> Self {
         self.recompute_every = batches;
-        self
-    }
-
-    /// Paces the stream at a target batch rate (builder style).
-    pub fn paced(mut self, batches_per_sec: f64) -> Self {
-        assert!(
-            batches_per_sec > 0.0,
-            "target rate must be positive, got {batches_per_sec}"
-        );
-        self.target_batches_per_sec = Some(batches_per_sec);
         self
     }
 
@@ -452,40 +407,14 @@ impl<S: BatchSource> WorkloadRunner<S> {
         let mut sampling_total = Duration::ZERO;
         let mut recompute_samples = 0usize;
 
-        let deferred = self.is_deferred();
         let mut window = Window::default();
-        let pacing_interval = self
-            .target_batches_per_sec
-            .map(|rate| Duration::from_secs_f64(1.0 / rate));
         let run_start = Instant::now();
-        let mut next_slot = run_start;
 
         for (i, batch) in self.source.batch_iter().enumerate() {
-            // A deadline flush that falls due while the run waits for this
-            // batch's slot runs then; its time joins this batch's sample.
-            let mut waited_flush = Duration::ZERO;
-            if let Some(interval) = pacing_interval {
-                if let Some(due) = window.due(self.flush_deadline) {
-                    if due < next_slot {
-                        sleep_until(due);
-                        let start = Instant::now();
-                        totals.absorb(&window.flush(&mut index, &mut staleness_hist));
-                        waited_flush = start.elapsed();
-                    }
-                }
-                sleep_until(next_slot);
-                next_slot += interval;
-            }
-
             let start = Instant::now();
-            if deferred {
+            if let Some(k) = self.flush_every {
                 window.push(batch);
-                let flush_due = self.flush_every.is_some_and(|k| (i + 1) % k == 0)
-                    || i + 1 == batch_count
-                    || window
-                        .due(self.flush_deadline)
-                        .is_some_and(|due| due <= Instant::now());
-                if flush_due {
+                if (i + 1) % k == 0 || i + 1 == batch_count {
                     totals.absorb(&window.flush(&mut index, &mut staleness_hist));
                 }
             } else {
@@ -494,7 +423,7 @@ impl<S: BatchSource> WorkloadRunner<S> {
                     .expect("batch sources only touch in-range nodes");
                 totals.absorb(&report);
             }
-            latency_hist.record(start.elapsed() + waited_flush);
+            latency_hist.record(start.elapsed());
 
             if self.recompute_every > 0 && i % self.recompute_every == 0 {
                 // Time the from-scratch alternative on the same state the
@@ -585,12 +514,11 @@ impl<S: BatchSource> WorkloadRunner<S> {
             n: self.source.node_count(),
             batch_count,
             batch_size: self.source.batch_size(),
-            mode: if deferred { "deferred" } else { "eager" }.to_string(),
+            mode: self.flush_every.map_or("eager", |_| "deferred").to_string(),
             // The engine-reported count: what actually ran, even where the
             // requested one was clamped.
             shards: self.shards.map(|_| index.shard_count()),
             flush_every: self.flush_every,
-            flush_deadline_ms: self.flush_deadline.map(|d| d.as_secs_f64() * 1e3),
             base_edges,
             final_edges: index.edge_count(),
             final_triangles: index.triangle_count(),
@@ -599,7 +527,6 @@ impl<S: BatchSource> WorkloadRunner<S> {
             busy_secs: busy.as_secs_f64(),
             deltas_per_sec: totals.deltas_seen as f64 / measured_secs,
             batches_per_sec: batch_count as f64 / measured_secs,
-            target_batches_per_sec: self.target_batches_per_sec,
             latency: LatencyStats::from_histogram(&latency_hist),
             staleness: StalenessStats::from_histogram(&staleness_hist),
             worker_busy_max_share: telemetry.map(|t| t.busy_max_share_mean),
@@ -609,16 +536,10 @@ impl<S: BatchSource> WorkloadRunner<S> {
             oracle_ok,
         }
     }
-
-    /// Whether a flush policy is set, i.e. the run holds batches back.
-    fn is_deferred(&self) -> bool {
-        self.flush_every.is_some() || self.flush_deadline.is_some()
-    }
 }
 
 /// The batches a deferred run holds back, and when the oldest of them
-/// arrived (the clock behind the deadline policy and the staleness
-/// samples).
+/// arrived (the clock behind the staleness samples).
 #[derive(Default)]
 struct Window {
     batches: Vec<DeltaBatch>,
@@ -633,12 +554,6 @@ impl Window {
         }
         self.since.get_or_insert_with(Instant::now);
         self.batches.push(batch);
-    }
-
-    /// When the deadline policy wants the window flushed (`None` while
-    /// nothing is held back or no deadline is set).
-    fn due(&self, deadline: Option<Duration>) -> Option<Instant> {
-        Some(self.since? + deadline?)
     }
 
     /// Applies the window's merge as one batch, records its staleness and
@@ -659,13 +574,6 @@ impl Window {
         report.deltas_seen += held - merged.len();
         report.noops += held - merged.len();
         report
-    }
-}
-
-fn sleep_until(deadline: Instant) {
-    let now = Instant::now();
-    if deadline > now {
-        std::thread::sleep(deadline - now);
     }
 }
 
@@ -733,9 +641,6 @@ mod tests {
             Some(since),
             "the oldest delta keeps the clock"
         );
-        let deadline = Duration::from_millis(1);
-        assert_eq!(window.due(Some(deadline)), Some(since + deadline));
-        assert_eq!(window.due(None), None);
 
         let mut index = TriangleIndex::new(2);
         let mut staleness = Histogram::new();
@@ -775,19 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn pacing_slows_the_run_down() {
-        let scenario = Scenario::uniform_churn(20, 5, 5).seeded(2);
-        let paced = WorkloadRunner::new(scenario.clone())
-            .recompute_every(0)
-            .paced(100.0)
-            .run();
-        // 5 batches at 100/s leave >= ~40ms of pacing.
-        assert!(paced.elapsed_secs >= 0.03, "got {}", paced.elapsed_secs);
-        assert_eq!(paced.target_batches_per_sec, Some(100.0));
-        assert!(paced.batches_per_sec <= 150.0);
-    }
-
-    #[test]
     fn sharded_engine_produces_the_same_final_state() {
         let scenario = small_scenario();
         let single = WorkloadRunner::new(scenario.clone()).verified(true).run();
@@ -807,67 +699,26 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flushing_bounds_staleness_and_reports_it() {
-        // Pace the run so held-back deltas age measurably, with no count
-        // policy: every flush but the final one must come from the
-        // deadline policy.
-        let scenario = Scenario::uniform_churn(40, 10, 10).seeded(3);
-        let deadline = Duration::from_millis(20);
-        let summary = WorkloadRunner::new(scenario)
-            .flush_deadline(deadline)
-            .recompute_every(0)
-            .paced(100.0)
-            .verified(true)
-            .run();
-        assert!(summary.oracle_ok);
-        assert_eq!(summary.mode, "deferred");
-        assert_eq!(summary.flush_every, None);
-        assert_eq!(summary.flush_deadline_ms, Some(20.0));
-        // 10 batches at ~10ms spacing against a 20ms budget: the deadline
-        // fires several times, not just the end-of-run flush.
-        assert!(
-            summary.staleness.flushes >= 2,
-            "expected deadline-driven flushes, got {:?}",
-            summary.staleness
-        );
-        assert!(summary.staleness.p50_us > 0.0);
-        assert!(summary.staleness.p50_us <= summary.staleness.p99_us);
-        assert!(summary.staleness.p99_us <= summary.staleness.max_us);
-        let json = summary.to_json();
-        assert!(json.contains("\"flush_deadline_ms\":20"));
-        assert!(json.contains("\"staleness_p99_us\":"));
-    }
-
-    #[test]
     fn eager_runs_report_zero_staleness() {
         let summary = WorkloadRunner::new(small_scenario()).run();
         assert_eq!(summary.staleness, StalenessStats::default());
-        assert_eq!(summary.flush_deadline_ms, None);
         assert_eq!(summary.flush_every, None, "eager runs never flush");
-        let json = summary.to_json();
-        assert!(json.contains("\"flush_deadline_ms\":null"));
-        assert!(json.contains("\"flush_every\":null"));
+        assert!(summary.to_json().contains("\"flush_every\":null"));
     }
 
     #[test]
     fn summaries_record_the_effective_engine_configuration() {
-        // Deferred sharded run with a deadline: every knob that shaped
-        // the run is recoverable from the JSON alone.
+        // Deferred sharded run: every knob that shaped the run is
+        // recoverable from the JSON alone.
         let summary = WorkloadRunner::new(small_scenario())
             .with_shards(4)
             .flush_every(3)
-            .flush_deadline(Duration::from_millis(50))
             .run();
         assert_eq!(summary.mode, "deferred");
         assert_eq!(summary.shards, Some(4));
         assert_eq!(summary.flush_every, Some(3));
         let json = summary.to_json();
-        for fragment in [
-            "\"mode\":\"deferred\"",
-            "\"shards\":4",
-            "\"flush_every\":3",
-            "\"flush_deadline_ms\":50",
-        ] {
+        for fragment in ["\"mode\":\"deferred\"", "\"shards\":4", "\"flush_every\":3"] {
             assert!(json.contains(fragment), "missing {fragment} in {json}");
         }
         // `with_shards(0)` clamps to 1; the summary reports what ran.
@@ -1041,12 +892,6 @@ mod tests {
         // The shared escaper (the summary serializer now rides on it).
         assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json::escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    #[should_panic(expected = "target rate must be positive")]
-    fn pacing_rejects_nonpositive_rates() {
-        let _ = WorkloadRunner::new(small_scenario()).paced(0.0);
     }
 
     #[test]

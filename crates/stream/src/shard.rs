@@ -433,10 +433,10 @@ impl Shard {
         }
     }
 
-    /// Ends the shard's mutation epoch: slabs the batch freed become
-    /// reusable and an arena whose free slack outgrew its live data
-    /// compacts. Nothing is ever held back for readers — the caller has
-    /// `&mut`, so by construction no lease can see these bytes.
+    /// Ends the shard's mutation epoch: an arena whose free slack
+    /// outgrew its live data compacts. (Freed slabs were reusable the
+    /// moment they were freed: the caller has `&mut`, so by construction
+    /// no lease can see these bytes.)
     pub(crate) fn advance_epoch(&mut self) {
         self.arena.advance_epoch();
     }
@@ -801,8 +801,8 @@ impl ShardStore {
         self.shards.iter().map(|shard| shard.half_edges()).sum()
     }
 
-    /// Ends the batch: every shard it wrote ends its arena epoch (slabs
-    /// freed by the batch become reusable, oversized arenas compact),
+    /// Ends the batch: every shard it wrote ends its arena epoch
+    /// (oversized arenas compact),
     /// the boundary is logged for that shard's retained buffers, and a
     /// retained buffer whose lag has outgrown the cap is dropped — which
     /// is also how an engine that stopped publishing sheds its buffers

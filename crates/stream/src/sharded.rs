@@ -455,9 +455,8 @@ impl ShardedTriangleIndex {
             self.store.half_edges().is_multiple_of(2),
             "shard adjacency lost symmetry"
         );
-        // One batch = one arena epoch: slabs freed by this batch's
-        // churn become reusable (and oversized arenas compact) now —
-        // every written buffer is unique, so no read view can see them.
+        // One batch = one arena epoch: oversized arenas compact now —
+        // every written buffer is unique, so no read view can see it.
         self.store.advance_epoch();
         report
     }
