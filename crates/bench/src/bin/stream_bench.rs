@@ -48,8 +48,8 @@ use congest_bench::{json, table::fmt_f64, Table};
 use congest_graph::temporal::{fingerprint_hex, TemporalLoader};
 use congest_graph::NodeId;
 use congest_stream::{
-    split_batch_for_workers, BaseGraph, BatchSource, DistributedTriangleEngine, FaultPlan, Replay,
-    ReplayPolicy, RunSummary, Scenario, ShardedTriangleIndex, TriangleServer, WorkloadRunner,
+    BaseGraph, BatchSource, DistributedTriangleEngine, FaultPlan, Replay, ReplayPolicy, RunSummary,
+    Scenario, ShardedTriangleIndex, TriangleServer, WorkloadRunner,
 };
 
 /// Minimum hardware threads for the S=4 parallel-speedup floor to bind:
@@ -239,10 +239,9 @@ const REPLAY_SERIES_CAP: usize = 256;
 
 /// The `--input` temporal-file replay: loads the file, runs it through
 /// the single-threaded and S=4 pooled engines via [`WorkloadRunner`]
-/// (both oracle-verified), then drives one more pass manually to record
-/// the per-round latency series through a `congest-obs` histogram and to
-/// hold [`split_batch_for_workers`] to its per-worker quota on real
-/// batches. Returns the `"replay"` JSON object, or `None` without
+/// (both oracle-verified), then drives one more S=4 pass manually to
+/// record the per-round latency series through a `congest-obs`
+/// histogram. Returns the `"replay"` JSON object, or `None` without
 /// `--input`.
 fn run_replay_section(args: &Args) -> Option<String> {
     let path = args.input.as_ref()?;
@@ -282,18 +281,12 @@ fn run_replay_section(args: &Args) -> Option<String> {
 
     // Per-round latency pass: one more walk of the stream, this time
     // recording each round individually (the runner only keeps
-    // percentiles). The split check rides along on real batches.
-    let workers = 4usize;
+    // percentiles).
     let base = replay.base_graph();
-    let mut engine = ShardedTriangleIndex::from_graph(&base, workers);
+    let mut engine = ShardedTriangleIndex::from_graph(&base, 4);
     let mut hist = congest_obs::Histogram::new();
     let mut series_us: Vec<f64> = Vec::new();
     for batch in replay.batch_iter() {
-        let parts = split_batch_for_workers(&batch, workers);
-        for (i, part) in parts.iter().enumerate() {
-            let quota = batch.len() / workers + usize::from(batch.len() % workers > i);
-            assert_eq!(part.len(), quota, "worker {i} split quota violated");
-        }
         let start = Instant::now();
         engine
             .apply(&batch)

@@ -18,7 +18,8 @@
 //!
 //! * malformed records (wrong field count, non-numeric tokens) fail with
 //!   a line-numbered [`GraphError::ParseEdgeList`] and the load returns
-//!   nothing — never a half-parsed timeline;
+//!   nothing — never a half-parsed timeline. An uncommented header such
+//!   as `src dst time` is one of them, a line-1 error: mark it `#`;
 //! * endpoints at or above an explicitly declared node count fail the
 //!   same way, a self-loop's included (without a declared count the
 //!   loader infers `max id + 1`);
@@ -183,11 +184,10 @@ impl TemporalEdgeList {
 #[derive(Debug, Clone, Default)]
 pub struct TemporalLoader {
     node_count: Option<usize>,
-    header_lines: usize,
 }
 
 impl TemporalLoader {
-    /// A loader with no declared node count and no forced header skip.
+    /// A loader with no declared node count.
     pub fn new() -> Self {
         TemporalLoader::default()
     }
@@ -196,14 +196,6 @@ impl TemporalLoader {
     /// line-numbered parse error instead of silently growing the graph.
     pub fn with_node_count(mut self, n: usize) -> Self {
         self.node_count = Some(n);
-        self
-    }
-
-    /// Unconditionally skips the first `lines` lines (some SNAP exports
-    /// carry uncommented header lines, which the timely replay tools
-    /// also skip by count).
-    pub fn with_header_lines(mut self, lines: usize) -> Self {
-        self.header_lines = lines;
         self
     }
 
@@ -220,7 +212,7 @@ impl TemporalLoader {
         let mut reader = BufReader::new(File::open(path).map_err(io_error)?);
         // Counting this file's newlines would mean reading it twice, so
         // the event vector grows by doubling here.
-        let mut ingest = Ingest::new(self, 0);
+        let mut ingest = Ingest::new(self.node_count, 0);
         let mut raw = String::new();
         while reader.read_line(&mut raw).map_err(io_error)? > 0 {
             ingest.line(&raw)?;
@@ -236,7 +228,7 @@ impl TemporalLoader {
         // (`0 1 2\n`) is six bytes: the vector is sized once, and never
         // beyond a small multiple of the text the caller already holds.
         let newlines = text.bytes().filter(|&b| b == b'\n').count();
-        let mut ingest = Ingest::new(self, (newlines + 1).min(text.len() / 6 + 1));
+        let mut ingest = Ingest::new(self.node_count, (newlines + 1).min(text.len() / 6 + 1));
         // `str::lines` would also strip a `\r` before the `\n` and the
         // empty piece after a final `\n`; both are blank to `line`.
         for raw in text.split('\n') {
@@ -248,8 +240,8 @@ impl TemporalLoader {
 
 /// One load in progress: `parse_str` and `load_path` feed it lines, and
 /// nothing it holds grows with the timeline except `events`.
-struct Ingest<'a> {
-    loader: &'a TemporalLoader,
+struct Ingest {
+    node_count: Option<usize>,
     /// 1-based number of the line `line` saw last.
     line: usize,
     events: Vec<TemporalEvent>,
@@ -257,10 +249,10 @@ struct Ingest<'a> {
     max_id: u32,
 }
 
-impl<'a> Ingest<'a> {
-    fn new(loader: &'a TemporalLoader, capacity: usize) -> Self {
+impl Ingest {
+    fn new(node_count: Option<usize>, capacity: usize) -> Self {
         Ingest {
-            loader,
+            node_count,
             line: 0,
             events: Vec::with_capacity(capacity),
             self_loops: 0,
@@ -273,9 +265,6 @@ impl<'a> Ingest<'a> {
     fn line(&mut self, raw: &str) -> Result<(), GraphError> {
         self.line += 1;
         let line = self.line;
-        if line <= self.loader.header_lines {
-            return Ok(());
-        }
         // Both cuts split on `char::is_whitespace`; the byte scan only
         // knows its ASCII members, so a line with any other byte (a
         // U+00A0 or U+2003 between fields, say) goes the Unicode way.
@@ -303,7 +292,7 @@ impl<'a> Ingest<'a> {
         let time = parse_field::<u64>(line, "time", time)?;
 
         let (u, v) = if src < dst { (src, dst) } else { (dst, src) };
-        if let Some(n) = self.loader.node_count {
+        if let Some(n) = self.node_count {
             if v as usize >= n {
                 return Err(parse_error(
                     line,
@@ -331,7 +320,7 @@ impl<'a> Ingest<'a> {
         // so the sorted timeline is a pure function of the file bytes.
         events.sort_by_key(|e| e.time);
         let duplicates_dropped = drop_duplicates(&mut events);
-        let node_count = self.loader.node_count.unwrap_or(if events.is_empty() {
+        let node_count = self.node_count.unwrap_or(if events.is_empty() {
             0
         } else {
             self.max_id as usize + 1
@@ -586,13 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn comments_blanks_and_headers_are_skipped() {
-        let text = "garbage header line\n# comment\n% matrix-market comment\n\n0 1 7\n";
-        let list = TemporalLoader::new()
-            .with_header_lines(1)
-            .parse_str(text)
-            .unwrap();
-        assert_eq!(list.len(), 1);
+    fn comments_and_blanks_are_skipped_but_a_bare_header_is_a_line_one_error() {
+        let text = "# comment\n% matrix-market comment\n\n0 1 7\n";
+        assert_eq!(TemporalLoader::new().parse_str(text).unwrap().len(), 1);
+        match TemporalLoader::new().parse_str("src dst time\n0 1 7\n") {
+            Err(GraphError::ParseEdgeList { line: 1, .. }) => {}
+            other => panic!("expected a line-1 parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -73,13 +73,10 @@ struct Loaded {
 }
 
 /// `TemporalLoader::parse_str` as it stood before the single-pass
-/// rewrite, body verbatim (`self.node_count` / `self.header_lines` are
-/// the two arguments; the fingerprint is `TemporalEdgeList`'s formula).
-fn reference_parse(
-    node_count: Option<usize>,
-    header_lines: usize,
-    text: &str,
-) -> Result<Loaded, GraphError> {
+/// rewrite, body verbatim less the header skip the loader has since
+/// dropped (`self.node_count` is the argument; the fingerprint is
+/// `TemporalEdgeList`'s formula).
+fn reference_parse(node_count: Option<usize>, text: &str) -> Result<Loaded, GraphError> {
     fn parse_error(line: usize, reason: String) -> GraphError {
         GraphError::ParseEdgeList { line, reason }
     }
@@ -104,9 +101,6 @@ fn reference_parse(
 
     for (index, raw) in text.lines().enumerate() {
         let line = index + 1;
-        if index < header_lines {
-            continue;
-        }
         let trimmed = raw.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
             continue;
@@ -178,8 +172,8 @@ fn reference_parse(
     })
 }
 
-fn loader(node_count: Option<usize>, header_lines: usize) -> TemporalLoader {
-    let loader = TemporalLoader::new().with_header_lines(header_lines);
+fn loader(node_count: Option<usize>) -> TemporalLoader {
+    let loader = TemporalLoader::new();
     match node_count {
         Some(n) => loader.with_node_count(n),
         None => loader,
@@ -199,13 +193,10 @@ fn load(loader: &TemporalLoader, text: &str) -> Result<Loaded, GraphError> {
 /// The loader and the oracle agree on `text`: equal timelines field for
 /// field, or the same error variant, line and reason string. Returns
 /// the shared outcome so a case can also say what it expected.
-fn agree(node_count: Option<usize>, header_lines: usize, text: &str) -> Result<Loaded, GraphError> {
-    let got = load(&loader(node_count, header_lines), text);
-    let want = reference_parse(node_count, header_lines, text);
-    assert_eq!(
-        got, want,
-        "node_count {node_count:?}, header_lines {header_lines}, text {text:?}"
-    );
+fn agree(node_count: Option<usize>, text: &str) -> Result<Loaded, GraphError> {
+    let got = load(&loader(node_count), text);
+    let want = reference_parse(node_count, text);
+    assert_eq!(got, want, "node_count {node_count:?}, text {text:?}");
     got
 }
 
@@ -222,18 +213,12 @@ fn reason_of(outcome: Result<Loaded, GraphError>) -> (usize, String) {
 #[test]
 fn separators_and_line_endings_match_the_reference() {
     let crlf = "# header\r\n0 1 5\r\n1 2 -1 6\r\n\r\n2 3 7";
-    assert_eq!(agree(None, 0, crlf).unwrap().events.len(), 3);
-    assert_eq!(
-        agree(None, 0, &format!("{crlf}\r\n")).unwrap().events.len(),
-        3
-    );
-    assert_eq!(
-        agree(None, 0, &format!("{crlf}\r")).unwrap().events.len(),
-        3
-    );
+    assert_eq!(agree(None, crlf).unwrap().events.len(), 3);
+    assert_eq!(agree(None, &format!("{crlf}\r\n")).unwrap().events.len(), 3);
+    assert_eq!(agree(None, &format!("{crlf}\r")).unwrap().events.len(), 3);
     // A bare `\r` is whitespace, not a line ending.
-    assert_eq!(agree(None, 0, "0 1\r5\n").unwrap().events.len(), 1);
-    assert_eq!(reason_of(agree(None, 0, "0 1 5\r1 2 6\n")).0, 1);
+    assert_eq!(agree(None, "0 1\r5\n").unwrap().events.len(), 1);
+    assert_eq!(reason_of(agree(None, "0 1 5\r1 2 6\n")).0, 1);
 
     for sep in [
         "\t",
@@ -247,23 +232,23 @@ fn separators_and_line_endings_match_the_reference() {
         " \u{a0}\t",
     ] {
         let text = format!("{sep}0{sep}1{sep}2{sep}3{sep}\n4{sep}5{sep}6\n7 8 9\n");
-        let list = agree(None, 0, &text).unwrap();
+        let list = agree(None, &text).unwrap();
         assert_eq!(list.events.len(), 3, "{sep:?}");
         assert_eq!(list.events[0].weight, 2, "{sep:?}");
     }
     // Not whitespace to either route: the token keeps the byte and
     // `str::parse` words the refusal.
     for junk in ["\u{1c}", "\u{1f}", "\u{0}", "\u{7f}", "\u{200b}", "é"] {
-        let (line, reason) = reason_of(agree(None, 0, &format!("0 1 5\n2{junk}3 4 6\n")));
+        let (line, reason) = reason_of(agree(None, &format!("0 1 5\n2{junk}3 4 6\n")));
         assert_eq!(line, 2, "{junk:?}");
         assert!(reason.starts_with("src field"), "{reason}");
     }
     // Comments and blanks behind leading whitespace, on both routes; a
     // `#` after a record is not a comment.
     let comments = "  # indented\n\t% matrix market\n \u{a0}# nbsp first\n\u{2003}\n \t \n#\n";
-    assert!(agree(None, 0, comments).unwrap().events.is_empty());
+    assert!(agree(None, comments).unwrap().events.is_empty());
     assert_eq!(
-        reason_of(agree(None, 0, &format!("{comments}0 1 5 # 7\n"))),
+        reason_of(agree(None, &format!("{comments}0 1 5 # 7\n"))),
         (7, "expected `src dst [w] time`, got 5 field(s)".to_owned())
     );
 }
@@ -289,7 +274,7 @@ fn numeric_edges_match_the_reference() {
         format!("0 1 -{} 5", digits(18)),
     ];
     for line in &accepted {
-        let list = agree(None, 0, &format!("{line}\n")).unwrap();
+        let list = agree(None, &format!("{line}\n")).unwrap();
         assert_eq!(list.events.len(), 1, "{line}");
     }
     let refused = [
@@ -313,18 +298,18 @@ fn numeric_edges_match_the_reference() {
         "0 1 ５".to_owned(),
     ];
     for line in &refused {
-        let (at, reason) = reason_of(agree(None, 0, &format!("0 1 1\n{line}\n")));
+        let (at, reason) = reason_of(agree(None, &format!("0 1 1\n{line}\n")));
         assert_eq!(at, 2, "{line}");
         assert!(reason.contains(" field \""), "{reason}");
     }
     // The first bad field is the one named, in `src dst w time` order.
-    let (_, reason) = reason_of(agree(None, 0, "x y z w\n"));
+    let (_, reason) = reason_of(agree(None, "x y z w\n"));
     assert!(reason.starts_with("src field \"x\""), "{reason}");
-    let (_, reason) = reason_of(agree(None, 0, "1 2 z w\n"));
+    let (_, reason) = reason_of(agree(None, "1 2 z w\n"));
     assert!(reason.starts_with("weight field \"z\""), "{reason}");
 }
 
-/// Field counts, declared node counts and forced header skips.
+/// Field counts, declared node counts and uncommented headers.
 #[test]
 fn field_counts_ranges_and_headers_match_the_reference() {
     for (text, fields) in [
@@ -335,7 +320,7 @@ fn field_counts_ranges_and_headers_match_the_reference() {
         ("0\u{a0}1\n", 2),
         ("0 1 2 3 4\u{2003}5\n", 6),
     ] {
-        let (line, reason) = reason_of(agree(None, 0, &format!("0 1 1\n\n{text}")));
+        let (line, reason) = reason_of(agree(None, &format!("0 1 1\n\n{text}")));
         assert_eq!(line, 3);
         assert_eq!(
             reason,
@@ -343,24 +328,19 @@ fn field_counts_ranges_and_headers_match_the_reference() {
         );
     }
     for text in ["0 1 5\n0 3 6\n", "0 1 5\n3 0 6\n", "0 1 5\n4 3 -1 6\n"] {
-        assert_eq!(reason_of(agree(Some(3), 0, text)).0, 2);
+        assert_eq!(reason_of(agree(Some(3), text)).0, 2);
     }
-    assert_eq!(agree(Some(4), 0, "0 1 5\n0 3 6\n").unwrap().node_count, 4);
-    assert_eq!(agree(Some(7), 0, "# nothing\n").unwrap().node_count, 7);
-    assert_eq!(agree(Some(0), 0, "\n").unwrap().node_count, 0);
-    assert_eq!(reason_of(agree(Some(0), 0, "\n0 1 5")).0, 2);
+    assert_eq!(agree(Some(4), "0 1 5\n0 3 6\n").unwrap().node_count, 4);
+    assert_eq!(agree(Some(7), "# nothing\n").unwrap().node_count, 7);
+    assert_eq!(agree(Some(0), "\n").unwrap().node_count, 0);
+    assert_eq!(reason_of(agree(Some(0), "\n0 1 5")).0, 2);
 
+    // An uncommented header is a record like any other: it fails on
+    // line 1. Marked as a comment, the first error is the bad record.
     let text = "src dst time\n0 1 5\nnot a record\n1 2 6";
-    assert_eq!(reason_of(agree(None, 0, text)).0, 1);
-    assert_eq!(reason_of(agree(None, 1, text)).0, 3);
-    assert_eq!(reason_of(agree(None, 2, text)).0, 3);
-    assert_eq!(agree(None, 3, text).unwrap().events.len(), 1);
-    // At and past the end of the text: nothing is left to parse.
-    for skip in [4, 5, 1_000, usize::MAX] {
-        let list = agree(None, skip, text).unwrap();
-        assert_eq!((list.events.len(), list.node_count), (0, 0));
-    }
-    assert!(agree(None, usize::MAX, "").unwrap().events.is_empty());
+    assert_eq!(reason_of(agree(None, text)).0, 1);
+    assert_eq!(reason_of(agree(None, &format!("# {text}"))).0, 3);
+    assert!(agree(None, "").unwrap().events.is_empty());
 }
 
 /// Duplicates are found after the sort, inside one equal-time run: the
@@ -371,7 +351,7 @@ fn duplicates_match_the_reference() {
     // Copies separated by other timestamps, in both endpoint orders and
     // both signs; weights of one sign are one event, of two signs two.
     let text = "0 1 9\n2 3 4\n1 0 9\n0 1 -1 9\n5 6 1\n1 0 -7 9\n0 1 3 9\n2 3 4\n0 1 8\n3 2 -2 4\n";
-    let list = agree(None, 0, text).unwrap();
+    let list = agree(None, text).unwrap();
     assert_eq!(list.duplicates_dropped, 4);
     assert_eq!(
         list.events
@@ -406,10 +386,12 @@ fn duplicates_match_the_reference() {
             }
         }
         text.push_str("8 7 2 100\n0 1 -1 50\n");
-        let list = agree(None, 0, &text).unwrap();
+        let list = agree(None, &text).unwrap();
         assert_eq!(list.duplicates_dropped, run / 4 + 1, "run of {run}");
+        // Without its two opening lines the closing repeat is new.
+        let body = text.splitn(3, '\n').nth(2).unwrap();
         assert_eq!(
-            agree(Some(6_000), 2, &text).unwrap().duplicates_dropped,
+            agree(Some(6_000), body).unwrap().duplicates_dropped,
             run / 4
         );
     }
@@ -425,7 +407,7 @@ fn duplicates_match_the_reference() {
         .into_iter()
         .chain((0..400).map(|k| run(20, 200 + k)))
         .collect();
-    let list = agree(None, 0, &text).unwrap();
+    let list = agree(None, &text).unwrap();
     assert_eq!(
         (list.events.len(), list.duplicates_dropped),
         (4_999 + 400 * 19, 401)
@@ -437,18 +419,18 @@ fn duplicates_match_the_reference() {
 #[test]
 fn an_out_of_range_self_loop_is_the_one_departure_from_the_reference() {
     let text = "0 1 5\n9 9 6\n";
-    let old = reference_parse(Some(3), 0, text).unwrap();
+    let old = reference_parse(Some(3), text).unwrap();
     assert_eq!((old.events.len(), old.self_loops_skipped), (1, 1));
     assert_eq!(
-        load(&loader(Some(3), 0), text),
+        load(&loader(Some(3)), text),
         Err(GraphError::ParseEdgeList {
             line: 2,
             reason: "node 9 is outside the declared node count 3".to_owned(),
         })
     );
     // In range, or with no count declared, the two still agree.
-    assert_eq!(agree(Some(10), 0, text).unwrap().self_loops_skipped, 1);
-    assert_eq!(agree(None, 0, text).unwrap().node_count, 2);
+    assert_eq!(agree(Some(10), text).unwrap().self_loops_skipped, 1);
+    assert_eq!(agree(None, text).unwrap().node_count, 2);
 }
 
 /// `load_path` reads a line at a time through a buffer smaller than the
@@ -476,7 +458,7 @@ fn load_path_on_a_file_larger_than_the_read_buffer_equals_parse_str() {
     assert_eq!(from_disk.duplicates_dropped(), 1);
     assert_eq!(
         from_disk.fingerprint(),
-        agree(None, 0, &text).unwrap().fingerprint
+        agree(None, &text).unwrap().fingerprint
     );
     assert_eq!(
         poisoned,
@@ -493,30 +475,28 @@ proptest! {
 
     /// The loader and its predecessor agree on the garbage family —
     /// valid records, near misses, comments and junk bytes — with and
-    /// without a declared node count and a forced header skip. (Ids
+    /// without a declared node count. (Ids
     /// there stay below 50, so a declared 50 refuses nothing and the
     /// self-loop fix cannot show.)
     #[test]
     fn garbage_parses_exactly_as_the_reference_does(seed in any::<u64>()) {
         let text = garbage_text(seed);
         for node_count in [None, Some(50)] {
-            for header_lines in [0, 3] {
-                let _ = agree(node_count, header_lines, &text);
-            }
+            let _ = agree(node_count, &text);
         }
         // The same lines with CRLF endings and no final newline.
         let crlf = text.replace('\n', "\r\n");
-        let _ = agree(None, 0, crlf.trim_end_matches('\n'));
+        let _ = agree(None, crlf.trim_end_matches('\n'));
         // Only the valid records (so the load succeeds), their times in
         // no order, once and twice over: sort and dedup on the success
         // path.
         let valid: Vec<&str> = text
             .lines()
-            .filter(|l| reference_parse(None, 0, l).is_ok())
+            .filter(|l| reference_parse(None, l).is_ok())
             .collect();
         let doubled = format!("{0}\n{0}\n", valid.join("\n"));
-        let once = agree(None, 0, &valid.join("\n")).unwrap();
-        let twice = agree(None, 0, &doubled).unwrap();
+        let once = agree(None, &valid.join("\n")).unwrap();
+        let twice = agree(None, &doubled).unwrap();
         prop_assert_eq!(&twice.events, &once.events);
         // Every record of the second copy goes, survivor or not.
         prop_assert_eq!(

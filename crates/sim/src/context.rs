@@ -1,7 +1,7 @@
 //! The per-round execution context handed to node programs.
 
 use congest_graph::NodeId;
-use congest_wire::{BitReader, BitWriter, IdCodec, Payload, WireError};
+use congest_wire::{IdCodec, Payload};
 use rand::rngs::SmallRng;
 
 use crate::faults::FaultState;
@@ -140,10 +140,8 @@ impl<'a> RoundContext<'a> {
 
     /// A codec for single identifiers and identifier lists over the domain
     /// `0..n`, matching the `O(log n)`-bit accounting of the model.
-    pub fn id_codec(&self) -> IdPayloadCodec {
-        IdPayloadCodec {
-            codec: IdCodec::new(self.info.n as u64),
-        }
+    pub fn id_codec(&self) -> IdCodec {
+        IdCodec::new(self.info.n as u64)
     }
 
     /// Queues a message of `payload` to `to`, to be delivered at the start
@@ -245,68 +243,19 @@ impl<'a> RoundContext<'a> {
     }
 }
 
-/// Convenience codec building single-identifier and identifier-list
-/// payloads over the domain `0..n`.
-///
-/// Wraps [`IdCodec`] so that simple programs (and the baselines) do not
-/// need to hand-roll encodings for the most common message shapes.
-#[derive(Debug, Clone, Copy)]
-pub struct IdPayloadCodec {
-    codec: IdCodec,
-}
-
-impl IdPayloadCodec {
-    /// Width of a single encoded identifier, in bits.
-    pub fn width(&self) -> usize {
-        self.codec.width()
-    }
-
-    /// The underlying [`IdCodec`].
-    pub fn codec(&self) -> IdCodec {
-        self.codec
-    }
-
-    /// Encodes one identifier as a standalone payload.
-    pub fn single(&self, id: u64) -> Payload {
-        let mut w = BitWriter::new();
-        self.codec.encode(&mut w, id);
-        w.finish()
-    }
-
-    /// Decodes a payload produced by [`IdPayloadCodec::single`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the payload is truncated or out of domain.
-    pub fn decode_single(&self, payload: &Payload) -> Result<u64, WireError> {
-        let mut r = BitReader::new(payload);
-        self.codec.decode(&mut r)
-    }
-
-    /// Encodes a length-prefixed identifier list as a standalone payload
-    /// (which may exceed a single message budget — send it with
-    /// [`RoundContext::stream`]).
-    pub fn list(&self, ids: &[u64]) -> Payload {
-        let mut w = BitWriter::new();
-        self.codec.encode_list(&mut w, ids);
-        w.finish()
-    }
-
-    /// Decodes a payload produced by [`IdPayloadCodec::list`], ignoring any
-    /// bits after the list.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the payload is truncated or malformed.
-    pub fn decode_list(&self, payload: &Payload) -> Result<Vec<u64>, WireError> {
-        let mut r = BitReader::new(payload);
-        self.codec.decode_list(&mut r)
-    }
+/// `id` alone as a payload in `codec`'s width: the message the
+/// simulator's own tests send most.
+#[cfg(test)]
+pub(crate) fn id_payload(codec: IdCodec, id: u64) -> Payload {
+    let mut w = congest_wire::BitWriter::new();
+    codec.encode(&mut w, id);
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest_wire::{BitReader, BitWriter};
     use rand::SeedableRng;
 
     fn info() -> NodeInfo {
@@ -347,7 +296,7 @@ mod tests {
     fn send_to_neighbor_succeeds() {
         let info = info();
         let (res, outbox) = with_ctx(&info, |ctx| {
-            let p = ctx.id_codec().single(5);
+            let p = id_payload(ctx.id_codec(), 5);
             ctx.send(NodeId(1), p)
         });
         assert!(res.is_ok());
@@ -415,7 +364,7 @@ mod tests {
         i.model = Model::CongestClique;
         let (res, outbox) = with_ctx(&i, |ctx| {
             for to in [5, 2, 7, 1, 6] {
-                ctx.send(NodeId(to), ctx.id_codec().single(u64::from(to)))
+                ctx.send(NodeId(to), id_payload(ctx.id_codec(), u64::from(to)))
                     .unwrap();
             }
             assert!(ctx.has_queued(NodeId(1)) && ctx.has_queued(NodeId(7)));
@@ -439,10 +388,15 @@ mod tests {
         let ((), _) = with_ctx(&info, |ctx| {
             let codec = ctx.id_codec();
             assert_eq!(codec.width(), 3);
-            let p = codec.single(6);
-            assert_eq!(codec.decode_single(&p).unwrap(), 6);
-            let p = codec.list(&[1, 2, 7]);
-            assert_eq!(codec.decode_list(&p).unwrap(), vec![1, 2, 7]);
+            let p = id_payload(codec, 6);
+            assert_eq!(codec.decode(&mut BitReader::new(&p)).unwrap(), 6);
+            let mut w = BitWriter::new();
+            codec.encode_list(&mut w, &[1, 2, 7]);
+            let p = w.finish();
+            assert_eq!(
+                codec.decode_list(&mut BitReader::new(&p)).unwrap(),
+                vec![1, 2, 7]
+            );
         });
     }
 

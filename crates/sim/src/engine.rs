@@ -326,8 +326,10 @@ impl<P: NodeProgram> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::id_payload;
     use crate::{Bandwidth, Model, NodeStatus, RoundContext};
     use congest_graph::generators::{Classic, Gnp};
+    use congest_wire::BitReader;
     use rand::Rng;
 
     /// A program that does nothing and halts immediately.
@@ -350,13 +352,13 @@ mod tests {
             if ctx.round() == 0 {
                 let codec = ctx.id_codec();
                 for v in ctx.neighbors().to_vec() {
-                    ctx.send(v, codec.single(ctx.id().as_u64())).unwrap();
+                    ctx.send(v, id_payload(codec, ctx.id().as_u64())).unwrap();
                 }
                 NodeStatus::Active
             } else {
                 let codec = ctx.id_codec();
                 for m in ctx.take_inbox() {
-                    let id = codec.decode_single(&m.payload).unwrap();
+                    let id = codec.decode(&mut BitReader::new(&m.payload)).unwrap();
                     assert_eq!(id, m.from.as_u64(), "sender id must match payload");
                     self.heard.push(m.from);
                 }
@@ -458,7 +460,7 @@ mod tests {
             fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
                 if ctx.round() == 0 {
                     if ctx.id() == NodeId(0) {
-                        let p = ctx.id_codec().single(0);
+                        let p = id_payload(ctx.id_codec(), 0);
                         ctx.send(NodeId(2), p).unwrap();
                     }
                     NodeStatus::Active
@@ -496,7 +498,7 @@ mod tests {
                 match (ctx.id().0, ctx.round()) {
                     (0, _) => NodeStatus::Halted,
                     (1, 0) => {
-                        let p = ctx.id_codec().single(1);
+                        let p = id_payload(ctx.id_codec(), 1);
                         ctx.send(NodeId(0), p).unwrap();
                         NodeStatus::Active
                     }
@@ -547,7 +549,7 @@ mod tests {
                     if m.from == ctx.id() {
                         if let Some(nb) = first {
                             if !ctx.has_queued(nb) {
-                                ctx.send(nb, codec.single(ctx.id().as_u64())).unwrap();
+                                ctx.send(nb, id_payload(codec, ctx.id().as_u64())).unwrap();
                             }
                         }
                     }
@@ -652,7 +654,7 @@ mod tests {
             type Output = ();
             fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
                 if ctx.id() == NodeId(0) && ctx.round() == 0 {
-                    let p = ctx.id_codec().single(0);
+                    let p = id_payload(ctx.id_codec(), 0);
                     let _ = ctx.send(NodeId(2), p);
                 }
                 NodeStatus::Halted
@@ -793,14 +795,14 @@ mod tests {
                     // Encode the token modulo n so it fits the id codec.
                     let value = self.token % ctx.n() as u64;
                     for v in ctx.neighbors().to_vec() {
-                        ctx.send(v, codec.single(value)).unwrap();
+                        ctx.send(v, id_payload(codec, value)).unwrap();
                     }
                     NodeStatus::Active
                 }
                 _ => {
                     let codec = ctx.id_codec();
                     for m in ctx.take_inbox() {
-                        self.sum += codec.decode_single(&m.payload).unwrap();
+                        self.sum += codec.decode(&mut BitReader::new(&m.payload)).unwrap();
                     }
                     NodeStatus::Halted
                 }
@@ -875,13 +877,13 @@ mod tests {
                 let n = ctx.n() as u64;
                 let value = ctx.rng().gen_range(0..n);
                 for v in ctx.neighbors().to_vec() {
-                    ctx.send(v, codec.single(value)).unwrap();
+                    ctx.send(v, id_payload(codec, value)).unwrap();
                 }
                 NodeStatus::Active
             } else {
                 let codec = ctx.id_codec();
                 for m in ctx.take_inbox() {
-                    if let Ok(v) = codec.decode_single(&m.payload) {
+                    if let Ok(v) = codec.decode(&mut BitReader::new(&m.payload)) {
                         self.sum += v;
                     }
                 }
@@ -927,7 +929,8 @@ mod tests {
                     let bytes = (0..5).map(|_| ctx.rng().gen()).collect();
                     let bits = Payload::from_parts(bytes, len);
                     if len < 8 {
-                        ctx.send(v, ctx.id_codec().single(u64::from(v.0))).unwrap();
+                        ctx.send(v, id_payload(ctx.id_codec(), u64::from(v.0)))
+                            .unwrap();
                     } else {
                         ctx.stream(v, bits).unwrap();
                     }

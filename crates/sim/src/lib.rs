@@ -48,7 +48,7 @@
 //! ```
 //! use congest_graph::generators::Classic;
 //! use congest_sim::{Model, NodeProgram, NodeStatus, RoundContext, SimConfig, Simulation};
-//! use congest_wire::Payload;
+//! use congest_wire::BitWriter;
 //!
 //! /// Every node sends its id to every neighbour, then records what it heard.
 //! struct Hello { heard: Vec<u32> }
@@ -58,9 +58,11 @@
 //!     fn on_round(&mut self, ctx: &mut RoundContext<'_>) -> NodeStatus {
 //!         match ctx.round() {
 //!             0 => {
+//!                 let mut w = BitWriter::new();
+//!                 ctx.id_codec().encode(&mut w, ctx.id().as_u64());
+//!                 let payload = w.finish();
 //!                 for &v in ctx.neighbors().to_vec().iter() {
-//!                     let payload = ctx.id_codec().single(ctx.id().as_u64());
-//!                     ctx.send(v, payload).expect("one id fits in the budget");
+//!                     ctx.send(v, payload.clone()).expect("one id fits in the budget");
 //!                 }
 //!                 NodeStatus::Active
 //!             }
@@ -98,7 +100,7 @@ mod stream;
 pub mod transfer;
 
 pub use config::{Bandwidth, CrashWindow, FaultPlan, Model, SimConfig};
-pub use context::{IdPayloadCodec, ReceivedMessage, RoundContext};
+pub use context::{ReceivedMessage, RoundContext};
 pub use engine::{EpochReport, RunReport, Simulation, Termination};
 pub use error::SimError;
 pub use metrics::Metrics;

@@ -2,11 +2,11 @@
 //!
 //! A [`DeltaBatch`] is an *ordered* sequence of edge insertions and
 //! removals — the unit of work the streaming engine applies atomically.
-//! Batches support [coalescing](DeltaBatch::coalesce): because a single
-//! edge's final presence depends only on the **last** operation touching
-//! it, any prefix of flapping (insert/remove/insert …) can be dropped
-//! without changing the post-batch graph. A caller that holds a window
-//! of batches back applies their [merge](DeltaBatch::merge) as one batch,
+//! Batches coalesce: because a single edge's final presence depends only
+//! on the **last** operation touching it, any prefix of flapping
+//! (insert/remove/insert …) can be dropped without changing the
+//! post-batch graph. A caller that holds a window of batches back
+//! applies their coalesced [merge](DeltaBatch::merge) as one batch,
 //! so edges that flap inside the window cost the engines nothing (the
 //! [`WorkloadRunner`](crate::WorkloadRunner)'s flush policies do this).
 
@@ -127,34 +127,23 @@ impl DeltaBatch {
         self
     }
 
-    /// Collapses the batch to at most one delta per edge.
-    ///
-    /// The final presence of an edge after a sequence of idempotent
-    /// insert/remove operations depends only on the **last** operation, so
-    /// coalescing keeps exactly that one and discards the rest. The result
-    /// is sorted by edge, which also makes the engine's adjacency updates
-    /// cache-friendlier. Applying the coalesced batch yields the same
-    /// post-batch graph as applying the original (a property the tests
-    /// check exhaustively).
-    pub fn coalesce(&self) -> DeltaBatch {
-        DeltaBatch {
-            deltas: coalesce(&self.deltas),
-        }
-    }
-
     /// The coalesced merge of a sequence of batches: the single batch whose
-    /// application yields the same graph as applying each batch in turn.
+    /// application yields the same graph as applying each batch in turn,
+    /// at most one delta per edge (its last op), sorted by edge. Merging
+    /// one batch coalesces it.
     pub fn merge<'a, I: IntoIterator<Item = &'a DeltaBatch>>(batches: I) -> DeltaBatch {
         let mut all = DeltaBatch::new();
         for b in batches {
             all.extend_from(b);
         }
-        all.coalesce()
+        DeltaBatch {
+            deltas: coalesce(&all.deltas),
+        }
     }
 }
 
 /// The one coalescer: `deltas` stably sorted by edge, keeping the last
-/// op of each edge. [`DeltaBatch::coalesce`] and [`classify`] (the
+/// op of each edge. [`DeltaBatch::merge`] and [`classify`] (the
 /// distributed coordinator's and the shard pool's workers') both run it,
 /// so every engine that coalesces drops the same ops.
 pub(crate) fn coalesce(deltas: &[EdgeDelta]) -> Vec<EdgeDelta> {
@@ -237,11 +226,9 @@ mod tests {
             .insert(v(2), v(3))
             .remove(v(2), v(3))
             .insert(v(4), v(5));
-        let c = b.coalesce();
-        assert_eq!(c.len(), 3);
         assert_eq!(
-            c.deltas(),
-            &[
+            coalesce(b.deltas()),
+            [
                 EdgeDelta::insert(v(0), v(1)),
                 EdgeDelta::remove(v(2), v(3)),
                 EdgeDelta::insert(v(4), v(5)),
@@ -284,17 +271,17 @@ mod tests {
             for d in &batch {
                 last.insert(d.edge, d.op);
             }
-            let expected: DeltaBatch = last
+            let expected: Vec<EdgeDelta> = last
                 .into_iter()
                 .map(|(edge, op)| EdgeDelta { edge, op })
                 .collect();
-            prop_assert_eq!(batch.coalesce(), expected);
+            prop_assert_eq!(coalesce(batch.deltas()), expected);
         }
     }
 
     #[test]
     fn coalesce_of_empty_batch_is_empty() {
-        assert!(DeltaBatch::new().coalesce().is_empty());
+        assert!(coalesce(&[]).is_empty());
         assert!(DeltaBatch::merge([]).is_empty());
     }
 

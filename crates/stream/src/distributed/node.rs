@@ -278,7 +278,7 @@ impl DynamicTriangleNode {
         if let Some(h) = &mut self.hardened {
             h.reset();
         }
-        let codec = ctx.id_codec().codec();
+        let codec = ctx.id_codec();
         let n = ctx.n();
         let bandwidth_bits = ctx.bandwidth_bits();
         let per_message = wire::edges_per_message(bandwidth_bits, codec.width());
@@ -393,7 +393,7 @@ impl DynamicTriangleNode {
     /// stream's trailer.
     fn send_broadcast(&self, ctx: &mut RoundContext<'_>, r: u64, data_end: u64) {
         let bandwidth_bits = ctx.bandwidth_bits();
-        let codec = ctx.id_codec().codec();
+        let codec = ctx.id_codec();
         let (queues, wave) = if r < self.epoch.rm_rounds {
             (&self.rm_queues, r)
         } else if r < data_end {
@@ -458,7 +458,7 @@ impl DynamicTriangleNode {
     /// a hardened engine — and a child reads its parent's
     /// acknowledgements.
     fn receive(&mut self, ctx: &mut RoundContext<'_>, r: u64, data_end: u64, broadcast_end: u64) {
-        let codec = ctx.id_codec().codec();
+        let codec = ctx.id_codec();
         let n = ctx.n();
         // An inbox is in sender order, so a duplicated chunk sits next
         // to its twin: a child owed an answer gets one, once its last
@@ -634,7 +634,7 @@ impl DynamicTriangleNode {
         }
         if let Some(parent) = self.epoch.parent {
             let hardened = self.hardened.is_some();
-            let codec = ctx.id_codec().codec();
+            let codec = ctx.id_codec();
             let bandwidth_bits = ctx.bandwidth_bits();
             let up = self.up_link.get_or_insert_with(|| {
                 let stream =

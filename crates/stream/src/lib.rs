@@ -176,5 +176,5 @@ pub use runner::{LatencyStats, RecomputeStats, RunSummary, StalenessStats, Workl
 pub use serve::{Lease, ServeHandle, TriangleServer, STALE_LEASE_WARN_EPOCHS};
 pub use shard::CowStats;
 pub use sharded::ShardedTriangleIndex;
-pub use source::{split_batch_for_workers, BatchIter, BatchSource, Replay, ReplayPolicy};
+pub use source::{BatchIter, BatchSource, Replay, ReplayPolicy};
 pub use workload::{BaseGraph, Scenario, ScenarioBatchIter, ScenarioKind};

@@ -18,9 +18,9 @@
 //!   a [`ReplayPolicy`]: fixed batch size, or fixed wall-clock time
 //!   window over the file's own timestamps.
 //!
-//! [`split_batch_for_workers`] rounds out the layer with the per-worker
-//! batch split the timely/differential replay tools use: worker `i` of
-//! `p` receives `len/p + (len%p > i)` deltas of each batch.
+//! A source does not split a batch across workers: the sharded engine's
+//! pool does, by the owner of each edge's lower endpoint, so one edge's
+//! ops always meet on one worker.
 
 use std::sync::Arc;
 
@@ -246,19 +246,6 @@ impl Replay {
         }
     }
 
-    /// Like [`Replay::new`] but shares an already-`Arc`ed timeline, so
-    /// several runner configurations can replay one loaded file without
-    /// cloning the event vector.
-    pub fn from_shared(timeline: Arc<TemporalEdgeList>, policy: ReplayPolicy) -> Self {
-        let batch_count = count_batches(timeline.events(), policy);
-        Replay {
-            timeline,
-            policy,
-            label: "temporal".to_string(),
-            batch_count,
-        }
-    }
-
     /// Names the source after its origin (typically the file name);
     /// shows up in logs and JSON as `replay/<label>`.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
@@ -397,44 +384,12 @@ impl Iterator for ReplayIter<'_> {
     }
 }
 
-/// Splits one batch across `workers` round-robin, so worker `i` receives
-/// exactly `len/workers + (len % workers > i)` deltas — the per-worker
-/// quota the timely/differential replay harnesses use. Relative delta
-/// order is preserved within each worker's slice.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`.
-pub fn split_batch_for_workers(batch: &DeltaBatch, workers: usize) -> Vec<DeltaBatch> {
-    assert!(workers > 0, "need at least one worker");
-    let mut parts = vec![DeltaBatch::new(); workers];
-    for (j, delta) in batch.deltas().iter().enumerate() {
-        parts[j % workers].push(*delta);
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delta::EdgeDelta;
     use congest_graph::temporal::TemporalLoader;
     use congest_graph::NodeId;
-
-    /// Re-applies split batches in a deterministic worker-interleaved
-    /// order; proves the split loses nothing.
-    fn rejoin_split(parts: &[DeltaBatch]) -> Vec<EdgeDelta> {
-        let mut out = Vec::new();
-        let longest = parts.iter().map(DeltaBatch::len).max().unwrap_or(0);
-        for k in 0..longest {
-            for p in parts {
-                if let Some(d) = p.deltas().get(k) {
-                    out.push(*d);
-                }
-            }
-        }
-        out
-    }
 
     fn toy_timeline() -> TemporalEdgeList {
         TemporalLoader::new()
@@ -541,24 +496,6 @@ mod tests {
         }
         for bad in ["size", "size:0", "window:0", "size:x", "rate:5", ""] {
             assert!(ReplayPolicy::parse(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn split_respects_the_per_worker_quota() {
-        let mut batch = DeltaBatch::new();
-        for i in 0..11u32 {
-            batch.insert(NodeId(i), NodeId(i + 1));
-        }
-        for workers in 1..=5 {
-            let parts = split_batch_for_workers(&batch, workers);
-            assert_eq!(parts.len(), workers);
-            for (i, part) in parts.iter().enumerate() {
-                let quota = batch.len() / workers + usize::from(batch.len() % workers > i);
-                assert_eq!(part.len(), quota, "worker {i} of {workers}");
-            }
-            // Nothing lost, nothing duplicated.
-            assert_eq!(rejoin_split(&parts), batch.deltas().to_vec());
         }
     }
 }

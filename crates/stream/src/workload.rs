@@ -344,11 +344,6 @@ impl Scenario {
         batch
     }
 
-    /// Total number of deltas across the expanded stream.
-    pub fn total_deltas(&self) -> usize {
-        self.batch_iter().map(|b| b.len()).sum()
-    }
-
     fn uniform_pair(&self, rng: &mut StdRng) -> (NodeId, NodeId) {
         let u = rng.gen_range(0..self.n);
         let mut v = rng.gen_range(0..self.n);
@@ -454,7 +449,7 @@ mod tests {
         let batches = s.batches();
         assert_eq!(batches.len(), 7);
         assert!(batches.iter().all(|b| b.len() == 13));
-        assert_eq!(s.total_deltas(), 7 * 13);
+        assert_eq!(batches.iter().map(|b| b.len()).sum::<usize>(), 7 * 13);
     }
 
     #[test]

@@ -353,7 +353,7 @@ fn coalesced_report(
         triangles_removed: missing(&pre.1, post),
         ..ApplyReport::default()
     };
-    for d in batch.coalesce().deltas() {
+    for d in DeltaBatch::merge([batch]).deltas() {
         match (d.op, pre.0.has_edge(d.edge.lo(), d.edge.hi())) {
             (DeltaOp::Insert, false) => report.inserts_applied += 1,
             (DeltaOp::Remove, true) => report.removes_applied += 1,

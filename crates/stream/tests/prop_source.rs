@@ -1,18 +1,16 @@
 //! `BatchSource` pipeline tests: frozen pre-refactor golden checksums
 //! pin all four scenario families bit-identically to their historical
-//! delta streams, the writer → loader → replay pipeline is byte-stable,
-//! and the per-worker batch split realizes its quota exactly. Replayed
-//! files run through every engine in `conformance.rs`.
+//! delta streams, and the writer → loader → replay pipeline is
+//! byte-stable. Replayed files run through every engine in
+//! `conformance.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use congest_graph::temporal::{SyntheticTemporal, TemporalLoader};
 use congest_hash::Checksum61;
 use congest_stream::{
-    split_batch_for_workers, BaseGraph, BatchSource, DeltaBatch, DeltaOp, Replay, ReplayPolicy,
-    Scenario, WorkloadRunner,
+    BaseGraph, BatchSource, DeltaBatch, DeltaOp, Replay, ReplayPolicy, Scenario, WorkloadRunner,
 };
 use proptest::prelude::*;
 
@@ -109,8 +107,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The lazy iterator and the materialized list agree for every
-    /// family and seed, and `batch_count`/`total_deltas` describe the
-    /// stream the iterator actually yields.
+    /// family and seed, and `batch_count` describes the stream the
+    /// iterator actually yields.
     #[test]
     fn batch_iter_and_batches_agree(seed in any::<u64>()) {
         let scenarios = [
@@ -124,10 +122,6 @@ proptest! {
             let lazy: Vec<DeltaBatch> = scenario.batch_iter().collect();
             prop_assert_eq!(&lazy, &materialized);
             prop_assert_eq!(lazy.len(), BatchSource::batch_count(&scenario));
-            prop_assert_eq!(
-                lazy.iter().map(DeltaBatch::len).sum::<usize>(),
-                scenario.total_deltas()
-            );
         }
     }
 
@@ -160,35 +154,6 @@ proptest! {
                     );
                     i += 1;
                 }
-            }
-        }
-    }
-
-    /// `split_batch_for_workers` hands worker `i` exactly
-    /// `len/w + (len%w > i)` deltas, preserves per-worker relative
-    /// order, and loses or duplicates nothing.
-    #[test]
-    fn split_batch_realizes_the_quota_exactly(
-        seed in any::<u64>(),
-        workers in 1usize..9,
-    ) {
-        let replay = replay_from_file(seed, ReplayPolicy::BySize(37));
-        for batch in replay.batch_iter() {
-            let parts = split_batch_for_workers(&batch, workers);
-            prop_assert_eq!(parts.len(), workers);
-            let len = batch.len();
-            let mut rejoined: Vec<Vec<_>> = vec![Vec::new(); workers];
-            for (i, part) in parts.iter().enumerate() {
-                prop_assert!(
-                    part.len() == len / workers + usize::from(len % workers > i),
-                    "worker {i} of {workers} got {} deltas of a {len}-delta batch",
-                    part.len()
-                );
-                rejoined[i] = part.deltas().to_vec();
-            }
-            // Round-robin inverse: delta j went to worker j % workers.
-            for (j, d) in batch.deltas().iter().enumerate() {
-                prop_assert_eq!(&rejoined[j % workers][j / workers], d);
             }
         }
     }
@@ -236,18 +201,17 @@ fn workload_runner_reports_scenario_source_identity() {
     assert!(summary.to_json().contains("\"replay_policy\":null"));
 }
 
-/// The same timeline behind an `Arc` replays identically from two
-/// clones — the source is shareable across runner configurations
-/// without re-loading the file.
+/// Two clones of a replay share one timeline and replay it
+/// identically — the source is shareable across runner configurations
+/// without re-loading the file or copying its events.
 #[test]
 fn replay_clones_share_one_timeline() {
-    let timeline = Arc::new(
-        TemporalLoader::new()
-            .parse_str(&SyntheticTemporal::new(16, 90).seeded(3).render())
-            .unwrap(),
-    );
-    let a = Replay::from_shared(Arc::clone(&timeline), ReplayPolicy::BySize(30));
-    let b = Replay::from_shared(timeline, ReplayPolicy::BySize(30));
+    let timeline = TemporalLoader::new()
+        .parse_str(&SyntheticTemporal::new(16, 90).seeded(3).render())
+        .unwrap();
+    let a = Replay::new(timeline, ReplayPolicy::BySize(30));
+    let b = a.clone();
+    assert!(std::ptr::eq(a.timeline(), b.timeline()));
     assert_eq!(BatchSource::fingerprint(&a), BatchSource::fingerprint(&b));
     let batches_a: Vec<DeltaBatch> = a.batch_iter().collect();
     let batches_b: Vec<DeltaBatch> = b.batch_iter().collect();

@@ -21,16 +21,14 @@ pub struct FindingConfig {
     /// The heaviness exponent ε (Theorem 1 uses
     /// `n^ε = n^{1/3}/(log n)^{2/3}`).
     pub epsilon: EpsilonChoice,
-    /// Number of (A1 ; A3) repetitions.
+    /// Number of (A1 ; A3) repetitions. The driver runs every one of them,
+    /// even after a triangle is found, so the reported cost is that of the
+    /// whole schedule the Theorem 1 bound describes.
     pub repetitions: usize,
     /// Constants profile applied to the sub-algorithms.
     pub profile: ConstantsProfile,
     /// Per-message bandwidth of the CONGEST network.
     pub bandwidth: Bandwidth,
-    /// Stop repeating as soon as a triangle has been found (useful for
-    /// interactive use; experiments keep it off so that the measured cost is
-    /// the worst-case cost).
-    pub stop_early: bool,
 }
 
 impl FindingConfig {
@@ -43,7 +41,6 @@ impl FindingConfig {
             repetitions: ConstantsProfile::Paper.finding_repetitions(n),
             profile: ConstantsProfile::Paper,
             bandwidth: Bandwidth::default(),
-            stop_early: false,
         }
     }
 
@@ -56,7 +53,6 @@ impl FindingConfig {
             repetitions: ConstantsProfile::Scaled.finding_repetitions(n),
             profile: ConstantsProfile::Scaled,
             bandwidth: Bandwidth::default(),
-            stop_early: false,
         }
     }
 
@@ -69,12 +65,6 @@ impl FindingConfig {
     /// Overrides the repetition count.
     pub fn with_repetitions(mut self, repetitions: usize) -> Self {
         self.repetitions = repetitions.max(1);
-        self
-    }
-
-    /// Enables early termination on first success.
-    pub fn with_stop_early(mut self, stop_early: bool) -> Self {
-        self.stop_early = stop_early;
         self
     }
 }
@@ -157,10 +147,6 @@ pub fn find_triangles<V: AdjacencyView + ?Sized>(
         report.repetitions.push(cost);
         report.found.union_with(&a1.triangles);
         report.found.union_with(&a3.triangles);
-
-        if config.stop_early && report.found_any() {
-            break;
-        }
     }
     report
 }
@@ -225,21 +211,6 @@ mod tests {
         assert_eq!(sum, report.total_rounds);
         let bits: u64 = report.repetitions.iter().map(|r| r.bits).sum();
         assert_eq!(bits, report.total_bits);
-    }
-
-    #[test]
-    fn stop_early_reduces_work_on_easy_instances() {
-        let g = Classic::Complete(12).generate();
-        let eager = find_triangles(
-            &g,
-            &FindingConfig::paper(&g)
-                .with_repetitions(6)
-                .with_stop_early(true),
-            2,
-        );
-        let full = find_triangles(&g, &FindingConfig::paper(&g).with_repetitions(6), 2);
-        assert!(eager.found_any());
-        assert!(eager.total_rounds < full.total_rounds);
     }
 
     #[test]
